@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .baselines import BaselineKind, run_baseline
-from .errors import GtpError
+from .errors import GtpError, ParseError
 from .ingest import (
     CategoryConfig,
     categorize,
@@ -73,18 +73,40 @@ def _load_network(args: argparse.Namespace) -> MultiModalNetwork:
 
 
 def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise ParseError(f"invalid JSON: {error.msg}", file=path, line=error.lineno) from None
+    except UnicodeDecodeError:
+        raise ParseError("query file is not UTF-8 text", file=path) from None
+    except OSError as error:
+        raise ParseError(f"cannot read query file: {error.strerror}", file=path) from None
+    if not isinstance(document, dict):
+        raise ParseError("a query must be a JSON object with 'agents' and 'categories'", file=path)
+    for key in ("agents", "categories"):
+        if not isinstance(document.get(key), list):
+            raise ParseError(f"a query needs a list under {key!r}", file=path)
     to_id = {poi.external_id: poi.id for poi in net.pois}
 
     def resolve(token) -> int:
-        if isinstance(token, int):
+        if isinstance(token, int) and not isinstance(token, bool):
             return token
+        if not isinstance(token, str):
+            raise ParseError(f"PoI reference {token!r} is neither an id nor an external id", file=path)
         if token not in to_id:
             raise GtpError(f"query references unknown PoI {token!r}")
         return to_id[token]
 
-    agents = [(resolve(s), resolve(d)) for s, d in document["agents"]]
-    categories = [[resolve(p) for p in cat] for cat in document["categories"]]
+    agents = []
+    for pair in document["agents"]:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(f"agent {pair!r} is not a [source, destination] pair", file=path)
+        agents.append((resolve(pair[0]), resolve(pair[1])))
+    categories = []
+    for category in document["categories"]:
+        if not isinstance(category, list):
+            raise ParseError(f"category {category!r} is not a list of PoIs", file=path)
+        categories.append([resolve(p) for p in category])
     return QueryInstance(agents, categories)
 
 

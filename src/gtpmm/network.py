@@ -15,6 +15,7 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable
 
@@ -168,6 +169,11 @@ class MultiModalNetwork:
 
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
+
+    The two search views below are derived from ``edges``, ``adjacency`` and
+    ``edge_costs`` on first use and cached on the instance. They are not
+    dataclass fields, so they take no part in equality or ``repr``, and a
+    network that is never searched never builds them.
     """
 
     pois: tuple[Poi, ...]
@@ -184,11 +190,35 @@ class MultiModalNetwork:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def poi_by_external(self, external_id: str) -> Poi:
-        for poi in self.pois:
-            if poi.external_id == external_id:
-                return poi
-        raise KeyError(f"no PoI with external id {external_id!r}")
+    @cached_property
+    def adjacency_rows(self) -> tuple[tuple[tuple[int, ModeId, int, Money], ...], ...]:
+        """Per PoI, one ``(neighbor, mode, edge id, cost)`` row per incident
+        edge in ``adjacency`` order; self-loops are left out."""
+        edges = self.edges
+        costs = self.edge_costs
+        rows = []
+        for u, edge_ids in enumerate(self.adjacency):
+            row = []
+            for eid in edge_ids:
+                edge = edges[eid]
+                v = edge.other(u)
+                if v != u:
+                    row.append((v, edge.mode, eid, costs[eid]))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def cheapest_neighbors(self) -> tuple[tuple[tuple[int, Money], ...], ...]:
+        """Per PoI, one ``(neighbor, cost)`` pair per distinct neighbor at the
+        cheapest cost among the parallel edges; self-loops are left out."""
+        best: list[dict[int, Money]] = [{} for _ in self.pois]
+        for edge, cost in zip(self.edges, self.edge_costs):
+            u, v = edge.u, edge.v
+            known = best[u].get(v)
+            if u != v and (known is None or cost < known):
+                best[u][v] = cost
+                best[v][u] = cost
+        return tuple(tuple(row.items()) for row in best)
 
     def check_poi(self, poi_id: int) -> None:
         if not 0 <= poi_id < len(self.pois):
@@ -294,9 +324,7 @@ def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResul
     pred: dict[int, tuple[int, ModeId, int]] = {}  # node -> (pred poi, mode, edge id)
     settled: set[int] = set()
     heap: list[tuple[Money, int]] = [(0, source)]
-    adjacency = net.adjacency
-    edges = net.edges
-    costs = net.edge_costs
+    rows = net.adjacency_rows
 
     while heap:
         d, u = heappop(heap)
@@ -305,19 +333,17 @@ def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResul
         settled.add(u)
         if u == target:
             break
-        for eid in adjacency[u]:
-            edge = edges[eid]
-            v = edge.other(u)
-            if v in settled or v == u:
+        for v, mode, eid, cost in rows[u]:
+            if v in settled:
                 continue
-            candidate = d + costs[eid]
+            candidate = d + cost
             known = dist.get(v)
             if known is None or candidate < known:
                 dist[v] = candidate
-                pred[v] = (u, edge.mode, eid)
+                pred[v] = (u, mode, eid)
                 heappush(heap, (candidate, v))
-            elif candidate == known and (u, edge.mode, eid) < pred[v]:
-                pred[v] = (u, edge.mode, eid)
+            elif candidate == known and (u, mode, eid) < pred[v]:
+                pred[v] = (u, mode, eid)
 
     if target not in settled:
         return None
@@ -333,6 +359,45 @@ def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResul
     legs.reverse()
     sequence.reverse()
     return PathResult(dist[target], tuple(legs), tuple(sequence))
+
+
+def shortest_costs(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, Money]:
+    """Cheapest cost from ``source`` to every reachable PoI of ``targets``.
+
+    One Dijkstra over :attr:`MultiModalNetwork.cheapest_neighbors` that stops
+    once every target is settled. A target missing from the result is
+    unreachable; ``source``, if it is a target, costs 0. The network is
+    undirected, so the costs also hold from each target back to ``source``,
+    and each equals ``shortest_path(net, source, target).cost``.
+    """
+    net.check_poi(source)
+    remaining = set(targets)
+    for target in remaining:
+        net.check_poi(target)
+    found: dict[int, Money] = {}
+    if not remaining:
+        return found
+
+    dist: dict[int, Money] = {source: 0}
+    heap: list[tuple[Money, int]] = [(0, source)]
+    neighbors = net.cheapest_neighbors
+
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry; u was settled at a lower cost
+        if u in remaining:
+            found[u] = d
+            remaining.discard(u)
+            if not remaining:
+                break
+        for v, cost in neighbors[u]:
+            candidate = d + cost
+            known = dist.get(v)
+            if known is None or candidate < known:
+                dist[v] = candidate
+                heappush(heap, (candidate, v))
+    return found
 
 
 def connected_components(net: MultiModalNetwork) -> list[set[int]]:

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .errors import EnumerationLimitError, InfeasibleRouteError
 from .network import Money, MultiModalNetwork, PathResult, shortest_path
-from .planner import QueryInstance, SharingMode
+from .planner import QueryInstance, SharingMode, group_cost
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -51,22 +51,11 @@ class _LegCosts:
         return leg.cost
 
 
-def aggregated_distance(
-    net: MultiModalNetwork,
-    inst: QueryInstance,
-    common_pois: Sequence[int],
-    _legs: _LegCosts | None = None,
-) -> Money:
-    """Summed cheapest-cost distance of one common-PoI choice.
-
-    Source and destination legs count once per agent; intermediate legs
-    count once. Identical to the shared-intermediate group cost.
-    """
-    legs = _legs if _legs is not None else _LegCosts(net)
-    total = sum(legs.cost(source, common_pois[0]) for source, _ in inst.agents)
-    total += sum(legs.cost(a, b) for a, b in zip(common_pois, common_pois[1:]))
-    total += sum(legs.cost(common_pois[-1], dest) for _, dest in inst.agents)
-    return total
+def aggregated_distance(net: MultiModalNetwork, inst: QueryInstance, common_pois: Sequence[int]) -> Money:
+    """Summed cheapest-cost distance of one common-PoI choice: the
+    shared-intermediate group cost, where source and destination legs count
+    once per agent and intermediate legs once."""
+    return group_cost(net, inst, common_pois, SharingMode.SHARED_INTERMEDIATE)
 
 
 def brute_force_optimal(

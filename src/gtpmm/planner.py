@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
-from .network import ModeId, Money, MultiModalNetwork, PathResult, shortest_path
+from .network import ModeId, Money, MultiModalNetwork, PathResult, shortest_costs, shortest_path
 
 
 class SharingMode(enum.Enum):
@@ -76,12 +76,18 @@ class QueryInstance:
 
 @dataclass
 class DpTable:
-    """Per-category minimum costs with predecessor links and the leg cache.
+    """Per-category minimum costs with predecessor links, the pair costs the
+    DP reads, and the leg cache.
 
     ``cost[c][j]`` is finite (present) iff some prefix of the common path
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
-    ``leg_cache`` memoizes pairwise shortest paths; ``sp_invocations`` counts
-    the distinct pairs actually solved (cache misses).
+    ``distances`` maps a PoI pair, lower id first (the network is
+    undirected), to its cheapest cost; ``searches`` counts the one-to-many
+    searches that filled it. ``distance`` reads it and records the first
+    pair it finds missing, i.e. unreachable, in ``first_unreachable``.
+    ``leg_cache`` memoizes the point-to-point shortest paths the chosen
+    plan's legs are built from; ``sp_invocations`` counts the distinct pairs
+    actually solved there (cache misses).
     """
 
     cost: list[dict[int, Money]]
@@ -89,19 +95,30 @@ class DpTable:
     leg_cache: dict[tuple[int, int], PathResult | None] = field(default_factory=dict)
     sp_invocations: int = 0
     first_unreachable: tuple[int, int] | None = None
+    distances: dict[tuple[int, int], Money] = field(default_factory=dict)
+    searches: int = 0
 
     @property
     def k(self) -> int:
         return len(self.cost)
 
+    def search(self, net: MultiModalNetwork, source: int, targets: Iterable[int]) -> None:
+        """Add the cheapest costs from ``source`` to ``targets`` to ``distances``."""
+        self.searches += 1
+        for target, cost in shortest_costs(net, source, targets).items():
+            self.distances[(source, target) if source <= target else (target, source)] = cost
+
+    def distance(self, u: int, v: int) -> Money | None:
+        cost = self.distances.get((u, v) if u <= v else (v, u))
+        if cost is None and self.first_unreachable is None:
+            self.first_unreachable = (u, v)
+        return cost
+
     def leg(self, net: MultiModalNetwork, u: int, v: int) -> PathResult | None:
         key = (u, v)
         if key not in self.leg_cache:
             self.sp_invocations += 1
-            result = shortest_path(net, u, v)
-            self.leg_cache[key] = result
-            if result is None and self.first_unreachable is None:
-                self.first_unreachable = key
+            self.leg_cache[key] = shortest_path(net, u, v)
         return self.leg_cache[key]
 
 
@@ -137,20 +154,34 @@ def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
 
 
 def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode) -> DpTable:
-    """Run the layered DP and return the full table (no reconstruction)."""
+    """Run the layered DP and return the full table (no reconstruction).
+
+    One search per category PoI ``j`` fills the pair costs first: it reaches
+    the previous category (the sources for the first one) and, from the
+    last category, the destinations. The DP and the destination stage then
+    read every transition from that table.
+    """
     _check_instance(net, inst)
     m = sharing.intermediate_multiplier(inst.n_agents)
     table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories])
+
+    destinations = {dest for _, dest in inst.agents}
+    for c, category in enumerate(inst.categories):
+        targets = set(inst.categories[c - 1]) if c else {source for source, _ in inst.agents}
+        if c == inst.k - 1:
+            targets |= destinations
+        for j in category:
+            table.search(net, j, targets)
 
     for j in inst.categories[0]:
         total = 0
         reachable = True
         for source, _ in inst.agents:
-            leg = table.leg(net, source, j)
-            if leg is None:
+            cost = table.distance(source, j)
+            if cost is None:
                 reachable = False
                 break
-            total += leg.cost
+            total += cost
         if reachable:
             table.cost[0][j] = total
             table.parent[0][j] = None
@@ -163,10 +194,10 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
             for i in inst.categories[c - 1]:
                 if i not in previous:
                     continue
-                leg = table.leg(net, i, j)
-                if leg is None:
+                cost = table.distance(i, j)
+                if cost is None:
                     continue
-                candidate = previous[i] + m * leg.cost
+                candidate = previous[i] + m * cost
                 if best is None or candidate < best:  # ties keep the lower PoI id i
                     best = candidate
                     best_parent = i
@@ -189,10 +220,10 @@ def destination_totals(net: MultiModalNetwork, inst: QueryInstance, table: DpTab
         for j in inst.categories[-1]:
             if j not in last:
                 continue
-            leg = table.leg(net, j, dest)
-            if leg is None:
+            cost = table.distance(j, dest)
+            if cost is None:
                 continue
-            candidate = last[j] + leg.cost
+            candidate = last[j] + cost
             if best is None or candidate < best:
                 best = candidate
         if best is not None:
@@ -236,11 +267,11 @@ def plan(
         total = table.cost[inst.k - 1][j]
         feasible = True
         for _, dest in inst.agents:
-            leg = table.leg(net, j, dest)
-            if leg is None:
+            cost = table.distance(j, dest)
+            if cost is None:
                 feasible = False
                 break
-            total += leg.cost
+            total += cost
         if feasible and (best_total is None or total < best_total):
             best_total = total
             best_last = j

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +153,40 @@ def test_missing_fares_fail(query_file, capsys):
 def test_log_env_variable_is_honored(monkeypatch, walkthrough_args, query_file, capsys):
     monkeypatch.setenv("GTPMM_LOG", "DEBUG")
     assert main(["verify", *walkthrough_args, "--query", query_file]) == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+BAD_QUERIES = {
+    "json-list": ('[["v01", "v10"]]', "must be a JSON object"),
+    "no-categories": ('{"agents": [["v01", "v10"]]}', "'categories'"),
+    "invalid-json": ('{\n  "agents": [["v01", "v10"]],\n  "categories": [["v03"],]\n}', ":3: invalid JSON"),
+    "bad-agent": ('{"agents": [["v01"]], "categories": [["v03"]]}', "not a [source, destination] pair"),
+    "bad-token": ('{"agents": [[["v01"], "v10"]], "categories": [["v03"]]}', "neither an id nor an external id"),
+}
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "gtpmm.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize("case", sorted(BAD_QUERIES))
+def test_bad_query_file_fails_without_traceback(tmp_path, walkthrough_args, case):
+    text, message = BAD_QUERIES[case]
+    path = tmp_path / "query.json"
+    path.write_text(text)
+    result = run_cli("plan", *walkthrough_args, "--query", str(path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert str(path) in result.stderr and message in result.stderr
+
+
+def test_missing_query_file_fails_without_traceback(tmp_path, walkthrough_args):
+    path = tmp_path / "absent.json"
+    result = run_cli("plan", *walkthrough_args, "--query", str(path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: {path}: cannot read query file" in result.stderr

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from decimal import Decimal
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from gtpmm import (
     shortest_path,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
+from gtpmm.network import PathResult, shortest_costs
 from gtpmm.synth import random_disconnected_network, random_network
 
 
@@ -243,6 +245,193 @@ def test_symmetry_and_triangle_inequality(seed):
 def test_shortest_path_is_deterministic(walkthrough_net):
     runs = [shortest_path(walkthrough_net, 0, 9) for _ in range(20)]
     assert all(run == runs[0] for run in runs)
+
+
+# --- search views and differential tests ---------------------------------------
+
+
+def edge_walking_shortest_path(net, source, target):
+    """The shortest_path that walked TransitEdge objects, kept verbatim as the
+    reference for the row-based one."""
+    net.check_poi(source)
+    net.check_poi(target)
+    if source == target:
+        return PathResult(0, (), (source,))
+
+    dist = {source: 0}
+    pred = {}  # node -> (pred poi, mode, edge id)
+    settled = set()
+    heap = [(0, source)]
+    adjacency = net.adjacency
+    edges = net.edges
+    costs = net.edge_costs
+
+    while heap:
+        d, u = heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == target:
+            break
+        for eid in adjacency[u]:
+            edge = edges[eid]
+            v = edge.other(u)
+            if v in settled or v == u:
+                continue
+            candidate = d + costs[eid]
+            known = dist.get(v)
+            if known is None or candidate < known:
+                dist[v] = candidate
+                pred[v] = (u, edge.mode, eid)
+                heappush(heap, (candidate, v))
+            elif candidate == known and (u, edge.mode, eid) < pred[v]:
+                pred[v] = (u, edge.mode, eid)
+
+    if target not in settled:
+        return None
+
+    legs = []
+    sequence = [target]
+    node = target
+    while node != source:
+        previous, mode, eid = pred[node]
+        legs.append((eid, mode))
+        sequence.append(previous)
+        node = previous
+    legs.reverse()
+    sequence.reverse()
+    return PathResult(dist[target], tuple(legs), tuple(sequence))
+
+
+def assert_searches_agree(net):
+    """Both searches against the reference, on every pair of PoIs."""
+    nodes = range(net.poi_count)
+    for source in nodes:
+        paths = {target: shortest_path(net, source, target) for target in nodes}
+        for target, path in paths.items():
+            assert path == edge_walking_shortest_path(net, source, target)
+        expected = {target: path.cost for target, path in paths.items() if path is not None}
+        assert shortest_costs(net, source, nodes) == expected
+        for target in nodes:  # a lone target stops the search early
+            single = shortest_costs(net, source, [target])
+            assert single.get(target) == expected.get(target)
+            assert set(single) <= {target}
+
+
+def built_network(n_pois, fares, edge_specs):
+    builder = NetworkBuilder(allow_self_loops=True)
+    for i in range(n_pois):
+        builder.add_poi(f"n{i}")
+    for u, v, mode, dist, time in edge_specs:
+        builder.add_edge(u, v, mode, dist, time)
+    return builder.finalize(fares)
+
+
+# Modes: M0 and M1 are free at zero length; M2 and M3 cost the same flat fare.
+EDGE_CASE_FARES = FareTable.from_pairs(
+    [
+        ("M0", FarePolicy(0, Decimal("1"), Decimal(0))),
+        ("M1", FarePolicy(0, Decimal(0), Decimal("2"))),
+        ("M2", FarePolicy(40, Decimal(0), Decimal(0))),
+        ("M3", FarePolicy(40, Decimal(0), Decimal(0))),
+    ]
+)
+
+EDGE_CASE_NETWORKS = {
+    # a chain of free edges next to a priced shortcut
+    "zero-cost": (5, [(0, 1, 0, 0.0, 9.0), (1, 2, 1, 7.0, 0.0), (2, 3, 0, 0.0, 0.0), (0, 3, 2, 0.0, 0.0)]),
+    # every hop has two or three parallel modes at the same cost
+    "tied-parallel": (
+        4,
+        [(0, 1, 3, 0.0, 0.0), (0, 1, 2, 5.0, 5.0), (1, 2, 2, 0.0, 0.0), (2, 1, 3, 0.0, 0.0), (1, 2, 0, 40.0, 0.0)]
+        + [(0, 3, 0, 20.0, 0.0), (3, 2, 1, 0.0, 10.0), (0, 3, 1, 0.0, 10.0)],
+    ),
+    # equal-cost routes through different PoIs
+    "tied-routes": (
+        5,
+        [(0, 1, 2, 0.0, 0.0), (0, 2, 3, 0.0, 0.0), (1, 3, 3, 0.0, 0.0), (2, 3, 2, 0.0, 0.0), (3, 4, 0, 0.0, 0.0)],
+    ),
+    # self-loops, free and priced, on a path
+    "self-loops": (
+        4,
+        [(0, 0, 0, 0.0, 0.0), (0, 1, 2, 0.0, 0.0), (1, 1, 2, 0.0, 0.0), (1, 2, 1, 3.0, 1.5), (2, 2, 3, 1.0, 1.0)],
+    ),
+    # two islands and an isolated PoI
+    "disconnected": (6, [(0, 1, 0, 5.0, 0.0), (1, 2, 2, 0.0, 0.0), (3, 4, 1, 0.0, 0.0), (3, 4, 3, 0.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_NETWORKS))
+def test_searches_agree_on_edge_case_networks(name):
+    n_pois, edge_specs = EDGE_CASE_NETWORKS[name]
+    assert_searches_agree(built_network(n_pois, EDGE_CASE_FARES, edge_specs))
+
+
+@st.composite
+def small_networks(draw):
+    """Up to 7 PoIs; fares include zero base fares and zero rates, edges include
+    self-loops, zero lengths and parallel modes, and the graph may be disconnected."""
+    n_pois = draw(st.integers(min_value=1, max_value=7))
+    policies = draw(
+        st.lists(
+            st.builds(
+                FarePolicy,
+                st.sampled_from([0, 0, 1, 3, 40]),
+                st.sampled_from([Decimal(0), Decimal("0.5"), Decimal(1)]),
+                st.sampled_from([Decimal(0), Decimal("0.25"), Decimal(2)]),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    fares = FareTable.from_pairs((f"M{i}", policy) for i, policy in enumerate(policies))
+    node = st.integers(min_value=0, max_value=n_pois - 1)
+    length = st.sampled_from([0.0, 1.0, 2.5, 4.0])
+    edge = st.tuples(node, node, st.integers(min_value=0, max_value=len(policies) - 1), length, length)
+    return built_network(n_pois, fares, draw(st.lists(edge, max_size=14)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=small_networks())
+def test_searches_agree_on_random_networks(net):
+    assert_searches_agree(net)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_searches_agree_on_synthetic_networks(seed):
+    assert_searches_agree(random_network(seed, n_pois=15, n_modes=3, extra_edges=10))
+
+
+def test_shortest_costs_without_targets_is_empty(walkthrough_net):
+    assert shortest_costs(walkthrough_net, 0, []) == {}
+
+
+def test_shortest_costs_rejects_unknown_pois(walkthrough_net):
+    with pytest.raises(ConfigurationError):
+        shortest_costs(walkthrough_net, 99, [0])
+    with pytest.raises(ConfigurationError):
+        shortest_costs(walkthrough_net, 0, [1, 99])
+
+
+def test_search_views_are_lazy_and_outside_equality():
+    spec = EDGE_CASE_NETWORKS["tied-parallel"]
+    net = built_network(spec[0], EDGE_CASE_FARES, spec[1])
+    twin = built_network(spec[0], EDGE_CASE_FARES, spec[1])
+    assert "adjacency_rows" not in vars(net) and "cheapest_neighbors" not in vars(net)
+    shortest_path(net, 0, 2)
+    shortest_costs(net, 0, [2])
+    assert net.adjacency_rows is net.adjacency_rows
+    assert net.cheapest_neighbors is net.cheapest_neighbors
+    assert net == twin and repr(net) == repr(twin)
+
+
+def test_search_views_of_a_multigraph():
+    spec = EDGE_CASE_NETWORKS["self-loops"]
+    net = built_network(spec[0], EDGE_CASE_FARES, spec[1])
+    # edge ids 0, 2 and 4 are self-loops and appear in neither view
+    assert net.adjacency_rows[1] == ((0, 2, 1, 40), (2, 1, 3, 3))
+    assert net.cheapest_neighbors == (((1, 40),), ((0, 40), (2, 3)), ((1, 3),), ())
 
 
 # --- components and repair -------------------------------------------------------

@@ -246,6 +246,43 @@ def test_shortest_path_invocation_bound():
         assert table.sp_invocations <= bound
 
 
+def test_distance_stage_runs_one_search_per_category_poi(monkeypatch):
+    import gtpmm.planner
+
+    calls = []
+
+    def counted_shortest_path(net, u, v):
+        calls.append((u, v))
+        return shortest_path(net, u, v)
+
+    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+    for seed in range(6):
+        net = random_network(seed, n_pois=30, n_modes=2)
+        inst = random_instance(seed, net, k=3, pois_per_category=4, n_agents=4)
+        table = compute_dp(net, inst, PER_PERSON)
+        destination_totals(net, inst, table)
+        assert table.searches == sum(len(cat) for cat in inst.categories)
+        assert table.sp_invocations == 0
+        assert calls == []
+
+        plan(net, inst, PER_PERSON)
+        sources = {s for s, _ in inst.agents}
+        destinations = {d for _, d in inst.agents}
+        assert len(calls) <= len(sources) + len(destinations) + inst.k - 1
+        calls.clear()
+
+
+def test_unreachable_destination_is_named_from_the_last_category():
+    net = random_disconnected_network(seed=21, n_components=2, pois_per_component=3)
+    # sources and categories on island one, the destination on island two
+    inst = QueryInstance([(0, 4)], [[1, 2]])
+    table = compute_dp(net, inst, PER_PERSON)
+    assert table.first_unreachable is None
+    with pytest.raises(InfeasibleRouteError) as excinfo:
+        plan(net, inst, PER_PERSON)
+    assert excinfo.value.pair == (1, 4)
+
+
 def test_plan_is_deterministic(walkthrough_net, walkthrough_inst):
     journeys = [plan(walkthrough_net, walkthrough_inst, PER_PERSON) for _ in range(10)]
     assert all(journey == journeys[0] for journey in journeys)
