@@ -13,8 +13,8 @@ import enum
 from collections import deque
 
 from .errors import InfeasibleRouteError
-from .network import MultiModalNetwork, PathResult, shortest_path
-from .planner import JourneyPlan, QueryInstance, SharingMode, recompute_total
+from .network import MultiModalNetwork, PathResult
+from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
 
@@ -65,27 +65,6 @@ def _random_mode_leg(net: MultiModalNetwork, source: int, target: int, rng: Spli
     return PathResult(cost, tuple(legs), tuple(sequence))
 
 
-def _cheapest_leg(net: MultiModalNetwork, source: int, target: int) -> PathResult:
-    leg = shortest_path(net, source, target)
-    if leg is None:
-        raise InfeasibleRouteError(source, target)
-    return leg
-
-
-def _assemble(
-    net: MultiModalNetwork,
-    inst: QueryInstance,
-    common: tuple[int, ...],
-    sharing: SharingMode,
-    leg_fn,
-) -> JourneyPlan:
-    source_legs = tuple(leg_fn(net, source, common[0]) for source, _ in inst.agents)
-    common_legs = tuple(leg_fn(net, a, b) for a, b in zip(common, common[1:]))
-    dest_legs = tuple(leg_fn(net, common[-1], dest) for _, dest in inst.agents)
-    draft = JourneyPlan(common, common_legs, source_legs, dest_legs, sharing, 0)
-    return JourneyPlan(common, common_legs, source_legs, dest_legs, sharing, recompute_total(draft))
-
-
 def _random_common(inst: QueryInstance, rng: SplitMix64) -> tuple[int, ...]:
     # Category sets are stored sorted, so indexing is stable across runs.
     return tuple(cat[rng.below(len(cat))] for cat in inst.categories)
@@ -104,7 +83,7 @@ def rprm(
     def leg(n: MultiModalNetwork, u: int, v: int) -> PathResult:
         return _random_mode_leg(n, u, v, rng)
 
-    return _assemble(net, inst, common, sharing, leg)
+    return assemble(net, inst, common, sharing, leg)
 
 
 def rpcm(
@@ -120,7 +99,7 @@ def rpcm(
     """
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
-    return _assemble(net, inst, common, sharing, lambda n, u, v: _cheapest_leg(n, u, v))
+    return assemble(net, inst, common, sharing, Legs().path)
 
 
 def nncm(
@@ -134,41 +113,23 @@ def nncm(
     later pick is nearest (by cheapest cost) to the previous pick. Ties go
     to the lower PoI id.
     """
-    cache: dict[tuple[int, int], PathResult | None] = {}
-
-    def cost_between(u: int, v: int) -> int | None:
-        key = (u, v)
-        if key not in cache:
-            cache[key] = shortest_path(net, u, v)
-        leg = cache[key]
-        return None if leg is None else leg.cost
-
-    first_best: tuple[int, int] | None = None  # (total, poi)
-    for j in inst.categories[0]:
-        total = 0
-        for source, _ in inst.agents:
-            c = cost_between(source, j)
-            if c is None:
-                total = -1
-                break
-            total += c
-        if total >= 0 and (first_best is None or total < first_best[0]):
-            first_best = (total, j)
-    if first_best is None:
-        raise InfeasibleRouteError(inst.agents[0][0], inst.categories[0][0])
-
-    common = [first_best[1]]
-    for cat in inst.categories[1:]:
-        best: tuple[int, int] | None = None
+    legs = Legs()
+    common: list[int] = []
+    for cat in inst.categories:
+        origins = [common[-1]] if common else [source for source, _ in inst.agents]
+        best: tuple[int, int] | None = None  # (summed cost from the origins, poi)
         for j in cat:
-            c = cost_between(common[-1], j)
-            if c is not None and (best is None or c < best[0]):
-                best = (c, j)
+            try:
+                cost = sum(legs.path(net, origin, j).cost for origin in origins)
+            except InfeasibleRouteError:
+                continue
+            if best is None or cost < best[0]:
+                best = (cost, j)
         if best is None:
-            raise InfeasibleRouteError(common[-1], cat[0])
+            raise InfeasibleRouteError(origins[0], cat[0])
         common.append(best[1])
 
-    return _assemble(net, inst, tuple(common), sharing, lambda n, u, v: _cheapest_leg(n, u, v))
+    return assemble(net, inst, tuple(common), sharing, legs.path)
 
 
 def run_baseline(

@@ -19,7 +19,7 @@ GTFS: the standard ``stops.txt``, ``routes.txt``, ``trips.txt`` and
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -78,6 +78,8 @@ def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Dec
         high = Decimal(parts[1].strip()) * 100
     except InvalidOperation:
         raise ParseError(f"cannot parse money range {text!r}", file=file, line=line) from None
+    if not (low.is_finite() and high.is_finite()):
+        raise ParseError(f"money range {text!r} is not finite", file=file, line=line)
     if low < 0 or low > high:
         raise ParseError(f"inverted or negative range {text!r}", file=file, line=line)
     return low, high
@@ -429,25 +431,61 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
         document = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", file=str(path), line=exc.lineno) from None
+    except UnicodeDecodeError:
+        raise ParseError("network file is not UTF-8 text", file=str(path)) from None
+    except OSError as error:
+        raise ParseError(f"cannot read network file: {error.strerror}", file=str(path)) from None
 
-    fare_table = FareTable.from_pairs(
-        (
-            entry["name"],
-            FarePolicy(
+    if not isinstance(document, dict):
+        raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))
+    for key in ("modes", "pois", "edges"):
+        if not isinstance(document.get(key), list):
+            raise ParseError(f"a network needs a list under {key!r}", file=str(path))
+
+    pairs = []
+    for index, entry in enumerate(document["modes"]):
+        try:
+            policy = FarePolicy(
                 int(entry["base_fare_cents"]),
                 Decimal(entry["cost_per_meter_cents"]),
                 Decimal(entry["cost_per_minute_cents"]),
-            ),
-        )
-        for entry in document["modes"]
-    )
+            )
+            pairs.append((entry["name"], policy))
+        except (KeyError, TypeError, ValueError, ArithmeticError, ConfigurationError) as error:
+            raise _malformed(path, f"modes[{index}]", error) from None
+    try:
+        fare_table = FareTable.from_pairs(pairs)
+    except ConfigurationError as error:
+        raise ParseError(f"modes: {error}", file=str(path)) from None
+
     builder = NetworkBuilder()
-    for poi in document["pois"]:
-        coords = tuple(poi["coords"]) if poi.get("coords") else None
-        builder.add_poi(poi["external_id"], name=poi.get("name", ""), category=poi.get("category"), coords=coords)
-    for edge in document["edges"]:
-        builder.add_edge(edge["u"], edge["v"], edge["mode"], edge["distance_m"], edge["time_min"])
+    external_ids: set[str] = set()
+    for index, poi in enumerate(document["pois"]):
+        try:
+            external_id = poi["external_id"]
+            if external_id in external_ids:
+                raise ParseError(f"pois[{index}]: duplicate external_id {external_id!r}", file=str(path))
+            external_ids.add(external_id)
+            coords = tuple(poi["coords"]) if poi.get("coords") else None
+            builder.add_poi(external_id, name=poi.get("name", ""), category=poi.get("category"), coords=coords)
+        except (KeyError, TypeError) as error:
+            raise _malformed(path, f"pois[{index}]", error) from None
+    modes = fare_table.mode_count
+    for index, edge in enumerate(document["edges"]):
+        try:
+            u, v, mode = edge["u"], edge["v"], edge["mode"]
+            if type(u) is not int or type(v) is not int or type(mode) is not int or not 0 <= mode < modes:
+                raise ParseError(f"edges[{index}]: u and v must be PoI ids and mode a mode id", file=str(path))
+            builder.add_edge(u, v, mode, edge["distance_m"], edge["time_min"])
+        except (KeyError, TypeError, ConfigurationError) as error:
+            raise _malformed(path, f"edges[{index}]", error) from None
     return builder.finalize(fare_table)
+
+
+def _malformed(path: Path, element: str, error: Exception) -> ParseError:
+    """ParseError naming the JSON element a loader rejected and why."""
+    reason = f"missing key {error}" if isinstance(error, KeyError) else "malformed entry or value"
+    return ParseError(f"{element}: {reason}", file=str(path))
 
 
 # --- categorization -----------------------------------------------------------
@@ -511,9 +549,5 @@ def categorize(net: MultiModalNetwork, cfg: CategoryConfig) -> tuple[MultiModalN
         if not ids_in_set:
             raise ConfigurationError(f"category {index} is empty after assignment")
 
-    builder = NetworkBuilder(allow_self_loops=True)
-    for poi in net.pois:
-        builder.add_poi(poi.external_id, name=poi.name, category=assignment.get(poi.id), coords=poi.coords)
-    for edge in net.edges:
-        builder.add_edge(edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
-    return builder.finalize(net.fare_table), [tuple(ids_in_set) for ids_in_set in sets]
+    relabeled = replace(net, pois=tuple(replace(poi, category=assignment.get(poi.id)) for poi in net.pois))
+    return relabeled, [tuple(ids_in_set) for ids_in_set in sets]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from heapq import heappop, heappush
@@ -279,12 +279,7 @@ class NetworkBuilder:
 
 def rebuild_with_fares(net: MultiModalNetwork, fare_table: FareTable) -> MultiModalNetwork:
     """Same topology under a different fare table (edge costs recomputed)."""
-    builder = NetworkBuilder(allow_self_loops=True)
-    for poi in net.pois:
-        builder.add_poi(poi.external_id, name=poi.name, category=poi.category, coords=poi.coords)
-    for edge in net.edges:
-        builder.add_edge(edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
-    return builder.finalize(fare_table)
+    return replace(net, fare_table=fare_table, edge_costs=tuple(edge_cost(edge, fare_table) for edge in net.edges))
 
 
 def cheapest_parallel_edge(net: MultiModalNetwork, u: int, v: int) -> tuple[int, Money] | None:

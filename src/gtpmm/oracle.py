@@ -13,8 +13,8 @@ import math
 from typing import Iterator, Sequence
 
 from .errors import EnumerationLimitError, InfeasibleRouteError
-from .network import Money, MultiModalNetwork, PathResult, shortest_path
-from .planner import QueryInstance, SharingMode, group_cost
+from .network import Money, MultiModalNetwork
+from .planner import Legs, QueryInstance, SharingMode, group_cost
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -32,23 +32,6 @@ def enumerate_valid_paths(
     if count > max_tuples:
         raise EnumerationLimitError(count, max_tuples)
     return itertools.product(*inst.categories)
-
-
-class _LegCosts:
-    """Pairwise cheapest-cost lookups, memoized across tuples."""
-
-    def __init__(self, net: MultiModalNetwork):
-        self._net = net
-        self._cache: dict[tuple[int, int], PathResult | None] = {}
-
-    def cost(self, u: int, v: int) -> Money:
-        key = (u, v)
-        if key not in self._cache:
-            self._cache[key] = shortest_path(self._net, u, v)
-        leg = self._cache[key]
-        if leg is None:
-            raise InfeasibleRouteError(u, v)
-        return leg.cost
 
 
 def aggregated_distance(net: MultiModalNetwork, inst: QueryInstance, common_pois: Sequence[int]) -> Money:
@@ -70,7 +53,7 @@ def brute_force_optimal(
     an unreachable leg are skipped; if every tuple is unreachable the first
     offending pair is reported.
     """
-    legs = _LegCosts(net)
+    legs = Legs()
     m = sharing.intermediate_multiplier(inst.n_agents)
 
     best: tuple[int, ...] | None = None
@@ -78,9 +61,9 @@ def brute_force_optimal(
     first_failure: InfeasibleRouteError | None = None
     for candidate in enumerate_valid_paths(inst, max_tuples):
         try:
-            total = sum(legs.cost(source, candidate[0]) for source, _ in inst.agents)
-            total += m * sum(legs.cost(a, b) for a, b in zip(candidate, candidate[1:]))
-            total += sum(legs.cost(candidate[-1], dest) for _, dest in inst.agents)
+            total = sum(legs.path(net, source, candidate[0]).cost for source, _ in inst.agents)
+            total += m * sum(legs.path(net, a, b).cost for a, b in zip(candidate, candidate[1:]))
+            total += sum(legs.path(net, candidate[-1], dest).cost for _, dest in inst.agents)
         except InfeasibleRouteError as failure:
             if first_failure is None:
                 first_failure = failure

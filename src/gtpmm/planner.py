@@ -12,8 +12,8 @@ parent links.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
 from .network import ModeId, Money, MultiModalNetwork, PathResult, shortest_costs, shortest_path
@@ -74,10 +74,32 @@ class QueryInstance:
         return pois
 
 
+class Legs:
+    """Cheapest point-to-point legs of one network, each ordered PoI pair
+    searched once through this module's ``shortest_path`` name, which tests
+    and the benchmark's tracer patch to count them; ``searches`` counts them."""
+
+    def __init__(self) -> None:
+        self._paths: dict[tuple[int, int], PathResult | None] = {}
+
+    @property
+    def searches(self) -> int:
+        return len(self._paths)
+
+    def path(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
+        """Raises :class:`InfeasibleRouteError` when ``u`` and ``v`` are disconnected."""
+        if (u, v) not in self._paths:
+            self._paths[(u, v)] = shortest_path(net, u, v)
+        result = self._paths[(u, v)]
+        if result is None:
+            raise InfeasibleRouteError(u, v)
+        return result
+
+
 @dataclass
 class DpTable:
     """Per-category minimum costs with predecessor links, the pair costs the
-    DP reads, and the leg cache.
+    DP reads, and the chosen plan's legs.
 
     ``cost[c][j]`` is finite (present) iff some prefix of the common path
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
@@ -85,15 +107,14 @@ class DpTable:
     undirected), to its cheapest cost; ``searches`` counts the one-to-many
     searches that filled it. ``distance`` reads it and records the first
     pair it finds missing, i.e. unreachable, in ``first_unreachable``.
-    ``leg_cache`` memoizes the point-to-point shortest paths the chosen
-    plan's legs are built from; ``sp_invocations`` counts the distinct pairs
-    actually solved there (cache misses).
+    ``legs`` holds the point-to-point shortest paths the chosen plan's legs
+    are built from; ``sp_invocations`` counts the distinct pairs solved
+    there.
     """
 
     cost: list[dict[int, Money]]
     parent: list[dict[int, int | None]]
-    leg_cache: dict[tuple[int, int], PathResult | None] = field(default_factory=dict)
-    sp_invocations: int = 0
+    legs: Legs = field(default_factory=Legs)
     first_unreachable: tuple[int, int] | None = None
     distances: dict[tuple[int, int], Money] = field(default_factory=dict)
     searches: int = 0
@@ -101,6 +122,10 @@ class DpTable:
     @property
     def k(self) -> int:
         return len(self.cost)
+
+    @property
+    def sp_invocations(self) -> int:
+        return self.legs.searches
 
     def search(self, net: MultiModalNetwork, source: int, targets: Iterable[int]) -> None:
         """Add the cheapest costs from ``source`` to ``targets`` to ``distances``."""
@@ -114,12 +139,8 @@ class DpTable:
             self.first_unreachable = (u, v)
         return cost
 
-    def leg(self, net: MultiModalNetwork, u: int, v: int) -> PathResult | None:
-        key = (u, v)
-        if key not in self.leg_cache:
-            self.sp_invocations += 1
-            self.leg_cache[key] = shortest_path(net, u, v)
-        return self.leg_cache[key]
+    def leg(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
+        return self.legs.path(net, u, v)
 
 
 @dataclass(frozen=True)
@@ -146,6 +167,25 @@ def recompute_total(plan: JourneyPlan) -> Money:
         + m * sum(leg.cost for leg in plan.common_legs)
         + sum(leg.cost for leg in plan.dest_legs)
     )
+
+
+def assemble(
+    net: MultiModalNetwork,
+    inst: QueryInstance,
+    common: tuple[int, ...],
+    sharing: SharingMode,
+    leg: Callable[[MultiModalNetwork, int, int], PathResult],
+) -> JourneyPlan:
+    """The plan through ``common`` with every leg from ``leg(net, u, v)``.
+
+    Source legs are requested first, then intermediate, then destination
+    legs; RPRM's random stream relies on that order.
+    """
+    source_legs = tuple(leg(net, source, common[0]) for source, _ in inst.agents)
+    common_legs = tuple(leg(net, a, b) for a, b in zip(common, common[1:]))
+    dest_legs = tuple(leg(net, common[-1], dest) for _, dest in inst.agents)
+    draft = JourneyPlan(common, common_legs, source_legs, dest_legs, sharing, 0)
+    return replace(draft, total_cost=recompute_total(draft))
 
 
 def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
@@ -257,7 +297,6 @@ def plan(
     :class:`InfeasibleRouteError` when some required pair is disconnected.
     """
     table = compute_dp(net, inst, sharing)
-    m = sharing.intermediate_multiplier(inst.n_agents)
 
     best_total: Money | None = None
     best_last: int | None = None
@@ -281,20 +320,13 @@ def plan(
         raise InfeasibleRouteError(*pair)
 
     common = reconstruct(table, best_last)
-    source_legs = tuple(table.leg(net, source, common[0]) for source, _ in inst.agents)
-    dest_legs = tuple(table.leg(net, common[-1], dest) for _, dest in inst.agents)
-    common_legs = tuple(table.leg(net, a, b) for a, b in zip(common, common[1:]))
-    if any(leg is None for leg in (*source_legs, *dest_legs, *common_legs)):
-        raise InternalConsistencyError("reconstructed plan references an unreachable leg")
-
-    total = (
-        sum(leg.cost for leg in source_legs)
-        + m * sum(leg.cost for leg in common_legs)
-        + sum(leg.cost for leg in dest_legs)
-    )
-    if best_total != total:
-        raise InternalConsistencyError(f"DP total {best_total} != leg total {total}")
-    return JourneyPlan(common, common_legs, source_legs, dest_legs, sharing, total)
+    try:
+        journey = assemble(net, inst, common, sharing, table.leg)
+    except InfeasibleRouteError as failure:
+        raise InternalConsistencyError("reconstructed plan references an unreachable leg") from failure
+    if best_total != journey.total_cost:
+        raise InternalConsistencyError(f"DP total {best_total} != leg total {journey.total_cost}")
+    return journey
 
 
 def group_cost(
@@ -315,21 +347,11 @@ def group_cost(
         if poi not in inst.categories[c]:
             raise ConfigurationError(f"PoI {poi} is not in category {c}")
 
-    cache: dict[tuple[int, int], PathResult | None] = {}
-
-    def leg(u: int, v: int) -> Money:
-        key = (u, v)
-        if key not in cache:
-            cache[key] = shortest_path(net, u, v)
-        result = cache[key]
-        if result is None:
-            raise InfeasibleRouteError(u, v)
-        return result.cost
-
+    legs = Legs()
     m = sharing.intermediate_multiplier(inst.n_agents)
-    total = sum(leg(source, common_pois[0]) for source, _ in inst.agents)
-    total += m * sum(leg(a, b) for a, b in zip(common_pois, common_pois[1:]))
-    total += sum(leg(common_pois[-1], dest) for _, dest in inst.agents)
+    total = sum(legs.path(net, source, common_pois[0]).cost for source, _ in inst.agents)
+    total += m * sum(legs.path(net, a, b).cost for a, b in zip(common_pois, common_pois[1:]))
+    total += sum(legs.path(net, common_pois[-1], dest).cost for _, dest in inst.agents)
     return total
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from gtpmm import (
     BaselineKind,
@@ -15,8 +16,14 @@ from gtpmm import (
     rprm,
     run_baseline,
 )
+from gtpmm.baselines import _random_common, _random_mode_leg
+from gtpmm.bench import draw_instance
+from gtpmm.errors import InfeasibleRouteError
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.synth import random_instance, random_network
+from gtpmm.network import shortest_path
+from gtpmm.planner import JourneyPlan
+from gtpmm.rng import SplitMix64
+from gtpmm.synth import random_disconnected_network, random_instance, random_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
 
@@ -114,3 +121,135 @@ def test_planner_dominates_every_baseline():
         for baseline_seed in range(5):
             assert rprm(net, inst, baseline_seed).total_cost >= optimal
             assert rpcm(net, inst, baseline_seed).total_cost >= optimal
+
+
+# --- differential tests against the per-baseline leg code they replaced ----------
+#
+# Verbatim copies of the baselines' own leg and assembly helpers from before
+# they shared ``gtpmm.planner.Legs`` and ``gtpmm.planner.assemble``.
+
+
+def _reference_cheapest_leg(net, source, target):
+    leg = shortest_path(net, source, target)
+    if leg is None:
+        raise InfeasibleRouteError(source, target)
+    return leg
+
+
+def _reference_assemble(net, inst, common, sharing, leg_fn):
+    source_legs = tuple(leg_fn(net, source, common[0]) for source, _ in inst.agents)
+    common_legs = tuple(leg_fn(net, a, b) for a, b in zip(common, common[1:]))
+    dest_legs = tuple(leg_fn(net, common[-1], dest) for _, dest in inst.agents)
+    draft = JourneyPlan(common, common_legs, source_legs, dest_legs, sharing, 0)
+    return JourneyPlan(common, common_legs, source_legs, dest_legs, sharing, recompute_total(draft))
+
+
+def _reference_rprm(net, inst, seed, sharing=PER_PERSON):
+    rng = SplitMix64(seed)
+    common = _random_common(inst, rng)
+
+    def leg(n, u, v):
+        return _random_mode_leg(n, u, v, rng)
+
+    return _reference_assemble(net, inst, common, sharing, leg)
+
+
+def _reference_rpcm(net, inst, seed, sharing=PER_PERSON):
+    rng = SplitMix64(seed)
+    common = _random_common(inst, rng)
+    return _reference_assemble(net, inst, common, sharing, lambda n, u, v: _reference_cheapest_leg(n, u, v))
+
+
+def _reference_nncm(net, inst, sharing=PER_PERSON):
+    cache = {}
+
+    def cost_between(u, v):
+        key = (u, v)
+        if key not in cache:
+            cache[key] = shortest_path(net, u, v)
+        leg = cache[key]
+        return None if leg is None else leg.cost
+
+    first_best = None  # (total, poi)
+    for j in inst.categories[0]:
+        total = 0
+        for source, _ in inst.agents:
+            c = cost_between(source, j)
+            if c is None:
+                total = -1
+                break
+            total += c
+        if total >= 0 and (first_best is None or total < first_best[0]):
+            first_best = (total, j)
+    if first_best is None:
+        raise InfeasibleRouteError(inst.agents[0][0], inst.categories[0][0])
+
+    common = [first_best[1]]
+    for cat in inst.categories[1:]:
+        best = None
+        for j in cat:
+            c = cost_between(common[-1], j)
+            if c is not None and (best is None or c < best[0]):
+                best = (c, j)
+        if best is None:
+            raise InfeasibleRouteError(common[-1], cat[0])
+        common.append(best[1])
+
+    return _reference_assemble(net, inst, tuple(common), sharing, lambda n, u, v: _reference_cheapest_leg(n, u, v))
+
+
+def _outcome(fn, *args):
+    """The plan, or the pair named by the InfeasibleRouteError raised instead."""
+    try:
+        return fn(*args)
+    except InfeasibleRouteError as failure:
+        return ("infeasible", failure.pair)
+
+
+def _differential_cases():
+    for seed in range(10):
+        net = random_network(seed, n_pois=30, n_modes=3)
+        yield net, random_instance(seed, net, k=3, pois_per_category=4, n_agents=4)
+    islands = random_disconnected_network(seed=5, n_components=3, pois_per_component=5)
+    for seed in range(10):
+        yield islands, random_instance(seed, islands, k=1 + seed % 3, pois_per_category=2, n_agents=1 + seed % 3)
+    # islands hold PoIs 0-4, 5-9 and 10-14
+    yield islands, QueryInstance([(0, 1), (2, 3)], [[1, 4], [2, 3, 12]])  # one candidate off the island
+    yield islands, QueryInstance([(0, 11)], [[1, 2], [3]])  # destination off the island
+    yield islands, QueryInstance([(0, 1)], [[1, 2], [7, 8]])  # a whole later category off the island
+    yield islands, QueryInstance([(0, 1), (6, 1)], [[1, 2], [3]])  # a source off the island
+
+
+@pytest.mark.parametrize("sharing", [PER_PERSON, SharingMode.SHARED_INTERMEDIATE])
+def test_baselines_match_their_previous_leg_code(sharing):
+    outcomes = set()
+    for net, inst in _differential_cases():
+        for seed in range(3):
+            expected = _outcome(_reference_rprm, net, inst, seed, sharing)
+            assert _outcome(rprm, net, inst, seed, sharing) == expected
+            expected = _outcome(_reference_rpcm, net, inst, seed, sharing)
+            assert _outcome(rpcm, net, inst, seed, sharing) == expected
+            outcomes.add(isinstance(expected, tuple))
+        expected = _outcome(_reference_nncm, net, inst, sharing)
+        assert _outcome(nncm, net, inst, sharing) == expected
+        outcomes.add(isinstance(expected, tuple))
+    assert outcomes == {True, False}  # both feasible and infeasible cases were compared
+
+
+def test_cheapest_leg_baselines_search_each_pair_once(monkeypatch):
+    import gtpmm.planner
+
+    calls = []
+
+    def counted_shortest_path(net, u, v):
+        calls.append((u, v))
+        return shortest_path(net, u, v)
+
+    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+    net = random_network(3, n_pois=60, n_modes=3)
+    inst = draw_instance(net, 11, k=3, pois_per_category=5, n_agents=50)
+    assert len({source for source, _ in inst.agents}) <= 5
+    for run in (lambda: rpcm(net, inst, 4), lambda: nncm(net, inst)):
+        calls.clear()
+        run()
+        assert calls and len(calls) == len(set(calls))

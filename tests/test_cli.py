@@ -190,3 +190,12 @@ def test_missing_query_file_fails_without_traceback(tmp_path, walkthrough_args):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert f"error: {path}: cannot read query file" in result.stderr
+
+
+def test_bad_network_file_fails_without_traceback(tmp_path, query_file):
+    path = tmp_path / "bad.json"
+    path.write_text('{"modes": [], "pois": []}')
+    result = run_cli("plan", "--network", str(path), "--query", str(query_file))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"{path}: a network needs a list under 'edges'" in result.stderr

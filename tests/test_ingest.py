@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 import shutil
 from decimal import Decimal
 
@@ -165,6 +167,69 @@ def test_network_json_round_trip(tmp_path, walkthrough_net):
     assert reloaded.fare_table == walkthrough_net.fare_table
 
 
+def _drop_edges(document):
+    del document["edges"]
+    return document
+
+
+def _set(section, index, key, value):
+    def mutate(document):
+        document[section][index][key] = value
+        return document
+
+    return mutate
+
+
+def _duplicate_external_id(document):
+    document["pois"][4]["external_id"] = document["pois"][2]["external_id"]
+    return document
+
+
+# case -> (mutation of a saved walkthrough network, what the error must name)
+MALFORMED_NETWORKS = {
+    "no-edges": (_drop_edges, "'edges'"),
+    "list-document": (lambda document: [document], "JSON object"),
+    "nan-distance": (_set("edges", 3, "distance_m", "NaN"), "edges[3]"),
+    "non-integer-id": (_set("edges", 2, "u", 1.0), "edges[2]: u and v must be PoI ids"),
+    "unknown-mode": (_set("edges", 0, "mode", 99), "edges[0]: u and v must be PoI ids and mode a mode id"),
+    "nan-rate": (_set("modes", 1, "cost_per_meter_cents", "NaN"), "modes[1]"),
+    "non-numeric-rate": (_set("modes", 0, "cost_per_minute_cents", "abc"), "modes[0]"),
+    "duplicate-external-id": (_duplicate_external_id, "pois[4]: duplicate external_id 'v03'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NETWORKS))
+def test_malformed_network_json_raises_parse_error(tmp_path, walkthrough_net, case):
+    mutate, named = MALFORMED_NETWORKS[case]
+    path = tmp_path / "net.json"
+    save_network_json(walkthrough_net, path)
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: ")) as excinfo:
+        load_network_json(path)
+    assert named in str(excinfo.value)
+
+
+def test_unreadable_network_file_raises_parse_error(tmp_path):
+    binary = tmp_path / "net.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_network_json(binary)
+    with pytest.raises(ParseError, match="cannot read network file"):
+        load_network_json(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["NaN", "inf", "0.5-Infinity"])
+def test_non_finite_fare_is_rejected_with_line(tmp_path, value):
+    config = tmp_path / "fares.csv"
+    config.write_text(
+        "mode,base_fare,cost_per_meter,cost_per_minute,resolution_strategy\n"
+        "A,1.00,0,0,\n"
+        f"B,1.00,{value},0,\n"
+    )
+    with pytest.raises(ParseError, match="fares.csv:3: .* not finite"):
+        load_fare_config(config)
+
+
 # --- GTFS -------------------------------------------------------------------------
 
 
@@ -314,3 +379,29 @@ def test_empty_category_is_reported():
 def test_more_categories_than_pois_rejected(walkthrough_net):
     with pytest.raises(ConfigurationError):
         categorize(walkthrough_net, CategoryConfig(k=11))
+
+
+def builder_copy_with_categories(net, categories):
+    """Verbatim copy of the builder loop ``categorize`` used to run."""
+    assignment = {poi: category for category, ids in enumerate(categories) for poi in ids}
+    builder = NetworkBuilder(allow_self_loops=True)
+    for poi in net.pois:
+        builder.add_poi(poi.external_id, name=poi.name, category=assignment.get(poi.id), coords=poi.coords)
+    for edge in net.edges:
+        builder.add_edge(edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
+    return builder.finalize(net.fare_table)
+
+
+def test_categorize_equals_a_builder_copy(walkthrough_net):
+    categorized, _ = categorize(walkthrough_net, CategoryConfig(k=2))
+    gtfs_net = load_gtfs(gtfs_minimal_dir(), gtfs_fares())
+    cases = [
+        (walkthrough_net, CategoryConfig(k=5)),
+        (walkthrough_net, CategoryConfig(k=3, strategy="seeded-random", seed=7)),
+        (walkthrough_net, CategoryConfig(k=2, strategy="by-name-keyword", keywords={"v0": 0, "v1": 1})),
+        (categorized, CategoryConfig(k=4)),  # relabels PoIs that already have categories
+        (gtfs_net, CategoryConfig(k=3)),  # PoIs with names and coordinates
+    ]
+    for net, cfg in cases:
+        relabeled, sets = categorize(net, cfg)
+        assert relabeled == builder_copy_with_categories(net, sets)

@@ -24,7 +24,7 @@ from gtpmm import (
     shortest_path,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import PathResult, shortest_costs
+from gtpmm.network import PathResult, rebuild_with_fares, shortest_costs
 from gtpmm.synth import random_disconnected_network, random_network
 
 
@@ -432,6 +432,52 @@ def test_search_views_of_a_multigraph():
     # edge ids 0, 2 and 4 are self-loops and appear in neither view
     assert net.adjacency_rows[1] == ((0, 2, 1, 40), (2, 1, 3, 3))
     assert net.cheapest_neighbors == (((1, 40),), ((0, 40), (2, 3)), ((1, 3),), ())
+
+
+# --- network copies ---------------------------------------------------------------
+
+
+def builder_copy_with_fares(net, fare_table):
+    """Verbatim copy of the builder loop ``rebuild_with_fares`` used to run."""
+    builder = NetworkBuilder(allow_self_loops=True)
+    for poi in net.pois:
+        builder.add_poi(poi.external_id, name=poi.name, category=poi.category, coords=poi.coords)
+    for edge in net.edges:
+        builder.add_edge(edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
+    return builder.finalize(fare_table)
+
+
+def copy_test_networks(walkthrough_net):
+    yield walkthrough_net
+    for name, (n_pois, edge_specs) in sorted(EDGE_CASE_NETWORKS.items()):
+        yield built_network(n_pois, EDGE_CASE_FARES, edge_specs)
+    for seed in range(4):
+        yield random_network(seed, n_pois=25, n_modes=4)
+    builder = NetworkBuilder()
+    builder.add_poi("a", name="Harbour", category=1, coords=(47.0, 8.0))
+    builder.add_poi("b", category=0)
+    builder.add_edge(0, 1, 2, 812.5, 3.25)
+    yield builder.finalize(EDGE_CASE_FARES)
+
+
+def test_rebuild_with_fares_equals_a_builder_copy(walkthrough_net):
+    for net in copy_test_networks(walkthrough_net):
+        for fares in (net.fare_table, net.fare_table.scaled(3), EDGE_CASE_FARES.scaled(2)):
+            if fares.mode_count < net.fare_table.mode_count:
+                continue
+            shortest_path(net, 0, net.poi_count - 1)  # built search views must not leak into the copy
+            rebuilt = rebuild_with_fares(net, fares)
+            assert rebuilt == builder_copy_with_fares(net, fares)
+            assert "adjacency_rows" not in vars(rebuilt)
+
+
+def test_rebuild_with_fares_rejects_a_table_missing_a_mode(walkthrough_net):
+    fares = FareTable.from_pairs([("only", FarePolicy(100, Decimal(0), Decimal(0)))])
+    with pytest.raises(ConfigurationError) as expected:
+        builder_copy_with_fares(walkthrough_net, fares)
+    with pytest.raises(ConfigurationError) as actual:
+        rebuild_with_fares(walkthrough_net, fares)
+    assert str(actual.value) == str(expected.value)
 
 
 # --- components and repair -------------------------------------------------------
