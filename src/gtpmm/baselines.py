@@ -10,10 +10,10 @@ order), so equal (network, instance, seed) yields identical plans.
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import Counter, deque
 
 from .errors import InfeasibleRouteError
-from .network import MultiModalNetwork, PathResult
+from .network import MultiModalNetwork, PathResult, shortest_costs
 from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
@@ -24,44 +24,48 @@ class BaselineKind(enum.Enum):
     NNCM = "nncm"  # nearest-neighbor PoI, cheapest medium
 
 
-def _fewest_hops_sequence(net: MultiModalNetwork, source: int, target: int) -> list[int] | None:
-    """BFS hop-count path; neighbors expand in ascending PoI id for determinism."""
-    if source == target:
-        return [source]
-    parent: dict[int, int] = {source: source}
-    queue = deque([source])
+def _bfs_tree(net: MultiModalNetwork, origin: int) -> list[int]:
+    """Fewest-hops BFS tree of ``origin``'s whole component, as a parent per
+    PoI (the origin is its own parent, -1 marks an unreached PoI).
+
+    Neighbors expand in ascending PoI id. A BFS fixes a PoI's parent when it
+    first discovers it, in an order that does not depend on any target, so
+    the walk back from a target is the route a BFS stopping there would find.
+    """
+    net.check_poi(origin)
+    parent = [-1] * net.poi_count
+    parent[origin] = origin
+    queue = deque([origin])
+    neighbors = net.cheapest_neighbors
     while queue:
         u = queue.popleft()
-        neighbors = sorted({net.edges[eid].other(u) for eid in net.adjacency[u]})
-        for v in neighbors:
-            if v in parent:
-                continue
-            parent[v] = u
-            if v == target:
-                sequence = [v]
-                while sequence[-1] != source:
-                    sequence.append(parent[sequence[-1]])
-                sequence.reverse()
-                return sequence
-            queue.append(v)
-    return None
+        for v, _ in sorted(neighbors[u]):
+            if parent[v] == -1:
+                parent[v] = u
+                queue.append(v)
+    return parent
 
 
-def _random_mode_leg(net: MultiModalNetwork, source: int, target: int, rng: SplitMix64) -> PathResult:
-    """Fewest-hops route with an independently random mode on every hop."""
-    sequence = _fewest_hops_sequence(net, source, target)
-    if sequence is None:
+def _random_mode_leg(
+    net: MultiModalNetwork, parent: list[int], source: int, target: int, rng: SplitMix64
+) -> PathResult:
+    """Fewest-hops route from the tree ``parent`` of ``source``, with an
+    independently random mode on every hop."""
+    net.check_poi(target)
+    if parent[target] == -1:
         raise InfeasibleRouteError(source, target)
+    sequence = [target]
+    while sequence[-1] != source:
+        sequence.append(parent[sequence[-1]])
+    sequence.reverse()
+    rows = net.adjacency_rows
     legs = []
     cost = 0
     for a, b in zip(sequence, sequence[1:]):
-        parallel = sorted(
-            (eid for eid in net.adjacency[a] if net.edges[eid].other(a) == b),
-            key=lambda eid: (net.edges[eid].mode, eid),
-        )
-        eid = parallel[rng.below(len(parallel))]
-        legs.append((eid, net.edges[eid].mode))
-        cost += net.edge_costs[eid]
+        parallel = sorted((mode, eid, edge_cost) for v, mode, eid, edge_cost in rows[a] if v == b)
+        mode, eid, edge_cost = parallel[rng.below(len(parallel))]
+        legs.append((eid, mode))
+        cost += edge_cost
     return PathResult(cost, tuple(legs), tuple(sequence))
 
 
@@ -79,9 +83,12 @@ def rprm(
     """Random PoI per category; random mode per hop along fewest-hops routes."""
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
+    trees: dict[int, list[int]] = {}  # leg origin -> its BFS tree, for this call only
 
     def leg(n: MultiModalNetwork, u: int, v: int) -> PathResult:
-        return _random_mode_leg(n, u, v, rng)
+        if u not in trees:
+            trees[u] = _bfs_tree(n, u)
+        return _random_mode_leg(n, trees[u], u, v, rng)
 
     return assemble(net, inst, common, sharing, leg)
 
@@ -113,23 +120,21 @@ def nncm(
     later pick is nearest (by cheapest cost) to the previous pick. Ties go
     to the lower PoI id.
     """
-    legs = Legs()
     common: list[int] = []
     for cat in inst.categories:
-        origins = [common[-1]] if common else [source for source, _ in inst.agents]
+        origins = Counter([common[-1]] if common else [source for source, _ in inst.agents])
+        reached = [(shortest_costs(net, origin, cat), count) for origin, count in origins.items()]
         best: tuple[int, int] | None = None  # (summed cost from the origins, poi)
         for j in cat:
-            try:
-                cost = sum(legs.path(net, origin, j).cost for origin in origins)
-            except InfeasibleRouteError:
-                continue
-            if best is None or cost < best[0]:
-                best = (cost, j)
+            if all(j in costs for costs, _ in reached):
+                cost = sum(costs[j] * count for costs, count in reached)
+                if best is None or cost < best[0]:
+                    best = (cost, j)
         if best is None:
-            raise InfeasibleRouteError(origins[0], cat[0])
+            raise InfeasibleRouteError(next(iter(origins)), cat[0])
         common.append(best[1])
 
-    return assemble(net, inst, tuple(common), sharing, legs.path)
+    return assemble(net, inst, tuple(common), sharing, Legs().path)
 
 
 def run_baseline(

@@ -19,10 +19,12 @@ GTFS: the standard ``stops.txt``, ``routes.txt``, ``trips.txt`` and
 from __future__ import annotations
 
 import csv
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ConfigurationError, ParseError
 from .network import (
@@ -51,6 +53,20 @@ FARE_STRATEGIES = ("low", "high", "mid", "seeded-uniform")
 
 _CENT = Decimal("1")
 _RATE_QUANTUM = Decimal("0.0001")
+
+
+@contextmanager
+def _csv_file(path: Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 CSV text (a byte-order mark is tolerated); a
+    file that cannot be read, e.g. a directory, or that is not UTF-8 raises
+    :class:`ParseError` naming it, also when decoding fails mid-read."""
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        raise ParseError("file is not UTF-8 text", file=str(path)) from None
+    except OSError as error:
+        raise ParseError(f"cannot read file: {error.strerror}", file=str(path)) from None
 
 
 # --- fare configuration -------------------------------------------------------
@@ -92,7 +108,7 @@ def load_fare_config(path: str | Path) -> list[FareRange]:
         raise ParseError("file not found", file=str(path))
     ranges: list[FareRange] = []
     seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    with _csv_file(path) as handle:
         reader = csv.DictReader(handle)
         expected = ["mode", "base_fare", "cost_per_meter", "cost_per_minute", "resolution_strategy"]
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
@@ -167,7 +183,7 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
         raise ParseError("file not found", file=str(path))
     rows: list[tuple[int, str, str, str, float, float]] = []
     externals: set[str] = set()
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    with _csv_file(path) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != EDGE_LIST_HEADER:
@@ -185,8 +201,8 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
                 time = float(time_text)
             except ValueError:
                 raise ParseError("distance and time must be numeric", file=str(path), line=row_number) from None
-            if distance < 0 or time < 0:
-                raise ParseError("distance and time must be nonnegative", file=str(path), line=row_number)
+            if not (0 <= distance < math.inf and 0 <= time < math.inf):
+                raise ParseError("distance and time must be finite and nonnegative", file=str(path), line=row_number)
             if mode not in fare_table.names:
                 raise ParseError(f"unknown mode {mode!r}", file=str(path), line=row_number)
             externals.update((u, v))
@@ -261,18 +277,18 @@ def _parse_gtfs_time(text: str, *, file: str, line: int) -> float:
     return hours * 60 + minutes + seconds / 60
 
 
-def _open_gtfs_table(directory: Path, name: str, required: tuple[str, ...]):
+@contextmanager
+def _gtfs_table(directory: Path, name: str, required: tuple[str, ...]) -> Iterator[tuple[Path, csv.DictReader]]:
     path = directory / name
     if not path.exists():
         raise ParseError("required GTFS file missing", file=str(path))
-    handle = path.open(newline="", encoding="utf-8-sig")
-    reader = csv.DictReader(handle)
-    fields = set(reader.fieldnames or ())
-    missing = [column for column in required if column not in fields]
-    if missing:
-        handle.close()
-        raise ParseError(f"missing columns {missing}", file=str(path), line=1)
-    return path, handle, reader
+    with _csv_file(path) as handle:
+        reader = csv.DictReader(handle)
+        fields = set(reader.fieldnames or ())
+        missing = [column for column in required if column not in fields]
+        if missing:
+            raise ParseError(f"missing columns {missing}", file=str(path), line=1)
+        yield path, reader
 
 
 def parse_gtfs(directory: str | Path) -> GtfsFeed:
@@ -280,8 +296,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     directory = Path(directory)
     feed = GtfsFeed()
 
-    path, handle, reader = _open_gtfs_table(directory, "stops.txt", ("stop_id", "stop_name", "stop_lat", "stop_lon"))
-    with handle:
+    with _gtfs_table(directory, "stops.txt", ("stop_id", "stop_name", "stop_lat", "stop_lon")) as (path, reader):
         for row_number, row in enumerate(reader, start=2):
             stop_id = row["stop_id"].strip()
             if stop_id in feed.stops:
@@ -290,10 +305,11 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
                 lat, lon = float(row["stop_lat"]), float(row["stop_lon"])
             except ValueError:
                 raise ParseError("stop coordinates must be numeric", file=str(path), line=row_number) from None
+            if not (-90 <= lat <= 90 and -180 <= lon <= 180):  # also rejects NaN
+                raise ParseError("stop latitude or longitude out of range", file=str(path), line=row_number)
             feed.stops[stop_id] = GtfsStop(stop_id, row["stop_name"].strip(), lat, lon)
 
-    path, handle, reader = _open_gtfs_table(directory, "routes.txt", ("route_id", "route_type"))
-    with handle:
+    with _gtfs_table(directory, "routes.txt", ("route_id", "route_type")) as (path, reader):
         for row_number, row in enumerate(reader, start=2):
             try:
                 route_type = int(row["route_type"])
@@ -303,18 +319,16 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
                 raise ParseError(f"unsupported route_type {route_type}", file=str(path), line=row_number)
             feed.route_types[row["route_id"].strip()] = route_type
 
-    path, handle, reader = _open_gtfs_table(directory, "trips.txt", ("route_id", "trip_id"))
-    with handle:
+    with _gtfs_table(directory, "trips.txt", ("route_id", "trip_id")) as (path, reader):
         for row_number, row in enumerate(reader, start=2):
             route_id = row["route_id"].strip()
             if route_id not in feed.route_types:
                 raise ParseError(f"trip references unknown route {route_id!r}", file=str(path), line=row_number)
             feed.trip_routes[row["trip_id"].strip()] = route_id
 
-    path, handle, reader = _open_gtfs_table(
+    with _gtfs_table(
         directory, "stop_times.txt", ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
-    )
-    with handle:
+    ) as (path, reader):
         for row_number, row in enumerate(reader, start=2):
             trip_id = row["trip_id"].strip()
             stop_id = row["stop_id"].strip()

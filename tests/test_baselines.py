@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from gtpmm import (
@@ -16,14 +18,14 @@ from gtpmm import (
     rprm,
     run_baseline,
 )
-from gtpmm.baselines import _random_common, _random_mode_leg
+from gtpmm.baselines import _random_common
 from gtpmm.bench import draw_instance
 from gtpmm.errors import InfeasibleRouteError
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import shortest_path
+from gtpmm.network import NetworkBuilder, PathResult, shortest_costs, shortest_path
 from gtpmm.planner import JourneyPlan
 from gtpmm.rng import SplitMix64
-from gtpmm.synth import random_disconnected_network, random_instance, random_network
+from gtpmm.synth import random_disconnected_network, random_instance, random_network, synthetic_fare_table
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
 
@@ -126,7 +128,49 @@ def test_planner_dominates_every_baseline():
 # --- differential tests against the per-baseline leg code they replaced ----------
 #
 # Verbatim copies of the baselines' own leg and assembly helpers from before
-# they shared ``gtpmm.planner.Legs`` and ``gtpmm.planner.assemble``.
+# they shared ``gtpmm.planner.Legs`` and ``gtpmm.planner.assemble``, and of
+# RPRM's per-leg BFS from before it kept one BFS tree per leg origin.
+
+
+def _fewest_hops_sequence(net, source, target):
+    """BFS hop-count path; neighbors expand in ascending PoI id for determinism."""
+    if source == target:
+        return [source]
+    parent = {source: source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        neighbors = sorted({net.edges[eid].other(u) for eid in net.adjacency[u]})
+        for v in neighbors:
+            if v in parent:
+                continue
+            parent[v] = u
+            if v == target:
+                sequence = [v]
+                while sequence[-1] != source:
+                    sequence.append(parent[sequence[-1]])
+                sequence.reverse()
+                return sequence
+            queue.append(v)
+    return None
+
+
+def _random_mode_leg(net, source, target, rng):
+    """Fewest-hops route with an independently random mode on every hop."""
+    sequence = _fewest_hops_sequence(net, source, target)
+    if sequence is None:
+        raise InfeasibleRouteError(source, target)
+    legs = []
+    cost = 0
+    for a, b in zip(sequence, sequence[1:]):
+        parallel = sorted(
+            (eid for eid in net.adjacency[a] if net.edges[eid].other(a) == b),
+            key=lambda eid: (net.edges[eid].mode, eid),
+        )
+        eid = parallel[rng.below(len(parallel))]
+        legs.append((eid, net.edges[eid].mode))
+        cost += net.edge_costs[eid]
+    return PathResult(cost, tuple(legs), tuple(sequence))
 
 
 def _reference_cheapest_leg(net, source, target):
@@ -206,10 +250,28 @@ def _outcome(fn, *args):
         return ("infeasible", failure.pair)
 
 
+def _looped_network(seed, n_pois=14):
+    """Connected network with self-loops and 2-3 parallel modes on every link,
+    added in shuffled mode order so edge ids do not follow mode ids."""
+    rng = SplitMix64(seed)
+    builder = NetworkBuilder(allow_self_loops=True)
+    for i in range(n_pois):
+        builder.add_poi(f"q{i:02d}")
+    links = [(rng.below(i), i) for i in range(1, n_pois)]
+    links += [(rng.below(n_pois), rng.below(n_pois)) for _ in range(n_pois // 2)]
+    links += [(i, i) for i in range(0, n_pois, 3)]
+    for u, v in links:
+        modes = rng.sample(range(3), 2 + rng.below(2))
+        for mode in modes:
+            builder.add_edge(u, v, mode, float(100 + rng.below(900)), float(1 + rng.below(20)))
+    return builder.finalize(synthetic_fare_table(seed, 3))
+
+
 def _differential_cases():
     for seed in range(10):
         net = random_network(seed, n_pois=30, n_modes=3)
         yield net, random_instance(seed, net, k=3, pois_per_category=4, n_agents=4)
+        yield net, draw_instance(net, seed, k=2, pois_per_category=3, n_agents=7)  # sources repeat unevenly
     islands = random_disconnected_network(seed=5, n_components=3, pois_per_component=5)
     for seed in range(10):
         yield islands, random_instance(seed, islands, k=1 + seed % 3, pois_per_category=2, n_agents=1 + seed % 3)
@@ -218,6 +280,13 @@ def _differential_cases():
     yield islands, QueryInstance([(0, 11)], [[1, 2], [3]])  # destination off the island
     yield islands, QueryInstance([(0, 1)], [[1, 2], [7, 8]])  # a whole later category off the island
     yield islands, QueryInstance([(0, 1), (6, 1)], [[1, 2], [3]])  # a source off the island
+    # the second agent's destination is off the island, after the first one's leg was built
+    yield islands, QueryInstance([(0, 1), (2, 13), (3, 4)], [[1, 2], [3, 4]])
+    for seed in range(5):
+        looped = _looped_network(seed)
+        yield looped, random_instance(seed, looped, k=3, pois_per_category=3, n_agents=4)
+        shared = random_instance(seed + 10, looped, k=2, pois_per_category=4, n_agents=5)
+        yield looped, QueryInstance([(4, dest) for _, dest in shared.agents], shared.categories)  # one shared source
 
 
 @pytest.mark.parametrize("sharing", [PER_PERSON, SharingMode.SHARED_INTERMEDIATE])
@@ -253,3 +322,55 @@ def test_cheapest_leg_baselines_search_each_pair_once(monkeypatch):
         calls.clear()
         run()
         assert calls and len(calls) == len(set(calls))
+
+
+def _fifty_agents_from_five_sources():
+    net = random_network(3, n_pois=60, n_modes=3)
+    inst = draw_instance(net, 11, k=3, pois_per_category=5, n_agents=50)
+    sources = {source for source, _ in inst.agents}
+    assert len(sources) <= 5
+    return net, inst, sources
+
+
+def test_rprm_builds_one_bfs_tree_per_leg_origin(monkeypatch):
+    import gtpmm.baselines
+
+    origins = []
+    build_tree = gtpmm.baselines._bfs_tree
+
+    def counted_bfs_tree(net, origin):
+        origins.append(origin)
+        return build_tree(net, origin)
+
+    monkeypatch.setattr(gtpmm.baselines, "_bfs_tree", counted_bfs_tree)
+    net, inst, sources = _fifty_agents_from_five_sources()
+    for seed in range(5):
+        origins.clear()
+        rprm(net, inst, seed)
+        assert len(origins) == len(set(origins)) <= len(sources) + inst.k
+
+
+def test_nncm_scores_candidates_with_one_cost_search_per_origin(monkeypatch):
+    import gtpmm.baselines
+    import gtpmm.planner
+
+    origins = []
+    pairs = []
+
+    def counted_shortest_costs(net, source, targets):
+        origins.append(source)
+        return shortest_costs(net, source, targets)
+
+    def counted_shortest_path(net, u, v):
+        pairs.append((u, v))
+        return shortest_path(net, u, v)
+
+    monkeypatch.setattr(gtpmm.baselines, "shortest_costs", counted_shortest_costs)
+    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+    net, inst, sources = _fifty_agents_from_five_sources()
+    journey = nncm(net, inst)
+    assert len(origins) == len(sources) + inst.k - 1
+    common = journey.common_pois
+    assembly = {(source, common[0]) for source in sources} | set(zip(common, common[1:]))
+    assembly |= {(common[-1], dest) for _, dest in inst.agents}
+    assert set(pairs) <= assembly  # the greedy choice itself ran no point-to-point search

@@ -199,3 +199,13 @@ def test_bad_network_file_fails_without_traceback(tmp_path, query_file):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert f"{path}: a network needs a list under 'edges'" in result.stderr
+
+
+def test_non_utf8_edge_list_fails_without_traceback(tmp_path, query_file):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(b"u,v,mode,distance_m,time_min\nv01,v\xff03,Bus,500,5\n")
+    fares = str(data_path("walkthrough_fares.csv"))
+    result = run_cli("plan", "--edge-list", str(path), "--fares", fares, "--query", query_file)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"{path}: file is not UTF-8 text" in result.stderr

@@ -86,6 +86,17 @@ def test_inverted_range_is_rejected(tmp_path):
         load_fare_config(config)
 
 
+def test_unreadable_fare_config_is_named(tmp_path):
+    directory = tmp_path / "fares.csv"
+    directory.mkdir()
+    with pytest.raises(ParseError, match=r"fares\.csv: cannot read file"):
+        load_fare_config(directory)
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"mode,base_fare,cost_per_meter,cost_per_minute,resolution_strategy\n\xffA,1,0,0,\n")
+    with pytest.raises(ParseError, match=r"binary\.csv: file is not UTF-8 text"):
+        load_fare_config(binary)
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ConfigurationError):
         resolve_fares(default_fare_ranges(), "cheapest")
@@ -138,6 +149,28 @@ def test_self_loop_rejected(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("u,v,mode,distance_m,time_min\na,a,Bus,100,1\n")
     with pytest.raises(ParseError, match="edges.csv:2"):
+        load_edge_list(path, walkthrough_fare_table())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_distance_rejected_with_line(tmp_path, value):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"u,v,mode,distance_m,time_min\na,b,Bus,100,1\na,c,Bus,{value},1\n")
+    with pytest.raises(ParseError, match=r"edges\.csv:3: distance and time must be finite"):
+        load_edge_list(path, walkthrough_fare_table())
+
+
+def test_non_utf8_edge_list_is_named(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_bytes(b"u,v,mode,distance_m,time_min\na,b,Bus,100,1\n\xff\xfe,c,Bus,100,1\n")
+    with pytest.raises(ParseError, match=r"edges\.csv: file is not UTF-8 text"):
+        load_edge_list(path, walkthrough_fare_table())
+
+
+def test_edge_list_directory_is_named(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.mkdir()
+    with pytest.raises(ParseError, match=r"edges\.csv: cannot read file"):
         load_edge_list(path, walkthrough_fare_table())
 
 
@@ -311,6 +344,30 @@ def test_unsupported_route_type_reports_line(tmp_path):
     feed = copy_feed(tmp_path)
     (feed / "routes.txt").write_text("route_id,route_type\nR1,12\n")
     with pytest.raises(ParseError, match="routes.txt:2"):
+        load_gtfs(feed, gtfs_fares())
+
+
+@pytest.mark.parametrize("coords", ["nan,8.57", "47.39,inf", "91,8.57", "47.39,-180.5"])
+def test_invalid_stop_coordinate_reports_line(tmp_path, coords):
+    feed = copy_feed(tmp_path)
+    with (feed / "stops.txt").open("a") as handle:
+        handle.write(f"D,Harbor,{coords}\n")
+    with pytest.raises(ParseError, match=r"stops\.txt:5: stop latitude or longitude out of range"):
+        load_gtfs(feed, gtfs_fares())
+
+
+def test_non_utf8_stops_file_is_named(tmp_path):
+    feed = copy_feed(tmp_path)
+    (feed / "stops.txt").write_bytes(b"stop_id,stop_name,stop_lat,stop_lon\nA,Caf\xe9,47.37,8.54\n")
+    with pytest.raises(ParseError, match=r"stops\.txt: file is not UTF-8 text"):
+        load_gtfs(feed, gtfs_fares())
+
+
+def test_stops_directory_is_named(tmp_path):
+    feed = copy_feed(tmp_path)
+    (feed / "stops.txt").unlink()
+    (feed / "stops.txt").mkdir()
+    with pytest.raises(ParseError, match=r"stops\.txt: cannot read file"):
         load_gtfs(feed, gtfs_fares())
 
 
