@@ -9,7 +9,6 @@ order), so equal (network, instance, seed) yields identical plans.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter, deque
 
 from .errors import InfeasibleRouteError
@@ -18,19 +17,15 @@ from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
 
-class BaselineKind(enum.Enum):
-    RPRM = "rprm"  # random PoI, random medium
-    RPCM = "rpcm"  # random PoI, cheapest medium
-    NNCM = "nncm"  # nearest-neighbor PoI, cheapest medium
-
-
 def _bfs_tree(net: MultiModalNetwork, origin: int) -> list[int]:
     """Fewest-hops BFS tree of ``origin``'s whole component, as a parent per
     PoI (the origin is its own parent, -1 marks an unreached PoI).
 
-    Neighbors expand in ascending PoI id. A BFS fixes a PoI's parent when it
-    first discovers it, in an order that does not depend on any target, so
-    the walk back from a target is the route a BFS stopping there would find.
+    Neighbors expand in ascending PoI id, the order of the
+    :attr:`MultiModalNetwork.cheapest_neighbors` rows. A BFS fixes a PoI's
+    parent when it first discovers it, in an order that does not depend on
+    any target, so the walk back from a target is the route a BFS stopping
+    there would find.
     """
     net.check_poi(origin)
     parent = [-1] * net.poi_count
@@ -39,7 +34,7 @@ def _bfs_tree(net: MultiModalNetwork, origin: int) -> list[int]:
     neighbors = net.cheapest_neighbors
     while queue:
         u = queue.popleft()
-        for v, _ in sorted(neighbors[u]):
+        for v, _ in neighbors[u]:
             if parent[v] == -1:
                 parent[v] = u
                 queue.append(v)
@@ -58,14 +53,13 @@ def _random_mode_leg(
     while sequence[-1] != source:
         sequence.append(parent[sequence[-1]])
     sequence.reverse()
-    rows = net.adjacency_rows
     legs = []
     cost = 0
     for a, b in zip(sequence, sequence[1:]):
-        parallel = sorted((mode, eid, edge_cost) for v, mode, eid, edge_cost in rows[a] if v == b)
-        mode, eid, edge_cost = parallel[rng.below(len(parallel))]
+        parallel = sorted((net.edges[eid].mode, eid) for eid in net.adjacency[a] if net.edges[eid].other(a) == b)
+        mode, eid = parallel[rng.below(len(parallel))]
         legs.append((eid, mode))
-        cost += edge_cost
+        cost += net.edge_costs[eid]
     return PathResult(cost, tuple(legs), tuple(sequence))
 
 
@@ -136,16 +130,3 @@ def nncm(
 
     return assemble(net, inst, tuple(common), sharing, Legs().path)
 
-
-def run_baseline(
-    kind: BaselineKind,
-    net: MultiModalNetwork,
-    inst: QueryInstance,
-    seed: int = 0,
-    sharing: SharingMode = SharingMode.PER_PERSON_INTERMEDIATE,
-) -> JourneyPlan:
-    if kind is BaselineKind.RPRM:
-        return rprm(net, inst, seed, sharing)
-    if kind is BaselineKind.RPCM:
-        return rpcm(net, inst, seed, sharing)
-    return nncm(net, inst, sharing)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .baselines import BaselineKind, run_baseline
+from .baselines import nncm, rpcm, rprm
 from .errors import ConfigurationError
 from .network import Money, MultiModalNetwork
 from .planner import JourneyPlan, QueryInstance, SharingMode, plan
@@ -35,7 +35,6 @@ class ExperimentConfig:
     seed: int = 0
     methods: tuple[str, ...] = METHODS
     sharing: SharingMode = SharingMode.PER_PERSON_INTERMEDIATE
-    fare_strategy: str = "low"  # applied when the CLI builds the network
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -142,9 +141,17 @@ def run_method(
     sharing: SharingMode,
     seed: int = 0,
 ) -> JourneyPlan:
+    """Solve ``inst`` with one of :data:`METHODS`; ``seed`` drives the random
+    baselines only."""
     if method == "ojpa":
         return plan(net, inst, sharing)
-    return run_baseline(BaselineKind(method), net, inst, seed, sharing)
+    if method == "rprm":
+        return rprm(net, inst, seed, sharing)
+    if method == "rpcm":
+        return rpcm(net, inst, seed, sharing)
+    if method == "nncm":
+        return nncm(net, inst, sharing)
+    raise ConfigurationError(f"unknown method {method!r}")
 
 
 def run_experiment(net: MultiModalNetwork, cfg: ExperimentConfig) -> list[ResultRow]:

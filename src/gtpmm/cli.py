@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .baselines import BaselineKind, run_baseline
 from .errors import GtpError, ParseError
 from .ingest import (
     CategoryConfig,
@@ -152,10 +151,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     net = _load_network(args)
     inst = _load_query(net, args.query)
     sharing = _SHARING[args.sharing]
-    if args.method == "ojpa":
-        journey = plan(net, inst, sharing)
-    else:
-        journey = run_baseline(BaselineKind(args.method), net, inst, args.seed, sharing)
+    journey = bench_mod.run_method(args.method, net, inst, sharing, args.seed)
     document = _plan_document(net, inst, journey)
     text = json.dumps(document, indent=2)
     if args.out:
@@ -193,7 +189,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         methods=tuple(args.methods.split(",")),
         sharing=_SHARING[args.sharing],
-        fare_strategy=_FARE_STRATEGY_ALIASES[args.fare_strategy],
     )
     rows = bench_mod.run_experiment(net, cfg)
     out = Path(args.out)

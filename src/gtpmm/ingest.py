@@ -28,6 +28,8 @@ from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ConfigurationError, ParseError
 from .network import (
+    _CENT,
+    _RATE_QUANTUM,
     FarePolicy,
     FareTable,
     MultiModalNetwork,
@@ -50,9 +52,6 @@ ROUTE_TYPE_MODES: dict[int, str] = {
 }
 
 FARE_STRATEGIES = ("low", "high", "mid", "seeded-uniform")
-
-_CENT = Decimal("1")
-_RATE_QUANTUM = Decimal("0.0001")
 
 
 @contextmanager
@@ -305,7 +304,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
                 lat, lon = float(row["stop_lat"]), float(row["stop_lon"])
             except ValueError:
                 raise ParseError("stop coordinates must be numeric", file=str(path), line=row_number) from None
-            if not (-90 <= lat <= 90 and -180 <= lon <= 180):  # also rejects NaN
+            if not _valid_coords([lat, lon]):
                 raise ParseError("stop latitude or longitude out of range", file=str(path), line=row_number)
             feed.stops[stop_id] = GtfsStop(stop_id, row["stop_name"].strip(), lat, lon)
 
@@ -480,7 +479,11 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
             if external_id in external_ids:
                 raise ParseError(f"pois[{index}]: duplicate external_id {external_id!r}", file=str(path))
             external_ids.add(external_id)
-            coords = tuple(poi["coords"]) if poi.get("coords") else None
+            coords = poi.get("coords")
+            if coords is not None:
+                if not _valid_coords(coords):
+                    raise ParseError(f"pois[{index}]: coords must be null or [lat, lon] in degrees", file=str(path))
+                coords = tuple(coords)
             builder.add_poi(external_id, name=poi.get("name", ""), category=poi.get("category"), coords=coords)
         except (KeyError, TypeError) as error:
             raise _malformed(path, f"pois[{index}]", error) from None
@@ -494,6 +497,14 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"edges[{index}]", error) from None
     return builder.finalize(fare_table)
+
+
+def _valid_coords(value: object) -> bool:
+    """True for a ``[lat, lon]`` list of numbers within ±90 and ±180 degrees."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(x) in (int, float) for x in value)):
+        return False
+    lat, lon = value
+    return -90 <= lat <= 90 and -180 <= lon <= 180  # also rejects NaN
 
 
 def _malformed(path: Path, element: str, error: Exception) -> ParseError:

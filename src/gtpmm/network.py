@@ -170,10 +170,10 @@ class MultiModalNetwork:
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
 
-    The two search views below are derived from ``edges``, ``adjacency`` and
-    ``edge_costs`` on first use and cached on the instance. They are not
-    dataclass fields, so they take no part in equality or ``repr``, and a
-    network that is never searched never builds them.
+    The search view :attr:`cheapest_neighbors` is derived from ``edges`` and
+    ``edge_costs`` on first use and cached on the instance. It is not a
+    dataclass field, so it takes no part in equality or ``repr``, and a
+    network that is never searched never builds it.
     """
 
     pois: tuple[Poi, ...]
@@ -191,26 +191,10 @@ class MultiModalNetwork:
         return len(self.edges)
 
     @cached_property
-    def adjacency_rows(self) -> tuple[tuple[tuple[int, ModeId, int, Money], ...], ...]:
-        """Per PoI, one ``(neighbor, mode, edge id, cost)`` row per incident
-        edge in ``adjacency`` order; self-loops are left out."""
-        edges = self.edges
-        costs = self.edge_costs
-        rows = []
-        for u, edge_ids in enumerate(self.adjacency):
-            row = []
-            for eid in edge_ids:
-                edge = edges[eid]
-                v = edge.other(u)
-                if v != u:
-                    row.append((v, edge.mode, eid, costs[eid]))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @cached_property
     def cheapest_neighbors(self) -> tuple[tuple[tuple[int, Money], ...], ...]:
         """Per PoI, one ``(neighbor, cost)`` pair per distinct neighbor at the
-        cheapest cost among the parallel edges; self-loops are left out."""
+        cheapest cost among the parallel edges, in ascending neighbor id;
+        self-loops are left out."""
         best: list[dict[int, Money]] = [{} for _ in self.pois]
         for edge, cost in zip(self.edges, self.edge_costs):
             u, v = edge.u, edge.v
@@ -218,7 +202,7 @@ class MultiModalNetwork:
             if u != v and (known is None or cost < known):
                 best[u][v] = cost
                 best[v][u] = cost
-        return tuple(tuple(row.items()) for row in best)
+        return tuple(tuple(sorted(row.items())) for row in best)
 
     def check_poi(self, poi_id: int) -> None:
         if not 0 <= poi_id < len(self.pois):
@@ -305,10 +289,11 @@ def cheapest_parallel_edge(net: MultiModalNetwork, u: int, v: int) -> tuple[int,
 def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
     """Minimum-cost path between two PoIs, or None when disconnected.
 
-    Each hop independently takes its cheapest parallel edge; with no
-    transfer penalty in the cost model this per-hop choice is globally
-    optimal. Deterministic: equal tentative costs settle the lower PoI id
-    first, and equal-cost predecessors resolve by (PoI id, mode id, edge id).
+    One Dijkstra over :attr:`MultiModalNetwork.cheapest_neighbors`; each hop
+    then takes its edge from :func:`cheapest_parallel_edge`. With no transfer
+    penalty in the cost model this per-hop choice is globally optimal.
+    Deterministic: equal tentative costs settle the lower PoI id first, and
+    equal-cost predecessors resolve to the lower PoI id.
     """
     net.check_poi(source)
     net.check_poi(target)
@@ -316,10 +301,10 @@ def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResul
         return PathResult(0, (), (source,))
 
     dist: dict[int, Money] = {source: 0}
-    pred: dict[int, tuple[int, ModeId, int]] = {}  # node -> (pred poi, mode, edge id)
+    pred: dict[int, int] = {}
     settled: set[int] = set()
     heap: list[tuple[Money, int]] = [(0, source)]
-    rows = net.adjacency_rows
+    neighbors = net.cheapest_neighbors
 
     while heap:
         d, u = heappop(heap)
@@ -328,31 +313,29 @@ def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResul
         settled.add(u)
         if u == target:
             break
-        for v, mode, eid, cost in rows[u]:
+        for v, cost in neighbors[u]:
             if v in settled:
                 continue
             candidate = d + cost
             known = dist.get(v)
             if known is None or candidate < known:
                 dist[v] = candidate
-                pred[v] = (u, mode, eid)
+                pred[v] = u
                 heappush(heap, (candidate, v))
-            elif candidate == known and (u, mode, eid) < pred[v]:
-                pred[v] = (u, mode, eid)
+            elif candidate == known and u < pred[v]:
+                pred[v] = u
 
     if target not in settled:
         return None
 
-    legs: list[tuple[int, ModeId]] = []
     sequence = [target]
-    node = target
-    while node != source:
-        previous, mode, eid = pred[node]
-        legs.append((eid, mode))
-        sequence.append(previous)
-        node = previous
-    legs.reverse()
+    while sequence[-1] != source:
+        sequence.append(pred[sequence[-1]])
     sequence.reverse()
+    legs = []
+    for a, b in zip(sequence, sequence[1:]):
+        eid, _ = cheapest_parallel_edge(net, a, b)
+        legs.append((eid, net.edges[eid].mode))
     return PathResult(dist[target], tuple(legs), tuple(sequence))
 
 

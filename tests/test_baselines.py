@@ -7,7 +7,6 @@ from collections import deque
 import pytest
 
 from gtpmm import (
-    BaselineKind,
     QueryInstance,
     SharingMode,
     group_cost,
@@ -16,10 +15,9 @@ from gtpmm import (
     recompute_total,
     rpcm,
     rprm,
-    run_baseline,
 )
 from gtpmm.baselines import _random_common
-from gtpmm.bench import draw_instance
+from gtpmm.bench import draw_instance, run_method
 from gtpmm.errors import InfeasibleRouteError
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
 from gtpmm.network import NetworkBuilder, PathResult, shortest_costs, shortest_path
@@ -99,8 +97,8 @@ def test_baseline_plans_have_valid_shape(walkthrough_net):
     for seed in range(10):
         net = random_network(seed, n_pois=20, n_modes=2)
         inst = random_instance(seed, net, k=3, pois_per_category=3, n_agents=2)
-        for kind in BaselineKind:
-            journey = run_baseline(kind, net, inst, seed=seed)
+        for method in ("rprm", "rpcm", "nncm"):
+            journey = run_method(method, net, inst, PER_PERSON, seed)
             assert len(journey.common_pois) == inst.k
             for c, poi in enumerate(journey.common_pois):
                 assert poi in inst.categories[c]

@@ -201,6 +201,23 @@ def test_bad_network_file_fails_without_traceback(tmp_path, query_file):
     assert f"{path}: a network needs a list under 'edges'" in result.stderr
 
 
+def test_malformed_coords_fail_without_traceback_before_repair(tmp_path, walkthrough_args, query_file):
+    # without edges the network is disconnected, so --connect would measure
+    # repair edges from the coordinates
+    path = tmp_path / "net.json"
+    assert main(["ingest", *walkthrough_args, "--out", str(path)]) == 0
+    for coords in (["x", 1], [1]):
+        document = json.loads(path.read_text())
+        document["edges"] = []
+        document["pois"][0]["coords"] = [47.4, 8.5]
+        document["pois"][1]["coords"] = coords
+        path.write_text(json.dumps(document))
+        result = run_cli("plan", "--network", str(path), "--query", query_file, "--connect")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"{path}: pois[1]: coords must be null or [lat, lon]" in result.stderr
+
+
 def test_non_utf8_edge_list_fails_without_traceback(tmp_path, query_file):
     path = tmp_path / "edges.csv"
     path.write_bytes(b"u,v,mode,distance_m,time_min\nv01,v\xff03,Bus,500,5\n")

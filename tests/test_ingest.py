@@ -200,6 +200,16 @@ def test_network_json_round_trip(tmp_path, walkthrough_net):
     assert reloaded.fare_table == walkthrough_net.fare_table
 
 
+def test_network_json_round_trips_coordinates(tmp_path):
+    builder = NetworkBuilder()
+    for index, coords in enumerate([(90.0, -180.0), (-90, 180), (-33.87, 151.21), None]):
+        builder.add_poi(f"p{index}", coords=coords)
+    net = builder.finalize(walkthrough_fare_table())
+    out = tmp_path / "net.json"
+    save_network_json(net, out)
+    assert load_network_json(out).pois == net.pois
+
+
 def _drop_edges(document):
     del document["edges"]
     return document
@@ -228,6 +238,14 @@ MALFORMED_NETWORKS = {
     "nan-rate": (_set("modes", 1, "cost_per_meter_cents", "NaN"), "modes[1]"),
     "non-numeric-rate": (_set("modes", 0, "cost_per_minute_cents", "abc"), "modes[0]"),
     "duplicate-external-id": (_duplicate_external_id, "pois[4]: duplicate external_id 'v03'"),
+    "non-numeric-coords": (_set("pois", 1, "coords", ["x", 1]), "pois[1]: coords must be null or [lat, lon]"),
+    "one-element-coords": (_set("pois", 2, "coords", [1]), "pois[2]: coords"),
+    "three-element-coords": (_set("pois", 2, "coords", [1, 2, 3]), "pois[2]: coords"),
+    "string-coords": (_set("pois", 0, "coords", "47.4,8.5"), "pois[0]: coords"),
+    "boolean-coords": (_set("pois", 0, "coords", [True, 8.5]), "pois[0]: coords"),
+    "nan-coords": (_set("pois", 3, "coords", [float("nan"), 8.5]), "pois[3]: coords"),
+    "latitude-out-of-range": (_set("pois", 3, "coords", [90.5, 8.5]), "pois[3]: coords"),
+    "longitude-out-of-range": (_set("pois", 5, "coords", [47.4, -180.5]), "pois[5]: coords"),
 }
 
 

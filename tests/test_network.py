@@ -418,10 +418,9 @@ def test_search_views_are_lazy_and_outside_equality():
     spec = EDGE_CASE_NETWORKS["tied-parallel"]
     net = built_network(spec[0], EDGE_CASE_FARES, spec[1])
     twin = built_network(spec[0], EDGE_CASE_FARES, spec[1])
-    assert "adjacency_rows" not in vars(net) and "cheapest_neighbors" not in vars(net)
+    assert "cheapest_neighbors" not in vars(net)
     shortest_path(net, 0, 2)
     shortest_costs(net, 0, [2])
-    assert net.adjacency_rows is net.adjacency_rows
     assert net.cheapest_neighbors is net.cheapest_neighbors
     assert net == twin and repr(net) == repr(twin)
 
@@ -429,9 +428,19 @@ def test_search_views_are_lazy_and_outside_equality():
 def test_search_views_of_a_multigraph():
     spec = EDGE_CASE_NETWORKS["self-loops"]
     net = built_network(spec[0], EDGE_CASE_FARES, spec[1])
-    # edge ids 0, 2 and 4 are self-loops and appear in neither view
-    assert net.adjacency_rows[1] == ((0, 2, 1, 40), (2, 1, 3, 3))
+    # edge ids 0, 2 and 4 are self-loops and do not appear in the view
     assert net.cheapest_neighbors == (((1, 40),), ((0, 40), (2, 3)), ((1, 3),), ())
+    assert [cheapest_parallel_edge(net, 1, v) for v in range(3)] == [(1, 40), None, (3, 3)]
+
+
+def test_cheapest_neighbors_rows_ascend_by_neighbor_id(walkthrough_net):
+    # the baselines' BFS expands neighbors in row order, so its routes depend on it
+    nets = [walkthrough_net, *(random_network(seed, n_pois=25, n_modes=4, extra_edges=30) for seed in range(4))]
+    nets += [built_network(n_pois, EDGE_CASE_FARES, specs) for n_pois, specs in EDGE_CASE_NETWORKS.values()]
+    for net in nets:
+        for row in net.cheapest_neighbors:
+            neighbors = [v for v, _ in row]
+            assert neighbors == sorted(set(neighbors))
 
 
 # --- network copies ---------------------------------------------------------------
@@ -468,7 +477,7 @@ def test_rebuild_with_fares_equals_a_builder_copy(walkthrough_net):
             shortest_path(net, 0, net.poi_count - 1)  # built search views must not leak into the copy
             rebuilt = rebuild_with_fares(net, fares)
             assert rebuilt == builder_copy_with_fares(net, fares)
-            assert "adjacency_rows" not in vars(rebuilt)
+            assert "cheapest_neighbors" not in vars(rebuilt)
 
 
 def test_rebuild_with_fares_rejects_a_table_missing_a_mode(walkthrough_net):
