@@ -68,6 +68,16 @@ def _random_common(inst: QueryInstance, rng: SplitMix64) -> tuple[int, ...]:
     return tuple(cat[rng.below(len(cat))] for cat in inst.categories)
 
 
+def _cheapest_legs_plan(
+    net: MultiModalNetwork, inst: QueryInstance, common: tuple[int, ...], sharing: SharingMode
+) -> JourneyPlan:
+    """The plan through ``common`` with every leg at its cheapest; one search
+    from the last common PoI serves every destination leg."""
+    legs = Legs()
+    legs.fill(net, common[-1], [dest for _, dest in inst.agents])
+    return assemble(net, inst, common, sharing, legs.path)
+
+
 def rprm(
     net: MultiModalNetwork,
     inst: QueryInstance,
@@ -100,7 +110,7 @@ def rpcm(
     """
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
-    return assemble(net, inst, common, sharing, Legs().path)
+    return _cheapest_legs_plan(net, inst, common, sharing)
 
 
 def nncm(
@@ -128,5 +138,5 @@ def nncm(
             raise InfeasibleRouteError(next(iter(origins)), cat[0])
         common.append(best[1])
 
-    return assemble(net, inst, tuple(common), sharing, Legs().path)
+    return _cheapest_legs_plan(net, inst, tuple(common), sharing)
 

@@ -476,6 +476,9 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     for index, poi in enumerate(document["pois"]):
         try:
             external_id = poi["external_id"]
+            name = poi.get("name", "")
+            if type(external_id) is not str or type(name) is not str:
+                raise ParseError(f"pois[{index}]: external_id and name must be strings", file=str(path))
             if external_id in external_ids:
                 raise ParseError(f"pois[{index}]: duplicate external_id {external_id!r}", file=str(path))
             external_ids.add(external_id)
@@ -484,7 +487,7 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
                 if not _valid_coords(coords):
                     raise ParseError(f"pois[{index}]: coords must be null or [lat, lon] in degrees", file=str(path))
                 coords = tuple(coords)
-            builder.add_poi(external_id, name=poi.get("name", ""), category=poi.get("category"), coords=coords)
+            builder.add_poi(external_id, name=name, category=poi.get("category"), coords=coords)
         except (KeyError, TypeError) as error:
             raise _malformed(path, f"pois[{index}]", error) from None
     modes = fare_table.mode_count

@@ -16,8 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
-from heapq import heappop, heappush
-from typing import Iterable
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Mapping
 
 from .errors import ConfigurationError
 
@@ -371,6 +371,109 @@ def shortest_costs(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
                 break
         for v, cost in neighbors[u]:
             candidate = d + cost
+            known = dist.get(v)
+            if known is None or candidate < known:
+                dist[v] = candidate
+                heappush(heap, (candidate, v))
+    return found
+
+
+def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, PathResult]:
+    """Cheapest path from ``source`` to every reachable PoI of ``targets``.
+
+    :func:`shortest_path`'s Dijkstra, run until every target is settled. A
+    PoI's predecessor is fixed when the PoI is settled, and the search
+    settles PoIs in the same order whether it stops at one target or goes
+    on, so each path equals ``shortest_path(net, source, target)``. A
+    target missing from the result is unreachable.
+    """
+    net.check_poi(source)
+    remaining = set(targets)
+    for target in remaining:
+        net.check_poi(target)
+    wanted = set(remaining)
+
+    dist: dict[int, Money] = {source: 0}
+    pred: dict[int, int] = {}
+    settled: set[int] = set()
+    heap: list[tuple[Money, int]] = [(0, source)]
+    neighbors = net.cheapest_neighbors
+
+    while heap and remaining:
+        d, u = heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        remaining.discard(u)
+        if not remaining:
+            break
+        for v, cost in neighbors[u]:
+            if v in settled:
+                continue
+            candidate = d + cost
+            known = dist.get(v)
+            if known is None or candidate < known:
+                dist[v] = candidate
+                pred[v] = u
+                heappush(heap, (candidate, v))
+            elif candidate == known and u < pred[v]:
+                pred[v] = u
+
+    hops: dict[tuple[int, int], tuple[int, ModeId]] = {}  # paths to many targets share hops
+    paths: dict[int, PathResult] = {}
+    for target in wanted & settled:
+        sequence = [target]
+        while sequence[-1] != source:
+            sequence.append(pred[sequence[-1]])
+        sequence.reverse()
+        legs = []
+        for hop in zip(sequence, sequence[1:]):
+            if hop not in hops:
+                eid, _ = cheapest_parallel_edge(net, *hop)
+                hops[hop] = (eid, net.edges[eid].mode)
+            legs.append(hops[hop])
+        paths[target] = PathResult(dist[target], tuple(legs), tuple(sequence))
+    return paths
+
+
+def layer_costs(
+    net: MultiModalNetwork, starts: Mapping[int, Money], weight: int, targets: Iterable[int]
+) -> dict[int, tuple[Money, int]]:
+    """Cheapest ``(starts[i] + weight * d(i, j), i)`` over the PoIs ``i`` of
+    ``starts``, for every PoI ``j`` of ``targets`` that some ``i`` reaches.
+
+    One Dijkstra seeded at every ``i`` with key ``(starts[i], i)``, over
+    edge costs multiplied by ``weight`` (nonnegative). Keys compare as
+    ``(cost, origin)`` pairs, so an equal cost goes to the lower origin. A
+    pair is packed into one integer, ``cost * poi_count + origin``, which
+    orders the same way and survives adding ``weight * w * poi_count``.
+    The search stops once every target is settled.
+    """
+    scale = net.poi_count
+    remaining = set(targets)
+    for poi in (*starts, *remaining):
+        net.check_poi(poi)
+    found: dict[int, tuple[Money, int]] = {}
+    if not remaining:
+        return found
+
+    dist = {origin: start * scale + origin for origin, start in starts.items()}
+    heap = [(key, origin) for origin, key in dist.items()]
+    heapify(heap)
+    step = weight * scale
+    neighbors = net.cheapest_neighbors
+
+    while heap:
+        key, u = heappop(heap)
+        if key > dist[u]:
+            continue  # stale entry; u was settled at a lower key
+        if u in remaining:
+            found[u] = divmod(key, scale)
+            remaining.discard(u)
+            if not remaining:
+                break
+        for v, cost in neighbors[u]:
+            candidate = key + cost * step
             known = dist.get(v)
             if known is None or candidate < known:
                 dist[v] = candidate

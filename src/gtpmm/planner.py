@@ -7,16 +7,34 @@ shortest paths between PoIs; intermediate legs are charged once per agent or
 once per group depending on the sharing mode. The final stage attaches every
 agent's destination leg and the global argmin is reconstructed through
 parent links.
+
+Each stage from one category to the next is one multi-source search
+(:func:`~gtpmm.network.layer_costs`). The two stages that sum over agents,
+sources to the first category and the last category to the destinations,
+run one search per distinct endpoint or per category PoI, whichever set is
+smaller; a search that starts where a plan's leg starts keeps its paths in
+:class:`Legs`, so it also serves those legs.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
-from .network import ModeId, Money, MultiModalNetwork, PathResult, shortest_costs, shortest_path
+from .network import (
+    ModeId,
+    Money,
+    MultiModalNetwork,
+    PathResult,
+    connected_components,
+    layer_costs,
+    shortest_costs,
+    shortest_path,
+    shortest_paths,
+)
 
 
 class SharingMode(enum.Enum):
@@ -75,47 +93,62 @@ class QueryInstance:
 
 
 class Legs:
-    """Cheapest point-to-point legs of one network, each ordered PoI pair
-    searched once through this module's ``shortest_path`` name, which tests
-    and the benchmark's tracer patch to count them; ``searches`` counts them."""
+    """Cheapest legs of one network, each ordered PoI pair searched once.
+
+    ``path`` searches a pair it does not hold point to point, through this
+    module's ``shortest_path`` name, which tests and the benchmark's tracer
+    patch to count them; ``searches`` counts those calls. ``fill`` runs one
+    :func:`~gtpmm.network.shortest_paths` search from one origin to the
+    targets it does not hold yet and keeps every path, each equal to the
+    point-to-point one; ``fills`` counts those searches.
+    """
 
     def __init__(self) -> None:
         self._paths: dict[tuple[int, int], PathResult | None] = {}
-
-    @property
-    def searches(self) -> int:
-        return len(self._paths)
+        self.searches = 0
+        self.fills = 0
 
     def path(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
         """Raises :class:`InfeasibleRouteError` when ``u`` and ``v`` are disconnected."""
         if (u, v) not in self._paths:
+            self.searches += 1
             self._paths[(u, v)] = shortest_path(net, u, v)
         result = self._paths[(u, v)]
         if result is None:
             raise InfeasibleRouteError(u, v)
         return result
 
+    def fill(self, net: MultiModalNetwork, u: int, targets: Iterable[int]) -> dict[int, PathResult]:
+        """Paths from ``u`` to every reachable PoI of ``targets``, searching
+        at most once; ``path`` then holds them, and raises for the rest."""
+        targets = tuple(targets)
+        missing = {v for v in targets if (u, v) not in self._paths}
+        if missing:
+            self.fills += 1
+            found = shortest_paths(net, u, missing)
+            for v in missing:
+                self._paths[(u, v)] = found.get(v)
+        return {v: self._paths[(u, v)] for v in targets if self._paths[(u, v)] is not None}
+
 
 @dataclass
 class DpTable:
-    """Per-category minimum costs with predecessor links, the pair costs the
-    DP reads, and the chosen plan's legs.
+    """Per-category minimum costs with predecessor links, the destination
+    stage's pair costs, and the legs the searches found.
 
     ``cost[c][j]`` is finite (present) iff some prefix of the common path
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
-    ``distances`` maps a PoI pair, lower id first (the network is
-    undirected), to its cheapest cost; ``searches`` counts the one-to-many
-    searches that filled it. ``distance`` reads it and records the first
-    pair it finds missing, i.e. unreachable, in ``first_unreachable``.
-    ``legs`` holds the point-to-point shortest paths the chosen plan's legs
-    are built from; ``sp_invocations`` counts the distinct pairs solved
-    there.
+    ``distances`` maps a (reached last-category PoI, destination) pair to
+    its cheapest cost; an unreachable pair is missing. ``searches`` counts
+    the searches :func:`compute_dp` ran. ``legs`` holds the paths of the
+    searches that started where a plan's leg starts, and the point-to-point
+    paths the chosen plan's other legs are built from; ``sp_invocations``
+    counts only those point-to-point searches.
     """
 
     cost: list[dict[int, Money]]
     parent: list[dict[int, int | None]]
     legs: Legs = field(default_factory=Legs)
-    first_unreachable: tuple[int, int] | None = None
     distances: dict[tuple[int, int], Money] = field(default_factory=dict)
     searches: int = 0
 
@@ -126,18 +159,6 @@ class DpTable:
     @property
     def sp_invocations(self) -> int:
         return self.legs.searches
-
-    def search(self, net: MultiModalNetwork, source: int, targets: Iterable[int]) -> None:
-        """Add the cheapest costs from ``source`` to ``targets`` to ``distances``."""
-        self.searches += 1
-        for target, cost in shortest_costs(net, source, targets).items():
-            self.distances[(source, target) if source <= target else (target, source)] = cost
-
-    def distance(self, u: int, v: int) -> Money | None:
-        cost = self.distances.get((u, v) if u <= v else (v, u))
-        if cost is None and self.first_unreachable is None:
-            self.first_unreachable = (u, v)
-        return cost
 
     def leg(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
         return self.legs.path(net, u, v)
@@ -193,58 +214,67 @@ def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
         net.check_poi(poi)
 
 
+def _endpoint_costs(
+    net: MultiModalNetwork, table: DpTable, origins: Sequence[int], targets: Sequence[int]
+) -> dict[tuple[int, int], Money]:
+    """Cheapest cost of every reachable (origin, target) pair, where a leg
+    runs from an origin to a target.
+
+    Runs one search per origin, through ``table.legs.fill`` so its paths
+    serve the plan's legs, or one cost-only search per target when there
+    are fewer targets. The network is undirected, so both give the costs.
+    """
+    costs: dict[tuple[int, int], Money] = {}
+    if len(origins) <= len(targets):
+        for origin in origins:
+            for target, path in table.legs.fill(net, origin, targets).items():
+                costs[(origin, target)] = path.cost
+    else:
+        for target in targets:
+            table.searches += 1
+            for origin, cost in shortest_costs(net, target, origins).items():
+                costs[(origin, target)] = cost
+    return costs
+
+
 def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode) -> DpTable:
     """Run the layered DP and return the full table (no reconstruction).
 
-    One search per category PoI ``j`` fills the pair costs first: it reaches
-    the previous category (the sources for the first one) and, from the
-    last category, the destinations. The DP and the destination stage then
-    read every transition from that table.
+    The first layer sums each first-category PoI's cost from every agent's
+    source. Each later layer is one :func:`~gtpmm.network.layer_costs`
+    search seeded at the reached PoIs of the layer before, with costs times
+    the intermediate multiplier; ties keep the lower PoI id as parent. The
+    destination stage then stores the cost from every reached last-category
+    PoI to every destination in ``distances``. The two endpoint stages run
+    one search per distinct endpoint or per category PoI, whichever set is
+    smaller, so a query runs at most min(sources, |first category|) +
+    (k - 1) + min(destinations, |last category|) searches.
     """
     _check_instance(net, inst)
     m = sharing.intermediate_multiplier(inst.n_agents)
     table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories])
 
-    destinations = {dest for _, dest in inst.agents}
-    for c, category in enumerate(inst.categories):
-        targets = set(inst.categories[c - 1]) if c else {source for source, _ in inst.agents}
-        if c == inst.k - 1:
-            targets |= destinations
-        for j in category:
-            table.search(net, j, targets)
-
-    for j in inst.categories[0]:
-        total = 0
-        reachable = True
-        for source, _ in inst.agents:
-            cost = table.distance(source, j)
-            if cost is None:
-                reachable = False
-                break
-            total += cost
-        if reachable:
-            table.cost[0][j] = total
+    sources = Counter(source for source, _ in inst.agents)
+    first = inst.categories[0]
+    from_sources = _endpoint_costs(net, table, tuple(sources), first)
+    for j in first:
+        if all((source, j) in from_sources for source in sources):
+            table.cost[0][j] = sum(count * from_sources[(source, j)] for source, count in sources.items())
             table.parent[0][j] = None
 
     for c in range(1, inst.k):
         previous = table.cost[c - 1]
-        for j in inst.categories[c]:
-            best: Money | None = None
-            best_parent: int | None = None
-            for i in inst.categories[c - 1]:
-                if i not in previous:
-                    continue
-                cost = table.distance(i, j)
-                if cost is None:
-                    continue
-                candidate = previous[i] + m * cost
-                if best is None or candidate < best:  # ties keep the lower PoI id i
-                    best = candidate
-                    best_parent = i
-            if best is not None:
-                table.cost[c][j] = best
-                table.parent[c][j] = best_parent
+        if not previous:
+            continue
+        table.searches += 1
+        for j, (cost, parent) in layer_costs(net, previous, m, inst.categories[c]).items():
+            table.cost[c][j] = cost
+            table.parent[c][j] = parent
 
+    last = tuple(j for j in inst.categories[-1] if j in table.cost[-1])
+    destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
+    table.distances = _endpoint_costs(net, table, last, destinations)
+    table.searches += table.legs.fills  # every fill so far ran in this call
     return table
 
 
@@ -260,7 +290,7 @@ def destination_totals(net: MultiModalNetwork, inst: QueryInstance, table: DpTab
         for j in inst.categories[-1]:
             if j not in last:
                 continue
-            cost = table.distance(j, dest)
+            cost = table.distances.get((j, dest))
             if cost is None:
                 continue
             candidate = last[j] + cost
@@ -285,6 +315,32 @@ def reconstruct(table: DpTable, best_last: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
+def _first_unreachable(net: MultiModalNetwork, inst: QueryInstance) -> tuple[int, int]:
+    """The first disconnected pair in the DP's visiting order: each
+    first-category PoI from every source, each later PoI from every PoI of
+    the category before, then each last-category PoI to every destination.
+    Every pair before it is connected, so every PoI it passes is reached.
+    Called only when no plan exists."""
+    component = [0] * net.poi_count
+    for index, members in enumerate(connected_components(net)):
+        for poi in members:
+            component[poi] = index
+    for j in inst.categories[0]:
+        for source, _ in inst.agents:
+            if component[source] != component[j]:
+                return source, j
+    for before, category in zip(inst.categories, inst.categories[1:]):
+        for j in category:
+            for i in before:
+                if component[i] != component[j]:
+                    return i, j
+    for j in inst.categories[-1]:
+        for _, dest in inst.agents:
+            if component[j] != component[dest]:
+                return j, dest
+    return inst.agents[0][0], inst.categories[0][0]
+
+
 def plan(
     net: MultiModalNetwork,
     inst: QueryInstance,
@@ -306,7 +362,7 @@ def plan(
         total = table.cost[inst.k - 1][j]
         feasible = True
         for _, dest in inst.agents:
-            cost = table.distance(j, dest)
+            cost = table.distances.get((j, dest))
             if cost is None:
                 feasible = False
                 break
@@ -316,10 +372,10 @@ def plan(
             best_last = j
 
     if best_last is None:
-        pair = table.first_unreachable or (inst.agents[0][0], inst.categories[0][0])
-        raise InfeasibleRouteError(*pair)
+        raise InfeasibleRouteError(*_first_unreachable(net, inst))
 
     common = reconstruct(table, best_last)
+    table.legs.fill(net, common[-1], [dest for _, dest in inst.agents])
     try:
         journey = assemble(net, inst, common, sharing, table.leg)
     except InfeasibleRouteError as failure:

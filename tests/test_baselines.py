@@ -372,3 +372,32 @@ def test_nncm_scores_candidates_with_one_cost_search_per_origin(monkeypatch):
     assembly = {(source, common[0]) for source in sources} | set(zip(common, common[1:]))
     assembly |= {(common[-1], dest) for _, dest in inst.agents}
     assert set(pairs) <= assembly  # the greedy choice itself ran no point-to-point search
+
+
+def test_cheapest_leg_baselines_run_one_destination_search_per_plan(monkeypatch):
+    import gtpmm.planner
+
+    origins = []
+    pairs = []
+    many_targets = gtpmm.planner.shortest_paths
+
+    def counted_shortest_paths(net, source, targets):
+        origins.append(source)
+        return many_targets(net, source, targets)
+
+    def counted_shortest_path(net, u, v):
+        pairs.append((u, v))
+        return shortest_path(net, u, v)
+
+    monkeypatch.setattr(gtpmm.planner, "shortest_paths", counted_shortest_paths)
+    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+    net, inst, _ = _fifty_agents_from_five_sources()
+    destinations = {dest for _, dest in inst.agents}
+    assert len(destinations) > 1
+    for seed in range(3):
+        for run in (lambda: rpcm(net, inst, seed), lambda: nncm(net, inst)):
+            origins.clear()
+            pairs.clear()
+            last = run().common_pois[-1]
+            assert origins == [last]
+            assert not {(last, dest) for dest in destinations} & set(pairs)

@@ -246,6 +246,12 @@ MALFORMED_NETWORKS = {
     "nan-coords": (_set("pois", 3, "coords", [float("nan"), 8.5]), "pois[3]: coords"),
     "latitude-out-of-range": (_set("pois", 3, "coords", [90.5, 8.5]), "pois[3]: coords"),
     "longitude-out-of-range": (_set("pois", 5, "coords", [47.4, -180.5]), "pois[5]: coords"),
+    "integer-external-id": (_set("pois", 1, "external_id", 5), "pois[1]: external_id and name must be strings"),
+    "boolean-external-id": (_set("pois", 2, "external_id", True), "pois[2]: external_id and name"),
+    "null-external-id": (_set("pois", 3, "external_id", None), "pois[3]: external_id and name"),
+    "integer-name": (_set("pois", 4, "name", 7), "pois[4]: external_id and name must be strings"),
+    "boolean-name": (_set("pois", 0, "name", False), "pois[0]: external_id and name"),
+    "null-name": (_set("pois", 5, "name", None), "pois[5]: external_id and name"),
 }
 
 

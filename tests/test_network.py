@@ -24,7 +24,7 @@ from gtpmm import (
     shortest_path,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import PathResult, rebuild_with_fares, shortest_costs
+from gtpmm.network import PathResult, layer_costs, rebuild_with_fares, shortest_costs, shortest_paths
 from gtpmm.synth import random_disconnected_network, random_network
 
 
@@ -401,6 +401,73 @@ def test_searches_agree_on_random_networks(net):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_searches_agree_on_synthetic_networks(seed):
     assert_searches_agree(random_network(seed, n_pois=15, n_modes=3, extra_edges=10))
+
+
+def assert_many_target_searches_agree(net, starts, weight):
+    """``shortest_paths`` against ``shortest_path`` on every source and target
+    set, and ``layer_costs`` against a brute-force minimum over ``starts``."""
+    nodes = range(net.poi_count)
+    paths = {(u, v): shortest_path(net, u, v) for u in nodes for v in nodes}
+    for source in nodes:
+        expected = {target: paths[(source, target)] for target in nodes if paths[(source, target)] is not None}
+        assert shortest_paths(net, source, nodes) == expected
+        for target in nodes:  # a lone target stops the search early
+            assert shortest_paths(net, source, [target]) == ({target: expected[target]} if target in expected else {})
+        farthest_two = [target for target, _ in sorted(expected.items(), key=lambda item: item[1].cost)][-2:]
+        assert shortest_paths(net, source, farthest_two) == {target: expected[target] for target in farthest_two}
+
+    brute = {}
+    for j in nodes:
+        keys = [(start + weight * paths[(i, j)].cost, i) for i, start in starts.items() if paths[(i, j)] is not None]
+        if keys:
+            brute[j] = min(keys)
+    assert layer_costs(net, starts, weight, nodes) == brute
+    for j in nodes:
+        assert layer_costs(net, starts, weight, [j]) == ({j: brute[j]} if j in brute else {})
+
+
+# start costs that tie with and undercut the weighted distances between starts
+LAYER_STARTS = ({0: 0}, {0: 40, 1: 0}, {2: 3, 0: 3, 3: 0}, {1: 80, 3: 80, 4: 0, 0: 120})
+
+
+@pytest.mark.parametrize("weight", [1, 2])
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_NETWORKS))
+def test_many_target_searches_agree_on_edge_case_networks(name, weight):
+    n_pois, edge_specs = EDGE_CASE_NETWORKS[name]
+    net = built_network(n_pois, EDGE_CASE_FARES, edge_specs)
+    for starts in LAYER_STARTS:
+        assert_many_target_searches_agree(net, {i: cost for i, cost in starts.items() if i < n_pois}, weight)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=small_networks(), data=st.data())
+def test_many_target_searches_agree_on_random_networks(net, data):
+    start_costs = st.dictionaries(
+        st.integers(min_value=0, max_value=net.poi_count - 1), st.sampled_from([0, 1, 3, 40, 80]), max_size=4
+    )
+    weight = data.draw(st.sampled_from([0, 1, 3]))
+    assert_many_target_searches_agree(net, data.draw(start_costs), weight)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_many_target_searches_agree_on_synthetic_networks(seed):
+    net = random_network(seed, n_pois=15, n_modes=3, extra_edges=10)
+    assert_many_target_searches_agree(net, {seed % 15: 500, (seed * 7) % 15: 0, 3: 250}, 2)
+
+
+def test_many_target_searches_reject_unknown_pois(walkthrough_net):
+    with pytest.raises(ConfigurationError):
+        shortest_paths(walkthrough_net, 99, [0])
+    with pytest.raises(ConfigurationError):
+        shortest_paths(walkthrough_net, 0, [1, 99])
+    with pytest.raises(ConfigurationError):
+        layer_costs(walkthrough_net, {99: 0}, 1, [0])
+    with pytest.raises(ConfigurationError):
+        layer_costs(walkthrough_net, {0: 0}, 1, [99])
+    assert shortest_paths(walkthrough_net, 0, []) == {}
+    assert layer_costs(walkthrough_net, {0: 0}, 1, []) == {}
+    assert layer_costs(walkthrough_net, {}, 1, [0]) == {}
 
 
 def test_shortest_costs_without_targets_is_empty(walkthrough_net):
