@@ -4,7 +4,7 @@
 
 Each scenario is ``random_network(1, pois, 3)`` with ``draw_instance(net, 7,
 k, p, agents)``, planned per person. A row holds, per scenario, medians
-over ``--repeats`` ``plan()`` calls of the whole call, of its
+over ``REPEATS`` ``plan()`` calls of the whole call, of its
 ``compute_dp`` call and of the rest (argmin, reconstruction and leg
 assembly), and the searches ``compute_dp`` ran (``DpTable.searches``); plus
 the Python version and ``os.cpu_count()``. The split is timed inside each
@@ -35,9 +35,10 @@ SCENARIOS = (  # (PoIs, k, PoIs per category, agents)
     (5000, 10, 20, 100),
 )
 SHARING = planner.SharingMode.PER_PERSON_INTERMEDIATE
+REPEATS = 7
 
 
-def measure(pois: int, k: int, p: int, agents: int, repeats: int) -> dict:
+def measure(pois: int, k: int, p: int, agents: int) -> dict:
     net = random_network(1, pois, 3)
     inst = draw_instance(net, 7, k, p, agents)
     planner.plan(net, inst, SHARING)  # builds the network's search view outside the timings
@@ -55,7 +56,7 @@ def measure(pois: int, k: int, p: int, agents: int, repeats: int) -> dict:
     plan_times = []
     planner.compute_dp = timed_compute_dp  # plan() looks the name up in its module
     try:
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             planner.plan(net, inst, SHARING)
             plan_times.append(time.perf_counter() - start)
@@ -66,7 +67,7 @@ def measure(pois: int, k: int, p: int, agents: int, repeats: int) -> dict:
         "k": k,
         "pois_per_category": p,
         "agents": agents,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "plan_s": round(statistics.median(plan_times), 4),
         "compute_dp_s": round(statistics.median(dp_times), 4),
         "assembly_s": round(statistics.median(t - dp for t, dp in zip(plan_times, dp_times)), 4),
@@ -77,17 +78,14 @@ def measure(pois: int, k: int, p: int, agents: int, repeats: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the measured code, e.g. its commit")
-    parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--output", type=Path, default=OUTPUT)
     args = parser.parse_args(argv)
-    if args.repeats < 5:
-        parser.error("--repeats must be at least 5")
 
     row = {
         "label": args.label,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "scenarios": [measure(*scenario, args.repeats) for scenario in SCENARIOS],
+        "scenarios": [measure(*scenario) for scenario in SCENARIOS],
     }
     rows = json.loads(args.output.read_text(encoding="utf-8")) if args.output.exists() else []
     rows = [existing for existing in rows if existing["label"] != args.label] + [row]

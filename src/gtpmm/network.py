@@ -342,40 +342,12 @@ def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResul
 def shortest_costs(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, Money]:
     """Cheapest cost from ``source`` to every reachable PoI of ``targets``.
 
-    One Dijkstra over :attr:`MultiModalNetwork.cheapest_neighbors` that stops
-    once every target is settled. A target missing from the result is
-    unreachable; ``source``, if it is a target, costs 0. The network is
-    undirected, so the costs also hold from each target back to ``source``,
-    and each equals ``shortest_path(net, source, target).cost``.
+    :func:`layer_costs` seeded at ``source`` alone. A target missing from
+    the result is unreachable; ``source``, if it is a target, costs 0. The
+    network is undirected, so the costs also hold from each target back to
+    ``source``, and each equals ``shortest_path(net, source, target).cost``.
     """
-    net.check_poi(source)
-    remaining = set(targets)
-    for target in remaining:
-        net.check_poi(target)
-    found: dict[int, Money] = {}
-    if not remaining:
-        return found
-
-    dist: dict[int, Money] = {source: 0}
-    heap: list[tuple[Money, int]] = [(0, source)]
-    neighbors = net.cheapest_neighbors
-
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue  # stale entry; u was settled at a lower cost
-        if u in remaining:
-            found[u] = d
-            remaining.discard(u)
-            if not remaining:
-                break
-        for v, cost in neighbors[u]:
-            candidate = d + cost
-            known = dist.get(v)
-            if known is None or candidate < known:
-                dist[v] = candidate
-                heappush(heap, (candidate, v))
-    return found
+    return {target: cost for target, (cost, _) in layer_costs(net, {source: 0}, 1, targets).items()}
 
 
 def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, PathResult]:

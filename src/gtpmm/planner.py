@@ -12,8 +12,9 @@ Each stage from one category to the next is one multi-source search
 (:func:`~gtpmm.network.layer_costs`). The two stages that sum over agents,
 sources to the first category and the last category to the destinations,
 run one search per distinct endpoint or per category PoI, whichever set is
-smaller; a search that starts where a plan's leg starts keeps its paths in
-:class:`Legs`, so it also serves those legs.
+smaller. Searches from the sources keep their paths in :class:`Legs`, so
+they also serve the plan's source legs; the destination legs all start at
+the last common PoI, known only after the DP, and come from one search.
 """
 
 from __future__ import annotations
@@ -100,13 +101,12 @@ class Legs:
     patch to count them; ``searches`` counts those calls. ``fill`` runs one
     :func:`~gtpmm.network.shortest_paths` search from one origin to the
     targets it does not hold yet and keeps every path, each equal to the
-    point-to-point one; ``fills`` counts those searches.
+    point-to-point one.
     """
 
     def __init__(self) -> None:
         self._paths: dict[tuple[int, int], PathResult | None] = {}
         self.searches = 0
-        self.fills = 0
 
     def path(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
         """Raises :class:`InfeasibleRouteError` when ``u`` and ``v`` are disconnected."""
@@ -124,7 +124,6 @@ class Legs:
         targets = tuple(targets)
         missing = {v for v in targets if (u, v) not in self._paths}
         if missing:
-            self.fills += 1
             found = shortest_paths(net, u, missing)
             for v in missing:
                 self._paths[(u, v)] = found.get(v)
@@ -141,9 +140,8 @@ class DpTable:
     ``distances`` maps a (reached last-category PoI, destination) pair to
     its cheapest cost; an unreachable pair is missing. ``searches`` counts
     the searches :func:`compute_dp` ran. ``legs`` holds the paths of the
-    searches that started where a plan's leg starts, and the point-to-point
-    paths the chosen plan's other legs are built from; ``sp_invocations``
-    counts only those point-to-point searches.
+    searches from the sources, and the paths the chosen plan's other legs
+    are built from; ``sp_invocations`` counts only point-to-point searches.
     """
 
     cost: list[dict[int, Money]]
@@ -215,26 +213,14 @@ def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
 
 
 def _endpoint_costs(
-    net: MultiModalNetwork, table: DpTable, origins: Sequence[int], targets: Sequence[int]
+    net: MultiModalNetwork, origins: Sequence[int], targets: Sequence[int]
 ) -> dict[tuple[int, int], Money]:
-    """Cheapest cost of every reachable (origin, target) pair, where a leg
-    runs from an origin to a target.
-
-    Runs one search per origin, through ``table.legs.fill`` so its paths
-    serve the plan's legs, or one cost-only search per target when there
-    are fewer targets. The network is undirected, so both give the costs.
-    """
-    costs: dict[tuple[int, int], Money] = {}
+    """Cheapest cost of every reachable (origin, target) pair, from one
+    cost-only search per origin or per target, whichever set is smaller.
+    The network is undirected, so both give the costs."""
     if len(origins) <= len(targets):
-        for origin in origins:
-            for target, path in table.legs.fill(net, origin, targets).items():
-                costs[(origin, target)] = path.cost
-    else:
-        for target in targets:
-            table.searches += 1
-            for origin, cost in shortest_costs(net, target, origins).items():
-                costs[(origin, target)] = cost
-    return costs
+        return {(o, t): cost for o in origins for t, cost in shortest_costs(net, o, targets).items()}
+    return {(o, t): cost for t in targets for o, cost in shortest_costs(net, t, origins).items()}
 
 
 def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode) -> DpTable:
@@ -248,7 +234,9 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
     PoI to every destination in ``distances``. The two endpoint stages run
     one search per distinct endpoint or per category PoI, whichever set is
     smaller, so a query runs at most min(sources, |first category|) +
-    (k - 1) + min(destinations, |last category|) searches.
+    (k - 1) + min(destinations, |last category|) searches. When the first
+    stage searches from the sources it does so through ``table.legs``, so
+    the plan's source legs need no search of their own.
     """
     _check_instance(net, inst)
     m = sharing.intermediate_multiplier(inst.n_agents)
@@ -256,7 +244,13 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
 
     sources = Counter(source for source, _ in inst.agents)
     first = inst.categories[0]
-    from_sources = _endpoint_costs(net, table, tuple(sources), first)
+    if len(sources) <= len(first):
+        from_sources = {
+            (source, j): path.cost for source in sources for j, path in table.legs.fill(net, source, first).items()
+        }
+    else:
+        from_sources = _endpoint_costs(net, tuple(sources), first)
+    table.searches += min(len(sources), len(first))
     for j in first:
         if all((source, j) in from_sources for source in sources):
             table.cost[0][j] = sum(count * from_sources[(source, j)] for source, count in sources.items())
@@ -273,8 +267,8 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
 
     last = tuple(j for j in inst.categories[-1] if j in table.cost[-1])
     destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
-    table.distances = _endpoint_costs(net, table, last, destinations)
-    table.searches += table.legs.fills  # every fill so far ran in this call
+    table.distances = _endpoint_costs(net, last, destinations)
+    table.searches += min(len(last), len(destinations))
     return table
 
 

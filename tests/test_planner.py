@@ -256,12 +256,19 @@ def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(monkeypatch):
     import gtpmm.planner
 
     calls = []
+    path_origins = []
+    many_targets = gtpmm.planner.shortest_paths
 
     def counted_shortest_path(net, u, v):
         calls.append((u, v))
         return shortest_path(net, u, v)
 
+    def counted_shortest_paths(net, source, targets):
+        path_origins.append(source)
+        return many_targets(net, source, targets)
+
     monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+    monkeypatch.setattr(gtpmm.planner, "shortest_paths", counted_shortest_paths)
     sides = set()
     for seed in range(6):
         net = random_network(seed, n_pois=30, n_modes=2)
@@ -276,10 +283,17 @@ def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(monkeypatch):
         assert table.searches == expected
         assert table.sp_invocations == 0
         assert calls == []
+        # only the searches from the sources keep paths
+        dp_origins = sorted(sources) if len(sources) <= len(first) else []
+        assert sorted(path_origins) == dp_origins
+        path_origins.clear()
 
-        plan(net, inst, PER_PERSON)
+        journey = plan(net, inst, PER_PERSON)
         assert len(calls) <= (len(sources) if len(sources) > len(first) else 0) + inst.k - 1
+        assert sorted(path_origins[:-1]) == dp_origins
+        assert path_origins[-1] == journey.common_pois[-1]  # one search for every destination leg
         calls.clear()
+        path_origins.clear()
     assert sides == {(False, False), (True, True)}  # both sides of each endpoint choice
 
 
