@@ -6,12 +6,21 @@ Each scenario is ``random_network(1, pois, 3)`` with ``draw_instance(net, 7,
 k, p, agents)``, planned per person. A row holds, per scenario, medians
 over ``REPEATS`` ``plan()`` calls of the whole call, of its
 ``compute_dp`` call and of the rest (argmin, reconstruction and leg
-assembly), and the searches ``compute_dp`` ran (``DpTable.searches``); plus
-the Python version and ``os.cpu_count()``. The split is timed inside each
-``plan()`` call by wrapping ``gtpmm.planner.compute_dp`` for the run. A row with the same label is
-replaced, so rerunning a measurement does not grow the file. The package is
-imported from ``PYTHONPATH``, so pointing it at another checkout's ``src``
-measures that checkout with this script.
+assembly), the quartiles of the whole call, the searches ``compute_dp``
+ran (``DpTable.searches``), and the median time of a fixed pure-Python
+reference loop (``host_ref_ms``) run before and after every call; plus the
+Python version and ``os.cpu_count()``. The split is timed inside each
+``plan()`` call by wrapping ``gtpmm.planner.compute_dp`` for the run.
+
+The host's speed drifts between runs, and with it every timing: two rows
+are comparable only where their ``host_ref_ms`` agree, and a difference
+between them means something only where it exceeds the quartile spread
+(``plan_p25_s`` to ``plan_p75_s``). The reference loop is this script's own
+code, so no change to the package changes it.
+
+A row with the same label is replaced, so rerunning a measurement does not
+grow the file. The package is imported from ``PYTHONPATH``, so pointing it
+at another checkout's ``src`` measures that checkout with this script.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import os
 import platform
 import statistics
 import time
+from heapq import heappop, heappush
 from pathlib import Path
 
 from gtpmm import planner
@@ -36,6 +46,40 @@ SCENARIOS = (  # (PoIs, k, PoIs per category, agents)
 )
 SHARING = planner.SharingMode.PER_PERSON_INTERMEDIATE
 REPEATS = 7
+REFERENCE_NODES = 2000
+
+
+def _reference_graph() -> list[list[tuple[int, int]]]:
+    """A fixed ring with chords, with deterministic integer edge costs."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(REFERENCE_NODES)]
+    for u in range(REFERENCE_NODES):
+        for step, factor in ((1, 7), (37, 31), (501, 97)):
+            v = (u + step) % REFERENCE_NODES
+            cost = (u * factor) % 53 + 1
+            rows[u].append((v, cost))
+            rows[v].append((u, cost))
+    return rows
+
+
+REFERENCE_GRAPH = _reference_graph()
+
+
+def reference_ms() -> float:
+    """Time of one Dijkstra over the whole reference graph, in ms: the same
+    kind of work as the planner's searches, as a measure of host speed."""
+    start = time.perf_counter()
+    dist = {0: 0}
+    heap = [(0, 0)]
+    while heap:
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, cost in REFERENCE_GRAPH[u]:
+            known = dist.get(v)
+            if known is None or d + cost < known:
+                dist[v] = d + cost
+                heappush(heap, (d + cost, v))
+    return (time.perf_counter() - start) * 1000.0
 
 
 def measure(pois: int, k: int, p: int, agents: int) -> dict:
@@ -54,14 +98,17 @@ def measure(pois: int, k: int, p: int, agents: int) -> dict:
         return tables[-1]
 
     plan_times = []
+    probes = [reference_ms()]
     planner.compute_dp = timed_compute_dp  # plan() looks the name up in its module
     try:
         for _ in range(REPEATS):
             start = time.perf_counter()
             planner.plan(net, inst, SHARING)
             plan_times.append(time.perf_counter() - start)
+            probes.append(reference_ms())
     finally:
         planner.compute_dp = compute_dp
+    p25, _, p75 = statistics.quantiles(plan_times, n=4)
     return {
         "pois": pois,
         "k": k,
@@ -69,9 +116,12 @@ def measure(pois: int, k: int, p: int, agents: int) -> dict:
         "agents": agents,
         "repeats": REPEATS,
         "plan_s": round(statistics.median(plan_times), 4),
+        "plan_p25_s": round(p25, 4),
+        "plan_p75_s": round(p75, 4),
         "compute_dp_s": round(statistics.median(dp_times), 4),
         "assembly_s": round(statistics.median(t - dp for t, dp in zip(plan_times, dp_times)), 4),
         "searches": tables[-1].searches,
+        "host_ref_ms": round(statistics.median(probes), 2),
     }
 
 

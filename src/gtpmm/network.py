@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError
 
@@ -27,6 +29,10 @@ ModeId = int  # dense index into the fare table
 _CENT = Decimal("1")
 _RATE_QUANTUM = Decimal("0.0001")
 EARTH_RADIUS_M = 6371_000.0
+
+LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
+ACTIVE_LANDMARKS = 2  # landmarks each search bounds its costs with; the searches inline exactly two
+BOUND_SHARE = 10  # a search uses the bounds only when they are this large against its reach (see below)
 
 
 def _as_decimal(value: float | int | str | Decimal) -> Decimal:
@@ -170,10 +176,11 @@ class MultiModalNetwork:
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
 
-    The search view :attr:`cheapest_neighbors` is derived from ``edges`` and
-    ``edge_costs`` on first use and cached on the instance. It is not a
-    dataclass field, so it takes no part in equality or ``repr``, and a
-    network that is never searched never builds it.
+    The search views :attr:`cheapest_neighbors` and :attr:`landmarks` are
+    derived from ``edges`` and ``edge_costs`` on first use and cached on the
+    instance. They are not dataclass fields, so they take no part in
+    equality or ``repr``, and a network that is never searched never builds
+    them.
     """
 
     pois: tuple[Poi, ...]
@@ -203,6 +210,34 @@ class MultiModalNetwork:
                 best[u][v] = cost
                 best[v][u] = cost
         return tuple(tuple(sorted(row.items())) for row in best)
+
+    @cached_property
+    def landmarks(self) -> tuple[Sequence[Money], ...]:
+        """Exact cost from each of up to :data:`LANDMARKS` landmark PoIs to
+        every PoI, -1 where the landmark does not reach it.
+
+        Landmarks are picked farthest-point: the first is PoI 0, each next
+        one the PoI farthest from every landmark so far, where an unreached
+        PoI counts as farthest (so every component gets a landmark before
+        any gets a second) and ties go to the lowest id. The picking stops
+        early once every PoI costs 0 from some landmark, as a further
+        landmark would bound nothing.
+        """
+        neighbors = self.cheapest_neighbors
+        rows: list[Sequence[Money]] = []
+        nearest = [-1] * len(neighbors)  # cost to the nearest landmark, -1 if none reaches
+        landmark = 0
+        while neighbors and len(rows) < LANDMARKS:
+            row = _costs_from(neighbors, landmark)
+            nearest = [d if n < 0 or 0 <= d < n else n for n, d in zip(nearest, row)]
+            rows.append(_compact(row))
+            if -1 in nearest:
+                landmark = nearest.index(-1)
+            elif max(nearest) > 0:
+                landmark = nearest.index(max(nearest))
+            else:
+                break
+        return tuple(rows)
 
     def check_poi(self, poi_id: int) -> None:
         if not 0 <= poi_id < len(self.pois):
@@ -286,8 +321,102 @@ def cheapest_parallel_edge(net: MultiModalNetwork, u: int, v: int) -> tuple[int,
     return best[2], best[0]
 
 
-def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
-    """Minimum-cost path between two PoIs, or None when disconnected.
+def _costs_from(neighbors: Sequence[Sequence[tuple[int, Money]]], source: int) -> list[Money]:
+    """Cost from ``source`` to every PoI over the ``neighbors`` rows, -1
+    where unreached: a plain Dijkstra over the whole component."""
+    costs: list[Money | None] = [None] * len(neighbors)
+    costs[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, u = heappop(heap)
+        if d > costs[u]:
+            continue  # stale entry
+        for v, cost in neighbors[u]:
+            candidate = d + cost
+            known = costs[v]
+            if known is None or candidate < known:
+                costs[v] = candidate
+                heappush(heap, (candidate, v))
+    return [-1 if cost is None else cost for cost in costs]
+
+
+def _compact(row: list[Money]) -> Sequence[Money]:
+    """``row`` as 64-bit integers, or as it is when a cost does not fit."""
+    try:
+        return array("q", row)
+    except OverflowError:
+        return row
+
+
+def _landmark_bounds(
+    net: MultiModalNetwork, starts: Iterable[int], targets: Iterable[int]
+) -> tuple[Sequence[Money], Money, Money, Sequence[Money], Money, Money] | None:
+    """Lower bounds on the cost from a PoI to the nearest PoI of ``targets``
+    from :data:`ACTIVE_LANDMARKS` landmarks, as ``(row1, lo1, hi1, row2,
+    lo2, hi2)``, or None when they would not pay for themselves (ALT: A*
+    search with landmarks and the triangle inequality, Goldberg and
+    Harrelson, SODA 2005).
+
+    ``row`` is a landmark ``L``'s :attr:`MultiModalNetwork.landmarks` row
+    ``d_L``, and ``lo`` and ``hi`` are the least and greatest ``d_L(t)``
+    over the targets ``t`` that ``L`` reaches (the others are unreachable
+    from the starts). By the triangle inequality ``d(v, t) >= max(lo -
+    d_L(v), d_L(v) - hi)`` for each such ``t``, so ``h(v)``, that or 0,
+    maxed over the landmarks, is a lower bound. It is an integer and
+    consistent, ``|h(u) - h(v)| <= w(u, v)`` on every edge, because each
+    ``d_L`` is exact: so an A* search with it settles every PoI at its
+    exact cost, whatever the landmarks.
+
+    Only a landmark whose component holds every start counts; any other
+    bounds every PoI a search meets by the same constant. Those with the
+    largest bound that holds at every start are picked (ties to the
+    earlier landmark; the first twice if it is the only one), and used when
+    :func:`_bounds_pay_off` says so for the first.
+    """
+    starts, targets = tuple(starts), tuple(targets)
+    if not starts or not targets:
+        return None
+    costs_at_starts = itemgetter(starts[0], *starts)  # a tuple even for one start
+    costs_at_targets = itemgetter(targets[0], *targets)
+    picked = []  # (bound at the starts, reach, row, lo, hi) per landmark that counts
+    for row in net.landmarks:
+        at_starts, reached = costs_at_starts(row), costs_at_targets(row)
+        near = min(at_starts)
+        if near < 0 or max(reached) < 0:
+            continue
+        if min(reached) < 0:
+            reached = [cost for cost in reached if cost >= 0]
+        lo, hi = min(reached), max(reached)
+        picked.append((max(0, lo - max(at_starts), near - hi), near + hi, row, lo, hi))
+    picked.sort(key=itemgetter(0), reverse=True)  # stable: ties keep the earlier landmark
+    if not picked:
+        return None
+    bound, reach, _, lo, hi = picked[0]
+    if not _bounds_pay_off(bound, reach, hi - lo):
+        return None
+    chosen = picked[:ACTIVE_LANDMARKS]
+    chosen += chosen[:1] * (ACTIVE_LANDMARKS - len(chosen))
+    return tuple(value for _, _, *triple in chosen for value in triple)
+
+
+def _bounds_pay_off(bound: Money, reach: Money, band: Money) -> bool:
+    """Whether a landmark's bounds save a search more work than they cost.
+
+    They cost work at every heap push, and save work only when they are
+    large and the targets are bunched: when the bound at the starts is at
+    least ``1 / BOUND_SHARE`` of the reach ``d_L(s) + hi`` (an upper bound
+    on the cost from the nearest start ``s`` to the farthest target), and
+    the targets' band ``hi - lo`` is at most that share of it. The rule
+    only picks the faster search; either gives the same result.
+    """
+    return band * BOUND_SHARE <= reach <= bound * BOUND_SHARE
+
+
+def reference_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
+    """Minimum-cost path between two PoIs, or None when disconnected, by a
+    plain Dijkstra: the reference the checks (:func:`~gtpmm.planner.group_cost`
+    and the brute-force oracle) use, so that they share no search code with
+    the planner. :func:`shortest_path` returns the same paths.
 
     One Dijkstra over :attr:`MultiModalNetwork.cheapest_neighbors`; each hop
     then takes its edge from :func:`cheapest_parallel_edge`. With no transfer
@@ -350,14 +479,30 @@ def shortest_costs(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
     return {target: cost for target, (cost, _) in layer_costs(net, {source: 0}, 1, targets).items()}
 
 
+def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
+    """Minimum-cost path between two PoIs, or None when disconnected.
+
+    :func:`shortest_paths` with the one target: a goal-directed search that
+    returns :func:`reference_path`'s path.
+    """
+    return shortest_paths(net, source, (target,)).get(target)
+
+
 def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, PathResult]:
     """Cheapest path from ``source`` to every reachable PoI of ``targets``.
 
-    :func:`shortest_path`'s Dijkstra, run until every target is settled. A
-    PoI's predecessor is fixed when the PoI is settled, and the search
-    settles PoIs in the same order whether it stops at one target or goes
-    on, so each path equals ``shortest_path(net, source, target)``. A
-    target missing from the result is unreachable.
+    A Dijkstra run until every target is settled, made goal-directed when
+    :func:`_landmark_bounds` gives bounds: then it is an A* search that
+    pops by ``f = g + h``, ``g`` the cost so far and ``h`` the bound. The
+    bound is consistent, so every settled cost is exact. Each path equals
+    ``reference_path(net, source, target)`` because the search pops in
+    ``(f, g, PoI id)`` order. A PoI ``v``'s predecessor is the lowest-id
+    PoI that ends a cheapest path to ``v`` among those settled before
+    ``v``, and each such ``u`` is settled before ``v`` just when Dijkstra
+    settles it first: over a priced edge ``u`` has a lower ``(f, g)``, and
+    over a free edge the two have equal ``f`` and ``g`` (a consistent
+    bound cannot change across a free edge), so, as in Dijkstra, the PoI
+    id alone orders them. A target missing from the result is unreachable.
     """
     net.check_poi(source)
     remaining = set(targets)
@@ -365,14 +510,17 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
         net.check_poi(target)
     wanted = set(remaining)
 
+    bounds = _landmark_bounds(net, (source,), remaining)
+    if bounds:
+        row1, lo1, hi1, row2, lo2, hi2 = bounds
     dist: dict[int, Money] = {source: 0}
     pred: dict[int, int] = {}
     settled: set[int] = set()
-    heap: list[tuple[Money, int]] = [(0, source)]
+    heap: list[tuple[Money, Money, int]] = [(0, 0, source)]
     neighbors = net.cheapest_neighbors
 
     while heap and remaining:
-        d, u = heappop(heap)
+        _, d, u = heappop(heap)
         if u in settled:
             continue
         settled.add(u)
@@ -387,7 +535,13 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
             if known is None or candidate < known:
                 dist[v] = candidate
                 pred[v] = u
-                heappush(heap, (candidate, v))
+                f = candidate
+                if bounds:  # f = g + h(v), inlined: this block runs once per push
+                    x, y = row1[v], row2[v]
+                    h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                    h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                    f += h1 if h1 > h2 else h2
+                heappush(heap, (f, candidate, v))
             elif candidate == known and u < pred[v]:
                 pred[v] = u
 
@@ -419,7 +573,11 @@ def layer_costs(
     ``(cost, origin)`` pairs, so an equal cost goes to the lower origin. A
     pair is packed into one integer, ``cost * poi_count + origin``, which
     orders the same way and survives adding ``weight * w * poi_count``.
-    The search stops once every target is settled.
+    The search stops once every target is settled. When
+    :func:`_landmark_bounds` gives bounds it is an A* search that pops by
+    key plus bound times ``weight * poi_count``; that bound is consistent
+    on the packed keys too, so every PoI is settled at its exact minimum
+    key and the result is the Dijkstra's.
     """
     scale = net.poi_count
     remaining = set(targets)
@@ -429,14 +587,23 @@ def layer_costs(
     if not remaining:
         return found
 
-    dist = {origin: start * scale + origin for origin, start in starts.items()}
-    heap = [(key, origin) for origin, key in dist.items()]
-    heapify(heap)
     step = weight * scale
+    bounds = _landmark_bounds(net, starts, remaining)
+    if bounds:
+        row1, lo1, hi1, row2, lo2, hi2 = bounds
+    dist = {origin: start * scale + origin for origin, start in starts.items()}
+    heap = []
+    for origin, key in dist.items():
+        f = key
+        if bounds:
+            x, y = row1[origin], row2[origin]
+            f += max(0, lo1 - x, x - hi1, lo2 - y, y - hi2) * step
+        heap.append((f, key, origin))
+    heapify(heap)
     neighbors = net.cheapest_neighbors
 
     while heap:
-        key, u = heappop(heap)
+        _, key, u = heappop(heap)
         if key > dist[u]:
             continue  # stale entry; u was settled at a lower key
         if u in remaining:
@@ -449,7 +616,13 @@ def layer_costs(
             known = dist.get(v)
             if known is None or candidate < known:
                 dist[v] = candidate
-                heappush(heap, (candidate, v))
+                f = candidate
+                if bounds:  # f = key + h(v) * step, inlined: this block runs once per push
+                    x, y = row1[v], row2[v]
+                    h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                    h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                    f += (h1 if h1 > h2 else h2) * step
+                heappush(heap, (f, candidate, v))
     return found
 
 

@@ -13,7 +13,7 @@ import math
 from typing import Iterator, Sequence
 
 from .errors import EnumerationLimitError, InfeasibleRouteError
-from .network import Money, MultiModalNetwork
+from .network import Money, MultiModalNetwork, reference_path
 from .planner import Legs, QueryInstance, SharingMode, group_cost
 
 ENUMERATION_GUARD = 10_000_000
@@ -53,7 +53,7 @@ def brute_force_optimal(
     an unreachable leg are skipped; if every tuple is unreachable the first
     offending pair is reported.
     """
-    legs = Legs()
+    legs = Legs(reference_path)
     m = sharing.intermediate_multiplier(inst.n_agents)
 
     best: tuple[int, ...] | None = None

@@ -32,6 +32,7 @@ from .network import (
     PathResult,
     connected_components,
     layer_costs,
+    reference_path,
     shortest_costs,
     shortest_path,
     shortest_paths,
@@ -96,23 +97,26 @@ class QueryInstance:
 class Legs:
     """Cheapest legs of one network, each ordered PoI pair searched once.
 
-    ``path`` searches a pair it does not hold point to point, through this
-    module's ``shortest_path`` name, which tests and the benchmark's tracer
-    patch to count them; ``searches`` counts those calls. ``fill`` runs one
+    ``path`` searches a pair it does not hold point to point with
+    ``search(net, u, v)``; ``searches`` counts those calls. By default the
+    search is this module's ``shortest_path`` name, looked up at each call,
+    which tests and the benchmark's tracer patch to count them; the checks
+    pass :func:`~gtpmm.network.reference_path`. ``fill`` runs one
     :func:`~gtpmm.network.shortest_paths` search from one origin to the
     targets it does not hold yet and keeps every path, each equal to the
     point-to-point one.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, search: Callable[[MultiModalNetwork, int, int], PathResult | None] | None = None) -> None:
         self._paths: dict[tuple[int, int], PathResult | None] = {}
+        self._search = search
         self.searches = 0
 
     def path(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
         """Raises :class:`InfeasibleRouteError` when ``u`` and ``v`` are disconnected."""
         if (u, v) not in self._paths:
             self.searches += 1
-            self._paths[(u, v)] = shortest_path(net, u, v)
+            self._paths[(u, v)] = (self._search or shortest_path)(net, u, v)
         result = self._paths[(u, v)]
         if result is None:
             raise InfeasibleRouteError(u, v)
@@ -397,7 +401,7 @@ def group_cost(
         if poi not in inst.categories[c]:
             raise ConfigurationError(f"PoI {poi} is not in category {c}")
 
-    legs = Legs()
+    legs = Legs(reference_path)
     m = sharing.intermediate_multiplier(inst.n_agents)
     total = sum(legs.path(net, source, common_pois[0]).cost for source, _ in inst.agents)
     total += m * sum(legs.path(net, a, b).cost for a, b in zip(common_pois, common_pois[1:]))

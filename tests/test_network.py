@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 from decimal import Decimal
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtpmm.network
 from gtpmm import (
     ConfigurationError,
     FarePolicy,
@@ -24,7 +26,16 @@ from gtpmm import (
     shortest_path,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import PathResult, layer_costs, rebuild_with_fares, shortest_costs, shortest_paths
+from gtpmm.ingest import load_network_json, save_network_json
+from gtpmm.network import (
+    LANDMARKS,
+    PathResult,
+    layer_costs,
+    rebuild_with_fares,
+    reference_path,
+    shortest_costs,
+    shortest_paths,
+)
 from gtpmm.synth import random_disconnected_network, random_network
 
 
@@ -481,15 +492,259 @@ def test_shortest_costs_rejects_unknown_pois(walkthrough_net):
         shortest_costs(walkthrough_net, 0, [1, 99])
 
 
-def test_search_views_are_lazy_and_outside_equality():
-    spec = EDGE_CASE_NETWORKS["tied-parallel"]
+# --- goal-directed searches against the Dijkstra versions they replaced ------------
+
+
+def dijkstra_shortest_paths(net, source, targets):
+    """Verbatim copy of the Dijkstra ``shortest_paths`` the landmark search replaced."""
+    net.check_poi(source)
+    remaining = set(targets)
+    for target in remaining:
+        net.check_poi(target)
+    wanted = set(remaining)
+
+    dist = {source: 0}
+    pred = {}
+    settled = set()
+    heap = [(0, source)]
+    neighbors = net.cheapest_neighbors
+
+    while heap and remaining:
+        d, u = heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        remaining.discard(u)
+        if not remaining:
+            break
+        for v, cost in neighbors[u]:
+            if v in settled:
+                continue
+            candidate = d + cost
+            known = dist.get(v)
+            if known is None or candidate < known:
+                dist[v] = candidate
+                pred[v] = u
+                heappush(heap, (candidate, v))
+            elif candidate == known and u < pred[v]:
+                pred[v] = u
+
+    hops = {}  # paths to many targets share hops
+    paths = {}
+    for target in wanted & settled:
+        sequence = [target]
+        while sequence[-1] != source:
+            sequence.append(pred[sequence[-1]])
+        sequence.reverse()
+        legs = []
+        for hop in zip(sequence, sequence[1:]):
+            if hop not in hops:
+                eid, _ = cheapest_parallel_edge(net, *hop)
+                hops[hop] = (eid, net.edges[eid].mode)
+            legs.append(hops[hop])
+        paths[target] = PathResult(dist[target], tuple(legs), tuple(sequence))
+    return paths
+
+
+def dijkstra_layer_costs(net, starts, weight, targets):
+    """Verbatim copy of the Dijkstra ``layer_costs`` the landmark search replaced."""
+    scale = net.poi_count
+    remaining = set(targets)
+    for poi in (*starts, *remaining):
+        net.check_poi(poi)
+    found = {}
+    if not remaining:
+        return found
+
+    dist = {origin: start * scale + origin for origin, start in starts.items()}
+    heap = [(key, origin) for origin, key in dist.items()]
+    heapify(heap)
+    step = weight * scale
+    neighbors = net.cheapest_neighbors
+
+    while heap:
+        key, u = heappop(heap)
+        if key > dist[u]:
+            continue  # stale entry; u was settled at a lower key
+        if u in remaining:
+            found[u] = divmod(key, scale)
+            remaining.discard(u)
+            if not remaining:
+                break
+        for v, cost in neighbors[u]:
+            candidate = key + cost * step
+            known = dist.get(v)
+            if known is None or candidate < known:
+                dist[v] = candidate
+                heappush(heap, (candidate, v))
+    return found
+
+
+def assert_goal_directed_searches_agree(net, target_sets, start_sets, weights):
+    """Whole outputs of the landmark searches equal the Dijkstra copies',
+    both where the searches choose to use the bounds and with the bounds
+    forced on for every search."""
+    nodes = range(net.poi_count)
+    for rule in (gtpmm.network._bounds_pay_off, lambda bound, reach, band: True):
+        with patch.object(gtpmm.network, "_bounds_pay_off", rule):
+            for source in nodes:
+                for target in nodes:
+                    assert shortest_path(net, source, target) == reference_path(net, source, target)
+                for targets in (nodes, *target_sets):
+                    assert shortest_paths(net, source, targets) == dijkstra_shortest_paths(net, source, targets)
+            for starts in start_sets:
+                for weight in weights:
+                    for targets in (nodes, *target_sets, *([j] for j in nodes)):
+                        found = layer_costs(net, starts, weight, targets)
+                        assert found == dijkstra_layer_costs(net, starts, weight, targets)
+
+
+@st.composite
+def landmark_networks(draw):
+    """Up to 24 PoIs, so that some PoIs are not landmarks: zero-cost modes,
+    parallel modes at tied costs, self-loops, and often more components than
+    there are landmarks."""
+    n_pois = draw(st.integers(min_value=1, max_value=24))
+    policies = draw(
+        st.lists(
+            st.builds(
+                FarePolicy,
+                st.sampled_from([0, 0, 1, 2, 40]),
+                st.sampled_from([Decimal(0), Decimal(1)]),
+                st.sampled_from([Decimal(0), Decimal(1)]),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    fares = FareTable.from_pairs((f"M{i}", policy) for i, policy in enumerate(policies))
+    node = st.integers(min_value=0, max_value=n_pois - 1)
+    length = st.sampled_from([0.0, 1.0, 2.0])
+    edge = st.tuples(node, node, st.integers(min_value=0, max_value=len(policies) - 1), length, length)
+    return built_network(n_pois, fares, draw(st.lists(edge, max_size=40)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(net=landmark_networks(), data=st.data())
+def test_goal_directed_searches_equal_dijkstra_on_random_networks(net, data):
+    poi = st.integers(min_value=0, max_value=net.poi_count - 1)
+    target_sets = data.draw(st.lists(st.sets(poi, max_size=5), max_size=3))
+    start_sets = data.draw(st.lists(st.dictionaries(poi, st.sampled_from([0, 1, 3, 40, 80]), max_size=5), max_size=3))
+    assert_goal_directed_searches_agree(net, target_sets, start_sets, (0, 1, 3))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_NETWORKS))
+def test_goal_directed_searches_equal_dijkstra_on_edge_case_networks(name):
+    n_pois, edge_specs = EDGE_CASE_NETWORKS[name]
+    net = built_network(n_pois, EDGE_CASE_FARES, edge_specs)
+    starts = [{i: cost for i, cost in s.items() if i < n_pois} for s in LAYER_STARTS]
+    assert_goal_directed_searches_agree(net, [[0, n_pois - 1], [2, n_pois - 2]], starts, (1, 2))
+
+
+def test_goal_directed_paths_keep_the_lower_id_predecessor():
+    # 1 -> 0 costs 80 + 40 through 5 or through 2, and 5 -> 2 is free: a search
+    # that settled the equal-f PoIs by id alone, not by (f, g, id), would
+    # settle 0 before 2 and route through 5
+    edges = [(1, 5, 0, 80.0, 0.0), (0, 2, 2, 0.0, 0.0), (6, 8, 2, 0.0, 0.0), (7, 8, 2, 0.0, 0.0)]
+    edges += [(0, 5, 2, 0.0, 0.0), (2, 3, 0, 0.0, 0.0), (2, 5, 0, 0.0, 0.0)]
+    net = built_network(9, EDGE_CASE_FARES, edges)
+    assert shortest_path(net, 1, 0).poi_sequence == (1, 5, 2, 0)
+    assert_goal_directed_searches_agree(net, [[0], [0, 3]], [{1: 0, 6: 40}], (1,))
+
+
+def test_goal_directed_searches_with_more_components_than_landmarks():
+    net = random_disconnected_network(3, n_components=LANDMARKS + 4, pois_per_component=3)
+    assert len(connected_components(net)) > LANDMARKS == len(net.landmarks)
+    far_islands = [0, 1, 3 * LANDMARKS + 5, net.poi_count - 1]  # targets on landmark-free islands
+    starts = [{0: 0, 2: 5}, {0: 0, net.poi_count - 1: 0}, {3 * LANDMARKS + 4: 10}]
+    assert_goal_directed_searches_agree(net, [far_islands, [net.poi_count - 2]], starts, (1, 4))
+
+
+def test_goal_directed_searches_on_one_poi():
+    net = built_network(1, EDGE_CASE_FARES, [(0, 0, 2, 0.0, 0.0)])
+    assert [list(row) for row in net.landmarks] == [[0]]
+    assert shortest_path(net, 0, 0) == PathResult(0, (), (0,))
+    assert layer_costs(net, {0: 7}, 3, [0]) == {0: (7, 0)}
+
+
+def landmark_test_networks():
+    for n_pois, edge_specs in EDGE_CASE_NETWORKS.values():
+        yield built_network(n_pois, EDGE_CASE_FARES, edge_specs)
+    for seed in range(3):
+        yield random_network(seed, n_pois=40, n_modes=3, extra_edges=20)
+        yield random_disconnected_network(seed, n_components=LANDMARKS + 2, pois_per_component=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=landmark_networks())
+def test_every_landmark_is_consistent(net):
+    check_landmarks(net)
+
+
+def test_landmarks_of_fixed_networks():
+    for net in landmark_test_networks():
+        check_landmarks(net)
+
+
+def check_landmarks(net):
+    """Each row is exact, ``|d_L(u) - d_L(v)| <= w`` holds on every hop of
+    its component, and the rows follow the farthest-point rule."""
+    rows = [list(row) for row in net.landmarks]
+    assert 1 <= len(rows) <= LANDMARKS
+    nearest = None
+    for index, row in enumerate(rows):
+        landmark = row.index(0)  # a landmark's free neighbors have higher ids, or would have been picked
+        if index == 0:
+            assert row[0] == 0
+        else:  # farthest from the landmarks before it; unreached counts as farthest, ties to the lowest id
+            rank = [(1, 0) if far < 0 else (0, far) for far in nearest]
+            assert landmark == rank.index(max(rank)) and rank[landmark] > (0, 0)
+        for poi, cost in enumerate(row):
+            path = reference_path(net, landmark, poi)
+            assert cost == (path.cost if path else -1)
+        for u, hops in enumerate(net.cheapest_neighbors):
+            for v, w in hops:
+                assert (row[u] < 0) == (row[v] < 0)
+                assert row[u] < 0 or abs(row[u] - row[v]) <= w
+        nearest = row if nearest is None else [
+            far if mine < 0 or 0 <= far < mine else mine for mine, far in zip(nearest, row)
+        ]
+    if len(rows) < LANDMARKS:  # stopped early: every PoI is a landmark's free neighbor
+        assert max(nearest) == 0
+
+
+SEARCH_VIEWS = ("cheapest_neighbors", "landmarks")
+
+
+def test_search_views_are_lazy_and_outside_equality(tmp_path):
+    spec = EDGE_CASE_NETWORKS["disconnected"]
     net = built_network(spec[0], EDGE_CASE_FARES, spec[1])
     twin = built_network(spec[0], EDGE_CASE_FARES, spec[1])
-    assert "cheapest_neighbors" not in vars(net)
+    save_network_json(net, tmp_path / "net.json")
+    loaded = load_network_json(tmp_path / "net.json")
+    repaired, _ = connect_components(loaded)
+    for fresh in (net, loaded, repaired):  # ingest builds no search view
+        assert not set(SEARCH_VIEWS) & set(vars(fresh))
     shortest_path(net, 0, 2)
     shortest_costs(net, 0, [2])
     assert net.cheapest_neighbors is net.cheapest_neighbors
+    assert net.landmarks is net.landmarks
     assert net == twin and repr(net) == repr(twin)
+    assert "landmarks" not in repr(net) and net == loaded
+
+    # a copy under other fares bounds its searches with landmarks of its own costs
+    fares = FareTable.from_pairs(
+        (name, FarePolicy(7 + 30 * mode, Decimal(1), Decimal(0))) for mode, name in enumerate(EDGE_CASE_FARES.names)
+    )
+    rebuilt = rebuild_with_fares(net, fares)
+    assert not set(SEARCH_VIEWS) & set(vars(rebuilt))
+    assert rebuilt.landmarks != net.landmarks
+    assert rebuilt.landmarks == built_network(spec[0], fares, spec[1]).landmarks
+    for landmark in rebuilt.landmarks:
+        origin = list(landmark).index(0)
+        for poi in range(rebuilt.poi_count):
+            path = reference_path(rebuilt, origin, poi)
+            assert landmark[poi] == (path.cost if path else -1)
 
 
 def test_search_views_of_a_multigraph():

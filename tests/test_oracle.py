@@ -22,7 +22,7 @@ from gtpmm import (
     valid_path_count,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
+from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
@@ -189,3 +189,39 @@ def test_brute_force_agrees_with_planner(walkthrough_net):
         for sharing in (PER_PERSON, SHARED):
             _, cost = brute_force_optimal(net, inst, sharing)
             assert plan(net, inst, sharing).total_cost == cost
+
+
+def test_checks_share_no_search_with_the_planner(monkeypatch):
+    # brute_force_optimal and group_cost are the references the planner is
+    # checked against: they must not run the planner's goal-directed searches
+    import gtpmm.network
+    import gtpmm.planner
+
+    cases = []
+    for seed in range(4):
+        net = random_network(seed, n_pois=22, n_modes=3)
+        inst = random_instance(seed, net, k=3, pois_per_category=3, n_agents=3)
+        common = plan(net, inst, PER_PERSON).common_pois
+        cases.append((net, inst, common))
+    expected = [(brute_force_optimal(net, inst, SHARED), group_cost(net, inst, common)) for net, inst, common in cases]
+
+    def planner_search(*args, **kwargs):
+        raise AssertionError("a check ran one of the planner's searches")
+
+    for module, name in [
+        (gtpmm.network, "layer_costs"),
+        (gtpmm.network, "shortest_costs"),
+        (gtpmm.network, "shortest_path"),
+        (gtpmm.network, "shortest_paths"),
+        (gtpmm.network, "_landmark_bounds"),
+        (gtpmm.planner, "layer_costs"),
+        (gtpmm.planner, "shortest_costs"),
+        (gtpmm.planner, "shortest_path"),
+        (gtpmm.planner, "shortest_paths"),
+    ]:
+        monkeypatch.setattr(module, name, planner_search)
+    monkeypatch.setattr(gtpmm.network.MultiModalNetwork, "landmarks", property(planner_search))
+    for (net, inst, common), (optimum, cost) in zip(cases, expected):
+        fresh = rebuild_with_fares(net, net.fare_table)  # no search view built yet
+        assert brute_force_optimal(fresh, inst, SHARED) == optimum
+        assert group_cost(fresh, inst, common) == cost

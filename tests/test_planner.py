@@ -289,7 +289,12 @@ def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(monkeypatch):
         path_origins.clear()
 
         journey = plan(net, inst, PER_PERSON)
-        assert len(calls) <= (len(sources) if len(sources) > len(first) else 0) + inst.k - 1
+        common = journey.common_pois
+        # point to point: each common hop, and each source leg the DP did not search from the source
+        point_to_point = set(zip(common, common[1:]))
+        if len(sources) > len(first):
+            point_to_point |= {(source, common[0]) for source in sources}
+        assert sorted(calls) == sorted(point_to_point)
         assert sorted(path_origins[:-1]) == dp_origins
         assert path_origins[-1] == journey.common_pois[-1]  # one search for every destination leg
         calls.clear()
