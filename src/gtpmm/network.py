@@ -31,8 +31,7 @@ _RATE_QUANTUM = Decimal("0.0001")
 EARTH_RADIUS_M = 6371_000.0
 
 LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
-ACTIVE_LANDMARKS = 2  # landmarks each search bounds its costs with; the searches inline exactly two
-BOUND_SHARE = 10  # a search uses the bounds only when they are this large against its reach (see below)
+BOUND_SHARE = 10  # a search uses the bounds only when its targets' band is at most 1/BOUND_SHARE of its reach
 
 
 def _as_decimal(value: float | int | str | Decimal) -> Decimal:
@@ -352,10 +351,9 @@ def _landmark_bounds(
     net: MultiModalNetwork, starts: Iterable[int], targets: Iterable[int]
 ) -> tuple[Sequence[Money], Money, Money, Sequence[Money], Money, Money] | None:
     """Lower bounds on the cost from a PoI to the nearest PoI of ``targets``
-    from :data:`ACTIVE_LANDMARKS` landmarks, as ``(row1, lo1, hi1, row2,
-    lo2, hi2)``, or None when they would not pay for themselves (ALT: A*
-    search with landmarks and the triangle inequality, Goldberg and
-    Harrelson, SODA 2005).
+    from two landmarks, as ``(row1, lo1, hi1, row2, lo2, hi2)``, or None
+    when they would not pay for themselves (ALT: A* search with landmarks
+    and the triangle inequality, Goldberg and Harrelson, SODA 2005).
 
     ``row`` is a landmark ``L``'s :attr:`MultiModalNetwork.landmarks` row
     ``d_L``, and ``lo`` and ``hi`` are the least and greatest ``d_L(t)``
@@ -368,48 +366,59 @@ def _landmark_bounds(
     exact cost, whatever the landmarks.
 
     Only a landmark whose component holds every start counts; any other
-    bounds every PoI a search meets by the same constant. Those with the
-    largest bound that holds at every start are picked (ties to the
-    earlier landmark; the first twice if it is the only one), and used when
-    :func:`_bounds_pay_off` says so for the first.
+    bounds every PoI a search meets by the same constant. The one with the
+    largest bound that holds at every start (ties to the earlier landmark)
+    decides, by :func:`_bounds_pay_off`, whether the search uses bounds;
+    if so, the next largest is the second (or the first again when it is
+    the only one, so that the searches can inline exactly two bounds).
     """
     starts, targets = tuple(starts), tuple(targets)
     if not starts or not targets:
         return None
     costs_at_starts = itemgetter(starts[0], *starts)  # a tuple even for one start
     costs_at_targets = itemgetter(targets[0], *targets)
-    picked = []  # (bound at the starts, reach, row, lo, hi) per landmark that counts
+    picked = []  # (bound at the starts, row, lo, hi) per landmark that counts
+    best = -1
     for row in net.landmarks:
         at_starts, reached = costs_at_starts(row), costs_at_targets(row)
-        near = min(at_starts)
-        if near < 0 or max(reached) < 0:
+        near, hi = min(at_starts), max(reached)
+        if near < 0 or hi < 0:
             continue
-        if min(reached) < 0:
-            reached = [cost for cost in reached if cost >= 0]
-        lo, hi = min(reached), max(reached)
-        picked.append((max(0, lo - max(at_starts), near - hi), near + hi, row, lo, hi))
-    picked.sort(key=itemgetter(0), reverse=True)  # stable: ties keep the earlier landmark
-    if not picked:
+        lo = min(reached)
+        if lo < 0:
+            lo = min(cost for cost in reached if cost >= 0)
+        far = max(at_starts)
+        bound = lo - far if lo > far else near - hi if near > hi else 0
+        if bound > best:  # ties keep the earlier landmark
+            best, reach, band = bound, near + hi, hi - lo
+        picked.append((bound, row, lo, hi))
+    if best < 0 or not _bounds_pay_off(reach, band):
         return None
-    bound, reach, _, lo, hi = picked[0]
-    if not _bounds_pay_off(bound, reach, hi - lo):
-        return None
-    chosen = picked[:ACTIVE_LANDMARKS]
-    chosen += chosen[:1] * (ACTIVE_LANDMARKS - len(chosen))
-    return tuple(value for _, _, *triple in chosen for value in triple)
+    picked.sort(key=itemgetter(0), reverse=True)  # stable: equal bounds keep the earlier landmark first
+    (_, row1, lo1, hi1), (_, row2, lo2, hi2) = picked[0], picked[min(1, len(picked) - 1)]
+    return row1, lo1, hi1, row2, lo2, hi2
 
 
-def _bounds_pay_off(bound: Money, reach: Money, band: Money) -> bool:
-    """Whether a landmark's bounds save a search more work than they cost.
+def _bounds_pay_off(reach: Money, band: Money) -> bool:
+    """Whether a landmark's bounds save a search more work than they cost:
+    when the targets' band ``hi - lo`` is at most ``1 / BOUND_SHARE`` of
+    the reach ``d_L(s) + hi`` (an upper bound on the cost from the nearest
+    start ``s`` to the farthest target). The rule only picks the faster
+    search; either gives the same result.
 
-    They cost work at every heap push, and save work only when they are
-    large and the targets are bunched: when the bound at the starts is at
-    least ``1 / BOUND_SHARE`` of the reach ``d_L(s) + hi`` (an upper bound
-    on the cost from the nearest start ``s`` to the farthest target), and
-    the targets' band ``hi - lo`` is at most that share of it. The rule
-    only picks the faster search; either gives the same result.
+    The bounds cost work at every heap push, about a fifth more time per
+    search where they prune nothing, and leave unbounded every PoI whose
+    landmark cost lies within the band. Timed per search with the bounds
+    forced on and off (2-vCPU host, Python 3.11.7): every point-to-point
+    search (band 0) took 0.1 to 0.8 of its plain time; on the perfbench
+    city every many-target search had a band under 0.09 of its reach and
+    took 0.2 to 0.6; on the random networks of
+    ``benchmarks/bench_planner.py`` every many-target search had a band
+    over 0.11 of its reach and took 1.2. A share of 1/20 made the city's
+    plan passes 1.4 times as slow, and 1/5 the 200-PoI random plans 1.05
+    times, against 1/10.
     """
-    return band * BOUND_SHARE <= reach <= bound * BOUND_SHARE
+    return band * BOUND_SHARE <= reach
 
 
 def reference_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
@@ -510,40 +519,58 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
         net.check_poi(target)
     wanted = set(remaining)
 
-    bounds = _landmark_bounds(net, (source,), remaining)
-    if bounds:
-        row1, lo1, hi1, row2, lo2, hi2 = bounds
     dist: dict[int, Money] = {source: 0}
     pred: dict[int, int] = {}
     settled: set[int] = set()
-    heap: list[tuple[Money, Money, int]] = [(0, 0, source)]
     neighbors = net.cheapest_neighbors
-
-    while heap and remaining:
-        _, d, u = heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        remaining.discard(u)
-        if not remaining:
-            break
-        for v, cost in neighbors[u]:
-            if v in settled:
+    # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
+    bounds = _landmark_bounds(net, (source,), remaining)
+    if bounds is None:
+        heap: list[tuple[Money, int]] = [(0, source)]
+        while heap and remaining:
+            d, u = heappop(heap)
+            if u in settled:
                 continue
-            candidate = d + cost
-            known = dist.get(v)
-            if known is None or candidate < known:
-                dist[v] = candidate
-                pred[v] = u
-                f = candidate
-                if bounds:  # f = g + h(v), inlined: this block runs once per push
-                    x, y = row1[v], row2[v]
+            settled.add(u)
+            remaining.discard(u)
+            if not remaining:
+                break
+            for v, cost in neighbors[u]:
+                if v in settled:
+                    continue
+                candidate = d + cost
+                known = dist.get(v)
+                if known is None or candidate < known:
+                    dist[v] = candidate
+                    pred[v] = u
+                    heappush(heap, (candidate, v))
+                elif candidate == known and u < pred[v]:
+                    pred[v] = u
+    else:
+        row1, lo1, hi1, row2, lo2, hi2 = bounds
+        bounded: list[tuple[Money, Money, int]] = [(0, 0, source)]
+        while bounded and remaining:
+            _, d, u = heappop(bounded)
+            if u in settled:
+                continue
+            settled.add(u)
+            remaining.discard(u)
+            if not remaining:
+                break
+            for v, cost in neighbors[u]:
+                if v in settled:
+                    continue
+                candidate = d + cost
+                known = dist.get(v)
+                if known is None or candidate < known:
+                    dist[v] = candidate
+                    pred[v] = u
+                    x, y = row1[v], row2[v]  # f = g + h(v), inlined: this block runs once per push
                     h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
                     h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
-                    f += h1 if h1 > h2 else h2
-                heappush(heap, (f, candidate, v))
-            elif candidate == known and u < pred[v]:
-                pred[v] = u
+                    heappush(bounded, (candidate + (h1 if h1 > h2 else h2), candidate, v))
+                elif candidate == known and u < pred[v]:
+                    pred[v] = u
 
     hops: dict[tuple[int, int], tuple[int, ModeId]] = {}  # paths to many targets share hops
     paths: dict[int, PathResult] = {}
@@ -588,22 +615,38 @@ def layer_costs(
         return found
 
     step = weight * scale
-    bounds = _landmark_bounds(net, starts, remaining)
-    if bounds:
-        row1, lo1, hi1, row2, lo2, hi2 = bounds
     dist = {origin: start * scale + origin for origin, start in starts.items()}
-    heap = []
-    for origin, key in dist.items():
-        f = key
-        if bounds:
-            x, y = row1[origin], row2[origin]
-            f += max(0, lo1 - x, x - hi1, lo2 - y, y - hi2) * step
-        heap.append((f, key, origin))
-    heapify(heap)
     neighbors = net.cheapest_neighbors
+    # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
+    bounds = _landmark_bounds(net, starts, remaining)
+    if bounds is None:
+        heap = [(key, origin) for origin, key in dist.items()]
+        heapify(heap)
+        while heap:
+            key, u = heappop(heap)
+            if key > dist[u]:
+                continue  # stale entry; u was settled at a lower key
+            if u in remaining:
+                found[u] = divmod(key, scale)
+                remaining.discard(u)
+                if not remaining:
+                    break
+            for v, cost in neighbors[u]:
+                candidate = key + cost * step
+                known = dist.get(v)
+                if known is None or candidate < known:
+                    dist[v] = candidate
+                    heappush(heap, (candidate, v))
+        return found
 
-    while heap:
-        _, key, u = heappop(heap)
+    row1, lo1, hi1, row2, lo2, hi2 = bounds
+    bounded = []
+    for origin, key in dist.items():
+        x, y = row1[origin], row2[origin]
+        bounded.append((key + max(0, lo1 - x, x - hi1, lo2 - y, y - hi2) * step, key, origin))
+    heapify(bounded)
+    while bounded:
+        _, key, u = heappop(bounded)
         if key > dist[u]:
             continue  # stale entry; u was settled at a lower key
         if u in remaining:
@@ -616,13 +659,10 @@ def layer_costs(
             known = dist.get(v)
             if known is None or candidate < known:
                 dist[v] = candidate
-                f = candidate
-                if bounds:  # f = key + h(v) * step, inlined: this block runs once per push
-                    x, y = row1[v], row2[v]
-                    h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
-                    h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
-                    f += (h1 if h1 > h2 else h2) * step
-                heappush(heap, (f, candidate, v))
+                x, y = row1[v], row2[v]  # f = key + h(v) * step, inlined: this block runs once per push
+                h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                heappush(bounded, (candidate + (h1 if h1 > h2 else h2) * step, candidate, v))
     return found
 
 

@@ -20,7 +20,7 @@ from gtpmm.baselines import _random_common
 from gtpmm.bench import draw_instance, run_method
 from gtpmm.errors import InfeasibleRouteError
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import NetworkBuilder, PathResult, shortest_costs, shortest_path
+from gtpmm.network import NetworkBuilder, PathResult, reference_path, shortest_costs, shortest_path
 from gtpmm.planner import JourneyPlan
 from gtpmm.rng import SplitMix64
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, synthetic_fare_table
@@ -172,7 +172,7 @@ def _random_mode_leg(net, source, target, rng):
 
 
 def _reference_cheapest_leg(net, source, target):
-    leg = shortest_path(net, source, target)
+    leg = reference_path(net, source, target)
     if leg is None:
         raise InfeasibleRouteError(source, target)
     return leg
@@ -208,7 +208,7 @@ def _reference_nncm(net, inst, sharing=PER_PERSON):
     def cost_between(u, v):
         key = (u, v)
         if key not in cache:
-            cache[key] = shortest_path(net, u, v)
+            cache[key] = reference_path(net, u, v)
         leg = cache[key]
         return None if leg is None else leg.cost
 

@@ -415,10 +415,11 @@ def test_searches_agree_on_synthetic_networks(seed):
 
 
 def assert_many_target_searches_agree(net, starts, weight):
-    """``shortest_paths`` against ``shortest_path`` on every source and target
-    set, and ``layer_costs`` against a brute-force minimum over ``starts``."""
+    """``shortest_paths`` against the plain Dijkstra ``reference_path`` on
+    every source and target set, and ``layer_costs`` against a brute-force
+    minimum over ``starts`` of ``reference_path`` costs."""
     nodes = range(net.poi_count)
-    paths = {(u, v): shortest_path(net, u, v) for u in nodes for v in nodes}
+    paths = {(u, v): reference_path(net, u, v) for u in nodes for v in nodes}
     for source in nodes:
         expected = {target: paths[(source, target)] for target in nodes if paths[(source, target)] is not None}
         assert shortest_paths(net, source, nodes) == expected
@@ -582,10 +583,10 @@ def dijkstra_layer_costs(net, starts, weight, targets):
 
 def assert_goal_directed_searches_agree(net, target_sets, start_sets, weights):
     """Whole outputs of the landmark searches equal the Dijkstra copies',
-    both where the searches choose to use the bounds and with the bounds
-    forced on for every search."""
+    where the searches choose whether to use the bounds, and with the
+    bounds forced on and forced off for every search."""
     nodes = range(net.poi_count)
-    for rule in (gtpmm.network._bounds_pay_off, lambda bound, reach, band: True):
+    for rule in (gtpmm.network._bounds_pay_off, lambda reach, band: True, lambda reach, band: False):
         with patch.object(gtpmm.network, "_bounds_pay_off", rule):
             for source in nodes:
                 for target in nodes:

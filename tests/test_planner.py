@@ -27,7 +27,7 @@ from gtpmm import (
 )
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares, shortest_costs
+from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares, reference_path, shortest_costs
 from gtpmm.planner import JourneyPlan, _check_instance, assemble
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 from test_network import EDGE_CASE_FARES, built_network
@@ -191,7 +191,7 @@ def test_dp_layers_equal_brute_force_prefix_minima():
     table = compute_dp(net, inst, PER_PERSON)
 
     def sp(u, v):
-        result = shortest_path(net, u, v)
+        result = reference_path(net, u, v)
         assert result is not None
         return result.cost
 
@@ -351,7 +351,7 @@ class _ReferenceTable:
         return cost
 
     def leg(self, net, u, v):
-        result = shortest_path(net, u, v)
+        result = reference_path(net, u, v)
         if result is None:
             raise InfeasibleRouteError(u, v)
         return result
