@@ -471,24 +471,20 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     except ConfigurationError as error:
         raise ParseError(f"modes: {error}", file=str(path)) from None
 
-    builder = NetworkBuilder()
-    external_ids: set[str] = set()
+    builder = NetworkBuilder(allow_self_loops=True)  # save_network_json writes any network, self-loops too
     for index, poi in enumerate(document["pois"]):
         try:
             external_id = poi["external_id"]
             name = poi.get("name", "")
             if type(external_id) is not str or type(name) is not str:
                 raise ParseError(f"pois[{index}]: external_id and name must be strings", file=str(path))
-            if external_id in external_ids:
-                raise ParseError(f"pois[{index}]: duplicate external_id {external_id!r}", file=str(path))
-            external_ids.add(external_id)
             coords = poi.get("coords")
             if coords is not None:
                 if not _valid_coords(coords):
                     raise ParseError(f"pois[{index}]: coords must be null or [lat, lon] in degrees", file=str(path))
                 coords = tuple(coords)
             builder.add_poi(external_id, name=name, category=poi.get("category"), coords=coords)
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"pois[{index}]", error) from None
     modes = fare_table.mode_count
     for index, edge in enumerate(document["edges"]):
@@ -512,7 +508,12 @@ def _valid_coords(value: object) -> bool:
 
 def _malformed(path: Path, element: str, error: Exception) -> ParseError:
     """ParseError naming the JSON element a loader rejected and why."""
-    reason = f"missing key {error}" if isinstance(error, KeyError) else "malformed entry or value"
+    if isinstance(error, KeyError):
+        reason = f"missing key {error}"
+    elif isinstance(error, ConfigurationError):
+        reason = str(error)
+    else:
+        reason = "malformed entry or value"
     return ParseError(f"{element}: {reason}", file=str(path))
 
 

@@ -33,6 +33,10 @@ EARTH_RADIUS_M = 6371_000.0
 LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
 BOUND_SHARE = 10  # a search uses the bounds only when its targets' band is at most 1/BOUND_SHARE of its reach
 
+REPAIR_MODE = "UN"  # fare-table name of the edges connect_components adds
+REPAIR_DISTANCE_M = 1000.0  # a repair edge's length when an endpoint has no coordinates
+REPAIR_SPEED_M_PER_MIN = 500.0  # a repair edge's time is its length over this speed
+
 
 def _as_decimal(value: float | int | str | Decimal) -> Decimal:
     if isinstance(value, Decimal):
@@ -139,6 +143,17 @@ class TransitEdge:
 
     def other(self, poi: int) -> int:
         return self.v if poi == self.u else self.u
+
+
+def _transit_edge(edge_id: int, u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> TransitEdge:
+    """The edge, once its distance and time are finite and nonnegative: the
+    one check for edges from :class:`NetworkBuilder` and from
+    :func:`connect_components`, which adds its edges without a builder."""
+    if not (math.isfinite(distance_m) and distance_m >= 0):
+        raise ConfigurationError(f"edge ({u}, {v}) has invalid distance {distance_m}")
+    if not (math.isfinite(time_min) and time_min >= 0):
+        raise ConfigurationError(f"edge ({u}, {v}) has invalid time {time_min}")
+    return TransitEdge(edge_id, u, v, mode, distance_m, time_min)
 
 
 @dataclass(frozen=True)
@@ -249,6 +264,7 @@ class NetworkBuilder:
     def __init__(self, allow_self_loops: bool = False):
         self._pois: list[Poi] = []
         self._edges: list[TransitEdge] = []
+        self._external_ids: set[str] = set()
         self._allow_self_loops = allow_self_loops
 
     def add_poi(
@@ -259,6 +275,9 @@ class NetworkBuilder:
         category: int | None = None,
         coords: tuple[float, float] | None = None,
     ) -> int:
+        if external_id in self._external_ids:
+            raise ConfigurationError(f"duplicate external_id {external_id!r}")
+        self._external_ids.add(external_id)
         poi_id = len(self._pois)
         self._pois.append(Poi(poi_id, external_id, name or external_id, category, coords))
         return poi_id
@@ -268,13 +287,9 @@ class NetworkBuilder:
             raise ConfigurationError(f"edge endpoints ({u}, {v}) reference unknown PoIs")
         if u == v and not self._allow_self_loops:
             raise ConfigurationError(f"self-loop at PoI {u} rejected")
-        if not (math.isfinite(distance_m) and distance_m >= 0):
-            raise ConfigurationError(f"edge ({u}, {v}) has invalid distance {distance_m}")
-        if not (math.isfinite(time_min) and time_min >= 0):
-            raise ConfigurationError(f"edge ({u}, {v}) has invalid time {time_min}")
-        edge_id = len(self._edges)
-        self._edges.append(TransitEdge(edge_id, u, v, mode, distance_m, time_min))
-        return edge_id
+        edge = _transit_edge(len(self._edges), u, v, mode, distance_m, time_min)
+        self._edges.append(edge)
+        return edge.id
 
     def finalize(self, fare_table: FareTable) -> MultiModalNetwork:
         adjacency: list[list[int]] = [[] for _ in self._pois]
@@ -712,22 +727,18 @@ def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
-def connect_components(
-    net: MultiModalNetwork,
-    repair_mode_name: str = "UN",
-    repair_policy: FarePolicy | None = None,
-    *,
-    default_distance_m: float = 1000.0,
-    default_speed_m_per_min: float = 500.0,
-) -> tuple[MultiModalNetwork, list[TransitEdge]]:
+def connect_components(net: MultiModalNetwork) -> tuple[MultiModalNetwork, list[TransitEdge]]:
     """Make the network connected by chaining its components together.
 
-    Adds exactly ``components - 1`` edges under a fresh mode (default name
-    ``"UN"``), joining the lowest-id PoI of consecutive components in
-    ascending order. Added edges measure the great-circle distance when both
-    endpoints carry coordinates and fall back to ``default_distance_m``
-    otherwise; travel time is distance / ``default_speed_m_per_min``.
-    An already-connected network is returned unchanged.
+    Appends exactly ``components - 1`` edges, ids from ``net.edge_count`` on,
+    under a fresh mode :data:`REPAIR_MODE` priced by
+    :func:`median_fare_policy`, joining the lowest-id PoI of consecutive
+    components in ascending order. Added edges measure the great-circle
+    distance when both endpoints carry coordinates and
+    :data:`REPAIR_DISTANCE_M` otherwise; travel time is distance /
+    :data:`REPAIR_SPEED_M_PER_MIN`. The PoIs, edges and edge costs of ``net``
+    carry over as they are. An already-connected network is returned
+    unchanged.
     """
     if net.poi_count == 0:
         raise ConfigurationError("cannot repair an empty network")
@@ -735,25 +746,25 @@ def connect_components(
     if len(components) == 1:
         return net, []
 
-    policy = repair_policy if repair_policy is not None else median_fare_policy(net.fare_table)
-    fares = net.fare_table.with_mode(repair_mode_name, policy)
+    fares = net.fare_table.with_mode(REPAIR_MODE, median_fare_policy(net.fare_table))
     repair_mode = fares.mode_count - 1
-
-    builder = NetworkBuilder(allow_self_loops=True)
-    for poi in net.pois:
-        builder.add_poi(poi.external_id, name=poi.name, category=poi.category, coords=poi.coords)
-    for edge in net.edges:
-        builder.add_edge(edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
-
     representatives = [min(component) for component in components]
-    added_ids = []
+    added: list[TransitEdge] = []
+    adjacency = list(net.adjacency)
     for left, right in zip(representatives, representatives[1:]):
-        a, b = net.pois[left], net.pois[right]
-        if a.coords is not None and b.coords is not None:
-            distance = haversine_m(a.coords, b.coords)
-        else:
-            distance = default_distance_m
-        added_ids.append(builder.add_edge(left, right, repair_mode, distance, distance / default_speed_m_per_min))
+        a, b = net.pois[left].coords, net.pois[right].coords
+        distance = haversine_m(a, b) if a is not None and b is not None else REPAIR_DISTANCE_M
+        time = distance / REPAIR_SPEED_M_PER_MIN
+        edge = _transit_edge(net.edge_count + len(added), left, right, repair_mode, distance, time)
+        added.append(edge)
+        adjacency[left] += (edge.id,)
+        adjacency[right] += (edge.id,)
 
-    repaired = builder.finalize(fares)
-    return repaired, [repaired.edges[eid] for eid in added_ids]
+    repaired = replace(
+        net,
+        edges=net.edges + tuple(added),
+        fare_table=fares,
+        adjacency=tuple(adjacency),
+        edge_costs=net.edge_costs + tuple(edge_cost(edge, fares) for edge in added),
+    )
+    return repaired, added

@@ -210,6 +210,19 @@ def test_network_json_round_trips_coordinates(tmp_path):
     assert load_network_json(out).pois == net.pois
 
 
+def test_network_json_round_trips_self_loops(tmp_path):
+    builder = NetworkBuilder(allow_self_loops=True)
+    builder.add_poi("a", coords=(47.0, 8.5))
+    builder.add_poi("b")
+    builder.add_edge(0, 1, 0, 120.0, 2.0)
+    builder.add_edge(1, 1, 1, 0.0, 0.5)
+    builder.add_edge(0, 0, 0, 3.5, 0.0)
+    net = builder.finalize(walkthrough_fare_table())
+    out = tmp_path / "net.json"
+    save_network_json(net, out)
+    assert load_network_json(out) == net
+
+
 def _drop_edges(document):
     del document["edges"]
     return document
@@ -238,6 +251,9 @@ MALFORMED_NETWORKS = {
     "nan-rate": (_set("modes", 1, "cost_per_meter_cents", "NaN"), "modes[1]"),
     "non-numeric-rate": (_set("modes", 0, "cost_per_minute_cents", "abc"), "modes[0]"),
     "duplicate-external-id": (_duplicate_external_id, "pois[4]: duplicate external_id 'v03'"),
+    "negative-distance": (_set("edges", 1, "distance_m", -3.0), "edges[1]: edge (0, 2) has invalid distance -3.0"),
+    "unknown-poi": (_set("edges", 0, "v", 99), "edges[0]: edge endpoints (0, 99) reference unknown PoIs"),
+    "negative-fare": (_set("modes", 0, "base_fare_cents", -5), "modes[0]: fare policy components must be nonnegative"),
     "non-numeric-coords": (_set("pois", 1, "coords", ["x", 1]), "pois[1]: coords must be null or [lat, lon]"),
     "one-element-coords": (_set("pois", 2, "coords", [1]), "pois[2]: coords"),
     "three-element-coords": (_set("pois", 2, "coords", [1, 2, 3]), "pois[2]: coords"),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import shutil
 from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from unittest.mock import patch
@@ -25,11 +27,13 @@ from gtpmm import (
     median_fare_policy,
     shortest_path,
 )
-from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.ingest import load_network_json, save_network_json
+from gtpmm.fixtures import WALKTHROUGH_UNIT, default_fare_ranges, gtfs_minimal_dir, walkthrough_poi
+from gtpmm.ingest import load_gtfs, load_network_json, resolve_fares, save_network_json
 from gtpmm.network import (
     LANDMARKS,
+    REPAIR_MODE,
     PathResult,
+    haversine_m,
     layer_costs,
     rebuild_with_fares,
     reference_path,
@@ -874,8 +878,117 @@ def test_connect_components_rejects_empty_network():
 
 def test_connect_components_rejects_existing_mode_name():
     net = random_disconnected_network(seed=1, n_components=2)
-    with pytest.raises(ConfigurationError):
-        connect_components(net, repair_mode_name="M0")
+    fares = net.fare_table.with_mode(REPAIR_MODE, median_fare_policy(net.fare_table))
+    with pytest.raises(ConfigurationError, match="already exists"):
+        connect_components(rebuild_with_fares(net, fares))
+
+
+def builder_connect_components(
+    net,
+    repair_mode_name="UN",
+    repair_policy=None,
+    *,
+    default_distance_m=1000.0,
+    default_speed_m_per_min=500.0,
+):
+    """Verbatim copy of the builder rebuild ``connect_components`` used to run."""
+    if net.poi_count == 0:
+        raise ConfigurationError("cannot repair an empty network")
+    components = connected_components(net)
+    if len(components) == 1:
+        return net, []
+
+    policy = repair_policy if repair_policy is not None else median_fare_policy(net.fare_table)
+    fares = net.fare_table.with_mode(repair_mode_name, policy)
+    repair_mode = fares.mode_count - 1
+
+    builder = NetworkBuilder(allow_self_loops=True)
+    for poi in net.pois:
+        builder.add_poi(poi.external_id, name=poi.name, category=poi.category, coords=poi.coords)
+    for edge in net.edges:
+        builder.add_edge(edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
+
+    representatives = [min(component) for component in components]
+    added_ids = []
+    for left, right in zip(representatives, representatives[1:]):
+        a, b = net.pois[left], net.pois[right]
+        if a.coords is not None and b.coords is not None:
+            distance = haversine_m(a.coords, b.coords)
+        else:
+            distance = default_distance_m
+        added_ids.append(builder.add_edge(left, right, repair_mode, distance, distance / default_speed_m_per_min))
+
+    repaired = builder.finalize(fares)
+    return repaired, [repaired.edges[eid] for eid in added_ids]
+
+
+def assert_repair_equals_a_builder_copy(net):
+    shortest_path(net, 0, net.poi_count - 1)  # built search views must not leak into the repair
+    repaired, added = connect_components(net)
+    expected, expected_added = builder_connect_components(net)
+    assert repaired == expected  # also compares adjacency and edge_costs
+    assert added == expected_added
+    assert len(added) == len(connected_components(net)) - 1
+    if added:
+        assert repaired.pois is net.pois
+        assert repaired.edges[: net.edge_count] == net.edges
+        assert not {"cheapest_neighbors", "landmarks"} & set(vars(repaired))
+
+
+def mixed_coordinates_network():
+    """Four islands, joined (0, 2), (2, 4) and (4, 6): coordinates on both,
+    one and neither joined PoI; PoIs 1 and 5 have coordinates but are not joined."""
+    builder = NetworkBuilder()
+    for index, coords in enumerate([(47.0, 8.0), (47.1, 8.1), (47.2, 8.0), None, None, (46.9, 7.9), None]):
+        builder.add_poi(f"p{index}", name=f"PoI {index}", category=index % 2, coords=coords)
+    for u, v, mode, distance, time in [(0, 1, 0, 900.0, 3.0), (2, 3, 2, 0.0, 0.0), (4, 5, 1, 12.5, 0.5)]:
+        builder.add_edge(u, v, mode, distance, time)
+    return builder.finalize(EDGE_CASE_FARES)
+
+
+def disconnected_gtfs_network(tmp_path):
+    """The minimal feed plus a tram trip D-E on stops of their own and an unserved stop F."""
+    feed = tmp_path / "feed"
+    shutil.copytree(gtfs_minimal_dir(), feed)
+    with (feed / "stops.txt").open("a") as handle:
+        handle.write("D,Old Town,47.3700,8.5440\nE,University,47.3760,8.5480\nF,Zoo,47.3850,8.5740\n")
+    (feed / "routes.txt").write_text("route_id,route_type\nR1,3\nR2,0\n")
+    (feed / "trips.txt").write_text("route_id,trip_id\nR1,T1\nR2,T2\n")
+    with (feed / "stop_times.txt").open("a") as handle:
+        handle.write("T2,D,10:00:00,10:00:00,1\nT2,E,10:06:00,10:06:00,2\n")
+    return load_gtfs(feed, resolve_fares(default_fare_ranges(), "low"))
+
+
+def test_connect_components_equals_a_builder_copy(tmp_path):
+    nets = [
+        random_disconnected_network(seed=islands * 10 + size, n_components=islands, pois_per_component=size)
+        for islands in range(2, 9)
+        for size in (1, 2, 4)
+    ]
+    nets.append(mixed_coordinates_network())
+    # self-loops, zero lengths and tied parallel modes, with two isolated PoIs added
+    nets += [built_network(n_pois + 2, EDGE_CASE_FARES, specs) for n_pois, specs in EDGE_CASE_NETWORKS.values()]
+    gtfs_net = disconnected_gtfs_network(tmp_path)
+    assert len(connected_components(gtfs_net)) == 3
+    nets.append(gtfs_net)
+    for net in nets:
+        assert_repair_equals_a_builder_copy(net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=landmark_networks())
+def test_connect_components_equals_a_builder_copy_on_random_networks(net):
+    assert_repair_equals_a_builder_copy(net)
+
+
+@pytest.mark.parametrize("coords", [(math.nan, 8.1), (47.0, math.nan)])
+def test_connect_components_rejects_non_finite_coordinates(coords):
+    builder = NetworkBuilder()
+    builder.add_poi("a", coords=(47.0, 8.0))
+    builder.add_poi("b", coords=coords)
+    net = builder.finalize(flat_table(100))
+    with pytest.raises(ConfigurationError, match=r"edge \(0, 1\) has invalid distance nan"):
+        connect_components(net)
 
 
 def test_median_repair_policy():
@@ -898,6 +1011,15 @@ def test_builder_rejects_self_loops_by_default():
     builder.add_poi("a")
     with pytest.raises(ConfigurationError):
         builder.add_edge(0, 0, 0, 1.0, 1.0)
+
+
+def test_builder_rejects_duplicate_external_ids():
+    builder = NetworkBuilder()
+    builder.add_poi("a")
+    builder.add_poi("b", name="a")  # names may repeat
+    with pytest.raises(ConfigurationError, match="duplicate external_id 'a'"):
+        builder.add_poi("a", name="other")
+    assert [poi.external_id for poi in builder.finalize(flat_table(100)).pois] == ["a", "b"]
 
 
 def test_builder_rejects_negative_weights():
