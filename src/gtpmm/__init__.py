@@ -59,7 +59,6 @@ from .network import (
 )
 from .oracle import (
     ENUMERATION_GUARD,
-    aggregated_distance,
     brute_force_optimal,
     enumerate_valid_paths,
     valid_path_count,
@@ -112,7 +111,6 @@ __all__ = [
     "TransitEdge",
     "Trip",
     "UsageStats",
-    "aggregated_distance",
     "brute_force_optimal",
     "categorize",
     "cheapest_parallel_edge",

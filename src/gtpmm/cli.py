@@ -21,6 +21,7 @@ from .ingest import (
     load_fare_config,
     load_gtfs,
     load_network_json,
+    read_json,
     resolve_fares,
     save_network_json,
 )
@@ -72,14 +73,7 @@ def _load_network(args: argparse.Namespace) -> MultiModalNetwork:
 
 
 def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise ParseError(f"invalid JSON: {error.msg}", file=path, line=error.lineno) from None
-    except UnicodeDecodeError:
-        raise ParseError("query file is not UTF-8 text", file=path) from None
-    except OSError as error:
-        raise ParseError(f"cannot read query file: {error.strerror}", file=path) from None
+    document = read_json(path, "query")
     if not isinstance(document, dict):
         raise ParseError("a query must be a JSON object with 'agents' and 'categories'", file=path)
     for key in ("agents", "categories"):

@@ -19,6 +19,7 @@ GTFS: the standard ``stops.txt``, ``routes.txt``, ``trips.txt`` and
 from __future__ import annotations
 
 import csv
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -34,6 +35,7 @@ from .network import (
     FareTable,
     MultiModalNetwork,
     NetworkBuilder,
+    _valid_coords,
     haversine_m,
 )
 from .rng import SplitMix64
@@ -66,6 +68,20 @@ def _csv_file(path: Path) -> Iterator[TextIO]:
         raise ParseError("file is not UTF-8 text", file=str(path)) from None
     except OSError as error:
         raise ParseError(f"cannot read file: {error.strerror}", file=str(path)) from None
+
+
+def read_json(path: str | Path, kind: str) -> object:
+    """The JSON document in the ``kind`` file at ``path``; invalid JSON,
+    text that is not UTF-8 and an unreadable file raise :class:`ParseError`
+    naming the file, and the line for invalid JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise ParseError(f"invalid JSON: {error.msg}", file=str(path), line=error.lineno) from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{kind} file is not UTF-8 text", file=str(path)) from None
+    except OSError as error:
+        raise ParseError(f"cannot read {kind} file: {error.strerror}", file=str(path)) from None
 
 
 # --- fare configuration -------------------------------------------------------
@@ -304,7 +320,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
                 lat, lon = float(row["stop_lat"]), float(row["stop_lon"])
             except ValueError:
                 raise ParseError("stop coordinates must be numeric", file=str(path), line=row_number) from None
-            if not _valid_coords([lat, lon]):
+            if not _valid_coords((lat, lon)):
                 raise ParseError("stop latitude or longitude out of range", file=str(path), line=row_number)
             feed.stops[stop_id] = GtfsStop(stop_id, row["stop_name"].strip(), lat, lon)
 
@@ -404,8 +420,6 @@ def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork
 
 def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
     """Serialize a finalized network (PoIs, edges, resolved fares) to JSON."""
-    import json
-
     document = {
         "modes": [
             {
@@ -435,19 +449,10 @@ def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
 
 def load_network_json(path: str | Path) -> MultiModalNetwork:
     """Load a network serialized by :func:`save_network_json`."""
-    import json
-
     path = Path(path)
     if not path.exists():
         raise ParseError("file not found", file=str(path))
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", file=str(path), line=exc.lineno) from None
-    except UnicodeDecodeError:
-        raise ParseError("network file is not UTF-8 text", file=str(path)) from None
-    except OSError as error:
-        raise ParseError(f"cannot read network file: {error.strerror}", file=str(path)) from None
+    document = read_json(path, "network")
 
     if not isinstance(document, dict):
         raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))
@@ -478,12 +483,7 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
             name = poi.get("name", "")
             if type(external_id) is not str or type(name) is not str:
                 raise ParseError(f"pois[{index}]: external_id and name must be strings", file=str(path))
-            coords = poi.get("coords")
-            if coords is not None:
-                if not _valid_coords(coords):
-                    raise ParseError(f"pois[{index}]: coords must be null or [lat, lon] in degrees", file=str(path))
-                coords = tuple(coords)
-            builder.add_poi(external_id, name=name, category=poi.get("category"), coords=coords)
+            builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"pois[{index}]", error) from None
     modes = fare_table.mode_count
@@ -496,14 +496,6 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"edges[{index}]", error) from None
     return builder.finalize(fare_table)
-
-
-def _valid_coords(value: object) -> bool:
-    """True for a ``[lat, lon]`` list of numbers within ±90 and ±180 degrees."""
-    if not (isinstance(value, list) and len(value) == 2 and all(type(x) in (int, float) for x in value)):
-        return False
-    lat, lon = value
-    return -90 <= lat <= 90 and -180 <= lon <= 180  # also rejects NaN
 
 
 def _malformed(path: Path, element: str, error: Exception) -> ParseError:

@@ -258,6 +258,14 @@ class MultiModalNetwork:
             raise ConfigurationError(f"PoI id {poi_id} is out of range")
 
 
+def _valid_coords(value: object) -> bool:
+    """True for a ``[lat, lon]`` list or tuple of numbers within ±90 and ±180 degrees."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(type(x) in (int, float) for x in value)):
+        return False
+    lat, lon = value
+    return -90 <= lat <= 90 and -180 <= lon <= 180  # also rejects NaN and infinities
+
+
 class NetworkBuilder:
     """Single-writer accumulator; ``finalize`` validates and freezes."""
 
@@ -273,8 +281,12 @@ class NetworkBuilder:
         *,
         name: str = "",
         category: int | None = None,
-        coords: tuple[float, float] | None = None,
+        coords: Sequence[float] | None = None,
     ) -> int:
+        if coords is not None:
+            if not _valid_coords(coords):
+                raise ConfigurationError("coords must be null or [lat, lon] in degrees")
+            coords = tuple(coords)
         if external_id in self._external_ids:
             raise ConfigurationError(f"duplicate external_id {external_id!r}")
         self._external_ids.add(external_id)

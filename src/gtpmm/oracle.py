@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import EnumerationLimitError, InfeasibleRouteError
 from .network import Money, MultiModalNetwork, reference_path
-from .planner import Legs, QueryInstance, SharingMode, group_cost
+from .planner import Legs, QueryInstance, SharingMode
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -32,13 +32,6 @@ def enumerate_valid_paths(
     if count > max_tuples:
         raise EnumerationLimitError(count, max_tuples)
     return itertools.product(*inst.categories)
-
-
-def aggregated_distance(net: MultiModalNetwork, inst: QueryInstance, common_pois: Sequence[int]) -> Money:
-    """Summed cheapest-cost distance of one common-PoI choice: the
-    shared-intermediate group cost, where source and destination legs count
-    once per agent and intermediate legs once."""
-    return group_cost(net, inst, common_pois, SharingMode.SHARED_INTERMEDIATE)
 
 
 def brute_force_optimal(

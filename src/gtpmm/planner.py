@@ -8,13 +8,14 @@ once per group depending on the sharing mode. The final stage attaches every
 agent's destination leg and the global argmin is reconstructed through
 parent links.
 
-Each stage from one category to the next is one multi-source search
-(:func:`~gtpmm.network.layer_costs`). The two stages that sum over agents,
-sources to the first category and the last category to the destinations,
-run one search per distinct endpoint or per category PoI, whichever set is
-smaller. Searches from the sources keep their paths in :class:`Legs`, so
-they also serve the plan's source legs; the destination legs all start at
-the last common PoI, known only after the DP, and come from one search.
+Every DP search is cost-only. Each stage from one category to the next is
+one multi-source search (:func:`~gtpmm.network.layer_costs`). The two
+stages that sum over agents, sources to the first category and the last
+category to the destinations, run one search per distinct endpoint or per
+category PoI, whichever set is smaller. Only the chosen plan's legs are
+searched with paths (:class:`Legs`): each source leg and common hop point
+to point, and every destination leg, which all start at the last common
+PoI, from one search.
 """
 
 from __future__ import annotations
@@ -101,10 +102,9 @@ class Legs:
     ``search(net, u, v)``; ``searches`` counts those calls. By default the
     search is this module's ``shortest_path`` name, looked up at each call,
     which tests and the benchmark's tracer patch to count them; the checks
-    pass :func:`~gtpmm.network.reference_path`. ``fill`` runs one
-    :func:`~gtpmm.network.shortest_paths` search from one origin to the
-    targets it does not hold yet and keeps every path, each equal to the
-    point-to-point one.
+    pass :func:`~gtpmm.network.reference_path`. ``fill`` stores the paths
+    of one :func:`~gtpmm.network.shortest_paths` search from one origin,
+    each equal to the point-to-point one.
     """
 
     def __init__(self, search: Callable[[MultiModalNetwork, int, int], PathResult | None] | None = None) -> None:
@@ -122,30 +122,26 @@ class Legs:
             raise InfeasibleRouteError(u, v)
         return result
 
-    def fill(self, net: MultiModalNetwork, u: int, targets: Iterable[int]) -> dict[int, PathResult]:
-        """Paths from ``u`` to every reachable PoI of ``targets``, searching
-        at most once; ``path`` then holds them, and raises for the rest."""
-        targets = tuple(targets)
-        missing = {v for v in targets if (u, v) not in self._paths}
-        if missing:
-            found = shortest_paths(net, u, missing)
-            for v in missing:
-                self._paths[(u, v)] = found.get(v)
-        return {v: self._paths[(u, v)] for v in targets if self._paths[(u, v)] is not None}
+    def fill(self, net: MultiModalNetwork, u: int, targets: Sequence[int]) -> None:
+        """Search from ``u`` to every PoI of ``targets`` at once; ``path``
+        then returns each reachable one, and raises for the rest."""
+        found = shortest_paths(net, u, targets)
+        for v in targets:
+            self._paths[(u, v)] = found.get(v)
 
 
 @dataclass
 class DpTable:
     """Per-category minimum costs with predecessor links, the destination
-    stage's pair costs, and the legs the searches found.
+    stage's pair costs, and the chosen plan's legs.
 
     ``cost[c][j]`` is finite (present) iff some prefix of the common path
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
     ``distances`` maps a (reached last-category PoI, destination) pair to
     its cheapest cost; an unreachable pair is missing. ``searches`` counts
-    the searches :func:`compute_dp` ran. ``legs`` holds the paths of the
-    searches from the sources, and the paths the chosen plan's other legs
-    are built from; ``sp_invocations`` counts only point-to-point searches.
+    the cost-only searches :func:`compute_dp` ran. ``legs`` starts empty
+    and holds the paths :func:`plan` builds the chosen plan from;
+    ``sp_invocations`` counts its point-to-point searches.
     """
 
     cost: list[dict[int, Money]]
@@ -238,9 +234,8 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
     PoI to every destination in ``distances``. The two endpoint stages run
     one search per distinct endpoint or per category PoI, whichever set is
     smaller, so a query runs at most min(sources, |first category|) +
-    (k - 1) + min(destinations, |last category|) searches. When the first
-    stage searches from the sources it does so through ``table.legs``, so
-    the plan's source legs need no search of their own.
+    (k - 1) + min(destinations, |last category|) searches, all cost-only;
+    ``table.legs`` stays empty.
     """
     _check_instance(net, inst)
     m = sharing.intermediate_multiplier(inst.n_agents)
@@ -248,12 +243,7 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
 
     sources = Counter(source for source, _ in inst.agents)
     first = inst.categories[0]
-    if len(sources) <= len(first):
-        from_sources = {
-            (source, j): path.cost for source in sources for j, path in table.legs.fill(net, source, first).items()
-        }
-    else:
-        from_sources = _endpoint_costs(net, tuple(sources), first)
+    from_sources = _endpoint_costs(net, tuple(sources), first)
     table.searches += min(len(sources), len(first))
     for j in first:
         if all((source, j) in from_sources for source in sources):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import shutil
+from dataclasses import replace
 from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from unittest.mock import patch
@@ -983,12 +984,40 @@ def test_connect_components_equals_a_builder_copy_on_random_networks(net):
 
 @pytest.mark.parametrize("coords", [(math.nan, 8.1), (47.0, math.nan)])
 def test_connect_components_rejects_non_finite_coordinates(coords):
+    # the builder rejects such coords, so they can only come in with a PoI put into a network directly
     builder = NetworkBuilder()
     builder.add_poi("a", coords=(47.0, 8.0))
-    builder.add_poi("b", coords=coords)
+    builder.add_poi("b", coords=(47.0, 8.1))
     net = builder.finalize(flat_table(100))
+    net = replace(net, pois=(net.pois[0], replace(net.pois[1], coords=coords)))
     with pytest.raises(ConfigurationError, match=r"edge \(0, 1\) has invalid distance nan"):
         connect_components(net)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        pytest.param((math.nan, 8.1), id="nan-lat"),
+        pytest.param((47.0, math.nan), id="nan-lon"),
+        pytest.param((math.inf, 8.1), id="inf-lat"),
+        pytest.param([47.0, -math.inf], id="inf-lon"),
+        pytest.param((90.5, 8.1), id="lat-out-of-range"),
+        pytest.param((47.0, -180.5), id="lon-out-of-range"),
+        pytest.param((47.0,), id="one-element"),
+        pytest.param((True, 8.1), id="boolean"),
+        pytest.param("47,8", id="string"),
+    ],
+)
+def test_add_poi_rejects_invalid_coordinates(coords):
+    # a repair would take great-circle lengths from them (haversine_m fails on an infinity)
+    builder = NetworkBuilder()
+    builder.add_poi("a", coords=(47.0, 8.0))
+    with pytest.raises(ConfigurationError, match=r"coords must be null or \[lat, lon\] in degrees"):
+        builder.add_poi("b", coords=coords)
+    builder.add_poi("b", coords=[47.0, 8.1])  # the rejected PoI was not added
+    net = builder.finalize(flat_table(100))
+    assert net.pois[1].coords == (47.0, 8.1)
+    assert len(connect_components(net)[1]) == 1
 
 
 def test_median_repair_policy():

@@ -14,7 +14,6 @@ from gtpmm import (
     InfeasibleRouteError,
     QueryInstance,
     SharingMode,
-    aggregated_distance,
     brute_force_optimal,
     enumerate_valid_paths,
     group_cost,
@@ -75,14 +74,14 @@ def test_iterator_length_equals_product(sizes):
     assert sum(1 for _ in enumerate_valid_paths(inst)) == math.prod(sizes)
 
 
-# --- aggregated distance -----------------------------------------------------------
+# --- shared group cost -------------------------------------------------------------
 
 
-def test_walkthrough_aggregated_distance(walkthrough_net, walkthrough_inst):
+def test_walkthrough_shared_group_cost(walkthrough_net, walkthrough_inst):
     v = walkthrough_poi
     common = (v("v3"), v("v5"), v("v7"))
     # 13 (sources) + 7 (intermediate) + 9 (destinations)
-    assert aggregated_distance(walkthrough_net, walkthrough_inst, common) == 29 * WALKTHROUGH_UNIT
+    assert group_cost(walkthrough_net, walkthrough_inst, common, SHARED) == 29 * WALKTHROUGH_UNIT
 
 
 def test_identity_instance_has_zero_distance():
@@ -90,22 +89,14 @@ def test_identity_instance_has_zero_distance():
     builder.add_poi("only")
     net = builder.finalize(FareTable.from_pairs([("M", FarePolicy(100, 0, 0))]))
     inst = QueryInstance([(0, 0)], [[0]])
-    assert aggregated_distance(net, inst, (0,)) == 0
+    assert group_cost(net, inst, (0,), SHARED) == 0
 
 
-def test_aggregated_distance_equals_shared_group_cost():
-    for seed in range(10):
-        net = random_network(seed, n_pois=18, n_modes=2)
-        inst = random_instance(seed, net, k=3, pois_per_category=2, n_agents=2)
-        for common in enumerate_valid_paths(inst):
-            assert aggregated_distance(net, inst, common) == group_cost(net, inst, common, SHARED)
-
-
-def test_aggregated_distance_raises_on_unreachable_pair():
+def test_shared_group_cost_raises_on_unreachable_pair():
     net = random_disconnected_network(seed=13, n_components=2, pois_per_component=3)
     inst = QueryInstance([(0, 0)], [[4]])
     with pytest.raises(InfeasibleRouteError):
-        aggregated_distance(net, inst, (4,))
+        group_cost(net, inst, (4,), SHARED)
 
 
 # --- brute force -------------------------------------------------------------------
@@ -121,7 +112,7 @@ def test_walkthrough_per_person_optimum(walkthrough_net, walkthrough_inst):
 def test_walkthrough_shared_optimum_is_min_over_tuples(walkthrough_net, walkthrough_inst):
     best, cost = brute_force_optimal(walkthrough_net, walkthrough_inst, SHARED)
     by_hand = min(
-        aggregated_distance(walkthrough_net, walkthrough_inst, candidate)
+        group_cost(walkthrough_net, walkthrough_inst, candidate, SHARED)
         for candidate in enumerate_valid_paths(walkthrough_inst)
     )
     assert cost == by_hand

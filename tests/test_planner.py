@@ -283,20 +283,14 @@ def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(monkeypatch):
         assert table.searches == expected
         assert table.sp_invocations == 0
         assert calls == []
-        # only the searches from the sources keep paths
-        dp_origins = sorted(sources) if len(sources) <= len(first) else []
-        assert sorted(path_origins) == dp_origins
-        path_origins.clear()
+        assert path_origins == []  # every DP search is cost-only
 
         journey = plan(net, inst, PER_PERSON)
         common = journey.common_pois
-        # point to point: each common hop, and each source leg the DP did not search from the source
-        point_to_point = set(zip(common, common[1:]))
-        if len(sources) > len(first):
-            point_to_point |= {(source, common[0]) for source in sources}
+        # point to point: each distinct source's leg and each common hop
+        point_to_point = {(source, common[0]) for source in sources} | set(zip(common, common[1:]))
         assert sorted(calls) == sorted(point_to_point)
-        assert sorted(path_origins[:-1]) == dp_origins
-        assert path_origins[-1] == journey.common_pois[-1]  # one search for every destination leg
+        assert path_origins == [common[-1]]  # one search for every destination leg
         calls.clear()
         path_origins.clear()
     assert sides == {(False, False), (True, True)}  # both sides of each endpoint choice
@@ -470,6 +464,8 @@ def _outcome(fn, *args):
 
 def assert_dp_matches_reference(net, inst, sharing):
     table = compute_dp(net, inst, sharing)
+    assert table.legs._paths == {}  # the DP keeps no paths
+    assert table.sp_invocations == 0
     expected = _reference_compute_dp(net, inst, sharing)
     assert table.cost == expected.cost
     assert table.parent == expected.parent
