@@ -9,7 +9,8 @@ order), so equal (network, instance, seed) yields identical plans.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
+from typing import Iterable
 
 from .errors import InfeasibleRouteError
 from .network import MultiModalNetwork, PathResult, shortest_costs
@@ -17,26 +18,31 @@ from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
 
-def _bfs_tree(net: MultiModalNetwork, origin: int) -> list[int]:
-    """Fewest-hops BFS tree of ``origin``'s whole component, as a parent per
-    PoI (the origin is its own parent, -1 marks an unreached PoI).
+def _bfs_tree(net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> list[int]:
+    """Fewest-hops BFS tree of ``origin``, as a parent per PoI (the origin
+    is its own parent, -1 marks an undiscovered PoI), grown until every PoI
+    of ``targets`` is discovered or the component is exhausted.
 
     Neighbors expand in ascending PoI id, the order of the
     :attr:`MultiModalNetwork.cheapest_neighbors` rows. A BFS fixes a PoI's
     parent when it first discovers it, in an order that does not depend on
     any target, so the walk back from a target is the route a BFS stopping
-    there would find.
+    there would find, and the route in the whole component's tree.
     """
     net.check_poi(origin)
     parent = [-1] * net.poi_count
     parent[origin] = origin
+    undiscovered = set(targets) - {origin}
     queue = deque([origin])
     neighbors = net.cheapest_neighbors
-    while queue:
+    while queue and undiscovered:
         u = queue.popleft()
         for v, _ in neighbors[u]:
             if parent[v] == -1:
                 parent[v] = u
+                undiscovered.discard(v)
+                if not undiscovered:
+                    break
                 queue.append(v)
     return parent
 
@@ -87,11 +93,17 @@ def rprm(
     """Random PoI per category; random mode per hop along fewest-hops routes."""
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
+    targets: defaultdict[int, set[int]] = defaultdict(set)  # leg origin -> the ends of its legs
+    for source, _ in inst.agents:
+        targets[source].add(common[0])
+    for a, b in zip(common, common[1:]):
+        targets[a].add(b)
+    targets[common[-1]].update(dest for _, dest in inst.agents)
     trees: dict[int, list[int]] = {}  # leg origin -> its BFS tree, for this call only
 
     def leg(n: MultiModalNetwork, u: int, v: int) -> PathResult:
         if u not in trees:
-            trees[u] = _bfs_tree(n, u)
+            trees[u] = _bfs_tree(n, u, targets[u])
         return _random_mode_leg(n, trees[u], u, v, rng)
 
     return assemble(net, inst, common, sharing, leg)

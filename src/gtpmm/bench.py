@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .baselines import nncm, rpcm, rprm
 from .errors import ConfigurationError
-from .network import Money, MultiModalNetwork
+from .network import ModeId, Money, MultiModalNetwork
 from .planner import JourneyPlan, QueryInstance, SharingMode, plan
 from .rng import SplitMix64, fold
 
@@ -84,14 +84,14 @@ def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> UsageStats:
     count once per agent under per-person sharing and once per group under
     shared sharing.
     """
-    counts: dict[str, int] = {}
-    costs: dict[str, Money] = {}
+    counts: dict[ModeId, int] = {}  # by mode id, in first-encounter order; named once at the end
+    costs: dict[ModeId, Money] = {}
+    edge_costs = net.edge_costs
 
     def accumulate(leg, weight: int) -> None:
         for eid, mode in leg.legs:
-            name = net.fare_table.name(mode)
-            counts[name] = counts.get(name, 0) + weight
-            costs[name] = costs.get(name, 0) + weight * net.edge_costs[eid]
+            counts[mode] = counts.get(mode, 0) + weight
+            costs[mode] = costs.get(mode, 0) + weight * edge_costs[eid]
 
     for leg in journey.source_legs:
         accumulate(leg, 1)
@@ -100,7 +100,10 @@ def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> UsageStats:
     multiplier = journey.sharing.intermediate_multiplier(journey.n_agents)
     for leg in journey.common_legs:
         accumulate(leg, multiplier)
-    return UsageStats(counts, costs)
+    name = net.fare_table.name
+    return UsageStats(
+        {name(mode): count for mode, count in counts.items()}, {name(mode): cost for mode, cost in costs.items()}
+    )
 
 
 def draw_instance(

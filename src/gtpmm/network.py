@@ -546,9 +546,12 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
         net.check_poi(target)
     wanted = set(remaining)
 
-    dist: dict[int, Money] = {source: 0}
-    pred: dict[int, int] = {}
-    settled: set[int] = set()
+    # Per-search state in flat lists indexed by PoI id: tentative cost (None
+    # until reached), predecessor and settled mark.
+    dist: list[Money | None] = [None] * net.poi_count
+    pred = [-1] * net.poi_count
+    settled = [False] * net.poi_count
+    dist[source] = 0
     neighbors = net.cheapest_neighbors
     # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
     bounds = _landmark_bounds(net, (source,), remaining)
@@ -556,17 +559,17 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
         heap: list[tuple[Money, int]] = [(0, source)]
         while heap and remaining:
             d, u = heappop(heap)
-            if u in settled:
+            if settled[u]:
                 continue
-            settled.add(u)
+            settled[u] = True
             remaining.discard(u)
             if not remaining:
                 break
             for v, cost in neighbors[u]:
-                if v in settled:
+                if settled[v]:
                     continue
                 candidate = d + cost
-                known = dist.get(v)
+                known = dist[v]
                 if known is None or candidate < known:
                     dist[v] = candidate
                     pred[v] = u
@@ -578,17 +581,17 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
         bounded: list[tuple[Money, Money, int]] = [(0, 0, source)]
         while bounded and remaining:
             _, d, u = heappop(bounded)
-            if u in settled:
+            if settled[u]:
                 continue
-            settled.add(u)
+            settled[u] = True
             remaining.discard(u)
             if not remaining:
                 break
             for v, cost in neighbors[u]:
-                if v in settled:
+                if settled[v]:
                     continue
                 candidate = d + cost
-                known = dist.get(v)
+                known = dist[v]
                 if known is None or candidate < known:
                     dist[v] = candidate
                     pred[v] = u
@@ -601,7 +604,9 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
 
     hops: dict[tuple[int, int], tuple[int, ModeId]] = {}  # paths to many targets share hops
     paths: dict[int, PathResult] = {}
-    for target in wanted & settled:
+    for target in wanted:
+        if not settled[target]:
+            continue
         sequence = [target]
         while sequence[-1] != source:
             sequence.append(pred[sequence[-1]])
@@ -623,7 +628,9 @@ def layer_costs(
     ``starts``, for every PoI ``j`` of ``targets`` that some ``i`` reaches.
 
     One Dijkstra seeded at every ``i`` with key ``(starts[i], i)``, over
-    edge costs multiplied by ``weight`` (nonnegative). Keys compare as
+    edge costs multiplied by ``weight``; a negative ``weight`` raises
+    :class:`~gtpmm.errors.ConfigurationError`, as it would make every
+    priced edge a negative cycle. Keys compare as
     ``(cost, origin)`` pairs, so an equal cost goes to the lower origin. A
     pair is packed into one integer, ``cost * poi_count + origin``, which
     orders the same way and survives adding ``weight * w * poi_count``.
@@ -633,6 +640,8 @@ def layer_costs(
     on the packed keys too, so every PoI is settled at its exact minimum
     key and the result is the Dijkstra's.
     """
+    if weight < 0:
+        raise ConfigurationError(f"layer weight {weight} is negative")
     scale = net.poi_count
     remaining = set(targets)
     for poi in (*starts, *remaining):
@@ -642,12 +651,14 @@ def layer_costs(
         return found
 
     step = weight * scale
-    dist = {origin: start * scale + origin for origin, start in starts.items()}
+    dist: list[Money | None] = [None] * scale  # tentative key per PoI id, None until reached
+    for origin, start in starts.items():
+        dist[origin] = start * scale + origin
     neighbors = net.cheapest_neighbors
     # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
     bounds = _landmark_bounds(net, starts, remaining)
     if bounds is None:
-        heap = [(key, origin) for origin, key in dist.items()]
+        heap = [(dist[origin], origin) for origin in starts]
         heapify(heap)
         while heap:
             key, u = heappop(heap)
@@ -660,7 +671,7 @@ def layer_costs(
                     break
             for v, cost in neighbors[u]:
                 candidate = key + cost * step
-                known = dist.get(v)
+                known = dist[v]
                 if known is None or candidate < known:
                     dist[v] = candidate
                     heappush(heap, (candidate, v))
@@ -668,8 +679,8 @@ def layer_costs(
 
     row1, lo1, hi1, row2, lo2, hi2 = bounds
     bounded = []
-    for origin, key in dist.items():
-        x, y = row1[origin], row2[origin]
+    for origin in starts:
+        key, x, y = dist[origin], row1[origin], row2[origin]
         bounded.append((key + max(0, lo1 - x, x - hi1, lo2 - y, y - hi2) * step, key, origin))
     heapify(bounded)
     while bounded:
@@ -683,7 +694,7 @@ def layer_costs(
                 break
         for v, cost in neighbors[u]:
             candidate = key + cost * step
-            known = dist.get(v)
+            known = dist[v]
             if known is None or candidate < known:
                 dist[v] = candidate
                 x, y = row1[v], row2[v]  # f = key + h(v) * step, inlined: this block runs once per push

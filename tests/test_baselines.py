@@ -16,7 +16,7 @@ from gtpmm import (
     rpcm,
     rprm,
 )
-from gtpmm.baselines import _random_common
+from gtpmm.baselines import _bfs_tree, _random_common
 from gtpmm.bench import draw_instance, run_method
 from gtpmm.errors import InfeasibleRouteError
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
@@ -339,9 +339,9 @@ def test_rprm_builds_one_bfs_tree_per_leg_origin(monkeypatch):
     origins = []
     build_tree = gtpmm.baselines._bfs_tree
 
-    def counted_bfs_tree(net, origin):
+    def counted_bfs_tree(net, origin, targets):
         origins.append(origin)
-        return build_tree(net, origin)
+        return build_tree(net, origin, targets)
 
     monkeypatch.setattr(gtpmm.baselines, "_bfs_tree", counted_bfs_tree)
     net, inst, sources = _fifty_agents_from_five_sources()
@@ -349,6 +349,58 @@ def test_rprm_builds_one_bfs_tree_per_leg_origin(monkeypatch):
         origins.clear()
         rprm(net, inst, seed)
         assert len(origins) == len(set(origins)) <= len(sources) + inst.k
+
+
+def _full_bfs_tree(net, origin):
+    """Verbatim copy of the ``_bfs_tree`` that grew the origin's whole component."""
+    net.check_poi(origin)
+    parent = [-1] * net.poi_count
+    parent[origin] = origin
+    queue = deque([origin])
+    neighbors = net.cheapest_neighbors
+    while queue:
+        u = queue.popleft()
+        for v, _ in neighbors[u]:
+            if parent[v] == -1:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def _walk_back(parent, origin, target):
+    sequence = [target]
+    while sequence[-1] != origin:
+        sequence.append(parent[sequence[-1]])
+    return sequence
+
+
+def test_bfs_tree_with_targets_walks_the_full_trees_routes():
+    nets = [random_network(seed, n_pois=30, n_modes=3, extra_edges=15) for seed in range(3)]
+    nets.append(random_disconnected_network(1, n_components=3, pois_per_component=5))
+    for net in nets:
+        for origin in range(net.poi_count):
+            full = _full_bfs_tree(net, origin)
+            for targets in ([origin], [net.poi_count - 1 - origin], [0, origin // 2, net.poi_count - 1]):
+                parent = _bfs_tree(net, origin, targets)
+                for target in targets:
+                    if full[target] == -1:
+                        assert parent[target] == -1
+                    else:
+                        assert _walk_back(parent, origin, target) == _walk_back(full, origin, target)
+
+
+def test_bfs_tree_stops_at_its_last_target():
+    # the path 0 - 1 - ... - 9: from 2, the farther target 6 is discovered from 5
+    builder = NetworkBuilder()
+    for i in range(10):
+        builder.add_poi(f"p{i}")
+    for i in range(9):
+        builder.add_edge(i, i + 1, 0, 1.0, 1.0)
+    net = builder.finalize(synthetic_fare_table(1, 1))
+    parent = _bfs_tree(net, 2, [4, 6])
+    assert parent == [1, 2, 2, 2, 3, 4, 5, -1, -1, -1]
+    assert _bfs_tree(net, 2, [2]) == [-1, -1, 2, -1, -1, -1, -1, -1, -1, -1]
+    assert _bfs_tree(net, 2, range(10)) == _full_bfs_tree(net, 2)
 
 
 def test_nncm_scores_candidates_with_one_cost_search_per_origin(monkeypatch):

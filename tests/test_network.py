@@ -33,7 +33,10 @@ from gtpmm.ingest import load_gtfs, load_network_json, resolve_fares, save_netwo
 from gtpmm.network import (
     LANDMARKS,
     REPAIR_MODE,
+    ModeId,
+    Money,
     PathResult,
+    _landmark_bounds,
     haversine_m,
     layer_costs,
     rebuild_with_fares,
@@ -586,23 +589,173 @@ def dijkstra_layer_costs(net, starts, weight, targets):
     return found
 
 
+# --- flat-list search state against the dict-state searches it replaced ------------
+
+
+def dict_state_shortest_paths(net, source, targets):
+    """Verbatim copy of the landmark ``shortest_paths`` that kept its state in dicts and a set."""
+    net.check_poi(source)
+    remaining = set(targets)
+    for target in remaining:
+        net.check_poi(target)
+    wanted = set(remaining)
+
+    dist: dict[int, Money] = {source: 0}
+    pred: dict[int, int] = {}
+    settled: set[int] = set()
+    neighbors = net.cheapest_neighbors
+    # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
+    bounds = _landmark_bounds(net, (source,), remaining)
+    if bounds is None:
+        heap: list[tuple[Money, int]] = [(0, source)]
+        while heap and remaining:
+            d, u = heappop(heap)
+            if u in settled:
+                continue
+            settled.add(u)
+            remaining.discard(u)
+            if not remaining:
+                break
+            for v, cost in neighbors[u]:
+                if v in settled:
+                    continue
+                candidate = d + cost
+                known = dist.get(v)
+                if known is None or candidate < known:
+                    dist[v] = candidate
+                    pred[v] = u
+                    heappush(heap, (candidate, v))
+                elif candidate == known and u < pred[v]:
+                    pred[v] = u
+    else:
+        row1, lo1, hi1, row2, lo2, hi2 = bounds
+        bounded: list[tuple[Money, Money, int]] = [(0, 0, source)]
+        while bounded and remaining:
+            _, d, u = heappop(bounded)
+            if u in settled:
+                continue
+            settled.add(u)
+            remaining.discard(u)
+            if not remaining:
+                break
+            for v, cost in neighbors[u]:
+                if v in settled:
+                    continue
+                candidate = d + cost
+                known = dist.get(v)
+                if known is None or candidate < known:
+                    dist[v] = candidate
+                    pred[v] = u
+                    x, y = row1[v], row2[v]  # f = g + h(v), inlined: this block runs once per push
+                    h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                    h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                    heappush(bounded, (candidate + (h1 if h1 > h2 else h2), candidate, v))
+                elif candidate == known and u < pred[v]:
+                    pred[v] = u
+
+    hops: dict[tuple[int, int], tuple[int, ModeId]] = {}  # paths to many targets share hops
+    paths: dict[int, PathResult] = {}
+    for target in wanted & settled:
+        sequence = [target]
+        while sequence[-1] != source:
+            sequence.append(pred[sequence[-1]])
+        sequence.reverse()
+        legs = []
+        for hop in zip(sequence, sequence[1:]):
+            if hop not in hops:
+                eid, _ = cheapest_parallel_edge(net, *hop)
+                hops[hop] = (eid, net.edges[eid].mode)
+            legs.append(hops[hop])
+        paths[target] = PathResult(dist[target], tuple(legs), tuple(sequence))
+    return paths
+
+
+def dict_state_layer_costs(net, starts, weight, targets):
+    """Verbatim copy of the landmark ``layer_costs`` that kept its keys in a dict."""
+    scale = net.poi_count
+    remaining = set(targets)
+    for poi in (*starts, *remaining):
+        net.check_poi(poi)
+    found: dict[int, tuple[Money, int]] = {}
+    if not remaining:
+        return found
+
+    step = weight * scale
+    dist = {origin: start * scale + origin for origin, start in starts.items()}
+    neighbors = net.cheapest_neighbors
+    # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
+    bounds = _landmark_bounds(net, starts, remaining)
+    if bounds is None:
+        heap = [(key, origin) for origin, key in dist.items()]
+        heapify(heap)
+        while heap:
+            key, u = heappop(heap)
+            if key > dist[u]:
+                continue  # stale entry; u was settled at a lower key
+            if u in remaining:
+                found[u] = divmod(key, scale)
+                remaining.discard(u)
+                if not remaining:
+                    break
+            for v, cost in neighbors[u]:
+                candidate = key + cost * step
+                known = dist.get(v)
+                if known is None or candidate < known:
+                    dist[v] = candidate
+                    heappush(heap, (candidate, v))
+        return found
+
+    row1, lo1, hi1, row2, lo2, hi2 = bounds
+    bounded = []
+    for origin, key in dist.items():
+        x, y = row1[origin], row2[origin]
+        bounded.append((key + max(0, lo1 - x, x - hi1, lo2 - y, y - hi2) * step, key, origin))
+    heapify(bounded)
+    while bounded:
+        _, key, u = heappop(bounded)
+        if key > dist[u]:
+            continue  # stale entry; u was settled at a lower key
+        if u in remaining:
+            found[u] = divmod(key, scale)
+            remaining.discard(u)
+            if not remaining:
+                break
+        for v, cost in neighbors[u]:
+            candidate = key + cost * step
+            known = dist.get(v)
+            if known is None or candidate < known:
+                dist[v] = candidate
+                x, y = row1[v], row2[v]  # f = key + h(v) * step, inlined: this block runs once per push
+                h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                heappush(bounded, (candidate + (h1 if h1 > h2 else h2) * step, candidate, v))
+    return found
+
+
 def assert_goal_directed_searches_agree(net, target_sets, start_sets, weights):
-    """Whole outputs of the landmark searches equal the Dijkstra copies',
-    where the searches choose whether to use the bounds, and with the
-    bounds forced on and forced off for every search."""
+    """Whole outputs of the landmark searches equal the Dijkstra copies' and
+    the dict-state copies', where the searches choose whether to use the
+    bounds, and with the bounds forced on and forced off for every search
+    (the dict-state copies follow the same rule, so each loop is compared
+    with the loop it replaced)."""
     nodes = range(net.poi_count)
     for rule in (gtpmm.network._bounds_pay_off, lambda reach, band: True, lambda reach, band: False):
         with patch.object(gtpmm.network, "_bounds_pay_off", rule):
             for source in nodes:
                 for target in nodes:
-                    assert shortest_path(net, source, target) == reference_path(net, source, target)
+                    path = shortest_path(net, source, target)
+                    assert path == reference_path(net, source, target)
+                    assert path == dict_state_shortest_paths(net, source, [target]).get(target)
                 for targets in (nodes, *target_sets):
-                    assert shortest_paths(net, source, targets) == dijkstra_shortest_paths(net, source, targets)
+                    paths = shortest_paths(net, source, targets)
+                    assert paths == dijkstra_shortest_paths(net, source, targets)
+                    assert paths == dict_state_shortest_paths(net, source, targets)
             for starts in start_sets:
                 for weight in weights:
                     for targets in (nodes, *target_sets, *([j] for j in nodes)):
                         found = layer_costs(net, starts, weight, targets)
                         assert found == dijkstra_layer_costs(net, starts, weight, targets)
+                        assert list(found.items()) == list(dict_state_layer_costs(net, starts, weight, targets).items())
 
 
 @st.composite
@@ -645,6 +798,22 @@ def test_goal_directed_searches_equal_dijkstra_on_edge_case_networks(name):
     net = built_network(n_pois, EDGE_CASE_FARES, edge_specs)
     starts = [{i: cost for i, cost in s.items() if i < n_pois} for s in LAYER_STARTS]
     assert_goal_directed_searches_agree(net, [[0, n_pois - 1], [2, n_pois - 2]], starts, (1, 2))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_goal_directed_searches_equal_dijkstra_on_synthetic_networks(seed):
+    net = random_network(seed, n_pois=18, n_modes=3, extra_edges=10)
+    target_sets = [[seed % 18, (seed * 7) % 18], [0, 17], [3, 8, 13]]
+    starts = [{seed % 18: 0}, {(seed * 7) % 18: 500, 3: 250, 12: 0}]
+    assert_goal_directed_searches_agree(net, target_sets, starts, (1, 2))
+
+
+def test_layer_costs_rejects_a_negative_weight(walkthrough_net):
+    # every priced undirected edge would be a negative cycle, so the search would never end
+    with pytest.raises(ConfigurationError, match="negative"):
+        layer_costs(walkthrough_net, {0: 0}, -1, [9])
+    assert layer_costs(walkthrough_net, {0: 0}, 0, [9]) == {9: (0, 0)}
 
 
 def test_goal_directed_paths_keep_the_lower_id_predecessor():
