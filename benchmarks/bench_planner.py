@@ -1,16 +1,22 @@
-"""Time the exact planner on three seeded scenarios and add a row to BENCH_planner.json.
+"""Time the exact planner on four seeded scenarios and add a row to BENCH_planner.json.
 
     PYTHONPATH=src python benchmarks/bench_planner.py --label "what this row measures"
 
-Each scenario is ``random_network(1, pois, 3)`` with ``draw_instance(net, 7,
-k, p, agents)``, planned per person. A row holds, per scenario, medians
-over ``REPEATS`` ``plan()`` calls of the whole call, of its
-``compute_dp`` call and of the rest (argmin, reconstruction and leg
-assembly), the quartiles of the whole call, the searches ``compute_dp``
-ran (``DpTable.searches``), and the median time of a fixed pure-Python
-reference loop (``host_ref_ms``) run before and after every call; plus the
-Python version and ``os.cpu_count()``. The split is timed inside each
-``plan()`` call by wrapping ``gtpmm.planner.compute_dp`` for the run.
+The first three scenarios are random expanders, ``random_network(1, pois,
+3)``; the fourth is a road-like city, ``road_network(1, 55)``, a 55 x 55
+lattice of 3025 PoIs (rows before it was added hold the first three only).
+Each query is ``draw_instance(net, 7, k, p, agents)``, planned per person.
+A row holds, per scenario, medians over ``REPEATS`` ``plan()`` calls of the
+whole call, of its ``compute_dp`` call and of the rest (argmin,
+reconstruction and leg assembly, and on the city the pruning stage before
+the DP), the quartiles of the whole call, the cost-only searches the call
+ran (``DpTable.searches``, which counts the pruning stage's searches too),
+and the median time of a fixed pure-Python reference loop (``host_ref_ms``)
+run before and after every call; plus the Python version and
+``os.cpu_count()``. The split is timed inside each ``plan()`` call by
+wrapping ``gtpmm.planner.compute_dp`` for the run. Landmark bounds pass
+``plan()``'s pruning gate on the city only, so there the DP runs over the
+category PoIs the bounds keep, and on the random networks over all of them.
 
 The host's speed drifts between runs, and with it every timing: two rows
 are comparable only where their ``host_ref_ms`` agree, and a difference
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -36,13 +43,18 @@ from pathlib import Path
 
 from gtpmm import planner
 from gtpmm.bench import draw_instance
-from gtpmm.synth import random_network
+from gtpmm.synth import random_network, road_network
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
-SCENARIOS = (  # (PoIs, k, PoIs per category, agents)
-    (200, 3, 5, 5),
-    (2000, 5, 20, 50),
-    (5000, 10, 20, 100),
+NETWORKS = {
+    "random": lambda pois: random_network(1, pois, 3),
+    "road": lambda pois: road_network(1, math.isqrt(pois)),
+}
+SCENARIOS = (  # (PoIs, k, PoIs per category, agents, network)
+    (200, 3, 5, 5, "random"),
+    (2000, 5, 20, 50, "random"),
+    (5000, 10, 20, 100, "random"),
+    (3025, 4, 10, 20, "road"),
 )
 SHARING = planner.SharingMode.PER_PERSON_INTERMEDIATE
 REPEATS = 7
@@ -82,8 +94,8 @@ def reference_ms() -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
-def measure(pois: int, k: int, p: int, agents: int) -> dict:
-    net = random_network(1, pois, 3)
+def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> dict:
+    net = NETWORKS[network](pois)
     inst = draw_instance(net, 7, k, p, agents)
     planner.plan(net, inst, SHARING)  # builds the network's search view outside the timings
 
@@ -91,9 +103,9 @@ def measure(pois: int, k: int, p: int, agents: int) -> dict:
     tables = []
     dp_times: list[float] = []
 
-    def timed_compute_dp(*args):
+    def timed_compute_dp(*args, **kwargs):
         start = time.perf_counter()
-        tables.append(compute_dp(*args))
+        tables.append(compute_dp(*args, **kwargs))
         dp_times.append(time.perf_counter() - start)
         return tables[-1]
 

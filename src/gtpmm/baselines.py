@@ -13,7 +13,7 @@ from collections import Counter, defaultdict, deque
 from typing import Iterable
 
 from .errors import InfeasibleRouteError
-from .network import MultiModalNetwork, PathResult, shortest_costs
+from .network import ModeId, MultiModalNetwork, PathResult, shortest_costs
 from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
@@ -48,10 +48,17 @@ def _bfs_tree(net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> li
 
 
 def _random_mode_leg(
-    net: MultiModalNetwork, parent: list[int], source: int, target: int, rng: SplitMix64
+    net: MultiModalNetwork,
+    parent: list[int],
+    source: int,
+    target: int,
+    rng: SplitMix64,
+    parallel: dict[tuple[int, int], list[tuple[ModeId, int]]],
 ) -> PathResult:
     """Fewest-hops route from the tree ``parent`` of ``source``, with an
-    independently random mode on every hop."""
+    independently random mode on every hop. ``parallel`` holds each hop's
+    parallel edges as ``(mode, edge id)`` in ascending order; a hop not in
+    it is added."""
     net.check_poi(target)
     if parent[target] == -1:
         raise InfeasibleRouteError(source, target)
@@ -61,9 +68,13 @@ def _random_mode_leg(
     sequence.reverse()
     legs = []
     cost = 0
-    for a, b in zip(sequence, sequence[1:]):
-        parallel = sorted((net.edges[eid].mode, eid) for eid in net.adjacency[a] if net.edges[eid].other(a) == b)
-        mode, eid = parallel[rng.below(len(parallel))]
+    for hop in zip(sequence, sequence[1:]):
+        edges = parallel.get(hop)
+        if edges is None:
+            a, b = hop
+            edges = sorted((net.edges[eid].mode, eid) for eid in net.adjacency[a] if net.edges[eid].other(a) == b)
+            parallel[hop] = edges
+        mode, eid = edges[rng.below(len(edges))]
         legs.append((eid, mode))
         cost += net.edge_costs[eid]
     return PathResult(cost, tuple(legs), tuple(sequence))
@@ -100,11 +111,12 @@ def rprm(
         targets[a].add(b)
     targets[common[-1]].update(dest for _, dest in inst.agents)
     trees: dict[int, list[int]] = {}  # leg origin -> its BFS tree, for this call only
+    parallel: dict[tuple[int, int], list[tuple[ModeId, int]]] = {}  # hop -> its sorted edges, for this call only
 
     def leg(n: MultiModalNetwork, u: int, v: int) -> PathResult:
         if u not in trees:
             trees[u] = _bfs_tree(n, u, targets[u])
-        return _random_mode_leg(n, trees[u], u, v, rng)
+        return _random_mode_leg(n, trees[u], u, v, rng, parallel)
 
     return assemble(net, inst, common, sharing, leg)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError
@@ -190,9 +191,9 @@ class MultiModalNetwork:
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
 
-    The search views :attr:`cheapest_neighbors` and :attr:`landmarks` are
-    derived from ``edges`` and ``edge_costs`` on first use and cached on the
-    instance. They are not dataclass fields, so they take no part in
+    The search views :attr:`cheapest_neighbors`, :attr:`landmarks` and
+    :attr:`landmark_tightness` are derived from ``edges`` and
+    ``edge_costs`` on first use and cached on the instance. They are not dataclass fields, so they take no part in
     equality or ``repr``, and a network that is never searched never builds
     them.
     """
@@ -252,6 +253,29 @@ class MultiModalNetwork:
             else:
                 break
         return tuple(rows)
+
+    @cached_property
+    def landmark_tightness(self) -> float:
+        """How close the landmark bounds come to exact costs, from 0 to 1.
+
+        Each landmark ``a`` in turn plays a query PoI: the bound on
+        ``d(a, v)`` from the other landmarks ``L``, ``max |d_L(a) -
+        d_L(v)|``, is summed over every PoI ``v`` and over every ``a``, and
+        divided by the summed exact ``d(a, v)``. No search runs; the rows
+        are read once. The tightness is 0 with fewer than two landmarks,
+        when every cost is 0, and on a disconnected network, where a bound
+        across components bounds nothing.
+        """
+        rows = self.landmarks
+        if len(rows) < 2 or -1 in rows[0]:
+            return 0.0
+        bound = exact = 0
+        for row in rows:
+            at = row.index(0)  # the landmark, or a PoI at cost 0 from it, which every row sees alike
+            gaps = [map(abs, map(sub, repeat(other[at]), other)) for other in rows if other is not row]
+            bound += sum(map(max, *gaps) if len(gaps) > 1 else gaps[0])
+            exact += sum(row)
+        return bound / exact if exact else 0.0
 
     def check_poi(self, poi_id: int) -> None:
         if not 0 <= poi_id < len(self.pois):

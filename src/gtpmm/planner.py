@@ -16,6 +16,20 @@ category PoI, whichever set is smaller. Only the chosen plan's legs are
 searched with paths (:class:`Legs`): each source leg and common hop point
 to point, and every destination leg, which all start at the last common
 PoI, from one search.
+
+:func:`plan` first prunes the categories on road-like networks, in the
+manner of the threshold pruning of LORD (Sharifzadeh, Kolahdouzan and
+Shahabi, VLDB J. 2008) and of GTP query processing (Hashem et al., SSTD
+2013). The network's landmark rows bound every pair's cost from below; a
+small DP over those bounds gives each category PoI the least bound of any
+chain through it, and the exact cost of the chain of least bound is the
+threshold. A PoI whose bound exceeds the threshold cannot be on an optimal
+chain, and the DP runs without it. The exact plan is unchanged, ties
+included (see :func:`_prune`). A gate, :data:`PRUNE_TIGHTNESS`, keeps the
+pruning to networks whose landmark bounds come close to exact costs; on
+others, such as random expanders, it would prune nothing and only add its
+searches. Per query, the pricing searches are skipped when no PoI's bound
+stands out from the least enough to be cut.
 """
 
 from __future__ import annotations
@@ -23,7 +37,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from operator import sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
 from .network import (
@@ -38,6 +53,13 @@ from .network import (
     shortest_path,
     shortest_paths,
 )
+
+# plan() prunes by landmark bounds only on a network whose landmark_tightness is at least this. Measured:
+# 0.91-0.93 on the perfbench cities (seeds 0 and 3) and 0.86-0.94 on road_network lattices of 5-55 PoIs a
+# side, where per-person queries keep 1-6 of 10 PoIs per category; 0.57-0.64 on random_network(1, {200, 2000,
+# 5000}, 3), where forced pruning kept every PoI of bench_planner.py's queries and only added its searches
+# (200 PoIs: 2.7 -> 3.9 ms; 2000 PoIs: 132 -> 146 ms).
+PRUNE_TIGHTNESS = 0.8
 
 
 class SharingMode(enum.Enum):
@@ -139,7 +161,8 @@ class DpTable:
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
     ``distances`` maps a (reached last-category PoI, destination) pair to
     its cheapest cost; an unreachable pair is missing. ``searches`` counts
-    the cost-only searches :func:`compute_dp` ran. ``legs`` starts empty
+    the cost-only searches :func:`compute_dp` ran, plus those of the
+    pruning stage when :func:`plan` pruned. ``legs`` starts empty
     and holds the paths :func:`plan` builds the chosen plan from;
     ``sp_invocations`` counts its point-to-point searches.
     """
@@ -223,7 +246,13 @@ def _endpoint_costs(
     return {(o, t): cost for t in targets for o, cost in shortest_costs(net, t, origins).items()}
 
 
-def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode) -> DpTable:
+def compute_dp(
+    net: MultiModalNetwork,
+    inst: QueryInstance,
+    sharing: SharingMode,
+    *,
+    _searched: tuple[Mapping[int, Mapping[int, Money]], Mapping[int, Mapping[int, Money]]] = ({}, {}),
+) -> DpTable:
     """Run the layered DP and return the full table (no reconstruction).
 
     The first layer sums each first-category PoI's cost from every agent's
@@ -236,16 +265,24 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
     smaller, so a query runs at most min(sources, |first category|) +
     (k - 1) + min(destinations, |last category|) searches, all cost-only;
     ``table.legs`` stays empty.
+
+    ``_searched`` is for :func:`plan` alone: the costs of searches it has
+    already run, from some first-category PoIs to every distinct source and
+    from some last-category PoIs to every distinct destination. Those PoIs
+    are left out of the endpoint stages' searches; the table is the same.
     """
     _check_instance(net, inst)
     m = sharing.intermediate_multiplier(inst.n_agents)
     table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories])
+    from_first, to_last = _searched
 
     sources = Counter(source for source, _ in inst.agents)
-    first = inst.categories[0]
-    from_sources = _endpoint_costs(net, tuple(sources), first)
-    table.searches += min(len(sources), len(first))
-    for j in first:
+    rest = tuple(j for j in inst.categories[0] if j not in from_first)
+    from_sources = _endpoint_costs(net, tuple(sources), rest)
+    table.searches += min(len(sources), len(rest))
+    for j in inst.categories[0]:
+        if j in from_first:
+            from_sources.update(((source, j), cost) for source, cost in from_first[j].items())
         if all((source, j) in from_sources for source in sources):
             table.cost[0][j] = sum(count * from_sources[(source, j)] for source, count in sources.items())
             table.parent[0][j] = None
@@ -260,9 +297,13 @@ def compute_dp(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
             table.parent[c][j] = parent
 
     last = tuple(j for j in inst.categories[-1] if j in table.cost[-1])
+    rest = tuple(j for j in last if j not in to_last)
     destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
-    table.distances = _endpoint_costs(net, last, destinations)
-    table.searches += min(len(last), len(destinations))
+    table.distances = _endpoint_costs(net, rest, destinations)
+    table.searches += min(len(rest), len(destinations))
+    for j in last:
+        if j in to_last:
+            table.distances.update(((j, dest), cost) for dest, cost in to_last[j].items())
     return table
 
 
@@ -329,6 +370,84 @@ def _first_unreachable(net: MultiModalNetwork, inst: QueryInstance) -> tuple[int
     return inst.agents[0][0], inst.categories[0][0]
 
 
+def _prune(
+    net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
+) -> tuple[QueryInstance, dict[int, dict[int, Money]], dict[int, dict[int, Money]]] | None:
+    """The query cut to the category PoIs that landmark lower bounds cannot
+    rule out, with the costs of the two endpoint searches that priced the
+    threshold: ``(query, {first PoI: cost to each source}, {last PoI: cost
+    to each destination})``. None when some landmark row splits the query's
+    PoIs across components, where the rows bound nothing, and when no PoI
+    is likely to go (below).
+
+    A pair's bound is ``max |d_L(a) - d_L(b)|`` over the landmark rows
+    ``d_L``, at most its cost by the triangle inequality. ``prefix[c][j]``
+    bounds the cost of any chain's part up to ``j``, category ``c``'s PoI:
+    source legs weighted by agent counts, hops by the intermediate
+    multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. The
+    chain of least total bound is priced exactly by one search from its
+    first PoI to the distinct sources, one point-to-point search per hop
+    and one search from its last PoI to the distinct destinations; that
+    price ``ub`` is at least the optimum.
+
+    The pricing searches pay only if some PoI goes, and a PoI goes when its
+    bound exceeds ``ub``. The least chain bound is about ``tightness``
+    (:attr:`~gtpmm.network.MultiModalNetwork.landmark_tightness`) of the
+    optimum, so when no PoI's bound exceeds the least over ``tightness``,
+    the query is left unpruned before any search. On the perfbench city's
+    district-to-district queries that leaves most queries whole, where
+    pricing cost up to 5% more search work; on its city-wide bench-sweep
+    instances it leaves none.
+
+    Exactness: every chain through ``j`` costs at least ``prefix[c][j] +
+    suffix[c][j]``, so each PoI of each optimal chain has that sum at most
+    the optimum and is kept; only a sum strictly over ``ub`` is dropped.
+    The full DP's plan is an optimal chain, so all its PoIs stay, each with
+    its full-DP cost. A PoI that ties one of them as a parent, or ties the
+    last as the argmin, lies on an optimal chain too and stays, so the
+    lower-id winner of every tie is unchanged. The priced chain's PoIs
+    always stay, as its bound is at most its price.
+    """
+    _check_instance(net, inst)
+    rows = net.landmarks
+    at = {poi: tuple(row[poi] for row in rows) for poi in inst.referenced_pois()}
+    if any(min(costs) < 0 for costs in at.values()):
+        return None  # a landmark row splits the query's PoIs across components: no bounds
+
+    def bound(a: int, b: int) -> Money:
+        return max(map(abs, map(sub, at[a], at[b])))
+
+    m = sharing.intermediate_multiplier(inst.n_agents)
+    sources = Counter(source for source, _ in inst.agents)
+    destinations = Counter(dest for _, dest in inst.agents)
+    categories = inst.categories
+    prefix = [{j: sum(n * bound(s, j) for s, n in sources.items()) for j in categories[0]}]
+    for before, category in zip(categories, categories[1:]):
+        reach = prefix[-1]
+        prefix.append({j: min(reach[i] + m * bound(i, j) for i in before) for j in category})
+    suffix = [{j: sum(n * bound(j, d) for d, n in destinations.items()) for j in categories[-1]}]
+    for category, after in zip(categories[-2::-1], categories[:0:-1]):
+        rest = suffix[-1]
+        suffix.append({j: min(m * bound(j, i) + rest[i] for i in after) for j in category})
+    suffix.reverse()
+
+    chain = [min(categories[0], key=lambda j: prefix[0][j] + suffix[0][j])]
+    least = prefix[0][chain[0]] + suffix[0][chain[0]]
+    tightness = net.landmark_tightness
+    if all(tightness * (prefix[c][j] + suffix[c][j]) <= least for c, cat in enumerate(categories) for j in cat):
+        return None  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
+    for category, rest in zip(categories[1:], suffix[1:]):
+        chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
+    from_first = shortest_costs(net, chain[0], sources)
+    to_last = shortest_costs(net, chain[-1], destinations)
+    ub = sum(n * from_first[s] for s, n in sources.items())
+    ub += sum(n * to_last[d] for d, n in destinations.items())
+    ub += m * sum(shortest_costs(net, a, (b,))[b] for a, b in zip(chain, chain[1:]))
+
+    kept = [[j for j in cat if reach[j] + rest[j] <= ub] for cat, reach, rest in zip(categories, prefix, suffix)]
+    return QueryInstance(inst.agents, kept), {chain[0]: from_first}, {chain[-1]: to_last}
+
+
 def plan(
     net: MultiModalNetwork,
     inst: QueryInstance,
@@ -339,17 +458,31 @@ def plan(
     Exact over all choices of one PoI per category and cheapest modes per
     leg. Ties break toward the lower PoI id. Raises
     :class:`InfeasibleRouteError` when some required pair is disconnected.
+
+    On a network whose :attr:`~gtpmm.network.MultiModalNetwork.landmark_tightness`
+    is at least :data:`PRUNE_TIGHTNESS`, the DP runs over the category
+    PoIs that :func:`_prune`'s landmark lower bounds keep, reusing the
+    endpoint searches of the chain it priced; the plan, its total, legs
+    and tie-breaks are those of the DP over every PoI. Elsewhere, and when
+    the bounds do not apply or are unlikely to cut, the DP runs over every
+    PoI.
     """
-    table = compute_dp(net, inst, sharing)
+    query, searched, extra = inst, ({}, {}), 0
+    if net.landmark_tightness >= PRUNE_TIGHTNESS:
+        pruned = _prune(net, inst, sharing)
+        if pruned is not None:
+            query, searched, extra = pruned[0], pruned[1:], inst.k + 1
+    table = compute_dp(net, query, sharing, _searched=searched)
+    table.searches += extra
 
     best_total: Money | None = None
     best_last: int | None = None
-    for j in inst.categories[-1]:
-        if j not in table.cost[inst.k - 1]:
+    for j in query.categories[-1]:
+        if j not in table.cost[query.k - 1]:
             continue
-        total = table.cost[inst.k - 1][j]
+        total = table.cost[query.k - 1][j]
         feasible = True
-        for _, dest in inst.agents:
+        for _, dest in query.agents:
             cost = table.distances.get((j, dest))
             if cost is None:
                 feasible = False

@@ -7,10 +7,17 @@ under integer fare scaling.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigurationError
 from .network import FarePolicy, FareTable, MultiModalNetwork, NetworkBuilder
 from .planner import QueryInstance
 from .rng import SplitMix64, fold
+
+
+_ROAD_SPACING_M = 200.0
+_ROAD_ORIGIN = (48.85, 2.35)  # (lat, lon) of the lattice's corner
+_M_PER_DEG_LAT = 111_320.0
 
 
 def synthetic_fare_table(seed: int, n_modes: int) -> FareTable:
@@ -66,6 +73,54 @@ def random_network(
             continue
         _add_random_edge(builder, rng, u, v, n_modes)
         extras -= 1
+    return builder.finalize(fares)
+
+
+def road_network(
+    seed: int, side: int, jitter: float = 0.4, fare_table: FareTable | None = None
+) -> MultiModalNetwork:
+    """Connected city-like network on a ``side`` x ``side`` lattice of PoIs.
+
+    Each PoI sits at its lattice place (200 m apart) moved by up to
+    ``jitter`` of the spacing along each axis, and carries (lat, lon)
+    coordinates. Every PoI links to its right and lower neighbours, and one
+    in ten lattice cells gets a diagonal each way. A link carries one to
+    three parallel modes that share its length and travel time (a minute
+    per started 400 m plus up to 2 minutes of waiting, both in whole
+    units), so modes of equal fares tie. The modes are those of ``fare_table``, by default three of
+    :func:`synthetic_fare_table`. With ``jitter`` 0 every lattice link is
+    equally long.
+    """
+    if side < 1:
+        raise ConfigurationError("need at least one PoI")
+    fares = fare_table if fare_table is not None else synthetic_fare_table(seed, 3)
+    n_modes = fares.mode_count
+    rng = SplitMix64(fold(seed, "roads"))
+    m_per_deg_lon = _M_PER_DEG_LAT * math.cos(math.radians(_ROAD_ORIGIN[0]))
+    builder = NetworkBuilder()
+    xy = []
+    for i in range(side * side):
+        x = (i % side + jitter * (2 * rng.uniform() - 1)) * _ROAD_SPACING_M
+        y = (i // side + jitter * (2 * rng.uniform() - 1)) * _ROAD_SPACING_M
+        xy.append((x, y))
+        builder.add_poi(f"r{i:05d}", coords=(_ROAD_ORIGIN[0] + y / _M_PER_DEG_LAT, _ROAD_ORIGIN[1] + x / m_per_deg_lon))
+
+    def link(u: int, v: int) -> None:
+        meters = float(round(math.dist(xy[u], xy[v])))
+        minutes = float(1 + meters // 400 + rng.below(3))
+        for mode in sorted(rng.sample(range(n_modes), 1 + rng.below(min(n_modes, 3)))):
+            builder.add_edge(u, v, mode, meters, minutes)
+
+    for i in range(side * side):
+        col, row = i % side, i // side
+        if col + 1 < side:
+            link(i, i + 1)
+        if row + 1 < side:
+            link(i, i + side)
+            if col + 1 < side and rng.below(10) == 0:
+                link(i, i + side + 1)
+            if col > 0 and rng.below(10) == 0:
+                link(i, i + side - 1)
     return builder.finalize(fares)
 
 
