@@ -12,8 +12,6 @@ harness plus the ``gtpmm`` command-line tool.
 from .baselines import nncm, rpcm, rprm
 from .bench import (
     ExperimentConfig,
-    ResultRow,
-    UsageStats,
     draw_instance,
     emit_csv,
     emit_summary,
@@ -30,15 +28,12 @@ from .errors import (
 )
 from .ingest import (
     CategoryConfig,
-    FareRange,
     categorize,
     load_edge_list,
     load_fare_config,
     load_gtfs,
     load_network_json,
-    parse_gtfs,
     resolve_fares,
-    save_edge_list,
     save_network_json,
 )
 from .network import (
@@ -47,39 +42,26 @@ from .network import (
     MultiModalNetwork,
     NetworkBuilder,
     PathResult,
-    Poi,
     TransitEdge,
     cheapest_parallel_edge,
     connect_components,
     connected_components,
-    edge_cost,
-    haversine_m,
-    median_fare_policy,
     shortest_path,
 )
-from .oracle import (
-    ENUMERATION_GUARD,
-    brute_force_optimal,
-    enumerate_valid_paths,
-    valid_path_count,
-)
+from .oracle import brute_force_optimal, valid_path_count
 from .planner import (
     DpTable,
     JourneyPlan,
     QueryInstance,
     SharingMode,
-    Timetable,
-    TimingReport,
-    Trip,
     compute_dp,
     destination_totals,
     group_cost,
     plan,
     recompute_total,
-    reconstruct,
-    validate_timing,
 )
 from .rng import SplitMix64, fold
+from .timetable import Timetable, Trip, validate_timing
 
 __version__ = "0.1.0"
 
@@ -87,11 +69,9 @@ __all__ = [
     "CategoryConfig",
     "ConfigurationError",
     "DpTable",
-    "ENUMERATION_GUARD",
     "EnumerationLimitError",
     "ExperimentConfig",
     "FarePolicy",
-    "FareRange",
     "FareTable",
     "GtpError",
     "InfeasibleRouteError",
@@ -101,16 +81,12 @@ __all__ = [
     "NetworkBuilder",
     "ParseError",
     "PathResult",
-    "Poi",
     "QueryInstance",
-    "ResultRow",
     "SharingMode",
     "SplitMix64",
     "Timetable",
-    "TimingReport",
     "TransitEdge",
     "Trip",
-    "UsageStats",
     "brute_force_optimal",
     "categorize",
     "cheapest_parallel_edge",
@@ -119,29 +95,22 @@ __all__ = [
     "connected_components",
     "destination_totals",
     "draw_instance",
-    "edge_cost",
     "emit_csv",
     "emit_summary",
-    "enumerate_valid_paths",
     "fold",
     "group_cost",
-    "haversine_m",
     "load_edge_list",
     "load_fare_config",
     "load_gtfs",
     "load_network_json",
-    "median_fare_policy",
     "medium_usage",
     "nncm",
-    "parse_gtfs",
     "plan",
     "recompute_total",
-    "reconstruct",
     "resolve_fares",
     "rpcm",
     "rprm",
     "run_experiment",
-    "save_edge_list",
     "save_network_json",
     "shortest_path",
     "valid_path_count",

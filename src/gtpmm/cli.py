@@ -169,16 +169,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _parse_int_list(option: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise GtpError(f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     net = _load_network(args)
     cfg = bench_mod.ExperimentConfig(
-        agent_counts=_parse_int_list(args.agents),
-        category_counts=_parse_int_list(args.k),
-        pois_per_category=_parse_int_list(args.pois_per_category),
+        agent_counts=_parse_int_list("--agents", args.agents),
+        category_counts=_parse_int_list("--k", args.k),
+        pois_per_category=_parse_int_list("--pois-per-category", args.pois_per_category),
         runs=args.runs,
         seed=args.seed,
         methods=tuple(args.methods.split(",")),
@@ -194,7 +197,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     net = _load_network(args)
-    if args.categorize:
+    if args.categorize is not None:
         cfg = CategoryConfig(k=args.categorize, strategy=args.category_strategy, seed=args.seed)
         net, sets = categorize(net, cfg)
         log.info("categorized into %s", [len(s) for s in sets])
@@ -259,6 +262,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GtpError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except OSError as error:
+        # an output file the OS refuses, such as one in a missing directory; loaders raise GtpError
+        print(f"error: {error.filename}: cannot write file: {error.strerror}", file=sys.stderr)
         return 2
 
 

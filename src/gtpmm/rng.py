@@ -52,9 +52,6 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (2.0**-53)
 
-    def choice(self, seq: Sequence[T]) -> T:
-        return seq[self.below(len(seq))]
-
     def shuffle(self, seq: MutableSequence[T]) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(seq) - 1, 0, -1):

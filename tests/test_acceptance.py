@@ -22,7 +22,6 @@ from gtpmm import (
     connected_components,
     destination_totals,
     emit_csv,
-    enumerate_valid_paths,
     load_gtfs,
     nncm,
     plan,
@@ -34,6 +33,7 @@ from gtpmm import (
 )
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, default_fare_ranges, walkthrough_poi, gtfs_minimal_dir
+from gtpmm.oracle import enumerate_valid_paths
 from gtpmm.rng import SplitMix64, fold
 from gtpmm.synth import random_disconnected_network
 

@@ -226,3 +226,37 @@ def test_non_utf8_edge_list_fails_without_traceback(tmp_path, query_file):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert f"{path}: file is not UTF-8 text" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--agents", "a,b"), ("--k", "3,x"), ("--pois-per-category", "2.5")],
+)
+def test_bench_bad_integer_list_fails_without_traceback(tmp_path, walkthrough_args, option, value):
+    args = {"--agents": "2", "--k": "3", "--pois-per-category": "2", option: value}
+    flags = [part for pair in args.items() for part in pair]
+    result = run_cli("bench", *walkthrough_args, *flags, "--runs", "1", "--out", str(tmp_path / "r.csv"))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: {option} needs comma-separated integers, got {value!r}" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["plan", "bench", "ingest"])
+def test_output_in_missing_directory_fails_without_traceback(tmp_path, walkthrough_args, query_file, command):
+    out = tmp_path / "missing" / "out"
+    extra = {
+        "plan": ["--query", query_file],
+        "bench": ["--agents", "2", "--k", "3", "--pois-per-category", "2", "--runs", "1"],
+        "ingest": [],
+    }[command]
+    result = run_cli(command, *walkthrough_args, *extra, "--out", str(out))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: {out}: cannot write file" in result.stderr
+
+
+def test_ingest_zero_categories_is_rejected(tmp_path, walkthrough_args, capsys):
+    out = tmp_path / "net.json"
+    assert main(["ingest", *walkthrough_args, "--categorize", "0", "--out", str(out)]) == 2
+    assert "category count must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

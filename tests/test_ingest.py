@@ -19,10 +19,10 @@ from gtpmm import (
     load_gtfs,
     load_network_json,
     resolve_fares,
-    save_edge_list,
     save_network_json,
 )
 from gtpmm.fixtures import default_fare_ranges, walkthrough_fare_table, gtfs_minimal_dir
+from gtpmm.ingest import save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
 
 

@@ -24,8 +24,6 @@ from gtpmm import (
     cheapest_parallel_edge,
     connect_components,
     connected_components,
-    edge_cost,
-    median_fare_policy,
     shortest_path,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, default_fare_ranges, gtfs_minimal_dir, walkthrough_poi
@@ -37,8 +35,10 @@ from gtpmm.network import (
     Money,
     PathResult,
     _landmark_bounds,
+    edge_cost,
     haversine_m,
     layer_costs,
+    median_fare_policy,
     rebuild_with_fares,
     reference_path,
     shortest_costs,

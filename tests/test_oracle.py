@@ -15,13 +15,13 @@ from gtpmm import (
     QueryInstance,
     SharingMode,
     brute_force_optimal,
-    enumerate_valid_paths,
     group_cost,
     plan,
     valid_path_count,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares
+from gtpmm.oracle import enumerate_valid_paths
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE

@@ -22,13 +22,12 @@ from gtpmm import (
     group_cost,
     plan,
     recompute_total,
-    reconstruct,
     shortest_path,
 )
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares, reference_path, shortest_costs
-from gtpmm.planner import JourneyPlan, _check_instance, assemble
+from gtpmm.planner import JourneyPlan, _check_instance, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 from test_network import EDGE_CASE_FARES, built_network
 

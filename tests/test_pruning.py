@@ -23,12 +23,11 @@ from gtpmm import (
     compute_dp,
     group_cost,
     plan,
-    reconstruct,
 )
 from gtpmm import planner
 from gtpmm.bench import draw_instance
 from gtpmm.network import FarePolicy, FareTable, reference_path
-from gtpmm.planner import _first_unreachable, _prune, assemble
+from gtpmm.planner import _first_unreachable, _prune, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
