@@ -10,11 +10,11 @@ order), so equal (network, instance, seed) yields identical plans.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InfeasibleRouteError
-from .network import ModeId, MultiModalNetwork, PathResult, shortest_costs
-from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
+from .network import ModeId, Money, MultiModalNetwork, PathResult, landmark_bound, shortest_costs
+from .planner import PRUNE_TIGHTNESS, JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
 
@@ -86,11 +86,11 @@ def _random_common(inst: QueryInstance, rng: SplitMix64) -> tuple[int, ...]:
 
 
 def _cheapest_legs_plan(
-    net: MultiModalNetwork, inst: QueryInstance, common: tuple[int, ...], sharing: SharingMode
+    net: MultiModalNetwork, inst: QueryInstance, common: tuple[int, ...], sharing: SharingMode, legs: Legs
 ) -> JourneyPlan:
-    """The plan through ``common`` with every leg at its cheapest; one search
-    from the last common PoI serves every destination leg."""
-    legs = Legs()
+    """The plan through ``common`` with every leg at its cheapest, from
+    ``legs`` and the paths it already holds; one search from the last
+    common PoI serves every destination leg."""
     legs.fill(net, common[-1], [dest for _, dest in inst.agents])
     return assemble(net, inst, common, sharing, legs.path)
 
@@ -134,7 +134,58 @@ def rpcm(
     """
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
-    return _cheapest_legs_plan(net, inst, common, sharing)
+    return _cheapest_legs_plan(net, inst, common, sharing, Legs())
+
+
+def _nearest_by_search(
+    net: MultiModalNetwork, origins: Counter[int], cat: tuple[int, ...]
+) -> tuple[Money, int] | None:
+    """``(summed cost from the origins, PoI)`` of the cheapest reachable PoI
+    of ``cat``, ties to the lower id, from one cost-only search per origin;
+    None when none is reachable from every origin."""
+    reached = [(shortest_costs(net, origin, cat), count) for origin, count in origins.items()]
+    best: tuple[Money, int] | None = None
+    for j in cat:
+        if all(j in costs for costs, _ in reached):
+            cost = sum(costs[j] * count for costs, count in reached)
+            if best is None or cost < best[0]:
+                best = (cost, j)
+    return best
+
+
+def _nearest_by_bound(
+    net: MultiModalNetwork,
+    origins: Counter[int],
+    cat: tuple[int, ...],
+    bound: Callable[[int, int], Money],
+    legs: Legs,
+) -> tuple[Money, int]:
+    """:func:`_nearest_by_search`'s pick, priced in ``(lower bound, PoI)``
+    order until no candidate left can win.
+
+    A candidate's lower bound is its summed ``bound`` from the origins,
+    at most its summed cost; so once a candidate's ``(bound, id)`` exceeds
+    the best ``(cost, id)`` so far, it and every candidate after it cost
+    more or tie at a higher id. One origin prices a candidate with
+    ``legs.path``, which keeps the path for the plan's leg; several price
+    it with one cost-only search from it to all of them (costs are
+    symmetric). ``bound`` covers every origin and candidate, so all are
+    connected.
+    """
+    order = sorted((sum(count * bound(origin, j) for origin, count in origins.items()), j) for j in cat)
+    best: tuple[Money, int] | None = None
+    for lower, j in order:
+        if best is not None and (lower, j) > best:
+            break
+        if len(origins) == 1:
+            [(origin, count)] = origins.items()
+            cost = count * legs.path(net, origin, j).cost
+        else:
+            costs = shortest_costs(net, j, origins)
+            cost = sum(count * costs[origin] for origin, count in origins.items())
+        if best is None or (cost, j) < best:
+            best = (cost, j)
+    return best
 
 
 def nncm(
@@ -147,20 +198,28 @@ def nncm(
     The first pick minimizes the summed distance from all sources; each
     later pick is nearest (by cheapest cost) to the previous pick. Ties go
     to the lower PoI id.
+
+    On a network that passes :func:`~gtpmm.planner.plan`'s pruning gate
+    (:data:`~gtpmm.planner.PRUNE_TIGHTNESS`), and where
+    :func:`~gtpmm.network.landmark_bound` bounds every origin and
+    candidate of a category, the candidates are priced in order of that
+    lower bound until none left can win (:func:`_nearest_by_bound`); the
+    legs searched from a single origin are the plan's own. Elsewhere each
+    category runs one cost-only search per distinct origin. Both pick the
+    same PoIs.
     """
+    legs = Legs()
+    bounded = net.landmark_tightness >= PRUNE_TIGHTNESS
     common: list[int] = []
     for cat in inst.categories:
         origins = Counter([common[-1]] if common else [source for source, _ in inst.agents])
-        reached = [(shortest_costs(net, origin, cat), count) for origin, count in origins.items()]
-        best: tuple[int, int] | None = None  # (summed cost from the origins, poi)
-        for j in cat:
-            if all(j in costs for costs, _ in reached):
-                cost = sum(costs[j] * count for costs, count in reached)
-                if best is None or cost < best[0]:
-                    best = (cost, j)
+        bound = landmark_bound(net, [*origins, *cat]) if bounded else None
+        if bound is None:
+            best = _nearest_by_search(net, origins, cat)
+        else:
+            best = _nearest_by_bound(net, origins, cat, bound, legs)
         if best is None:
             raise InfeasibleRouteError(next(iter(origins)), cat[0])
         common.append(best[1])
 
-    return _cheapest_legs_plan(net, inst, tuple(common), sharing)
-
+    return _cheapest_legs_plan(net, inst, tuple(common), sharing, legs)

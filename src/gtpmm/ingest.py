@@ -23,7 +23,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -99,7 +99,12 @@ class FareRange:
 
 
 def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Decimal]:
-    """Parse ``lo-hi`` or a single value, in major units, to a cents range."""
+    """Parse ``lo-hi`` or a single value, in major units, to a cents range.
+
+    The upper end must round to :data:`~gtpmm.network._RATE_QUANTUM`, the
+    finest quantum :func:`resolve_fares` rounds to, within the decimal
+    context's precision; then so does every value a strategy picks.
+    """
     raw = text.strip().lstrip("~")
     parts = raw.split("-") if "-" in raw else [raw, raw]
     if len(parts) != 2:
@@ -109,10 +114,16 @@ def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Dec
         high = Decimal(parts[1].strip()) * 100
     except InvalidOperation:
         raise ParseError(f"cannot parse money range {text!r}", file=file, line=line) from None
+    except Overflow:  # an exponent past the decimal context's limit
+        raise ParseError(f"money range {text!r} is too large", file=file, line=line) from None
     if not (low.is_finite() and high.is_finite()):
         raise ParseError(f"money range {text!r} is not finite", file=file, line=line)
     if low < 0 or low > high:
         raise ParseError(f"inverted or negative range {text!r}", file=file, line=line)
+    try:
+        high.quantize(_RATE_QUANTUM)
+    except InvalidOperation:
+        raise ParseError(f"money range {text!r} is too large", file=file, line=line) from None
     return low, high
 
 
@@ -227,7 +238,10 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
     ids = {external: builder.add_poi(external) for external in sorted(externals)}
     for _, u, v, mode, distance, time in rows:
         builder.add_edge(ids[u], ids[v], fare_table.id_of(mode), distance, time)
-    return builder.finalize(fare_table)
+    try:
+        return builder.finalize(fare_table)
+    except ConfigurationError as error:  # an edge whose cost does not fit; edge ids follow the rows
+        raise ParseError(str(error), file=str(path)) from None
 
 
 def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
@@ -495,7 +509,10 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
             builder.add_edge(u, v, mode, edge["distance_m"], edge["time_min"])
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"edges[{index}]", error) from None
-    return builder.finalize(fare_table)
+    try:
+        return builder.finalize(fare_table)
+    except ConfigurationError as error:  # an edge whose cost does not fit; its id is its index in 'edges'
+        raise ParseError(str(error), file=str(path)) from None
 
 
 def _malformed(path: Path, element: str, error: Exception) -> ParseError:

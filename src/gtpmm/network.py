@@ -15,12 +15,12 @@ import statistics
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import itemgetter, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError
 
@@ -150,11 +150,18 @@ def _transit_edge(edge_id: int, u: int, v: int, mode: ModeId, distance_m: float,
     """The edge, once its distance and time are finite and nonnegative: the
     one check for edges from :class:`NetworkBuilder` and from
     :func:`connect_components`, which adds its edges without a builder."""
-    if not (math.isfinite(distance_m) and distance_m >= 0):
+    if not _finite_nonnegative(distance_m):
         raise ConfigurationError(f"edge ({u}, {v}) has invalid distance {distance_m}")
-    if not (math.isfinite(time_min) and time_min >= 0):
+    if not _finite_nonnegative(time_min):
         raise ConfigurationError(f"edge ({u}, {v}) has invalid time {time_min}")
     return TransitEdge(edge_id, u, v, mode, distance_m, time_min)
+
+
+def _finite_nonnegative(value: float) -> bool:
+    try:
+        return math.isfinite(value) and value >= 0
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,9 @@ class PathResult:
 def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
     """Traversal cost in cents: base fare + time rate + distance rate.
 
-    Rounding is half-up to whole cents, applied once per edge.
+    Rounding is half-up to whole cents, applied once per edge. A cost with
+    more whole cents than the decimal context's precision holds raises
+    :class:`~gtpmm.errors.ConfigurationError` naming the edge.
     """
     policy = fares.policy(edge.mode)
     total = (
@@ -181,7 +190,11 @@ def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
         + policy.cost_per_minute * _as_decimal(edge.time_min)
         + policy.cost_per_meter * _as_decimal(edge.distance_m)
     )
-    return int(total.quantize(_CENT, rounding=ROUND_HALF_UP))
+    try:
+        return int(total.quantize(_CENT, rounding=ROUND_HALF_UP))
+    except InvalidOperation:
+        message = f"edge {edge.id} ({edge.u}, {edge.v}) costs {total:.3e} cents, too many to hold"
+        raise ConfigurationError(message) from None
 
 
 @dataclass(frozen=True)
@@ -396,6 +409,30 @@ def _compact(row: list[Money]) -> Sequence[Money]:
         return array("q", row)
     except OverflowError:
         return row
+
+
+def landmark_bound(net: MultiModalNetwork, pois: Iterable[int]) -> Callable[[int, int], Money] | None:
+    """A lower bound on the cost between any two PoIs of ``pois``, as a
+    function of the pair, or None when some landmark row misses one of them.
+
+    The bound of ``(a, b)`` is ``max |d_L(a) - d_L(b)|`` over the
+    :attr:`MultiModalNetwork.landmarks` rows ``d_L``, at most their cost by
+    the triangle inequality. A row that misses a PoI splits ``pois`` across
+    components, where it bounds nothing. Only pairs of ``pois`` may be
+    asked; every PoI of them is checked first.
+    """
+    rows = net.landmarks
+    at: dict[int, tuple[Money, ...]] = {}
+    for poi in pois:
+        net.check_poi(poi)
+        at[poi] = tuple(row[poi] for row in rows)
+    if any(min(costs) < 0 for costs in at.values()):
+        return None
+
+    def bound(a: int, b: int) -> Money:
+        return max(map(abs, map(sub, at[a], at[b])))
+
+    return bound
 
 
 def _landmark_bounds(

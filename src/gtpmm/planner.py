@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
@@ -46,6 +45,7 @@ from .network import (
     MultiModalNetwork,
     PathResult,
     connected_components,
+    landmark_bound,
     layer_costs,
     reference_path,
     shortest_costs,
@@ -379,8 +379,10 @@ def _prune(
     PoIs across components, where the rows bound nothing, and when no PoI
     is likely to go (below).
 
-    A pair's bound is ``max |d_L(a) - d_L(b)|`` over the landmark rows
-    ``d_L``, at most its cost by the triangle inequality. ``prefix[c][j]``
+    A pair's bound is :func:`~gtpmm.network.landmark_bound`'s, ``max
+    |d_L(a) - d_L(b)|`` over the landmark rows ``d_L``, at most its cost by
+    the triangle inequality; :func:`~gtpmm.baselines.nncm` orders its
+    candidates by the same bound. ``prefix[c][j]``
     bounds the cost of any chain's part up to ``j``, category ``c``'s PoI:
     source legs weighted by agent counts, hops by the intermediate
     multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. The
@@ -407,15 +409,9 @@ def _prune(
     lower-id winner of every tie is unchanged. The priced chain's PoIs
     always stay, as its bound is at most its price.
     """
-    _check_instance(net, inst)
-    rows = net.landmarks
-    at = {poi: tuple(row[poi] for row in rows) for poi in inst.referenced_pois()}
-    if any(min(costs) < 0 for costs in at.values()):
+    bound = landmark_bound(net, inst.referenced_pois())
+    if bound is None:
         return None  # a landmark row splits the query's PoIs across components: no bounds
-
-    def bound(a: int, b: int) -> Money:
-        return max(map(abs, map(sub, at[a], at[b])))
-
     m = sharing.intermediate_multiplier(inst.n_agents)
     sources = Counter(source for source, _ in inst.agents)
     destinations = Counter(dest for _, dest in inst.agents)

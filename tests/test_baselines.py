@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from decimal import Decimal
 
 import pytest
 
@@ -20,12 +21,28 @@ from gtpmm.baselines import _bfs_tree, _random_common
 from gtpmm.bench import draw_instance, run_method
 from gtpmm.errors import InfeasibleRouteError
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import NetworkBuilder, PathResult, reference_path, shortest_costs, shortest_path
-from gtpmm.planner import JourneyPlan
+from gtpmm.network import (
+    FarePolicy,
+    FareTable,
+    NetworkBuilder,
+    PathResult,
+    landmark_bound,
+    reference_path,
+    shortest_costs,
+    shortest_path,
+)
+from gtpmm.planner import PRUNE_TIGHTNESS, JourneyPlan
 from gtpmm.rng import SplitMix64
-from gtpmm.synth import random_disconnected_network, random_instance, random_network, synthetic_fare_table
+from gtpmm.synth import (
+    random_disconnected_network,
+    random_instance,
+    random_network,
+    road_network,
+    synthetic_fare_table,
+)
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
+SHARED = SharingMode.SHARED_INTERMEDIATE
 
 
 def test_rprm_is_seed_deterministic(walkthrough_net, walkthrough_inst):
@@ -455,3 +472,157 @@ def test_cheapest_leg_baselines_run_one_destination_search_per_plan(monkeypatch)
             last = run().common_pois[-1]
             assert origins == [last]
             assert not {(last, dest) for dest in destinations} & set(pairs)
+
+
+# --- bound-ordered NNCM pricing against the per-origin scoring it replaced -------
+#
+# ``_reference_nncm`` above scores every candidate by point-to-point searches,
+# as NNCM did before it priced candidates in landmark lower-bound order.
+
+# Ties everywhere: M0 is free, and M1 and M2 have equal fares.
+TIED_FARES = FareTable.from_pairs(
+    [
+        ("M0", FarePolicy(0, Decimal(0), Decimal(0))),
+        ("M1", FarePolicy(100, Decimal("0.5"), Decimal(0))),
+        ("M2", FarePolicy(100, Decimal("0.5"), Decimal(0))),
+    ]
+)
+ZERO_FARES = FareTable.from_pairs([(f"M{mode}", FarePolicy(0, Decimal(0), Decimal(0))) for mode in range(3)])
+
+
+def _exact_bounds(net):
+    """``net``, taking its landmark bounds for exact (tightness 1), so that
+    the gate is open however loose the bounds are."""
+    net.__dict__["landmark_tightness"] = 1.0  # the cached view, set ahead of its first use
+    return net
+
+
+@pytest.fixture
+def nncm_picks(monkeypatch):
+    """How NNCM picked each category's PoI, ``"bound"`` or ``"search"``, in order."""
+    import gtpmm.baselines
+
+    picks = []
+    for name, kind in (("_nearest_by_bound", "bound"), ("_nearest_by_search", "search")):
+
+        def spy(*args, _pick=getattr(gtpmm.baselines, name), _kind=kind):
+            picks.append(_kind)
+            return _pick(*args)
+
+        monkeypatch.setattr(gtpmm.baselines, name, spy)
+    return picks
+
+
+def _road_nncm_cases(fare_table=None, jitter=0.4):
+    for seed in range(4):
+        net = _exact_bounds(road_network(seed, 6 + seed, jitter=jitter, fare_table=fare_table))
+        for agents in (1, 2, 4, 9):
+            yield net, draw_instance(net, seed + agents, 3, 4, agents)  # sources repeat
+            yield net, random_instance(seed + agents, net, 2, 5, agents)
+            yield net, random_instance(seed + agents, net, 3, 6, agents)
+        spread = random_instance(seed, net, 3, 4, 5)
+        yield net, QueryInstance([(spread.agents[0][0], dest) for _, dest in spread.agents], spread.categories)
+
+
+@pytest.mark.parametrize("sharing", [PER_PERSON, SHARED])
+@pytest.mark.parametrize(
+    "fares, jitter",
+    [(None, 0.4), (ZERO_FARES, 0.4), (TIED_FARES, 0.0), (None, 0.0)],
+)
+def test_bound_ordered_nncm_matches_its_reference_on_road_networks(fares, jitter, sharing, nncm_picks):
+    for net, inst in _road_nncm_cases(fares, jitter):
+        nncm_picks.clear()
+        assert nncm(net, inst, sharing) == _reference_nncm(net, inst, sharing)  # PoIs, legs, modes, total
+        assert nncm_picks == ["bound"] * inst.k
+
+
+@pytest.mark.parametrize("fares", [None, ZERO_FARES])
+def test_bound_ordered_nncm_prices_a_candidate_that_is_an_origin(fares, nncm_picks):
+    net = _exact_bounds(road_network(2, 7, fare_table=fares))
+    cases = [
+        # one source, in the first category; the pick again in the second
+        (QueryInstance([(3, 40), (3, 41)], [[3, 20, 30], [3, 10, 45]]), (3, 3)),
+        # two sources, both in the first category; the one with more agents wins
+        (QueryInstance([(17, 40), (17, 41), (3, 2)], [[3, 17, 25], [17, 26], [4, 26]]), (17, 17)),
+    ]
+    for inst, picks in cases:
+        for sharing in (PER_PERSON, SHARED):
+            nncm_picks.clear()
+            journey = nncm(net, inst, sharing)
+            assert journey == _reference_nncm(net, inst, sharing)
+            assert nncm_picks == ["bound"] * inst.k
+            if fares is None:
+                assert journey.common_pois[:2] == picks
+            else:
+                assert journey.common_pois == tuple(min(cat) for cat in inst.categories)  # all tie at 0
+
+
+def test_bound_ordered_nncm_prices_a_tie_whose_bound_is_exact(nncm_picks):
+    # From the second pick, 47, candidates 26 and 32 both cost 642; 32's bound is lower, 26's is exact.
+    net = road_network(0, 7, jitter=0.0)
+    inst = QueryInstance([(6, 44), (6, 7)], [[9, 16, 28, 33, 34, 44], [12, 19, 37, 42, 45, 47], [5, 8, 26, 27, 32, 43]])
+    bound = landmark_bound(net, [47, 26, 32])
+    assert shortest_costs(net, 47, [26, 32]) == {26: 642, 32: 642}
+    assert bound(47, 32) < bound(47, 26) == 642
+    for sharing in (PER_PERSON, SHARED):
+        nncm_picks.clear()
+        journey = nncm(net, inst, sharing)
+        assert journey.common_pois == (34, 47, 26)
+        assert journey == _reference_nncm(net, inst, sharing)
+        assert nncm_picks == ["bound"] * 3
+
+
+def test_bound_ordered_nncm_falls_back_on_disconnected_networks(nncm_picks):
+    islands = _exact_bounds(random_disconnected_network(seed=5, n_components=3, pois_per_component=5))
+    # islands hold PoIs 0-4, 5-9 and 10-14; each island's landmark row misses the other two
+    cases = [
+        QueryInstance([(0, 1), (2, 3)], [[1, 4], [2, 3]]),  # all on one island
+        QueryInstance([(0, 11)], [[1, 2], [3]]),  # destination off the island
+        QueryInstance([(0, 1), (6, 1)], [[1, 2], [3]]),  # a source off the island
+        QueryInstance([(0, 1)], [[1, 2], [7, 8]]),  # a whole later category off the island
+        QueryInstance([(0, 1), (2, 3)], [[1, 4], [2, 3, 12]]),  # one candidate off the island
+    ]
+    for inst in cases:
+        for sharing in (PER_PERSON, SHARED):
+            nncm_picks.clear()
+            assert _outcome(nncm, islands, inst, sharing) == _outcome(_reference_nncm, islands, inst, sharing)
+            assert nncm_picks and set(nncm_picks) == {"search"}
+
+
+def test_bound_ordered_nncm_prices_few_candidates_and_reuses_their_legs(monkeypatch):
+    import gtpmm.baselines
+    import gtpmm.planner
+
+    searches = []  # ("costs", origin) and ("path", u, v) in call order; "assemble" marks the plan's assembly
+    assemble = gtpmm.baselines.assemble
+
+    def counted_shortest_costs(net, source, targets):
+        searches.append(("costs", source))
+        return shortest_costs(net, source, targets)
+
+    def counted_shortest_path(net, u, v):
+        searches.append(("path", u, v))
+        return shortest_path(net, u, v)
+
+    def marked_assemble(*args):
+        searches.append("assemble")
+        return assemble(*args)
+
+    monkeypatch.setattr(gtpmm.baselines, "shortest_costs", counted_shortest_costs)
+    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+    monkeypatch.setattr(gtpmm.baselines, "assemble", marked_assemble)
+    net = road_network(1, 30)
+    assert net.landmark_tightness >= PRUNE_TIGHTNESS  # the gate is open on its own
+    inst = draw_instance(net, 11, k=5, pois_per_category=10, n_agents=50)
+    sources = {source for source, _ in inst.agents}
+    journey = nncm(net, inst)
+    assert journey == _reference_nncm(net, inst)
+
+    split = searches.index("assemble")
+    pricing, assembly = searches[:split], searches[split + 1 :]
+    assert len(pricing) < len(sources) + inst.k - 1  # the per-origin scoring's count
+    common = journey.common_pois
+    assert {("path", a, b) for a, b in zip(common, common[1:])} <= set(pricing)  # every hop priced as a leg
+    assert sorted(assembly) == sorted(("path", source, common[0]) for source in sources)  # no hop searched again
+    paths = [search for search in searches if search[0] == "path"]
+    assert len(paths) == len(set(paths))

@@ -260,3 +260,18 @@ def test_ingest_zero_categories_is_rejected(tmp_path, walkthrough_args, capsys):
     assert main(["ingest", *walkthrough_args, "--categorize", "0", "--out", str(out)]) == 2
     assert "category count must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e40", "1e999999999"])
+def test_too_large_fare_fails_without_traceback(tmp_path, value):
+    fares = tmp_path / "f.csv"
+    fares.write_text(
+        "mode,base_fare,cost_per_meter,cost_per_minute,resolution_strategy\n"
+        f"Bus,{value},0,0,\n"
+        "Train,1.00,0,0,\n"
+    )
+    edges = str(data_path("walkthrough_edges.csv"))
+    result = run_cli("ingest", "--edge-list", edges, "--fares", str(fares), "--out", str(tmp_path / "x.json"))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"error: {fares}:2: money range {value!r} is too large" in result.stderr

@@ -22,7 +22,7 @@ from gtpmm import (
     save_network_json,
 )
 from gtpmm.fixtures import default_fare_ranges, walkthrough_fare_table, gtfs_minimal_dir
-from gtpmm.ingest import save_edge_list
+from gtpmm.ingest import FARE_STRATEGIES, save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
 
 
@@ -241,6 +241,14 @@ def _duplicate_external_id(document):
     return document
 
 
+def _priced_distance(document):
+    """Every mode at 3 cents a meter, and edges[4] 1e30 m long."""
+    for mode in document["modes"]:
+        mode["cost_per_meter_cents"] = "3"
+    document["edges"][4]["distance_m"] = 1e30
+    return document
+
+
 # case -> (mutation of a saved walkthrough network, what the error must name)
 MALFORMED_NETWORKS = {
     "no-edges": (_drop_edges, "'edges'"),
@@ -268,6 +276,10 @@ MALFORMED_NETWORKS = {
     "integer-name": (_set("pois", 4, "name", 7), "pois[4]: external_id and name must be strings"),
     "boolean-name": (_set("pois", 0, "name", False), "pois[0]: external_id and name"),
     "null-name": (_set("pois", 5, "name", None), "pois[5]: external_id and name"),
+    "huge-time": (_set("edges", 2, "time_min", 1e30), "edge 2 (0, 3) costs 1.000e+32 cents, too many to hold"),
+    "huge-distance": (_priced_distance, "edge 4 ("),
+    "huge-integer-distance": (_set("edges", 1, "distance_m", 10**400), "edges[1]: edge (0, 2) has invalid distance"),
+    "huge-integer-time": (_set("edges", 1, "time_min", 10**400), "edges[1]: edge (0, 2) has invalid time"),
 }
 
 
@@ -291,6 +303,14 @@ def test_unreadable_network_file_raises_parse_error(tmp_path):
         load_network_json(tmp_path)
 
 
+def test_edge_list_edge_whose_cost_does_not_fit_is_named(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("u,v,mode,distance_m,time_min\na,b,M,1.0,1.0\nb,c,M,1e30,1.0\n")
+    fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(0)))])
+    with pytest.raises(ParseError, match=re.escape(f"{path}: edge 1 (1, 2) costs 3.000e+30 cents")):
+        load_edge_list(path, fares)
+
+
 @pytest.mark.parametrize("value", ["NaN", "inf", "0.5-Infinity"])
 def test_non_finite_fare_is_rejected_with_line(tmp_path, value):
     config = tmp_path / "fares.csv"
@@ -301,6 +321,33 @@ def test_non_finite_fare_is_rejected_with_line(tmp_path, value):
     )
     with pytest.raises(ParseError, match="fares.csv:3: .* not finite"):
         load_fare_config(config)
+
+
+@pytest.mark.parametrize("strategy", FARE_STRATEGIES)
+@pytest.mark.parametrize("value", ["1e40", "1e999999999", "1.00-1e30"])
+def test_too_large_fare_is_rejected_with_line(tmp_path, strategy, value):
+    config = tmp_path / "fares.csv"
+    config.write_text(
+        "mode,base_fare,cost_per_meter,cost_per_minute,resolution_strategy\n"
+        "A,1.00,0,0,\n"
+        f"B,{value},0,0,{strategy}\n"
+    )
+    with pytest.raises(ParseError, match="fares.csv:3: .* too large"):
+        load_fare_config(config)
+
+
+@pytest.mark.parametrize("strategy", FARE_STRATEGIES)
+def test_largest_accepted_fare_resolves_under_every_strategy(tmp_path, strategy):
+    largest = "9" * 22 + ".99"  # 10**24 - 1 cents, whose rate at 1e-4 cents has 28 digits, the context's precision
+    config = tmp_path / "fares.csv"
+    config.write_text(
+        "mode,base_fare,cost_per_meter,cost_per_minute,resolution_strategy\n"
+        f"A,0-{largest},0-{largest},{largest},{strategy}\n"
+    )
+    policy = resolve_fares(load_fare_config(config), seed=3).policy(0)
+    assert 0 <= policy.base_fare <= 10**24 - 1
+    assert 0 <= policy.cost_per_meter <= 10**24 - 1
+    assert policy.cost_per_minute == 10**24 - 1
 
 
 # --- GTFS -------------------------------------------------------------------------

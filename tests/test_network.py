@@ -37,6 +37,7 @@ from gtpmm.network import (
     _landmark_bounds,
     edge_cost,
     haversine_m,
+    landmark_bound,
     layer_costs,
     median_fare_policy,
     rebuild_with_fares,
@@ -44,7 +45,7 @@ from gtpmm.network import (
     shortest_costs,
     shortest_paths,
 )
-from gtpmm.synth import random_disconnected_network, random_network
+from gtpmm.synth import random_disconnected_network, random_network, road_network
 
 
 def flat_table(*costs_cents: int) -> FareTable:
@@ -125,6 +126,14 @@ def test_edge_cost_is_monotone_in_every_component(base, per_meter, per_minute, d
 def test_fare_policy_rejects_negative_components():
     with pytest.raises(ConfigurationError):
         FarePolicy(-1, Decimal(0), Decimal(0))
+
+
+def test_edge_cost_that_does_not_fit_raises_configuration_error():
+    fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(1)))])
+    assert edge_cost(TransitEdge(4, 0, 1, 0, 1e20, 0.0), fares) == 3 * 10**20
+    for distance, time in ((1e30, 0.0), (0.0, 1e30), (10**300, 0.0)):
+        with pytest.raises(ConfigurationError, match=r"edge 4 \(0, 1\) costs .* cents, too many to hold"):
+            edge_cost(TransitEdge(4, 0, 1, 0, distance, time), fares)
 
 
 # --- cheapest_parallel_edge -----------------------------------------------------
@@ -499,6 +508,20 @@ def test_shortest_costs_rejects_unknown_pois(walkthrough_net):
         shortest_costs(walkthrough_net, 99, [0])
     with pytest.raises(ConfigurationError):
         shortest_costs(walkthrough_net, 0, [1, 99])
+
+
+def test_landmark_bound_is_the_rows_largest_gap_and_at_most_the_cost():
+    net = road_network(2, 6)
+    pois = range(net.poi_count)
+    bound = landmark_bound(net, pois)
+    for a in pois:
+        costs = shortest_costs(net, a, pois)
+        for b in pois:
+            assert bound(a, b) == max(abs(row[a] - row[b]) for row in net.landmarks) <= costs[b]
+    islands = random_disconnected_network(seed=5, n_components=3, pois_per_component=5)  # PoIs 0-4, 5-9, 10-14
+    assert landmark_bound(islands, [0, 1]) is None  # the other islands' landmarks reach neither
+    with pytest.raises(ConfigurationError, match="out of range"):
+        landmark_bound(net, [0, net.poi_count])
 
 
 # --- goal-directed searches against the Dijkstra versions they replaced ------------
@@ -1228,6 +1251,26 @@ def test_builder_rejects_negative_weights():
         builder.add_edge(0, 1, 0, -1.0, 1.0)
     with pytest.raises(ConfigurationError):
         builder.add_edge(0, 1, 0, 1.0, -1.0)
+
+
+def test_builder_rejects_integers_too_large_for_a_float():
+    builder = NetworkBuilder()
+    builder.add_poi("a")
+    builder.add_poi("b")
+    with pytest.raises(ConfigurationError, match=r"edge \(0, 1\) has invalid distance"):
+        builder.add_edge(0, 1, 0, 10**400, 1.0)
+    with pytest.raises(ConfigurationError, match=r"edge \(0, 1\) has invalid time"):
+        builder.add_edge(0, 1, 0, 1.0, 10**400)
+
+
+def test_finalize_rejects_an_edge_whose_cost_does_not_fit():
+    builder = NetworkBuilder()
+    builder.add_poi("a")
+    builder.add_poi("b")
+    builder.add_edge(0, 1, 0, 1.0, 1.0)
+    builder.add_edge(1, 0, 0, 1e30, 1.0)
+    with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 0\) costs"):
+        builder.finalize(FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(0)))]))
 
 
 def test_finalize_rejects_unknown_mode():
