@@ -13,7 +13,7 @@ from collections import Counter, defaultdict, deque
 from typing import Callable, Iterable
 
 from .errors import InfeasibleRouteError
-from .network import ModeId, Money, MultiModalNetwork, PathResult, landmark_bound, shortest_costs
+from .network import ModeId, Money, MultiModalNetwork, PathResult, landmark_bound
 from .planner import PRUNE_TIGHTNESS, JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
@@ -89,8 +89,8 @@ def _cheapest_legs_plan(
     net: MultiModalNetwork, inst: QueryInstance, common: tuple[int, ...], sharing: SharingMode, legs: Legs
 ) -> JourneyPlan:
     """The plan through ``common`` with every leg at its cheapest, from
-    ``legs`` and the paths it already holds; one search from the last
-    common PoI serves every destination leg."""
+    ``legs`` and what it already holds; one search from the last common
+    PoI serves every destination leg that nothing held answers."""
     legs.fill(net, common[-1], [dest for _, dest in inst.agents])
     return assemble(net, inst, common, sharing, legs.path)
 
@@ -138,12 +138,12 @@ def rpcm(
 
 
 def _nearest_by_search(
-    net: MultiModalNetwork, origins: Counter[int], cat: tuple[int, ...]
+    net: MultiModalNetwork, origins: Counter[int], cat: tuple[int, ...], legs: Legs
 ) -> tuple[Money, int] | None:
     """``(summed cost from the origins, PoI)`` of the cheapest reachable PoI
-    of ``cat``, ties to the lower id, from one cost-only search per origin;
-    None when none is reachable from every origin."""
-    reached = [(shortest_costs(net, origin, cat), count) for origin, count in origins.items()]
+    of ``cat``, ties to the lower id, from one search per origin, kept in
+    ``legs``; None when none is reachable from every origin."""
+    reached = [(legs.search_from(net, origin, cat), count) for origin, count in origins.items()]
     best: tuple[Money, int] | None = None
     for j in cat:
         if all(j in costs for costs, _ in reached):
@@ -166,11 +166,11 @@ def _nearest_by_bound(
     A candidate's lower bound is its summed ``bound`` from the origins,
     at most its summed cost; so once a candidate's ``(bound, id)`` exceeds
     the best ``(cost, id)`` so far, it and every candidate after it cost
-    more or tie at a higher id. One origin prices a candidate with
-    ``legs.path``, which keeps the path for the plan's leg; several price
-    it with one cost-only search from it to all of them (costs are
-    symmetric). ``bound`` covers every origin and candidate, so all are
-    connected.
+    more or tie at a higher id. One origin prices a candidate with one
+    search from the origin to it, several with one search from it to all
+    of them (costs are symmetric); the searches are kept in ``legs``, where
+    the plan's legs are read from them. ``bound`` covers every origin and
+    candidate, so all are connected.
     """
     order = sorted((sum(count * bound(origin, j) for origin, count in origins.items()), j) for j in cat)
     best: tuple[Money, int] | None = None
@@ -179,9 +179,9 @@ def _nearest_by_bound(
             break
         if len(origins) == 1:
             [(origin, count)] = origins.items()
-            cost = count * legs.path(net, origin, j).cost
+            cost = count * legs.search_from(net, origin, (j,))[j]
         else:
-            costs = shortest_costs(net, j, origins)
+            costs = legs.search_from(net, j, origins)
             cost = sum(count * costs[origin] for origin, count in origins.items())
         if best is None or (cost, j) < best:
             best = (cost, j)
@@ -203,10 +203,11 @@ def nncm(
     (:data:`~gtpmm.planner.PRUNE_TIGHTNESS`), and where
     :func:`~gtpmm.network.landmark_bound` bounds every origin and
     candidate of a category, the candidates are priced in order of that
-    lower bound until none left can win (:func:`_nearest_by_bound`); the
-    legs searched from a single origin are the plan's own. Elsewhere each
-    category runs one cost-only search per distinct origin. Both pick the
-    same PoIs.
+    lower bound until none left can win (:func:`_nearest_by_bound`).
+    Elsewhere each category runs one search per distinct origin. Both pick
+    the same PoIs, and keep their searches in one
+    :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs
+    they answer: the first pick's source legs and every hop, but for ties.
     """
     legs = Legs()
     bounded = net.landmark_tightness >= PRUNE_TIGHTNESS
@@ -215,7 +216,7 @@ def nncm(
         origins = Counter([common[-1]] if common else [source for source, _ in inst.agents])
         bound = landmark_bound(net, [*origins, *cat]) if bounded else None
         if bound is None:
-            best = _nearest_by_search(net, origins, cat)
+            best = _nearest_by_search(net, origins, cat, legs)
         else:
             best = _nearest_by_bound(net, origins, cat, bound, legs)
         if best is None:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .errors import GtpError, ParseError
+from .errors import ConfigurationError, GtpError, ParseError
 from .ingest import (
     CategoryConfig,
     categorize,
@@ -83,11 +83,13 @@ def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
 
     def resolve(token) -> int:
         if isinstance(token, int) and not isinstance(token, bool):
+            if not 0 <= token < net.poi_count:
+                raise ParseError(f"PoI id {token} is out of range", file=path)
             return token
         if not isinstance(token, str):
             raise ParseError(f"PoI reference {token!r} is neither an id nor an external id", file=path)
         if token not in to_id:
-            raise GtpError(f"query references unknown PoI {token!r}")
+            raise ParseError(f"query references unknown PoI {token!r}", file=path)
         return to_id[token]
 
     agents = []
@@ -100,7 +102,10 @@ def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
         if not isinstance(category, list):
             raise ParseError(f"category {category!r} is not a list of PoIs", file=path)
         categories.append([resolve(p) for p in category])
-    return QueryInstance(agents, categories)
+    try:
+        return QueryInstance(agents, categories)
+    except ConfigurationError as error:  # no agents, no categories or an empty one
+        raise ParseError(str(error), file=path) from None
 
 
 def _plan_document(net: MultiModalNetwork, inst: QueryInstance, journey: JourneyPlan) -> dict:

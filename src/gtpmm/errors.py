@@ -8,7 +8,12 @@ class GtpError(Exception):
 
 
 class ConfigurationError(GtpError):
-    """Invalid or inconsistent configuration (fares, modes, category sizing)."""
+    """Invalid or inconsistent configuration (fares, modes, category sizing);
+    ``edge`` is the id of the edge at fault, when one is."""
+
+    def __init__(self, message: str, *, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class ParseError(GtpError):

@@ -241,7 +241,7 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
     try:
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # an edge whose cost does not fit; edge ids follow the rows
-        raise ParseError(str(error), file=str(path)) from None
+        raise ParseError(str(error), file=str(path), line=rows[error.edge][0]) from None
 
 
 def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
@@ -512,7 +512,7 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     try:
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # an edge whose cost does not fit; its id is its index in 'edges'
-        raise ParseError(str(error), file=str(path)) from None
+        raise ParseError(f"edges[{error.edge}]: {error}", file=str(path)) from None
 
 
 def _malformed(path: Path, element: str, error: Exception) -> ParseError:

@@ -20,7 +20,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import itemgetter, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError
 
@@ -182,7 +182,8 @@ def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
 
     Rounding is half-up to whole cents, applied once per edge. A cost with
     more whole cents than the decimal context's precision holds raises
-    :class:`~gtpmm.errors.ConfigurationError` naming the edge.
+    :class:`~gtpmm.errors.ConfigurationError` naming the edge, with its id
+    as ``edge``.
     """
     policy = fares.policy(edge.mode)
     total = (
@@ -194,7 +195,7 @@ def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
         return int(total.quantize(_CENT, rounding=ROUND_HALF_UP))
     except InvalidOperation:
         message = f"edge {edge.id} ({edge.u}, {edge.v}) costs {total:.3e} cents, too many to hold"
-        raise ConfigurationError(message) from None
+        raise ConfigurationError(message, edge=edge.id) from None
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,11 @@ class MultiModalNetwork:
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
 
-    The search views :attr:`cheapest_neighbors`, :attr:`landmarks` and
-    :attr:`landmark_tightness` are derived from ``edges`` and
-    ``edge_costs`` on first use and cached on the instance. They are not dataclass fields, so they take no part in
-    equality or ``repr``, and a network that is never searched never builds
-    them.
+    The search views :attr:`cheapest_neighbors`, :attr:`has_free_hop`,
+    :attr:`landmarks` and :attr:`landmark_tightness` are derived from
+    ``edges`` and ``edge_costs`` on first use and cached on the instance.
+    They are not dataclass fields, so they take no part in equality or
+    ``repr``, and a network that is never searched never builds them.
     """
 
     pois: tuple[Poi, ...]
@@ -238,6 +239,12 @@ class MultiModalNetwork:
                 best[u][v] = cost
                 best[v][u] = cost
         return tuple(tuple(sorted(row.items())) for row in best)
+
+    @cached_property
+    def has_free_hop(self) -> bool:
+        """Whether the cheapest edge between some two distinct PoIs costs
+        nothing; :meth:`SearchTree.path_from` reads no path back then."""
+        return any(cost == 0 for row in self.cheapest_neighbors for _, cost in row)
 
     @cached_property
     def landmarks(self) -> tuple[Sequence[Money], ...]:
@@ -371,14 +378,16 @@ def cheapest_parallel_edge(net: MultiModalNetwork, u: int, v: int) -> tuple[int,
     """
     net.check_poi(u)
     net.check_poi(v)
+    if u == v:
+        return None
+    edges, costs = net.edges, net.edge_costs
     best: tuple[Money, ModeId, int] | None = None
     for eid in net.adjacency[u]:
-        edge = net.edges[eid]
-        if edge.other(u) != v or u == v:
-            continue
-        key = (net.edge_costs[eid], edge.mode, eid)
-        if best is None or key < best:
-            best = key
+        edge = edges[eid]
+        if edge.u == v or edge.v == v:  # an edge at u that ends at v, as u != v
+            key = (costs[eid], edge.mode, eid)
+            if best is None or key < best:
+                best = key
     if best is None:
         return None
     return best[2], best[0]
@@ -565,15 +574,92 @@ def reference_path(net: MultiModalNetwork, source: int, target: int) -> PathResu
     return PathResult(dist[target], tuple(legs), tuple(sequence))
 
 
-def shortest_costs(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, Money]:
-    """Cheapest cost from ``source`` to every reachable PoI of ``targets``.
+class SearchTree(Mapping[int, PathResult]):
+    """What one :func:`shortest_paths` search found: a read-only mapping
+    from each reached target to its cheapest path, each path built on
+    first access.
 
-    :func:`layer_costs` seeded at ``source`` alone. A target missing from
-    the result is unreachable; ``source``, if it is a target, costs 0. The
+    ``costs`` maps each reached target to its cost, and ``targets`` holds
+    every PoI the search was asked for; one missing from ``costs`` is
+    unreachable from ``source``. Of the search's state the tree keeps only
+    the predecessor per PoI and the PoIs that were offered a second
+    predecessor at an equal cost, which :meth:`path_from` reads.
+    """
+
+    def __init__(
+        self,
+        net: MultiModalNetwork,
+        source: int,
+        targets: frozenset[int],
+        costs: dict[int, Money],
+        pred: list[int],
+        tied: set[int],
+    ) -> None:
+        self.source = source
+        self.targets = targets
+        self.costs = costs
+        self._net = net
+        self._pred = pred
+        self._tied = tied
+        self._paths: dict[int, PathResult] = {}
+        self._hops: dict[tuple[int, int], tuple[int, ModeId]] = {}  # paths to many targets share hops
+
+    def __getitem__(self, target: int) -> PathResult:
+        path = self._paths.get(target)
+        if path is None:
+            cost = self.costs[target]  # a KeyError for a PoI the search did not reach
+            sequence = [target]
+            while sequence[-1] != self.source:
+                sequence.append(self._pred[sequence[-1]])
+            sequence.reverse()
+            legs = []
+            for hop in zip(sequence, sequence[1:]):
+                if hop not in self._hops:
+                    eid, _ = cheapest_parallel_edge(self._net, *hop)
+                    self._hops[hop] = (eid, self._net.edges[eid].mode)
+                legs.append(self._hops[hop])
+            path = self._paths[target] = PathResult(cost, tuple(legs), tuple(sequence))
+        return path
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.costs)
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def path_from(self, target: int) -> PathResult | None:
+        """The path from ``target``, a reached target, back to ``source``
+        that ``shortest_path(net, target, source)`` returns, or None when
+        the tree cannot tell it.
+
+        The tree tells it when the path is the only cheapest one, as every
+        search then finds it: when no edge of the network is free
+        (:attr:`MultiModalNetwork.has_free_hop`) and no PoI on the path was
+        offered a second predecessor at an equal cost. Over priced edges
+        every PoI that ends a cheapest path to ``v`` is settled before
+        ``v`` in both loops of :func:`shortest_paths`, as its ``(f, g)`` is
+        lower, and offers ``v`` that cost; so a PoI offered no second equal
+        cost has one cheapest predecessor, and a chain of such PoIs is the
+        one cheapest path. Across a free edge both ends have equal ``f``
+        and ``g``, and the lower id can be settled without hearing from
+        the other.
+        """
+        if self._net.has_free_hop:
+            return None
+        forward = self[target]
+        if not self._tied.isdisjoint(forward.poi_sequence):
+            return None
+        return PathResult(forward.cost, forward.legs[::-1], forward.poi_sequence[::-1])
+
+
+def shortest_costs(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, Money]:
+    """Cheapest cost from ``source`` to every reachable PoI of ``targets``:
+    the ``costs`` of :func:`shortest_paths`. A target missing from the
+    result is unreachable; ``source``, if it is a target, costs 0. The
     network is undirected, so the costs also hold from each target back to
     ``source``, and each equals ``shortest_path(net, source, target).cost``.
     """
-    return {target: cost for target, (cost, _) in layer_costs(net, {source: 0}, 1, targets).items()}
+    return shortest_paths(net, source, targets).costs
 
 
 def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
@@ -585,8 +671,9 @@ def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResul
     return shortest_paths(net, source, (target,)).get(target)
 
 
-def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, PathResult]:
-    """Cheapest path from ``source`` to every reachable PoI of ``targets``.
+def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> SearchTree:
+    """Cheapest path from ``source`` to every reachable PoI of ``targets``,
+    as a :class:`SearchTree`.
 
     A Dijkstra run until every target is settled, made goal-directed when
     :func:`_landmark_bounds` gives bounds: then it is an A* search that
@@ -605,13 +692,15 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
     remaining = set(targets)
     for target in remaining:
         net.check_poi(target)
-    wanted = set(remaining)
+    wanted = frozenset(remaining)
 
     # Per-search state in flat lists indexed by PoI id: tentative cost (None
-    # until reached), predecessor and settled mark.
+    # until reached), predecessor and settled mark; and the PoIs offered an
+    # equal cost by a second predecessor.
     dist: list[Money | None] = [None] * net.poi_count
     pred = [-1] * net.poi_count
     settled = [False] * net.poi_count
+    tied: set[int] = set()
     dist[source] = 0
     neighbors = net.cheapest_neighbors
     # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
@@ -635,8 +724,10 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
                     dist[v] = candidate
                     pred[v] = u
                     heappush(heap, (candidate, v))
-                elif candidate == known and u < pred[v]:
-                    pred[v] = u
+                elif candidate == known:
+                    tied.add(v)
+                    if u < pred[v]:
+                        pred[v] = u
     else:
         row1, lo1, hi1, row2, lo2, hi2 = bounds
         bounded: list[tuple[Money, Money, int]] = [(0, 0, source)]
@@ -660,26 +751,13 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
                     h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
                     h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
                     heappush(bounded, (candidate + (h1 if h1 > h2 else h2), candidate, v))
-                elif candidate == known and u < pred[v]:
-                    pred[v] = u
+                elif candidate == known:
+                    tied.add(v)
+                    if u < pred[v]:
+                        pred[v] = u
 
-    hops: dict[tuple[int, int], tuple[int, ModeId]] = {}  # paths to many targets share hops
-    paths: dict[int, PathResult] = {}
-    for target in wanted:
-        if not settled[target]:
-            continue
-        sequence = [target]
-        while sequence[-1] != source:
-            sequence.append(pred[sequence[-1]])
-        sequence.reverse()
-        legs = []
-        for hop in zip(sequence, sequence[1:]):
-            if hop not in hops:
-                eid, _ = cheapest_parallel_edge(net, *hop)
-                hops[hop] = (eid, net.edges[eid].mode)
-            legs.append(hops[hop])
-        paths[target] = PathResult(dist[target], tuple(legs), tuple(sequence))
-    return paths
+    costs = {target: dist[target] for target in wanted if settled[target]}
+    return SearchTree(net, source, wanted, costs, pred, tied)
 
 
 def layer_costs(

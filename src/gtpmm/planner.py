@@ -8,14 +8,18 @@ once per group depending on the sharing mode. The final stage attaches every
 agent's destination leg and the global argmin is reconstructed through
 parent links.
 
-Every DP search is cost-only. Each stage from one category to the next is
-one multi-source search (:func:`~gtpmm.network.layer_costs`). The two
-stages that sum over agents, sources to the first category and the last
-category to the destinations, run one search per distinct endpoint or per
-category PoI, whichever set is smaller. Only the chosen plan's legs are
-searched with paths (:class:`Legs`): each source leg and common hop point
-to point, and every destination leg, which all start at the last common
-PoI, from one search.
+Each stage from one category to the next is one cost-only multi-source
+search (:func:`~gtpmm.network.layer_costs`). The two stages that sum over
+agents, sources to the first category and the last category to the
+destinations, run one single-source search per distinct endpoint or per
+category PoI, whichever set is smaller, and keep each search's tree in a
+:class:`Legs`. The chosen plan's source and destination legs are read
+from those trees: forward from a leg's origin, or back from its target
+when the tree shows that the cheapest path is the only one
+(:meth:`~gtpmm.network.SearchTree.path_from`). Only the legs no tree
+answers are searched: each common hop point to point, and the
+destination legs left, which all start at the last common PoI, with one
+search.
 
 :func:`plan` first prunes the categories on road-like networks, in the
 manner of the threshold pruning of LORD (Sharifzadeh, Kolahdouzan and
@@ -37,18 +41,19 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
 from .network import (
     Money,
     MultiModalNetwork,
     PathResult,
+    SearchTree,
     connected_components,
     landmark_bound,
     layer_costs,
     reference_path,
-    shortest_costs,
+    shortest_costs,  # unused here, but bound like the other searches, so a patch of them by name covers it
     shortest_path,
     shortest_paths,
 )
@@ -116,54 +121,101 @@ class QueryInstance:
         return pois
 
 
-class Legs:
-    """Cheapest legs of one network, each ordered PoI pair searched once.
+_UNKNOWN = object()  # Legs._known's answer for a pair no kept path or tree answers
 
-    ``path`` searches a pair it does not hold point to point with
-    ``search(net, u, v)``; ``searches`` counts those calls. By default the
-    search is this module's ``shortest_path`` name, looked up at each call,
-    which tests and the benchmark's tracer patch to count them; the checks
-    pass :func:`~gtpmm.network.reference_path`. ``fill`` stores the paths
-    of one :func:`~gtpmm.network.shortest_paths` search from one origin,
-    each equal to the point-to-point one.
+
+class Legs:
+    """Cheapest legs of one network: the paths of each ordered PoI pair,
+    read from the trees of the single-source searches run through it, or
+    else searched point to point once.
+
+    ``search_from`` runs one :func:`~gtpmm.network.shortest_paths` search
+    and keeps its :class:`~gtpmm.network.SearchTree`; an origin may have
+    several. ``path(net, u, v)`` looks in turn for the pair's path already
+    found, a tree from ``u`` searched for ``v``, and a tree from ``v``
+    searched for ``u`` that can read its path back
+    (:meth:`~gtpmm.network.SearchTree.path_from`); each gives the path
+    ``shortest_path(net, u, v)`` returns. Only when none answers does it
+    search the pair point to point with ``search_pair(net, u, v)``, and
+    ``searches`` counts those calls. By default that is this module's
+    ``shortest_path`` name, looked up at each call, which tests and the
+    benchmark's tracer patch to count them; the checks pass
+    :func:`~gtpmm.network.reference_path` and run no tree search.
     """
 
-    def __init__(self, search: Callable[[MultiModalNetwork, int, int], PathResult | None] | None = None) -> None:
+    def __init__(
+        self, search_pair: Callable[[MultiModalNetwork, int, int], PathResult | None] | None = None
+    ) -> None:
         self._paths: dict[tuple[int, int], PathResult | None] = {}
-        self._search = search
+        self._trees: dict[int, list[SearchTree]] = {}
+        self._search_pair = search_pair
         self.searches = 0
+
+    def search_from(self, net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> dict[int, Money]:
+        """The cost from ``origin`` to every reachable PoI of ``targets``,
+        from one new search whose tree is kept."""
+        tree = shortest_paths(net, origin, targets)
+        self._trees.setdefault(origin, []).append(tree)
+        return tree.costs
+
+    def kept(self, origin: int, targets: Iterable[int]) -> dict[int, Money] | None:
+        """The costs of a kept search from ``origin`` for every PoI of
+        ``targets``, or None when there is none."""
+        for tree in self._trees.get(origin, ()):
+            if tree.targets.issuperset(targets):
+                return tree.costs
+        return None
+
+    def _known(self, u: int, v: int) -> PathResult | None | object:
+        """The path of ``(u, v)`` from what the legs hold (None when a tree
+        shows it unreachable), or ``_UNKNOWN``."""
+        if (u, v) in self._paths:
+            return self._paths[(u, v)]
+        for tree in self._trees.get(u, ()):
+            if v in tree.targets:
+                self._paths[(u, v)] = tree.get(v)
+                return self._paths[(u, v)]
+        for tree in self._trees.get(v, ()):
+            if u not in tree.targets:
+                continue
+            found = tree.path_from(u) if u in tree.costs else None  # None: unreachable
+            if found is None and u in tree.costs:
+                continue  # a tie or a free hop: the tree cannot tell the path back
+            self._paths[(u, v)] = found
+            return found
+        return _UNKNOWN
 
     def path(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
         """Raises :class:`InfeasibleRouteError` when ``u`` and ``v`` are disconnected."""
-        if (u, v) not in self._paths:
+        result = self._known(u, v)
+        if result is _UNKNOWN:
             self.searches += 1
-            self._paths[(u, v)] = (self._search or shortest_path)(net, u, v)
-        result = self._paths[(u, v)]
+            result = self._paths[(u, v)] = (self._search_pair or shortest_path)(net, u, v)
         if result is None:
             raise InfeasibleRouteError(u, v)
         return result
 
     def fill(self, net: MultiModalNetwork, u: int, targets: Sequence[int]) -> None:
-        """Search from ``u`` to every PoI of ``targets`` at once; ``path``
-        then returns each reachable one, and raises for the rest."""
-        found = shortest_paths(net, u, targets)
-        for v in targets:
-            self._paths[(u, v)] = found.get(v)
+        """One search from ``u`` to every PoI of ``targets`` whose leg from
+        ``u`` nothing held answers, and none when there is no such PoI."""
+        missing = [v for v in targets if self._known(u, v) is _UNKNOWN]
+        if missing:
+            self.search_from(net, u, missing)
 
 
 @dataclass
 class DpTable:
     """Per-category minimum costs with predecessor links, the destination
-    stage's pair costs, and the chosen plan's legs.
+    stage's pair costs, and the legs the chosen plan is read from.
 
     ``cost[c][j]`` is finite (present) iff some prefix of the common path
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
     ``distances`` maps a (reached last-category PoI, destination) pair to
     its cheapest cost; an unreachable pair is missing. ``searches`` counts
-    the cost-only searches :func:`compute_dp` ran, plus those of the
-    pruning stage when :func:`plan` pruned. ``legs`` starts empty
-    and holds the paths :func:`plan` builds the chosen plan from;
-    ``sp_invocations`` counts its point-to-point searches.
+    the cost searches :func:`compute_dp` ran, plus those of the pruning
+    stage when :func:`plan` pruned. ``legs`` keeps the trees of the two
+    endpoint stages' searches, from which :func:`plan` reads the chosen
+    plan's legs; ``sp_invocations`` counts its point-to-point searches.
     """
 
     cost: list[dict[int, Money]]
@@ -235,22 +287,42 @@ def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
 
 
 def _endpoint_costs(
-    net: MultiModalNetwork, origins: Sequence[int], targets: Sequence[int]
-) -> dict[tuple[int, int], Money]:
-    """Cheapest cost of every reachable (origin, target) pair, from one
-    cost-only search per origin or per target, whichever set is smaller.
-    The network is undirected, so both give the costs."""
-    if len(origins) <= len(targets):
-        return {(o, t): cost for o in origins for t, cost in shortest_costs(net, o, targets).items()}
-    return {(o, t): cost for t in targets for o, cost in shortest_costs(net, t, origins).items()}
+    net: MultiModalNetwork, legs: Legs, origins: Sequence[int], targets: Sequence[int]
+) -> tuple[dict[tuple[int, int], Money], int]:
+    """Cheapest cost of every reachable (origin, target) pair, and the
+    number of searches run for them.
+
+    A PoI of either side with a search kept in ``legs`` for every PoI of
+    the other gives its pairs from that search. The other pairs come from
+    one search per origin or per target left, whichever set is smaller,
+    origins on a tie, each kept in ``legs``. The network is undirected, so
+    both give the costs."""
+    costs: dict[tuple[int, int], Money] = {}
+    rest_origins = []
+    for o in origins:
+        kept = legs.kept(o, targets)
+        if kept is None:
+            rest_origins.append(o)
+        else:
+            costs.update(((o, t), cost) for t, cost in kept.items())
+    rest_targets = []
+    for t in targets:
+        kept = legs.kept(t, origins)
+        if kept is None:
+            rest_targets.append(t)
+        else:
+            costs.update(((o, t), cost) for o, cost in kept.items())
+    if len(rest_origins) <= len(rest_targets):
+        for o in rest_origins:
+            costs.update(((o, t), cost) for t, cost in legs.search_from(net, o, rest_targets).items())
+    else:
+        for t in rest_targets:
+            costs.update(((o, t), cost) for o, cost in legs.search_from(net, t, rest_origins).items())
+    return costs, min(len(rest_origins), len(rest_targets))
 
 
 def compute_dp(
-    net: MultiModalNetwork,
-    inst: QueryInstance,
-    sharing: SharingMode,
-    *,
-    _searched: tuple[Mapping[int, Mapping[int, Money]], Mapping[int, Mapping[int, Money]]] = ({}, {}),
+    net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, *, legs: Legs | None = None
 ) -> DpTable:
     """Run the layered DP and return the full table (no reconstruction).
 
@@ -259,29 +331,26 @@ def compute_dp(
     search seeded at the reached PoIs of the layer before, with costs times
     the intermediate multiplier; ties keep the lower PoI id as parent. The
     destination stage then stores the cost from every reached last-category
-    PoI to every destination in ``distances``. The two endpoint stages run
-    one search per distinct endpoint or per category PoI, whichever set is
-    smaller, so a query runs at most min(sources, |first category|) +
-    (k - 1) + min(destinations, |last category|) searches, all cost-only;
-    ``table.legs`` stays empty.
+    PoI to every destination in ``distances``.
 
-    ``_searched`` is for :func:`plan` alone: the costs of searches it has
-    already run, from some first-category PoIs to every distinct source and
-    from some last-category PoIs to every distinct destination. Those PoIs
-    are left out of the endpoint stages' searches; the table is the same.
+    The two endpoint stages run one single-source search per distinct
+    endpoint or per category PoI, whichever set is smaller, so a query runs
+    at most min(sources, |first category|) + (k - 1) + min(destinations,
+    |last category|) searches. Their trees are kept in ``table.legs``:
+    ``legs`` when given, a new :class:`Legs` otherwise. A category PoI or
+    endpoint with a search already kept there for every PoI of the other
+    side is not searched again (:func:`plan` passes those of its pruning
+    stage); the table is the same.
     """
     _check_instance(net, inst)
     m = sharing.intermediate_multiplier(inst.n_agents)
-    table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories])
-    from_first, to_last = _searched
+    legs = legs if legs is not None else Legs()
+    table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories], legs=legs)
 
     sources = Counter(source for source, _ in inst.agents)
-    rest = tuple(j for j in inst.categories[0] if j not in from_first)
-    from_sources = _endpoint_costs(net, tuple(sources), rest)
-    table.searches += min(len(sources), len(rest))
+    from_sources, searches = _endpoint_costs(net, legs, tuple(sources), inst.categories[0])
+    table.searches += searches
     for j in inst.categories[0]:
-        if j in from_first:
-            from_sources.update(((source, j), cost) for source, cost in from_first[j].items())
         if all((source, j) in from_sources for source in sources):
             table.cost[0][j] = sum(count * from_sources[(source, j)] for source, count in sources.items())
             table.parent[0][j] = None
@@ -296,13 +365,9 @@ def compute_dp(
             table.parent[c][j] = parent
 
     last = tuple(j for j in inst.categories[-1] if j in table.cost[-1])
-    rest = tuple(j for j in last if j not in to_last)
     destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
-    table.distances = _endpoint_costs(net, rest, destinations)
-    table.searches += min(len(rest), len(destinations))
-    for j in last:
-        if j in to_last:
-            table.distances.update(((j, dest), cost) for dest, cost in to_last[j].items())
+    table.distances, searches = _endpoint_costs(net, legs, last, destinations)
+    table.searches += searches
     return table
 
 
@@ -369,15 +434,11 @@ def _first_unreachable(net: MultiModalNetwork, inst: QueryInstance) -> tuple[int
     return inst.agents[0][0], inst.categories[0][0]
 
 
-def _prune(
-    net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode
-) -> tuple[QueryInstance, dict[int, dict[int, Money]], dict[int, dict[int, Money]]] | None:
+def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, legs: Legs) -> QueryInstance | None:
     """The query cut to the category PoIs that landmark lower bounds cannot
-    rule out, with the costs of the two endpoint searches that priced the
-    threshold: ``(query, {first PoI: cost to each source}, {last PoI: cost
-    to each destination})``. None when some landmark row splits the query's
-    PoIs across components, where the rows bound nothing, and when no PoI
-    is likely to go (below).
+    rule out. The searches that priced the threshold are kept in ``legs``.
+    None when some landmark row splits the query's PoIs across components,
+    where the rows bound nothing, and when no PoI is likely to go (below).
 
     A pair's bound is :func:`~gtpmm.network.landmark_bound`'s, ``max
     |d_L(a) - d_L(b)|`` over the landmark rows ``d_L``, at most its cost by
@@ -387,9 +448,9 @@ def _prune(
     source legs weighted by agent counts, hops by the intermediate
     multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. The
     chain of least total bound is priced exactly by one search from its
-    first PoI to the distinct sources, one point-to-point search per hop
-    and one search from its last PoI to the distinct destinations; that
-    price ``ub`` is at least the optimum.
+    first PoI to the distinct sources, one search per hop to its one
+    target and one search from its last PoI to the distinct destinations;
+    that price ``ub`` is at least the optimum.
 
     The pricing searches pay only if some PoI goes, and a PoI goes when its
     bound exceeds ``ub``. The least chain bound is about ``tightness``
@@ -433,14 +494,14 @@ def _prune(
         return None  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
     for category, rest in zip(categories[1:], suffix[1:]):
         chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
-    from_first = shortest_costs(net, chain[0], sources)
-    to_last = shortest_costs(net, chain[-1], destinations)
+    from_first = legs.search_from(net, chain[0], sources)
+    to_last = legs.search_from(net, chain[-1], destinations)
     ub = sum(n * from_first[s] for s, n in sources.items())
     ub += sum(n * to_last[d] for d, n in destinations.items())
-    ub += m * sum(shortest_costs(net, a, (b,))[b] for a, b in zip(chain, chain[1:]))
+    ub += m * sum(legs.search_from(net, a, (b,))[b] for a, b in zip(chain, chain[1:]))
 
     kept = [[j for j in cat if reach[j] + rest[j] <= ub] for cat, reach, rest in zip(categories, prefix, suffix)]
-    return QueryInstance(inst.agents, kept), {chain[0]: from_first}, {chain[-1]: to_last}
+    return QueryInstance(inst.agents, kept)
 
 
 def plan(
@@ -461,13 +522,20 @@ def plan(
     and tie-breaks are those of the DP over every PoI. Elsewhere, and when
     the bounds do not apply or are unlikely to cut, the DP runs over every
     PoI.
+
+    The pruning's and the DP's single-source searches go to one
+    :class:`Legs`, and the plan's legs are read from their trees where one
+    answers: every source leg and every destination leg, but for ties, and
+    a hop the pruning priced. Only the other legs are searched, each hop
+    point to point and the destination legs from one search.
     """
-    query, searched, extra = inst, ({}, {}), 0
+    legs = Legs()
+    query, extra = inst, 0
     if net.landmark_tightness >= PRUNE_TIGHTNESS:
-        pruned = _prune(net, inst, sharing)
+        pruned = _prune(net, inst, sharing, legs)
         if pruned is not None:
-            query, searched, extra = pruned[0], pruned[1:], inst.k + 1
-    table = compute_dp(net, query, sharing, _searched=searched)
+            query, extra = pruned, inst.k + 1
+    table = compute_dp(net, query, sharing, legs=legs)
     table.searches += extra
 
     best_total: Money | None = None
@@ -491,7 +559,7 @@ def plan(
         raise InfeasibleRouteError(*_first_unreachable(net, inst))
 
     common = reconstruct(table, best_last)
-    table.legs.fill(net, common[-1], [dest for _, dest in inst.agents])
+    legs.fill(net, common[-1], [dest for _, dest in inst.agents])
     try:
         journey = assemble(net, inst, common, sharing, table.leg)
     except InfeasibleRouteError as failure:

@@ -29,7 +29,6 @@ from gtpmm.network import (
     landmark_bound,
     reference_path,
     shortest_costs,
-    shortest_path,
 )
 from gtpmm.planner import PRUNE_TIGHTNESS, JourneyPlan
 from gtpmm.rng import SplitMix64
@@ -320,26 +319,19 @@ def test_baselines_match_their_previous_leg_code(sharing):
     assert outcomes == {True, False}  # both feasible and infeasible cases were compared
 
 
-def test_cheapest_leg_baselines_search_each_pair_once(monkeypatch):
-    import gtpmm.planner
-
-    calls = []
-
-    def counted_shortest_path(net, u, v):
-        calls.append((u, v))
-        return shortest_path(net, u, v)
-
-    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+def test_cheapest_leg_baselines_search_each_pair_once(searches):
     net = random_network(3, n_pois=60, n_modes=3)
     inst = draw_instance(net, 11, k=3, pois_per_category=5, n_agents=50)
     sources = {source for source, _ in inst.agents}
     assert len(sources) <= 5
-    for run in (lambda: rpcm(net, inst, 4), lambda: nncm(net, inst)):
-        calls.clear()
+    for run, point_to_point in ((lambda: rpcm(net, inst, 4), True), (lambda: nncm(net, inst), False)):
+        searches.clear()
         common = run().common_pois
-        # point to point: each source leg and each common hop, once; the destination legs come from one search
+        pairs = [(search.origin, *search.targets) for search in searches if search.kind == "path"]
+        # RPCM: each source leg and each common hop point to point, once; the destination legs come from one
+        # search. NNCM reads its source legs and hops from the searches of its greedy choice.
         expected = {(source, common[0]) for source in sources} | set(zip(common, common[1:]))
-        assert sorted(calls) == sorted(expected)
+        assert sorted(pairs) == (sorted(expected) if point_to_point else [])
 
 
 def _fifty_agents_from_five_sources():
@@ -420,58 +412,28 @@ def test_bfs_tree_stops_at_its_last_target():
     assert _bfs_tree(net, 2, range(10)) == _full_bfs_tree(net, 2)
 
 
-def test_nncm_scores_candidates_with_one_cost_search_per_origin(monkeypatch):
-    import gtpmm.baselines
-    import gtpmm.planner
-
-    origins = []
-    pairs = []
-
-    def counted_shortest_costs(net, source, targets):
-        origins.append(source)
-        return shortest_costs(net, source, targets)
-
-    def counted_shortest_path(net, u, v):
-        pairs.append((u, v))
-        return shortest_path(net, u, v)
-
-    monkeypatch.setattr(gtpmm.baselines, "shortest_costs", counted_shortest_costs)
-    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+def test_nncm_scores_candidates_with_one_cost_search_per_origin(searches):
     net, inst, sources = _fifty_agents_from_five_sources()
     journey = nncm(net, inst)
-    assert len(origins) == len(sources) + inst.k - 1
     common = journey.common_pois
-    assembly = {(source, common[0]) for source in sources} | set(zip(common, common[1:]))
-    assert sorted(pairs) == sorted(assembly)  # the greedy choice itself ran no point-to-point search
+    scoring = [search.origin for search in searches[:-1]]
+    assert scoring == [*dict.fromkeys(source for source, _ in inst.agents), *common[:-1]]
+    assert len(scoring) == len(sources) + inst.k - 1
+    assert all(search.kind == "tree" for search in searches)  # no point-to-point search, for the choice or the legs
+    assert searches[-1].origin == common[-1]  # the destination legs' search
 
 
-def test_cheapest_leg_baselines_run_one_destination_search_per_plan(monkeypatch):
-    import gtpmm.planner
-
-    origins = []
-    pairs = []
-    many_targets = gtpmm.planner.shortest_paths
-
-    def counted_shortest_paths(net, source, targets):
-        origins.append(source)
-        return many_targets(net, source, targets)
-
-    def counted_shortest_path(net, u, v):
-        pairs.append((u, v))
-        return shortest_path(net, u, v)
-
-    monkeypatch.setattr(gtpmm.planner, "shortest_paths", counted_shortest_paths)
-    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
+def test_cheapest_leg_baselines_run_one_destination_search_per_plan(searches):
     net, inst, _ = _fifty_agents_from_five_sources()
     destinations = {dest for _, dest in inst.agents}
     assert len(destinations) > 1
     for seed in range(3):
         for run in (lambda: rpcm(net, inst, seed), lambda: nncm(net, inst)):
-            origins.clear()
-            pairs.clear()
+            searches.clear()
             last = run().common_pois[-1]
-            assert origins == [last]
-            assert not {(last, dest) for dest in destinations} & set(pairs)
+            from_last = [search for search in searches if search.origin == last]
+            assert len(from_last) == 1 and from_last[0].kind == "tree"
+            assert destinations <= set(from_last[0].targets)
 
 
 # --- bound-ordered NNCM pricing against the per-origin scoring it replaced -------
@@ -589,27 +551,15 @@ def test_bound_ordered_nncm_falls_back_on_disconnected_networks(nncm_picks):
             assert nncm_picks and set(nncm_picks) == {"search"}
 
 
-def test_bound_ordered_nncm_prices_few_candidates_and_reuses_their_legs(monkeypatch):
+def test_bound_ordered_nncm_prices_few_candidates_and_reuses_their_legs(searches, monkeypatch):
     import gtpmm.baselines
-    import gtpmm.planner
 
-    searches = []  # ("costs", origin) and ("path", u, v) in call order; "assemble" marks the plan's assembly
     assemble = gtpmm.baselines.assemble
 
-    def counted_shortest_costs(net, source, targets):
-        searches.append(("costs", source))
-        return shortest_costs(net, source, targets)
-
-    def counted_shortest_path(net, u, v):
-        searches.append(("path", u, v))
-        return shortest_path(net, u, v)
-
     def marked_assemble(*args):
-        searches.append("assemble")
+        searches.append("assemble")  # marks the plan's assembly among the searches
         return assemble(*args)
 
-    monkeypatch.setattr(gtpmm.baselines, "shortest_costs", counted_shortest_costs)
-    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
     monkeypatch.setattr(gtpmm.baselines, "assemble", marked_assemble)
     net = road_network(1, 30)
     assert net.landmark_tightness >= PRUNE_TIGHTNESS  # the gate is open on its own
@@ -619,10 +569,10 @@ def test_bound_ordered_nncm_prices_few_candidates_and_reuses_their_legs(monkeypa
     assert journey == _reference_nncm(net, inst)
 
     split = searches.index("assemble")
-    pricing, assembly = searches[:split], searches[split + 1 :]
-    assert len(pricing) < len(sources) + inst.k - 1  # the per-origin scoring's count
+    *pricing, fill = searches[:split]
     common = journey.common_pois
-    assert {("path", a, b) for a, b in zip(common, common[1:])} <= set(pricing)  # every hop priced as a leg
-    assert sorted(assembly) == sorted(("path", source, common[0]) for source in sources)  # no hop searched again
-    paths = [search for search in searches if search[0] == "path"]
-    assert len(paths) == len(set(paths))
+    assert fill.origin == common[-1]  # the destination legs' search
+    assert all(search.kind == "tree" for search in pricing)
+    assert len(pricing) < len(sources) + inst.k - 1  # the per-origin scoring's count
+    assert {(a, (b,)) for a, b in zip(common, common[1:])} <= {search[1:3] for search in pricing}  # hops priced as legs
+    assert searches[split + 1 :] == []  # source legs read back from the first pick's search, hops from theirs

@@ -163,6 +163,10 @@ BAD_QUERIES = {
     "invalid-json": ('{\n  "agents": [["v01", "v10"]],\n  "categories": [["v03"],]\n}', ":3: invalid JSON"),
     "bad-agent": ('{"agents": [["v01"]], "categories": [["v03"]]}', "not a [source, destination] pair"),
     "bad-token": ('{"agents": [[["v01"], "v10"]], "categories": [["v03"]]}', "neither an id nor an external id"),
+    "unknown-poi": ('{"agents": [["v01", "v99"]], "categories": [["v03"]]}', "unknown PoI 'v99'"),
+    "id-out-of-range": ('{"agents": [["v01", "v10"]], "categories": [[-1, "v03"]]}', "PoI id -1 is out of range"),
+    "empty-category": ('{"agents": [["v01", "v10"]], "categories": [["v03"], []]}', "category 1 is empty"),
+    "no-agents": ('{"agents": [], "categories": [["v03"]]}', "a query needs at least one agent"),
 }
 
 

@@ -276,8 +276,8 @@ MALFORMED_NETWORKS = {
     "integer-name": (_set("pois", 4, "name", 7), "pois[4]: external_id and name must be strings"),
     "boolean-name": (_set("pois", 0, "name", False), "pois[0]: external_id and name"),
     "null-name": (_set("pois", 5, "name", None), "pois[5]: external_id and name"),
-    "huge-time": (_set("edges", 2, "time_min", 1e30), "edge 2 (0, 3) costs 1.000e+32 cents, too many to hold"),
-    "huge-distance": (_priced_distance, "edge 4 ("),
+    "huge-time": (_set("edges", 2, "time_min", 1e30), "edges[2]: edge 2 (0, 3) costs 1.000e+32 cents, too many to hold"),
+    "huge-distance": (_priced_distance, "edges[4]: edge 4 ("),
     "huge-integer-distance": (_set("edges", 1, "distance_m", 10**400), "edges[1]: edge (0, 2) has invalid distance"),
     "huge-integer-time": (_set("edges", 1, "time_min", 10**400), "edges[1]: edge (0, 2) has invalid time"),
 }
@@ -307,7 +307,10 @@ def test_edge_list_edge_whose_cost_does_not_fit_is_named(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("u,v,mode,distance_m,time_min\na,b,M,1.0,1.0\nb,c,M,1e30,1.0\n")
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(0)))])
-    with pytest.raises(ParseError, match=re.escape(f"{path}: edge 1 (1, 2) costs 3.000e+30 cents")):
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: edge 1 (1, 2) costs 3.000e+30 cents")):
+        load_edge_list(path, fares)
+    path.write_text("u,v,mode,distance_m,time_min\na,b,M,1.0,1.0\n\nb,c,M,1e30,1.0\n")  # a blank line is skipped
+    with pytest.raises(ParseError, match=re.escape(f"{path}:4: edge 1 (1, 2) costs")):
         load_edge_list(path, fares)
 
 

@@ -29,6 +29,7 @@ from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares, reference_path, shortest_costs
 from gtpmm.planner import JourneyPlan, _check_instance, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
+from conftest import Search
 from test_network import EDGE_CASE_FARES, built_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
@@ -251,47 +252,41 @@ def test_shortest_path_invocation_bound():
         assert table.sp_invocations <= bound
 
 
-def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(monkeypatch):
-    import gtpmm.planner
+def holds(search, a, b):
+    """Whether the recorded ``search`` is a tree that holds the leg from ``a`` to ``b``, forward or back."""
+    return search.kind == "tree" and (
+        (search.origin == a and b in search.targets) or (search.origin == b and a in search.targets)
+    )
 
-    calls = []
-    path_origins = []
-    many_targets = gtpmm.planner.shortest_paths
 
-    def counted_shortest_path(net, u, v):
-        calls.append((u, v))
-        return shortest_path(net, u, v)
-
-    def counted_shortest_paths(net, source, targets):
-        path_origins.append(source)
-        return many_targets(net, source, targets)
-
-    monkeypatch.setattr(gtpmm.planner, "shortest_path", counted_shortest_path)
-    monkeypatch.setattr(gtpmm.planner, "shortest_paths", counted_shortest_paths)
+def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(searches):
     sides = set()
     for seed in range(6):
         net = random_network(seed, n_pois=30, n_modes=2)
+        net.__dict__["landmark_tightness"] = 0.0  # the pruning gate closed: plan() runs the DP over every PoI
         inst = random_instance(seed, net, k=3, pois_per_category=4, n_agents=(2, 4, 7)[seed % 3])
+        searches.clear()
         table = compute_dp(net, inst, PER_PERSON)
         destination_totals(net, inst, table)
+        dp = list(searches)
         sources = {s for s, _ in inst.agents}
         destinations = {d for _, d in inst.agents}
         first, last = inst.categories[0], inst.categories[-1]
         sides.add((len(sources) > len(first), len(destinations) > len(last)))
         expected = min(len(sources), len(first)) + (inst.k - 1) + min(len(destinations), len(last))
-        assert table.searches == expected
+        assert table.searches == len(dp) == expected
+        assert [search.kind for search in dp].count("layer") == inst.k - 1
+        assert "path" not in {search.kind for search in dp}
         assert table.sp_invocations == 0
-        assert calls == []
-        assert path_origins == []  # every DP search is cost-only
 
+        searches.clear()
         journey = plan(net, inst, PER_PERSON)
+        assert searches[: len(dp)] == dp  # the DP's searches, and no pruning ones before them
         common = journey.common_pois
-        # point to point: each distinct source's leg and each common hop
-        point_to_point = {(source, common[0]) for source in sources} | set(zip(common, common[1:]))
-        assert sorted(calls) == sorted(point_to_point)
-        assert path_origins == [common[-1]]  # one search for every destination leg
-        calls.clear()
-        path_origins.clear()
+        hops = [(a, b) for a, b in zip(common, common[1:]) if not any(holds(search, a, b) for search in dp)]
+        # point to point: each common hop that no DP search holds; the source and destination legs are read
+        # from the DP's searches
+        assert searches[len(dp) :] == [Search("path", a, (b,)) for a, b in hops]
     assert sides == {(False, False), (True, True)}  # both sides of each endpoint choice
 
 

@@ -9,7 +9,6 @@ with the same plans, totals, per-leg modes and tie-breaks.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -27,7 +26,7 @@ from gtpmm import (
 from gtpmm import planner
 from gtpmm.bench import draw_instance
 from gtpmm.network import FarePolicy, FareTable, reference_path
-from gtpmm.planner import _first_unreachable, _prune, assemble, reconstruct
+from gtpmm.planner import Legs, _first_unreachable, _prune, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
@@ -220,34 +219,29 @@ def test_every_poi_of_every_optimal_chain_is_kept():
         }
         best = min(totals.values())
         optimal = [chain for chain, total in totals.items() if total == best]
-        pruned = _prune(net, inst, sharing)
+        pruned = _prune(net, inst, sharing, Legs())
         if pruned is None:
             continue  # no bound stood out from the least: nothing was priced or dropped
         ties += len(optimal) > 1
         for chain in optimal:
-            assert all(poi in kept for poi, kept in zip(chain, pruned[0].categories))
+            assert all(poi in kept for poi, kept in zip(chain, pruned.categories))
     assert ties > 0  # some pruned queries had several optimal chains
 
 
-def test_threshold_chain_endpoint_searches_serve_the_dp(monkeypatch):
+def test_threshold_chain_endpoint_searches_serve_the_dp(searches):
     """The priced chain's two endpoint searches are not run again: the DP
     searches only the other kept PoIs' endpoint legs."""
-    searches = Counter()
-    original = planner.shortest_costs
-
-    def counted(net, source, targets):
-        searches[source] += 1
-        return original(net, source, targets)
-
-    monkeypatch.setattr(planner, "shortest_costs", counted)
     net = exact_bounds(road_network(1, 9))
     inst = random_instance(4, net, 3, 5, 9)  # more distinct endpoints than PoIs: one search per PoI
-    query, from_first, to_last = _prune(net, inst, PER_PERSON)
-    (first,), (last,) = from_first, to_last
+    legs = Legs()
+    query = _prune(net, inst, PER_PERSON, legs)
+    first, last = searches[0].origin, searches[1].origin  # the chain's endpoint searches, then one per hop
+    assert [search.kind for search in searches] == ["tree"] * (inst.k + 1)
     searches.clear()
-    table = compute_dp(net, query, PER_PERSON, _searched=(from_first, to_last))
-    assert searches[first] == 0 and searches[last] == 0
-    assert sum(searches.values()) == len(query.categories[0]) - 1 + len(query.categories[-1]) - 1
+    table = compute_dp(net, query, PER_PERSON, legs=legs)
+    trees = [search.origin for search in searches if search.kind == "tree"]
+    assert first not in trees and last not in trees
+    assert len(trees) == len(query.categories[0]) - 1 + len(query.categories[-1]) - 1
     full = compute_dp(net, query, PER_PERSON)
     assert (table.cost, table.parent, table.distances) == (full.cost, full.parent, full.distances)
     assert table.searches == full.searches - 2
@@ -276,29 +270,33 @@ def _nothing_stands_out_case():
     ],
     ids=["gate-off-200", "gate-off-2000", "no-bound-stands-out"],
 )
-def test_unpruned_queries_run_exactly_the_dp_searches(make_case, pruner_calls, monkeypatch, dp_queries):
+def test_unpruned_queries_run_exactly_the_dp_searches(make_case, pruner_calls, monkeypatch, dp_queries, searches):
     """With the gate off, or when no PoI's bound stands out, plan() runs
-    the searches of compute_dp over every PoI and no other cost search."""
+    the searches of compute_dp over every PoI and no other cost search;
+    only point-to-point and destination legs follow."""
     net, inst = make_case()
-    calls = []
-    original = planner.layer_costs
-
-    def counted(net, starts, weight, targets):
-        calls.append((dict(starts), weight, tuple(targets)))
-        return original(net, starts, weight, targets)
-
-    monkeypatch.setattr(planner, "layer_costs", counted)
-    monkeypatch.setattr("gtpmm.network.layer_costs", counted)  # shortest_costs searches through it
     pruner = []
     prune = planner._prune
     monkeypatch.setattr(planner, "_prune", lambda *args: pruner.append(args) or prune(*args))
     table = compute_dp(net, inst, PER_PERSON)
-    expected = list(calls)
-    calls.clear()
-    plan(net, inst, PER_PERSON)
+    expected = list(searches)
+    searches.clear()
+    spy = planner.compute_dp
+
+    def marked(*args, **kwargs):
+        searches.append("dp")
+        result = spy(*args, **kwargs)
+        searches.append("dp")
+        return result
+
+    monkeypatch.setattr(planner, "compute_dp", marked)
+    last = plan(net, inst, PER_PERSON).common_pois[-1]
+    start, end = [index for index, search in enumerate(searches) if search == "dp"]
     assert dp_queries == [inst]
-    assert calls == expected
-    assert len(calls) == table.searches
+    assert searches[:start] == []  # no pricing search
+    assert searches[start + 1 : end] == expected
+    assert len(expected) == table.searches
+    assert all(search.kind == "path" or search.origin == last for search in searches[end + 1 :])
     assert len(pruner) == pruner_calls
 
 
@@ -313,7 +311,7 @@ def test_disconnected_networks_fall_back_to_the_unpruned_dp(dp_queries):
     ]
     for sharing in (PER_PERSON, SHARED):
         for inst in cases:
-            assert _prune(islands, inst, sharing) is None
+            assert _prune(islands, inst, sharing, Legs()) is None
             dp_queries.clear()
             result = outcome(plan, islands, inst, sharing)
             assert dp_queries == [inst]  # the DP ran over every PoI
