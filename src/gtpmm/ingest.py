@@ -24,6 +24,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -432,33 +433,92 @@ def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork
 # --- serialized networks --------------------------------------------------------
 
 
+# The text json.dumps writes with indent=2, built here because with an indent
+# it falls back to its pure-Python encoder: strings and numbers go through the
+# C functions that encoder calls, and a network's records through fixed templates.
+
+
+def _json_value(value: object) -> str:
+    """The JSON text of a scalar: strings, exact ints and finite floats
+    through the C functions the json encoder itself calls."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    return json.dumps(value)  # a bool, an int or float subclass, a non-finite float
+
+
+def json_text(value: object, indent: str = "") -> str:
+    """``value``, of dicts with string keys, lists and scalars, as
+    ``json.dumps`` writes it with ``indent=2``, opened at ``indent``."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = ",\n".join(
+            f"{inner}{encode_basestring_ascii(key)}: {json_text(item, inner)}" for key, item in value.items()
+        )
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        items = ",\n".join(inner + json_text(item, inner) for item in value)
+        return f"[\n{items}\n{indent}]"
+    return _json_value(value)
+
+
+def _template(value: dict | list, indent: str) -> str:
+    """:func:`json_text` of ``value``, whose values are all :data:`_SLOT`,
+    with a ``%s`` in place of each."""
+    return json_text(value, indent).replace(json_text(_SLOT), "%s")
+
+
+def _json_list(records: list[str]) -> str:
+    """:func:`json_text` of a list of records written at the second level."""
+    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+
+
+_SLOT = "\0"  # a value no template's keys contain
+_NETWORK = _template(dict.fromkeys(("modes", "pois", "edges"), _SLOT), "")
+_MODE_RECORD = _template(
+    dict.fromkeys(("name", "base_fare_cents", "cost_per_meter_cents", "cost_per_minute_cents"), _SLOT), "    "
+)
+_POI_RECORD = _template(dict.fromkeys(("external_id", "name", "category", "coords"), _SLOT), "    ")
+_EDGE_RECORD = _template(dict.fromkeys(("u", "v", "mode", "distance_m", "time_min"), _SLOT), "    ")
+_COORDS = _template([_SLOT, _SLOT], "      ")
+
+
 def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
-    """Serialize a finalized network (PoIs, edges, resolved fares) to JSON."""
-    document = {
-        "modes": [
-            {
-                "name": net.fare_table.names[mode],
-                "base_fare_cents": net.fare_table.policies[mode].base_fare,
-                "cost_per_meter_cents": str(net.fare_table.policies[mode].cost_per_meter),
-                "cost_per_minute_cents": str(net.fare_table.policies[mode].cost_per_minute),
-            }
-            for mode in range(net.fare_table.mode_count)
-        ],
-        "pois": [
-            {
-                "external_id": poi.external_id,
-                "name": poi.name,
-                "category": poi.category,
-                "coords": list(poi.coords) if poi.coords else None,
-            }
-            for poi in net.pois
-        ],
-        "edges": [
-            {"u": e.u, "v": e.v, "mode": e.mode, "distance_m": e.distance_m, "time_min": e.time_min}
-            for e in net.edges
-        ],
-    }
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    """Serialize a finalized network (PoIs, edges, resolved fares) to JSON.
+
+    The file holds ``{"modes": [...], "pois": [...], "edges": [...]}`` as
+    :func:`json_text` writes it, and a newline; each record is filled into
+    one fixed template.
+    """
+    fares = net.fare_table
+    modes = [
+        _MODE_RECORD
+        % tuple(map(_json_value, (name, policy.base_fare, str(policy.cost_per_meter), str(policy.cost_per_minute))))
+        for name, policy in zip(fares.names, fares.policies)
+    ]
+    pois = [
+        _POI_RECORD
+        % (
+            _json_value(poi.external_id),
+            _json_value(poi.name),
+            _json_value(poi.category),
+            _COORDS % (_json_value(poi.coords[0]), _json_value(poi.coords[1])) if poi.coords else "null",
+        )
+        for poi in net.pois
+    ]
+    edges = [
+        _EDGE_RECORD
+        % (_json_value(e.u), _json_value(e.v), _json_value(e.mode), _json_value(e.distance_m), _json_value(e.time_min))
+        for e in net.edges
+    ]
+    text = _NETWORK % (_json_list(modes), _json_list(pois), _json_list(edges))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_network_json(path: str | Path) -> MultiModalNetwork:
@@ -477,8 +537,11 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     pairs = []
     for index, entry in enumerate(document["modes"]):
         try:
+            base_fare = entry["base_fare_cents"]
+            if type(base_fare) is not int:  # int() would truncate 120.9 and take True as 1
+                raise ParseError(f"modes[{index}]: base_fare_cents must be an integer", file=str(path))
             policy = FarePolicy(
-                int(entry["base_fare_cents"]),
+                base_fare,
                 Decimal(entry["cost_per_meter_cents"]),
                 Decimal(entry["cost_per_minute_cents"]),
             )
@@ -495,9 +558,12 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
         try:
             external_id = poi["external_id"]
             name = poi.get("name", "")
+            category = poi.get("category")
             if type(external_id) is not str or type(name) is not str:
                 raise ParseError(f"pois[{index}]: external_id and name must be strings", file=str(path))
-            builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
+            if category is not None and (type(category) is not int or category < 0):
+                raise ParseError(f"pois[{index}]: category must be null or a nonnegative integer", file=str(path))
+            builder.add_poi(external_id, name=name, category=category, coords=poi.get("coords"))
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"pois[{index}]", error) from None
     modes = fare_table.mode_count

@@ -185,17 +185,37 @@ def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
     :class:`~gtpmm.errors.ConfigurationError` naming the edge, with its id
     as ``edge``.
     """
-    policy = fares.policy(edge.mode)
-    total = (
-        policy.base_fare
-        + policy.cost_per_minute * _as_decimal(edge.time_min)
-        + policy.cost_per_meter * _as_decimal(edge.distance_m)
-    )
-    try:
-        return int(total.quantize(_CENT, rounding=ROUND_HALF_UP))
-    except InvalidOperation:
-        message = f"edge {edge.id} ({edge.u}, {edge.v}) costs {total:.3e} cents, too many to hold"
-        raise ConfigurationError(message, edge=edge.id) from None
+    return _edge_costs((edge,), fares)[0]
+
+
+def _edge_costs(edges: Iterable[TransitEdge], fares: FareTable) -> list[Money]:
+    """:func:`edge_cost` of each edge, in order: the one loop that prices
+    edges. Each mode's rates are read once per call, and each distinct
+    distance or time is converted to a decimal once per call (a number equal
+    to one already converted, such as ``3`` after ``3.0``, takes that
+    decimal, which has the same value), so each cost is the edge's own.
+    """
+    rates = [(policy.base_fare, policy.cost_per_minute, policy.cost_per_meter) for policy in fares.policies]
+    decimals: dict[float, Decimal] = {}
+    costs: list[Money] = []
+    for edge in edges:
+        mode, time_min, distance_m = edge.mode, edge.time_min, edge.distance_m
+        if not 0 <= mode < len(rates):
+            raise ConfigurationError(f"no fare policy for mode id {mode}")
+        base, per_minute, per_meter = rates[mode]
+        minutes = decimals.get(time_min)
+        if minutes is None:
+            minutes = decimals[time_min] = _as_decimal(time_min)
+        meters = decimals.get(distance_m)
+        if meters is None:
+            meters = decimals[distance_m] = _as_decimal(distance_m)
+        total = base + per_minute * minutes + per_meter * meters
+        try:
+            costs.append(int(total.quantize(_CENT, rounding=ROUND_HALF_UP)))
+        except InvalidOperation:
+            message = f"edge {edge.id} ({edge.u}, {edge.v}) costs {total:.3e} cents, too many to hold"
+            raise ConfigurationError(message, edge=edge.id) from None
+    return costs
 
 
 @dataclass(frozen=True)
@@ -348,12 +368,9 @@ class NetworkBuilder:
         return edge.id
 
     def finalize(self, fare_table: FareTable) -> MultiModalNetwork:
+        costs = _edge_costs(self._edges, fare_table)
         adjacency: list[list[int]] = [[] for _ in self._pois]
-        costs: list[Money] = []
         for edge in self._edges:
-            if not 0 <= edge.mode < fare_table.mode_count:
-                raise ConfigurationError(f"no fare policy for mode id {edge.mode}")
-            costs.append(edge_cost(edge, fare_table))
             adjacency[edge.u].append(edge.id)
             if edge.v != edge.u:
                 adjacency[edge.v].append(edge.id)
@@ -368,7 +385,7 @@ class NetworkBuilder:
 
 def rebuild_with_fares(net: MultiModalNetwork, fare_table: FareTable) -> MultiModalNetwork:
     """Same topology under a different fare table (edge costs recomputed)."""
-    return replace(net, fare_table=fare_table, edge_costs=tuple(edge_cost(edge, fare_table) for edge in net.edges))
+    return replace(net, fare_table=fare_table, edge_costs=tuple(_edge_costs(net.edges, fare_table)))
 
 
 def cheapest_parallel_edge(net: MultiModalNetwork, u: int, v: int) -> tuple[int, Money] | None:
@@ -927,6 +944,6 @@ def connect_components(net: MultiModalNetwork) -> tuple[MultiModalNetwork, list[
         edges=net.edges + tuple(added),
         fare_table=fares,
         adjacency=tuple(adjacency),
-        edge_costs=net.edge_costs + tuple(edge_cost(edge, fares) for edge in added),
+        edge_costs=net.edge_costs + tuple(_edge_costs(added, fares)),
     )
     return repaired, added

@@ -53,7 +53,6 @@ from .network import (
     landmark_bound,
     layer_costs,
     reference_path,
-    shortest_costs,  # unused here, but bound like the other searches, so a patch of them by name covers it
     shortest_path,
     shortest_paths,
 )

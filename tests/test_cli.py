@@ -36,6 +36,7 @@ def test_plan_subcommand_writes_document(tmp_path, walkthrough_args, query_file,
     code = main(["plan", *walkthrough_args, "--query", query_file, "--out", str(out)])
     assert code == 0
     document = json.loads(out.read_text())
+    assert out.read_text() == json.dumps(document, indent=2) + "\n"  # the layout of json.dumps with indent=2
     assert document["total_cost_cents"] == 3600
     assert document["common_pois"] == ["v03", "v05", "v07"]
     assert document["agents"][0]["poi_sequence"][0] == "v01"

@@ -21,9 +21,10 @@ from gtpmm import (
     resolve_fares,
     save_network_json,
 )
-from gtpmm.fixtures import default_fare_ranges, walkthrough_fare_table, gtfs_minimal_dir
-from gtpmm.ingest import FARE_STRATEGIES, save_edge_list
+from gtpmm.fixtures import default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
+from gtpmm.ingest import FARE_STRATEGIES, json_text, save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
+from gtpmm.synth import random_network, road_network
 
 
 # --- fare config ------------------------------------------------------------------
@@ -198,6 +199,9 @@ def test_network_json_round_trip(tmp_path, walkthrough_net):
     assert reloaded.edges == walkthrough_net.edges
     assert reloaded.edge_costs == walkthrough_net.edge_costs
     assert reloaded.fare_table == walkthrough_net.fare_table
+    categorized, _ = categorize(walkthrough_net, CategoryConfig(3))
+    save_network_json(categorized, out)
+    assert load_network_json(out).pois == categorized.pois
 
 
 def test_network_json_round_trips_coordinates(tmp_path):
@@ -221,6 +225,90 @@ def test_network_json_round_trips_self_loops(tmp_path):
     out = tmp_path / "net.json"
     save_network_json(net, out)
     assert load_network_json(out) == net
+
+
+def reference_network_text(net) -> str:
+    """The text save_network_json writes, by ``json.dumps`` with ``indent=2``."""
+    fares = net.fare_table
+    document = {
+        "modes": [
+            {
+                "name": name,
+                "base_fare_cents": policy.base_fare,
+                "cost_per_meter_cents": str(policy.cost_per_meter),
+                "cost_per_minute_cents": str(policy.cost_per_minute),
+            }
+            for name, policy in zip(fares.names, fares.policies)
+        ],
+        "pois": [
+            {
+                "external_id": poi.external_id,
+                "name": poi.name,
+                "category": poi.category,
+                "coords": list(poi.coords) if poi.coords else None,
+            }
+            for poi in net.pois
+        ],
+        "edges": [
+            {"u": e.u, "v": e.v, "mode": e.mode, "distance_m": e.distance_m, "time_min": e.time_min}
+            for e in net.edges
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def odd_values_network():
+    """Unicode, control characters and quotes in ids and names, categories
+    (one that no loader accepts), missing coordinates, integer, boolean and
+    negative-zero distances and times, and self-loops."""
+    builder = NetworkBuilder(allow_self_loops=True)
+    builder.add_poi("Zürich HB", name='the "main" station\tnorth\n', category=0, coords=(47.378, 8.54))
+    builder.add_poi("東京", name="\x00\x1f\u2028\\", category=7)
+    builder.add_poi("\U0001F68C", category=float("nan"), coords=(-0.0, 0))
+    for u, v, mode, distance, time in [
+        (0, 1, 0, 120, 2),
+        (1, 2, 1, True, False),
+        (2, 0, 0, -0.0, 0.5),
+        (1, 1, 1, 0.0, 1e-7),
+        (0, 0, 0, 1e16, 123456.789),
+    ]:
+        builder.add_edge(u, v, mode, distance, time)
+    return builder.finalize(walkthrough_fare_table())
+
+
+def edgeless_network():
+    builder = NetworkBuilder()
+    builder.add_poi("a")
+    builder.add_poi("b", coords=(1.5, 2.5))
+    return builder.finalize(walkthrough_fare_table())
+
+
+WRITTEN_NETWORKS = {
+    "walkthrough": walkthrough_network,
+    "road-8": lambda: road_network(1, 8),
+    "road-55": lambda: road_network(1, 55),
+    "random-50": lambda: random_network(1, 50, 3),
+    "empty": lambda: NetworkBuilder().finalize(FareTable((), ())),
+    "edgeless": edgeless_network,
+    "odd-values": odd_values_network,
+    "gtfs": lambda: load_gtfs(gtfs_minimal_dir(), resolve_fares(default_fare_ranges(), "low")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN_NETWORKS))
+def test_network_json_is_the_indented_json_dump(tmp_path, case):
+    net = WRITTEN_NETWORKS[case]()
+    out = tmp_path / "net.json"
+    save_network_json(net, out)
+    assert out.read_bytes() == reference_network_text(net).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{}, [], "", None, 0, -0.0, 1e300, True, {"a": {}, "b": [], "c": [[]], "d": [{"e": None}]}, ["ü\u2028", 2.5]],
+)
+def test_json_text_is_the_indented_json_dump(value):
+    assert json_text(value) == json.dumps(value, indent=2)
 
 
 def _drop_edges(document):
@@ -280,6 +368,14 @@ MALFORMED_NETWORKS = {
     "huge-distance": (_priced_distance, "edges[4]: edge 4 ("),
     "huge-integer-distance": (_set("edges", 1, "distance_m", 10**400), "edges[1]: edge (0, 2) has invalid distance"),
     "huge-integer-time": (_set("edges", 1, "time_min", 10**400), "edges[1]: edge (0, 2) has invalid time"),
+    "fractional-fare": (_set("modes", 1, "base_fare_cents", 120.9), "modes[1]: base_fare_cents must be an integer"),
+    "integral-float-fare": (_set("modes", 0, "base_fare_cents", 120.0), "modes[0]: base_fare_cents must be"),
+    "boolean-fare": (_set("modes", 2, "base_fare_cents", True), "modes[2]: base_fare_cents must be an integer"),
+    "string-fare": (_set("modes", 0, "base_fare_cents", "120"), "modes[0]: base_fare_cents must be"),
+    "string-category": (_set("pois", 1, "category", "x"), "pois[1]: category must be null or a nonnegative integer"),
+    "negative-category": (_set("pois", 2, "category", -3), "pois[2]: category must be null or a nonnegative"),
+    "float-category": (_set("pois", 3, "category", 1.0), "pois[3]: category must be"),
+    "boolean-category": (_set("pois", 4, "category", False), "pois[4]: category must be"),
 }
 
 

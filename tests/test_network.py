@@ -6,7 +6,7 @@ import itertools
 import math
 import shutil
 from dataclasses import replace
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal
 from heapq import heapify, heappop, heappush
 from unittest.mock import patch
 
@@ -134,6 +134,84 @@ def test_edge_cost_that_does_not_fit_raises_configuration_error():
     for distance, time in ((1e30, 0.0), (0.0, 1e30), (10**300, 0.0)):
         with pytest.raises(ConfigurationError, match=r"edge 4 \(0, 1\) costs .* cents, too many to hold"):
             edge_cost(TransitEdge(4, 0, 1, 0, distance, time), fares)
+
+
+def per_edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
+    """The reference cost formula, one edge at a time with no shared state."""
+    policy = fares.policy(edge.mode)
+    minutes, meters = (Decimal(repr(x)) if isinstance(x, float) else Decimal(x) for x in (edge.time_min, edge.distance_m))
+    total = policy.base_fare + policy.cost_per_minute * minutes + policy.cost_per_meter * meters
+    return int(total.quantize(Decimal(1), rounding=ROUND_HALF_UP))
+
+
+def integer_distance_network():
+    """Integer, float and boolean distances and times of equal value, and
+    one value as both a distance and a time, on one network."""
+    builder = NetworkBuilder()
+    for i in range(4):
+        builder.add_poi(f"n{i}")
+    for u, v, mode, distance, time in [
+        (0, 1, 0, 3, 2),
+        (0, 1, 1, 3.0, 2.0),
+        (1, 2, 0, 1, True),
+        (1, 2, 2, True, 1.0),
+        (2, 3, 1, 0, -0.0),
+        (2, 3, 0, 0.0, 0),
+        (0, 3, 2, 1005, 7),
+        (0, 3, 1, 1005.0, 7.5),
+        (0, 2, 1, 0.1, 12.345678),  # one value as a time here and as a distance next
+        (0, 2, 1, 12.345678, 0.1),
+    ]:
+        builder.add_edge(u, v, mode, distance, time)
+    return builder.finalize(
+        FareTable.from_pairs(
+            [
+                ("A", FarePolicy(250, Decimal("0.0005"), Decimal("10"))),
+                ("B", FarePolicy(0, Decimal("1.4995"), Decimal("0.3333"))),
+                ("C", FarePolicy(7, Decimal("0.5"), Decimal(0))),
+            ]
+        )
+    )
+
+
+ZERO_FARES = FareTable.from_pairs((f"M{i}", FarePolicy(0, Decimal(0), Decimal(0))) for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: road_network(1, 12),
+        lambda: random_network(1, 200, 3),
+        lambda: random_network(2, 60, 3, fare_table=ZERO_FARES),
+        integer_distance_network,
+    ],
+    ids=["road", "random", "zero-fare", "integer-distance"],
+)
+def test_edge_costs_equal_the_per_edge_formula(build):
+    net = build()
+    expected = [per_edge_cost(edge, net.fare_table) for edge in net.edges]
+    assert list(net.edge_costs) == expected
+    assert [edge_cost(edge, net.fare_table) for edge in net.edges] == expected
+    assert rebuild_with_fares(net, net.fare_table.scaled(3)).edge_costs == tuple(
+        per_edge_cost(edge, net.fare_table.scaled(3)) for edge in net.edges
+    )
+
+
+def test_edge_costs_raise_on_a_cost_that_does_not_fit():
+    builder = NetworkBuilder()
+    for i in range(3):
+        builder.add_poi(f"n{i}")
+    builder.add_edge(0, 1, 1, 1e30, 1.0)  # fits, as its mode has no distance rate
+    builder.add_edge(1, 2, 0, 1e30, 1.0)  # the same distance, at 3 cents a meter
+    fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(0))), ("Flat", FarePolicy(1, 0, 0))])
+    with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 2\) costs 3.000e\+30 cents, too many") as excinfo:
+        builder.finalize(fares)
+    assert excinfo.value.edge == 1
+    net = builder.finalize(FareTable.from_pairs([("M", FarePolicy(0, 0, 0)), ("Flat", FarePolicy(1, 0, 0))]))
+    assert net.edge_costs == (1, 0)
+    with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 2\) costs 3.000e\+30 cents") as excinfo:
+        rebuild_with_fares(net, fares)
+    assert excinfo.value.edge == 1
 
 
 # --- cheapest_parallel_edge -----------------------------------------------------

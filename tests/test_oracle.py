@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal
 
 import pytest
@@ -186,7 +187,6 @@ def test_checks_share_no_search_with_the_planner(monkeypatch):
     # brute_force_optimal and group_cost are the references the planner is
     # checked against: they must not run the planner's goal-directed searches
     import gtpmm.network
-    import gtpmm.planner
 
     cases = []
     for seed in range(4):
@@ -199,18 +199,18 @@ def test_checks_share_no_search_with_the_planner(monkeypatch):
     def planner_search(*args, **kwargs):
         raise AssertionError("a check ran one of the planner's searches")
 
-    for module, name in [
-        (gtpmm.network, "layer_costs"),
-        (gtpmm.network, "shortest_costs"),
-        (gtpmm.network, "shortest_path"),
-        (gtpmm.network, "shortest_paths"),
-        (gtpmm.network, "_landmark_bounds"),
-        (gtpmm.planner, "layer_costs"),
-        (gtpmm.planner, "shortest_costs"),
-        (gtpmm.planner, "shortest_path"),
-        (gtpmm.planner, "shortest_paths"),
-    ]:
-        monkeypatch.setattr(module, name, planner_search)
+    # each search is patched by object under every name any loaded gtpmm module binds it to
+    names = ("layer_costs", "shortest_costs", "shortest_path", "shortest_paths", "_landmark_bounds")
+    searches = {id(getattr(gtpmm.network, name)) for name in names}
+    patched = set()
+    for module_name, module in sorted(sys.modules.items()):
+        if module is None or module_name.split(".")[0] != "gtpmm":
+            continue
+        for name, value in list(vars(module).items()):
+            if id(value) in searches:
+                monkeypatch.setattr(module, name, planner_search)
+                patched.add(id(value))
+    assert patched == searches
     monkeypatch.setattr(gtpmm.network.MultiModalNetwork, "landmarks", property(planner_search))
     for (net, inst, common), (optimum, cost) in zip(cases, expected):
         fresh = rebuild_with_fares(net, net.fare_table)  # no search view built yet
