@@ -131,8 +131,6 @@ def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Dec
 def load_fare_config(path: str | Path) -> list[FareRange]:
     """Read the fare config CSV into per-mode ranges."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", file=str(path))
     ranges: list[FareRange] = []
     seen: set[str] = set()
     with _csv_file(path) as handle:
@@ -206,8 +204,6 @@ def resolve_fares(
 def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork:
     """Build a network from an edge-list CSV (see module docstring)."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", file=str(path))
     rows: list[tuple[int, str, str, str, float, float]] = []
     externals: set[str] = set()
     with _csv_file(path) as handle:
@@ -221,28 +217,23 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
             if len(row) != 5:
                 raise ParseError(f"expected 5 columns, got {len(row)}", file=str(path), line=row_number)
             u, v, mode, distance_text, time_text = (cell.strip() for cell in row)
-            if u == v:
-                raise ParseError(f"self-loop at {u!r}", file=str(path), line=row_number)
             try:
                 distance = float(distance_text)
                 time = float(time_text)
             except ValueError:
                 raise ParseError("distance and time must be numeric", file=str(path), line=row_number) from None
-            if not (0 <= distance < math.inf and 0 <= time < math.inf):
-                raise ParseError("distance and time must be finite and nonnegative", file=str(path), line=row_number)
-            if mode not in fare_table.names:
-                raise ParseError(f"unknown mode {mode!r}", file=str(path), line=row_number)
             externals.update((u, v))
             rows.append((row_number, u, v, mode, distance, time))
 
     builder = NetworkBuilder()
     ids = {external: builder.add_poi(external) for external in sorted(externals)}
-    for _, u, v, mode, distance, time in rows:
-        builder.add_edge(ids[u], ids[v], fare_table.id_of(mode), distance, time)
     try:
+        for row_number, u, v, mode, distance, time in rows:
+            builder.add_edge(ids[u], ids[v], fare_table.id_of(mode), distance, time)
         return builder.finalize(fare_table)
-    except ConfigurationError as error:  # an edge whose cost does not fit; edge ids follow the rows
-        raise ParseError(str(error), file=str(path), line=rows[error.edge][0]) from None
+    except ConfigurationError as error:  # edge ids follow the rows
+        line = row_number if error.edge is None else rows[error.edge][0]
+        raise ParseError(str(error), file=str(path), line=line) from None
 
 
 def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
@@ -524,8 +515,6 @@ def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
 def load_network_json(path: str | Path) -> MultiModalNetwork:
     """Load a network serialized by :func:`save_network_json`."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", file=str(path))
     document = read_json(path, "network")
 
     if not isinstance(document, dict):
@@ -537,11 +526,8 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     pairs = []
     for index, entry in enumerate(document["modes"]):
         try:
-            base_fare = entry["base_fare_cents"]
-            if type(base_fare) is not int:  # int() would truncate 120.9 and take True as 1
-                raise ParseError(f"modes[{index}]: base_fare_cents must be an integer", file=str(path))
             policy = FarePolicy(
-                base_fare,
+                entry["base_fare_cents"],
                 Decimal(entry["cost_per_meter_cents"]),
                 Decimal(entry["cost_per_minute_cents"]),
             )
@@ -556,28 +542,18 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     builder = NetworkBuilder(allow_self_loops=True)  # save_network_json writes any network, self-loops too
     for index, poi in enumerate(document["pois"]):
         try:
-            external_id = poi["external_id"]
-            name = poi.get("name", "")
-            category = poi.get("category")
-            if type(external_id) is not str or type(name) is not str:
-                raise ParseError(f"pois[{index}]: external_id and name must be strings", file=str(path))
-            if category is not None and (type(category) is not int or category < 0):
-                raise ParseError(f"pois[{index}]: category must be null or a nonnegative integer", file=str(path))
-            builder.add_poi(external_id, name=name, category=category, coords=poi.get("coords"))
+            external_id, name = poi["external_id"], poi.get("name", "")
+            builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"pois[{index}]", error) from None
-    modes = fare_table.mode_count
     for index, edge in enumerate(document["edges"]):
         try:
-            u, v, mode = edge["u"], edge["v"], edge["mode"]
-            if type(u) is not int or type(v) is not int or type(mode) is not int or not 0 <= mode < modes:
-                raise ParseError(f"edges[{index}]: u and v must be PoI ids and mode a mode id", file=str(path))
-            builder.add_edge(u, v, mode, edge["distance_m"], edge["time_min"])
+            builder.add_edge(edge["u"], edge["v"], edge["mode"], edge["distance_m"], edge["time_min"])
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"edges[{index}]", error) from None
     try:
         return builder.finalize(fare_table)
-    except ConfigurationError as error:  # an edge whose cost does not fit; its id is its index in 'edges'
+    except ConfigurationError as error:  # an edge's mode or cost; its id is its index in 'edges'
         raise ParseError(f"edges[{error.edge}]: {error}", file=str(path)) from None
 
 
@@ -616,9 +592,13 @@ class CategoryConfig:
         if self.strategy not in ("round-robin", "seeded-random", "by-name-keyword"):
             raise ConfigurationError(f"unknown category strategy {self.strategy!r}")
         if self.strategy == "by-name-keyword":
-            bad = [c for c in self.keywords.values() if not 0 <= c < self.k]
+            bad = {
+                keyword: category
+                for keyword, category in self.keywords.items()
+                if not isinstance(keyword, str) or type(category) is not int or not 0 <= category < self.k
+            }
             if bad:
-                raise ConfigurationError(f"keyword categories out of range: {bad}")
+                raise ConfigurationError(f"keywords must map strings to categories 0 to {self.k - 1}: {bad}")
 
 
 def categorize(net: MultiModalNetwork, cfg: CategoryConfig) -> tuple[MultiModalNetwork, list[tuple[int, ...]]]:

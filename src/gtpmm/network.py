@@ -60,6 +60,8 @@ class FarePolicy:
     cost_per_minute: Decimal
 
     def __post_init__(self) -> None:
+        if type(self.base_fare) is not int:  # whole cents: not a float such as 120.9, nor a bool
+            raise ConfigurationError("base_fare_cents must be an integer")
         object.__setattr__(self, "cost_per_meter", _as_decimal(self.cost_per_meter).quantize(_RATE_QUANTUM))
         object.__setattr__(self, "cost_per_minute", _as_decimal(self.cost_per_minute).quantize(_RATE_QUANTUM))
         if self.base_fare < 0 or self.cost_per_meter < 0 or self.cost_per_minute < 0:
@@ -82,6 +84,8 @@ class FareTable:
     def __post_init__(self) -> None:
         if len(self.names) != len(self.policies):
             raise ConfigurationError("fare table names and policies must align")
+        if not all(isinstance(name, str) for name in self.names):
+            raise ConfigurationError("mode names must be strings")
         if len(set(self.names)) != len(self.names):
             raise ConfigurationError("mode names must be unique")
 
@@ -160,7 +164,7 @@ def _transit_edge(edge_id: int, u: int, v: int, mode: ModeId, distance_m: float,
 def _finite_nonnegative(value: float) -> bool:
     try:
         return math.isfinite(value) and value >= 0
-    except OverflowError:  # an integer too large for a float
+    except (TypeError, ValueError, OverflowError):  # not a number, or an integer too large for a float
         return False
 
 
@@ -201,7 +205,7 @@ def _edge_costs(edges: Iterable[TransitEdge], fares: FareTable) -> list[Money]:
     for edge in edges:
         mode, time_min, distance_m = edge.mode, edge.time_min, edge.distance_m
         if not 0 <= mode < len(rates):
-            raise ConfigurationError(f"no fare policy for mode id {mode}")
+            raise ConfigurationError(f"no fare policy for mode id {mode}", edge=edge.id)
         base, per_minute, per_meter = rates[mode]
         minutes = decimals.get(time_min)
         if minutes is None:
@@ -331,7 +335,14 @@ def _valid_coords(value: object) -> bool:
 
 
 class NetworkBuilder:
-    """Single-writer accumulator; ``finalize`` validates and freezes."""
+    """Single-writer accumulator; ``finalize`` prices and freezes.
+
+    The one place a network's input is checked: :meth:`add_poi` and
+    :meth:`add_edge` reject a field of the wrong type or range, and
+    ``finalize`` an edge whose mode has no fare policy or whose cost does not
+    fit, with the edge's id as the error's ``edge``. The file loaders only
+    parse, and name the file and record of a rejected value.
+    """
 
     def __init__(self, allow_self_loops: bool = False):
         self._pois: list[Poi] = []
@@ -347,6 +358,10 @@ class NetworkBuilder:
         category: int | None = None,
         coords: Sequence[float] | None = None,
     ) -> int:
+        if not (isinstance(external_id, str) and isinstance(name, str)):
+            raise ConfigurationError("external_id and name must be strings")
+        if category is not None and (type(category) is not int or category < 0):  # not a bool, float or NaN
+            raise ConfigurationError("category must be null or a nonnegative integer")
         if coords is not None:
             if not _valid_coords(coords):
                 raise ConfigurationError("coords must be null or [lat, lon] in degrees")
@@ -359,10 +374,12 @@ class NetworkBuilder:
         return poi_id
 
     def add_edge(self, u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> int:
+        if type(u) is not int or type(v) is not int or type(mode) is not int or mode < 0:  # not a bool or float
+            raise ConfigurationError("u and v must be PoI ids and mode a mode id")
         if not (0 <= u < len(self._pois) and 0 <= v < len(self._pois)):
             raise ConfigurationError(f"edge endpoints ({u}, {v}) reference unknown PoIs")
         if u == v and not self._allow_self_loops:
-            raise ConfigurationError(f"self-loop at PoI {u} rejected")
+            raise ConfigurationError(f"self-loop at PoI {u} ({self._pois[u].external_id!r}) rejected")
         edge = _transit_edge(len(self._edges), u, v, mode, distance_m, time_min)
         self._edges.append(edge)
         return edge.id
@@ -381,11 +398,6 @@ class NetworkBuilder:
             adjacency=tuple(tuple(ids) for ids in adjacency),
             edge_costs=tuple(costs),
         )
-
-
-def rebuild_with_fares(net: MultiModalNetwork, fare_table: FareTable) -> MultiModalNetwork:
-    """Same topology under a different fare table (edge costs recomputed)."""
-    return replace(net, fare_table=fare_table, edge_costs=tuple(_edge_costs(net.edges, fare_table)))
 
 
 def cheapest_parallel_edge(net: MultiModalNetwork, u: int, v: int) -> tuple[int, Money] | None:
@@ -667,16 +679,6 @@ class SearchTree(Mapping[int, PathResult]):
         if not self._tied.isdisjoint(forward.poi_sequence):
             return None
         return PathResult(forward.cost, forward.legs[::-1], forward.poi_sequence[::-1])
-
-
-def shortest_costs(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> dict[int, Money]:
-    """Cheapest cost from ``source`` to every reachable PoI of ``targets``:
-    the ``costs`` of :func:`shortest_paths`. A target missing from the
-    result is unreachable; ``source``, if it is a target, costs 0. The
-    network is undirected, so the costs also hold from each target back to
-    ``source``, and each equals ``shortest_path(net, source, target).cost``.
-    """
-    return shortest_paths(net, source, targets).costs
 
 
 def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:

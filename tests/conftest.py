@@ -57,8 +57,8 @@ def trend_net():
 class Search(NamedTuple):
     """One search the package ran. ``kind`` is ``"path"`` for a
     point-to-point ``shortest_path``, ``"tree"`` for a single-source
-    ``shortest_paths`` (which ``shortest_costs`` runs too) and ``"layer"``
-    for a multi-source ``layer_costs``, whose ``origin`` is its starts."""
+    ``shortest_paths`` and ``"layer"`` for a multi-source ``layer_costs``,
+    whose ``origin`` is its starts."""
 
     kind: str
     origin: object

@@ -28,7 +28,7 @@ from gtpmm.network import (
     PathResult,
     landmark_bound,
     reference_path,
-    shortest_costs,
+    shortest_paths,
 )
 from gtpmm.planner import PRUNE_TIGHTNESS, JourneyPlan
 from gtpmm.rng import SplitMix64
@@ -524,7 +524,7 @@ def test_bound_ordered_nncm_prices_a_tie_whose_bound_is_exact(nncm_picks):
     net = road_network(0, 7, jitter=0.0)
     inst = QueryInstance([(6, 44), (6, 7)], [[9, 16, 28, 33, 34, 44], [12, 19, 37, 42, 45, 47], [5, 8, 26, 27, 32, 43]])
     bound = landmark_bound(net, [47, 26, 32])
-    assert shortest_costs(net, 47, [26, 32]) == {26: 642, 32: 642}
+    assert shortest_paths(net, 47, [26, 32]).costs == {26: 642, 32: 642}
     assert bound(47, 32) < bound(47, 26) == 642
     for sharing in (PER_PERSON, SHARED):
         nncm_picks.clear()

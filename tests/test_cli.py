@@ -206,6 +206,18 @@ def test_bad_network_file_fails_without_traceback(tmp_path, query_file):
     assert f"{path}: a network needs a list under 'edges'" in result.stderr
 
 
+def test_mode_name_that_is_not_a_string_fails_without_traceback(tmp_path, walkthrough_args, query_file):
+    path = tmp_path / "net.json"
+    assert main(["ingest", *walkthrough_args, "--out", str(path)]) == 0
+    document = json.loads(path.read_text())
+    document["modes"][1]["name"] = ["Train"]  # unhashable, so it once reached the fare table as a TypeError
+    path.write_text(json.dumps(document))
+    result = run_cli("plan", "--network", str(path), "--query", query_file)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert f"{path}: modes: mode names must be strings" in result.stderr
+
+
 def test_malformed_coords_fail_without_traceback_before_repair(tmp_path, walkthrough_args, query_file):
     # without edges the network is disconnected, so --connect would measure
     # repair edges from the coordinates

@@ -149,7 +149,7 @@ def test_unknown_mode_rejected_with_line(tmp_path):
 def test_self_loop_rejected(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("u,v,mode,distance_m,time_min\na,a,Bus,100,1\n")
-    with pytest.raises(ParseError, match="edges.csv:2"):
+    with pytest.raises(ParseError, match=r"edges\.csv:2: self-loop at PoI 0 \('a'\)"):
         load_edge_list(path, walkthrough_fare_table())
 
 
@@ -157,7 +157,7 @@ def test_self_loop_rejected(tmp_path):
 def test_non_finite_distance_rejected_with_line(tmp_path, value):
     path = tmp_path / "edges.csv"
     path.write_text(f"u,v,mode,distance_m,time_min\na,b,Bus,100,1\na,c,Bus,{value},1\n")
-    with pytest.raises(ParseError, match=r"edges\.csv:3: distance and time must be finite"):
+    with pytest.raises(ParseError, match=r"edges\.csv:3: edge \(0, 2\) has invalid distance"):
         load_edge_list(path, walkthrough_fare_table())
 
 
@@ -258,13 +258,13 @@ def reference_network_text(net) -> str:
 
 
 def odd_values_network():
-    """Unicode, control characters and quotes in ids and names, categories
-    (one that no loader accepts), missing coordinates, integer, boolean and
-    negative-zero distances and times, and self-loops."""
+    """Unicode, control characters and quotes in ids and names, categories,
+    missing coordinates, integer, boolean and negative-zero distances and
+    times, and self-loops."""
     builder = NetworkBuilder(allow_self_loops=True)
     builder.add_poi("Zürich HB", name='the "main" station\tnorth\n', category=0, coords=(47.378, 8.54))
     builder.add_poi("東京", name="\x00\x1f\u2028\\", category=7)
-    builder.add_poi("\U0001F68C", category=float("nan"), coords=(-0.0, 0))
+    builder.add_poi("\U0001F68C", coords=(-0.0, 0))
     for u, v, mode, distance, time in [
         (0, 1, 0, 120, 2),
         (1, 2, 1, True, False),
@@ -305,7 +305,19 @@ def test_network_json_is_the_indented_json_dump(tmp_path, case):
 
 @pytest.mark.parametrize(
     "value",
-    [{}, [], "", None, 0, -0.0, 1e300, True, {"a": {}, "b": [], "c": [[]], "d": [{"e": None}]}, ["ü\u2028", 2.5]],
+    [
+        {},
+        [],
+        "",
+        None,
+        0,
+        -0.0,
+        1e300,
+        True,
+        {"a": {}, "b": [], "c": [[]], "d": [{"e": None}]},
+        ["ü\u2028", 2.5],
+        float("nan"),
+    ],
 )
 def test_json_text_is_the_indented_json_dump(value):
     assert json_text(value) == json.dumps(value, indent=2)
@@ -343,7 +355,10 @@ MALFORMED_NETWORKS = {
     "list-document": (lambda document: [document], "JSON object"),
     "nan-distance": (_set("edges", 3, "distance_m", "NaN"), "edges[3]"),
     "non-integer-id": (_set("edges", 2, "u", 1.0), "edges[2]: u and v must be PoI ids"),
-    "unknown-mode": (_set("edges", 0, "mode", 99), "edges[0]: u and v must be PoI ids and mode a mode id"),
+    "unknown-mode": (_set("edges", 0, "mode", 99), "edges[0]: no fare policy for mode id 99"),
+    "list-mode-name": (_set("modes", 1, "name", ["Bus"]), "modes: mode names must be strings"),
+    "integer-mode-name": (_set("modes", 0, "name", 5), "modes: mode names must be strings"),
+    "null-mode-name": (_set("modes", 2, "name", None), "modes: mode names must be strings"),
     "nan-rate": (_set("modes", 1, "cost_per_meter_cents", "NaN"), "modes[1]"),
     "non-numeric-rate": (_set("modes", 0, "cost_per_minute_cents", "abc"), "modes[0]"),
     "duplicate-external-id": (_duplicate_external_id, "pois[4]: duplicate external_id 'v03'"),
@@ -607,6 +622,12 @@ def test_keyword_strategy_groups_by_name():
     assert sets[0] == (0, 1)
     assert sets[1] == (2,)
     assert relabeled.pois[3].category is None  # uncategorized
+
+
+@pytest.mark.parametrize("keywords", [{"v0": 1.5}, {"v0": 1.0}, {"v0": True}, {"v0": 3}, {"v0": -1}, {5: 1}])
+def test_keyword_config_is_checked_when_built(keywords):
+    with pytest.raises(ConfigurationError, match="keywords must map strings to categories 0 to 2"):
+        CategoryConfig(k=3, strategy="by-name-keyword", keywords=keywords)
 
 
 def test_empty_category_is_reported():

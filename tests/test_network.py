@@ -34,15 +34,14 @@ from gtpmm.network import (
     ModeId,
     Money,
     PathResult,
+    _edge_costs,
     _landmark_bounds,
     edge_cost,
     haversine_m,
     landmark_bound,
     layer_costs,
     median_fare_policy,
-    rebuild_with_fares,
     reference_path,
-    shortest_costs,
     shortest_paths,
 )
 from gtpmm.synth import random_disconnected_network, random_network, road_network
@@ -128,6 +127,12 @@ def test_fare_policy_rejects_negative_components():
         FarePolicy(-1, Decimal(0), Decimal(0))
 
 
+@pytest.mark.parametrize("base_fare", [120.9, 120.0, True, "120", Decimal(120)])
+def test_fare_policy_rejects_a_base_fare_that_is_not_whole_cents(base_fare):
+    with pytest.raises(ConfigurationError, match="base_fare_cents must be an integer"):
+        FarePolicy(base_fare, Decimal(0), Decimal(0))
+
+
 def test_edge_cost_that_does_not_fit_raises_configuration_error():
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(1)))])
     assert edge_cost(TransitEdge(4, 0, 1, 0, 1e20, 0.0), fares) == 3 * 10**20
@@ -192,9 +197,9 @@ def test_edge_costs_equal_the_per_edge_formula(build):
     expected = [per_edge_cost(edge, net.fare_table) for edge in net.edges]
     assert list(net.edge_costs) == expected
     assert [edge_cost(edge, net.fare_table) for edge in net.edges] == expected
-    assert rebuild_with_fares(net, net.fare_table.scaled(3)).edge_costs == tuple(
+    assert _edge_costs(net.edges, net.fare_table.scaled(3)) == [
         per_edge_cost(edge, net.fare_table.scaled(3)) for edge in net.edges
-    )
+    ]
 
 
 def test_edge_costs_raise_on_a_cost_that_does_not_fit():
@@ -210,7 +215,7 @@ def test_edge_costs_raise_on_a_cost_that_does_not_fit():
     net = builder.finalize(FareTable.from_pairs([("M", FarePolicy(0, 0, 0)), ("Flat", FarePolicy(1, 0, 0))]))
     assert net.edge_costs == (1, 0)
     with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 2\) costs 3.000e\+30 cents") as excinfo:
-        rebuild_with_fares(net, fares)
+        _edge_costs(net.edges, fares)
     assert excinfo.value.edge == 1
 
 
@@ -417,9 +422,9 @@ def assert_searches_agree(net):
         for target, path in paths.items():
             assert path == edge_walking_shortest_path(net, source, target)
         expected = {target: path.cost for target, path in paths.items() if path is not None}
-        assert shortest_costs(net, source, nodes) == expected
+        assert shortest_paths(net, source, nodes).costs == expected
         for target in nodes:  # a lone target stops the search early
-            single = shortest_costs(net, source, [target])
+            single = shortest_paths(net, source, [target]).costs
             assert single.get(target) == expected.get(target)
             assert set(single) <= {target}
 
@@ -577,15 +582,15 @@ def test_many_target_searches_reject_unknown_pois(walkthrough_net):
     assert layer_costs(walkthrough_net, {}, 1, [0]) == {}
 
 
-def test_shortest_costs_without_targets_is_empty(walkthrough_net):
-    assert shortest_costs(walkthrough_net, 0, []) == {}
+def test_search_costs_without_targets_are_empty(walkthrough_net):
+    assert shortest_paths(walkthrough_net, 0, []).costs == {}
 
 
-def test_shortest_costs_rejects_unknown_pois(walkthrough_net):
+def test_search_costs_reject_unknown_pois(walkthrough_net):
     with pytest.raises(ConfigurationError):
-        shortest_costs(walkthrough_net, 99, [0])
+        shortest_paths(walkthrough_net, 99, [0])
     with pytest.raises(ConfigurationError):
-        shortest_costs(walkthrough_net, 0, [1, 99])
+        shortest_paths(walkthrough_net, 0, [1, 99])
 
 
 def test_landmark_bound_is_the_rows_largest_gap_and_at_most_the_cost():
@@ -593,7 +598,7 @@ def test_landmark_bound_is_the_rows_largest_gap_and_at_most_the_cost():
     pois = range(net.poi_count)
     bound = landmark_bound(net, pois)
     for a in pois:
-        costs = shortest_costs(net, a, pois)
+        costs = shortest_paths(net, a, pois).costs
         for b in pois:
             assert bound(a, b) == max(abs(row[a] - row[b]) for row in net.landmarks) <= costs[b]
     islands = random_disconnected_network(seed=5, n_components=3, pois_per_component=5)  # PoIs 0-4, 5-9, 10-14
@@ -1002,7 +1007,7 @@ def test_search_views_are_lazy_and_outside_equality(tmp_path):
     for fresh in (net, loaded, repaired):  # ingest builds no search view
         assert not set(SEARCH_VIEWS) & set(vars(fresh))
     shortest_path(net, 0, 2)
-    shortest_costs(net, 0, [2])
+    shortest_paths(net, 0, [2])
     assert net.cheapest_neighbors is net.cheapest_neighbors
     assert net.landmarks is net.landmarks
     assert net == twin and repr(net) == repr(twin)
@@ -1012,7 +1017,7 @@ def test_search_views_are_lazy_and_outside_equality(tmp_path):
     fares = FareTable.from_pairs(
         (name, FarePolicy(7 + 30 * mode, Decimal(1), Decimal(0))) for mode, name in enumerate(EDGE_CASE_FARES.names)
     )
-    rebuilt = rebuild_with_fares(net, fares)
+    rebuilt = with_fares(net, fares)
     assert not set(SEARCH_VIEWS) & set(vars(rebuilt))
     assert rebuilt.landmarks != net.landmarks
     assert rebuilt.landmarks == built_network(spec[0], fares, spec[1]).landmarks
@@ -1044,8 +1049,14 @@ def test_cheapest_neighbors_rows_ascend_by_neighbor_id(walkthrough_net):
 # --- network copies ---------------------------------------------------------------
 
 
+def with_fares(net, fare_table):
+    """``net`` under another fare table, its edges priced again: a network
+    copy by ``dataclasses.replace``, which builds no search view."""
+    return replace(net, fare_table=fare_table, edge_costs=tuple(_edge_costs(net.edges, fare_table)))
+
+
 def builder_copy_with_fares(net, fare_table):
-    """Verbatim copy of the builder loop ``rebuild_with_fares`` used to run."""
+    """``net`` rebuilt edge by edge through a builder under ``fare_table``."""
     builder = NetworkBuilder(allow_self_loops=True)
     for poi in net.pois:
         builder.add_poi(poi.external_id, name=poi.name, category=poi.category, coords=poi.coords)
@@ -1067,23 +1078,23 @@ def copy_test_networks(walkthrough_net):
     yield builder.finalize(EDGE_CASE_FARES)
 
 
-def test_rebuild_with_fares_equals_a_builder_copy(walkthrough_net):
+def test_repriced_copy_equals_a_builder_copy(walkthrough_net):
     for net in copy_test_networks(walkthrough_net):
         for fares in (net.fare_table, net.fare_table.scaled(3), EDGE_CASE_FARES.scaled(2)):
             if fares.mode_count < net.fare_table.mode_count:
                 continue
             shortest_path(net, 0, net.poi_count - 1)  # built search views must not leak into the copy
-            rebuilt = rebuild_with_fares(net, fares)
+            rebuilt = with_fares(net, fares)
             assert rebuilt == builder_copy_with_fares(net, fares)
             assert "cheapest_neighbors" not in vars(rebuilt)
 
 
-def test_rebuild_with_fares_rejects_a_table_missing_a_mode(walkthrough_net):
+def test_repricing_rejects_a_table_missing_a_mode(walkthrough_net):
     fares = FareTable.from_pairs([("only", FarePolicy(100, Decimal(0), Decimal(0)))])
     with pytest.raises(ConfigurationError) as expected:
         builder_copy_with_fares(walkthrough_net, fares)
     with pytest.raises(ConfigurationError) as actual:
-        rebuild_with_fares(walkthrough_net, fares)
+        with_fares(walkthrough_net, fares)
     assert str(actual.value) == str(expected.value)
 
 
@@ -1151,7 +1162,7 @@ def test_connect_components_rejects_existing_mode_name():
     net = random_disconnected_network(seed=1, n_components=2)
     fares = net.fare_table.with_mode(REPAIR_MODE, median_fare_policy(net.fare_table))
     with pytest.raises(ConfigurationError, match="already exists"):
-        connect_components(rebuild_with_fares(net, fares))
+        connect_components(with_fares(net, fares))
 
 
 def builder_connect_components(
@@ -1355,6 +1366,61 @@ def test_finalize_rejects_unknown_mode():
     builder = NetworkBuilder()
     builder.add_poi("a")
     builder.add_poi("b")
+    builder.add_edge(0, 1, 0, 1.0, 1.0)
     builder.add_edge(0, 1, 2, 1.0, 1.0)
-    with pytest.raises(ConfigurationError, match="mode id 2"):
+    with pytest.raises(ConfigurationError, match="no fare policy for mode id 2") as excinfo:
         builder.finalize(flat_table(100))
+    assert excinfo.value.edge == 1
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        pytest.param({"external_id": 5}, "external_id and name must be strings", id="integer-external-id"),
+        pytest.param({"external_id": True}, "external_id and name must be strings", id="boolean-external-id"),
+        pytest.param({"name": None}, "external_id and name must be strings", id="null-name"),
+        pytest.param({"category": float("nan")}, "category must be null or a nonnegative integer", id="nan-category"),
+        pytest.param({"category": 1.5}, "category must be null or a nonnegative integer", id="float-category"),
+        pytest.param({"category": 1.0}, "category must be null or a nonnegative integer", id="integral-float-category"),
+        pytest.param({"category": True}, "category must be null or a nonnegative integer", id="boolean-category"),
+        pytest.param({"category": -1}, "category must be null or a nonnegative integer", id="negative-category"),
+    ],
+)
+def test_add_poi_rejects_what_a_network_file_cannot_hold(tmp_path, fields, reason):
+    builder = NetworkBuilder()
+    with pytest.raises(ConfigurationError, match=reason):
+        builder.add_poi(**{"external_id": "a", **fields})
+    builder.add_poi("a", category=3)  # the rejected PoI was not added
+    net = builder.finalize(flat_table(100))
+    save_network_json(net, tmp_path / "net.json")
+    assert load_network_json(tmp_path / "net.json") == net
+
+
+@pytest.mark.parametrize(
+    "u, v, mode",
+    [(True, 1, 0), (0, 1.0, 0), (0, 1, False), (0, 1, 0.0), (0, 1, -1), (None, 1, 0), ("0", 1, 0)],
+)
+def test_add_edge_rejects_ids_that_are_not_ints(u, v, mode):
+    builder = NetworkBuilder()
+    builder.add_poi("a")
+    builder.add_poi("b")
+    with pytest.raises(ConfigurationError, match="u and v must be PoI ids and mode a mode id"):
+        builder.add_edge(u, v, mode, 1.0, 1.0)
+    assert builder.add_edge(0, 1, 0, 1.0, 1.0) == 0  # the rejected edge was not added
+
+
+@pytest.mark.parametrize("value", ["5", None, [1.0], float("nan"), -math.inf])
+def test_add_edge_rejects_a_distance_or_time_that_is_not_a_number(value):
+    builder = NetworkBuilder()
+    builder.add_poi("a")
+    builder.add_poi("b")
+    with pytest.raises(ConfigurationError, match=r"edge \(0, 1\) has invalid distance"):
+        builder.add_edge(0, 1, 0, value, 1.0)
+    with pytest.raises(ConfigurationError, match=r"edge \(0, 1\) has invalid time"):
+        builder.add_edge(0, 1, 0, 1.0, value)
+
+
+@pytest.mark.parametrize("name", [["Bus"], {"Bus": 1}, 5, None, True])
+def test_fare_table_rejects_a_mode_name_that_is_not_a_string(name):
+    with pytest.raises(ConfigurationError, match="mode names must be strings"):
+        FareTable.from_pairs([("Bus", FarePolicy(100, Decimal(0), Decimal(0))), (name, FarePolicy(0, 0, 0))])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -21,7 +22,7 @@ from gtpmm import (
     valid_path_count,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares
+from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
 from gtpmm.oracle import enumerate_valid_paths
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 
@@ -200,7 +201,7 @@ def test_checks_share_no_search_with_the_planner(monkeypatch):
         raise AssertionError("a check ran one of the planner's searches")
 
     # each search is patched by object under every name any loaded gtpmm module binds it to
-    names = ("layer_costs", "shortest_costs", "shortest_path", "shortest_paths", "_landmark_bounds")
+    names = ("layer_costs", "shortest_path", "shortest_paths", "_landmark_bounds")
     searches = {id(getattr(gtpmm.network, name)) for name in names}
     patched = set()
     for module_name, module in sorted(sys.modules.items()):
@@ -213,6 +214,6 @@ def test_checks_share_no_search_with_the_planner(monkeypatch):
     assert patched == searches
     monkeypatch.setattr(gtpmm.network.MultiModalNetwork, "landmarks", property(planner_search))
     for (net, inst, common), (optimum, cost) in zip(cases, expected):
-        fresh = rebuild_with_fares(net, net.fare_table)  # no search view built yet
+        fresh = replace(net)  # no search view built yet
         assert brute_force_optimal(fresh, inst, SHARED) == optimum
         assert group_cost(fresh, inst, common) == cost

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,7 @@ from gtpmm import (
 )
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, rebuild_with_fares, reference_path, shortest_costs
+from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, _edge_costs, reference_path, shortest_paths
 from gtpmm.planner import JourneyPlan, _check_instance, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 from conftest import Search
@@ -230,7 +230,8 @@ def test_fare_scaling_preserves_chosen_pois(factor):
     for seed in range(6):
         net = random_network(seed, n_pois=22, n_modes=3)
         inst = random_instance(seed, net, k=3, pois_per_category=3, n_agents=2)
-        scaled = rebuild_with_fares(net, net.fare_table.scaled(factor))
+        fares = net.fare_table.scaled(factor)
+        scaled = replace(net, fare_table=fares, edge_costs=tuple(_edge_costs(net.edges, fares)))
         original = plan(net, inst, PER_PERSON)
         rescaled = plan(scaled, inst, PER_PERSON)
         assert rescaled.common_pois == original.common_pois
@@ -329,7 +330,7 @@ class _ReferenceTable:
     def search(self, net, source, targets):
         """Add the cheapest costs from ``source`` to ``targets`` to ``distances``."""
         self.searches += 1
-        for target, cost in shortest_costs(net, source, targets).items():
+        for target, cost in shortest_paths(net, source, targets).costs.items():
             self.distances[(source, target) if source <= target else (target, source)] = cost
 
     def distance(self, u, v):
