@@ -1,21 +1,25 @@
-"""Time the network JSON round trip on two seeded networks and add a row to BENCH_io.json.
+"""Time the network JSON round trip and the edge-list load on two seeded networks and add a row to BENCH_io.json.
 
     PYTHONPATH=src python benchmarks/bench_io.py --label "what this row measures"
 
-This is the first stage of every ``gtpmm plan --network`` call and the
-last of every ``gtpmm ingest --out``: ``save_network_json`` and
-``load_network_json`` (which rebuilds the network and prices every edge)
-on a road-like city, ``road_network(1, 55)``, a 55 x 55 lattice of 3025
-PoIs, and on a random expander, ``random_network(1, 5000, 3)``. Each
+The JSON round trip is the first stage of every ``gtpmm plan --network``
+call and the last of every ``gtpmm ingest --out``: ``save_network_json``
+and ``load_network_json`` (which rebuilds the network and prices every
+edge) on a road-like city, ``road_network(1, 55)``, a 55 x 55 lattice of
+3025 PoIs, and on a random expander, ``random_network(1, 5000, 3)``. Each
 network is saved and loaded back ``REPEATS`` times in a temporary
-directory, and the loaded network must equal the saved one.
+directory, and the loaded network must equal the saved one. The network
+is also written once with ``save_edge_list`` and that CSV file read back
+``REPEATS`` times with ``load_edge_list``, the first stage of every
+``gtpmm ingest`` of an edge list; the loaded network must have the same
+edges.
 
-A row holds, per network, the median and quartiles of the save and of
-the load, the file's size in bytes and its sha256, so that two rows with
-equal digests wrote the same bytes, and the median time of the fixed
-pure-Python reference loop of ``bench_planner.py`` (``host_ref_ms``), run
-before the first save and after each load; plus the Python version and
-``os.cpu_count()``.
+A row holds, per network, the median and quartiles of the save, of the
+load and of the edge-list load, each file's size in bytes and its sha256,
+so that two rows with equal digests read and wrote the same bytes, and the
+median time of the fixed pure-Python reference loop of
+``bench_planner.py`` (``host_ref_ms``), run before the first save and
+after each load; plus the Python version and ``os.cpu_count()``.
 
 As with ``BENCH_planner.json``, two rows are comparable only where their
 ``host_ref_ms`` agree. A row with the same label is replaced. The package
@@ -37,7 +41,7 @@ from pathlib import Path
 
 from bench_planner import reference_ms
 
-from gtpmm.ingest import load_network_json, save_network_json
+from gtpmm.ingest import load_edge_list, load_network_json, save_edge_list, save_network_json
 from gtpmm.synth import random_network, road_network
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_io.json"
@@ -69,6 +73,17 @@ def measure(network: str, net, directory: Path) -> dict:
     if loaded != net:
         raise RuntimeError(f"the {network} network changed in a JSON round trip")
     data = path.read_bytes()
+
+    csv_path = directory / f"{network}.csv"
+    save_edge_list(net, csv_path)
+    csv_loads: list[float] = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        from_csv = load_edge_list(csv_path, net.fare_table)
+        csv_loads.append(time.perf_counter() - start)
+    if from_csv.edge_count != net.edge_count:
+        raise RuntimeError(f"the {network} network lost edges in an edge-list round trip")
+    csv_data = csv_path.read_bytes()
     return {
         "network": network,
         "pois": net.poi_count,
@@ -78,6 +93,9 @@ def measure(network: str, net, directory: Path) -> dict:
         **_summary("load", loads),
         "bytes": len(data),
         "sha256": hashlib.sha256(data).hexdigest(),
+        **_summary("edge_list_load", csv_loads),
+        "edge_list_bytes": len(csv_data),
+        "edge_list_sha256": hashlib.sha256(csv_data).hexdigest(),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 

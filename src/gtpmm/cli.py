@@ -6,6 +6,7 @@ Set ``GTPMM_LOG`` (DEBUG/INFO/WARNING/ERROR) to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -16,7 +17,6 @@ from .errors import ConfigurationError, GtpError, ParseError
 from .ingest import (
     CategoryConfig,
     categorize,
-    json_text,
     load_edge_list,
     load_fare_config,
     load_gtfs,
@@ -152,7 +152,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     sharing = _SHARING[args.sharing]
     journey = bench_mod.run_method(args.method, net, inst, sharing, args.seed)
     document = _plan_document(net, inst, journey)
-    text = json_text(document)
+    text = json.dumps(document, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:

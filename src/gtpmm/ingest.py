@@ -21,12 +21,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigurationError, ParseError
 from .network import (
@@ -41,6 +40,7 @@ from .network import (
 )
 from .rng import SplitMix64
 
+FARE_CONFIG_HEADER = ("mode", "base_fare", "cost_per_meter", "cost_per_minute", "resolution_strategy")
 EDGE_LIST_HEADER = ("u", "v", "mode", "distance_m", "time_min")
 
 # Standard GTFS route_type -> mode name.
@@ -57,18 +57,43 @@ ROUTE_TYPE_MODES: dict[int, str] = {
 FARE_STRATEGIES = ("low", "high", "mid", "seeded-uniform")
 
 
-@contextmanager
-def _csv_file(path: Path) -> Iterator[TextIO]:
-    """``path`` opened as UTF-8 CSV text (a byte-order mark is tolerated); a
-    file that cannot be read, e.g. a directory, or that is not UTF-8 raises
-    :class:`ParseError` naming it, also when decoding fails mid-read."""
+def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterator[tuple[int, list[str]]]:
+    """The records of the CSV file at ``path`` as ``(line, cells)``: the
+    line a record starts on, and its cells under ``columns``, in that order
+    and stripped of surrounding whitespace.
+
+    The file is read as UTF-8 (a byte-order mark is tolerated). Its header
+    must be ``columns`` exactly when ``exact``, and otherwise hold each of
+    them; a column named twice is read from its last position. A blank line
+    (no cells, or one of whitespace) is skipped; any other record must have
+    as many cells as the header. Every failure, an unreadable or non-UTF-8
+    file included, is a :class:`ParseError` naming the file.
+    """
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            yield handle
+            reader = csv.reader(handle)
+            header = [name.strip() for name in next(reader, ())]
+            if exact and tuple(header) != columns:
+                raise ParseError(f"expected header {','.join(columns)}", file=str(path), line=1)
+            positions = {name: index for index, name in enumerate(header)}
+            missing = [column for column in columns if column not in positions]
+            if missing:
+                raise ParseError(f"missing columns {missing}", file=str(path), line=1)
+            picks = [positions[column] for column in columns]
+            width, last = len(header), reader.line_num
+            for row in reader:
+                line, last = last + 1, reader.line_num
+                if len(row) != width:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    raise ParseError(f"expected {width} columns, got {len(row)}", file=str(path), line=line)
+                yield line, [row[index].strip() for index in picks]
     except UnicodeDecodeError:
         raise ParseError("file is not UTF-8 text", file=str(path)) from None
     except OSError as error:
         raise ParseError(f"cannot read file: {error.strerror}", file=str(path)) from None
+    except csv.Error as error:  # a cell past csv.field_size_limit()
+        raise ParseError(f"malformed CSV: {error}", file=str(path), line=reader.line_num) from None
 
 
 def read_json(path: str | Path, kind: str) -> object:
@@ -133,30 +158,23 @@ def load_fare_config(path: str | Path) -> list[FareRange]:
     path = Path(path)
     ranges: list[FareRange] = []
     seen: set[str] = set()
-    with _csv_file(path) as handle:
-        reader = csv.DictReader(handle)
-        expected = ["mode", "base_fare", "cost_per_meter", "cost_per_minute", "resolution_strategy"]
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-            raise ParseError(f"expected header {','.join(expected)}", file=str(path), line=1)
-        for row_number, row in enumerate(reader, start=2):
-            mode = (row["mode"] or "").strip()
-            if not mode:
-                raise ParseError("empty mode name", file=str(path), line=row_number)
-            if mode in seen:
-                raise ParseError(f"duplicate mode {mode!r}", file=str(path), line=row_number)
-            seen.add(mode)
-            strategy = (row["resolution_strategy"] or "").strip() or None
-            if strategy is not None and strategy not in FARE_STRATEGIES:
-                raise ParseError(f"unknown resolution strategy {strategy!r}", file=str(path), line=row_number)
-            ranges.append(
-                FareRange(
-                    mode=mode,
-                    base_fare=_parse_money_range(row["base_fare"], file=str(path), line=row_number),
-                    cost_per_meter=_parse_money_range(row["cost_per_meter"], file=str(path), line=row_number),
-                    cost_per_minute=_parse_money_range(row["cost_per_minute"], file=str(path), line=row_number),
-                    strategy=strategy,
-                )
+    for line, (mode, base_fare, per_meter, per_minute, strategy) in _csv_records(path, FARE_CONFIG_HEADER, exact=True):
+        if not mode:
+            raise ParseError("empty mode name", file=str(path), line=line)
+        if mode in seen:
+            raise ParseError(f"duplicate mode {mode!r}", file=str(path), line=line)
+        seen.add(mode)
+        if strategy and strategy not in FARE_STRATEGIES:
+            raise ParseError(f"unknown resolution strategy {strategy!r}", file=str(path), line=line)
+        ranges.append(
+            FareRange(
+                mode=mode,
+                base_fare=_parse_money_range(base_fare, file=str(path), line=line),
+                cost_per_meter=_parse_money_range(per_meter, file=str(path), line=line),
+                cost_per_minute=_parse_money_range(per_minute, file=str(path), line=line),
+                strategy=strategy or None,
             )
+        )
     return ranges
 
 
@@ -206,33 +224,23 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
     path = Path(path)
     rows: list[tuple[int, str, str, str, float, float]] = []
     externals: set[str] = set()
-    with _csv_file(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != EDGE_LIST_HEADER:
-            raise ParseError(f"expected header {','.join(EDGE_LIST_HEADER)}", file=str(path), line=1)
-        for row_number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 5:
-                raise ParseError(f"expected 5 columns, got {len(row)}", file=str(path), line=row_number)
-            u, v, mode, distance_text, time_text = (cell.strip() for cell in row)
-            try:
-                distance = float(distance_text)
-                time = float(time_text)
-            except ValueError:
-                raise ParseError("distance and time must be numeric", file=str(path), line=row_number) from None
-            externals.update((u, v))
-            rows.append((row_number, u, v, mode, distance, time))
+    for line, (u, v, mode, distance_text, time_text) in _csv_records(path, EDGE_LIST_HEADER, exact=True):
+        try:
+            distance = float(distance_text)
+            time = float(time_text)
+        except ValueError:
+            raise ParseError("distance and time must be numeric", file=str(path), line=line) from None
+        externals.update((u, v))
+        rows.append((line, u, v, mode, distance, time))
 
     builder = NetworkBuilder()
     ids = {external: builder.add_poi(external) for external in sorted(externals)}
     try:
-        for row_number, u, v, mode, distance, time in rows:
+        for line, u, v, mode, distance, time in rows:
             builder.add_edge(ids[u], ids[v], fare_table.id_of(mode), distance, time)
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # edge ids follow the rows
-        line = row_number if error.edge is None else rows[error.edge][0]
+        line = line if error.edge is None else rows[error.edge][0]
         raise ParseError(str(error), file=str(path), line=line) from None
 
 
@@ -295,21 +303,10 @@ def _parse_gtfs_time(text: str, *, file: str, line: int) -> float:
         raise ParseError(f"cannot parse time {text!r}", file=file, line=line) from None
     if minutes >= 60 or seconds >= 60 or hours < 0 or minutes < 0 or seconds < 0:
         raise ParseError(f"time {text!r} out of range", file=file, line=line)
-    return hours * 60 + minutes + seconds / 60
-
-
-@contextmanager
-def _gtfs_table(directory: Path, name: str, required: tuple[str, ...]) -> Iterator[tuple[Path, csv.DictReader]]:
-    path = directory / name
-    if not path.exists():
-        raise ParseError("required GTFS file missing", file=str(path))
-    with _csv_file(path) as handle:
-        reader = csv.DictReader(handle)
-        fields = set(reader.fieldnames or ())
-        missing = [column for column in required if column not in fields]
-        if missing:
-            raise ParseError(f"missing columns {missing}", file=str(path), line=1)
-        yield path, reader
+    try:
+        return hours * 60 + minutes + seconds / 60
+    except OverflowError:  # more minutes than a float holds
+        raise ParseError(f"time {text!r} out of range", file=file, line=line) from None
 
 
 def parse_gtfs(directory: str | Path) -> GtfsFeed:
@@ -317,71 +314,68 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     directory = Path(directory)
     feed = GtfsFeed()
 
-    with _gtfs_table(directory, "stops.txt", ("stop_id", "stop_name", "stop_lat", "stop_lon")) as (path, reader):
-        for row_number, row in enumerate(reader, start=2):
-            stop_id = row["stop_id"].strip()
-            if stop_id in feed.stops:
-                raise ParseError(f"duplicate stop_id {stop_id!r}", file=str(path), line=row_number)
-            try:
-                lat, lon = float(row["stop_lat"]), float(row["stop_lon"])
-            except ValueError:
-                raise ParseError("stop coordinates must be numeric", file=str(path), line=row_number) from None
-            if not _valid_coords((lat, lon)):
-                raise ParseError("stop latitude or longitude out of range", file=str(path), line=row_number)
-            feed.stops[stop_id] = GtfsStop(stop_id, row["stop_name"].strip(), lat, lon)
+    path = directory / "stops.txt"
+    for line, (stop_id, name, lat_text, lon_text) in _csv_records(
+        path, ("stop_id", "stop_name", "stop_lat", "stop_lon"), exact=False
+    ):
+        if stop_id in feed.stops:
+            raise ParseError(f"duplicate stop_id {stop_id!r}", file=str(path), line=line)
+        try:
+            lat, lon = float(lat_text), float(lon_text)
+        except ValueError:
+            raise ParseError("stop coordinates must be numeric", file=str(path), line=line) from None
+        if not _valid_coords((lat, lon)):
+            raise ParseError("stop latitude or longitude out of range", file=str(path), line=line)
+        feed.stops[stop_id] = GtfsStop(stop_id, name, lat, lon)
 
-    with _gtfs_table(directory, "routes.txt", ("route_id", "route_type")) as (path, reader):
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                route_type = int(row["route_type"])
-            except ValueError:
-                raise ParseError("route_type must be an integer", file=str(path), line=row_number) from None
-            if route_type not in ROUTE_TYPE_MODES:
-                raise ParseError(f"unsupported route_type {route_type}", file=str(path), line=row_number)
-            feed.route_types[row["route_id"].strip()] = route_type
+    path = directory / "routes.txt"
+    for line, (route_id, route_type_text) in _csv_records(path, ("route_id", "route_type"), exact=False):
+        try:
+            route_type = int(route_type_text)
+        except ValueError:
+            raise ParseError("route_type must be an integer", file=str(path), line=line) from None
+        if route_type not in ROUTE_TYPE_MODES:
+            raise ParseError(f"unsupported route_type {route_type}", file=str(path), line=line)
+        feed.route_types[route_id] = route_type
 
-    with _gtfs_table(directory, "trips.txt", ("route_id", "trip_id")) as (path, reader):
-        for row_number, row in enumerate(reader, start=2):
-            route_id = row["route_id"].strip()
-            if route_id not in feed.route_types:
-                raise ParseError(f"trip references unknown route {route_id!r}", file=str(path), line=row_number)
-            feed.trip_routes[row["trip_id"].strip()] = route_id
+    path = directory / "trips.txt"
+    for line, (route_id, trip_id) in _csv_records(path, ("route_id", "trip_id"), exact=False):
+        if route_id not in feed.route_types:
+            raise ParseError(f"trip references unknown route {route_id!r}", file=str(path), line=line)
+        feed.trip_routes[trip_id] = route_id
 
-    with _gtfs_table(
-        directory, "stop_times.txt", ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
-    ) as (path, reader):
-        for row_number, row in enumerate(reader, start=2):
-            trip_id = row["trip_id"].strip()
-            stop_id = row["stop_id"].strip()
-            if trip_id not in feed.trip_routes:
-                raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=str(path), line=row_number)
-            if stop_id not in feed.stops:
-                raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=str(path), line=row_number)
-            arrival = _parse_gtfs_time(row["arrival_time"], file=str(path), line=row_number)
-            departure = _parse_gtfs_time(row["departure_time"], file=str(path), line=row_number)
-            if departure < arrival:
-                raise ParseError("departure before arrival", file=str(path), line=row_number)
-            try:
-                sequence = int(row["stop_sequence"])
-            except ValueError:
-                raise ParseError("stop_sequence must be an integer", file=str(path), line=row_number) from None
-            feed.stop_times.setdefault(trip_id, []).append(
-                GtfsStopTime(trip_id, stop_id, arrival, departure, sequence, row_number)
-            )
+    path = directory / "stop_times.txt"
+    for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
+        path, ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence"), exact=False
+    ):
+        if trip_id not in feed.trip_routes:
+            raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=str(path), line=line)
+        if stop_id not in feed.stops:
+            raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=str(path), line=line)
+        arrival = _parse_gtfs_time(arrival_text, file=str(path), line=line)
+        departure = _parse_gtfs_time(departure_text, file=str(path), line=line)
+        if departure < arrival:
+            raise ParseError("departure before arrival", file=str(path), line=line)
+        try:
+            sequence = int(sequence_text)
+        except ValueError:
+            raise ParseError("stop_sequence must be an integer", file=str(path), line=line) from None
+        feed.stop_times.setdefault(trip_id, []).append(
+            GtfsStopTime(trip_id, stop_id, arrival, departure, sequence, line)
+        )
 
-    stop_times_file = str(directory / "stop_times.txt")
     for trip_id, entries in feed.stop_times.items():
         entries.sort(key=lambda e: e.sequence)
         for previous, current in zip(entries, entries[1:]):
             if current.sequence <= previous.sequence:
                 raise ParseError(
                     f"stop_sequence not strictly increasing in trip {trip_id!r}",
-                    file=stop_times_file,
+                    file=str(path),
                     line=current.line,
                 )
             if current.arrival_min < previous.departure_min:
                 raise ParseError(
-                    f"times not monotone in trip {trip_id!r}", file=stop_times_file, line=current.line
+                    f"times not monotone in trip {trip_id!r}", file=str(path), line=current.line
                 )
     return feed
 
@@ -403,22 +397,27 @@ def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork
         ids[stop_id] = builder.add_poi(stop_id, name=stop.name, coords=(stop.lat, stop.lon))
         coords.append((stop.lat, stop.lon))
 
-    best: dict[tuple[int, int, int], float] = {}  # (u, v, mode) -> minutes, u < v
-    for trip_id, entries in sorted(feed.stop_times.items()):
-        mode_name = ROUTE_TYPE_MODES[feed.route_types[feed.trip_routes[trip_id]]]
-        mode = fare_table.id_of(mode_name)
-        for previous, current in zip(entries, entries[1:]):
-            u, v = ids[previous.stop_id], ids[current.stop_id]
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v), mode)
-            minutes = current.arrival_min - previous.departure_min
-            if key not in best or minutes < best[key]:
-                best[key] = minutes
-
-    for (u, v, mode), minutes in sorted(best.items()):
-        builder.add_edge(u, v, mode, haversine_m(coords[u], coords[v]), minutes)
-    return builder.finalize(fare_table)
+    # (u, v, mode) -> (minutes, the stop_times.txt line they were read at), u < v
+    best: dict[tuple[int, int, int], tuple[float, int]] = {}
+    try:
+        for trip_id, entries in sorted(feed.stop_times.items()):
+            line = entries[0].line
+            mode = fare_table.id_of(ROUTE_TYPE_MODES[feed.route_types[feed.trip_routes[trip_id]]])
+            for previous, current in zip(entries, entries[1:]):
+                u, v = ids[previous.stop_id], ids[current.stop_id]
+                if u == v:
+                    continue
+                key = (min(u, v), max(u, v), mode)
+                minutes = current.arrival_min - previous.departure_min
+                if key not in best or minutes < best[key][0]:
+                    best[key] = (minutes, current.line)
+        edges = sorted(best.items())
+        for (u, v, mode), (minutes, line) in edges:
+            builder.add_edge(u, v, mode, haversine_m(coords[u], coords[v]), minutes)
+        return builder.finalize(fare_table)
+    except ConfigurationError as error:  # a trip's mode, or an edge's cost; edge ids follow the sorted edges
+        line = line if error.edge is None else edges[error.edge][1][1]
+        raise ParseError(str(error), file=str(Path(directory) / "stop_times.txt"), line=line) from None
 
 
 # --- serialized networks --------------------------------------------------------
@@ -444,29 +443,16 @@ def _json_value(value: object) -> str:
     return json.dumps(value)  # a bool, an int or float subclass, a non-finite float
 
 
-def json_text(value: object, indent: str = "") -> str:
-    """``value``, of dicts with string keys, lists and scalars, as
-    ``json.dumps`` writes it with ``indent=2``, opened at ``indent``."""
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = ",\n".join(
-            f"{inner}{encode_basestring_ascii(key)}: {json_text(item, inner)}" for key, item in value.items()
-        )
-        return f"{{\n{items}\n{indent}}}"
-    if isinstance(value, (list, tuple)) and value:
-        items = ",\n".join(inner + json_text(item, inner) for item in value)
-        return f"[\n{items}\n{indent}]"
-    return _json_value(value)
-
-
 def _template(value: dict | list, indent: str) -> str:
-    """:func:`json_text` of ``value``, whose values are all :data:`_SLOT`,
-    with a ``%s`` in place of each."""
-    return json_text(value, indent).replace(json_text(_SLOT), "%s")
+    """``value``, whose values are all :data:`_SLOT`, as ``json.dumps``
+    writes it with ``indent=2`` when opened at ``indent``, with a ``%s`` in
+    place of each value."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent).replace(json.dumps(_SLOT), "%s")
 
 
 def _json_list(records: list[str]) -> str:
-    """:func:`json_text` of a list of records written at the second level."""
+    """A list of records written at the second level, as ``json.dumps``
+    writes it with ``indent=2``."""
     return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
 
 
@@ -484,8 +470,8 @@ def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
     """Serialize a finalized network (PoIs, edges, resolved fares) to JSON.
 
     The file holds ``{"modes": [...], "pois": [...], "edges": [...]}`` as
-    :func:`json_text` writes it, and a newline; each record is filled into
-    one fixed template.
+    ``json.dumps`` writes it with ``indent=2``, and a newline; each record
+    is filled into one fixed template.
     """
     fares = net.fare_table
     modes = [
@@ -526,13 +512,9 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     pairs = []
     for index, entry in enumerate(document["modes"]):
         try:
-            policy = FarePolicy(
-                entry["base_fare_cents"],
-                Decimal(entry["cost_per_meter_cents"]),
-                Decimal(entry["cost_per_minute_cents"]),
-            )
+            policy = FarePolicy(entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"])
             pairs.append((entry["name"], policy))
-        except (KeyError, TypeError, ValueError, ArithmeticError, ConfigurationError) as error:
+        except (KeyError, TypeError, ArithmeticError, ConfigurationError) as error:
             raise _malformed(path, f"modes[{index}]", error) from None
     try:
         fare_table = FareTable.from_pairs(pairs)

@@ -62,8 +62,11 @@ class FarePolicy:
     def __post_init__(self) -> None:
         if type(self.base_fare) is not int:  # whole cents: not a float such as 120.9, nor a bool
             raise ConfigurationError("base_fare_cents must be an integer")
-        object.__setattr__(self, "cost_per_meter", _as_decimal(self.cost_per_meter).quantize(_RATE_QUANTUM))
-        object.__setattr__(self, "cost_per_minute", _as_decimal(self.cost_per_minute).quantize(_RATE_QUANTUM))
+        for name in ("cost_per_meter", "cost_per_minute"):
+            rate = getattr(self, name)
+            if isinstance(rate, bool) or not isinstance(rate, (int, float, str, Decimal)):
+                raise ConfigurationError(f"{name}_cents must be a number")
+            object.__setattr__(self, name, _as_decimal(rate).quantize(_RATE_QUANTUM))
         if self.base_fare < 0 or self.cost_per_meter < 0 or self.cost_per_minute < 0:
             raise ConfigurationError("fare policy components must be nonnegative")
 

@@ -36,6 +36,11 @@ def test_bench_io_measures_a_small_network(monkeypatch, tmp_path):
         "load_p75_s",
         "bytes",
         "sha256",
+        "edge_list_load_s",
+        "edge_list_load_p25_s",
+        "edge_list_load_p75_s",
+        "edge_list_bytes",
+        "edge_list_sha256",
         "host_ref_ms",
     }
     assert (row["network"], row["pois"], row["repeats"]) == ("road", 64, bench_io.REPEATS)
@@ -43,4 +48,7 @@ def test_bench_io_measures_a_small_network(monkeypatch, tmp_path):
     assert (row["bytes"], row["sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
     assert row["save_p25_s"] <= row["save_s"] <= row["save_p75_s"]
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
+    assert row["edge_list_load_p25_s"] <= row["edge_list_load_s"] <= row["edge_list_load_p75_s"]
+    data = (tmp_path / "road.csv").read_bytes()
+    assert (row["edge_list_bytes"], row["edge_list_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
     assert row["host_ref_ms"] > 0

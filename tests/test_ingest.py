@@ -22,7 +22,7 @@ from gtpmm import (
     save_network_json,
 )
 from gtpmm.fixtures import default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
-from gtpmm.ingest import FARE_STRATEGIES, json_text, save_edge_list
+from gtpmm.ingest import FARE_STRATEGIES, _json_value, save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
 from gtpmm.synth import random_network, road_network
 
@@ -303,24 +303,10 @@ def test_network_json_is_the_indented_json_dump(tmp_path, case):
     assert out.read_bytes() == reference_network_text(net).encode("utf-8")
 
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        {},
-        [],
-        "",
-        None,
-        0,
-        -0.0,
-        1e300,
-        True,
-        {"a": {}, "b": [], "c": [[]], "d": [{"e": None}]},
-        ["ü\u2028", 2.5],
-        float("nan"),
-    ],
-)
-def test_json_text_is_the_indented_json_dump(value):
-    assert json_text(value) == json.dumps(value, indent=2)
+@pytest.mark.parametrize("value", ["", None, 0, -0.0, 1e300, True, float("nan"), "ü\u2028\0"])
+def test_json_value_is_the_json_dump(value):
+    """The network writer's scalars, the non-finite and bool fallbacks included."""
+    assert _json_value(value) == json.dumps(value)
 
 
 def _drop_edges(document):
@@ -361,6 +347,8 @@ MALFORMED_NETWORKS = {
     "null-mode-name": (_set("modes", 2, "name", None), "modes: mode names must be strings"),
     "nan-rate": (_set("modes", 1, "cost_per_meter_cents", "NaN"), "modes[1]"),
     "non-numeric-rate": (_set("modes", 0, "cost_per_minute_cents", "abc"), "modes[0]"),
+    "boolean-rate": (_set("modes", 0, "cost_per_meter_cents", True), "modes[0]: cost_per_meter_cents must be a number"),
+    "list-rate": (_set("modes", 2, "cost_per_minute_cents", [0, [1], 0]), "modes[2]: cost_per_minute_cents must be"),
     "duplicate-external-id": (_duplicate_external_id, "pois[4]: duplicate external_id 'v03'"),
     "negative-distance": (_set("edges", 1, "distance_m", -3.0), "edges[1]: edge (0, 2) has invalid distance -3.0"),
     "unknown-poi": (_set("edges", 0, "v", 99), "edges[0]: edge endpoints (0, 99) reference unknown PoIs"),
@@ -507,7 +495,7 @@ def test_empty_stop_times_gives_pois_without_edges(tmp_path):
 def test_missing_file_is_named(tmp_path):
     feed = copy_feed(tmp_path)
     (feed / "routes.txt").unlink()
-    with pytest.raises(ParseError, match="routes.txt"):
+    with pytest.raises(ParseError, match=r"routes\.txt: cannot read file: No such file"):
         load_gtfs(feed, gtfs_fares())
 
 
@@ -572,6 +560,30 @@ def test_stops_directory_is_named(tmp_path):
         load_gtfs(feed, gtfs_fares())
 
 
+def test_time_past_what_a_float_holds_reports_line(tmp_path):
+    feed = copy_feed(tmp_path)
+    hours = "1" * 400
+    with (feed / "stop_times.txt").open("a") as handle:
+        handle.write(f"T1,A,{hours}:00:00,{hours}:00:00,4\n")
+    with pytest.raises(ParseError, match=r"stop_times\.txt:5: time '1+:00:00' out of range"):
+        load_gtfs(feed, gtfs_fares())
+
+
+def test_edge_whose_cost_does_not_fit_names_its_stop_time(tmp_path):
+    feed = copy_feed(tmp_path)
+    with (feed / "stop_times.txt").open("a") as handle:
+        handle.write(f"T1,A,{10**30}:00:00,{10**30}:00:00,4\n")
+    with pytest.raises(ParseError, match=r"stop_times\.txt:5: edge \d+ \(0, 2\) costs .* too many to hold"):
+        load_gtfs(feed, gtfs_fares())
+
+
+def test_trip_of_a_mode_the_fares_lack_names_its_stop_times(tmp_path):
+    feed = copy_feed(tmp_path)
+    (feed / "routes.txt").write_text("route_id,route_type\nR1,6\n")
+    with pytest.raises(ParseError, match=r"stop_times\.txt:2: unknown transport mode 'Gondola'"):
+        load_gtfs(feed, walkthrough_fare_table())
+
+
 def test_hours_past_midnight_normalize(tmp_path):
     feed = copy_feed(tmp_path)
     (feed / "stop_times.txt").write_text(
@@ -581,6 +593,134 @@ def test_hours_past_midnight_normalize(tmp_path):
     )
     net = load_gtfs(feed, gtfs_fares())
     assert [edge.time_min for edge in net.edges] == [30.0]
+
+
+# --- CSV records: the rules the fare config, the edge list and GTFS share --------------
+
+FARE_HEADER = "mode,base_fare,cost_per_meter,cost_per_minute,resolution_strategy"
+EDGE_HEADER = "u,v,mode,distance_m,time_min"
+SPANNING = '"a\nb"'  # a quoted cell on two lines
+
+# file -> (header, a valid record, a record the loader rejects, why)
+CSV_RECORDS = {
+    "fares.csv": (FARE_HEADER, "Bus,1,0,0,", "Tram,4.00-2.00,0,0,", "inverted or negative range"),
+    "edges.csv": (EDGE_HEADER, "a,c,Bus,1,1", "a,c,Bus,-5,1", "has invalid distance -5.0"),
+    "stops.txt": (
+        "stop_id,stop_name,stop_lat,stop_lon",
+        "A,Central Station,47.3769,8.5417",
+        "D,Harbor,91,8.57",
+        "stop latitude or longitude out of range",
+    ),
+    "routes.txt": ("route_id,route_type", "R1,3", "R2,12", "unsupported route_type 12"),
+    "trips.txt": ("route_id,trip_id", "R1,T1", "R9,T2", "trip references unknown route 'R9'"),
+    "stop_times.txt": (
+        "trip_id,stop_id,arrival_time,departure_time,stop_sequence",
+        "T1,A,09:00:00,09:00:00,1",
+        "T1,GHOST,09:05:00,09:05:00,2",
+        "stop_time references unknown stop 'GHOST'",
+    ),
+}
+
+
+def load_csv_text(tmp_path, name, text):
+    """Write ``text`` as the CSV file ``name``, a GTFS table (into a copy of
+    the minimal feed) or a fare or edge file, and load it with its loader."""
+    if name.endswith(".txt"):
+        feed = copy_feed(tmp_path)
+        (feed / name).write_text(text, newline="")
+        return load_gtfs(feed, gtfs_fares())
+    path = tmp_path / name
+    path.write_text(text, newline="")
+    return load_fare_config(path) if name == "fares.csv" else load_edge_list(path, walkthrough_fare_table())
+
+
+def at(name, line, why):
+    """A pattern for an error at ``line`` of the file ``name`` that says ``why``."""
+    return re.escape(f"{name}:{line}: ") + ".*" + re.escape(why)
+
+
+def with_spanning_cell(name, header, record, *rest):
+    """The CSV text of ``header``, ``record`` with a cell on two lines, and
+    ``rest``: a fare or edge file has its first cell quoted on two lines,
+    a GTFS table gains a column whose first cell is."""
+    if name.endswith(".txt"):
+        return "\n".join([f"{header},note", f"{record},{SPANNING}", *(f"{line},x" for line in rest)]) + "\n"
+    first, others = record.split(",", 1)
+    return "\n".join([header, f'"{first}\n{first}",{others}', *rest]) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RECORDS))
+def test_error_after_a_spanning_record_names_its_line(tmp_path, name):
+    """Lines are counted, not records: the record after one on lines 2-3
+    starts on line 4."""
+    header, good, bad, why = CSV_RECORDS[name]
+    with pytest.raises(ParseError, match=at(name, 4, why)):
+        load_csv_text(tmp_path, name, with_spanning_cell(name, header, good, bad))
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RECORDS))
+def test_error_in_a_spanning_record_names_its_first_line(tmp_path, name):
+    header, _, bad, why = CSV_RECORDS[name]
+    with pytest.raises(ParseError, match=at(name, 2, why)):
+        load_csv_text(tmp_path, name, with_spanning_cell(name, header, bad))
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RECORDS))
+def test_record_with_the_wrong_cell_count_names_its_line(tmp_path, name):
+    """Records cut to one, two or all but one cell (the fare config's
+    ``Bus,1`` among them) and records with a cell too many."""
+    header, good, _, _ = CSV_RECORDS[name]
+    cells = good.split(",")
+    width = len(cells)
+    for count in sorted({1, 2, width - 1, width + 1} - {width}):
+        record = ",".join((cells + ["x"])[:count])
+        directory = tmp_path / str(count)
+        directory.mkdir()
+        with pytest.raises(ParseError, match=re.escape(f"{name}:3: expected {width} columns, got {count}")):
+            load_csv_text(directory, name, f"{header}\n{good}\n{record}\n")
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RECORDS))
+def test_blank_and_whitespace_lines_are_skipped(tmp_path, name):
+    header, good, bad, why = CSV_RECORDS[name]
+    with pytest.raises(ParseError, match=at(name, 6, why)):
+        load_csv_text(tmp_path, name, f"{header}\n\n{good}\n  \n\t\n{bad}\n")
+
+
+def test_padded_header_names_are_stripped(tmp_path):
+    """The fare config's header was compared stripped but its cells read by
+    the unstripped names, a ``KeyError``."""
+    config = tmp_path / "fares.csv"
+    config.write_text(" mode , base_fare,cost_per_meter,cost_per_minute,resolution_strategy \nBus,1,0,0,\n")
+    assert [fare.mode for fare in load_fare_config(config)] == ["Bus"]
+    feed = copy_feed(tmp_path)
+    (feed / "routes.txt").write_text("route_id , route_type\nR1,3\n")
+    assert load_gtfs(feed, gtfs_fares()).edge_count == 2
+
+
+def test_gtfs_columns_in_any_order_and_a_repeated_one_read_last(tmp_path):
+    feed = copy_feed(tmp_path)
+    (feed / "stops.txt").write_text(
+        "stop_lon,stop_lat,stop_name,stop_id,stop_id\n"
+        "8.5417,47.3769,Central Station,X,A\n"
+        "8.5500,47.3800,Market Square,X,B\n"
+        "8.5600,47.3900,Lakeside Park,X,C\n"
+    )
+    assert load_gtfs(feed, gtfs_fares()) == load_gtfs(gtfs_minimal_dir(), gtfs_fares())
+
+
+def test_gtfs_missing_column_names_the_header(tmp_path):
+    feed = copy_feed(tmp_path)
+    (feed / "trips.txt").write_text("route_id,trip\nR1,T1\n")
+    with pytest.raises(ParseError, match=re.escape("trips.txt:1: missing columns ['trip_id']")):
+        load_gtfs(feed, gtfs_fares())
+
+
+def test_cell_past_the_csv_field_limit_is_named(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"{EDGE_HEADER}\na,b,Bus,1,1\na,{'c' * 200_000},Bus,1,1\n")
+    with pytest.raises(ParseError, match=r"edges\.csv:3: malformed CSV: field larger than field limit"):
+        load_edge_list(path, walkthrough_fare_table())
 
 
 # --- categorization ---------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Mutation fuzzing of the network loaders: a saved walkthrough network and
-its edge-list CSV, with fields set to values of other types, non-finite or
-huge numbers and booleans, keys or columns dropped, and whole records
-replaced. Every failure must be a ``ParseError`` naming the file; every
-success must give a network that ``connect_components`` accepts."""
+"""Mutation fuzzing of the file loaders: a saved walkthrough network, its
+edge-list CSV, the default fare config and the minimal GTFS feed. JSON
+fields are set to values of other types, non-finite or huge numbers and
+booleans, keys are dropped and whole records replaced; CSV cells are set,
+dropped or added, columns repeated, rows replaced, and the file text gains
+blank or whitespace-only lines, is cut short or gets a byte that is not
+UTF-8. Every failure must be a ``ParseError`` naming the file; every
+success must give fares that resolve, or a network that
+``connect_components`` accepts."""
 
 from __future__ import annotations
 
@@ -10,14 +14,25 @@ import copy
 import csv
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpmm import GtpError, ParseError, connect_components, load_edge_list, load_network_json, save_network_json
-from gtpmm.fixtures import walkthrough_fare_table, walkthrough_network
-from gtpmm.ingest import save_edge_list
+from gtpmm import (
+    GtpError,
+    ParseError,
+    connect_components,
+    load_edge_list,
+    load_fare_config,
+    load_gtfs,
+    load_network_json,
+    resolve_fares,
+    save_network_json,
+)
+from gtpmm.fixtures import data_path, default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
+from gtpmm.ingest import FARE_STRATEGIES, save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
@@ -33,6 +48,9 @@ ODD_VALUES = st.one_of(
 ODD_CELLS = st.one_of(
     st.sampled_from(["", "nan", "inf", "-inf", "Infinity", "1" + "0" * 400, "1e400", "-1", "1.5", "True", "Bus"]),
     st.sampled_from(["v01", "v03", "v10", "Zeppelin", " 5 ", "1e-400", "0x10"]),
+    st.sampled_from(["a\nb", "\r\n", '"', " ", "\t", "1-2", "2-1", "~1", "low", "mid", "seeded-uniform"]),
+    st.sampled_from(["A", "B", "R1", "T1", "3", "6", "99", "09:00:00", "24:59:59", "00:60:00", "-1:00:00"]),
+    st.sampled_from(["9" * 20 + ":00:00", "1" + "0" * 400 + ":00:00", "90", "-181", "47.3", "8.5"]),
     _TEXT,
 )
 
@@ -50,13 +68,20 @@ def saved(tmp_path_factory):
     return directory, document, rows
 
 
+def assert_repairable(net):
+    """``connect_components`` accepts ``net``; an empty network, which a
+    header-only or cut-short file loads to, has nothing to repair."""
+    if net.poi_count:
+        connect_components(net)
+
+
 def assert_parse_error_or_repairable(load, path):
     try:
         net = load(path)
     except ParseError as error:
         assert error.file == str(path)
     else:
-        connect_components(net)
+        assert_repairable(net)
 
 
 @st.composite
@@ -83,20 +108,54 @@ def json_mutations(draw, document):
 
 @st.composite
 def csv_mutations(draw, rows):
-    """``rows`` with one to three changed: a cell set to odd text, a cell
-    dropped, or the row replaced by odd cells or by a copy of another row."""
+    """``rows`` with one to three changed: a cell set to odd text, dropped
+    or added, the row replaced by odd cells or by a copy of another row, or
+    a column repeated in every row."""
     rows = copy.deepcopy(rows)
     for _ in range(draw(st.integers(1, 3))):
         index = draw(st.integers(0, len(rows) - 1))
         row = rows[index]
-        action = draw(st.sampled_from(["set", "drop", "replace"]))
+        action = draw(st.sampled_from(["set", "drop", "add", "replace", "repeat-column"]))
         if action == "replace":
             rows[index] = draw(st.one_of(st.lists(ODD_CELLS, max_size=6), st.sampled_from(rows).map(list)))
+        elif action == "add":
+            row.insert(draw(st.integers(0, len(row))), draw(ODD_CELLS))
+        elif action == "repeat-column":
+            column = draw(st.integers(0, max(len(row) - 1, 0)))
+            for other in rows:
+                other[column:column] = other[column : column + 1]
         elif row and action == "drop":
             del row[draw(st.integers(0, len(row) - 1))]
         elif row:
             row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
     return rows
+
+
+@st.composite
+def csv_files(draw, rows):
+    """The bytes of ``rows`` after :func:`csv_mutations`, then maybe with a
+    blank or whitespace-only line put in, cut short, or given a byte that
+    is not UTF-8."""
+    text = io.StringIO()
+    csv.writer(text).writerows(draw(csv_mutations(rows)))
+    data = text.getvalue().encode("utf-8")
+    for _ in range(draw(st.integers(0, 2))):
+        action = draw(st.sampled_from(["blank", "truncate", "invalid-utf8"]))
+        if action == "blank":
+            starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+            at = draw(st.sampled_from(starts))
+            data = data[:at] + draw(st.sampled_from([b"\n", b"\r\n", b"  \n", b"\t\r\n", b" "])) + data[at:]
+        elif action == "truncate":
+            data = data[: draw(st.integers(0, len(data)))]
+        else:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def read_rows(path):
+    with path.open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
 
 
 @FUZZ
@@ -113,11 +172,46 @@ def test_mutated_network_json_fails_as_a_parse_error_or_loads(saved, data):
 def test_mutated_edge_list_fails_as_a_parse_error_or_loads(saved, data):
     directory, _, rows = saved
     path = directory / "mutated.csv"
-    text = io.StringIO()
-    csv.writer(text).writerows(data.draw(csv_mutations(rows)))
-    path.write_text(text.getvalue(), encoding="utf-8", newline="")
+    path.write_bytes(data.draw(csv_files(rows)))
     fares = walkthrough_fare_table()
     assert_parse_error_or_repairable(lambda p: load_edge_list(p, fares), path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_fare_config_fails_as_a_parse_error_or_resolves(saved, data):
+    directory = saved[0]
+    path = directory / "fares.csv"
+    path.write_bytes(data.draw(csv_files(read_rows(data_path("default_fares.csv")))))
+    try:
+        ranges = load_fare_config(path)
+    except ParseError as error:
+        assert error.file == str(path)
+    else:
+        for strategy in FARE_STRATEGIES:
+            resolve_fares(ranges, strategy, seed=1)
+
+
+GTFS_TABLES = ("stops.txt", "routes.txt", "trips.txt", "stop_times.txt")
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_gtfs_feed_fails_as_a_parse_error_or_loads(saved, data):
+    """One to four of the minimal feed's tables mutated; an error may name
+    any of them, as a mutated table can make another one's references fail."""
+    feed = saved[0] / "gtfs"
+    shutil.rmtree(feed, ignore_errors=True)
+    shutil.copytree(gtfs_minimal_dir(), feed)
+    for table in data.draw(st.lists(st.sampled_from(GTFS_TABLES), min_size=1, max_size=4, unique=True)):
+        (feed / table).write_bytes(data.draw(csv_files(read_rows(feed / table))))
+    fares = resolve_fares(default_fare_ranges(), "low")
+    try:
+        net = load_gtfs(feed, fares)
+    except ParseError as error:
+        assert error.file in {str(feed / table) for table in GTFS_TABLES}
+    else:
+        assert_repairable(net)
 
 
 _FARES = FareTable.from_pairs([("A", FarePolicy(100, 1, 0)), ("B", FarePolicy(0, 0, 2))])

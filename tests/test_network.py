@@ -133,6 +133,14 @@ def test_fare_policy_rejects_a_base_fare_that_is_not_whole_cents(base_fare):
         FarePolicy(base_fare, Decimal(0), Decimal(0))
 
 
+@pytest.mark.parametrize("rate", [True, False, None, [0, [1], 0], (0, (1,), 0)])
+@pytest.mark.parametrize("name", ["cost_per_meter", "cost_per_minute"])
+def test_fare_policy_rejects_a_rate_that_is_not_a_number(name, rate):
+    rates = {"cost_per_meter": Decimal(0), "cost_per_minute": Decimal(0), name: rate}
+    with pytest.raises(ConfigurationError, match=f"{name}_cents must be a number"):
+        FarePolicy(0, rates["cost_per_meter"], rates["cost_per_minute"])
+
+
 def test_edge_cost_that_does_not_fit_raises_configuration_error():
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(1)))])
     assert edge_cost(TransitEdge(4, 0, 1, 0, 1e20, 0.0), fares) == 3 * 10**20
