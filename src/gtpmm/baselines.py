@@ -141,13 +141,13 @@ def _nearest_by_search(
     net: MultiModalNetwork, origins: Counter[int], cat: tuple[int, ...], legs: Legs
 ) -> tuple[Money, int] | None:
     """``(summed cost from the origins, PoI)`` of the cheapest reachable PoI
-    of ``cat``, ties to the lower id, from one search per origin, kept in
-    ``legs``; None when none is reachable from every origin."""
-    reached = [(legs.search_from(net, origin, cat), count) for origin, count in origins.items()]
+    of ``cat``, ties to the lower id, from one :meth:`~gtpmm.planner.Legs.costs`
+    call; None when none is reachable from every origin."""
+    costs = legs.costs(net, origins, cat)
     best: tuple[Money, int] | None = None
     for j in cat:
-        if all(j in costs for costs, _ in reached):
-            cost = sum(costs[j] * count for costs, count in reached)
+        if all((origin, j) in costs for origin in origins):
+            cost = sum(costs[(origin, j)] * count for origin, count in origins.items())
             if best is None or cost < best[0]:
                 best = (cost, j)
     return best
@@ -166,23 +166,20 @@ def _nearest_by_bound(
     A candidate's lower bound is its summed ``bound`` from the origins,
     at most its summed cost; so once a candidate's ``(bound, id)`` exceeds
     the best ``(cost, id)`` so far, it and every candidate after it cost
-    more or tie at a higher id. One origin prices a candidate with one
-    search from the origin to it, several with one search from it to all
-    of them (costs are symmetric); the searches are kept in ``legs``, where
-    the plan's legs are read from them. ``bound`` covers every origin and
-    candidate, so all are connected.
+    more or tie at a higher id. Each candidate is priced by one
+    :meth:`~gtpmm.planner.Legs.costs` call from the origins to it: one
+    search from the one origin, or from the candidate when there are
+    several. Its trees are kept in ``legs``, where the plan's legs are read
+    from them. ``bound`` covers every origin and candidate, so all are
+    connected.
     """
     order = sorted((sum(count * bound(origin, j) for origin, count in origins.items()), j) for j in cat)
     best: tuple[Money, int] | None = None
     for lower, j in order:
         if best is not None and (lower, j) > best:
             break
-        if len(origins) == 1:
-            [(origin, count)] = origins.items()
-            cost = count * legs.search_from(net, origin, (j,))[j]
-        else:
-            costs = legs.search_from(net, j, origins)
-            cost = sum(count * costs[origin] for origin, count in origins.items())
+        costs = legs.costs(net, origins, (j,))
+        cost = sum(count * costs[(origin, j)] for origin, count in origins.items())
         if best is None or (cost, j) < best:
             best = (cost, j)
     return best
@@ -204,8 +201,10 @@ def nncm(
     :func:`~gtpmm.network.landmark_bound` bounds every origin and
     candidate of a category, the candidates are priced in order of that
     lower bound until none left can win (:func:`_nearest_by_bound`).
-    Elsewhere each category runs one search per distinct origin. Both pick
-    the same PoIs, and keep their searches in one
+    Elsewhere each category is scored by one
+    :meth:`~gtpmm.planner.Legs.costs` call: one search per distinct origin
+    or per candidate, whichever set is smaller. Both pick the same PoIs,
+    and keep their searches in one
     :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs
     they answer: the first pick's source legs and every hop, but for ties.
     """

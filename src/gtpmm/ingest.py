@@ -98,14 +98,17 @@ def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterat
 
 def read_json(path: str | Path, kind: str) -> object:
     """The JSON document in the ``kind`` file at ``path``; invalid JSON,
-    text that is not UTF-8 and an unreadable file raise :class:`ParseError`
-    naming the file, and the line for invalid JSON."""
+    text that is not UTF-8, a number of more digits than ``int`` converts,
+    nesting deeper than the decoder recurses and an unreadable file raise
+    :class:`ParseError` naming the file, and the line for invalid JSON."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
         raise ParseError(f"invalid JSON: {error.msg}", file=str(path), line=error.lineno) from None
     except UnicodeDecodeError:
         raise ParseError(f"{kind} file is not UTF-8 text", file=str(path)) from None
+    except (ValueError, RecursionError):
+        raise ParseError("invalid JSON: a number too long or nesting too deep to decode", file=str(path)) from None
     except OSError as error:
         raise ParseError(f"cannot read {kind} file: {error.strerror}", file=str(path)) from None
 

@@ -608,8 +608,9 @@ def reference_path(net: MultiModalNetwork, source: int, target: int) -> PathResu
 
 class SearchTree(Mapping[int, PathResult]):
     """What one :func:`shortest_paths` search found: a read-only mapping
-    from each reached target to its cheapest path, each path built on
-    first access.
+    from each reached target to its cheapest path, each path built when it
+    is read. The tree keeps no path: :class:`~gtpmm.planner.Legs` keeps
+    each one it reads.
 
     ``costs`` maps each reached target to its cost, and ``targets`` holds
     every PoI the search was asked for; one missing from ``costs`` is
@@ -633,25 +634,21 @@ class SearchTree(Mapping[int, PathResult]):
         self._net = net
         self._pred = pred
         self._tied = tied
-        self._paths: dict[int, PathResult] = {}
         self._hops: dict[tuple[int, int], tuple[int, ModeId]] = {}  # paths to many targets share hops
 
     def __getitem__(self, target: int) -> PathResult:
-        path = self._paths.get(target)
-        if path is None:
-            cost = self.costs[target]  # a KeyError for a PoI the search did not reach
-            sequence = [target]
-            while sequence[-1] != self.source:
-                sequence.append(self._pred[sequence[-1]])
-            sequence.reverse()
-            legs = []
-            for hop in zip(sequence, sequence[1:]):
-                if hop not in self._hops:
-                    eid, _ = cheapest_parallel_edge(self._net, *hop)
-                    self._hops[hop] = (eid, self._net.edges[eid].mode)
-                legs.append(self._hops[hop])
-            path = self._paths[target] = PathResult(cost, tuple(legs), tuple(sequence))
-        return path
+        cost = self.costs[target]  # a KeyError for a PoI the search did not reach
+        sequence = [target]
+        while sequence[-1] != self.source:
+            sequence.append(self._pred[sequence[-1]])
+        sequence.reverse()
+        legs = []
+        for hop in zip(sequence, sequence[1:]):
+            if hop not in self._hops:
+                eid, _ = cheapest_parallel_edge(self._net, *hop)
+                self._hops[hop] = (eid, self._net.edges[eid].mode)
+            legs.append(self._hops[hop])
+        return PathResult(cost, tuple(legs), tuple(sequence))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.costs)

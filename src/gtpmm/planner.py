@@ -11,10 +11,10 @@ parent links.
 Each stage from one category to the next is one cost-only multi-source
 search (:func:`~gtpmm.network.layer_costs`). The two stages that sum over
 agents, sources to the first category and the last category to the
-destinations, run one single-source search per distinct endpoint or per
-category PoI, whichever set is smaller, and keep each search's tree in a
-:class:`Legs`. The chosen plan's source and destination legs are read
-from those trees: forward from a leg's origin, or back from its target
+destinations, price their pairs with :meth:`Legs.costs`: one
+single-source search per distinct endpoint or per category PoI,
+whichever set is smaller, each tree kept in a :class:`Legs`. The chosen
+plan's source and destination legs are read from those trees: forward from a leg's origin, or back from its target
 when the tree shows that the cheapest path is the only one
 (:meth:`~gtpmm.network.SearchTree.path_from`). Only the legs no tree
 answers are searched: each common hop point to point, and the
@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
 from .network import (
@@ -124,15 +124,15 @@ _UNKNOWN = object()  # Legs._known's answer for a pair no kept path or tree answ
 
 
 class Legs:
-    """Cheapest legs of one network: the paths of each ordered PoI pair,
-    read from the trees of the single-source searches run through it, or
-    else searched point to point once.
+    """Cheapest legs of one network: the costs and paths of ordered PoI
+    pairs, read from the trees of the single-source searches run through
+    it, or else searched once.
 
-    ``search_from`` runs one :func:`~gtpmm.network.shortest_paths` search
-    and keeps its :class:`~gtpmm.network.SearchTree`; an origin may have
-    several. ``path(net, u, v)`` looks in turn for the pair's path already
-    found, a tree from ``u`` searched for ``v``, and a tree from ``v``
-    searched for ``u`` that can read its path back
+    ``costs`` prices pairs from the kept trees and new
+    :func:`~gtpmm.network.shortest_paths` searches, whose trees it keeps;
+    ``tree_searches`` counts them. ``path(net, u, v)`` looks in turn for
+    the pair's path already found, a tree from ``u`` searched for ``v``,
+    and a tree from ``v`` searched for ``u`` that can read its path back
     (:meth:`~gtpmm.network.SearchTree.path_from`); each gives the path
     ``shortest_path(net, u, v)`` returns. Only when none answers does it
     search the pair point to point with ``search_pair(net, u, v)``, and
@@ -149,21 +149,54 @@ class Legs:
         self._trees: dict[int, list[SearchTree]] = {}
         self._search_pair = search_pair
         self.searches = 0
+        self.tree_searches = 0
 
-    def search_from(self, net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> dict[int, Money]:
-        """The cost from ``origin`` to every reachable PoI of ``targets``,
-        from one new search whose tree is kept."""
+    def _search_from(self, net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> dict[int, Money]:
+        """The costs of one new search from ``origin`` to ``targets``, whose tree is kept."""
         tree = shortest_paths(net, origin, targets)
         self._trees.setdefault(origin, []).append(tree)
+        self.tree_searches += 1
         return tree.costs
 
-    def kept(self, origin: int, targets: Iterable[int]) -> dict[int, Money] | None:
-        """The costs of a kept search from ``origin`` for every PoI of
-        ``targets``, or None when there is none."""
+    def _kept(self, origin: int, targets: Iterable[int]) -> dict[int, Money] | None:
+        """The costs of a kept tree of ``origin`` searched for all ``targets``, or None."""
         for tree in self._trees.get(origin, ()):
             if tree.targets.issuperset(targets):
                 return tree.costs
         return None
+
+    def costs(
+        self, net: MultiModalNetwork, origins: Collection[int], targets: Collection[int]
+    ) -> dict[tuple[int, int], Money]:
+        """The cheapest cost of every reachable ``(origin, target)`` pair; a
+        missing pair is unreachable. A PoI of either side with a tree kept
+        for every PoI of the other gives its pairs from that tree. The rest
+        come from one new search per origin or per target left, whichever
+        set is smaller, origins on a tie, to every PoI of the other side;
+        so a repeated call searches nothing. The network is undirected, so
+        a tree from either end gives a pair's cost."""
+        costs: dict[tuple[int, int], Money] = {}
+        rest_origins = []
+        for o in origins:
+            kept = self._kept(o, targets)
+            if kept is None:
+                rest_origins.append(o)
+            else:
+                costs.update(((o, t), kept[t]) for t in targets if t in kept)
+        rest_targets = []
+        for t in targets:
+            kept = self._kept(t, origins)
+            if kept is None:
+                rest_targets.append(t)
+            else:
+                costs.update(((o, t), kept[o]) for o in origins if o in kept)
+        if len(rest_origins) <= len(rest_targets):
+            for o in rest_origins:
+                costs.update(((o, t), cost) for t, cost in self._search_from(net, o, targets).items())
+        else:
+            for t in rest_targets:
+                costs.update(((o, t), cost) for o, cost in self._search_from(net, t, origins).items())
+        return costs
 
     def _known(self, u: int, v: int) -> PathResult | None | object:
         """The path of ``(u, v)`` from what the legs hold (None when a tree
@@ -199,7 +232,7 @@ class Legs:
         ``u`` nothing held answers, and none when there is no such PoI."""
         missing = [v for v in targets if self._known(u, v) is _UNKNOWN]
         if missing:
-            self.search_from(net, u, missing)
+            self._search_from(net, u, missing)
 
 
 @dataclass
@@ -211,10 +244,10 @@ class DpTable:
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
     ``distances`` maps a (reached last-category PoI, destination) pair to
     its cheapest cost; an unreachable pair is missing. ``searches`` counts
-    the cost searches :func:`compute_dp` ran, plus those of the pruning
-    stage when :func:`plan` pruned. ``legs`` keeps the trees of the two
-    endpoint stages' searches, from which :func:`plan` reads the chosen
-    plan's legs; ``sp_invocations`` counts its point-to-point searches.
+    :func:`compute_dp`'s layer searches and the trees it grew in ``legs``,
+    plus those the pruning stage grew when :func:`plan` pruned. From the
+    trees in ``legs`` :func:`plan` reads the chosen plan's legs;
+    ``sp_invocations`` counts its point-to-point searches.
     """
 
     cost: list[dict[int, Money]]
@@ -285,41 +318,6 @@ def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
         net.check_poi(poi)
 
 
-def _endpoint_costs(
-    net: MultiModalNetwork, legs: Legs, origins: Sequence[int], targets: Sequence[int]
-) -> tuple[dict[tuple[int, int], Money], int]:
-    """Cheapest cost of every reachable (origin, target) pair, and the
-    number of searches run for them.
-
-    A PoI of either side with a search kept in ``legs`` for every PoI of
-    the other gives its pairs from that search. The other pairs come from
-    one search per origin or per target left, whichever set is smaller,
-    origins on a tie, each kept in ``legs``. The network is undirected, so
-    both give the costs."""
-    costs: dict[tuple[int, int], Money] = {}
-    rest_origins = []
-    for o in origins:
-        kept = legs.kept(o, targets)
-        if kept is None:
-            rest_origins.append(o)
-        else:
-            costs.update(((o, t), cost) for t, cost in kept.items())
-    rest_targets = []
-    for t in targets:
-        kept = legs.kept(t, origins)
-        if kept is None:
-            rest_targets.append(t)
-        else:
-            costs.update(((o, t), cost) for o, cost in kept.items())
-    if len(rest_origins) <= len(rest_targets):
-        for o in rest_origins:
-            costs.update(((o, t), cost) for t, cost in legs.search_from(net, o, rest_targets).items())
-    else:
-        for t in rest_targets:
-            costs.update(((o, t), cost) for o, cost in legs.search_from(net, t, rest_origins).items())
-    return costs, min(len(rest_origins), len(rest_targets))
-
-
 def compute_dp(
     net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, *, legs: Legs | None = None
 ) -> DpTable:
@@ -332,23 +330,24 @@ def compute_dp(
     destination stage then stores the cost from every reached last-category
     PoI to every destination in ``distances``.
 
-    The two endpoint stages run one single-source search per distinct
-    endpoint or per category PoI, whichever set is smaller, so a query runs
-    at most min(sources, |first category|) + (k - 1) + min(destinations,
-    |last category|) searches. Their trees are kept in ``table.legs``:
-    ``legs`` when given, a new :class:`Legs` otherwise. A category PoI or
-    endpoint with a search already kept there for every PoI of the other
-    side is not searched again (:func:`plan` passes those of its pruning
-    stage); the table is the same.
+    The two endpoint stages price their pairs with :meth:`Legs.costs`,
+    one single-source search per distinct endpoint or per category PoI,
+    whichever set is smaller, so a query runs at most min(sources, |first
+    category|) + (k - 1) + min(destinations, |last category|) searches.
+    Their trees are kept in ``table.legs``: ``legs`` when given, a new
+    :class:`Legs` otherwise. A category PoI or endpoint with a tree already
+    kept there for every PoI of the other side is not searched again
+    (:func:`plan` passes those of its pruning stage); the table is the
+    same.
     """
     _check_instance(net, inst)
     m = sharing.intermediate_multiplier(inst.n_agents)
     legs = legs if legs is not None else Legs()
     table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories], legs=legs)
+    trees = legs.tree_searches
 
     sources = Counter(source for source, _ in inst.agents)
-    from_sources, searches = _endpoint_costs(net, legs, tuple(sources), inst.categories[0])
-    table.searches += searches
+    from_sources = legs.costs(net, sources, inst.categories[0])
     for j in inst.categories[0]:
         if all((source, j) in from_sources for source in sources):
             table.cost[0][j] = sum(count * from_sources[(source, j)] for source, count in sources.items())
@@ -365,8 +364,8 @@ def compute_dp(
 
     last = tuple(j for j in inst.categories[-1] if j in table.cost[-1])
     destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
-    table.distances, searches = _endpoint_costs(net, legs, last, destinations)
-    table.searches += searches
+    table.distances = legs.costs(net, last, destinations)
+    table.searches += legs.tree_searches - trees
     return table
 
 
@@ -446,10 +445,11 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
     bounds the cost of any chain's part up to ``j``, category ``c``'s PoI:
     source legs weighted by agent counts, hops by the intermediate
     multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. The
-    chain of least total bound is priced exactly by one search from its
-    first PoI to the distinct sources, one search per hop to its one
-    target and one search from its last PoI to the distinct destinations;
-    that price ``ub`` is at least the optimum.
+    chain of least total bound is priced exactly by :meth:`Legs.costs`:
+    one search from its first PoI to the distinct sources, one per hop to
+    its one target and one from its last PoI to the distinct destinations,
+    but none that a tree grown before answers; that price ``ub`` is at
+    least the optimum.
 
     The pricing searches pay only if some PoI goes, and a PoI goes when its
     bound exceeds ``ub``. The least chain bound is about ``tightness``
@@ -493,11 +493,11 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
         return None  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
     for category, rest in zip(categories[1:], suffix[1:]):
         chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
-    from_first = legs.search_from(net, chain[0], sources)
-    to_last = legs.search_from(net, chain[-1], destinations)
-    ub = sum(n * from_first[s] for s, n in sources.items())
-    ub += sum(n * to_last[d] for d, n in destinations.items())
-    ub += m * sum(legs.search_from(net, a, (b,))[b] for a, b in zip(chain, chain[1:]))
+    from_first = legs.costs(net, chain[:1], sources)
+    to_last = legs.costs(net, chain[-1:], destinations)
+    ub = sum(n * from_first[(chain[0], s)] for s, n in sources.items())
+    ub += sum(n * to_last[(chain[-1], d)] for d, n in destinations.items())
+    ub += m * sum(legs.costs(net, (a,), (b,))[(a, b)] for a, b in zip(chain, chain[1:]))
 
     kept = [[j for j in cat if reach[j] + rest[j] <= ub] for cat, reach, rest in zip(categories, prefix, suffix)]
     return QueryInstance(inst.agents, kept)
@@ -529,13 +529,12 @@ def plan(
     point to point and the destination legs from one search.
     """
     legs = Legs()
-    query, extra = inst, 0
+    query = inst
     if net.landmark_tightness >= PRUNE_TIGHTNESS:
-        pruned = _prune(net, inst, sharing, legs)
-        if pruned is not None:
-            query, extra = pruned, inst.k + 1
+        query = _prune(net, inst, sharing, legs) or inst
+    pricing = legs.tree_searches
     table = compute_dp(net, query, sharing, legs=legs)
-    table.searches += extra
+    table.searches += pricing
 
     best_total: Money | None = None
     best_last: int | None = None

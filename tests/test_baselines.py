@@ -423,6 +423,26 @@ def test_nncm_scores_candidates_with_one_cost_search_per_origin(searches):
     assert searches[-1].origin == common[-1]  # the destination legs' search
 
 
+def test_nncm_scores_a_first_category_smaller_than_its_sources_from_the_candidates(searches):
+    """With more distinct sources than first-category PoIs, the first
+    category is scored by one search from each candidate to the sources;
+    the picks, legs and total are those of the per-origin scoring."""
+    net = random_network(3, n_pois=60, n_modes=3)
+    assert net.landmark_tightness < PRUNE_TIGHTNESS  # scored by search, not in bound order
+    for seed in range(4):
+        inst = random_instance(seed, net, k=1 + seed % 3, pois_per_category=3, n_agents=8)
+        first = inst.categories[0]
+        sources = set(source for source, _ in inst.agents)
+        assert len(sources) > len(first)
+        for sharing in (PER_PERSON, SHARED):
+            searches.clear()
+            journey = nncm(net, inst, sharing)
+            assert journey == _reference_nncm(net, inst, sharing)  # PoIs, legs, modes, total
+            scoring = searches[: len(first)]
+            assert [search.origin for search in scoring] == list(first)
+            assert all(search.kind == "tree" and set(search.targets) == sources for search in scoring)
+
+
 def test_cheapest_leg_baselines_run_one_destination_search_per_plan(searches):
     net, inst, _ = _fifty_agents_from_five_sources()
     destinations = {dest for _, dest in inst.agents}

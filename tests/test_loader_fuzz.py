@@ -1,12 +1,13 @@
 """Mutation fuzzing of the file loaders: a saved walkthrough network, its
-edge-list CSV, the default fare config and the minimal GTFS feed. JSON
-fields are set to values of other types, non-finite or huge numbers and
-booleans, keys are dropped and whole records replaced; CSV cells are set,
-dropped or added, columns repeated, rows replaced, and the file text gains
-blank or whitespace-only lines, is cut short or gets a byte that is not
-UTF-8. Every failure must be a ``ParseError`` naming the file; every
-success must give fares that resolve, or a network that
-``connect_components`` accepts."""
+edge-list CSV, the default fare config, the minimal GTFS feed and a query
+file of ``gtpmm plan --query``. JSON fields are set to values of other
+types, non-finite or huge numbers and booleans, keys are dropped and whole
+records replaced; CSV cells are set, dropped or added, columns repeated,
+rows replaced, and the file text gains blank or whitespace-only lines, is
+cut short or gets a byte that is not UTF-8. Every failure must be a
+``ParseError`` naming the file; every success must give fares that
+resolve, a network that ``connect_components`` accepts, or a query that
+``gtpmm plan`` plans."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from gtpmm import (
     resolve_fares,
     save_network_json,
 )
+from gtpmm.cli import _load_query, main
 from gtpmm.fixtures import data_path, default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
 from gtpmm.ingest import FARE_STRATEGIES, save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
@@ -243,3 +246,89 @@ def test_a_network_the_builder_accepts_loads_back_from_its_file(tmp_path_factory
     path = tmp_path_factory.getbasetemp() / "built.json"
     save_network_json(net, path)
     assert load_network_json(path) == net
+
+
+# The walkthrough network's PoIs are ids 0-9 and external ids v01-v10.
+QUERY = {"agents": [["v10", "v01"], [2, "v05"]], "categories": [["v07", 3], ["v05"], ["v03", "v08"]]}
+QUERY_VALUES = st.one_of(
+    ODD_VALUES,
+    st.sampled_from([-1, 9, 10, 10**400, -(10**400), "v01", "v10", "v99", "V01", " v01"]),
+    st.sampled_from([[["v01"]], [[0, 1]], [[]], [[], []], [["v01", "v02"]], [[["v03"]]], [0, [1]]]).map(copy.deepcopy),
+)
+
+
+@st.composite
+def query_mutations(draw):
+    """:data:`QUERY` with one to three places changed: the document, its
+    agent or category list, one agent or category, or one PoI reference in
+    them set to an odd value, dropped (a key or a list item), or given an
+    odd item."""
+    document = copy.deepcopy(QUERY)
+    for _ in range(draw(st.integers(1, 3))):
+        places = [(None, None)]  # the document itself
+        if isinstance(document, dict):
+            places += [(document, key) for key in document]
+            for key in ("agents", "categories"):
+                lists = document.get(key)
+                if isinstance(lists, list):
+                    places += [(lists, index) for index in range(len(lists))]
+                    places += [(item, index) for item in lists if isinstance(item, list) for index in range(len(item))]
+        owner, key = draw(st.sampled_from(places))
+        action = draw(st.sampled_from(["set", "drop", "add"]))
+        if owner is None:
+            if action == "set":
+                document = draw(QUERY_VALUES)
+            continue
+        if action == "set":
+            owner[key] = draw(QUERY_VALUES)
+        elif action == "drop":
+            del owner[key]
+        elif isinstance(owner[key], list):
+            owner[key].insert(draw(st.integers(0, len(owner[key]))), draw(QUERY_VALUES))
+    return document
+
+
+@pytest.fixture(scope="module")
+def walkthrough_file(saved):
+    directory = saved[0]
+    return load_network_json(directory / "net.json"), directory / "net.json"
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_query_fails_as_a_parse_error_or_plans(saved, walkthrough_file, data):
+    """A query file that does not load is a ``ParseError`` naming it, and
+    ``gtpmm plan`` then exits with 2 and one error line; one that loads
+    names only PoIs of the network, and ``gtpmm plan`` plans it."""
+    net, net_path = walkthrough_file
+    path = saved[0] / "query.json"
+    path.write_text(json.dumps(data.draw(query_mutations())), encoding="utf-8")
+    try:
+        inst = _load_query(net, str(path))
+    except ParseError as error:
+        assert error.file == str(path)
+        expected = 2
+    else:
+        assert inst.referenced_pois() <= set(range(net.poi_count))
+        expected = 0
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as stderr:
+        assert main(["plan", "--network", str(net_path), "--query", str(path)]) == expected
+    if expected:
+        assert stderr.getvalue().startswith(f"error: {path}") and stderr.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"agents": [["v10", "v01"]], "categories": [[1' + "0" * 5000 + "]]}", "[" * 100_000 + "]" * 100_000],
+    ids=["number-past-the-digit-limit", "nested-past-the-recursion-limit"],
+)
+def test_query_json_the_decoder_cannot_hold_is_a_parse_error(saved, walkthrough_file, text):
+    net, net_path = walkthrough_file
+    path = saved[0] / "query.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        _load_query(net, str(path))
+    assert excinfo.value.file == str(path)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as stderr:
+        assert main(["plan", "--network", str(net_path), "--query", str(path)]) == 2
+    assert stderr.getvalue() == f"error: {path}: invalid JSON: a number too long or nesting too deep to decode\n"

@@ -247,6 +247,39 @@ def test_threshold_chain_endpoint_searches_serve_the_dp(searches):
     assert table.searches == full.searches - 2
 
 
+@pytest.mark.parametrize("sharing", [PER_PERSON, SHARED])
+def test_pruned_plans_count_the_searches_they_ran(sharing, searches, monkeypatch):
+    """On pruned road plans ``DpTable.searches`` is the number of tree and
+    layer searches run up to the end of ``compute_dp``: the pricing
+    searches, counted as they ran, and the DP's. A round trip of one
+    category prices its chain with one search, as the search from the
+    chain's one PoI to the sources reaches the destinations too."""
+    tables = []
+    compute_dp = planner.compute_dp
+
+    def marked(*args, **kwargs):
+        searches.append("dp")  # marks the start of the DP's searches
+        tables.append(compute_dp(*args, **kwargs))
+        searches.append("dp")  # and their end
+        return tables[-1]
+
+    monkeypatch.setattr(planner, "compute_dp", marked)
+    cases = [*road_cases(), *road_cases(TIED_FARES, 0.0)]
+    round_trips = [(net, QueryInstance([(s, s) for s, _ in inst.agents], inst.categories)) for net, inst in cases]
+    cases += [(net, inst) for net, inst in round_trips if inst.k == 1]
+    pruned = fewer = 0
+    for net, inst in cases:
+        searches.clear()
+        plan(net, inst, sharing)
+        start, end = [index for index, search in enumerate(searches) if search == "dp"]
+        assert {search.kind for search in searches[:end] if search != "dp"} <= {"tree", "layer"}
+        assert tables[-1].searches == end - 1
+        pruned += start > 0
+        fewer += 0 < start < inst.k + 1  # fewer pricing searches than the chain has endpoints and hops
+    assert pruned >= len(cases) // 2
+    assert fewer > 0
+
+
 # --- fallbacks ----------------------------------------------------------------------
 
 

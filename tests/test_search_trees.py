@@ -19,6 +19,7 @@ from gtpmm import InfeasibleRouteError, SharingMode, nncm, plan
 from gtpmm.bench import draw_instance
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, reference_path, shortest_paths
 from gtpmm.planner import PRUNE_TIGHTNESS, Legs, assemble
+from gtpmm.rng import SplitMix64
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
 from test_pruning import TIED_FARES, ZERO_FARES, road_cases
 
@@ -93,7 +94,7 @@ def test_legs_answer_every_pair_from_their_trees_as_the_reference_does(name):
     pois = range(net.poi_count)
     legs = Legs()
     for origin in pois[::3]:  # a tree from every third PoI to every PoI not a multiple of 3
-        legs.search_from(net, origin, [poi for poi in pois if poi % 3])
+        legs.costs(net, (origin,), [poi for poi in pois if poi % 3])
     unheld = 0
     for u in pois:
         for v in pois:
@@ -110,6 +111,57 @@ def test_legs_answer_every_pair_from_their_trees_as_the_reference_does(name):
         assert legs.searches > unheld
 
 
+COSTS_NETWORKS = {**NETWORKS, "road-tied-fares": lambda seed: road_network(seed, 6, jitter=0.0, fare_table=TIED_FARES)}
+
+
+@pytest.mark.parametrize("name", sorted(COSTS_NETWORKS))
+def test_legs_costs_are_the_reference_costs_from_the_fewest_new_trees(name, searches):
+    """``Legs.costs`` against ``reference_path``: every reachable pair with
+    its cost and no unreachable pair, from one new tree per origin or per
+    target that no tree searched before covers, whichever set is smaller,
+    origins on a tie; and a repeated call searches nothing."""
+    sides = set()
+    covered_seen = 0
+    for seed in range(2):
+        net = COSTS_NETWORKS[name](seed)
+        rng = SplitMix64(seed)
+        pool = list(range(0, net.poi_count, 3))  # on the disconnected network, PoIs of all three components
+        legs = Legs()
+        searches.clear()
+        origins, targets = (), ()
+        for call in range(16):
+            if call % 3 == 2:
+                origins, targets = targets, tuple(rng.sample(pool, 1 + rng.below(5)))  # the last targets as origins
+            else:
+                origins, targets = tuple(rng.sample(pool, 1 + rng.below(4))), tuple(rng.sample(pool, 1 + rng.below(5)))
+
+            def covered(poi, other):
+                return any(search.origin == poi and set(other) <= set(search.targets) for search in searches)
+
+            rest_origins = [o for o in origins if not covered(o, targets)]
+            rest_targets = [t for t in targets if not covered(t, origins)]
+            covered_seen += len(rest_origins) < len(origins) or len(rest_targets) < len(targets)
+            before = len(searches)
+            costs = legs.costs(net, origins, targets)
+            expected = {}
+            for o in origins:
+                for t in targets:
+                    path = reference_path(net, o, t)
+                    if path is not None:
+                        expected[(o, t)] = path.cost
+            assert costs == expected
+            searched = rest_origins if len(rest_origins) <= len(rest_targets) else rest_targets
+            sides.add(searched is rest_origins)
+            new = searches[before:]
+            assert {search.kind for search in new} <= {"tree"}
+            assert [search.origin for search in new] == searched
+            assert len(new) == min(len(rest_origins), len(rest_targets))
+            assert legs.costs(net, origins, targets) == expected
+            assert len(searches) == before + len(new)  # the repeated call searched nothing
+    assert sides == {True, False}  # searched from origins and from targets
+    assert covered_seen > 0  # some PoIs were answered by earlier trees
+
+
 def test_a_tie_is_never_read_back():
     # 0-1-4-5 and 0-3-2-5 cost the same: the tree of 0 reaches 5 through 2
     # (the lower-id predecessor of 5), and a search from 5 reaches 0 through
@@ -122,7 +174,7 @@ def test_a_tie_is_never_read_back():
     assert tree.path_from(4) == reference_path(net, 4, 0)  # its one cheapest path
     assert shortest_paths(net, 0, [5]).path_from(5) is None  # a one-target search, in the landmark loop
     legs = Legs()
-    legs.search_from(net, 0, [5, 4])
+    legs.costs(net, (0,), [5, 4])
     assert legs.path(net, 5, 0) == reference_path(net, 5, 0) and legs.searches == 1
     assert legs.path(net, 4, 0) == reference_path(net, 4, 0) and legs.searches == 1
 
@@ -134,7 +186,7 @@ def test_a_network_with_a_free_hop_never_reads_back():
     tree = shortest_paths(net, 0, range(5))
     assert all(tree.path_from(poi) is None for poi in range(5))
     legs = Legs()
-    legs.search_from(net, 0, range(5))
+    legs.costs(net, (0,), range(5))
     for poi in range(1, 5):
         assert legs.path(net, 0, poi) == reference_path(net, 0, poi)  # forward reads
         assert legs.path(net, poi, 0) == reference_path(net, poi, 0)
@@ -197,7 +249,7 @@ def test_plans_equal_their_point_to_point_legs(sharing):
 def test_the_search_record_sees_each_search_once(searches):
     net = road_network(0, 5)
     legs = Legs()
-    legs.search_from(net, 0, [3, 4])
+    legs.costs(net, (0,), [3, 4])
     legs.path(net, 4, 0)  # read back
     legs.path(net, 2, 7)  # point to point
     assert searches == [Search("tree", 0, (3, 4)), Search("path", 2, (7,))]
