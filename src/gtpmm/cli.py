@@ -81,31 +81,22 @@ def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
             raise ParseError(f"a query needs a list under {key!r}", file=path)
     to_id = {poi.external_id: poi.id for poi in net.pois}
 
-    def resolve(token) -> int:
-        if isinstance(token, int) and not isinstance(token, bool):
-            if not 0 <= token < net.poi_count:
-                raise ParseError(f"PoI id {token} is out of range", file=path)
-            return token
+    def resolve(token):
         if not isinstance(token, str):
-            raise ParseError(f"PoI reference {token!r} is neither an id nor an external id", file=path)
+            return token  # QueryInstance checks that it is a PoI id
         if token not in to_id:
             raise ParseError(f"query references unknown PoI {token!r}", file=path)
         return to_id[token]
 
-    agents = []
-    for pair in document["agents"]:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"agent {pair!r} is not a [source, destination] pair", file=path)
-        agents.append((resolve(pair[0]), resolve(pair[1])))
-    categories = []
-    for category in document["categories"]:
-        if not isinstance(category, list):
-            raise ParseError(f"category {category!r} is not a list of PoIs", file=path)
-        categories.append([resolve(p) for p in category])
+    agents = [list(map(resolve, pair)) if isinstance(pair, list) else pair for pair in document["agents"]]
+    categories = [list(map(resolve, cat)) if isinstance(cat, list) else cat for cat in document["categories"]]
     try:
-        return QueryInstance(agents, categories)
-    except ConfigurationError as error:  # no agents, no categories or an empty one
+        inst = QueryInstance(agents, categories)
+        for poi in inst.referenced_pois():
+            net.check_poi(poi)
+    except ConfigurationError as error:
         raise ParseError(str(error), file=path) from None
+    return inst
 
 
 def _plan_document(net: MultiModalNetwork, inst: QueryInstance, journey: JourneyPlan) -> dict:

@@ -35,7 +35,6 @@ from .network import (
     FareTable,
     MultiModalNetwork,
     NetworkBuilder,
-    _valid_coords,
     haversine_m,
 )
 from .rng import SplitMix64
@@ -273,6 +272,7 @@ class GtfsStop:
     name: str
     lat: float
     lon: float
+    line: int  # source line, for error reporting
 
 
 @dataclass(frozen=True)
@@ -327,9 +327,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
             lat, lon = float(lat_text), float(lon_text)
         except ValueError:
             raise ParseError("stop coordinates must be numeric", file=str(path), line=line) from None
-        if not _valid_coords((lat, lon)):
-            raise ParseError("stop latitude or longitude out of range", file=str(path), line=line)
-        feed.stops[stop_id] = GtfsStop(stop_id, name, lat, lon)
+        feed.stops[stop_id] = GtfsStop(stop_id, name, lat, lon, line)
 
     path = directory / "routes.txt"
     for line, (route_id, route_type_text) in _csv_records(path, ("route_id", "route_type"), exact=False):
@@ -397,7 +395,10 @@ def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork
     coords: list[tuple[float, float]] = []
     for stop_id in sorted(feed.stops):
         stop = feed.stops[stop_id]
-        ids[stop_id] = builder.add_poi(stop_id, name=stop.name, coords=(stop.lat, stop.lon))
+        try:
+            ids[stop_id] = builder.add_poi(stop_id, name=stop.name, coords=(stop.lat, stop.lon))
+        except ConfigurationError as error:  # a latitude or longitude out of range
+            raise ParseError(str(error), file=str(Path(directory) / "stops.txt"), line=stop.line) from None
         coords.append((stop.lat, stop.lon))
 
     # (u, v, mode) -> (minutes, the stop_times.txt line they were read at), u < v

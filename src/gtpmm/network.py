@@ -232,17 +232,17 @@ class MultiModalNetwork:
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
 
-    The search views :attr:`cheapest_neighbors`, :attr:`has_free_hop`,
-    :attr:`landmarks` and :attr:`landmark_tightness` are derived from
-    ``edges`` and ``edge_costs`` on first use and cached on the instance.
-    They are not dataclass fields, so they take no part in equality or
-    ``repr``, and a network that is never searched never builds them.
+    The views :attr:`adjacency`, :attr:`cheapest_neighbors`,
+    :attr:`has_free_hop`, :attr:`landmarks` and :attr:`landmark_tightness`
+    are derived from ``edges`` and ``edge_costs`` on first use and cached on
+    the instance. They are not dataclass fields, so they take no part in
+    equality or ``repr``, a network that is never searched never builds
+    them, and a copy made with :func:`dataclasses.replace` derives its own.
     """
 
     pois: tuple[Poi, ...]
     edges: tuple[TransitEdge, ...]
     fare_table: FareTable
-    adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
     edge_costs: tuple[Money, ...] = field(repr=False)
 
     @property
@@ -252,6 +252,17 @@ class MultiModalNetwork:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per PoI, the ids of its edges in ascending order; a self-loop is
+        listed once."""
+        ids: list[list[int]] = [[] for _ in self.pois]
+        for edge in self.edges:
+            ids[edge.u].append(edge.id)
+            if edge.v != edge.u:
+                ids[edge.v].append(edge.id)
+        return tuple(map(tuple, ids))
 
     @cached_property
     def cheapest_neighbors(self) -> tuple[tuple[tuple[int, Money], ...], ...]:
@@ -329,14 +340,6 @@ class MultiModalNetwork:
             raise ConfigurationError(f"PoI id {poi_id} is out of range")
 
 
-def _valid_coords(value: object) -> bool:
-    """True for a ``[lat, lon]`` list or tuple of numbers within ±90 and ±180 degrees."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(type(x) in (int, float) for x in value)):
-        return False
-    lat, lon = value
-    return -90 <= lat <= 90 and -180 <= lon <= 180  # also rejects NaN and infinities
-
-
 class NetworkBuilder:
     """Single-writer accumulator; ``finalize`` prices and freezes.
 
@@ -366,7 +369,8 @@ class NetworkBuilder:
         if category is not None and (type(category) is not int or category < 0):  # not a bool, float or NaN
             raise ConfigurationError("category must be null or a nonnegative integer")
         if coords is not None:
-            if not _valid_coords(coords):
+            numbers = isinstance(coords, (list, tuple)) and len(coords) == 2 and {type(x) for x in coords} <= {int, float}
+            if not (numbers and -90 <= coords[0] <= 90 and -180 <= coords[1] <= 180):  # also rejects NaN and infinities
                 raise ConfigurationError("coords must be null or [lat, lon] in degrees")
             coords = tuple(coords)
         if external_id in self._external_ids:
@@ -388,18 +392,11 @@ class NetworkBuilder:
         return edge.id
 
     def finalize(self, fare_table: FareTable) -> MultiModalNetwork:
-        costs = _edge_costs(self._edges, fare_table)
-        adjacency: list[list[int]] = [[] for _ in self._pois]
-        for edge in self._edges:
-            adjacency[edge.u].append(edge.id)
-            if edge.v != edge.u:
-                adjacency[edge.v].append(edge.id)
         return MultiModalNetwork(
             pois=tuple(self._pois),
             edges=tuple(self._edges),
             fare_table=fare_table,
-            adjacency=tuple(tuple(ids) for ids in adjacency),
-            edge_costs=tuple(costs),
+            edge_costs=tuple(_edge_costs(self._edges, fare_table)),
         )
 
 
@@ -931,21 +928,17 @@ def connect_components(net: MultiModalNetwork) -> tuple[MultiModalNetwork, list[
     repair_mode = fares.mode_count - 1
     representatives = [min(component) for component in components]
     added: list[TransitEdge] = []
-    adjacency = list(net.adjacency)
     for left, right in zip(representatives, representatives[1:]):
         a, b = net.pois[left].coords, net.pois[right].coords
         distance = haversine_m(a, b) if a is not None and b is not None else REPAIR_DISTANCE_M
         time = distance / REPAIR_SPEED_M_PER_MIN
         edge = _transit_edge(net.edge_count + len(added), left, right, repair_mode, distance, time)
         added.append(edge)
-        adjacency[left] += (edge.id,)
-        adjacency[right] += (edge.id,)
 
     repaired = replace(
         net,
         edges=net.edges + tuple(added),
         fare_table=fares,
-        adjacency=tuple(adjacency),
         edge_costs=net.edge_costs + tuple(_edge_costs(added, fares)),
     )
     return repaired, added

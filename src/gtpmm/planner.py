@@ -4,9 +4,9 @@ Stage ``c`` of the DP holds, for every PoI ``j`` in category ``c``, the
 cheapest cost of bringing the whole group from their sources through one PoI
 of each earlier category to ``j``. Transitions are weighted by cheapest-cost
 shortest paths between PoIs; intermediate legs are charged once per agent or
-once per group depending on the sharing mode. The final stage attaches every
-agent's destination leg and the global argmin is reconstructed through
-parent links.
+once per group depending on the sharing mode. The final stage weights each
+distinct destination's leg by its agent count, as the first stage does each
+source's, and the global argmin is reconstructed through parent links.
 
 Each stage from one category to the next is one cost-only multi-source
 search (:func:`~gtpmm.network.layer_costs`). The two stages that sum over
@@ -80,6 +80,29 @@ class SharingMode(enum.Enum):
         return n_agents if self is SharingMode.PER_PERSON_INTERMEDIATE else 1
 
 
+def _items(value: object, name: str) -> tuple:
+    """The items of ``value``, or a :class:`ConfigurationError` naming it ``name``."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} is not a list") from None
+    return tuple(items)
+
+
+def _poi_ids(value: object, name: str) -> tuple[int, ...]:
+    ids = _items(value, name)
+    for index, poi in enumerate(ids):
+        if type(poi) is not int:  # not a bool, float or str
+            raise ConfigurationError(f"{name}[{index}] is not a PoI id")
+    return ids
+
+
+def _agent(pair: object, name: str) -> tuple[int, ...]:
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+        raise ConfigurationError(f"{name} is not a [source, destination] pair")
+    return _poi_ids(pair, name)
+
+
 @dataclass(frozen=True)
 class QueryInstance:
     """One query: agent endpoints plus the ordered intermediate categories.
@@ -87,14 +110,22 @@ class QueryInstance:
     ``agents`` holds (source, destination) PoI ids; ``categories`` holds, in
     visiting order, the candidate PoI ids of each category. Category sets
     are normalized to sorted, duplicate-free tuples.
+
+    The one check of a query's shape: an agent that is not a two-item tuple
+    or list, a category that is not iterable, or a PoI id that is not an
+    ``int`` raises :class:`ConfigurationError` naming the element by index
+    (``agents[3]``, ``categories[1][0]``) and not its value.
     """
 
     agents: tuple[tuple[int, int], ...]
     categories: tuple[tuple[int, ...], ...]
 
     def __init__(self, agents: Iterable[tuple[int, int]], categories: Iterable[Iterable[int]]):
-        agent_tuple = tuple((int(s), int(d)) for s, d in agents)
-        category_tuple = tuple(tuple(sorted(set(int(p) for p in cat))) for cat in categories)
+        agent_tuple = tuple(_agent(pair, f"agents[{i}]") for i, pair in enumerate(_items(agents, "agents")))
+        category_tuple = tuple(
+            tuple(sorted(set(_poi_ids(cat, f"categories[{i}]"))))
+            for i, cat in enumerate(_items(categories, "categories"))
+        )
         if not agent_tuple:
             raise ConfigurationError("a query needs at least one agent")
         if not category_tuple:
@@ -373,22 +404,11 @@ def destination_totals(net: MultiModalNetwork, inst: QueryInstance, table: DpTab
     """Cheapest full total per destination PoI: best last-category entry
     extended by the single leg to that destination."""
     totals: dict[int, Money] = {}
-    last = table.cost[inst.k - 1]
-    for _, dest in inst.agents:
-        if dest in totals:
-            continue
-        best: Money | None = None
-        for j in inst.categories[-1]:
-            if j not in last:
-                continue
-            cost = table.distances.get((j, dest))
-            if cost is None:
-                continue
-            candidate = last[j] + cost
-            if best is None or candidate < best:
-                best = candidate
-        if best is not None:
-            totals[dest] = best
+    distances = table.distances
+    for dest in dict.fromkeys(dest for _, dest in inst.agents):
+        reached = [cost + distances[(j, dest)] for j, cost in table.cost[-1].items() if (j, dest) in distances]
+        if reached:
+            totals[dest] = min(reached)
     return totals
 
 
@@ -536,26 +556,15 @@ def plan(
     table = compute_dp(net, query, sharing, legs=legs)
     table.searches += pricing
 
-    best_total: Money | None = None
-    best_last: int | None = None
-    for j in query.categories[-1]:
-        if j not in table.cost[query.k - 1]:
-            continue
-        total = table.cost[query.k - 1][j]
-        feasible = True
-        for _, dest in query.agents:
-            cost = table.distances.get((j, dest))
-            if cost is None:
-                feasible = False
-                break
-            total += cost
-        if feasible and (best_total is None or total < best_total):
-            best_total = total
-            best_last = j
-
-    if best_last is None:
+    destinations = Counter(dest for _, dest in query.agents)
+    totals = [
+        (cost + sum(n * table.distances[(j, dest)] for dest, n in destinations.items()), j)
+        for j, cost in table.cost[-1].items()
+        if all((j, dest) in table.distances for dest in destinations)
+    ]
+    if not totals:
         raise InfeasibleRouteError(*_first_unreachable(net, inst))
-
+    best_total, best_last = min(totals)  # an equal total goes to the lower PoI id
     common = reconstruct(table, best_last)
     legs.fill(net, common[-1], [dest for _, dest in inst.agents])
     try:

@@ -541,7 +541,7 @@ def test_invalid_stop_coordinate_reports_line(tmp_path, coords):
     feed = copy_feed(tmp_path)
     with (feed / "stops.txt").open("a") as handle:
         handle.write(f"D,Harbor,{coords}\n")
-    with pytest.raises(ParseError, match=r"stops\.txt:5: stop latitude or longitude out of range"):
+    with pytest.raises(ParseError, match=r"stops\.txt:5: coords must be null or \[lat, lon\] in degrees"):
         load_gtfs(feed, gtfs_fares())
 
 
@@ -608,8 +608,8 @@ CSV_RECORDS = {
     "stops.txt": (
         "stop_id,stop_name,stop_lat,stop_lon",
         "A,Central Station,47.3769,8.5417",
-        "D,Harbor,91,8.57",
-        "stop latitude or longitude out of range",
+        "D,Harbor,north,8.57",
+        "stop coordinates must be numeric",
     ),
     "routes.txt": ("route_id,route_type", "R1,3", "R2,12", "unsupported route_type 12"),
     "trips.txt": ("route_id,trip_id", "R1,T1", "R9,T2", "trip references unknown route 'R9'"),

@@ -27,7 +27,7 @@ from gtpmm import (
     shortest_path,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, default_fare_ranges, gtfs_minimal_dir, walkthrough_poi
-from gtpmm.ingest import load_gtfs, load_network_json, resolve_fares, save_network_json
+from gtpmm.ingest import CategoryConfig, categorize, load_gtfs, load_network_json, resolve_fares, save_network_json
 from gtpmm.network import (
     LANDMARKS,
     REPAIR_MODE,
@@ -1216,7 +1216,8 @@ def assert_repair_equals_a_builder_copy(net):
     shortest_path(net, 0, net.poi_count - 1)  # built search views must not leak into the repair
     repaired, added = connect_components(net)
     expected, expected_added = builder_connect_components(net)
-    assert repaired == expected  # also compares adjacency and edge_costs
+    assert repaired == expected  # also compares edge_costs
+    assert repaired.adjacency == expected.adjacency
     assert added == expected_added
     assert len(added) == len(connected_components(net)) - 1
     if added:
@@ -1269,6 +1270,21 @@ def test_connect_components_equals_a_builder_copy(tmp_path):
 @given(net=landmark_networks())
 def test_connect_components_equals_a_builder_copy_on_random_networks(net):
     assert_repair_equals_a_builder_copy(net)
+
+
+def reference_adjacency(net):
+    """Per PoI, the ids of the edges at it, ascending, by a scan of every edge."""
+    return tuple(tuple(sorted(e.id for e in net.edges if poi in (e.u, e.v))) for poi in range(net.poi_count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=landmark_networks(), seed=st.integers(min_value=0, max_value=10_000))
+def test_adjacency_lists_the_edges_at_each_poi(net, seed):
+    repaired, _ = connect_components(net)  # reads net.adjacency first, so a stale copy would show
+    categorized, _ = categorize(repaired, CategoryConfig(k=1))
+    synthetic = [random_network(seed, n_pois=12, n_modes=2, extra_edges=6), road_network(seed, 4)]
+    for each in (net, repaired, categorized, *synthetic):
+        assert each.adjacency == reference_adjacency(each)
 
 
 @pytest.mark.parametrize("coords", [(math.nan, 8.1), (47.0, math.nan)])

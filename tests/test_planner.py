@@ -126,6 +126,45 @@ def test_zero_agents_rejected():
         QueryInstance([], [[0]])
 
 
+@pytest.mark.parametrize(
+    ("agents", "categories", "message"),
+    [
+        ([(1.9, True)], [["3", 2.5]], "agents[0][0] is not a PoI id"),
+        ([(0, 1), (2, True)], [[3]], "agents[1][1] is not a PoI id"),
+        ([("a", 1)], [[3]], "agents[0][0] is not a PoI id"),
+        ([(0,)], [[3]], "agents[0] is not a [source, destination] pair"),
+        ([(0, 1), list(range(1000))], [[3]], "agents[1] is not a [source, destination] pair"),
+        ([(0, 1), 7], [[3]], "agents[1] is not a [source, destination] pair"),
+        ([(0, 1)], [5], "categories[0] is not a list"),
+        ([(0, 1)], [[3], [4, "5"]], "categories[1][1] is not a PoI id"),
+        ([(0, 1)], [[3], [4.0]], "categories[1][0] is not a PoI id"),
+        (None, [[3]], "agents is not a list"),
+        ([(0, 1)], 7, "categories is not a list"),
+    ],
+)
+def test_query_instance_names_the_element_it_rejects_without_its_value(agents, categories, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        QueryInstance(agents, categories)
+    assert str(excinfo.value) == message
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(agents=JSON_VALUES, categories=JSON_VALUES)
+def test_query_instance_raises_only_configuration_errors_on_json_values(agents, categories):
+    try:
+        inst = QueryInstance(agents, categories)
+    except ConfigurationError:
+        return
+    assert all(type(poi) is int for poi in inst.referenced_pois())
+
+
 def test_unknown_poi_rejected(walkthrough_net):
     inst = QueryInstance([(0, 99)], [[2]])
     with pytest.raises(ConfigurationError):
@@ -167,6 +206,34 @@ def test_tied_chains_resolve_to_lower_poi_ids():
     table = compute_dp(net, inst, PER_PERSON)
     assert table.parent[1][3] == 1
     assert plan(net, inst, PER_PERSON).common_pois == (1, 3)
+
+
+def test_tied_totals_end_at_the_lower_id_whatever_the_settle_order():
+    # S=0 -> X=3 -> {A=1, B=2} -> D=4: B is reached cheaper, A leaves cheaper, and both chains total the same
+    fares = FareTable.from_pairs([("one", FarePolicy(100, 0, 0)), ("two", FarePolicy(200, 0, 0))])
+    builder = NetworkBuilder()
+    for i in range(5):
+        builder.add_poi(f"n{i}")
+    for u, v, mode in [(0, 3, 0), (3, 2, 0), (3, 1, 1), (2, 4, 1), (1, 4, 0)]:
+        builder.add_edge(u, v, mode, 1.0, 1.0)
+    net = builder.finalize(fares)
+    inst = QueryInstance([(0, 4), (0, 4)], [[3], [1, 2]])
+    table = compute_dp(net, inst, PER_PERSON)
+    assert list(table.cost[-1]) == [2, 1]  # settle order, not id order
+    totals = {j: cost + 2 * table.distances[(j, 4)] for j, cost in table.cost[-1].items()}
+    assert totals[1] == totals[2]
+    journey = plan(net, inst, PER_PERSON)
+    assert journey.common_pois == (3, 1)
+    assert journey.total_cost == totals[1]
+
+
+def test_destination_totals_read_repeated_destinations_once_in_agent_order():
+    net = random_network(3, n_pois=30, n_modes=3)
+    inst = QueryInstance([(0, 9), (1, 4), (2, 9), (5, 4), (6, 9)], [[10, 11, 12], [13, 14, 15]])
+    totals = destination_totals(net, inst, compute_dp(net, inst, PER_PERSON))
+    assert list(totals) == [9, 4]
+    expected = _reference_destination_totals(net, inst, _reference_compute_dp(net, inst, PER_PERSON))
+    assert list(totals.items()) == list(expected.items())
 
 
 # --- optimality and structural properties ------------------------------------------
@@ -464,7 +531,8 @@ def assert_dp_matches_reference(net, inst, sharing):
     expected = _reference_compute_dp(net, inst, sharing)
     assert table.cost == expected.cost
     assert table.parent == expected.parent
-    assert destination_totals(net, inst, table) == _reference_destination_totals(net, inst, expected)
+    totals = destination_totals(net, inst, table)
+    assert list(totals.items()) == list(_reference_destination_totals(net, inst, expected).items())  # order too
     journey = _outcome(plan, net, inst, sharing)
     assert journey == _outcome(_reference_plan, net, inst, sharing)  # common PoIs, legs, modes, total
     return journey
