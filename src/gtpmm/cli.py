@@ -27,7 +27,7 @@ from .ingest import (
 )
 from .network import MultiModalNetwork, connect_components
 from .oracle import brute_force_optimal
-from .planner import JourneyPlan, QueryInstance, SharingMode, plan
+from .planner import JourneyPlan, QueryInstance, SharingMode, _check_instance, plan
 from .synth import random_instance
 
 log = logging.getLogger("gtpmm")
@@ -92,8 +92,7 @@ def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
     categories = [list(map(resolve, cat)) if isinstance(cat, list) else cat for cat in document["categories"]]
     try:
         inst = QueryInstance(agents, categories)
-        for poi in inst.referenced_pois():
-            net.check_poi(poi)
+        _check_instance(net, inst)
     except ConfigurationError as error:
         raise ParseError(str(error), file=path) from None
     return inst

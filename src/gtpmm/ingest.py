@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigurationError, ParseError
 from .network import (
@@ -275,8 +275,7 @@ class GtfsStop:
     line: int  # source line, for error reporting
 
 
-@dataclass(frozen=True)
-class GtfsStopTime:
+class GtfsStopTime(NamedTuple):
     trip_id: str
     stop_id: str
     arrival_min: float
@@ -313,54 +312,68 @@ def _parse_gtfs_time(text: str, *, file: str, line: int) -> float:
 
 
 def parse_gtfs(directory: str | Path) -> GtfsFeed:
-    """Parse a GTFS directory; every error names its file and line."""
+    """Parse a GTFS directory; every error names its file and line.
+
+    Each distinct time text of ``stop_times.txt`` is parsed once per call
+    and its minutes reused, so a malformed time is still reported at the
+    first line that holds it.
+    """
     directory = Path(directory)
     feed = GtfsFeed()
 
     path = directory / "stops.txt"
+    file = str(path)
     for line, (stop_id, name, lat_text, lon_text) in _csv_records(
         path, ("stop_id", "stop_name", "stop_lat", "stop_lon"), exact=False
     ):
         if stop_id in feed.stops:
-            raise ParseError(f"duplicate stop_id {stop_id!r}", file=str(path), line=line)
+            raise ParseError(f"duplicate stop_id {stop_id!r}", file=file, line=line)
         try:
             lat, lon = float(lat_text), float(lon_text)
         except ValueError:
-            raise ParseError("stop coordinates must be numeric", file=str(path), line=line) from None
+            raise ParseError("stop coordinates must be numeric", file=file, line=line) from None
         feed.stops[stop_id] = GtfsStop(stop_id, name, lat, lon, line)
 
     path = directory / "routes.txt"
+    file = str(path)
     for line, (route_id, route_type_text) in _csv_records(path, ("route_id", "route_type"), exact=False):
         try:
             route_type = int(route_type_text)
         except ValueError:
-            raise ParseError("route_type must be an integer", file=str(path), line=line) from None
+            raise ParseError("route_type must be an integer", file=file, line=line) from None
         if route_type not in ROUTE_TYPE_MODES:
-            raise ParseError(f"unsupported route_type {route_type}", file=str(path), line=line)
+            raise ParseError(f"unsupported route_type {route_type}", file=file, line=line)
         feed.route_types[route_id] = route_type
 
     path = directory / "trips.txt"
+    file = str(path)
     for line, (route_id, trip_id) in _csv_records(path, ("route_id", "trip_id"), exact=False):
         if route_id not in feed.route_types:
-            raise ParseError(f"trip references unknown route {route_id!r}", file=str(path), line=line)
+            raise ParseError(f"trip references unknown route {route_id!r}", file=file, line=line)
         feed.trip_routes[trip_id] = route_id
 
     path = directory / "stop_times.txt"
+    file = str(path)
+    minutes: dict[str, float] = {}  # time text -> its minutes, parsed at the first line holding it
     for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
         path, ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence"), exact=False
     ):
         if trip_id not in feed.trip_routes:
-            raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=str(path), line=line)
+            raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=file, line=line)
         if stop_id not in feed.stops:
-            raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=str(path), line=line)
-        arrival = _parse_gtfs_time(arrival_text, file=str(path), line=line)
-        departure = _parse_gtfs_time(departure_text, file=str(path), line=line)
+            raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=file, line=line)
+        arrival = minutes.get(arrival_text)
+        if arrival is None:
+            arrival = minutes[arrival_text] = _parse_gtfs_time(arrival_text, file=file, line=line)
+        departure = minutes.get(departure_text)
+        if departure is None:
+            departure = minutes[departure_text] = _parse_gtfs_time(departure_text, file=file, line=line)
         if departure < arrival:
-            raise ParseError("departure before arrival", file=str(path), line=line)
+            raise ParseError("departure before arrival", file=file, line=line)
         try:
             sequence = int(sequence_text)
         except ValueError:
-            raise ParseError("stop_sequence must be an integer", file=str(path), line=line) from None
+            raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
         feed.stop_times.setdefault(trip_id, []).append(
             GtfsStopTime(trip_id, stop_id, arrival, departure, sequence, line)
         )
@@ -371,13 +384,11 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
             if current.sequence <= previous.sequence:
                 raise ParseError(
                     f"stop_sequence not strictly increasing in trip {trip_id!r}",
-                    file=str(path),
+                    file=file,
                     line=current.line,
                 )
             if current.arrival_min < previous.departure_min:
-                raise ParseError(
-                    f"times not monotone in trip {trip_id!r}", file=str(path), line=current.line
-                )
+                raise ParseError(f"times not monotone in trip {trip_id!r}", file=file, line=current.line)
     return feed
 
 

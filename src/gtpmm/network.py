@@ -337,7 +337,21 @@ class MultiModalNetwork:
 
     def check_poi(self, poi_id: int) -> None:
         if not 0 <= poi_id < len(self.pois):
-            raise ConfigurationError(f"PoI id {poi_id} is out of range")
+            raise ConfigurationError(f"PoI id {_id_text(poi_id)} is out of range")
+
+
+_ID_DIGITS = 20  # an int id of more digits is abbreviated in error messages
+
+
+def _id_text(poi_id: int) -> str:
+    """``poi_id`` as text, an int of more than :data:`_ID_DIGITS` digits as
+    its leading digits and its digit count: ``100000000000... (401 digits)``."""
+    if not isinstance(poi_id, int) or -(10**_ID_DIGITS) < poi_id < 10**_ID_DIGITS:
+        return str(poi_id)
+    magnitude = abs(poi_id)
+    digits = int(magnitude.bit_length() * math.log10(2))  # the digit count, or one less
+    digits += magnitude >= 10**digits
+    return f"{'-' if poi_id < 0 else ''}{magnitude // 10 ** (digits - 12)}... ({digits} digits)"
 
 
 class NetworkBuilder:

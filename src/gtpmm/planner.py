@@ -345,8 +345,22 @@ def assemble(
 
 
 def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
-    for poi in inst.referenced_pois():
-        net.check_poi(poi)
+    """Each PoI id of ``inst`` is one of ``net``'s. The first that is not,
+    agents first and then categories, in order, raises
+    :class:`ConfigurationError` naming its element by index: ``agents[0][1]``,
+    or ``categories[2]``, whose ids :class:`QueryInstance` keeps sorted."""
+    for index, pair in enumerate(inst.agents):
+        for side, poi in enumerate(pair):
+            try:
+                net.check_poi(poi)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"agents[{index}][{side}]: {error}") from None
+    for index, category in enumerate(inst.categories):
+        for poi in category:
+            try:
+                net.check_poi(poi)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"categories[{index}]: {error}") from None
 
 
 def compute_dp(
@@ -548,6 +562,7 @@ def plan(
     a hop the pruning priced. Only the other legs are searched, each hop
     point to point and the destination legs from one search.
     """
+    _check_instance(net, inst)  # before the pruning's landmark bounds check its PoIs unnamed
     legs = Legs()
     query = inst
     if net.landmark_tightness >= PRUNE_TIGHTNESS:

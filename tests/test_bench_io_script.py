@@ -1,7 +1,8 @@
 """``benchmarks/bench_io.py`` still runs against the package.
 
 The script is not imported by the package, so a rename in ``gtpmm.ingest``
-would only show when someone next ran it; this measures a small network.
+would only show when someone next ran it; this measures a small network
+and a small GTFS feed.
 """
 
 from __future__ import annotations
@@ -10,16 +11,23 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from gtpmm.synth import road_network
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def test_bench_io_measures_a_small_network(monkeypatch, tmp_path):
+@pytest.fixture
+def bench_io(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))  # the script imports bench_planner's host probe
     spec = importlib.util.spec_from_file_location("bench_io", BENCHMARKS / "bench_io.py")
     bench_io = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_io)
+    return bench_io
+
+
+def test_bench_io_measures_a_small_network(bench_io, tmp_path):
 
     assert set(bench_io.NETWORKS) == {"road", "random"}
     row = bench_io.measure("road", road_network(1, 8), tmp_path)
@@ -52,3 +60,32 @@ def test_bench_io_measures_a_small_network(monkeypatch, tmp_path):
     data = (tmp_path / "road.csv").read_bytes()
     assert (row["edge_list_bytes"], row["edge_list_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
     assert row["host_ref_ms"] > 0
+
+
+def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
+
+    feed = bench_io.write_feed(tmp_path, routes=2)
+    assert (bench_io.write_feed(tmp_path / "again", routes=2) / "stop_times.txt").read_bytes() == (
+        feed / "stop_times.txt"
+    ).read_bytes()
+    row = bench_io.measure_gtfs(feed)
+    assert set(row) == {
+        "feed",
+        "stops",
+        "stop_times",
+        "distinct_times",
+        "edges",
+        "repeats",
+        "load_s",
+        "load_p25_s",
+        "load_p75_s",
+        "bytes",
+        "sha256",
+        "host_ref_ms",
+    }
+    stop_times = 2 * bench_io.GTFS_TRIPS_PER_ROUTE * bench_io.GTFS_STOPS_PER_TRIP
+    assert (row["stops"], row["stop_times"], row["repeats"]) == (bench_io.GTFS_STOPS, stop_times, bench_io.REPEATS)
+    assert 0 < row["distinct_times"] < stop_times and 0 < row["edges"] <= 2 * (bench_io.GTFS_STOPS_PER_TRIP - 1)
+    data = b"".join((feed / name).read_bytes() for name in bench_io.GTFS_TABLES)
+    assert (row["bytes"], row["sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
+    assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]

@@ -168,6 +168,10 @@ BAD_QUERIES = {
     "bad-category": ('{"agents": [["v01", "v10"]], "categories": [["v03"], 5]}', "categories[1] is not a list"),
     "unknown-poi": ('{"agents": [["v01", "v99"]], "categories": [["v03"]]}', "unknown PoI 'v99'"),
     "id-out-of-range": ('{"agents": [["v01", "v10"]], "categories": [[-1, "v03"]]}', "PoI id -1 is out of range"),
+    "long-id": (
+        '{"agents": [["v01", 1' + "0" * 400 + ']], "categories": [["v03"]]}',
+        ": agents[0][1]: PoI id 100000000000... (401 digits) is out of range\n",
+    ),
     "empty-category": ('{"agents": [["v01", "v10"]], "categories": [["v03"], []]}', "category 1 is empty"),
     "no-agents": ('{"agents": [], "categories": [["v03"]]}', "a query needs at least one agent"),
 }

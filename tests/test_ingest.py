@@ -8,6 +8,8 @@ import shutil
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtpmm import (
     CategoryConfig,
@@ -22,7 +24,7 @@ from gtpmm import (
     save_network_json,
 )
 from gtpmm.fixtures import default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
-from gtpmm.ingest import FARE_STRATEGIES, _json_value, save_edge_list
+from gtpmm.ingest import FARE_STRATEGIES, _csv_records, _json_value, _parse_gtfs_time, parse_gtfs, save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
 from gtpmm.synth import random_network, road_network
 
@@ -593,6 +595,161 @@ def test_hours_past_midnight_normalize(tmp_path):
     )
     net = load_gtfs(feed, gtfs_fares())
     assert [edge.time_min for edge in net.edges] == [30.0]
+
+
+# --- stop times against a per-row parse ------------------------------------------
+
+STOP_TIME_COLUMNS = ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")
+
+
+def reference_stop_times(feed) -> dict[str, list[tuple]] | str:
+    """The stop times of ``feed`` read row by row, every time cell parsed
+    on its own: ``(trip_id, stop_id, arrival, departure, sequence, line)``
+    per row, in stop-sequence order per trip; or the text of the first
+    error, as ``parse_gtfs`` words it."""
+    trips = {row[1] for row in read_table(feed / "trips.txt")[1:]}
+    stops = {row[0] for row in read_table(feed / "stops.txt")[1:]}
+    path = feed / "stop_times.txt"
+    file = str(path)
+    rows: dict[str, list[tuple]] = {}
+    try:
+        for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
+            path, STOP_TIME_COLUMNS, exact=False
+        ):
+            if trip_id not in trips:
+                raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=file, line=line)
+            if stop_id not in stops:
+                raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=file, line=line)
+            arrival = _parse_gtfs_time(arrival_text, file=file, line=line)
+            departure = _parse_gtfs_time(departure_text, file=file, line=line)
+            if departure < arrival:
+                raise ParseError("departure before arrival", file=file, line=line)
+            try:
+                sequence = int(sequence_text)
+            except ValueError:
+                raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
+            rows.setdefault(trip_id, []).append((trip_id, stop_id, arrival, departure, sequence, line))
+        for trip_id, entries in rows.items():
+            entries.sort(key=lambda entry: entry[4])
+            for previous, current in zip(entries, entries[1:]):
+                if current[4] <= previous[4]:
+                    raise ParseError(
+                        f"stop_sequence not strictly increasing in trip {trip_id!r}", file=file, line=current[5]
+                    )
+                if current[2] < previous[3]:
+                    raise ParseError(f"times not monotone in trip {trip_id!r}", file=file, line=current[5])
+    except ParseError as error:
+        return str(error)
+    return rows
+
+
+def read_table(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def parsed_stop_times(feed) -> dict[str, list[tuple]] | str:
+    try:
+        stop_times = parse_gtfs(feed).stop_times
+    except ParseError as error:
+        return str(error)
+    return {
+        trip: [(e.trip_id, e.stop_id, e.arrival_min, e.departure_min, e.sequence, e.line) for e in entries]
+        for trip, entries in stop_times.items()
+    }
+
+
+def write_stop_times(feed, rows) -> None:
+    lines = [",".join(STOP_TIME_COLUMNS)] + [",".join(map(str, row)) for row in rows]
+    (feed / "stop_times.txt").write_text("\n".join(lines) + "\n")
+
+
+BAD_GTFS_TIMES = ["09:60:00", "-1:00:00", "09:00", "09:00:00:00", "x", "", "1" + "0" * 400 + ":00:00"]
+
+
+@st.composite
+def stop_time_rows(draw):
+    """Rows of trips T1 and T2 at stops A to C. Their times are read off a
+    clock that mostly moves on by a few minutes, so that texts repeat
+    within and across rows, written with or without the hour's leading
+    zero. The rows may then take one fault, in one to three rows: an
+    unknown trip or stop, a malformed sequence or time, or the arrival and
+    departure swapped."""
+    rows, clock = [], 540
+    for sequence in range(1, draw(st.integers(0, 10)) + 1):
+        times = []
+        for step in (st.integers(-1, 5), st.integers(0, 2)):  # travel, then dwell
+            clock += draw(step)
+            times.append(draw(st.sampled_from(["{:02d}:{:02d}:00", "{}:{:02d}:00"])).format(*divmod(clock, 60)))
+        if draw(st.integers(0, 3)) == 0:  # now and then out of order
+            sequence = draw(st.integers(0, 10))
+        rows.append([draw(st.sampled_from(["T1", "T2"])), draw(st.sampled_from("ABC")), *times, sequence])
+    fault = draw(st.sampled_from([None] * 6 + ["trip", "stop", "time", "sequence", "swap"]))
+    for _ in range(draw(st.integers(1, 3)) if fault and rows else 0):
+        row = draw(st.sampled_from(rows))
+        if fault == "trip":
+            row[0] = "T9"
+        elif fault == "stop":
+            row[1] = "Z"
+        elif fault == "time":
+            row[draw(st.sampled_from([2, 3]))] = draw(st.sampled_from(BAD_GTFS_TIMES))
+        elif fault == "sequence":
+            row[4] = draw(st.sampled_from(["x", "1.5", ""]))
+        else:
+            row[2], row[3] = row[3], row[2]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def two_trip_feed(tmp_path_factory):
+    """The minimal feed with a second trip, T2, on its route."""
+    feed = tmp_path_factory.mktemp("stop-times") / "feed"
+    shutil.copytree(gtfs_minimal_dir(), feed)
+    (feed / "trips.txt").write_text("route_id,trip_id\nR1,T1\nR1,T2\n")
+    return feed
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=stop_time_rows())
+def test_stop_times_parse_equals_a_per_row_parse(two_trip_feed, rows):
+    write_stop_times(two_trip_feed, rows)
+    assert parsed_stop_times(two_trip_feed) == reference_stop_times(two_trip_feed)
+
+
+def test_a_bad_time_repeated_later_is_reported_at_its_first_line(two_trip_feed):
+    write_stop_times(
+        two_trip_feed,
+        [
+            ("T1", "A", "09:00:00", "09:00:00", 1),
+            ("T1", "B", "09:61:00", "09:61:00", 2),
+            ("T2", "C", "09:61:00", "09:61:00", 1),
+        ],
+    )
+    message = f"{two_trip_feed / 'stop_times.txt'}:3: time '09:61:00' out of range"
+    assert parsed_stop_times(two_trip_feed) == reference_stop_times(two_trip_feed) == message
+
+
+def test_a_time_first_read_as_an_arrival_is_the_same_as_a_departure(two_trip_feed):
+    write_stop_times(
+        two_trip_feed,
+        [
+            ("T1", "A", "09:00:00", "09:00:00", 1),
+            ("T1", "B", "09:05:00", "09:06:00", 2),
+            ("T2", "A", "09:04:00", "09:05:00", 1),
+        ],
+    )
+    parsed = parsed_stop_times(two_trip_feed)
+    assert parsed == reference_stop_times(two_trip_feed)
+    assert parsed["T2"] == [("T2", "A", 544.0, 545.0, 1, 4)]
+    assert parsed["T1"][1][2] == 545.0
+
+
+def test_departure_before_arrival_of_two_times_read_before(two_trip_feed):
+    write_stop_times(
+        two_trip_feed,
+        [("T1", "A", "09:00:00", "09:05:00", 1), ("T1", "B", "09:05:00", "09:00:00", 2)],
+    )
+    message = f"{two_trip_feed / 'stop_times.txt'}:3: departure before arrival"
+    assert parsed_stop_times(two_trip_feed) == reference_stop_times(two_trip_feed) == message
 
 
 # --- CSV records: the rules the fare config, the edge list and GTFS share --------------

@@ -298,8 +298,9 @@ def walkthrough_file(saved):
 @given(data=st.data())
 def test_mutated_query_fails_as_a_parse_error_or_plans(saved, walkthrough_file, data):
     """A query file that does not load is a ``ParseError`` naming it, and
-    ``gtpmm plan`` then exits with 2 and one error line; one that loads
-    names only PoIs of the network, and ``gtpmm plan`` plans it."""
+    ``gtpmm plan`` then exits with 2 and one error line, under 200
+    characters past the file's name, however long an id it echoes; one
+    that loads names only PoIs of the network, and ``gtpmm plan`` plans it."""
     net, net_path = walkthrough_file
     path = saved[0] / "query.json"
     path.write_text(json.dumps(data.draw(query_mutations())), encoding="utf-8")
@@ -315,6 +316,7 @@ def test_mutated_query_fails_as_a_parse_error_or_plans(saved, walkthrough_file, 
         assert main(["plan", "--network", str(net_path), "--query", str(path)]) == expected
     if expected:
         assert stderr.getvalue().startswith(f"error: {path}") and stderr.getvalue().count("\n") == 1
+        assert len(stderr.getvalue()) - len(str(path)) < 200
 
 
 @pytest.mark.parametrize(

@@ -68,3 +68,27 @@ def test_tracer_spans_every_baseline_in_a_bench_cell(monkeypatch):
         assert spans, baseline
         assert all("bench.run_experiment" in ancestors(i) for i in spans), baseline
     assert any(span.name == traced.SP and "baselines.rpcm" in ancestors(i) for i, span in enumerate(recorder.spans))
+
+
+def test_tracer_spans_the_gtfs_parse_and_build_inside_the_load(monkeypatch):
+    """``load_gtfs`` calls ``parse_gtfs`` through the module's name, so the
+    benchmark's ``ingest.parse_gtfs`` figures see the parse."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    import gtpmm.ingest
+    from gtpmm.fixtures import default_fare_ranges, gtfs_minimal_dir
+
+    fares = gtpmm.ingest.resolve_fares(default_fare_ranges(), "low")
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        gtpmm.ingest.load_gtfs(gtfs_minimal_dir(), fares)
+    finally:
+        recorder.uninstall()
+
+    def parents(name):
+        return [recorder.spans[span.parent].name for span in recorder.spans if span.name == name]
+
+    assert parents("ingest.parse_gtfs") == ["ingest.load_gtfs"]
+    assert parents("network.finalize") == ["ingest.load_gtfs"]

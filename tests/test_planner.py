@@ -171,6 +171,23 @@ def test_unknown_poi_rejected(walkthrough_net):
         plan(walkthrough_net, inst, PER_PERSON)
 
 
+@pytest.mark.parametrize(
+    ("agents", "categories", "message"),
+    [
+        ([(0, 99)], [[2]], "agents[0][1]: PoI id 99 is out of range"),
+        ([(0, 1), (-1, 99)], [[2]], "agents[1][0]: PoI id -1 is out of range"),
+        ([(0, 1)], [[2], [3, 10, -4]], "categories[1]: PoI id -4 is out of range"),
+        ([(0, 10**400)], [[-(10**30)]], "agents[0][1]: PoI id 100000000000... (401 digits) is out of range"),
+        ([(0, 1)], [[2, 10**20]], "categories[0]: PoI id 100000000000... (21 digits) is out of range"),
+        ([(0, 1)], [[2, 10**20 - 1]], "categories[0]: PoI id 99999999999999999999 is out of range"),
+    ],
+)
+def test_check_instance_names_the_first_out_of_range_element_in_order(walkthrough_net, agents, categories, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        plan(walkthrough_net, QueryInstance(agents, categories), PER_PERSON)
+    assert str(excinfo.value) == message
+
+
 def test_unreachable_pair_raises_named_infeasibility():
     net = random_disconnected_network(seed=21, n_components=2, pois_per_component=3)
     # agents on island one, category on island two
