@@ -37,18 +37,15 @@ is imported from ``PYTHONPATH``, so pointing it at another checkout's
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import random
 import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from bench_planner import reference_ms
+from bench_planner import new_row, reference_ms, save_row
 
 from gtpmm.fixtures import default_fare_ranges
 from gtpmm.ingest import (
@@ -186,26 +183,15 @@ def measure_gtfs(feed: Path) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names the measured code, e.g. its commit")
-    parser.add_argument("--output", type=Path, default=OUTPUT)
-    args = parser.parse_args(argv)
-
-    row = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "networks": [],
-    }
+    row, output = new_row(__doc__, OUTPUT, argv)
+    row["networks"] = []
     with tempfile.TemporaryDirectory() as directory:
         for name, build in NETWORKS.items():
             row["networks"].append(measure(name, build(), Path(directory)))
             print(json.dumps(row["networks"][-1]), flush=True)
         row["gtfs"] = measure_gtfs(write_feed(Path(directory)))
         print(json.dumps(row["gtfs"]), flush=True)
-    rows = json.loads(args.output.read_text(encoding="utf-8")) if args.output.exists() else []
-    rows = [existing for existing in rows if existing["label"] != args.label] + [row]
-    args.output.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+    save_row(row, output)
     return 0
 
 

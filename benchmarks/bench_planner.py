@@ -137,21 +137,28 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def new_row(description: str, output: Path, argv: list[str] | None) -> tuple[dict, Path]:
+    """A row headed by the ``--label`` argument, the Python version and
+    ``os.cpu_count()``, and the file it goes to (``--output``, by default
+    ``output``); the benchmark scripts' shared command line."""
+    parser = argparse.ArgumentParser(description=description.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the measured code, e.g. its commit")
-    parser.add_argument("--output", type=Path, default=OUTPUT)
+    parser.add_argument("--output", type=Path, default=output)
     args = parser.parse_args(argv)
+    return {"label": args.label, "python": platform.python_version(), "cpu_count": os.cpu_count()}, args.output
 
-    row = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "scenarios": [measure(*scenario) for scenario in SCENARIOS],
-    }
-    rows = json.loads(args.output.read_text(encoding="utf-8")) if args.output.exists() else []
-    rows = [existing for existing in rows if existing["label"] != args.label] + [row]
-    args.output.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+
+def save_row(row: dict, output: Path) -> None:
+    """Add ``row`` to the JSON list in ``output``, in place of any row with its label."""
+    rows = json.loads(output.read_text(encoding="utf-8")) if output.exists() else []
+    rows = [existing for existing in rows if existing["label"] != row["label"]] + [row]
+    output.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+
+
+def main(argv: list[str] | None = None) -> int:
+    row, output = new_row(__doc__, OUTPUT, argv)
+    row["scenarios"] = [measure(*scenario) for scenario in SCENARIOS]
+    save_row(row, output)
     for scenario in row["scenarios"]:
         print(json.dumps(scenario))
     return 0

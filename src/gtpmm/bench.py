@@ -55,14 +55,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class UsageStats:
-    """Per-mode traversal counts and cost totals, keyed by mode name."""
+    """Per-mode traversal counts, keyed by mode name."""
 
     leg_counts: dict[str, int] = field(default_factory=dict)
-    cost_totals: dict[str, Money] = field(default_factory=dict)
-
-    @property
-    def total_legs(self) -> int:
-        return sum(self.leg_counts.values())
 
 
 @dataclass(frozen=True)
@@ -85,13 +80,10 @@ def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> UsageStats:
     shared sharing.
     """
     counts: dict[ModeId, int] = {}  # by mode id, in first-encounter order; named once at the end
-    costs: dict[ModeId, Money] = {}
-    edge_costs = net.edge_costs
 
     def accumulate(leg, weight: int) -> None:
-        for eid, mode in leg.legs:
+        for _, mode in leg.legs:
             counts[mode] = counts.get(mode, 0) + weight
-            costs[mode] = costs.get(mode, 0) + weight * edge_costs[eid]
 
     for leg in journey.source_legs:
         accumulate(leg, 1)
@@ -101,9 +93,7 @@ def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> UsageStats:
     for leg in journey.common_legs:
         accumulate(leg, multiplier)
     name = net.fare_table.name
-    return UsageStats(
-        {name(mode): count for mode, count in counts.items()}, {name(mode): cost for mode, cost in costs.items()}
-    )
+    return UsageStats({name(mode): count for mode, count in counts.items()})
 
 
 def draw_instance(

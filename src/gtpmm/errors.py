@@ -29,8 +29,8 @@ class ParseError(GtpError):
 class InfeasibleRouteError(GtpError):
     """No route exists between two PoIs that the query requires to be connected."""
 
-    def __init__(self, u: int, v: int, message: str | None = None):
-        super().__init__(message or f"no route between PoIs {u} and {v}")
+    def __init__(self, u: int, v: int):
+        super().__init__(f"no route between PoIs {u} and {v}")
         self.pair = (u, v)
 
 

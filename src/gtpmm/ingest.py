@@ -529,7 +529,7 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
         try:
             policy = FarePolicy(entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"])
             pairs.append((entry["name"], policy))
-        except (KeyError, TypeError, ArithmeticError, ConfigurationError) as error:
+        except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"modes[{index}]", error) from None
     try:
         fare_table = FareTable.from_pairs(pairs)

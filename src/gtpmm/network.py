@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -34,6 +35,9 @@ EARTH_RADIUS_M = 6371_000.0
 LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
 BOUND_SHARE = 10  # a search uses the bounds only when its targets' band is at most 1/BOUND_SHARE of its reach
 
+_REAL = (int, float)  # the exact types of an edge's distance and time
+_FLOAT_MAX = sys.float_info.max
+
 REPAIR_MODE = "UN"  # fare-table name of the edges connect_components adds
 REPAIR_DISTANCE_M = 1000.0  # a repair edge's length when an endpoint has no coordinates
 REPAIR_SPEED_M_PER_MIN = 500.0  # a repair edge's time is its length over this speed
@@ -43,7 +47,7 @@ def _as_decimal(value: float | int | str | Decimal) -> Decimal:
     if isinstance(value, Decimal):
         return value
     if isinstance(value, float):
-        return Decimal(repr(value))
+        return Decimal(float.__repr__(value))  # the shortest repr, also of a subclass with a repr of its own
     return Decimal(value)
 
 
@@ -52,7 +56,9 @@ class FarePolicy:
     """Per-mode fare: flat fare per edge plus distance and time rates.
 
     ``base_fare`` is in whole cents; the two rates are in cents per meter /
-    cents per minute, quantized to four decimal places.
+    cents per minute, quantized to four decimal places. A rate that is not a
+    number, not finite or too large to keep four places raises
+    :class:`ConfigurationError` naming the field.
     """
 
     base_fare: Money
@@ -66,7 +72,13 @@ class FarePolicy:
             rate = getattr(self, name)
             if isinstance(rate, bool) or not isinstance(rate, (int, float, str, Decimal)):
                 raise ConfigurationError(f"{name}_cents must be a number")
-            object.__setattr__(self, name, _as_decimal(rate).quantize(_RATE_QUANTUM))
+            try:
+                rate = _as_decimal(rate).quantize(_RATE_QUANTUM)
+            except InvalidOperation:  # not a number, an infinity, or too many digits
+                rate = None
+            if rate is None or not rate.is_finite():  # a quiet NaN quantizes to itself
+                raise ConfigurationError(f"{name}_cents must be finite and fit four decimal places")
+            object.__setattr__(self, name, rate)
         if self.base_fare < 0 or self.cost_per_meter < 0 or self.cost_per_minute < 0:
             raise ConfigurationError("fare policy components must be nonnegative")
 
@@ -154,21 +166,16 @@ class TransitEdge:
 
 
 def _transit_edge(edge_id: int, u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> TransitEdge:
-    """The edge, once its distance and time are finite and nonnegative: the
-    one check for edges from :class:`NetworkBuilder` and from
+    """The edge, once its distance and time are each an ``int`` (not a bool)
+    or a ``float`` (not a subclass), finite and nonnegative: the one check
+    for edges from :class:`NetworkBuilder` and from
     :func:`connect_components`, which adds its edges without a builder."""
-    if not _finite_nonnegative(distance_m):
+    # a NaN fails both comparisons; an infinity, or an int too large for a float, the second
+    if not (type(distance_m) in _REAL and 0 <= distance_m <= _FLOAT_MAX):
         raise ConfigurationError(f"edge ({u}, {v}) has invalid distance {distance_m}")
-    if not _finite_nonnegative(time_min):
+    if not (type(time_min) in _REAL and 0 <= time_min <= _FLOAT_MAX):
         raise ConfigurationError(f"edge ({u}, {v}) has invalid time {time_min}")
     return TransitEdge(edge_id, u, v, mode, distance_m, time_min)
-
-
-def _finite_nonnegative(value: float) -> bool:
-    try:
-        return math.isfinite(value) and value >= 0
-    except (TypeError, ValueError, OverflowError):  # not a number, or an integer too large for a float
-        return False
 
 
 @dataclass(frozen=True)

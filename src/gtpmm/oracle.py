@@ -4,17 +4,22 @@ Enumerates every choice of one PoI per category, evaluates the group cost
 of each with cheapest-mode legs, and returns the global minimum. Exists
 purely for correctness checking at small sizes; a tuple-count guard refuses
 blowups instead of hanging.
+
+The one reference sum, which :func:`~gtpmm.planner.group_cost` runs too:
+each leg is searched once per call with the plain
+:func:`~gtpmm.network.reference_path`, so no search is shared with the planner.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
 
 from .errors import EnumerationLimitError, InfeasibleRouteError
 from .network import Money, MultiModalNetwork, reference_path
-from .planner import Legs, QueryInstance, SharingMode
+from .planner import QueryInstance, SharingMode
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -38,25 +43,31 @@ def brute_force_optimal(
     net: MultiModalNetwork,
     inst: QueryInstance,
     sharing: SharingMode = SharingMode.PER_PERSON_INTERMEDIATE,
-    max_tuples: int = ENUMERATION_GUARD,
 ) -> tuple[tuple[int, ...], Money]:
     """Exact global optimum by full enumeration.
 
     Ties resolve to the lexicographically smallest tuple. Tuples containing
     an unreachable leg are skipped; if every tuple is unreachable the first
-    offending pair is reported.
+    offending pair is reported: each tuple's legs are summed source legs
+    first, then hops, then destination legs.
     """
-    legs = Legs(reference_path)
-    m = sharing.intermediate_multiplier(inst.n_agents)
+    search = functools.cache(functools.partial(reference_path, net))
 
+    def cost(u: int, v: int) -> Money:
+        found = search(u, v)
+        if found is None:
+            raise InfeasibleRouteError(u, v)
+        return found.cost
+
+    m = sharing.intermediate_multiplier(inst.n_agents)
     best: tuple[int, ...] | None = None
     best_cost: Money | None = None
     first_failure: InfeasibleRouteError | None = None
-    for candidate in enumerate_valid_paths(inst, max_tuples):
+    for candidate in enumerate_valid_paths(inst):
         try:
-            total = sum(legs.path(net, source, candidate[0]).cost for source, _ in inst.agents)
-            total += m * sum(legs.path(net, a, b).cost for a, b in zip(candidate, candidate[1:]))
-            total += sum(legs.path(net, candidate[-1], dest).cost for _, dest in inst.agents)
+            total = sum(cost(source, candidate[0]) for source, _ in inst.agents)
+            total += m * sum(cost(a, b) for a, b in zip(candidate, candidate[1:]))
+            total += sum(cost(candidate[-1], dest) for _, dest in inst.agents)
         except InfeasibleRouteError as failure:
             if first_failure is None:
                 first_failure = failure
@@ -65,8 +76,6 @@ def brute_force_optimal(
             best_cost = total
             best = candidate
 
-    if best is None or best_cost is None:
-        raise first_failure if first_failure is not None else InfeasibleRouteError(
-            inst.agents[0][0], inst.categories[0][0]
-        )
+    if best is None:  # no category is empty, so some tuple was tried and failed
+        raise first_failure
     return best, best_cost

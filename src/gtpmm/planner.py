@@ -52,7 +52,6 @@ from .network import (
     connected_components,
     landmark_bound,
     layer_costs,
-    reference_path,
     shortest_path,
     shortest_paths,
 )
@@ -166,19 +165,14 @@ class Legs:
     and a tree from ``v`` searched for ``u`` that can read its path back
     (:meth:`~gtpmm.network.SearchTree.path_from`); each gives the path
     ``shortest_path(net, u, v)`` returns. Only when none answers does it
-    search the pair point to point with ``search_pair(net, u, v)``, and
-    ``searches`` counts those calls. By default that is this module's
-    ``shortest_path`` name, looked up at each call, which tests and the
-    benchmark's tracer patch to count them; the checks pass
-    :func:`~gtpmm.network.reference_path` and run no tree search.
+    search the pair point to point with this module's ``shortest_path``
+    name, looked up at each call, which tests and the benchmark's tracer
+    patch to count them; ``searches`` counts those calls.
     """
 
-    def __init__(
-        self, search_pair: Callable[[MultiModalNetwork, int, int], PathResult | None] | None = None
-    ) -> None:
+    def __init__(self) -> None:
         self._paths: dict[tuple[int, int], PathResult | None] = {}
         self._trees: dict[int, list[SearchTree]] = {}
-        self._search_pair = search_pair
         self.searches = 0
         self.tree_searches = 0
 
@@ -253,7 +247,7 @@ class Legs:
         result = self._known(u, v)
         if result is _UNKNOWN:
             self.searches += 1
-            result = self._paths[(u, v)] = (self._search_pair or shortest_path)(net, u, v)
+            result = self._paths[(u, v)] = shortest_path(net, u, v)
         if result is None:
             raise InfeasibleRouteError(u, v)
         return result
@@ -600,18 +594,16 @@ def group_cost(
     """Group cost of a fixed common-PoI choice, each leg at its cheapest.
 
     Source and destination legs are summed per agent; intermediate legs are
-    charged once per agent or once per group per the sharing mode.
+    charged once per agent or once per group per the sharing mode. This is
+    :func:`~gtpmm.oracle.brute_force_optimal` over the query cut down to the
+    one chain, so the checks share one cost sum and no search with the planner.
     """
+    from .oracle import brute_force_optimal  # oracle imports this module
+
     _check_instance(net, inst)
     if len(common_pois) != inst.k:
         raise ConfigurationError(f"expected {inst.k} common PoIs, got {len(common_pois)}")
     for c, poi in enumerate(common_pois):
         if poi not in inst.categories[c]:
             raise ConfigurationError(f"PoI {poi} is not in category {c}")
-
-    legs = Legs(reference_path)
-    m = sharing.intermediate_multiplier(inst.n_agents)
-    total = sum(legs.path(net, source, common_pois[0]).cost for source, _ in inst.agents)
-    total += m * sum(legs.path(net, a, b).cost for a, b in zip(common_pois, common_pois[1:]))
-    total += sum(legs.path(net, common_pois[-1], dest).cost for _, dest in inst.agents)
-    return total
+    return brute_force_optimal(net, QueryInstance(inst.agents, [(poi,) for poi in common_pois]), sharing)[1]

@@ -93,8 +93,6 @@ def empty_plan() -> JourneyPlan:
 def test_empty_plan_has_zero_usage(walkthrough_net):
     stats = medium_usage(walkthrough_net, empty_plan())
     assert stats.leg_counts == {}
-    assert stats.cost_totals == {}
-    assert stats.total_legs == 0
 
 
 def test_walkthrough_usage_counts(walkthrough_net, walkthrough_inst):
@@ -105,8 +103,6 @@ def test_walkthrough_usage_counts(walkthrough_net, walkthrough_inst):
     assert stats.leg_counts == {"Bus": 2, "Car": 1, "Train": 5}
     common_hops = sum(leg.hops for leg in journey.common_legs)
     assert common_hops * journey.n_agents == 4  # the common-leg share of Train
-    assert stats.cost_totals["Car"] == 800
-    assert stats.cost_totals["Train"] == 2 * (400 + 300) + 400
 
 
 def test_usage_counts_sum_to_leg_traversals(walkthrough_net, walkthrough_inst):
@@ -118,13 +114,13 @@ def test_usage_counts_sum_to_leg_traversals(walkthrough_net, walkthrough_inst):
         + sum(leg.hops for leg in journey.dest_legs)
         + multiplier * sum(leg.hops for leg in journey.common_legs)
     )
-    assert stats.total_legs == traversals
+    assert sum(stats.leg_counts.values()) == traversals
 
 
 def test_shared_plan_counts_common_legs_once(walkthrough_net, walkthrough_inst):
     shared = plan(walkthrough_net, walkthrough_inst, SharingMode.SHARED_INTERMEDIATE)
     stats = medium_usage(walkthrough_net, shared)
-    assert stats.total_legs == (
+    assert sum(stats.leg_counts.values()) == (
         sum(leg.hops for leg in shared.source_legs)
         + sum(leg.hops for leg in shared.dest_legs)
         + sum(leg.hops for leg in shared.common_legs)

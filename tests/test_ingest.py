@@ -261,7 +261,7 @@ def reference_network_text(net) -> str:
 
 def odd_values_network():
     """Unicode, control characters and quotes in ids and names, categories,
-    missing coordinates, integer, boolean and negative-zero distances and
+    missing coordinates, integer, zero and negative-zero distances and
     times, and self-loops."""
     builder = NetworkBuilder(allow_self_loops=True)
     builder.add_poi("Zürich HB", name='the "main" station\tnorth\n', category=0, coords=(47.378, 8.54))
@@ -269,7 +269,7 @@ def odd_values_network():
     builder.add_poi("\U0001F68C", coords=(-0.0, 0))
     for u, v, mode, distance, time in [
         (0, 1, 0, 120, 2),
-        (1, 2, 1, True, False),
+        (1, 2, 1, 1, 0),
         (2, 0, 0, -0.0, 0.5),
         (1, 1, 1, 0.0, 1e-7),
         (0, 0, 0, 1e16, 123456.789),
@@ -342,6 +342,7 @@ MALFORMED_NETWORKS = {
     "no-edges": (_drop_edges, "'edges'"),
     "list-document": (lambda document: [document], "JSON object"),
     "nan-distance": (_set("edges", 3, "distance_m", "NaN"), "edges[3]"),
+    "boolean-distance": (_set("edges", 3, "distance_m", True), "edges[3]: edge (0, 3) has invalid distance True"),
     "non-integer-id": (_set("edges", 2, "u", 1.0), "edges[2]: u and v must be PoI ids"),
     "unknown-mode": (_set("edges", 0, "mode", 99), "edges[0]: no fare policy for mode id 99"),
     "list-mode-name": (_set("modes", 1, "name", ["Bus"]), "modes: mode names must be strings"),

@@ -7,6 +7,7 @@ import math
 import shutil
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from unittest.mock import patch
 
@@ -122,6 +123,13 @@ def test_edge_cost_is_monotone_in_every_component(base, per_meter, per_minute, d
     assert all(value >= reference for value in grown)
 
 
+class ForeignFloat(float):
+    """A float subclass with a repr of its own, as numpy's float64 has."""
+
+    def __repr__(self):
+        return f"np.float64({float.__repr__(self)})"
+
+
 def test_fare_policy_rejects_negative_components():
     with pytest.raises(ConfigurationError):
         FarePolicy(-1, Decimal(0), Decimal(0))
@@ -141,6 +149,19 @@ def test_fare_policy_rejects_a_rate_that_is_not_a_number(name, rate):
         FarePolicy(0, rates["cost_per_meter"], rates["cost_per_minute"])
 
 
+@pytest.mark.parametrize("rate", ["abc", "NaN", "sNaN", "Infinity", float("-inf"), 1e30, Decimal("1e30")])
+@pytest.mark.parametrize("name", ["cost_per_meter", "cost_per_minute"])
+def test_fare_policy_rejects_a_rate_that_is_not_finite_or_does_not_fit(name, rate):
+    rates = {"cost_per_meter": 0, "cost_per_minute": 0, name: rate}
+    with pytest.raises(ConfigurationError, match=f"^{name}_cents must be finite and fit four decimal places$"):
+        FarePolicy(100, rates["cost_per_meter"], rates["cost_per_minute"])
+
+
+def test_fare_policy_reads_a_float_subclass_by_its_value():
+    policy = FarePolicy(100, ForeignFloat(1.5), ForeignFloat(0.1))
+    assert (policy.cost_per_meter, policy.cost_per_minute) == (Decimal("1.5000"), Decimal("0.1000"))
+
+
 def test_edge_cost_that_does_not_fit_raises_configuration_error():
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(1)))])
     assert edge_cost(TransitEdge(4, 0, 1, 0, 1e20, 0.0), fares) == 3 * 10**20
@@ -158,16 +179,16 @@ def per_edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
 
 
 def integer_distance_network():
-    """Integer, float and boolean distances and times of equal value, and
-    one value as both a distance and a time, on one network."""
+    """Integer and float distances and times of equal value, and one value
+    as both a distance and a time, on one network."""
     builder = NetworkBuilder()
     for i in range(4):
         builder.add_poi(f"n{i}")
     for u, v, mode, distance, time in [
         (0, 1, 0, 3, 2),
         (0, 1, 1, 3.0, 2.0),
-        (1, 2, 0, 1, True),
-        (1, 2, 2, True, 1.0),
+        (1, 2, 0, 1, 1),
+        (1, 2, 2, 1, 1.0),
         (2, 3, 1, 0, -0.0),
         (2, 3, 0, 0.0, 0),
         (0, 3, 2, 1005, 7),
@@ -1433,7 +1454,10 @@ def test_add_edge_rejects_ids_that_are_not_ints(u, v, mode):
     assert builder.add_edge(0, 1, 0, 1.0, 1.0) == 0  # the rejected edge was not added
 
 
-@pytest.mark.parametrize("value", ["5", None, [1.0], float("nan"), -math.inf])
+# True, Decimal("5"), Fraction(1, 3) and a float subclass are numbers, but not an edge's int or float
+@pytest.mark.parametrize(
+    "value", ["5", None, [1.0], float("nan"), -math.inf, True, Decimal("5"), Fraction(1, 3), ForeignFloat(1.5)]
+)
 def test_add_edge_rejects_a_distance_or_time_that_is_not_a_number(value):
     builder = NetworkBuilder()
     builder.add_poi("a")

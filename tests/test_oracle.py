@@ -22,7 +22,7 @@ from gtpmm import (
     valid_path_count,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
+from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, reference_path
 from gtpmm.oracle import enumerate_valid_paths
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 
@@ -217,3 +217,69 @@ def test_checks_share_no_search_with_the_planner(monkeypatch):
         fresh = replace(net)  # no search view built yet
         assert brute_force_optimal(fresh, inst, SHARED) == optimum
         assert group_cost(fresh, inst, common) == cost
+
+
+def test_checks_build_no_legs(monkeypatch):
+    # the checks keep their own leg memo and sum: they must not price a leg
+    # through the planner's Legs, which the methods they check share
+    import gtpmm.planner
+
+    cases = []
+    for seed in range(3):
+        net = random_network(seed, n_pois=22, n_modes=3)
+        inst = random_instance(seed, net, k=3, pois_per_category=3, n_agents=3)
+        cases.append((net, inst, plan(net, inst, PER_PERSON).common_pois))
+    expected = [
+        (brute_force_optimal(net, inst, sharing), group_cost(net, inst, common, sharing))
+        for net, inst, common in cases
+        for sharing in (PER_PERSON, SHARED)
+    ]
+
+    class NoLegs:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a check built a Legs")
+
+    legs = gtpmm.planner.Legs
+    for module_name, module in sorted(sys.modules.items()):
+        if module is not None and module_name.split(".")[0] == "gtpmm":
+            for name, value in list(vars(module).items()):
+                if value is legs:
+                    monkeypatch.setattr(module, name, NoLegs)
+    got = [
+        (brute_force_optimal(net, inst, sharing), group_cost(net, inst, common, sharing))
+        for net, inst, common in cases
+        for sharing in (PER_PERSON, SHARED)
+    ]
+    assert got == expected
+
+
+def first_unreachable_leg(net, inst, chain):
+    """The first unreachable leg of ``chain``'s group cost, in the order the
+    checks sum it: source legs, hops, destination legs; or None."""
+    legs = [(source, chain[0]) for source, _ in inst.agents]
+    legs += list(zip(chain, chain[1:]))
+    legs += [(chain[-1], dest) for _, dest in inst.agents]
+    return next((pair for pair in legs if reference_path(net, *pair) is None), None)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_checks_raise_the_first_unreachable_leg_of_their_sum(seed):
+    # the seeds cover failing source legs, hops and destination legs, and feasible chains
+    net = random_disconnected_network(seed, n_components=2, pois_per_component=5)
+    inst = random_instance(seed, net, k=2, pois_per_category=2, n_agents=1 + seed % 2)
+    failures, costs = {}, {}
+    for chain in enumerate_valid_paths(inst):
+        failures[chain] = first_unreachable_leg(net, inst, chain)
+        if failures[chain] is None:
+            costs[chain] = group_cost(net, inst, chain, SHARED)
+        else:
+            with pytest.raises(InfeasibleRouteError) as excinfo:
+                group_cost(net, inst, chain, SHARED)
+            assert excinfo.value.pair == failures[chain]
+    if costs:
+        best = min(costs, key=lambda chain: (costs[chain], chain))
+        assert brute_force_optimal(net, inst, SHARED) == (best, costs[best])
+    else:
+        with pytest.raises(InfeasibleRouteError) as excinfo:
+            brute_force_optimal(net, inst, SHARED)
+        assert excinfo.value.pair == next(iter(failures.values()))

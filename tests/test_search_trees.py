@@ -242,7 +242,7 @@ def test_plans_equal_their_point_to_point_legs(sharing):
     NNCM searched them before they read legs from search trees."""
     for net, inst in plan_cases():
         for journey in (plan(net, inst, sharing), nncm(net, inst, sharing)):
-            point_to_point = assemble(net, inst, journey.common_pois, sharing, Legs(reference_path).path)
+            point_to_point = assemble(net, inst, journey.common_pois, sharing, reference_path)
             assert journey == point_to_point
 
 
