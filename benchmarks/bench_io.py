@@ -16,7 +16,10 @@ edges.
 
 A row holds, per network, the median and quartiles of the save, of the
 load and of the edge-list load, each file's size in bytes and its sha256,
-so that two rows with equal digests read and wrote the same bytes, and the
+so that two rows with equal digests read and wrote the same bytes, the
+size of one loaded network in memory (``network_mb``: what ``tracemalloc``
+still counts allocated once ``load_network_json`` returns, taken in one
+extra load after the timed ones, so that no timing pays for tracing), and the
 median time of the fixed pure-Python reference loop of
 ``bench_planner.py`` (``host_ref_ms``), run before the first save and
 after each load; plus the Python version and ``os.cpu_count()``.
@@ -43,6 +46,7 @@ import random
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from bench_planner import new_row, reference_ms, save_row
@@ -92,6 +96,7 @@ def measure(network: str, net, directory: Path) -> dict:
     if loaded != net:
         raise RuntimeError(f"the {network} network changed in a JSON round trip")
     data = path.read_bytes()
+    size = network_size(path)
 
     csv_path = directory / f"{network}.csv"
     save_edge_list(net, csv_path)
@@ -112,11 +117,25 @@ def measure(network: str, net, directory: Path) -> dict:
         **_summary("load", loads),
         "bytes": len(data),
         "sha256": hashlib.sha256(data).hexdigest(),
+        "network_mb": round(size / 2**20, 3),
         **_summary("edge_list_load", csv_loads),
         "edge_list_bytes": len(csv_data),
         "edge_list_sha256": hashlib.sha256(csv_data).hexdigest(),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
+
+
+def network_size(path: Path) -> int:
+    """Bytes still allocated, by ``tracemalloc``, once ``load_network_json``
+    has returned the network at ``path``: the size of the network it holds."""
+    tracemalloc.start()
+    try:
+        net = load_network_json(path)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del net
+    return size
 
 
 def write_feed(directory: Path, routes: int = GTFS_ROUTES) -> Path:

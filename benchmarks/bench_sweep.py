@@ -57,7 +57,7 @@ def measure(network: str, net, cfg: ExperimentConfig = ExperimentConfig()) -> di
         sweep_s += time.perf_counter() - start
         probes.append(reference_ms())
     outputs = [
-        (row.method, row.agents, row.k, row.pois_per_category, row.run, row.total_cost, row.usage.leg_counts)
+        (row.method, row.agents, row.k, row.pois_per_category, row.run, row.total_cost, row.usage)
         for row in rows
     ]
     return {

@@ -41,6 +41,6 @@ for method in cfg.methods:
 usage = {}
 for row in rows:
     if row.method == "ojpa":
-        for mode, count in row.usage.leg_counts.items():
+        for mode, count in row.usage.items():
             usage[mode] = usage.get(mode, 0) + count
 print("\nplanner medium usage across the sweep:", dict(sorted(usage.items())))

@@ -26,10 +26,10 @@ for strategy in ("low", "mid", "high", "seeded-uniform"):
 # GTFS: consecutive stops within a trip become edges (dwell time excluded).
 net = load_gtfs(gtfs_minimal_dir(), resolve_fares(ranges, "low"))
 print(f"\nGTFS feed: {net.poi_count} stops, {net.edge_count} edges")
-for edge in net.edges:
+for edge, cost in zip(net.edges, net.edge_costs):
     print(
         f"  {net.pois[edge.u].name} -> {net.pois[edge.v].name}: "
-        f"{edge.time_min:g} min, {edge.distance_m:.0f} m, cost {net.edge_costs[edge.id]}c"
+        f"{edge.time_min:g} min, {edge.distance_m:.0f} m, cost {cost}c"
     )
 
 # Categorize stops by round-robin for a quick query setup.

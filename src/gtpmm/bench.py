@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,13 +54,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class UsageStats:
-    """Per-mode traversal counts, keyed by mode name."""
-
-    leg_counts: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ResultRow:
     method: str
     agents: int
@@ -69,11 +62,12 @@ class ResultRow:
     run: int
     total_cost: Money
     wall_time_ms: float
-    usage: UsageStats
+    usage: dict[str, int]  # traversals per mode name, as medium_usage counts them
 
 
-def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> UsageStats:
-    """Count each hop's mode once per traversing agent.
+def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> dict[str, int]:
+    """Traversals per mode name, in first-encounter order: each hop's mode
+    counts once per traversing agent.
 
     Source and destination legs belong to a single agent each; common legs
     count once per agent under per-person sharing and once per group under
@@ -93,7 +87,7 @@ def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> UsageStats:
     for leg in journey.common_legs:
         accumulate(leg, multiplier)
     name = net.fare_table.name
-    return UsageStats({name(mode): count for mode, count in counts.items()})
+    return {name(mode): count for mode, count in counts.items()}
 
 
 def draw_instance(
@@ -216,7 +210,7 @@ def emit_csv(rows: Iterable[ResultRow], path: str | Path, mode_names: Sequence[s
                     row.run,
                     row.total_cost,
                     f"{row.wall_time_ms:.3f}",
-                    *(row.usage.leg_counts.get(name, 0) for name in mode_names),
+                    *(row.usage.get(name, 0) for name in mode_names),
                 ]
             )
     return path

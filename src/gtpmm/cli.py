@@ -79,7 +79,7 @@ def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
     for key in ("agents", "categories"):
         if not isinstance(document.get(key), list):
             raise ParseError(f"a query needs a list under {key!r}", file=path)
-    to_id = {poi.external_id: poi.id for poi in net.pois}
+    to_id = {poi.external_id: index for index, poi in enumerate(net.pois)}
 
     def resolve(token):
         if not isinstance(token, str):

@@ -268,7 +268,6 @@ def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class GtfsStop:
-    stop_id: str
     name: str
     lat: float
     lon: float
@@ -276,7 +275,6 @@ class GtfsStop:
 
 
 class GtfsStopTime(NamedTuple):
-    trip_id: str
     stop_id: str
     arrival_min: float
     departure_min: float
@@ -288,10 +286,10 @@ class GtfsStopTime(NamedTuple):
 class GtfsFeed:
     """Parsed GTFS tables with identifiers resolved."""
 
-    stops: dict[str, GtfsStop] = field(default_factory=dict)
+    stops: dict[str, GtfsStop] = field(default_factory=dict)  # by stop_id
     route_types: dict[str, int] = field(default_factory=dict)
     trip_routes: dict[str, str] = field(default_factory=dict)
-    stop_times: dict[str, list[GtfsStopTime]] = field(default_factory=dict)
+    stop_times: dict[str, list[GtfsStopTime]] = field(default_factory=dict)  # by trip_id, in stop_sequence order
 
 
 def _parse_gtfs_time(text: str, *, file: str, line: int) -> float:
@@ -332,7 +330,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
             lat, lon = float(lat_text), float(lon_text)
         except ValueError:
             raise ParseError("stop coordinates must be numeric", file=file, line=line) from None
-        feed.stops[stop_id] = GtfsStop(stop_id, name, lat, lon, line)
+        feed.stops[stop_id] = GtfsStop(name, lat, lon, line)
 
     path = directory / "routes.txt"
     file = str(path)
@@ -374,9 +372,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
             sequence = int(sequence_text)
         except ValueError:
             raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
-        feed.stop_times.setdefault(trip_id, []).append(
-            GtfsStopTime(trip_id, stop_id, arrival, departure, sequence, line)
-        )
+        feed.stop_times.setdefault(trip_id, []).append(GtfsStopTime(stop_id, arrival, departure, sequence, line))
 
     for trip_id, entries in feed.stop_times.items():
         entries.sort(key=lambda e: e.sequence)
@@ -608,19 +604,19 @@ def categorize(net: MultiModalNetwork, cfg: CategoryConfig) -> tuple[MultiModalN
 
     assignment: dict[int, int] = {}
     if cfg.strategy == "round-robin":
-        for poi in net.pois:
-            assignment[poi.id] = poi.id % cfg.k
+        for poi_id in range(net.poi_count):
+            assignment[poi_id] = poi_id % cfg.k
     elif cfg.strategy == "seeded-random":
         rng = SplitMix64(cfg.seed)
-        for poi in net.pois:
-            assignment[poi.id] = rng.below(cfg.k)
+        for poi_id in range(net.poi_count):
+            assignment[poi_id] = rng.below(cfg.k)
     else:
         lowered = [(keyword.lower(), category) for keyword, category in cfg.keywords.items()]
-        for poi in net.pois:
+        for poi_id, poi in enumerate(net.pois):
             name = poi.name.lower()
             for keyword, category in lowered:
                 if keyword in name:
-                    assignment[poi.id] = category
+                    assignment[poi_id] = category
                     break
 
     sets: list[list[int]] = [[] for _ in range(cfg.k)]
@@ -630,5 +626,5 @@ def categorize(net: MultiModalNetwork, cfg: CategoryConfig) -> tuple[MultiModalN
         if not ids_in_set:
             raise ConfigurationError(f"category {index} is empty after assignment")
 
-    relabeled = replace(net, pois=tuple(replace(poi, category=assignment.get(poi.id)) for poi in net.pois))
+    relabeled = replace(net, pois=tuple(replace(poi, category=assignment.get(i)) for i, poi in enumerate(net.pois)))
     return relabeled, [tuple(ids_in_set) for ids_in_set in sets]

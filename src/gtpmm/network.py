@@ -11,6 +11,7 @@ and the brute-force checks can assert integer equality.
 from __future__ import annotations
 
 import math
+import re
 import statistics
 import sys
 from array import array
@@ -30,6 +31,7 @@ ModeId = int  # dense index into the fare table
 
 _CENT = Decimal("1")
 _RATE_QUANTUM = Decimal("0.0001")
+_RATE_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?")  # the text save_network_json writes, ``-0.0000`` included
 EARTH_RADIUS_M = 6371_000.0
 
 LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
@@ -57,7 +59,8 @@ class FarePolicy:
 
     ``base_fare`` is in whole cents; the two rates are in cents per meter /
     cents per minute, quantized to four decimal places. A rate that is not a
-    number, not finite or too large to keep four places raises
+    number, text other than ASCII digits with an optional sign and fraction,
+    not finite or too large to keep four places raises
     :class:`ConfigurationError` naming the field.
     """
 
@@ -72,6 +75,8 @@ class FarePolicy:
             rate = getattr(self, name)
             if isinstance(rate, bool) or not isinstance(rate, (int, float, str, Decimal)):
                 raise ConfigurationError(f"{name}_cents must be a number")
+            if isinstance(rate, str) and not _RATE_TEXT.fullmatch(rate):
+                raise ConfigurationError(f"{name}_cents must be plain decimal text such as 1.5")
             try:
                 rate = _as_decimal(rate).quantize(_RATE_QUANTUM)
             except InvalidOperation:  # not a number, an infinity, or too many digits
@@ -141,9 +146,9 @@ class FareTable:
 
 @dataclass(frozen=True)
 class Poi:
-    """A point of interest; ``category`` is None until categorization."""
+    """A point of interest; ``category`` is None until categorization. Its
+    id is its position in :attr:`MultiModalNetwork.pois`."""
 
-    id: int
     external_id: str
     name: str = ""
     category: int | None = None
@@ -152,9 +157,9 @@ class Poi:
 
 @dataclass(frozen=True)
 class TransitEdge:
-    """Undirected edge between two PoIs for a single transport mode."""
+    """Undirected edge between two PoIs for a single transport mode. Its id
+    is its position in :attr:`MultiModalNetwork.edges`."""
 
-    id: int
     u: int
     v: int
     mode: ModeId
@@ -165,7 +170,7 @@ class TransitEdge:
         return self.v if poi == self.u else self.u
 
 
-def _transit_edge(edge_id: int, u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> TransitEdge:
+def _transit_edge(u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> TransitEdge:
     """The edge, once its distance and time are each an ``int`` (not a bool)
     or a ``float`` (not a subclass), finite and nonnegative: the one check
     for edges from :class:`NetworkBuilder` and from
@@ -175,7 +180,7 @@ def _transit_edge(edge_id: int, u: int, v: int, mode: ModeId, distance_m: float,
         raise ConfigurationError(f"edge ({u}, {v}) has invalid distance {distance_m}")
     if not (type(time_min) in _REAL and 0 <= time_min <= _FLOAT_MAX):
         raise ConfigurationError(f"edge ({u}, {v}) has invalid time {time_min}")
-    return TransitEdge(edge_id, u, v, mode, distance_m, time_min)
+    return TransitEdge(u, v, mode, distance_m, time_min)
 
 
 @dataclass(frozen=True)
@@ -196,26 +201,27 @@ def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
 
     Rounding is half-up to whole cents, applied once per edge. A cost with
     more whole cents than the decimal context's precision holds raises
-    :class:`~gtpmm.errors.ConfigurationError` naming the edge, with its id
-    as ``edge``.
+    :class:`~gtpmm.errors.ConfigurationError` naming the edge's endpoints,
+    with ``edge`` 0.
     """
     return _edge_costs((edge,), fares)[0]
 
 
 def _edge_costs(edges: Iterable[TransitEdge], fares: FareTable) -> list[Money]:
     """:func:`edge_cost` of each edge, in order: the one loop that prices
-    edges. Each mode's rates are read once per call, and each distinct
-    distance or time is converted to a decimal once per call (a number equal
-    to one already converted, such as ``3`` after ``3.0``, takes that
-    decimal, which has the same value), so each cost is the edge's own.
+    edges. A failing edge raises with its index in ``edges`` as ``edge``.
+    Each mode's rates are read once per call, and each distinct distance or
+    time is converted to a decimal once per call (a number equal to one
+    already converted, such as ``3`` after ``3.0``, takes that decimal,
+    which has the same value), so each cost is the edge's own.
     """
     rates = [(policy.base_fare, policy.cost_per_minute, policy.cost_per_meter) for policy in fares.policies]
     decimals: dict[float, Decimal] = {}
     costs: list[Money] = []
-    for edge in edges:
+    for index, edge in enumerate(edges):
         mode, time_min, distance_m = edge.mode, edge.time_min, edge.distance_m
         if not 0 <= mode < len(rates):
-            raise ConfigurationError(f"no fare policy for mode id {mode}", edge=edge.id)
+            raise ConfigurationError(f"no fare policy for mode id {mode}", edge=index)
         base, per_minute, per_meter = rates[mode]
         minutes = decimals.get(time_min)
         if minutes is None:
@@ -227,8 +233,8 @@ def _edge_costs(edges: Iterable[TransitEdge], fares: FareTable) -> list[Money]:
         try:
             costs.append(int(total.quantize(_CENT, rounding=ROUND_HALF_UP)))
         except InvalidOperation:
-            message = f"edge {edge.id} ({edge.u}, {edge.v}) costs {total:.3e} cents, too many to hold"
-            raise ConfigurationError(message, edge=edge.id) from None
+            message = f"edge ({edge.u}, {edge.v}) costs {total:.3e} cents, too many to hold"
+            raise ConfigurationError(message, edge=index) from None
     return costs
 
 
@@ -265,10 +271,10 @@ class MultiModalNetwork:
         """Per PoI, the ids of its edges in ascending order; a self-loop is
         listed once."""
         ids: list[list[int]] = [[] for _ in self.pois]
-        for edge in self.edges:
-            ids[edge.u].append(edge.id)
+        for eid, edge in enumerate(self.edges):
+            ids[edge.u].append(eid)
             if edge.v != edge.u:
-                ids[edge.v].append(edge.id)
+                ids[edge.v].append(eid)
         return tuple(map(tuple, ids))
 
     @cached_property
@@ -397,9 +403,8 @@ class NetworkBuilder:
         if external_id in self._external_ids:
             raise ConfigurationError(f"duplicate external_id {external_id!r}")
         self._external_ids.add(external_id)
-        poi_id = len(self._pois)
-        self._pois.append(Poi(poi_id, external_id, name or external_id, category, coords))
-        return poi_id
+        self._pois.append(Poi(external_id, name or external_id, category, coords))
+        return len(self._pois) - 1
 
     def add_edge(self, u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> int:
         if type(u) is not int or type(v) is not int or type(mode) is not int or mode < 0:  # not a bool or float
@@ -408,9 +413,8 @@ class NetworkBuilder:
             raise ConfigurationError(f"edge endpoints ({u}, {v}) reference unknown PoIs")
         if u == v and not self._allow_self_loops:
             raise ConfigurationError(f"self-loop at PoI {u} ({self._pois[u].external_id!r}) rejected")
-        edge = _transit_edge(len(self._edges), u, v, mode, distance_m, time_min)
-        self._edges.append(edge)
-        return edge.id
+        self._edges.append(_transit_edge(u, v, mode, distance_m, time_min))
+        return len(self._edges) - 1
 
     def finalize(self, fare_table: FareTable) -> MultiModalNetwork:
         return MultiModalNetwork(
@@ -953,8 +957,7 @@ def connect_components(net: MultiModalNetwork) -> tuple[MultiModalNetwork, list[
         a, b = net.pois[left].coords, net.pois[right].coords
         distance = haversine_m(a, b) if a is not None and b is not None else REPAIR_DISTANCE_M
         time = distance / REPAIR_SPEED_M_PER_MIN
-        edge = _transit_edge(net.edge_count + len(added), left, right, repair_mode, distance, time)
-        added.append(edge)
+        added.append(_transit_edge(left, right, repair_mode, distance, time))
 
     repaired = replace(
         net,

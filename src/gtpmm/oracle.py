@@ -29,13 +29,12 @@ def valid_path_count(inst: QueryInstance) -> int:
     return math.prod(len(cat) for cat in inst.categories)
 
 
-def enumerate_valid_paths(
-    inst: QueryInstance, max_tuples: int = ENUMERATION_GUARD
-) -> Iterator[tuple[int, ...]]:
-    """All common-PoI tuples in lexicographic PoI-id order, duplicate-free."""
+def enumerate_valid_paths(inst: QueryInstance) -> Iterator[tuple[int, ...]]:
+    """All common-PoI tuples in lexicographic PoI-id order, duplicate-free;
+    more than :data:`ENUMERATION_GUARD` of them raise before any is made."""
     count = valid_path_count(inst)
-    if count > max_tuples:
-        raise EnumerationLimitError(count, max_tuples)
+    if count > ENUMERATION_GUARD:
+        raise EnumerationLimitError(count, ENUMERATION_GUARD)
     return itertools.product(*inst.categories)
 
 

@@ -91,36 +91,37 @@ def empty_plan() -> JourneyPlan:
 
 
 def test_empty_plan_has_zero_usage(walkthrough_net):
-    stats = medium_usage(walkthrough_net, empty_plan())
-    assert stats.leg_counts == {}
+    usage = medium_usage(walkthrough_net, empty_plan())
+    assert usage == {}
 
 
 def test_walkthrough_usage_counts(walkthrough_net, walkthrough_inst):
     journey = plan(walkthrough_net, walkthrough_inst, PER_PERSON)
-    stats = medium_usage(walkthrough_net, journey)
+    usage = medium_usage(walkthrough_net, journey)
     # sources: v1->v3 by Bus, v2->v3 by Car; common v3->v5->v7 by Train,
     # twice for two agents; destinations v7->v10 by Train, v7->v9 by Bus
-    assert stats.leg_counts == {"Bus": 2, "Car": 1, "Train": 5}
+    assert usage == {"Bus": 2, "Car": 1, "Train": 5}
+    assert list(usage) == ["Bus", "Car", "Train"]  # first-encounter order: source, destination, then common legs
     common_hops = sum(leg.hops for leg in journey.common_legs)
     assert common_hops * journey.n_agents == 4  # the common-leg share of Train
 
 
 def test_usage_counts_sum_to_leg_traversals(walkthrough_net, walkthrough_inst):
     journey = plan(walkthrough_net, walkthrough_inst, PER_PERSON)
-    stats = medium_usage(walkthrough_net, journey)
+    usage = medium_usage(walkthrough_net, journey)
     multiplier = journey.sharing.intermediate_multiplier(journey.n_agents)
     traversals = (
         sum(leg.hops for leg in journey.source_legs)
         + sum(leg.hops for leg in journey.dest_legs)
         + multiplier * sum(leg.hops for leg in journey.common_legs)
     )
-    assert sum(stats.leg_counts.values()) == traversals
+    assert sum(usage.values()) == traversals
 
 
 def test_shared_plan_counts_common_legs_once(walkthrough_net, walkthrough_inst):
     shared = plan(walkthrough_net, walkthrough_inst, SharingMode.SHARED_INTERMEDIATE)
-    stats = medium_usage(walkthrough_net, shared)
-    assert sum(stats.leg_counts.values()) == (
+    usage = medium_usage(walkthrough_net, shared)
+    assert sum(usage.values()) == (
         sum(leg.hops for leg in shared.source_legs)
         + sum(leg.hops for leg in shared.dest_legs)
         + sum(leg.hops for leg in shared.common_legs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,7 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
         "load_p75_s",
         "bytes",
         "sha256",
+        "network_mb",
         "edge_list_load_s",
         "edge_list_load_p25_s",
         "edge_list_load_p75_s",
@@ -57,6 +59,8 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
     assert row["save_p25_s"] <= row["save_s"] <= row["save_p75_s"]
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
     assert row["edge_list_load_p25_s"] <= row["edge_list_load_s"] <= row["edge_list_load_p75_s"]
+    assert 0 < row["network_mb"] < 1  # 64 PoIs and their edges, not the whole process
+    assert not tracemalloc.is_tracing()
     data = (tmp_path / "road.csv").read_bytes()
     assert (row["edge_list_bytes"], row["edge_list_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
     assert row["host_ref_ms"] > 0

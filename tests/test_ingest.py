@@ -229,6 +229,22 @@ def test_network_json_round_trips_self_loops(tmp_path):
     assert load_network_json(out) == net
 
 
+def test_network_json_round_trips_a_negative_zero_rate(tmp_path):
+    builder = NetworkBuilder()
+    builder.add_poi("a")
+    builder.add_poi("b")
+    builder.add_edge(0, 1, 0, 120.0, 2.0)
+    net = builder.finalize(FareTable.from_pairs([("M", FarePolicy(100, -0.0, Decimal("-0")))]))
+    assert str(net.fare_table.policies[0].cost_per_meter) == "-0.0000"
+    out = tmp_path / "net.json"
+    save_network_json(net, out)
+    assert '"cost_per_meter_cents": "-0.0000"' in out.read_text()
+    reloaded = load_network_json(out)
+    assert reloaded == net
+    assert reloaded.edge_costs == (100,)
+    assert str(reloaded.fare_table.policies[0].cost_per_minute) == "-0.0000"
+
+
 def reference_network_text(net) -> str:
     """The text save_network_json writes, by ``json.dumps`` with ``indent=2``."""
     fares = net.fare_table
@@ -370,8 +386,15 @@ MALFORMED_NETWORKS = {
     "integer-name": (_set("pois", 4, "name", 7), "pois[4]: external_id and name must be strings"),
     "boolean-name": (_set("pois", 0, "name", False), "pois[0]: external_id and name"),
     "null-name": (_set("pois", 5, "name", None), "pois[5]: external_id and name"),
-    "huge-time": (_set("edges", 2, "time_min", 1e30), "edges[2]: edge 2 (0, 3) costs 1.000e+32 cents, too many to hold"),
-    "huge-distance": (_priced_distance, "edges[4]: edge 4 ("),
+    "huge-time": (_set("edges", 2, "time_min", 1e30), "edges[2]: edge (0, 3) costs 1.000e+32 cents, too many to hold"),
+    "huge-distance": (_priced_distance, "edges[4]: edge ("),
+    "underscored-rate": (_set("modes", 0, "cost_per_meter_cents", "1_000"), "modes[0]: cost_per_meter_cents must be"),
+    "padded-rate": (_set("modes", 1, "cost_per_minute_cents", " 1.5 "), "modes[1]: cost_per_minute_cents must be"),
+    "arabic-indic-rate": (_set("modes", 2, "cost_per_meter_cents", "\u0663"), "modes[2]: cost_per_meter_cents must be"),
+    "exponent-rate": (_set("modes", 0, "cost_per_minute_cents", "1e3"), "modes[0]: cost_per_minute_cents must be"),
+    "plus-signed-rate": (_set("modes", 1, "cost_per_meter_cents", "+2"), "modes[1]: cost_per_meter_cents must be"),
+    "bare-fraction-rate": (_set("modes", 2, "cost_per_minute_cents", ".5"), "modes[2]: cost_per_minute_cents must be"),
+    "trailing-point-rate": (_set("modes", 0, "cost_per_meter_cents", "5."), "modes[0]: cost_per_meter_cents must be"),
     "huge-integer-distance": (_set("edges", 1, "distance_m", 10**400), "edges[1]: edge (0, 2) has invalid distance"),
     "huge-integer-time": (_set("edges", 1, "time_min", 10**400), "edges[1]: edge (0, 2) has invalid time"),
     "fractional-fare": (_set("modes", 1, "base_fare_cents", 120.9), "modes[1]: base_fare_cents must be an integer"),
@@ -409,10 +432,10 @@ def test_edge_list_edge_whose_cost_does_not_fit_is_named(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("u,v,mode,distance_m,time_min\na,b,M,1.0,1.0\nb,c,M,1e30,1.0\n")
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(0)))])
-    with pytest.raises(ParseError, match=re.escape(f"{path}:3: edge 1 (1, 2) costs 3.000e+30 cents")):
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: edge (1, 2) costs 3.000e+30 cents")):
         load_edge_list(path, fares)
     path.write_text("u,v,mode,distance_m,time_min\na,b,M,1.0,1.0\n\nb,c,M,1e30,1.0\n")  # a blank line is skipped
-    with pytest.raises(ParseError, match=re.escape(f"{path}:4: edge 1 (1, 2) costs")):
+    with pytest.raises(ParseError, match=re.escape(f"{path}:4: edge (1, 2) costs")):
         load_edge_list(path, fares)
 
 
@@ -576,7 +599,7 @@ def test_edge_whose_cost_does_not_fit_names_its_stop_time(tmp_path):
     feed = copy_feed(tmp_path)
     with (feed / "stop_times.txt").open("a") as handle:
         handle.write(f"T1,A,{10**30}:00:00,{10**30}:00:00,4\n")
-    with pytest.raises(ParseError, match=r"stop_times\.txt:5: edge \d+ \(0, 2\) costs .* too many to hold"):
+    with pytest.raises(ParseError, match=r"stop_times\.txt:5: edge \(0, 2\) costs .* too many to hold"):
         load_gtfs(feed, gtfs_fares())
 
 
@@ -605,8 +628,8 @@ STOP_TIME_COLUMNS = ("trip_id", "stop_id", "arrival_time", "departure_time", "st
 
 def reference_stop_times(feed) -> dict[str, list[tuple]] | str:
     """The stop times of ``feed`` read row by row, every time cell parsed
-    on its own: ``(trip_id, stop_id, arrival, departure, sequence, line)``
-    per row, in stop-sequence order per trip; or the text of the first
+    on its own: ``(stop_id, arrival, departure, sequence, line)`` per row,
+    filed under its trip_id in stop-sequence order; or the text of the first
     error, as ``parse_gtfs`` words it."""
     trips = {row[1] for row in read_table(feed / "trips.txt")[1:]}
     stops = {row[0] for row in read_table(feed / "stops.txt")[1:]}
@@ -629,16 +652,16 @@ def reference_stop_times(feed) -> dict[str, list[tuple]] | str:
                 sequence = int(sequence_text)
             except ValueError:
                 raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
-            rows.setdefault(trip_id, []).append((trip_id, stop_id, arrival, departure, sequence, line))
+            rows.setdefault(trip_id, []).append((stop_id, arrival, departure, sequence, line))
         for trip_id, entries in rows.items():
-            entries.sort(key=lambda entry: entry[4])
+            entries.sort(key=lambda entry: entry[3])
             for previous, current in zip(entries, entries[1:]):
-                if current[4] <= previous[4]:
+                if current[3] <= previous[3]:
                     raise ParseError(
-                        f"stop_sequence not strictly increasing in trip {trip_id!r}", file=file, line=current[5]
+                        f"stop_sequence not strictly increasing in trip {trip_id!r}", file=file, line=current[4]
                     )
-                if current[2] < previous[3]:
-                    raise ParseError(f"times not monotone in trip {trip_id!r}", file=file, line=current[5])
+                if current[1] < previous[2]:
+                    raise ParseError(f"times not monotone in trip {trip_id!r}", file=file, line=current[4])
     except ParseError as error:
         return str(error)
     return rows
@@ -654,7 +677,7 @@ def parsed_stop_times(feed) -> dict[str, list[tuple]] | str:
     except ParseError as error:
         return str(error)
     return {
-        trip: [(e.trip_id, e.stop_id, e.arrival_min, e.departure_min, e.sequence, e.line) for e in entries]
+        trip: [(e.stop_id, e.arrival_min, e.departure_min, e.sequence, e.line) for e in entries]
         for trip, entries in stop_times.items()
     }
 
@@ -740,8 +763,8 @@ def test_a_time_first_read_as_an_arrival_is_the_same_as_a_departure(two_trip_fee
     )
     parsed = parsed_stop_times(two_trip_feed)
     assert parsed == reference_stop_times(two_trip_feed)
-    assert parsed["T2"] == [("T2", "A", 544.0, 545.0, 1, 4)]
-    assert parsed["T1"][1][2] == 545.0
+    assert parsed["T2"] == [("A", 544.0, 545.0, 1, 4)]
+    assert parsed["T1"][1][1] == 545.0  # its arrival
 
 
 def test_departure_before_arrival_of_two_times_read_before(two_trip_feed):
@@ -947,8 +970,8 @@ def builder_copy_with_categories(net, categories):
     """Verbatim copy of the builder loop ``categorize`` used to run."""
     assignment = {poi: category for category, ids in enumerate(categories) for poi in ids}
     builder = NetworkBuilder(allow_self_loops=True)
-    for poi in net.pois:
-        builder.add_poi(poi.external_id, name=poi.name, category=assignment.get(poi.id), coords=poi.coords)
+    for poi_id, poi in enumerate(net.pois):
+        builder.add_poi(poi.external_id, name=poi.name, category=assignment.get(poi_id), coords=poi.coords)
     for edge in net.edges:
         builder.add_edge(edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
     return builder.finalize(net.fare_table)

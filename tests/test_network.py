@@ -69,32 +69,32 @@ def line_network(edge_specs, n_pois, fares):
 
 def test_zero_length_edge_pays_base_fare_only():
     fares = flat_table(250)
-    edge = TransitEdge(0, 0, 1, 0, 0.0, 0.0)
+    edge = TransitEdge(0, 1, 0, 0.0, 0.0)
     assert edge_cost(edge, fares) == 250
 
 
 def test_edge_cost_bus_lower_bound():
     fares = FareTable.from_pairs([("Bus", FarePolicy(250, Decimal("1"), Decimal("5")))])
-    edge = TransitEdge(0, 0, 1, 0, 1000.0, 10.0)
+    edge = TransitEdge(0, 1, 0, 1000.0, 10.0)
     assert edge_cost(edge, fares) == 250 + 1000 * 1 + 10 * 5  # 1300
 
 
 def test_edge_cost_train_lower_bound():
     fares = FareTable.from_pairs([("Train", FarePolicy(500, Decimal("3"), Decimal("10")))])
-    edge = TransitEdge(0, 0, 1, 0, 500.0, 4.0)
+    edge = TransitEdge(0, 1, 0, 500.0, 4.0)
     assert edge_cost(edge, fares) == 2040
 
 
 def test_edge_cost_rounds_half_up():
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal("0.0005"), Decimal(0)))])
-    assert edge_cost(TransitEdge(0, 0, 1, 0, 1000.0, 0.0), fares) == 1  # 0.5 -> 1
-    assert edge_cost(TransitEdge(0, 0, 1, 0, 999.0, 0.0), fares) == 0  # 0.4995 -> 0
+    assert edge_cost(TransitEdge(0, 1, 0, 1000.0, 0.0), fares) == 1  # 0.5 -> 1
+    assert edge_cost(TransitEdge(0, 1, 0, 999.0, 0.0), fares) == 0  # 0.4995 -> 0
 
 
 def test_edge_cost_missing_policy_names_mode():
     fares = flat_table(100)
     with pytest.raises(ConfigurationError, match="mode id 3"):
-        edge_cost(TransitEdge(0, 0, 1, 3, 1.0, 1.0), fares)
+        edge_cost(TransitEdge(0, 1, 3, 1.0, 1.0), fares)
 
 
 @given(
@@ -110,7 +110,7 @@ def test_edge_cost_is_monotone_in_every_component(base, per_meter, per_minute, d
 
     def cost(b, pm, pmin, d, t):
         fares = FareTable.from_pairs([("M", FarePolicy(b, pm * quantum, pmin * quantum))])
-        return edge_cost(TransitEdge(0, 0, 1, 0, float(d), float(t)), fares)
+        return edge_cost(TransitEdge(0, 1, 0, float(d), float(t)), fares)
 
     reference = cost(base, per_meter, per_minute, distance, time)
     grown = [
@@ -149,11 +149,21 @@ def test_fare_policy_rejects_a_rate_that_is_not_a_number(name, rate):
         FarePolicy(0, rates["cost_per_meter"], rates["cost_per_minute"])
 
 
-@pytest.mark.parametrize("rate", ["abc", "NaN", "sNaN", "Infinity", float("-inf"), 1e30, Decimal("1e30")])
+@pytest.mark.parametrize(
+    "rate", [Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), float("nan"), float("-inf"), 1e30, Decimal("1e30"), "1" * 30]
+)
 @pytest.mark.parametrize("name", ["cost_per_meter", "cost_per_minute"])
 def test_fare_policy_rejects_a_rate_that_is_not_finite_or_does_not_fit(name, rate):
     rates = {"cost_per_meter": 0, "cost_per_minute": 0, name: rate}
     with pytest.raises(ConfigurationError, match=f"^{name}_cents must be finite and fit four decimal places$"):
+        FarePolicy(100, rates["cost_per_meter"], rates["cost_per_minute"])
+
+
+@pytest.mark.parametrize("rate", ["abc", "NaN", "sNaN", "Infinity", "1_000", " 1.5 ", "\u0663", "1e3", "+2", ".5", "5.", "1\n", ""])
+@pytest.mark.parametrize("name", ["cost_per_meter", "cost_per_minute"])
+def test_fare_policy_reads_only_the_rate_text_the_saver_writes(name, rate):
+    rates = {"cost_per_meter": "0.0000", "cost_per_minute": "0.0000", name: rate}
+    with pytest.raises(ConfigurationError, match=f"^{name}_cents must be plain decimal text such as 1.5$"):
         FarePolicy(100, rates["cost_per_meter"], rates["cost_per_minute"])
 
 
@@ -164,10 +174,11 @@ def test_fare_policy_reads_a_float_subclass_by_its_value():
 
 def test_edge_cost_that_does_not_fit_raises_configuration_error():
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(1)))])
-    assert edge_cost(TransitEdge(4, 0, 1, 0, 1e20, 0.0), fares) == 3 * 10**20
+    assert edge_cost(TransitEdge(0, 1, 0, 1e20, 0.0), fares) == 3 * 10**20
     for distance, time in ((1e30, 0.0), (0.0, 1e30), (10**300, 0.0)):
-        with pytest.raises(ConfigurationError, match=r"edge 4 \(0, 1\) costs .* cents, too many to hold"):
-            edge_cost(TransitEdge(4, 0, 1, 0, distance, time), fares)
+        with pytest.raises(ConfigurationError, match=r"^edge \(0, 1\) costs .* cents, too many to hold$") as excinfo:
+            edge_cost(TransitEdge(0, 1, 0, distance, time), fares)
+        assert excinfo.value.edge == 0  # its index among the edges priced, the one edge
 
 
 def per_edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
@@ -238,12 +249,12 @@ def test_edge_costs_raise_on_a_cost_that_does_not_fit():
     builder.add_edge(0, 1, 1, 1e30, 1.0)  # fits, as its mode has no distance rate
     builder.add_edge(1, 2, 0, 1e30, 1.0)  # the same distance, at 3 cents a meter
     fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(0))), ("Flat", FarePolicy(1, 0, 0))])
-    with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 2\) costs 3.000e\+30 cents, too many") as excinfo:
+    with pytest.raises(ConfigurationError, match=r"edge \(1, 2\) costs 3.000e\+30 cents, too many") as excinfo:
         builder.finalize(fares)
     assert excinfo.value.edge == 1
     net = builder.finalize(FareTable.from_pairs([("M", FarePolicy(0, 0, 0)), ("Flat", FarePolicy(1, 0, 0))]))
     assert net.edge_costs == (1, 0)
-    with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 2\) costs 3.000e\+30 cents") as excinfo:
+    with pytest.raises(ConfigurationError, match=r"edge \(1, 2\) costs 3.000e\+30 cents") as excinfo:
         _edge_costs(net.edges, fares)
     assert excinfo.value.edge == 1
 
@@ -1181,6 +1192,19 @@ def test_connect_components_uses_great_circle_with_coords():
     assert added[0].distance_m == pytest.approx(7577, rel=0.01)
 
 
+def test_connect_components_names_a_repair_edge_whose_cost_does_not_fit_by_its_index_among_the_added():
+    builder = NetworkBuilder()
+    for name, coords in (("a", (0.0, 0.0)), ("b", (0.0, 0.001)), ("c", (0.0, 180.0)), ("d", (0.0, 179.999))):
+        builder.add_poi(name, coords=coords)
+    builder.add_edge(0, 1, 0, 0.0, 0.0)  # zero-length edges cost the base fare alone
+    builder.add_edge(2, 3, 0, 0.0, 0.0)
+    net = builder.finalize(FareTable.from_pairs([("M", FarePolicy(5, Decimal(10**23), Decimal(0)))]))
+    assert net.edge_costs == (5, 5)
+    with pytest.raises(ConfigurationError, match=r"^edge \(0, 2\) costs .* cents, too many to hold$") as excinfo:
+        connect_components(net)  # the repair edge spans half the globe at the median rate, 10**23 cents a meter
+    assert excinfo.value.edge == 0  # the first edge added; its id in the repaired network would be 2
+
+
 def test_connect_components_rejects_empty_network():
     net = NetworkBuilder().finalize(flat_table(100))
     with pytest.raises(ConfigurationError):
@@ -1295,7 +1319,8 @@ def test_connect_components_equals_a_builder_copy_on_random_networks(net):
 
 def reference_adjacency(net):
     """Per PoI, the ids of the edges at it, ascending, by a scan of every edge."""
-    return tuple(tuple(sorted(e.id for e in net.edges if poi in (e.u, e.v))) for poi in range(net.poi_count))
+    at = [[eid for eid, e in enumerate(net.edges) if poi in (e.u, e.v)] for poi in range(net.poi_count)]
+    return tuple(tuple(sorted(ids)) for ids in at)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1403,7 +1428,7 @@ def test_finalize_rejects_an_edge_whose_cost_does_not_fit():
     builder.add_poi("b")
     builder.add_edge(0, 1, 0, 1.0, 1.0)
     builder.add_edge(1, 0, 0, 1e30, 1.0)
-    with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 0\) costs"):
+    with pytest.raises(ConfigurationError, match=r"edge \(1, 0\) costs"):
         builder.finalize(FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(0)))]))
 
 

@@ -23,7 +23,7 @@ from gtpmm import (
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, reference_path
-from gtpmm.oracle import enumerate_valid_paths
+from gtpmm.oracle import ENUMERATION_GUARD, enumerate_valid_paths
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
@@ -60,13 +60,12 @@ def test_single_category_yields_ids_in_order():
 
 
 def test_enumeration_guard_reports_size():
-    inst = sized_instance(40, 40, 40)
+    inst = sized_instance(*[8] * 8)  # a product of 16,777,216 tuples: the count is checked, nothing is enumerated
     with pytest.raises(EnumerationLimitError) as excinfo:
-        enumerate_valid_paths(inst, max_tuples=1000)
-    assert excinfo.value.n_tuples == 64000
-    assert excinfo.value.limit == 1000
-    # the guard is overridable
-    assert sum(1 for _ in enumerate_valid_paths(inst, max_tuples=10**6)) == 64000
+        enumerate_valid_paths(inst)
+    assert excinfo.value.n_tuples == 8**8 > ENUMERATION_GUARD
+    assert excinfo.value.limit == ENUMERATION_GUARD
+    assert sum(1 for _ in enumerate_valid_paths(sized_instance(40, 40, 40))) == 64000  # under the guard
 
 
 @settings(max_examples=50)

@@ -65,7 +65,6 @@ INTERNAL = {
     "Poi": "gtpmm.network",
     "ResultRow": "gtpmm.bench",
     "TimingReport": "gtpmm.timetable",
-    "UsageStats": "gtpmm.bench",
     "edge_cost": "gtpmm.network",
     "enumerate_valid_paths": "gtpmm.oracle",
     "haversine_m": "gtpmm.network",
