@@ -140,17 +140,9 @@ def rpcm(
 def _nearest_by_search(
     net: MultiModalNetwork, origins: Counter[int], cat: tuple[int, ...], legs: Legs
 ) -> tuple[Money, int] | None:
-    """``(summed cost from the origins, PoI)`` of the cheapest reachable PoI
-    of ``cat``, ties to the lower id, from one :meth:`~gtpmm.planner.Legs.costs`
-    call; None when none is reachable from every origin."""
-    costs = legs.costs(net, origins, cat)
-    best: tuple[Money, int] | None = None
-    for j in cat:
-        if all((origin, j) in costs for origin in origins):
-            cost = sum(costs[(origin, j)] * count for origin, count in origins.items())
-            if best is None or cost < best[0]:
-                best = (cost, j)
-    return best
+    """``(summed cost from the origins, PoI)`` of the cheapest PoI of ``cat``
+    that every origin reaches, ties to the lower id, or None."""
+    return min(((cost, j) for j, cost in legs.summed(net, origins, cat).items()), default=None)
 
 
 def _nearest_by_bound(
@@ -166,20 +158,17 @@ def _nearest_by_bound(
     A candidate's lower bound is its summed ``bound`` from the origins,
     at most its summed cost; so once a candidate's ``(bound, id)`` exceeds
     the best ``(cost, id)`` so far, it and every candidate after it cost
-    more or tie at a higher id. Each candidate is priced by one
-    :meth:`~gtpmm.planner.Legs.costs` call from the origins to it: one
-    search from the one origin, or from the candidate when there are
-    several. Its trees are kept in ``legs``, where the plan's legs are read
-    from them. ``bound`` covers every origin and candidate, so all are
-    connected.
+    more or tie at a higher id. Each candidate is priced by
+    :meth:`~gtpmm.planner.Legs.summed` from the origins, whose trees are
+    kept in ``legs``, where the plan's legs are read from them. ``bound``
+    covers every origin and candidate, so all are connected.
     """
     order = sorted((sum(count * bound(origin, j) for origin, count in origins.items()), j) for j in cat)
     best: tuple[Money, int] | None = None
     for lower, j in order:
         if best is not None and (lower, j) > best:
             break
-        costs = legs.costs(net, origins, (j,))
-        cost = sum(count * costs[(origin, j)] for origin, count in origins.items())
+        cost = legs.summed(net, origins, (j,))[j]
         if best is None or (cost, j) < best:
             best = (cost, j)
     return best
@@ -202,9 +191,9 @@ def nncm(
     candidate of a category, the candidates are priced in order of that
     lower bound until none left can win (:func:`_nearest_by_bound`).
     Elsewhere each category is scored by one
-    :meth:`~gtpmm.planner.Legs.costs` call: one search per distinct origin
-    or per candidate, whichever set is smaller. Both pick the same PoIs,
-    and keep their searches in one
+    :meth:`~gtpmm.planner.Legs.summed` call over all its candidates
+    (:func:`_nearest_by_search`). Both pick the same PoIs, and keep their
+    searches in one
     :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs
     they answer: the first pick's source legs and every hop, but for ties.
     """

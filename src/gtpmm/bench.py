@@ -100,6 +100,8 @@ def draw_instance(
     last, with replacement. Agent draws are a prefix-stable stream: the same
     seed with more agents extends, rather than reshuffles, the roster.
     """
+    if pois_per_category < 1:
+        raise ConfigurationError(f"pois_per_category must be at least 1, got {pois_per_category}")
     groups = k + 2
     needed = groups * pois_per_category
     if needed > net.poi_count:

@@ -32,16 +32,16 @@ from .synth import random_instance
 
 log = logging.getLogger("gtpmm")
 
-_SHARING = {
-    "per-person": SharingMode.PER_PERSON_INTERMEDIATE,
-    "shared": SharingMode.SHARED_INTERMEDIATE,
-}
 _FARE_STRATEGY_ALIASES = {"low": "low", "mid": "mid", "high": "high", "seeded": "seeded-uniform"}
 
 
 def _configure_logging() -> None:
     level = os.environ.get("GTPMM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+
+
+def _add_sharing_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sharing", choices=[mode.value for mode in SharingMode], default="per-person")
 
 
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
@@ -139,7 +139,7 @@ def _plan_document(net: MultiModalNetwork, inst: QueryInstance, journey: Journey
 def _cmd_plan(args: argparse.Namespace) -> int:
     net = _load_network(args)
     inst = _load_query(net, args.query)
-    sharing = _SHARING[args.sharing]
+    sharing = SharingMode(args.sharing)
     journey = bench_mod.run_method(args.method, net, inst, sharing, args.seed)
     document = _plan_document(net, inst, journey)
     text = json.dumps(document, indent=2)
@@ -156,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         inst = _load_query(net, args.query)
     else:
         inst = random_instance(args.seed, net, args.k, args.pois_per_category, args.agents)
-    sharing = _SHARING[args.sharing]
+    sharing = SharingMode(args.sharing)
     journey = plan(net, inst, sharing)
     _, oracle_cost = brute_force_optimal(net, inst, sharing)
     agree = journey.total_cost == oracle_cost
@@ -180,7 +180,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=args.seed,
         methods=tuple(args.methods.split(",")),
-        sharing=_SHARING[args.sharing],
+        sharing=SharingMode(args.sharing),
     )
     rows = bench_mod.run_experiment(net, cfg)
     out = Path(args.out)
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_args(p_plan)
     p_plan.add_argument("--query", required=True, help="query JSON (agents + categories)")
     p_plan.add_argument("--method", choices=bench_mod.METHODS, default="ojpa")
-    p_plan.add_argument("--sharing", choices=sorted(_SHARING), default="per-person")
+    _add_sharing_arg(p_plan)
     p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument("--out", help="write the plan JSON here instead of stdout")
     p_plan.set_defaults(func=_cmd_plan)
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="compare the planner against the brute-force optimum")
     _add_network_args(p_verify)
     p_verify.add_argument("--query", help="query JSON; omitted => random instance")
-    p_verify.add_argument("--sharing", choices=sorted(_SHARING), default="per-person")
+    _add_sharing_arg(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--agents", type=int, default=3)
     p_verify.add_argument("--k", type=int, default=3)
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--runs", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--methods", default=",".join(bench_mod.METHODS))
-    p_bench.add_argument("--sharing", choices=sorted(_SHARING), default="per-person")
+    _add_sharing_arg(p_bench)
     p_bench.add_argument("--out", required=True, help="results CSV path")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -11,7 +11,7 @@ source's, and the global argmin is reconstructed through parent links.
 Each stage from one category to the next is one cost-only multi-source
 search (:func:`~gtpmm.network.layer_costs`). The two stages that sum over
 agents, sources to the first category and the last category to the
-destinations, price their pairs with :meth:`Legs.costs`: one
+destinations, sum the agents' legs with :meth:`Legs.summed`, from one
 single-source search per distinct endpoint or per category PoI,
 whichever set is smaller, each tree kept in a :class:`Legs`. The chosen
 plan's source and destination legs are read from those trees: forward from a leg's origin, or back from its target
@@ -223,6 +223,20 @@ class Legs:
                 costs.update(((o, t), cost) for o, cost in self._search_from(net, t, origins).items())
         return costs
 
+    def summed(self, net: MultiModalNetwork, endpoints: Counter[int], pois: Collection[int]) -> dict[int, Money]:
+        """The group's legs at one end of a trip: for each PoI of ``pois``
+        that every endpoint reaches, in ``pois`` order, the sum over
+        ``endpoints`` of count times the endpoint's leg cost. Priced by one
+        :meth:`costs` call from the endpoints to ``pois``, so the searches
+        run from each distinct endpoint, or from each PoI when there are
+        fewer PoIs."""
+        costs = self.costs(net, endpoints, pois)
+        return {
+            j: sum(count * costs[(e, j)] for e, count in endpoints.items())
+            for j in pois
+            if all((e, j) in costs for e in endpoints)
+        }
+
     def _known(self, u: int, v: int) -> PathResult | None | object:
         """The path of ``(u, v)`` from what the legs hold (None when a tree
         shows it unreachable), or ``_UNKNOWN``."""
@@ -362,15 +376,15 @@ def compute_dp(
 ) -> DpTable:
     """Run the layered DP and return the full table (no reconstruction).
 
-    The first layer sums each first-category PoI's cost from every agent's
-    source. Each later layer is one :func:`~gtpmm.network.layer_costs`
-    search seeded at the reached PoIs of the layer before, with costs times
-    the intermediate multiplier; ties keep the lower PoI id as parent. The
+    The first layer is :meth:`Legs.summed` from the agents' sources. Each
+    later layer is one :func:`~gtpmm.network.layer_costs` search seeded at
+    the reached PoIs of the layer before, with costs times the intermediate
+    multiplier; ties keep the lower PoI id as parent. The
     destination stage then stores the cost from every reached last-category
     PoI to every destination in ``distances``.
 
-    The two endpoint stages price their pairs with :meth:`Legs.costs`,
-    one single-source search per distinct endpoint or per category PoI,
+    The two endpoint stages run :meth:`Legs.costs`'s searches, one
+    single-source search per distinct endpoint or per category PoI,
     whichever set is smaller, so a query runs at most min(sources, |first
     category|) + (k - 1) + min(destinations, |last category|) searches.
     Their trees are kept in ``table.legs``: ``legs`` when given, a new
@@ -385,12 +399,8 @@ def compute_dp(
     table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories], legs=legs)
     trees = legs.tree_searches
 
-    sources = Counter(source for source, _ in inst.agents)
-    from_sources = legs.costs(net, sources, inst.categories[0])
-    for j in inst.categories[0]:
-        if all((source, j) in from_sources for source in sources):
-            table.cost[0][j] = sum(count * from_sources[(source, j)] for source, count in sources.items())
-            table.parent[0][j] = None
+    table.cost[0] = legs.summed(net, Counter(source for source, _ in inst.agents), inst.categories[0])
+    table.parent[0] = dict.fromkeys(table.cost[0])
 
     for c in range(1, inst.k):
         previous = table.cost[c - 1]
@@ -473,11 +483,10 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
     bounds the cost of any chain's part up to ``j``, category ``c``'s PoI:
     source legs weighted by agent counts, hops by the intermediate
     multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. The
-    chain of least total bound is priced exactly by :meth:`Legs.costs`:
-    one search from its first PoI to the distinct sources, one per hop to
-    its one target and one from its last PoI to the distinct destinations,
-    but none that a tree grown before answers; that price ``ub`` is at
-    least the optimum.
+    chain of least total bound is priced exactly: its source legs by
+    :meth:`Legs.summed`, one search per hop to its one target and one
+    from its last PoI to the distinct destinations, but none that a tree
+    grown before answers; that price ``ub`` is at least the optimum.
 
     The pricing searches pay only if some PoI goes, and a PoI goes when its
     bound exceeds ``ub``. The least chain bound is about ``tightness``
@@ -521,9 +530,8 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
         return None  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
     for category, rest in zip(categories[1:], suffix[1:]):
         chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
-    from_first = legs.costs(net, chain[:1], sources)
+    ub = legs.summed(net, sources, chain[:1])[chain[0]]
     to_last = legs.costs(net, chain[-1:], destinations)
-    ub = sum(n * from_first[(chain[0], s)] for s, n in sources.items())
     ub += sum(n * to_last[(chain[-1], d)] for d, n in destinations.items())
     ub += m * sum(legs.costs(net, (a,), (b,))[(a, b)] for a, b in zip(chain, chain[1:]))
 
@@ -565,15 +573,11 @@ def plan(
     table = compute_dp(net, query, sharing, legs=legs)
     table.searches += pricing
 
-    destinations = Counter(dest for _, dest in query.agents)
-    totals = [
-        (cost + sum(n * table.distances[(j, dest)] for dest, n in destinations.items()), j)
-        for j, cost in table.cost[-1].items()
-        if all((j, dest) in table.distances for dest in destinations)
-    ]
-    if not totals:
+    last = table.cost[-1]
+    to_destinations = legs.summed(net, Counter(dest for _, dest in query.agents), last)  # the DP's trees: no search
+    if not to_destinations:
         raise InfeasibleRouteError(*_first_unreachable(net, inst))
-    best_total, best_last = min(totals)  # an equal total goes to the lower PoI id
+    best_total, best_last = min((last[j] + cost, j) for j, cost in to_destinations.items())  # a tie: lower id
     common = reconstruct(table, best_last)
     legs.fill(net, common[-1], [dest for _, dest in inst.agents])
     try:

@@ -153,6 +153,8 @@ def random_instance(
     n_agents: int,
 ) -> QueryInstance:
     """Disjoint random category sets plus random agent endpoints."""
+    if pois_per_category < 1:
+        raise ConfigurationError(f"pois_per_category must be at least 1, got {pois_per_category}")
     needed = k * pois_per_category
     if needed > net.poi_count:
         raise ConfigurationError(

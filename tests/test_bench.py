@@ -19,6 +19,7 @@ from gtpmm import (
 )
 from gtpmm.bench import csv_header
 from gtpmm.planner import JourneyPlan, PathResult
+from gtpmm.synth import random_instance
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
 
@@ -61,6 +62,17 @@ def test_exact_planner_dominates_per_cell(walkthrough_net):
 def test_sizing_error_raised_before_any_run(walkthrough_net):
     with pytest.raises(ConfigurationError, match="10 PoIs"):
         run_experiment(walkthrough_net, small_cfg(pois_per_category=(5,)))
+
+
+@pytest.mark.parametrize("pois_per_category", [0, -1])
+@pytest.mark.parametrize(
+    "draw",
+    [lambda net, p: draw_instance(net, 0, 1, p, 3), lambda net, p: random_instance(0, net, 1, p, 3)],
+    ids=["draw_instance", "random_instance"],
+)
+def test_instance_draws_reject_fewer_than_one_poi_per_category(walkthrough_net, draw, pois_per_category):
+    with pytest.raises(ConfigurationError, match="pois_per_category"):
+        draw(walkthrough_net, pois_per_category)  # with one category, -1 would slice all PoIs but the last
 
 
 def test_instance_draws_are_prefix_stable(walkthrough_net):

@@ -51,6 +51,17 @@ def test_plan_shared_sharing(walkthrough_args, query_file, capsys):
     assert document["total_cost_cents"] == 2800
 
 
+@pytest.mark.parametrize("command", ["plan", "verify", "bench"])
+def test_sharing_choices_are_the_sharing_mode_values(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--sharing {per-person,shared}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as raised:
+        main([command, "--sharing", "shared-taxi"])
+    assert raised.value.code == 2
+    assert "invalid choice: 'shared-taxi'" in capsys.readouterr().err
+
+
 def test_plan_with_baseline_method(walkthrough_args, query_file, capsys):
     code = main(["plan", *walkthrough_args, "--query", query_file, "--method", "nncm"])
     assert code == 0

@@ -10,9 +10,12 @@ searched point to point, as they were before the trees.
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Search
 from gtpmm import InfeasibleRouteError, SharingMode, nncm, plan
@@ -21,6 +24,7 @@ from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, reference_path,
 from gtpmm.planner import PRUNE_TIGHTNESS, Legs, assemble
 from gtpmm.rng import SplitMix64
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
+from test_network import EDGE_CASE_FARES, EDGE_CASE_NETWORKS, built_network, landmark_networks, small_networks
 from test_pruning import TIED_FARES, ZERO_FARES, road_cases
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
@@ -160,6 +164,65 @@ def test_legs_costs_are_the_reference_costs_from_the_fewest_new_trees(name, sear
             assert len(searches) == before + len(new)  # the repeated call searched nothing
     assert sides == {True, False}  # searched from origins and from targets
     assert covered_seen > 0  # some PoIs were answered by earlier trees
+
+
+def assert_summed_is_the_reference(net, legs, endpoints, pois):
+    """``Legs.summed`` against per-agent ``reference_path`` sums: each PoI
+    that every endpoint reaches, in ``pois`` order, with the sum over the
+    agents of their legs' costs; a PoI some endpoint cannot reach is missing."""
+    expected = {}
+    for j in pois:
+        agent_legs = [reference_path(net, e, j) for e in endpoints.elements()]
+        if None not in agent_legs:
+            expected[j] = sum(leg.cost for leg in agent_legs)
+    summed = legs.summed(net, endpoints, pois)
+    assert summed == expected
+    assert list(summed) == list(expected)  # in pois order
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=st.one_of(small_networks(), landmark_networks()), data=st.data())
+def test_legs_summed_is_the_sum_of_reference_legs_on_random_networks(net, data):
+    poi = st.integers(min_value=0, max_value=net.poi_count - 1)
+    legs = Legs()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):  # trees kept before, either side
+        legs.costs(net, data.draw(st.lists(poi, min_size=1, max_size=4)), data.draw(st.lists(poi, max_size=4)))
+    endpoints = Counter(data.draw(st.lists(poi, min_size=1, max_size=8)))  # agents share endpoints
+    pois = data.draw(st.lists(poi, max_size=6, unique=True))  # in no particular order
+    assert_summed_is_the_reference(net, legs, endpoints, pois)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_NETWORKS))
+def test_legs_summed_is_the_sum_of_reference_legs_on_edge_case_networks(name):
+    n_pois, edge_specs = EDGE_CASE_NETWORKS[name]
+    net = built_network(n_pois, EDGE_CASE_FARES, edge_specs)
+    every, last = range(n_pois), n_pois - 1
+    for endpoints in (Counter([0]), Counter([0, 0, 2]), Counter([last, 1, 1, last, 2, last]), Counter(every)):
+        assert_summed_is_the_reference(net, Legs(), endpoints, every[::-1])
+        assert_summed_is_the_reference(net, Legs(), endpoints, [1])
+
+
+@pytest.mark.parametrize("name", sorted(COSTS_NETWORKS))
+def test_legs_summed_after_costs_the_other_way_searches_nothing(name, searches):
+    """The property ``plan()``'s last-stage argmin relies on: once the DP's
+    ``costs(pois, endpoints)`` has run, ``summed(endpoints, pois)`` reads
+    every pair from the trees kept, whichever side they were grown from."""
+    sides = set()
+    for seed in range(2):
+        net = COSTS_NETWORKS[name](seed)
+        rng = SplitMix64(seed)
+        pool = list(range(0, net.poi_count, 2))
+        legs = Legs()  # shared, so some calls find trees kept by earlier ones
+        for _ in range(12):
+            pois = tuple(rng.sample(pool, 1 + rng.below(5)))
+            endpoints = Counter(rng.sample(pool, 1 + rng.below(4)) * (1 + rng.below(3)))
+            before = len(searches)
+            legs.costs(net, pois, endpoints)
+            sides.update(search.origin in pois for search in searches[before:])
+            before = len(searches)
+            assert_summed_is_the_reference(net, legs, endpoints, pois)
+            assert len(searches) == before
+    assert sides == {True, False}  # trees grown from the PoIs and from the endpoints
 
 
 def test_a_tie_is_never_read_back():
