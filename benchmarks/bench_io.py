@@ -18,11 +18,14 @@ A row holds, per network, the median and quartiles of the save, of the
 load and of the edge-list load, each file's size in bytes and its sha256,
 so that two rows with equal digests read and wrote the same bytes, the
 size of one loaded network in memory (``network_mb``: what ``tracemalloc``
-still counts allocated once ``load_network_json`` returns, taken in one
-extra load after the timed ones, so that no timing pays for tracing), and the
-median time of the fixed pure-Python reference loop of
-``bench_planner.py`` (``host_ref_ms``), run before the first save and
-after each load; plus the Python version and ``os.cpu_count()``.
+still counts allocated once ``load_network_json`` returns), the
+``tracemalloc`` peaks of one save and of one load (``save_peak_mb`` and
+``load_peak_mb``, each over what was allocated when it began; all three
+are taken in one extra save and load after the timed ones, so that no
+timing pays for tracing), and the median time of the fixed pure-Python
+reference loop of ``bench_planner.py`` (``host_ref_ms``), run before the
+first save and after each load; plus the Python version and
+``os.cpu_count()``.
 
 The GTFS scenario times ``load_gtfs``, the first stage of every ``gtpmm
 ingest --gtfs``, on a feed this script writes from a fixed seed: 1,000
@@ -96,7 +99,7 @@ def measure(network: str, net, directory: Path) -> dict:
     if loaded != net:
         raise RuntimeError(f"the {network} network changed in a JSON round trip")
     data = path.read_bytes()
-    size = network_size(path)
+    size, save_peak, load_peak = traced_round_trip(net, path)
 
     csv_path = directory / f"{network}.csv"
     save_edge_list(net, csv_path)
@@ -118,6 +121,8 @@ def measure(network: str, net, directory: Path) -> dict:
         "bytes": len(data),
         "sha256": hashlib.sha256(data).hexdigest(),
         "network_mb": round(size / 2**20, 3),
+        "save_peak_mb": round(save_peak / 2**20, 3),
+        "load_peak_mb": round(load_peak / 2**20, 3),
         **_summary("edge_list_load", csv_loads),
         "edge_list_bytes": len(csv_data),
         "edge_list_sha256": hashlib.sha256(csv_data).hexdigest(),
@@ -125,17 +130,22 @@ def measure(network: str, net, directory: Path) -> dict:
     }
 
 
-def network_size(path: Path) -> int:
-    """Bytes still allocated, by ``tracemalloc``, once ``load_network_json``
-    has returned the network at ``path``: the size of the network it holds."""
+def traced_round_trip(net, path: Path) -> tuple[int, int, int]:
+    """One ``save_network_json`` of ``net`` to ``path`` and one
+    ``load_network_json`` of it under ``tracemalloc``: the bytes the loaded
+    network holds once the load has returned, and the peak bytes of the
+    save and of the load, each over what was allocated when it began."""
     tracemalloc.start()
     try:
-        net = load_network_json(path)
-        size, _ = tracemalloc.get_traced_memory()
+        save_network_json(net, path)
+        start, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        loaded = load_network_json(path)
+        end, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del net
-    return size
+    del loaded
+    return end - start, save_peak, load_peak - start
 
 
 def write_feed(directory: Path, routes: int = GTFS_ROUTES) -> Path:

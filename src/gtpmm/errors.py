@@ -9,7 +9,8 @@ class GtpError(Exception):
 
 class ConfigurationError(GtpError):
     """Invalid or inconsistent configuration (fares, modes, category sizing);
-    ``edge`` is the index of the edge at fault in the edges priced, when one is."""
+    ``edge`` is the index of the edge at fault in the edges added or priced,
+    when one is."""
 
     def __init__(self, message: str, *, edge: int | None = None):
         super().__init__(message)

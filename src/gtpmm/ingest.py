@@ -23,18 +23,22 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .errors import ConfigurationError, ParseError
 from .network import (
     _CENT,
     _RATE_QUANTUM,
+    _measures_valid,
     FarePolicy,
     FareTable,
     MultiModalNetwork,
     NetworkBuilder,
+    TransitEdge,
     haversine_m,
 )
 from .rng import SplitMix64
@@ -56,10 +60,12 @@ ROUTE_TYPE_MODES: dict[int, str] = {
 FARE_STRATEGIES = ("low", "high", "mid", "seeded-uniform")
 
 
-def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterator[tuple[int, list[str]]]:
+def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterator[tuple[int, tuple[str, ...]]]:
     """The records of the CSV file at ``path`` as ``(line, cells)``: the
-    line a record starts on, and its cells under ``columns``, in that order
-    and stripped of surrounding whitespace.
+    line a record starts on, and its cells under ``columns`` (two or more),
+    in that order and as read. ``int()``, ``float()`` and ``Decimal()``
+    ignore surrounding whitespace, so a caller strips only the cells it
+    reads as text.
 
     The file is read as UTF-8 (a byte-order mark is tolerated). Its header
     must be ``columns`` exactly when ``exact``, and otherwise hold each of
@@ -78,7 +84,7 @@ def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterat
             missing = [column for column in columns if column not in positions]
             if missing:
                 raise ParseError(f"missing columns {missing}", file=str(path), line=1)
-            picks = [positions[column] for column in columns]
+            pick = itemgetter(*(positions[column] for column in columns))
             width, last = len(header), reader.line_num
             for row in reader:
                 line, last = last + 1, reader.line_num
@@ -86,7 +92,7 @@ def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterat
                     if not row or (len(row) == 1 and not row[0].strip()):
                         continue
                     raise ParseError(f"expected {width} columns, got {len(row)}", file=str(path), line=line)
-                yield line, [row[index].strip() for index in picks]
+                yield line, pick(row)
     except UnicodeDecodeError:
         raise ParseError("file is not UTF-8 text", file=str(path)) from None
     except OSError as error:
@@ -95,13 +101,26 @@ def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterat
         raise ParseError(f"malformed CSV: {error}", file=str(path), line=reader.line_num) from None
 
 
+def _columns(rows: list[tuple], width: int) -> list[list]:
+    """The ``width`` columns of ``rows``, each read at C speed by one
+    ``itemgetter`` (``zip(*rows)`` would make and track an iterator per
+    row, and so run the garbage collector many more times)."""
+    return [list(map(itemgetter(index), rows)) for index in range(width)]
+
+
 def read_json(path: str | Path, kind: str) -> object:
     """The JSON document in the ``kind`` file at ``path``; invalid JSON,
     text that is not UTF-8, a number of more digits than ``int`` converts,
     nesting deeper than the decoder recurses and an unreadable file raise
     :class:`ParseError` naming the file, and the line for invalid JSON."""
+    return _read_json(path, kind, None)
+
+
+def _read_json(path: str | Path, kind: str, object_hook: Callable[[dict], object] | None) -> object:
+    """:func:`read_json`, with each JSON object decoded through
+    ``object_hook`` when it is given."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
     except json.JSONDecodeError as error:
         raise ParseError(f"invalid JSON: {error.msg}", file=str(path), line=error.lineno) from None
     except UnicodeDecodeError:
@@ -133,7 +152,8 @@ def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Dec
     finest quantum :func:`resolve_fares` rounds to, within the decimal
     context's precision; then so does every value a strategy picks.
     """
-    raw = text.strip().lstrip("~")
+    text = text.strip()
+    raw = text.lstrip("~")
     parts = raw.split("-") if "-" in raw else [raw, raw]
     if len(parts) != 2:
         raise ParseError(f"cannot parse money range {text!r}", file=file, line=line)
@@ -161,6 +181,7 @@ def load_fare_config(path: str | Path) -> list[FareRange]:
     ranges: list[FareRange] = []
     seen: set[str] = set()
     for line, (mode, base_fare, per_meter, per_minute, strategy) in _csv_records(path, FARE_CONFIG_HEADER, exact=True):
+        mode, strategy = mode.strip(), strategy.strip()
         if not mode:
             raise ParseError("empty mode name", file=str(path), line=line)
         if mode in seen:
@@ -227,6 +248,7 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
     rows: list[tuple[int, str, str, str, float, float]] = []
     externals: set[str] = set()
     for line, (u, v, mode, distance_text, time_text) in _csv_records(path, EDGE_LIST_HEADER, exact=True):
+        u, v, mode = u.strip(), v.strip(), mode.strip()
         try:
             distance = float(distance_text)
             time = float(time_text)
@@ -237,13 +259,19 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
 
     builder = NetworkBuilder()
     ids = {external: builder.add_poi(external) for external in sorted(externals)}
+    lines, us, vs, names, distances, times = _columns(rows, 6)
+    mode_ids = {name: mode for mode, name in enumerate(fare_table.names)}
+    modes = [mode_ids.get(name) for name in names]
+    known = modes.index(None) if None in modes else len(modes)  # the rows before the first unknown mode
     try:
-        for line, u, v, mode, distance, time in rows:
-            builder.add_edge(ids[u], ids[v], fare_table.id_of(mode), distance, time)
+        builder.add_edges(
+            [ids[u] for u in us[:known]], [ids[v] for v in vs[:known]], modes[:known], distances[:known], times[:known]
+        )
+        if known < len(modes):  # every row before it passed
+            fare_table.id_of(names[known])  # raises, naming the mode
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # edge ids follow the rows
-        line = line if error.edge is None else rows[error.edge][0]
-        raise ParseError(str(error), file=str(path), line=line) from None
+        raise ParseError(str(error), file=str(path), line=lines[known if error.edge is None else error.edge]) from None
 
 
 def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
@@ -293,8 +321,10 @@ class GtfsFeed:
 
 
 def _parse_gtfs_time(text: str, *, file: str, line: int) -> float:
-    """``HH:MM:SS`` to minutes since midnight; hours may exceed 24."""
-    parts = text.strip().split(":")
+    """``HH:MM:SS``, with surrounding whitespace, to minutes since
+    midnight; hours may exceed 24."""
+    text = text.strip()
+    parts = text.split(":")
     if len(parts) != 3:
         raise ParseError(f"cannot parse time {text!r}", file=file, line=line)
     try:
@@ -324,6 +354,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     for line, (stop_id, name, lat_text, lon_text) in _csv_records(
         path, ("stop_id", "stop_name", "stop_lat", "stop_lon"), exact=False
     ):
+        stop_id, name = stop_id.strip(), name.strip()
         if stop_id in feed.stops:
             raise ParseError(f"duplicate stop_id {stop_id!r}", file=file, line=line)
         try:
@@ -335,6 +366,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     path = directory / "routes.txt"
     file = str(path)
     for line, (route_id, route_type_text) in _csv_records(path, ("route_id", "route_type"), exact=False):
+        route_id = route_id.strip()
         try:
             route_type = int(route_type_text)
         except ValueError:
@@ -346,16 +378,18 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     path = directory / "trips.txt"
     file = str(path)
     for line, (route_id, trip_id) in _csv_records(path, ("route_id", "trip_id"), exact=False):
+        route_id, trip_id = route_id.strip(), trip_id.strip()
         if route_id not in feed.route_types:
             raise ParseError(f"trip references unknown route {route_id!r}", file=file, line=line)
         feed.trip_routes[trip_id] = route_id
 
     path = directory / "stop_times.txt"
     file = str(path)
-    minutes: dict[str, float] = {}  # time text -> its minutes, parsed at the first line holding it
+    minutes: dict[str, float] = {}  # time cell -> its minutes, parsed at the first line holding it
     for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
         path, ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence"), exact=False
     ):
+        trip_id, stop_id = trip_id.strip(), stop_id.strip()
         if trip_id not in feed.trip_routes:
             raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=file, line=line)
         if stop_id not in feed.stops:
@@ -423,8 +457,9 @@ def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork
                 if key not in best or minutes < best[key][0]:
                     best[key] = (minutes, current.line)
         edges = sorted(best.items())
-        for (u, v, mode), (minutes, line) in edges:
-            builder.add_edge(u, v, mode, haversine_m(coords[u], coords[v]), minutes)
+        us, vs, modes = _columns([key for key, _ in edges], 3)
+        distances = [haversine_m(coords[u], coords[v]) for u, v in zip(us, vs)]
+        builder.add_edges(us, vs, modes, distances, [minutes for _, (minutes, _) in edges])
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # a trip's mode, or an edge's cost; edge ids follow the sorted edges
         line = line if error.edge is None else edges[error.edge][1][1]
@@ -461,20 +496,29 @@ def _template(value: dict | list, indent: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + indent).replace(json.dumps(_SLOT), "%s")
 
 
-def _json_list(records: list[str]) -> str:
-    """A list of records written at the second level, as ``json.dumps``
-    writes it with ``indent=2``."""
-    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
-
-
 _SLOT = "\0"  # a value no template's keys contain
 _NETWORK = _template(dict.fromkeys(("modes", "pois", "edges"), _SLOT), "")
 _MODE_RECORD = _template(
     dict.fromkeys(("name", "base_fare_cents", "cost_per_meter_cents", "cost_per_minute_cents"), _SLOT), "    "
 )
 _POI_RECORD = _template(dict.fromkeys(("external_id", "name", "category", "coords"), _SLOT), "    ")
-_EDGE_RECORD = _template(dict.fromkeys(("u", "v", "mode", "distance_m", "time_min"), _SLOT), "    ")
+_EDGE_RECORD = _template(dict.fromkeys(TransitEdge._fields, _SLOT), "    ")
 _COORDS = _template([_SLOT, _SLOT], "      ")
+_CHUNK = 1024  # records per write
+
+
+def _write_list(handle: TextIO, records: Iterator[str]) -> None:
+    """Write a list of records at the second level, as ``json.dumps``
+    writes it with ``indent=2``, :data:`_CHUNK` records at a time."""
+    chunk = list(islice(records, _CHUNK))
+    if not chunk:
+        handle.write("[]")
+        return
+    handle.write("[\n    ")
+    while chunk:
+        handle.write(",\n    ".join(chunk))
+        chunk = list(islice(records, _CHUNK))
+        handle.write(",\n    " if chunk else "\n  ]")
 
 
 def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
@@ -482,15 +526,17 @@ def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
 
     The file holds ``{"modes": [...], "pois": [...], "edges": [...]}`` as
     ``json.dumps`` writes it with ``indent=2``, and a newline; each record
-    is filled into one fixed template.
+    is filled into one fixed template (an edge's by ``%s`` alone when
+    :func:`_plain_edges` allows), and the records are written
+    :data:`_CHUNK` at a time, so the file's text is never held whole.
     """
     fares = net.fare_table
-    modes = [
+    modes = (
         _MODE_RECORD
         % tuple(map(_json_value, (name, policy.base_fare, str(policy.cost_per_meter), str(policy.cost_per_minute))))
         for name, policy in zip(fares.names, fares.policies)
-    ]
-    pois = [
+    )
+    pois = (
         _POI_RECORD
         % (
             _json_value(poi.external_id),
@@ -499,20 +545,63 @@ def save_network_json(net: MultiModalNetwork, path: str | Path) -> None:
             _COORDS % (_json_value(poi.coords[0]), _json_value(poi.coords[1])) if poi.coords else "null",
         )
         for poi in net.pois
-    ]
-    edges = [
-        _EDGE_RECORD
-        % (_json_value(e.u), _json_value(e.v), _json_value(e.mode), _json_value(e.distance_m), _json_value(e.time_min))
-        for e in net.edges
-    ]
-    text = _NETWORK % (_json_list(modes), _json_list(pois), _json_list(edges))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    )
+    edges = (
+        map(_EDGE_RECORD.__mod__, net.edges)
+        if _plain_edges(net.edges)
+        else (_EDGE_RECORD % tuple(map(_json_value, edge)) for edge in net.edges)
+    )
+    head, after_modes, after_pois, tail = _NETWORK.split("%s")
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for text, records in ((head, modes), (after_modes, pois), (after_pois, edges)):
+            handle.write(text)
+            _write_list(handle, records)
+        handle.write(tail + "\n")
+
+
+def _plain_edges(edges: tuple[TransitEdge, ...]) -> bool:
+    """Whether ``%s`` writes each field of ``edges`` as :func:`_json_value`
+    does, so that their records fill the template at C speed: when every
+    ``u``, ``v`` and ``mode`` is an ``int`` of exact type and every
+    distance and time passes the builder's check, as on any network a
+    builder made."""
+    if not edges:
+        return True
+    ids = chain.from_iterable(map(itemgetter(0, 1, 2), edges))
+    return {*map(type, ids)} <= {int} and all(_measures_valid(tuple(map(itemgetter(i), edges))) for i in (3, 4))
+
+
+_edge_values = itemgetter(*TransitEdge._fields)
+
+
+def _edge_row(entry: dict) -> dict | tuple:
+    """The JSON decoder's object hook: an object whose five keys are an
+    edge record's as the tuple of its values, in :class:`TransitEdge`
+    field order, which takes a fraction of the dict's memory; any other
+    object as it is."""
+    if len(entry) == len(TransitEdge._fields):
+        try:
+            return _edge_values(entry)
+        except KeyError:  # five keys, not all of them an edge's
+            pass
+    return entry
+
+
+def _as_object(entry: object) -> object:
+    """``entry``, or the object :func:`_edge_row` made a tuple of: a mode,
+    a PoI or the document that happens to hold exactly an edge record's
+    keys, read as the dict it was."""
+    return dict(zip(TransitEdge._fields, entry)) if type(entry) is tuple else entry
 
 
 def load_network_json(path: str | Path) -> MultiModalNetwork:
-    """Load a network serialized by :func:`save_network_json`."""
+    """Load a network serialized by :func:`save_network_json`.
+
+    Each edge record is decoded straight to the tuple of its values, and
+    the edges enter the builder by one :meth:`NetworkBuilder.add_edges`.
+    """
     path = Path(path)
-    document = read_json(path, "network")
+    document = _as_object(_read_json(path, "network", _edge_row))
 
     if not isinstance(document, dict):
         raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))
@@ -521,7 +610,7 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
             raise ParseError(f"a network needs a list under {key!r}", file=str(path))
 
     pairs = []
-    for index, entry in enumerate(document["modes"]):
+    for index, entry in enumerate(map(_as_object, document["modes"])):
         try:
             policy = FarePolicy(entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"])
             pairs.append((entry["name"], policy))
@@ -533,21 +622,37 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
         raise ParseError(f"modes: {error}", file=str(path)) from None
 
     builder = NetworkBuilder(allow_self_loops=True)  # save_network_json writes any network, self-loops too
-    for index, poi in enumerate(document["pois"]):
+    for index, poi in enumerate(map(_as_object, document["pois"])):
         try:
             external_id, name = poi["external_id"], poi.get("name", "")
             builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
         except (KeyError, TypeError, ConfigurationError) as error:
             raise _malformed(path, f"pois[{index}]", error) from None
-    for index, edge in enumerate(document["edges"]):
-        try:
-            builder.add_edge(edge["u"], edge["v"], edge["mode"], edge["distance_m"], edge["time_min"])
-        except (KeyError, TypeError, ConfigurationError) as error:
-            raise _malformed(path, f"edges[{index}]", error) from None
+    _add_edge_rows(builder, document.pop("edges"), path)  # the rows are dropped once the edges hold their values
     try:
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # an edge's mode or cost; its id is its index in 'edges'
         raise ParseError(f"edges[{error.edge}]: {error}", file=str(path)) from None
+
+
+def _add_edge_rows(builder: NetworkBuilder, rows: list, path: Path) -> None:
+    """Add a network file's decoded ``edges``, edge rows and, for a record
+    with keys beyond an edge's, dicts, by one
+    :meth:`NetworkBuilder.add_edges`; the first entry at fault raises
+    :class:`ParseError` naming it by its index."""
+    if {*map(type, rows)} - {tuple}:
+        for index, entry in enumerate(rows):
+            if type(entry) is tuple:
+                continue
+            try:
+                rows[index] = _edge_values(entry)
+            except (KeyError, TypeError) as error:
+                _add_edge_rows(builder, rows[:index], path)  # a fault of an earlier edge comes first
+                raise _malformed(path, f"edges[{index}]", error) from None
+    try:
+        builder.add_edges(*_columns(rows, len(TransitEdge._fields)))
+    except ConfigurationError as error:
+        raise _malformed(path, f"edges[{error.edge}]", error) from None
 
 
 def _malformed(path: Path, element: str, error: Exception) -> ParseError:

@@ -21,8 +21,8 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import eq, itemgetter, sub
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigurationError
 
@@ -37,7 +37,7 @@ EARTH_RADIUS_M = 6371_000.0
 LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
 BOUND_SHARE = 10  # a search uses the bounds only when its targets' band is at most 1/BOUND_SHARE of its reach
 
-_REAL = (int, float)  # the exact types of an edge's distance and time
+_REAL = frozenset((int, float))  # the exact types of an edge's distance and time and of a coordinate
 _FLOAT_MAX = sys.float_info.max
 
 REPAIR_MODE = "UN"  # fare-table name of the edges connect_components adds
@@ -155,10 +155,10 @@ class Poi:
     coords: tuple[float, float] | None = None  # (lat, lon) degrees
 
 
-@dataclass(frozen=True)
-class TransitEdge:
+class TransitEdge(NamedTuple):
     """Undirected edge between two PoIs for a single transport mode. Its id
-    is its position in :attr:`MultiModalNetwork.edges`."""
+    is its position in :attr:`MultiModalNetwork.edges`. A named tuple, so it
+    compares equal to the plain tuple ``(u, v, mode, distance_m, time_min)``."""
 
     u: int
     v: int
@@ -170,16 +170,38 @@ class TransitEdge:
         return self.v if poi == self.u else self.u
 
 
-def _transit_edge(u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> TransitEdge:
-    """The edge, once its distance and time are each an ``int`` (not a bool)
-    or a ``float`` (not a subclass), finite and nonnegative: the one check
-    for edges from :class:`NetworkBuilder` and from
-    :func:`connect_components`, which adds its edges without a builder."""
+def _measure_fault(u: int, v: int, distance_m: float, time_min: float) -> str | None:
+    """Why an edge's distance or time is invalid, or None when each is an
+    ``int`` (not a bool) or a ``float`` (not a subclass), finite and
+    nonnegative."""
     # a NaN fails both comparisons; an infinity, or an int too large for a float, the second
     if not (type(distance_m) in _REAL and 0 <= distance_m <= _FLOAT_MAX):
-        raise ConfigurationError(f"edge ({u}, {v}) has invalid distance {distance_m}")
+        return f"edge ({u}, {v}) has invalid distance {distance_m}"
     if not (type(time_min) in _REAL and 0 <= time_min <= _FLOAT_MAX):
-        raise ConfigurationError(f"edge ({u}, {v}) has invalid time {time_min}")
+        return f"edge ({u}, {v}) has invalid time {time_min}"
+    return None
+
+
+def _measures_valid(column: Sequence[float]) -> bool:
+    """Whether :func:`_measure_fault` passes every number of ``column``,
+    decided at C speed: a NaN first in the column makes ``min`` and ``max``
+    NaN, which fails both comparisons; any other NaN is skipped by them and
+    found by ``isnan``, which runs once every number fits a float."""
+    return (
+        {*map(type, column)} <= _REAL
+        and 0 <= min(column)
+        and max(column) <= _FLOAT_MAX
+        and not any(map(math.isnan, column))
+    )
+
+
+def _transit_edge(u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> TransitEdge:
+    """The edge, once :func:`_measure_fault` passes its distance and time:
+    the check of the edges :func:`connect_components` adds without a
+    builder."""
+    fault = _measure_fault(u, v, distance_m, time_min)
+    if fault is not None:
+        raise ConfigurationError(fault)
     return TransitEdge(u, v, mode, distance_m, time_min)
 
 
@@ -213,13 +235,14 @@ def _edge_costs(edges: Iterable[TransitEdge], fares: FareTable) -> list[Money]:
     Each mode's rates are read once per call, and each distinct distance or
     time is converted to a decimal once per call (a number equal to one
     already converted, such as ``3`` after ``3.0``, takes that decimal,
-    which has the same value), so each cost is the edge's own.
+    which has the same value), so each cost is the edge's own. Equal costs
+    are one ``int`` object.
     """
-    rates = [(policy.base_fare, policy.cost_per_minute, policy.cost_per_meter) for policy in fares.policies]
+    rates = [(Decimal(policy.base_fare), policy.cost_per_minute, policy.cost_per_meter) for policy in fares.policies]
     decimals: dict[float, Decimal] = {}
+    shared: dict[Money, Money] = {}
     costs: list[Money] = []
-    for index, edge in enumerate(edges):
-        mode, time_min, distance_m = edge.mode, edge.time_min, edge.distance_m
+    for index, (u, v, mode, distance_m, time_min) in enumerate(edges):
         if not 0 <= mode < len(rates):
             raise ConfigurationError(f"no fare policy for mode id {mode}", edge=index)
         base, per_minute, per_meter = rates[mode]
@@ -231,10 +254,11 @@ def _edge_costs(edges: Iterable[TransitEdge], fares: FareTable) -> list[Money]:
             meters = decimals[distance_m] = _as_decimal(distance_m)
         total = base + per_minute * minutes + per_meter * meters
         try:
-            costs.append(int(total.quantize(_CENT, rounding=ROUND_HALF_UP)))
+            cost = int(total.quantize(_CENT, rounding=ROUND_HALF_UP))
         except InvalidOperation:
-            message = f"edge ({edge.u}, {edge.v}) costs {total:.3e} cents, too many to hold"
+            message = f"edge ({u}, {v}) costs {total:.3e} cents, too many to hold"
             raise ConfigurationError(message, edge=index) from None
+        costs.append(shared.setdefault(cost, cost))
     return costs
 
 
@@ -371,15 +395,23 @@ class NetworkBuilder:
     """Single-writer accumulator; ``finalize`` prices and freezes.
 
     The one place a network's input is checked: :meth:`add_poi` and
-    :meth:`add_edge` reject a field of the wrong type or range, and
+    :meth:`add_edges` reject a field of the wrong type or range, and
     ``finalize`` an edge whose mode has no fare policy or whose cost does not
     fit, with the edge's id as the error's ``edge``. The file loaders only
     parse, and name the file and record of a rejected value.
+
+    Equal values are kept as one object: each PoI id is one ``int``, which
+    every edge at that PoI holds as ``u`` or ``v``, and each distinct
+    distance or time is one number per type and sign, so ``3`` and ``3.0``
+    stay apart, as do ``0.0`` and ``-0.0``.
     """
 
     def __init__(self, allow_self_loops: bool = False):
         self._pois: list[Poi] = []
+        self._ids: list[int] = []  # the one int object of each PoI id
         self._edges: list[TransitEdge] = []
+        self._numbers: dict[type, dict[float, float]] = {int: {}, float: {}}  # the one object per type and value
+        self._zeros: dict[float, float] = {}  # the one zero float per sign, by copysign(1.0, zero)
         self._external_ids: set[str] = set()
         self._allow_self_loops = allow_self_loops
 
@@ -396,25 +428,115 @@ class NetworkBuilder:
         if category is not None and (type(category) is not int or category < 0):  # not a bool, float or NaN
             raise ConfigurationError("category must be null or a nonnegative integer")
         if coords is not None:
-            numbers = isinstance(coords, (list, tuple)) and len(coords) == 2 and {type(x) for x in coords} <= {int, float}
+            numbers = isinstance(coords, (list, tuple)) and len(coords) == 2 and {*map(type, coords)} <= _REAL
             if not (numbers and -90 <= coords[0] <= 90 and -180 <= coords[1] <= 180):  # also rejects NaN and infinities
                 raise ConfigurationError("coords must be null or [lat, lon] in degrees")
             coords = tuple(coords)
         if external_id in self._external_ids:
             raise ConfigurationError(f"duplicate external_id {external_id!r}")
         self._external_ids.add(external_id)
+        poi_id = len(self._pois)
         self._pois.append(Poi(external_id, name or external_id, category, coords))
-        return len(self._pois) - 1
+        self._ids.append(poi_id)
+        return poi_id
 
     def add_edge(self, u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> int:
-        if type(u) is not int or type(v) is not int or type(mode) is not int or mode < 0:  # not a bool or float
-            raise ConfigurationError("u and v must be PoI ids and mode a mode id")
-        if not (0 <= u < len(self._pois) and 0 <= v < len(self._pois)):
-            raise ConfigurationError(f"edge endpoints ({u}, {v}) reference unknown PoIs")
-        if u == v and not self._allow_self_loops:
-            raise ConfigurationError(f"self-loop at PoI {u} ({self._pois[u].external_id!r}) rejected")
-        self._edges.append(_transit_edge(u, v, mode, distance_m, time_min))
+        """:meth:`add_edges` of the one edge, checked by :meth:`_edge_fault`
+        alone: its id. A rejected edge raises with ``edge`` 0."""
+        fault = self._edge_fault(u, v, mode, distance_m, time_min)
+        if fault is not None:
+            raise ConfigurationError(fault, edge=0)
+        ids = self._ids
+        self._edges.append(TransitEdge(ids[u], ids[v], mode, self._number(distance_m), self._number(time_min)))
         return len(self._edges) - 1
+
+    def add_edges(
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        modes: Sequence[ModeId],
+        distances_m: Sequence[float],
+        times_min: Sequence[float],
+    ) -> range:
+        """Add one edge per position of the five columns, which must be of
+        one length; the range of the new edges' ids.
+
+        Each edge must pass :meth:`_edge_fault`, the one edge check. The
+        columns are first checked whole, at C speed: their types as a set,
+        their least and greatest values and, for distance and time, NaN.
+        Only when that finds a fault does each edge run the check, and the
+        first that fails raises :class:`ConfigurationError` with the check's
+        message and its index in the columns as ``edge``; then no edge is
+        added.
+        """
+        columns = (us, vs, modes, distances_m, times_min)
+        if len({*map(len, columns)}) > 1:
+            raise ConfigurationError("edge columns must be of one length")
+        if not self._all_valid(*columns):
+            for index, row in enumerate(zip(*columns)):
+                fault = self._edge_fault(*row)
+                if fault is not None:
+                    raise ConfigurationError(fault, edge=index)
+        ids = self._ids.__getitem__
+        start = len(self._edges)
+        distances_m, times_min = self._shared(distances_m), self._shared(times_min)
+        rows = zip(map(ids, us), map(ids, vs), modes, distances_m, times_min)
+        self._edges.extend(map(tuple.__new__, repeat(TransitEdge), rows))  # TransitEdge(*row), at C speed
+        return range(start, len(self._edges))
+
+    def _edge_fault(self, u: int, v: int, mode: ModeId, distance_m: float, time_min: float) -> str | None:
+        """Why the edge cannot be added, or None: ``u`` and ``v`` must be
+        ``int`` ids (not bools) of PoIs added so far, distinct unless the
+        builder allows self-loops, ``mode`` a nonnegative ``int``, and the
+        distance and time must pass :func:`_measure_fault`."""
+        if type(u) is not int or type(v) is not int or type(mode) is not int or mode < 0:  # not a bool or float
+            return "u and v must be PoI ids and mode a mode id"
+        if not (0 <= u < len(self._pois) and 0 <= v < len(self._pois)):
+            return f"edge endpoints ({u}, {v}) reference unknown PoIs"
+        if u == v and not self._allow_self_loops:
+            return f"self-loop at PoI {u} ({self._pois[u].external_id!r}) rejected"
+        return _measure_fault(u, v, distance_m, time_min)
+
+    def _all_valid(
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        modes: Sequence[ModeId],
+        distances_m: Sequence[float],
+        times_min: Sequence[float],
+    ) -> bool:
+        """Whether :meth:`_edge_fault` passes every edge of the columns,
+        decided a column at a time at C speed."""
+        if not us:
+            return True
+        count = len(self._pois)
+        return (
+            {*map(type, us), *map(type, vs), *map(type, modes)} == {int}
+            and min(us) >= 0
+            and min(vs) >= 0
+            and min(modes) >= 0
+            and max(us) < count
+            and max(vs) < count
+            and (self._allow_self_loops or not any(map(eq, us, vs)))
+            and _measures_valid(distances_m)
+            and _measures_valid(times_min)
+        )
+
+    def _number(self, x: float) -> float:
+        """The one object the builder keeps for ``x``'s type and value, and
+        for a zero float its sign (as ``0.0 == -0.0``, a table by value
+        would merge the two)."""
+        if x == 0 and type(x) is float:
+            return self._zeros.setdefault(math.copysign(1.0, x), x)
+        return self._numbers[type(x)].setdefault(x, x)
+
+    def _shared(self, column: Sequence[float]) -> list[float]:
+        """:meth:`_number` of each number of ``column``, at C speed when the
+        column holds one type and no zero."""
+        kinds = {*map(type, column)}
+        if len(kinds) != 1 or 0 in column:
+            return list(map(self._number, column))
+        return list(map(self._numbers[kinds.pop()].setdefault, column, column))
 
     def finalize(self, fare_table: FareTable) -> MultiModalNetwork:
         return MultiModalNetwork(

@@ -46,6 +46,8 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
         "bytes",
         "sha256",
         "network_mb",
+        "save_peak_mb",
+        "load_peak_mb",
         "edge_list_load_s",
         "edge_list_load_p25_s",
         "edge_list_load_p75_s",
@@ -60,6 +62,8 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
     assert row["edge_list_load_p25_s"] <= row["edge_list_load_s"] <= row["edge_list_load_p75_s"]
     assert 0 < row["network_mb"] < 1  # 64 PoIs and their edges, not the whole process
+    assert row["network_mb"] < row["load_peak_mb"] < 1  # the load holds more than the network it returns
+    assert 0 < row["save_peak_mb"] < 1
     assert not tracemalloc.is_tracing()
     data = (tmp_path / "road.csv").read_bytes()
     assert (row["edge_list_bytes"], row["edge_list_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())

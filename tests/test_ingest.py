@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import re
 import shutil
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -23,9 +26,9 @@ from gtpmm import (
     resolve_fares,
     save_network_json,
 )
-from gtpmm.fixtures import default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
+from gtpmm.fixtures import data_path, default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
 from gtpmm.ingest import FARE_STRATEGIES, _csv_records, _json_value, _parse_gtfs_time, parse_gtfs, save_edge_list
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
+from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, TransitEdge
 from gtpmm.synth import random_network, road_network
 
 
@@ -294,6 +297,19 @@ def odd_values_network():
     return builder.finalize(walkthrough_fare_table())
 
 
+class Meters(float):
+    def __str__(self):
+        return "a float subclass"
+
+
+def unchecked_edge_network(*fields):
+    """The odd-values network and one edge no builder accepts, put in place
+    by ``dataclasses.replace``: its record cannot be filled by ``%s``
+    alone."""
+    net = odd_values_network()
+    return replace(net, edges=(*net.edges, TransitEdge(*fields)), edge_costs=(*net.edge_costs, 0))
+
+
 def edgeless_network():
     builder = NetworkBuilder()
     builder.add_poi("a")
@@ -309,6 +325,12 @@ WRITTEN_NETWORKS = {
     "empty": lambda: NetworkBuilder().finalize(FareTable((), ())),
     "edgeless": edgeless_network,
     "odd-values": odd_values_network,
+    "boolean-mode": lambda: unchecked_edge_network(0, 1, True, 1.5, 2),
+    "boolean-u": lambda: unchecked_edge_network(False, 1, 0, 1.5, 2),
+    "nan-distance": lambda: unchecked_edge_network(1, 2, 0, math.nan, 2),
+    "infinite-time": lambda: unchecked_edge_network(0, 2, 0, 1.0, math.inf),
+    "float-subclass-distance": lambda: unchecked_edge_network(2, 0, 1, Meters(2.5), 1),
+    "float-subclass-time": lambda: unchecked_edge_network(2, 0, 1, 2.5, Meters(1)),
     "gtfs": lambda: load_gtfs(gtfs_minimal_dir(), resolve_fares(default_fare_ranges(), "low")),
 }
 
@@ -319,6 +341,51 @@ def test_network_json_is_the_indented_json_dump(tmp_path, case):
     out = tmp_path / "net.json"
     save_network_json(net, out)
     assert out.read_bytes() == reference_network_text(net).encode("utf-8")
+
+
+def test_shared_numbers_keep_their_type_and_sign_through_a_round_trip(tmp_path):
+    """The builder keeps one object per type and value, and per sign for a
+    zero: ``3`` and ``3.0``, ``0.0`` and ``-0.0`` each stay two."""
+    builder = NetworkBuilder()
+    for i in range(3):
+        builder.add_poi(f"n{i}")
+    rows = [(0, 1, 0, 3, 3.0), (1, 2, 0, 3.0, 3), (0, 2, 0, 0.0, -0.0), (0, 1, 1, -0.0, 0.0), (1, 2, 1, 3, 0)]
+    builder.add_edges(*zip(*rows))
+    builder.add_edge(0, 1, 2, -0.0, 3)
+    net = builder.finalize(walkthrough_fare_table())
+    out = tmp_path / "net.json"
+    save_network_json(net, out)
+    assert out.read_text(encoding="utf-8") == reference_network_text(net)
+    loaded = load_network_json(out)
+    assert loaded == net
+    expected = [tuple(map(repr, row)) for row in [*rows, (0, 1, 2, -0.0, 3)]]
+    assert [tuple(map(repr, edge)) for edge in net.edges] == expected
+    assert [tuple(map(repr, edge)) for edge in loaded.edges] == expected
+
+
+@pytest.mark.parametrize("build", [lambda: road_network(1, 8), odd_values_network], ids=["road-8", "odd-values"])
+def test_a_loaded_network_holds_one_object_per_id_number_and_cost(tmp_path, build):
+    out = tmp_path / "net.json"
+    save_network_json(build(), out)
+    net = load_network_json(out)
+    ids, numbers, costs = {}, {}, {}
+    for edge, cost in zip(net.edges, net.edge_costs):
+        assert ids.setdefault(edge.u, edge.u) is edge.u and ids.setdefault(edge.v, edge.v) is edge.v
+        for number in (edge.distance_m, edge.time_min):
+            key = (type(number), number, math.copysign(1, number))
+            assert numbers.setdefault(key, number) is number
+        assert costs.setdefault(cost, cost) is cost
+    assert net.edge_count > len(costs)
+
+
+def test_an_edge_record_with_another_key_loads(tmp_path, walkthrough_net):
+    out = tmp_path / "net.json"
+    save_network_json(walkthrough_net, out)
+    document = json.loads(out.read_text())
+    document["edges"][2]["note"] = "extra"
+    document["edges"][5] = {"time_min": document["edges"][5].pop("time_min"), **document["edges"][5], "u2": None}
+    out.write_text(json.dumps(document))
+    assert load_network_json(out) == walkthrough_net
 
 
 @pytest.mark.parametrize("value", ["", None, 0, -0.0, 1e300, True, float("nan"), "ü\u2028\0"])
@@ -343,6 +410,17 @@ def _set(section, index, key, value):
 def _duplicate_external_id(document):
     document["pois"][4]["external_id"] = document["pois"][2]["external_id"]
     return document
+
+
+EDGE_KEYED = {"u": 0, "v": 1, "mode": 0, "distance_m": 1.0, "time_min": 2.0}
+
+
+def _replace(section, index, value):
+    def mutate(document):
+        document[section][index] = value
+        return document
+
+    return mutate
 
 
 def _priced_distance(document):
@@ -405,6 +483,24 @@ MALFORMED_NETWORKS = {
     "negative-category": (_set("pois", 2, "category", -3), "pois[2]: category must be null or a nonnegative"),
     "float-category": (_set("pois", 3, "category", 1.0), "pois[3]: category must be"),
     "boolean-category": (_set("pois", 4, "category", False), "pois[4]: category must be"),
+    "edge-keyed-poi": (_replace("pois", 2, EDGE_KEYED), "pois[2]: missing key 'external_id'"),
+    "edge-keyed-mode": (_replace("modes", 1, EDGE_KEYED), "modes[1]: missing key 'base_fare_cents'"),
+    "edge-keyed-document": (lambda document: EDGE_KEYED, "a network needs a list under 'modes'"),
+    "edge-keyed-coords": (_set("pois", 1, "coords", EDGE_KEYED), "pois[1]: coords must be null or [lat, lon]"),
+    "list-edge": (_replace("edges", 3, [0, 1, 0, 1.0, 1.0]), "edges[3]: malformed entry or value"),
+    "extra-keyed-edge": (_replace("edges", 3, {**EDGE_KEYED, "time_min": None, "note": 1}), "edges[3]: edge (0, 1)"),
+    "edge-without-time": (
+        _replace("edges", 4, {"u": 0, "v": 1, "mode": 0, "distance_m": 1.0, "note": 1}),
+        "edges[4]: missing key 'time_min'",
+    ),
+    "bad-edge-before-a-keyless-one": (
+        lambda document: _set("edges", 1, "distance_m", -1.0)(_replace("edges", 4, {"note": 1})(document)),
+        "edges[1]: edge (0, 2) has invalid distance -1.0",
+    ),
+    "keyless-edge-before-a-bad-one": (
+        lambda document: _set("edges", 4, "distance_m", -1.0)(_replace("edges", 1, {"note": 1})(document)),
+        "edges[1]: missing key 'u'",
+    ),
 }
 
 
@@ -619,6 +715,60 @@ def test_hours_past_midnight_normalize(tmp_path):
     )
     net = load_gtfs(feed, gtfs_fares())
     assert [edge.time_min for edge in net.edges] == [30.0]
+
+
+# --- cells with surrounding whitespace ----------------------------------------------
+
+# file -> (a cell of the second line and a bad value for it, what its error says)
+CSV_FILES = {
+    "fares.csv": ((1, 1, "abc"), "fares.csv:2: cannot parse money range 'abc'"),
+    "edges.csv": ((1, 2, "Zeppelin"), "edges.csv:2: unknown transport mode 'Zeppelin'"),
+    "stops.txt": ((1, 2, "x"), "stops.txt:2: stop coordinates must be numeric"),
+    "routes.txt": ((1, 1, "99"), "routes.txt:2: unsupported route_type 99"),
+    "trips.txt": ((1, 0, "R9"), "trips.txt:2: trip references unknown route 'R9'"),
+    "stop_times.txt": ((1, 2, "09:60:00"), "stop_times.txt:2: time '09:60:00' out of range"),
+}
+PADDING = (" ", "\t", "\u00a0", " \u2003 ")  # each is whitespace to str.strip, int() and float()
+
+
+def csv_inputs(tmp_path):
+    """A fare config, an edge list and a GTFS feed in one directory, and
+    everything loaded from them."""
+    shutil.copytree(gtfs_minimal_dir(), tmp_path)
+    shutil.copy(data_path("walkthrough_fares.csv"), tmp_path / "fares.csv")
+    shutil.copy(data_path("walkthrough_edges.csv"), tmp_path / "edges.csv")
+
+    def load():
+        fares = resolve_fares(load_fare_config(tmp_path / "fares.csv"))
+        feed = parse_gtfs(tmp_path)
+        return fares, load_edge_list(tmp_path / "edges.csv", fares), feed, load_gtfs(tmp_path, gtfs_fares())
+
+    return tmp_path, load
+
+
+def rewrite_cells(path, change) -> None:
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    changed = [[change(line, column, cell) for column, cell in enumerate(row)] for line, row in enumerate(rows)]
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(changed)
+
+
+def pad(line, column, cell):
+    return PADDING[(line + column) % 4] + cell + PADDING[(line + 2 * column + 1) % 4]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FILES))
+def test_padded_cells_read_as_their_stripped_text(tmp_path, name):
+    directory, load = csv_inputs(tmp_path / "inputs")
+    plain = load()
+    rewrite_cells(directory / name, pad)
+    assert load() == plain
+    (row, column, bad), message = CSV_FILES[name]
+    rewrite_cells(directory / name, lambda line, at, cell: pad(line, at, bad) if (line, at) == (row, column) else cell)
+    with pytest.raises(ParseError) as excinfo:
+        load()
+    assert str(excinfo.value) == f"{directory / message}"
 
 
 # --- stop times against a per-row parse ------------------------------------------

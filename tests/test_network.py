@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import shutil
+import sys
 from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -12,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gtpmm.network
@@ -257,6 +258,112 @@ def test_edge_costs_raise_on_a_cost_that_does_not_fit():
     with pytest.raises(ConfigurationError, match=r"edge \(1, 2\) costs 3.000e\+30 cents") as excinfo:
         _edge_costs(net.edges, fares)
     assert excinfo.value.edge == 1
+
+
+# --- bulk edge intake -------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+VALID_MEASURES = st.one_of(
+    st.sampled_from([0, 3, 3.0, 0.0, -0.0, 5e-324, _FLOAT_MAX, int(_FLOAT_MAX)]),
+    st.floats(min_value=0, allow_infinity=False),
+    st.integers(0, 10**6),
+)
+ODD_IDS = st.sampled_from([True, False, 1.0, 2.0, -1, 4, 10**400, -(10**400), math.nan, None])
+ODD_MEASURES = st.one_of(
+    st.sampled_from([True, False, math.nan, math.inf, -math.inf, -1, -0.5, -(10**400)]),
+    st.sampled_from([2**1024, int(_FLOAT_MAX) + 1]),  # past what a float holds
+    st.sampled_from([None, "1", Fraction(1, 2), Decimal(1)]),
+    st.floats(),
+)
+
+
+@st.composite
+def edge_columns(draw):
+    """Five columns of up to eight edges between PoIs 0 to 3, mostly valid,
+    with up to three cells then set to a value of another type or range."""
+    ids = st.integers(0, 3)
+    rows = [
+        [draw(ids), draw(ids), draw(st.integers(0, 4)), draw(VALID_MEASURES), draw(VALID_MEASURES)]
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        column = draw(st.integers(0, 4))
+        draw(st.sampled_from(rows))[column] = draw(ODD_IDS if column < 3 else ODD_MEASURES)
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(5)]
+
+
+def columns_with(column: int, value: object) -> list[list]:
+    """Three valid edges, the second with ``value`` in ``column``."""
+    columns = [[0, 1, 2], [1, 2, 3], [0, 1, 2], [1.5, 2, 3.0], [1, 0.5, 2]]
+    columns[column][1] = value
+    return columns
+
+
+def four_poi_builder(allow_self_loops: bool) -> NetworkBuilder:
+    builder = NetworkBuilder(allow_self_loops=allow_self_loops)
+    for i in range(4):
+        builder.add_poi(f"n{i}")
+    return builder
+
+
+def written(builder: NetworkBuilder, fares: FareTable) -> list[tuple[str, ...]] | tuple[str, int]:
+    """Each edge's fields by their repr, which tells ``3`` from ``3.0`` and
+    ``0.0`` from ``-0.0``, or the message and edge of the error that
+    ``finalize`` raises (a mode id past the fare table's)."""
+    try:
+        return [tuple(map(repr, edge)) for edge in builder.finalize(fares).edges]
+    except ConfigurationError as error:
+        return str(error), error.edge
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns=edge_columns(), allow_self_loops=st.booleans())
+@example(columns=columns_with(3, math.nan), allow_self_loops=False)  # min and max skip a NaN past the first
+@example(columns=columns_with(4, math.inf), allow_self_loops=False)
+@example(columns=columns_with(4, 2**1024), allow_self_loops=False)  # past what a float holds
+@example(columns=columns_with(3, -0.0), allow_self_loops=False)
+@example(columns=columns_with(0, -1), allow_self_loops=False)
+@example(columns=columns_with(1, 4), allow_self_loops=False)
+@example(columns=columns_with(1, True), allow_self_loops=False)
+@example(columns=columns_with(2, 1.0), allow_self_loops=False)
+@example(columns=columns_with(2, -1), allow_self_loops=False)
+@example(columns=columns_with(1, 1), allow_self_loops=False)  # a self-loop
+@example(columns=columns_with(1, 1), allow_self_loops=True)
+def test_bulk_edges_accept_and_reject_what_one_edge_at_a_time_does(columns, allow_self_loops):
+    one_at_a_time = four_poi_builder(allow_self_loops)
+    expected = None
+    for index, row in enumerate(zip(*columns)):
+        try:
+            one_at_a_time.add_edge(*row)
+        except ConfigurationError as error:
+            expected = (str(error), index)
+            break
+    bulk = four_poi_builder(allow_self_loops)
+    fares = FareTable.from_pairs((f"M{i}", FarePolicy(0, 0, 0)) for i in range(5))
+    if expected is None:
+        assert bulk.add_edges(*columns) == range(len(columns[0]))
+        assert written(bulk, fares) == written(one_at_a_time, fares)
+        if max(columns[2], default=0) < fares.mode_count:
+            assert written(bulk, fares) == [tuple(map(repr, row)) for row in zip(*columns)]
+    else:
+        with pytest.raises(ConfigurationError) as excinfo:
+            bulk.add_edges(*columns)
+        assert (str(excinfo.value), excinfo.value.edge) == expected
+        assert bulk.finalize(fares).edges == ()  # a rejected call adds no edge
+
+
+def test_bulk_edges_need_columns_of_one_length():
+    builder = four_poi_builder(False)
+    with pytest.raises(ConfigurationError, match="edge columns must be of one length"):
+        builder.add_edges([0, 1], [1, 2], [0, 0], [1.0, 1.0], [1.0])
+    assert builder.add_edges([], [], [], [], []) == range(0)
+    assert builder.add_edges([0], [1], [0], [1.0], [2.0]) == range(1) and builder.add_edge(1, 2, 0, 1, 1) == 1
+
+
+def test_transit_edge_is_a_tuple_of_its_fields():
+    edge = TransitEdge(0, 1, 2, 3.5, 4)
+    assert edge == (0, 1, 2, 3.5, 4) and tuple(edge) == (edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
+    assert edge.other(0) == 1 and edge.other(1) == 0
 
 
 # --- cheapest_parallel_edge -----------------------------------------------------
