@@ -10,9 +10,11 @@ A row holds, per scenario, medians over ``REPEATS`` ``plan()`` calls of the
 whole call, of its ``compute_dp`` call and of the rest (argmin,
 reconstruction and leg assembly, and on the city the pruning stage before
 the DP), the quartiles of the whole call, the cost-only searches the call
-ran (``DpTable.searches``, which counts the pruning stage's searches too),
-and the median time of a fixed pure-Python reference loop (``host_ref_ms``)
-run before and after every call; plus the Python version and
+ran up to the end of its ``compute_dp`` (``searches``, the sum of the
+table's ``legs.searches``, which counts the pruning stage's searches too,
+and ``searches_by_kind``, the same count split into tree and layer
+searches), and the median time of a fixed pure-Python reference loop
+(``host_ref_ms``) run before and after every call; plus the Python version and
 ``os.cpu_count()``. The split is timed inside each ``plan()`` call by
 wrapping ``gtpmm.planner.compute_dp`` for the run. Landmark bounds pass
 ``plan()``'s pruning gate on the city only, so there the DP runs over the
@@ -38,6 +40,7 @@ import os
 import platform
 import statistics
 import time
+from collections import Counter
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -100,14 +103,15 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
     planner.plan(net, inst, SHARING)  # builds the network's search view outside the timings
 
     compute_dp = planner.compute_dp
-    tables = []
+    searches: list[Counter[str]] = []  # the table's search count as each compute_dp returns
     dp_times: list[float] = []
 
     def timed_compute_dp(*args, **kwargs):
         start = time.perf_counter()
-        tables.append(compute_dp(*args, **kwargs))
+        table = compute_dp(*args, **kwargs)
         dp_times.append(time.perf_counter() - start)
-        return tables[-1]
+        searches.append(Counter(table.legs.searches))
+        return table
 
     plan_times = []
     probes = [reference_ms()]
@@ -132,7 +136,8 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
         "plan_p75_s": round(p75, 4),
         "compute_dp_s": round(statistics.median(dp_times), 4),
         "assembly_s": round(statistics.median(t - dp for t, dp in zip(plan_times, dp_times)), 4),
-        "searches": tables[-1].searches,
+        "searches": sum(searches[-1].values()),
+        "searches_by_kind": dict(sorted(searches[-1].items())),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 

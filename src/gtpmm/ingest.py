@@ -108,17 +108,12 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(map(itemgetter(index), rows)) for index in range(width)]
 
 
-def read_json(path: str | Path, kind: str) -> object:
-    """The JSON document in the ``kind`` file at ``path``; invalid JSON,
-    text that is not UTF-8, a number of more digits than ``int`` converts,
+def read_json(path: str | Path, kind: str, object_hook: Callable[[dict], object] | None = None) -> object:
+    """The JSON document in the ``kind`` file at ``path``, each JSON object
+    decoded through ``object_hook`` when it is given; invalid JSON, text
+    that is not UTF-8, a number of more digits than ``int`` converts,
     nesting deeper than the decoder recurses and an unreadable file raise
     :class:`ParseError` naming the file, and the line for invalid JSON."""
-    return _read_json(path, kind, None)
-
-
-def _read_json(path: str | Path, kind: str, object_hook: Callable[[dict], object] | None) -> object:
-    """:func:`read_json`, with each JSON object decoded through
-    ``object_hook`` when it is given."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
     except json.JSONDecodeError as error:
@@ -601,7 +596,7 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     the edges enter the builder by one :meth:`NetworkBuilder.add_edges`.
     """
     path = Path(path)
-    document = _as_object(_read_json(path, "network", _edge_row))
+    document = _as_object(read_json(path, "network", _edge_row))
 
     if not isinstance(document, dict):
         raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))

@@ -9,7 +9,7 @@ distinct destination's leg by its agent count, as the first stage does each
 source's, and the global argmin is reconstructed through parent links.
 
 Each stage from one category to the next is one cost-only multi-source
-search (:func:`~gtpmm.network.layer_costs`). The two stages that sum over
+search (:meth:`Legs.layer`). The two stages that sum over
 agents, sources to the first category and the last category to the
 destinations, sum the agents' legs with :meth:`Legs.summed`, from one
 single-source search per distinct endpoint or per category PoI,
@@ -156,31 +156,32 @@ _UNKNOWN = object()  # Legs._known's answer for a pair no kept path or tree answ
 class Legs:
     """Cheapest legs of one network: the costs and paths of ordered PoI
     pairs, read from the trees of the single-source searches run through
-    it, or else searched once.
+    it, or else searched once. The planner and the baselines run every
+    cheapest-cost search through it, and ``searches`` counts them by kind:
+    ``"tree"``, ``"layer"`` and ``"path"``.
 
     ``costs`` prices pairs from the kept trees and new
-    :func:`~gtpmm.network.shortest_paths` searches, whose trees it keeps;
-    ``tree_searches`` counts them. ``path(net, u, v)`` looks in turn for
-    the pair's path already found, a tree from ``u`` searched for ``v``,
-    and a tree from ``v`` searched for ``u`` that can read its path back
+    :func:`~gtpmm.network.shortest_paths` searches, whose trees it keeps.
+    ``path(net, u, v)`` looks in turn for the pair's path already found, a
+    tree from ``u`` searched for ``v``, and a tree from ``v`` searched for
+    ``u`` that can read its path back
     (:meth:`~gtpmm.network.SearchTree.path_from`); each gives the path
     ``shortest_path(net, u, v)`` returns. Only when none answers does it
     search the pair point to point with this module's ``shortest_path``
     name, looked up at each call, which tests and the benchmark's tracer
-    patch to count them; ``searches`` counts those calls.
+    patch to count them.
     """
 
     def __init__(self) -> None:
         self._paths: dict[tuple[int, int], PathResult | None] = {}
         self._trees: dict[int, list[SearchTree]] = {}
-        self.searches = 0
-        self.tree_searches = 0
+        self.searches: Counter[str] = Counter()
 
     def _search_from(self, net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> dict[int, Money]:
         """The costs of one new search from ``origin`` to ``targets``, whose tree is kept."""
+        self.searches["tree"] += 1
         tree = shortest_paths(net, origin, targets)
         self._trees.setdefault(origin, []).append(tree)
-        self.tree_searches += 1
         return tree.costs
 
     def _kept(self, origin: int, targets: Iterable[int]) -> dict[int, Money] | None:
@@ -223,6 +224,13 @@ class Legs:
                 costs.update(((o, t), cost) for o, cost in self._search_from(net, t, origins).items())
         return costs
 
+    def layer(
+        self, net: MultiModalNetwork, starts: dict[int, Money], weight: int, targets: Collection[int]
+    ) -> dict[int, tuple[Money, int]]:
+        """:func:`~gtpmm.network.layer_costs`, run and counted here; nothing is kept."""
+        self.searches["layer"] += 1
+        return layer_costs(net, starts, weight, targets)
+
     def summed(self, net: MultiModalNetwork, endpoints: Counter[int], pois: Collection[int]) -> dict[int, Money]:
         """The group's legs at one end of a trip: for each PoI of ``pois``
         that every endpoint reaches, in ``pois`` order, the sum over
@@ -260,7 +268,7 @@ class Legs:
         """Raises :class:`InfeasibleRouteError` when ``u`` and ``v`` are disconnected."""
         result = self._known(u, v)
         if result is _UNKNOWN:
-            self.searches += 1
+            self.searches["path"] += 1
             result = self._paths[(u, v)] = shortest_path(net, u, v)
         if result is None:
             raise InfeasibleRouteError(u, v)
@@ -276,24 +284,17 @@ class Legs:
 
 @dataclass
 class DpTable:
-    """Per-category minimum costs with predecessor links, the destination
-    stage's pair costs, and the legs the chosen plan is read from.
+    """Per-category minimum costs with predecessor links, and the legs
+    that ran the DP's searches and keep their trees.
 
     ``cost[c][j]`` is finite (present) iff some prefix of the common path
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
-    ``distances`` maps a (reached last-category PoI, destination) pair to
-    its cheapest cost; an unreachable pair is missing. ``searches`` counts
-    :func:`compute_dp`'s layer searches and the trees it grew in ``legs``,
-    plus those the pruning stage grew when :func:`plan` pruned. From the
-    trees in ``legs`` :func:`plan` reads the chosen plan's legs;
-    ``sp_invocations`` counts its point-to-point searches.
+    ``sp_invocations`` counts the point-to-point searches of ``legs``.
     """
 
     cost: list[dict[int, Money]]
     parent: list[dict[int, int | None]]
     legs: Legs = field(default_factory=Legs)
-    distances: dict[tuple[int, int], Money] = field(default_factory=dict)
-    searches: int = 0
 
     @property
     def k(self) -> int:
@@ -301,7 +302,7 @@ class DpTable:
 
     @property
     def sp_invocations(self) -> int:
-        return self.legs.searches
+        return self.legs.searches["path"]
 
     def leg(self, net: MultiModalNetwork, u: int, v: int) -> PathResult:
         return self.legs.path(net, u, v)
@@ -377,11 +378,10 @@ def compute_dp(
     """Run the layered DP and return the full table (no reconstruction).
 
     The first layer is :meth:`Legs.summed` from the agents' sources. Each
-    later layer is one :func:`~gtpmm.network.layer_costs` search seeded at
-    the reached PoIs of the layer before, with costs times the intermediate
-    multiplier; ties keep the lower PoI id as parent. The
-    destination stage then stores the cost from every reached last-category
-    PoI to every destination in ``distances``.
+    later layer is one :meth:`Legs.layer` search seeded at the reached PoIs
+    of the layer before, with costs times the intermediate multiplier;
+    ties keep the lower PoI id as parent. The destination stage then
+    prices every reached last-category PoI to every destination.
 
     The two endpoint stages run :meth:`Legs.costs`'s searches, one
     single-source search per distinct endpoint or per category PoI,
@@ -397,7 +397,6 @@ def compute_dp(
     m = sharing.intermediate_multiplier(inst.n_agents)
     legs = legs if legs is not None else Legs()
     table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories], legs=legs)
-    trees = legs.tree_searches
 
     table.cost[0] = legs.summed(net, Counter(source for source, _ in inst.agents), inst.categories[0])
     table.parent[0] = dict.fromkeys(table.cost[0])
@@ -406,24 +405,23 @@ def compute_dp(
         previous = table.cost[c - 1]
         if not previous:
             continue
-        table.searches += 1
-        for j, (cost, parent) in layer_costs(net, previous, m, inst.categories[c]).items():
+        for j, (cost, parent) in legs.layer(net, previous, m, inst.categories[c]).items():
             table.cost[c][j] = cost
             table.parent[c][j] = parent
 
     last = tuple(j for j in inst.categories[-1] if j in table.cost[-1])
-    destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
-    table.distances = legs.costs(net, last, destinations)
-    table.searches += legs.tree_searches - trees
+    legs.costs(net, last, tuple(dict.fromkeys(dest for _, dest in inst.agents)))  # its trees stay in legs
     return table
 
 
 def destination_totals(net: MultiModalNetwork, inst: QueryInstance, table: DpTable) -> dict[int, Money]:
     """Cheapest full total per destination PoI: best last-category entry
-    extended by the single leg to that destination."""
+    extended by the single leg to that destination, read from the trees of
+    :func:`compute_dp`'s destination stage with no search."""
     totals: dict[int, Money] = {}
-    distances = table.distances
-    for dest in dict.fromkeys(dest for _, dest in inst.agents):
+    destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
+    distances = table.legs.costs(net, tuple(table.cost[-1]), destinations)
+    for dest in destinations:
         reached = [cost + distances[(j, dest)] for j, cost in table.cost[-1].items() if (j, dest) in distances]
         if reached:
             totals[dest] = min(reached)
@@ -569,9 +567,7 @@ def plan(
     query = inst
     if net.landmark_tightness >= PRUNE_TIGHTNESS:
         query = _prune(net, inst, sharing, legs) or inst
-    pricing = legs.tree_searches
     table = compute_dp(net, query, sharing, legs=legs)
-    table.searches += pricing
 
     last = table.cost[-1]
     to_destinations = legs.summed(net, Counter(dest for _, dest in query.agents), last)  # the DP's trees: no search

@@ -30,9 +30,11 @@ def test_bench_planner_measures_the_small_scenario():
         "compute_dp_s",
         "assembly_s",
         "searches",
+        "searches_by_kind",
         "host_ref_ms",
     }
     assert (row["pois"], row["k"], row["pois_per_category"], row["agents"]) == (200, 3, 5, 5)
     assert row["searches"] == 9
+    assert row["searches_by_kind"] == {"layer": 2, "tree": 7}  # k - 1 layers; one tree per PoI or endpoint
     assert row["compute_dp_s"] <= row["plan_s"]
     assert bench_planner.planner.compute_dp.__name__ == "compute_dp"  # the timing wrapper is removed

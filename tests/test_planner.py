@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -237,7 +238,8 @@ def test_tied_totals_end_at_the_lower_id_whatever_the_settle_order():
     inst = QueryInstance([(0, 4), (0, 4)], [[3], [1, 2]])
     table = compute_dp(net, inst, PER_PERSON)
     assert list(table.cost[-1]) == [2, 1]  # settle order, not id order
-    totals = {j: cost + 2 * table.distances[(j, 4)] for j, cost in table.cost[-1].items()}
+    to_destination = table.legs.costs(net, tuple(table.cost[-1]), (4,))
+    totals = {j: cost + 2 * to_destination[(j, 4)] for j, cost in table.cost[-1].items()}
     assert totals[1] == totals[2]
     journey = plan(net, inst, PER_PERSON)
     assert journey.common_pois == (3, 1)
@@ -359,7 +361,8 @@ def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(searches):
         first, last = inst.categories[0], inst.categories[-1]
         sides.add((len(sources) > len(first), len(destinations) > len(last)))
         expected = min(len(sources), len(first)) + (inst.k - 1) + min(len(destinations), len(last))
-        assert table.searches == len(dp) == expected
+        assert sum(table.legs.searches.values()) == len(dp) == expected
+        assert table.legs.searches == Counter(search.kind for search in dp)
         assert [search.kind for search in dp].count("layer") == inst.k - 1
         assert "path" not in {search.kind for search in dp}
         assert table.sp_invocations == 0
@@ -381,7 +384,7 @@ def test_unreachable_destination_is_named_from_the_last_category():
     inst = QueryInstance([(0, 4)], [[1, 2]])
     table = compute_dp(net, inst, PER_PERSON)
     assert set(table.cost[0]) == {1, 2}  # the DP layer is reached; only the destination pairs are not
-    assert table.distances == {}
+    assert table.legs.costs(net, tuple(table.cost[-1]), (4,)) == {}
     with pytest.raises(InfeasibleRouteError) as excinfo:
         plan(net, inst, PER_PERSON)
     assert excinfo.value.pair == (1, 4)
@@ -608,3 +611,14 @@ def test_dp_matches_the_per_poi_distance_stage_on_both_sides_of_each_endpoint_ch
         outcomes.add(isinstance(journey, JourneyPlan))
     assert {(end, side) for end in ("sources", "destinations") for side in (-1, 1)} <= sides
     assert outcomes == {True, False}  # both feasible and infeasible cases were compared
+
+
+def test_destination_totals_read_the_dp_trees_without_a_search(searches):
+    for net, inst in _endpoint_side_cases():
+        table = compute_dp(net, inst, PER_PERSON)
+        counted = Counter(table.legs.searches)
+        searches.clear()
+        totals = destination_totals(net, inst, table)
+        assert searches == [] and table.legs.searches == counted
+        expected = _reference_destination_totals(net, inst, _reference_compute_dp(net, inst, PER_PERSON))
+        assert list(totals.items()) == list(expected.items())

@@ -9,6 +9,7 @@ with the same plans, totals, per-leg modes and tie-breaks.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -52,10 +53,17 @@ def exact_bounds(net):
     return net
 
 
+def destination_costs(net, inst, table):
+    """The cost of every reachable (last-category PoI, destination) pair,
+    read from the trees ``compute_dp`` kept in ``table.legs``."""
+    return table.legs.costs(net, tuple(table.cost[-1]), tuple(dict.fromkeys(dest for _, dest in inst.agents)))
+
+
 def unpruned_plan(net, inst, sharing):
     """``compute_dp`` over every PoI, then the argmin and plan assembly of
     ``plan()``: the planner as it ran before it pruned."""
     table = compute_dp(net, inst, sharing)
+    to_destinations = destination_costs(net, inst, table)
     best_total = None
     best_last = None
     for j in inst.categories[-1]:
@@ -64,7 +72,7 @@ def unpruned_plan(net, inst, sharing):
         total = table.cost[inst.k - 1][j]
         feasible = True
         for _, dest in inst.agents:
-            cost = table.distances.get((j, dest))
+            cost = to_destinations.get((j, dest))
             if cost is None:
                 feasible = False
                 break
@@ -239,29 +247,33 @@ def test_threshold_chain_endpoint_searches_serve_the_dp(searches):
     assert [search.kind for search in searches] == ["tree"] * (inst.k + 1)
     searches.clear()
     table = compute_dp(net, query, PER_PERSON, legs=legs)
-    trees = [search.origin for search in searches if search.kind == "tree"]
+    dp = list(searches)
+    trees = [search.origin for search in dp if search.kind == "tree"]
     assert first not in trees and last not in trees
     assert len(trees) == len(query.categories[0]) - 1 + len(query.categories[-1]) - 1
     full = compute_dp(net, query, PER_PERSON)
-    assert (table.cost, table.parent, table.distances) == (full.cost, full.parent, full.distances)
-    assert table.searches == full.searches - 2
+    assert (table.cost, table.parent) == (full.cost, full.parent)
+    assert destination_costs(net, query, table) == destination_costs(net, query, full)
+    assert len(dp) == sum(full.legs.searches.values()) - 2
+    assert legs.searches == Counter({"tree": inst.k + 1}) + Counter(search.kind for search in dp)
 
 
 @pytest.mark.parametrize("sharing", [PER_PERSON, SHARED])
 def test_pruned_plans_count_the_searches_they_ran(sharing, searches, monkeypatch):
-    """On pruned road plans ``DpTable.searches`` is the number of tree and
-    layer searches run up to the end of ``compute_dp``: the pricing
-    searches, counted as they ran, and the DP's. A round trip of one
+    """On pruned road plans the table's ``legs.searches`` counts, kind by
+    kind, the tree and layer searches run up to the end of ``compute_dp``:
+    the pricing searches and the DP's. A round trip of one
     category prices its chain with one search, as the search from the
     chain's one PoI to the sources reaches the destinations too."""
-    tables = []
+    counts = []  # the table's search count as compute_dp returns it
     compute_dp = planner.compute_dp
 
     def marked(*args, **kwargs):
         searches.append("dp")  # marks the start of the DP's searches
-        tables.append(compute_dp(*args, **kwargs))
+        table = compute_dp(*args, **kwargs)
         searches.append("dp")  # and their end
-        return tables[-1]
+        counts.append(Counter(table.legs.searches))
+        return table
 
     monkeypatch.setattr(planner, "compute_dp", marked)
     cases = [*road_cases(), *road_cases(TIED_FARES, 0.0)]
@@ -273,7 +285,8 @@ def test_pruned_plans_count_the_searches_they_ran(sharing, searches, monkeypatch
         plan(net, inst, sharing)
         start, end = [index for index, search in enumerate(searches) if search == "dp"]
         assert {search.kind for search in searches[:end] if search != "dp"} <= {"tree", "layer"}
-        assert tables[-1].searches == end - 1
+        assert sum(counts[-1].values()) == end - 1
+        assert counts[-1] == Counter(search.kind for search in searches[:end] if search != "dp")
         pruned += start > 0
         fewer += 0 < start < inst.k + 1  # fewer pricing searches than the chain has endpoints and hops
     assert pruned >= len(cases) // 2
@@ -328,7 +341,8 @@ def test_unpruned_queries_run_exactly_the_dp_searches(make_case, pruner_calls, m
     assert dp_queries == [inst]
     assert searches[:start] == []  # no pricing search
     assert searches[start + 1 : end] == expected
-    assert len(expected) == table.searches
+    assert len(expected) == sum(table.legs.searches.values())
+    assert table.legs.searches == Counter(search.kind for search in expected)
     assert all(search.kind == "path" or search.origin == last for search in searches[end + 1 :])
     assert len(pruner) == pruner_calls
 

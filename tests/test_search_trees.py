@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Search
-from gtpmm import InfeasibleRouteError, SharingMode, nncm, plan
+from gtpmm import InfeasibleRouteError, SharingMode, nncm, plan, rpcm
 from gtpmm.bench import draw_instance
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, reference_path, shortest_paths
 from gtpmm.planner import PRUNE_TIGHTNESS, Legs, assemble
@@ -110,9 +110,9 @@ def test_legs_answer_every_pair_from_their_trees_as_the_reference_does(name):
             else:
                 assert legs.path(net, u, v) == expected
     if name in ("road-jittered", "random", "disconnected"):  # no ties: every held leg is read from a tree
-        assert legs.searches == unheld
+        assert legs.searches["path"] == unheld
     else:
-        assert legs.searches > unheld
+        assert legs.searches["path"] > unheld
 
 
 COSTS_NETWORKS = {**NETWORKS, "road-tied-fares": lambda seed: road_network(seed, 6, jitter=0.0, fare_table=TIED_FARES)}
@@ -238,8 +238,8 @@ def test_a_tie_is_never_read_back():
     assert shortest_paths(net, 0, [5]).path_from(5) is None  # a one-target search, in the landmark loop
     legs = Legs()
     legs.costs(net, (0,), [5, 4])
-    assert legs.path(net, 5, 0) == reference_path(net, 5, 0) and legs.searches == 1
-    assert legs.path(net, 4, 0) == reference_path(net, 4, 0) and legs.searches == 1
+    assert legs.path(net, 5, 0) == reference_path(net, 5, 0) and legs.searches["path"] == 1
+    assert legs.path(net, 4, 0) == reference_path(net, 4, 0) and legs.searches["path"] == 1
 
 
 def test_a_network_with_a_free_hop_never_reads_back():
@@ -253,7 +253,78 @@ def test_a_network_with_a_free_hop_never_reads_back():
     for poi in range(1, 5):
         assert legs.path(net, 0, poi) == reference_path(net, 0, poi)  # forward reads
         assert legs.path(net, poi, 0) == reference_path(net, poi, 0)
-    assert legs.searches == 4  # each leg back searched point to point
+    assert legs.searches["path"] == 4  # each leg back searched point to point
+
+
+@pytest.fixture
+def made_legs(monkeypatch):
+    """Every :class:`Legs` that ``plan()`` and the baselines make during the test, in order."""
+    from gtpmm import baselines, planner
+
+    made = []
+
+    class Recorded(Legs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(planner, "Legs", Recorded)
+    monkeypatch.setattr(baselines, "Legs", Recorded)
+    return made
+
+
+def count_cases():
+    """Road networks, where plan() prunes and NNCM scores by landmark
+    bound, and random ones with the pruning gate closed, where plan() runs
+    the DP over every PoI and NNCM scores every candidate by search."""
+    for seed in range(2):
+        road = road_network(seed, 10)
+        assert road.landmark_tightness >= PRUNE_TIGHTNESS
+        gate_off = random_network(seed, n_pois=60, n_modes=3)
+        gate_off.__dict__["landmark_tightness"] = 0.0  # the cached view, set ahead of its first use
+        for net in (road, gate_off):
+            for agents in (2, 9):
+                yield net, draw_instance(net, seed + agents, 3, 5, agents)
+
+
+@pytest.mark.parametrize(
+    "method, kinds, branches",
+    [
+        (lambda net, inst: plan(net, inst, PER_PERSON), {"tree", "layer", "path"}, {"pruned"}),
+        (lambda net, inst: nncm(net, inst, PER_PERSON), {"tree"}, {"bound", "search"}),
+        (lambda net, inst: rpcm(net, inst, 11, PER_PERSON), {"tree", "path"}, set()),
+    ],
+    ids=["plan", "nncm", "rpcm"],
+)
+def test_legs_count_every_search_by_kind(method, kinds, branches, searches, made_legs, monkeypatch):
+    """``Legs.searches`` equals, kind by kind, the searches the fixture
+    records, on pruned and unpruned plans and with both NNCM scorers."""
+    from gtpmm import baselines, planner
+
+    taken = set()  # "pruned" when plan() pruned, and the NNCM scorers that ran
+
+    def spy(function, branch):
+        def spied(*args):
+            result = function(*args)
+            if branch != "pruned" or result is not None:
+                taken.add(branch)
+            return result
+
+        return spied
+
+    monkeypatch.setattr(planner, "_prune", spy(planner._prune, "pruned"))
+    monkeypatch.setattr(baselines, "_nearest_by_bound", spy(baselines._nearest_by_bound, "bound"))
+    monkeypatch.setattr(baselines, "_nearest_by_search", spy(baselines._nearest_by_search, "search"))
+    seen = set()
+    for net, inst in count_cases():
+        searches.clear()
+        made_legs.clear()
+        method(net, inst)
+        (legs,) = made_legs
+        assert legs.searches == Counter(search.kind for search in searches)
+        seen.update(legs.searches)
+    assert seen == kinds
+    assert taken == branches
 
 
 def test_pruned_road_plans_search_no_source_leg_point_to_point(searches, monkeypatch):
