@@ -81,7 +81,7 @@ def _record_searches(log: list) -> None:
                 setattr(module, name, wrapper)
 
 
-def search_log(src: Path, seeds: list[int], workloads: tuple[str, ...] = WORKLOADS) -> dict:
+def search_log(src: Path, seeds: list[int]) -> dict:
     """``{workload: {seed: {"ops": [[op name, searches], ...], "digest": ...}}}``
     of the package at ``src``, in the JSON form the log is saved in."""
     sys.path[:0] = [str(src), str(PERFBENCH)]
@@ -94,7 +94,7 @@ def search_log(src: Path, seeds: list[int], workloads: tuple[str, ...] = WORKLOA
     searches: list[list] = [[]]  # per operation; the set-up's go to the first, and are dropped
     _record_searches(searches)
     log: dict = {}
-    for name in workloads:
+    for name in WORKLOADS:
         for seed in seeds:
             with tempfile.TemporaryDirectory(prefix="search-log-") as workdir:
                 wl = perfbench_workloads.WORKLOADS[name](seed, Path(workdir))
@@ -132,13 +132,12 @@ def first_difference(mine: dict, theirs: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the package's directory to import")
     parser.add_argument("--output", type=Path, help="write the log to this JSON file")
     parser.add_argument("--against", type=Path, help="another checkout to compare with, run with its src")
     args = parser.parse_args(argv)
 
-    log = search_log(args.src, args.seeds, tuple(args.workloads))
+    log = search_log(args.src, args.seeds)
     if args.output is not None:
         args.output.write_text(json.dumps(log) + "\n", encoding="utf-8")
     if args.against is None:
@@ -151,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="search-log-") as scratch:
         other_path = Path(scratch) / "against.json"
         command = [sys.executable, str(Path(__file__).resolve()), "--src", str(args.against.resolve() / "src")]
-        command += ["--seeds", *map(str, args.seeds), "--workloads", *args.workloads, "--output", str(other_path)]
+        command += ["--seeds", *map(str, args.seeds), "--output", str(other_path)]
         subprocess.run(command, check=True, stdout=subprocess.DEVNULL)
         other = json.loads(other_path.read_text(encoding="utf-8"))
     differ = 0

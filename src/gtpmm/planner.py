@@ -416,8 +416,10 @@ def compute_dp(
 
 def destination_totals(net: MultiModalNetwork, inst: QueryInstance, table: DpTable) -> dict[int, Money]:
     """Cheapest full total per destination PoI: best last-category entry
-    extended by the single leg to that destination, read from the trees of
-    :func:`compute_dp`'s destination stage with no search."""
+    extended by the single leg to that destination. For a table that
+    :func:`compute_dp` built for this ``inst`` the legs are read from its
+    destination stage's trees with no search; otherwise ``table.legs``
+    searches the pairs it lacks."""
     totals: dict[int, Money] = {}
     destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
     distances = table.legs.costs(net, tuple(table.cost[-1]), destinations)

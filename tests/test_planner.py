@@ -238,7 +238,9 @@ def test_tied_totals_end_at_the_lower_id_whatever_the_settle_order():
     inst = QueryInstance([(0, 4), (0, 4)], [[3], [1, 2]])
     table = compute_dp(net, inst, PER_PERSON)
     assert list(table.cost[-1]) == [2, 1]  # settle order, not id order
+    counted = Counter(table.legs.searches)
     to_destination = table.legs.costs(net, tuple(table.cost[-1]), (4,))
+    assert table.legs.searches == counted  # read from the DP's destination stage, not searched again
     totals = {j: cost + 2 * to_destination[(j, 4)] for j, cost in table.cost[-1].items()}
     assert totals[1] == totals[2]
     journey = plan(net, inst, PER_PERSON)
@@ -384,7 +386,9 @@ def test_unreachable_destination_is_named_from_the_last_category():
     inst = QueryInstance([(0, 4)], [[1, 2]])
     table = compute_dp(net, inst, PER_PERSON)
     assert set(table.cost[0]) == {1, 2}  # the DP layer is reached; only the destination pairs are not
+    counted = Counter(table.legs.searches)
     assert table.legs.costs(net, tuple(table.cost[-1]), (4,)) == {}
+    assert table.legs.searches == counted  # the DP's destination stage itself found no pair
     with pytest.raises(InfeasibleRouteError) as excinfo:
         plan(net, inst, PER_PERSON)
     assert excinfo.value.pair == (1, 4)

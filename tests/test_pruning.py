@@ -55,8 +55,11 @@ def exact_bounds(net):
 
 def destination_costs(net, inst, table):
     """The cost of every reachable (last-category PoI, destination) pair,
-    read from the trees ``compute_dp`` kept in ``table.legs``."""
-    return table.legs.costs(net, tuple(table.cost[-1]), tuple(dict.fromkeys(dest for _, dest in inst.agents)))
+    read from the trees ``compute_dp`` kept in ``table.legs`` with no search."""
+    counted = Counter(table.legs.searches)
+    costs = table.legs.costs(net, tuple(table.cost[-1]), tuple(dict.fromkeys(dest for _, dest in inst.agents)))
+    assert table.legs.searches == counted
+    return costs
 
 
 def unpruned_plan(net, inst, sharing):
