@@ -1,0 +1,101 @@
+"""Run perfbench on this checkout and another in alternating pairs, from paths of one length.
+
+    python benchmarks/perfbench_pairs.py --against ../parent-checkout --workload plan-city --seeds 0 1 2 3 4 5 6 7 8 9
+
+Both sides run this checkout's ``perfbench/``; only ``src/`` differs. Each
+side is copied into one of two sibling temporary directories, ``parent``
+and ``change``, whose paths have the same length: ``peak_rss_mb`` has been
+seen to read about 1 MB apart for the same code run from paths of
+different lengths, more than its bound. For each seed the two sides run
+``perfbench/run.py --workload W --seed S --seconds N --trace 0`` one after
+the other, the parent first on the first seed and the order flipped on
+each seed after it.
+
+It prints every run's end-to-end metrics, then, per metric, each side's
+median, the ratio of the change's median to the parent's, and how many
+pairs the change won; a tie counts for neither, and which way is better
+comes from ``BENCHMARK.json``. It exits 1 when a run fails or is not
+``correct``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")  # names of equal length, so both sides run from paths of one length
+
+
+def _copy_side(side: Path, src: Path) -> None:
+    """This checkout's perfbench and ``src`` under ``side``."""
+    skipped = shutil.ignore_patterns("_work", "_traces", "__pycache__", "*.egg-info")
+    shutil.copytree(ROOT / "perfbench", side / "perfbench", ignore=skipped)
+    shutil.copytree(src, side / "src", ignore=skipped)
+
+
+def _run(side: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The result object of one perfbench run from ``side``."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    command += ["--seconds", str(seconds), "--trace", "0"]
+    result = subprocess.run(command, cwd=side, capture_output=True, text=True, check=False)
+    if result.returncode != 0:
+        raise SystemExit(f"perfbench_pairs: {side.name} seed {seed} exited {result.returncode}:\n{result.stderr}")
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def pairs(against: Path, workload: str, seeds: list[int], seconds: int) -> list[dict[str, dict]]:
+    """Per seed, ``{side: result object}`` of the two runs."""
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="perfbench-pairs-") as scratch:
+        sides = {name: Path(scratch) / name for name in SIDES}
+        _copy_side(sides["parent"], against / "src")
+        _copy_side(sides["change"], ROOT / "src")
+        for index, seed in enumerate(seeds):
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            runs.append({name: _run(sides[name], workload, seed, seconds) for name in order})
+    return runs
+
+
+def summary(runs: list[dict[str, dict]]) -> list[tuple[str, float, float, int]]:
+    """``(metric, parent median, change median, pairs the change won)`` per end-to-end metric."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    rows = []
+    for metric in benchmark["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
+        won = sum(sign * (change - parent) > 0 for parent, change in zip(values["parent"], values["change"]))
+        rows.append((name, statistics.median(values["parent"]), statistics.median(values["change"]), won))
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, required=True, help="the parent checkout, run with its src")
+    parser.add_argument("--workload", required=True, choices=("plan-city", "bench-sweep", "ingest"))
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
+    parser.add_argument("--seconds", type=int, default=20, help="perfbench's --seconds, the same on both sides")
+    args = parser.parse_args(argv)
+
+    runs = pairs(args.against.resolve(), args.workload, args.seeds, args.seconds)
+    faults = 0
+    for seed, run in zip(args.seeds, runs):
+        for side, result in run.items():
+            faults += not result["correct"]
+            values = " ".join(f"{name}={metric['value']:.4g}" for name, metric in result["metrics"].items())
+            print(f"seed {seed} {side}: {'correct' if result['correct'] else 'NOT CORRECT'} {values}")
+    print(f"{'metric':<18}{'parent':>12}{'change':>12}{'ratio':>8}  change won")
+    for name, parent, change, won in summary(runs):
+        ratio = change / parent if parent else float("nan")
+        print(f"{name:<18}{parent:>12.4g}{change:>12.4g}{ratio:>8.3f}  {won} of {len(runs)}")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from .errors import InfeasibleRouteError
 from .network import ModeId, Money, MultiModalNetwork, PathResult, landmark_bound
-from .planner import PRUNE_TIGHTNESS, JourneyPlan, Legs, QueryInstance, SharingMode, assemble
+from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
 
@@ -29,7 +29,6 @@ def _bfs_tree(net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> li
     any target, so the walk back from a target is the route a BFS stopping
     there would find, and the route in the whole component's tree.
     """
-    net.check_poi(origin)
     parent = [-1] * net.poi_count
     parent[origin] = origin
     undiscovered = set(targets) - {origin}
@@ -59,7 +58,6 @@ def _random_mode_leg(
     independently random mode on every hop. ``parallel`` holds each hop's
     parallel edges as ``(mode, edge id)`` in ascending order; a hop not in
     it is added."""
-    net.check_poi(target)
     if parent[target] == -1:
         raise InfeasibleRouteError(source, target)
     sequence = [target]
@@ -102,6 +100,7 @@ def rprm(
     sharing: SharingMode = SharingMode.PER_PERSON_INTERMEDIATE,
 ) -> JourneyPlan:
     """Random PoI per category; random mode per hop along fewest-hops routes."""
+    inst.check(net)
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
     targets: defaultdict[int, set[int]] = defaultdict(set)  # leg origin -> the ends of its legs
@@ -132,6 +131,7 @@ def rpcm(
     Consumes the same leading PoI draws as :func:`rprm`, so under one seed
     both heuristics visit identical common PoIs.
     """
+    inst.check(net)
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
     return _cheapest_legs_plan(net, inst, common, sharing, Legs())
@@ -185,11 +185,10 @@ def nncm(
     later pick is nearest (by cheapest cost) to the previous pick. Ties go
     to the lower PoI id.
 
-    On a network that passes :func:`~gtpmm.planner.plan`'s pruning gate
-    (:data:`~gtpmm.planner.PRUNE_TIGHTNESS`), and where
-    :func:`~gtpmm.network.landmark_bound` bounds every origin and
-    candidate of a category, the candidates are priced in order of that
-    lower bound until none left can win (:func:`_nearest_by_bound`).
+    Where :func:`~gtpmm.network.landmark_bound` bounds every origin and
+    candidate of a category (past the gate of :func:`~gtpmm.planner.plan`'s
+    pruning), the candidates are priced in order of that lower bound until
+    none left can win (:func:`_nearest_by_bound`).
     Elsewhere each category is scored by one
     :meth:`~gtpmm.planner.Legs.summed` call over all its candidates
     (:func:`_nearest_by_search`). Both pick the same PoIs, and keep their
@@ -197,12 +196,12 @@ def nncm(
     :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs
     they answer: the first pick's source legs and every hop, but for ties.
     """
+    inst.check(net)
     legs = Legs()
-    bounded = net.landmark_tightness >= PRUNE_TIGHTNESS
     common: list[int] = []
     for cat in inst.categories:
         origins = Counter([common[-1]] if common else [source for source, _ in inst.agents])
-        bound = landmark_bound(net, [*origins, *cat]) if bounded else None
+        bound = landmark_bound(net, [*origins, *cat])
         if bound is None:
             best = _nearest_by_search(net, origins, cat, legs)
         else:

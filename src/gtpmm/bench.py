@@ -67,25 +67,13 @@ class ResultRow:
 
 def medium_usage(net: MultiModalNetwork, journey: JourneyPlan) -> dict[str, int]:
     """Traversals per mode name, in first-encounter order: each hop's mode
-    counts once per traversing agent.
-
-    Source and destination legs belong to a single agent each; common legs
-    count once per agent under per-person sharing and once per group under
-    shared sharing.
+    counts once per agent its leg is charged for
+    (:meth:`~gtpmm.planner.JourneyPlan.charged_legs`).
     """
     counts: dict[ModeId, int] = {}  # by mode id, in first-encounter order; named once at the end
-
-    def accumulate(leg, weight: int) -> None:
+    for leg, weight in journey.charged_legs():
         for _, mode in leg.legs:
             counts[mode] = counts.get(mode, 0) + weight
-
-    for leg in journey.source_legs:
-        accumulate(leg, 1)
-    for leg in journey.dest_legs:
-        accumulate(leg, 1)
-    multiplier = journey.sharing.intermediate_multiplier(journey.n_agents)
-    for leg in journey.common_legs:
-        accumulate(leg, multiplier)
     name = net.fare_table.name
     return {name(mode): count for mode, count in counts.items()}
 

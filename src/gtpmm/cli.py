@@ -27,7 +27,7 @@ from .ingest import (
 )
 from .network import MultiModalNetwork, connect_components
 from .oracle import brute_force_optimal
-from .planner import JourneyPlan, QueryInstance, SharingMode, _check_instance, plan
+from .planner import JourneyPlan, QueryInstance, SharingMode, plan
 from .synth import random_instance
 
 log = logging.getLogger("gtpmm")
@@ -92,40 +92,30 @@ def _load_query(net: MultiModalNetwork, path: str) -> QueryInstance:
     categories = [list(map(resolve, cat)) if isinstance(cat, list) else cat for cat in document["categories"]]
     try:
         inst = QueryInstance(agents, categories)
-        _check_instance(net, inst)
+        inst.check(net)
     except ConfigurationError as error:
         raise ParseError(str(error), file=path) from None
     return inst
 
 
 def _plan_document(net: MultiModalNetwork, inst: QueryInstance, journey: JourneyPlan) -> dict:
-    def leg_doc(leg) -> list[dict]:
-        # orient each hop along the travel direction, not edge storage order
-        return [
-            {
-                "from": net.pois[a].external_id,
-                "to": net.pois[b].external_id,
-                "mode": net.fare_table.name(mode),
-                "cost_cents": net.edge_costs[eid],
-            }
-            for (eid, mode), (a, b) in zip(leg.legs, zip(leg.poi_sequence, leg.poi_sequence[1:]))
-        ]
-
     agents = []
     for index, (source, dest) in enumerate(inst.agents):
-        full_sequence = list(journey.source_legs[index].poi_sequence)
-        for leg in (*journey.common_legs, journey.dest_legs[index]):
-            full_sequence.extend(leg.poi_sequence[1:])
+        hops = list(journey.agent_hops(index))  # each hop along the travel direction, not edge storage order
         agents.append(
             {
                 "source": net.pois[source].external_id,
                 "destination": net.pois[dest].external_id,
-                "poi_sequence": [net.pois[p].external_id for p in full_sequence],
-                "legs": (
-                    leg_doc(journey.source_legs[index])
-                    + [hop for leg in journey.common_legs for hop in leg_doc(leg)]
-                    + leg_doc(journey.dest_legs[index])
-                ),
+                "poi_sequence": [net.pois[p].external_id for p in (source, *(b for _, b, _, _ in hops))],
+                "legs": [
+                    {
+                        "from": net.pois[a].external_id,
+                        "to": net.pois[b].external_id,
+                        "mode": net.fare_table.name(mode),
+                        "cost_cents": net.edge_costs[eid],
+                    }
+                    for a, b, eid, mode in hops
+                ],
             }
         )
     return {

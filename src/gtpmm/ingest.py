@@ -23,7 +23,9 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP
+from functools import cache
 from itertools import chain, islice
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -500,6 +502,7 @@ _POI_RECORD = _template(dict.fromkeys(("external_id", "name", "category", "coord
 _EDGE_RECORD = _template(dict.fromkeys(TransitEdge._fields, _SLOT), "    ")
 _COORDS = _template([_SLOT, _SLOT], "      ")
 _CHUNK = 1024  # records per write
+_TEXT_CHUNK = 1 << 15  # characters read at a time, so that each piece of a network file's text stays small
 
 
 def _write_list(handle: TextIO, records: Iterator[str]) -> None:
@@ -589,14 +592,119 @@ def _as_object(entry: object) -> object:
     return dict(zip(TransitEdge._fields, entry)) if type(entry) is tuple else entry
 
 
+class _Chunks:
+    """The text of an open file, read :data:`_TEXT_CHUNK` characters at a
+    time, a position in what is read, and the decoder of its arrays' items.
+    Text a method does not take raises ValueError."""
+
+    def __init__(self, handle: TextIO):
+        self.handle, self.text, self.at = handle, "", 0
+        # One int object per int text, so the copies of a PoI id that edges'
+        # ``u`` and ``v`` decode are freed at once. Kept until the edges enter
+        # the builder, they would leave some 0.8 MB of small-object pools half
+        # used by the distances and times decoded among them, which it keeps.
+        self.decoder = json.JSONDecoder(object_hook=_edge_row, parse_int=cache(int))
+
+    def more(self) -> bool:
+        """Read one more chunk after the unread text; False at the end."""
+        chunk = self.handle.read(_TEXT_CHUNK)
+        if chunk:
+            self.text, self.at = self.text[self.at :] + chunk, 0
+        return bool(chunk)
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, unread; '' at the end."""
+        while (at := WHITESPACE.match(self.text, self.at).end()) == len(self.text) and self.more():
+            pass
+        self.at = at
+        return self.text[at : at + 1]
+
+    def take(self, chars: str) -> str:
+        """The next character that is not whitespace, read; one of ``chars``."""
+        char = self.peek()
+        if not char or char not in chars:
+            raise ValueError(f"expected one of {chars!r}")
+        self.at += 1
+        return char
+
+    def key(self) -> str:
+        """The next object key, read with its ':'."""
+        self.take('"')
+        while True:
+            try:
+                key, self.at = scanstring(self.text, self.at)
+                break
+            except json.JSONDecodeError:
+                if not self.more():
+                    raise
+        self.take(":")
+        return key
+
+    def objects(self) -> list:
+        """The items of the array that starts here, read through its ']'.
+        What is read of it is decoded whole when the array ends in it, else
+        up to its last '}', since ``[`` items ``]`` is valid JSON only when
+        the items are whole."""
+        self.take("[")
+        items: list = []
+        while True:
+            cut = self.text.rfind("}", self.at) + 1
+            try:
+                batch = self.decoder.decode(f"[{self.text[self.at : cut]}]") if cut else []
+            except json.JSONDecodeError:
+                batch = []
+            if batch:
+                items += batch
+                self.at = cut
+                if self.take(",]") == "]":
+                    return items
+                continue
+            try:
+                rest, end = self.decoder.raw_decode(f"[{self.text[self.at :]}")
+            except json.JSONDecodeError:
+                if not self.more():
+                    raise ValueError("an array cut short") from None
+                continue
+            if items and not rest:
+                raise ValueError("a ',' before an array's ']'")
+            self.at += end - 1
+            return items + rest
+
+
+def _network_document(path: Path) -> dict:
+    """The network file at ``path`` as :func:`read_json` decodes it with
+    :func:`_edge_row`, when it is an object of arrays of objects, as
+    :func:`save_network_json` writes it; any other text raises ValueError.
+    The file is read a chunk at a time, so that neither its bytes nor its
+    text, each about its size, are held whole."""
+    document = {}
+    with path.open(encoding="utf-8") as handle:
+        chunks = _Chunks(handle)
+        chunks.take("{")
+        while True:
+            key = chunks.key()
+            document[key] = chunks.objects()
+            if chunks.take(",}") == "}":
+                break
+        if chunks.peek():
+            raise ValueError("text after the network object")
+    return document
+
+
 def load_network_json(path: str | Path) -> MultiModalNetwork:
     """Load a network serialized by :func:`save_network_json`.
 
-    Each edge record is decoded straight to the tuple of its values, and
-    the edges enter the builder by one :meth:`NetworkBuilder.add_edges`.
+    The file is decoded a chunk at a time by :func:`_network_document`; a
+    file it does not take is decoded whole by :func:`read_json`, which names
+    the fault of a malformed one. Each edge record is decoded straight to
+    the tuple of its values, and the edges enter the builder by one
+    :meth:`NetworkBuilder.add_edges`.
     """
     path = Path(path)
-    document = _as_object(read_json(path, "network", _edge_row))
+    try:
+        document = _network_document(path)
+    except (OSError, ValueError, RecursionError):
+        document = _as_object(read_json(path, "network", _edge_row))
 
     if not isinstance(document, dict):
         raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))

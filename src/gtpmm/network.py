@@ -37,6 +37,13 @@ EARTH_RADIUS_M = 6371_000.0
 LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
 BOUND_SHARE = 10  # a search uses the bounds only when its targets' band is at most 1/BOUND_SHARE of its reach
 
+# landmark_bound bounds nothing on a network whose landmark_tightness is under this. Measured: 0.91-0.93 on
+# the perfbench cities (seeds 0 and 3) and 0.86-0.94 on road_network lattices of 5-55 PoIs a side, where
+# per-person queries keep 1-6 of 10 PoIs per category; 0.57-0.64 on random_network(1, {200, 2000, 5000}, 3),
+# where forced pruning kept every PoI of bench_planner.py's queries and only added its searches (200 PoIs:
+# 2.7 -> 3.9 ms; 2000 PoIs: 132 -> 146 ms).
+PRUNE_TIGHTNESS = 0.8
+
 _REAL = frozenset((int, float))  # the exact types of an edge's distance and time and of a coordinate
 _FLOAT_MAX = sys.float_info.max
 
@@ -213,10 +220,6 @@ class PathResult:
     legs: tuple[tuple[int, ModeId], ...]  # (edge id, mode id) per hop
     poi_sequence: tuple[int, ...]
 
-    @property
-    def hops(self) -> int:
-        return len(self.legs)
-
 
 def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
     """Traversal cost in cents: base fare + time rate + distance rate.
@@ -373,6 +376,9 @@ class MultiModalNetwork:
         return bound / exact if exact else 0.0
 
     def check_poi(self, poi_id: int) -> None:
+        """Raises :class:`ConfigurationError` naming ``poi_id`` unless it is an ``int`` PoI id of this network."""
+        if type(poi_id) is not int:
+            raise ConfigurationError(f"PoI id {poi_id!r} is not an int")
         if not 0 <= poi_id < len(self.pois):
             raise ConfigurationError(f"PoI id {_id_text(poi_id)} is out of range")
 
@@ -383,7 +389,7 @@ _ID_DIGITS = 20  # an int id of more digits is abbreviated in error messages
 def _id_text(poi_id: int) -> str:
     """``poi_id`` as text, an int of more than :data:`_ID_DIGITS` digits as
     its leading digits and its digit count: ``100000000000... (401 digits)``."""
-    if not isinstance(poi_id, int) or -(10**_ID_DIGITS) < poi_id < 10**_ID_DIGITS:
+    if -(10**_ID_DIGITS) < poi_id < 10**_ID_DIGITS:
         return str(poi_id)
     magnitude = abs(poi_id)
     digits = int(magnitude.bit_length() * math.log10(2))  # the digit count, or one less
@@ -598,14 +604,17 @@ def _compact(row: list[Money]) -> Sequence[Money]:
 
 def landmark_bound(net: MultiModalNetwork, pois: Iterable[int]) -> Callable[[int, int], Money] | None:
     """A lower bound on the cost between any two PoIs of ``pois``, as a
-    function of the pair, or None when some landmark row misses one of them.
+    function of the pair, or None when the network's landmark_tightness is
+    under :data:`PRUNE_TIGHTNESS` or some landmark row misses one of them.
 
     The bound of ``(a, b)`` is ``max |d_L(a) - d_L(b)|`` over the
     :attr:`MultiModalNetwork.landmarks` rows ``d_L``, at most their cost by
     the triangle inequality. A row that misses a PoI splits ``pois`` across
     components, where it bounds nothing. Only pairs of ``pois`` may be
-    asked; every PoI of them is checked first.
+    asked; past the gate, every PoI of them is checked first.
     """
+    if net.landmark_tightness < PRUNE_TIGHTNESS:
+        return None
     rows = net.landmarks
     at: dict[int, tuple[Money, ...]] = {}
     for poi in pois:

@@ -50,6 +50,7 @@ def brute_force_optimal(
     offending pair is reported: each tuple's legs are summed source legs
     first, then hops, then destination legs.
     """
+    inst.check(net)
     search = functools.cache(functools.partial(reference_path, net))
 
     def cost(u: int, v: int) -> Money:

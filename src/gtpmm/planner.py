@@ -29,11 +29,12 @@ small DP over those bounds gives each category PoI the least bound of any
 chain through it, and the exact cost of the chain of least bound is the
 threshold. A PoI whose bound exceeds the threshold cannot be on an optimal
 chain, and the DP runs without it. The exact plan is unchanged, ties
-included (see :func:`_prune`). A gate, :data:`PRUNE_TIGHTNESS`, keeps the
-pruning to networks whose landmark bounds come close to exact costs; on
-others, such as random expanders, it would prune nothing and only add its
-searches. Per query, the pricing searches are skipped when no PoI's bound
-stands out from the least enough to be cut.
+included (see :func:`_prune`). The gate of
+:func:`~gtpmm.network.landmark_bound` keeps the pruning to networks whose
+landmark bounds come close to exact costs; on others, such as random
+expanders, it would prune nothing and only add its searches. Per query,
+the pricing searches are skipped when no PoI's bound stands out from the
+least enough to be cut.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
 from .network import (
+    ModeId,
     Money,
     MultiModalNetwork,
     PathResult,
@@ -55,13 +57,6 @@ from .network import (
     shortest_path,
     shortest_paths,
 )
-
-# plan() prunes by landmark bounds only on a network whose landmark_tightness is at least this. Measured:
-# 0.91-0.93 on the perfbench cities (seeds 0 and 3) and 0.86-0.94 on road_network lattices of 5-55 PoIs a
-# side, where per-person queries keep 1-6 of 10 PoIs per category; 0.57-0.64 on random_network(1, {200, 2000,
-# 5000}, 3), where forced pruning kept every PoI of bench_planner.py's queries and only added its searches
-# (200 PoIs: 2.7 -> 3.9 ms; 2000 PoIs: 132 -> 146 ms).
-PRUNE_TIGHTNESS = 0.8
 
 
 class SharingMode(enum.Enum):
@@ -148,6 +143,24 @@ class QueryInstance:
         for cat in self.categories:
             pois.update(cat)
         return pois
+
+    def check(self, net: MultiModalNetwork) -> None:
+        """Each PoI id is one of ``net``'s, as every planning method and
+        check asks first. The first that is not, agents first and then
+        categories, in order, raises :class:`ConfigurationError` naming its
+        element by index: ``agents[0][1]``, or ``categories[2]``."""
+        for index, pair in enumerate(self.agents):
+            for side, poi in enumerate(pair):
+                try:
+                    net.check_poi(poi)
+                except ConfigurationError as error:
+                    raise ConfigurationError(f"agents[{index}][{side}]: {error}") from None
+        for index, category in enumerate(self.categories):
+            for poi in category:
+                try:
+                    net.check_poi(poi)
+                except ConfigurationError as error:
+                    raise ConfigurationError(f"categories[{index}]: {error}") from None
 
 
 _UNKNOWN = object()  # Legs._known's answer for a pair no kept path or tree answers
@@ -323,15 +336,29 @@ class JourneyPlan:
     def n_agents(self) -> int:
         return len(self.source_legs)
 
+    def charged_legs(self) -> Iterator[tuple[PathResult, int]]:
+        """Each leg with the number of agents it is charged for: source
+        legs, then destination legs, once; then common legs, per the sharing mode."""
+        for leg in self.source_legs:
+            yield leg, 1
+        for leg in self.dest_legs:
+            yield leg, 1
+        m = self.sharing.intermediate_multiplier(self.n_agents)
+        for leg in self.common_legs:
+            yield leg, m
+
+    def agent_hops(self, agent: int) -> Iterator[tuple[int, int, int, ModeId]]:
+        """One agent's route in travel order, as ``(from PoI, to PoI, edge
+        id, mode)`` per hop: its source leg, the common legs, then its
+        destination leg."""
+        for leg in (self.source_legs[agent], *self.common_legs, self.dest_legs[agent]):
+            for (eid, mode), a, b in zip(leg.legs, leg.poi_sequence, leg.poi_sequence[1:]):
+                yield a, b, eid, mode
+
 
 def recompute_total(plan: JourneyPlan) -> Money:
     """Group cost re-derived from the plan's own legs (consistency check)."""
-    m = plan.sharing.intermediate_multiplier(plan.n_agents)
-    return (
-        sum(leg.cost for leg in plan.source_legs)
-        + m * sum(leg.cost for leg in plan.common_legs)
-        + sum(leg.cost for leg in plan.dest_legs)
-    )
+    return sum(count * leg.cost for leg, count in plan.charged_legs())
 
 
 def assemble(
@@ -351,25 +378,6 @@ def assemble(
     dest_legs = tuple(leg(net, common[-1], dest) for _, dest in inst.agents)
     draft = JourneyPlan(common, common_legs, source_legs, dest_legs, sharing, 0)
     return replace(draft, total_cost=recompute_total(draft))
-
-
-def _check_instance(net: MultiModalNetwork, inst: QueryInstance) -> None:
-    """Each PoI id of ``inst`` is one of ``net``'s. The first that is not,
-    agents first and then categories, in order, raises
-    :class:`ConfigurationError` naming its element by index: ``agents[0][1]``,
-    or ``categories[2]``, whose ids :class:`QueryInstance` keeps sorted."""
-    for index, pair in enumerate(inst.agents):
-        for side, poi in enumerate(pair):
-            try:
-                net.check_poi(poi)
-            except ConfigurationError as error:
-                raise ConfigurationError(f"agents[{index}][{side}]: {error}") from None
-    for index, category in enumerate(inst.categories):
-        for poi in category:
-            try:
-                net.check_poi(poi)
-            except ConfigurationError as error:
-                raise ConfigurationError(f"categories[{index}]: {error}") from None
 
 
 def compute_dp(
@@ -393,7 +401,7 @@ def compute_dp(
     (:func:`plan` passes those of its pruning stage); the table is the
     same.
     """
-    _check_instance(net, inst)
+    inst.check(net)
     m = sharing.intermediate_multiplier(inst.n_agents)
     legs = legs if legs is not None else Legs()
     table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories], legs=legs)
@@ -473,8 +481,8 @@ def _first_unreachable(net: MultiModalNetwork, inst: QueryInstance) -> tuple[int
 def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, legs: Legs) -> QueryInstance | None:
     """The query cut to the category PoIs that landmark lower bounds cannot
     rule out. The searches that priced the threshold are kept in ``legs``.
-    None when some landmark row splits the query's PoIs across components,
-    where the rows bound nothing, and when no PoI is likely to go (below).
+    None when :func:`~gtpmm.network.landmark_bound` gives no bounds for the
+    query's PoIs, and when no PoI is likely to go (below).
 
     A pair's bound is :func:`~gtpmm.network.landmark_bound`'s, ``max
     |d_L(a) - d_L(b)|`` over the landmark rows ``d_L``, at most its cost by
@@ -508,7 +516,7 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
     """
     bound = landmark_bound(net, inst.referenced_pois())
     if bound is None:
-        return None  # a landmark row splits the query's PoIs across components: no bounds
+        return None
     m = sharing.intermediate_multiplier(inst.n_agents)
     sources = Counter(source for source, _ in inst.agents)
     destinations = Counter(dest for _, dest in inst.agents)
@@ -551,12 +559,12 @@ def plan(
     :class:`InfeasibleRouteError` when some required pair is disconnected.
 
     On a network whose :attr:`~gtpmm.network.MultiModalNetwork.landmark_tightness`
-    is at least :data:`PRUNE_TIGHTNESS`, the DP runs over the category
-    PoIs that :func:`_prune`'s landmark lower bounds keep, reusing the
-    endpoint searches of the chain it priced; the plan, its total, legs
-    and tie-breaks are those of the DP over every PoI. Elsewhere, and when
-    the bounds do not apply or are unlikely to cut, the DP runs over every
-    PoI.
+    is at least :data:`~gtpmm.network.PRUNE_TIGHTNESS`, the DP runs over
+    the category PoIs that :func:`_prune`'s landmark lower bounds keep,
+    reusing the endpoint searches of the chain it priced; the plan, its
+    total, legs and tie-breaks are those of the DP over every PoI.
+    Elsewhere, and when the bounds do not apply or are unlikely to cut, the
+    DP runs over every PoI.
 
     The pruning's and the DP's single-source searches go to one
     :class:`Legs`, and the plan's legs are read from their trees where one
@@ -564,11 +572,9 @@ def plan(
     a hop the pruning priced. Only the other legs are searched, each hop
     point to point and the destination legs from one search.
     """
-    _check_instance(net, inst)  # before the pruning's landmark bounds check its PoIs unnamed
+    inst.check(net)  # before the pruning's landmark bounds check its PoIs unnamed
     legs = Legs()
-    query = inst
-    if net.landmark_tightness >= PRUNE_TIGHTNESS:
-        query = _prune(net, inst, sharing, legs) or inst
+    query = _prune(net, inst, sharing, legs) or inst
     table = compute_dp(net, query, sharing, legs=legs)
 
     last = table.cost[-1]
@@ -602,7 +608,7 @@ def group_cost(
     """
     from .oracle import brute_force_optimal  # oracle imports this module
 
-    _check_instance(net, inst)
+    inst.check(net)
     if len(common_pois) != inst.k:
         raise ConfigurationError(f"expected {inst.k} common PoIs, got {len(common_pois)}")
     for c, poi in enumerate(common_pois):

@@ -58,13 +58,8 @@ def _covers(route: tuple[int, ...], span: tuple[int, ...]) -> bool:
 
 def _agent_segments(plan: JourneyPlan, agent: int) -> list[tuple[tuple[int, ...], ModeId]]:
     """Maximal same-mode runs of one agent's full journey, as (PoI span, mode)."""
-    hops: list[tuple[int, int, ModeId]] = []
-    legs = [plan.source_legs[agent], *plan.common_legs, plan.dest_legs[agent]]
-    for leg in legs:
-        for (_, mode), (a, b) in zip(leg.legs, zip(leg.poi_sequence, leg.poi_sequence[1:])):
-            hops.append((a, b, mode))
     segments: list[tuple[tuple[int, ...], ModeId]] = []
-    for a, b, mode in hops:
+    for a, b, _, mode in plan.agent_hops(agent):
         if segments and segments[-1][1] == mode and segments[-1][0][-1] == a:
             segments[-1] = (segments[-1][0] + (b,), mode)
         else:

@@ -25,12 +25,13 @@ from gtpmm.network import (
     FarePolicy,
     FareTable,
     NetworkBuilder,
+    PRUNE_TIGHTNESS,
     PathResult,
     landmark_bound,
     reference_path,
     shortest_paths,
 )
-from gtpmm.planner import PRUNE_TIGHTNESS, JourneyPlan
+from gtpmm.planner import JourneyPlan
 from gtpmm.rng import SplitMix64
 from gtpmm.synth import (
     random_disconnected_network,

@@ -114,7 +114,7 @@ def test_walkthrough_usage_counts(walkthrough_net, walkthrough_inst):
     # twice for two agents; destinations v7->v10 by Train, v7->v9 by Bus
     assert usage == {"Bus": 2, "Car": 1, "Train": 5}
     assert list(usage) == ["Bus", "Car", "Train"]  # first-encounter order: source, destination, then common legs
-    common_hops = sum(leg.hops for leg in journey.common_legs)
+    common_hops = sum(len(leg.legs) for leg in journey.common_legs)
     assert common_hops * journey.n_agents == 4  # the common-leg share of Train
 
 
@@ -123,9 +123,9 @@ def test_usage_counts_sum_to_leg_traversals(walkthrough_net, walkthrough_inst):
     usage = medium_usage(walkthrough_net, journey)
     multiplier = journey.sharing.intermediate_multiplier(journey.n_agents)
     traversals = (
-        sum(leg.hops for leg in journey.source_legs)
-        + sum(leg.hops for leg in journey.dest_legs)
-        + multiplier * sum(leg.hops for leg in journey.common_legs)
+        sum(len(leg.legs) for leg in journey.source_legs)
+        + sum(len(leg.legs) for leg in journey.dest_legs)
+        + multiplier * sum(len(leg.legs) for leg in journey.common_legs)
     )
     assert sum(usage.values()) == traversals
 
@@ -134,9 +134,9 @@ def test_shared_plan_counts_common_legs_once(walkthrough_net, walkthrough_inst):
     shared = plan(walkthrough_net, walkthrough_inst, SharingMode.SHARED_INTERMEDIATE)
     usage = medium_usage(walkthrough_net, shared)
     assert sum(usage.values()) == (
-        sum(leg.hops for leg in shared.source_legs)
-        + sum(leg.hops for leg in shared.dest_legs)
-        + sum(leg.hops for leg in shared.common_legs)
+        sum(len(leg.legs) for leg in shared.source_legs)
+        + sum(len(leg.legs) for leg in shared.dest_legs)
+        + sum(len(leg.legs) for leg in shared.common_legs)
     )
 
 

@@ -505,6 +505,15 @@ def test_shortest_path_is_deterministic(walkthrough_net):
     assert all(run == runs[0] for run in runs)
 
 
+@pytest.mark.parametrize("search", [shortest_path, cheapest_parallel_edge, reference_path])
+@pytest.mark.parametrize("poi", [1.0, 1.5, "a", True])
+def test_searches_reject_a_poi_id_that_is_not_an_int(walkthrough_net, search, poi):
+    for ends in ((poi, 2), (2, poi)):
+        with pytest.raises(ConfigurationError) as excinfo:
+            search(walkthrough_net, *ends)
+        assert str(excinfo.value) == f"PoI id {poi!r} is not an int"
+
+
 # --- search views and differential tests ---------------------------------------
 
 
@@ -750,6 +759,7 @@ def test_landmark_bound_is_the_rows_largest_gap_and_at_most_the_cost():
             assert bound(a, b) == max(abs(row[a] - row[b]) for row in net.landmarks) <= costs[b]
     islands = random_disconnected_network(seed=5, n_components=3, pois_per_component=5)  # PoIs 0-4, 5-9, 10-14
     assert landmark_bound(islands, [0, 1]) is None  # the other islands' landmarks reach neither
+    assert landmark_bound(random_network(1, 200, 3), [0, 1]) is None  # the gate: tightness under PRUNE_TIGHTNESS
     with pytest.raises(ConfigurationError, match="out of range"):
         landmark_bound(net, [0, net.poi_count])
 

@@ -1,0 +1,130 @@
+"""The network file reader that decodes a chunk at a time against the whole-text decode."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtpmm import ingest
+from gtpmm.errors import ParseError
+from gtpmm.fixtures import walkthrough_fare_table, walkthrough_network
+from gtpmm.ingest import load_network_json, save_network_json
+from gtpmm.network import NetworkBuilder
+from gtpmm.synth import road_network
+
+CHUNKS = (1, 2, 7, 64, ingest._TEXT_CHUNK)
+
+
+def _whole(path):
+    return ingest._as_object(ingest.read_json(path, "network", ingest._edge_row))
+
+
+def _tricky_network():
+    """PoI names that hold the characters the reader cuts and splits at."""
+    builder = NetworkBuilder()
+    for index, name in enumerate(['}, {"a": 1}', "]", '"}\\', "", "é\U0001f600 }"]):
+        builder.add_poi(f"p{index}}}", name=name, coords=(index, -index) if index % 2 else None)
+    for index in range(4):
+        builder.add_edge(index, index + 1, index % 2, 10.0 * index + 0.5, 1.25)
+    return builder.finalize(walkthrough_fare_table())
+
+
+NETWORKS = {"walkthrough": walkthrough_network, "road": lambda: road_network(1, 6), "tricky": _tricky_network}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_a_saved_network_reads_in_chunks_as_it_reads_whole(tmp_path, monkeypatch, name, chunk):
+    net = NETWORKS[name]()
+    path = tmp_path / "net.json"
+    save_network_json(net, path)
+    monkeypatch.setattr(ingest, "_TEXT_CHUNK", chunk)
+    assert ingest._network_document(path) == _whole(path)
+    assert load_network_json(path) == net
+
+
+def test_the_reader_holds_a_few_chunks_of_the_text_at_most(tmp_path, monkeypatch):
+    path = tmp_path / "net.json"
+    save_network_json(road_network(1, 20), path)
+    held = []
+    more = ingest._Chunks.more
+
+    def spy(self):
+        grew = more(self)
+        held.append(len(self.text))
+        return grew
+
+    monkeypatch.setattr(ingest, "_TEXT_CHUNK", 1024)
+    monkeypatch.setattr(ingest._Chunks, "more", spy)
+    edges = ingest._network_document(path)["edges"]
+    assert len(path.read_text()) > 50 * 1024
+    assert max(held) < 2 * 1024
+    ends = [end for edge in edges for end in edge[:2]]
+    assert len({*map(id, ends)}) == len({*ends}) == 400  # one int object per PoI id, not per edge end
+
+
+TEXTS = {
+    "empty": "",
+    "empty-object": "{}",
+    "empty-arrays": '{"modes": [], "pois": [ ], "edges": [\n]}',
+    "trailing-comma": '{"modes": [{"a": 1},]}',
+    "trailing-key-comma": '{"modes": [],}',
+    "extra-data": '{"modes": []} []',
+    "not-an-object": "[]",
+    "scalar-items": '{"modes": [1, 2]}',
+    "nested-objects": '{"modes": [{"a": {"b": {}}}, {"c": [{"d": 1}]}]}',
+    "non-array-value": '{"modes": {"a": 1}}',
+    "duplicate-keys": '{"modes": [{"a": 1}], "pois": [], "modes": [{"b": 2}]}',
+    "crlf": '{\r\n"modes": [\r\n{"a": 1}\r\n]\r\n}\r\n',
+    "bom": '\ufeff{"modes": []}',
+    "unterminated": '{"modes": [{"a": 1}',
+    "edge-keyed-document": json.dumps(dict.fromkeys(("u", "v", "mode", "distance_m", "time_min"), [])),
+}
+
+
+def _agree(path, monkeypatch, chunk):
+    """The chunked read raises ValueError, or equals the whole read; it never
+    takes a file the whole read rejects."""
+    monkeypatch.setattr(ingest, "_TEXT_CHUNK", chunk)
+    try:
+        whole = _whole(path)
+    except ParseError:
+        whole = None
+    try:
+        chunked = ingest._network_document(path)
+    except (ValueError, RecursionError):
+        return
+    assert whole is not None
+    assert chunked == whole
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("case", sorted(TEXTS))
+def test_odd_texts_read_in_chunks_as_they_read_whole_or_not_at_all(tmp_path, monkeypatch, case, chunk):
+    path = tmp_path / "net.json"
+    path.write_text(TEXTS[case], encoding="utf-8", newline="")
+    _agree(path, monkeypatch, chunk)
+
+
+@pytest.fixture(scope="module")
+def tricky_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tricky") / "net.json"
+    save_network_json(_tricky_network(), path)
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_network_texts_read_in_chunks_as_they_read_whole_or_not_at_all(tmp_path_factory, tricky_text, data):
+    text = json.dumps(json.loads(tricky_text), indent=data.draw(st.sampled_from([None, 0, 2])))
+    for _ in range(data.draw(st.integers(1, 3))):  # insert, replace or delete one character
+        at, removed = data.draw(st.integers(0, len(text))), data.draw(st.integers(0, 1))
+        added = data.draw(st.sampled_from(["", *'{}[],:" \n\r0a-.\\']))
+        text = text[:at] + added + text[at + removed :]
+    path = tmp_path_factory.mktemp("mutated") / "net.json"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _agree(path, monkeypatch, data.draw(st.sampled_from(CHUNKS)))

@@ -21,14 +21,17 @@ from gtpmm import (
     compute_dp,
     destination_totals,
     group_cost,
+    nncm,
     plan,
     recompute_total,
+    rpcm,
+    rprm,
     shortest_path,
 )
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, _edge_costs, reference_path, shortest_paths
-from gtpmm.planner import JourneyPlan, _check_instance, assemble, reconstruct
+from gtpmm.planner import JourneyPlan, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 from conftest import Search
 from test_network import EDGE_CASE_FARES, built_network
@@ -172,20 +175,41 @@ def test_unknown_poi_rejected(walkthrough_net):
         plan(walkthrough_net, inst, PER_PERSON)
 
 
-@pytest.mark.parametrize(
-    ("agents", "categories", "message"),
-    [
-        ([(0, 99)], [[2]], "agents[0][1]: PoI id 99 is out of range"),
-        ([(0, 1), (-1, 99)], [[2]], "agents[1][0]: PoI id -1 is out of range"),
-        ([(0, 1)], [[2], [3, 10, -4]], "categories[1]: PoI id -4 is out of range"),
-        ([(0, 10**400)], [[-(10**30)]], "agents[0][1]: PoI id 100000000000... (401 digits) is out of range"),
-        ([(0, 1)], [[2, 10**20]], "categories[0]: PoI id 100000000000... (21 digits) is out of range"),
-        ([(0, 1)], [[2, 10**20 - 1]], "categories[0]: PoI id 99999999999999999999 is out of range"),
-    ],
-)
+OUT_OF_RANGE_QUERIES = [
+    ([(0, 99)], [[2]], "agents[0][1]: PoI id 99 is out of range"),
+    ([(0, 1), (-1, 99)], [[2]], "agents[1][0]: PoI id -1 is out of range"),
+    ([(0, 1)], [[2], [3, 10, -4]], "categories[1]: PoI id -4 is out of range"),
+    ([(0, 10**400)], [[-(10**30)]], "agents[0][1]: PoI id 100000000000... (401 digits) is out of range"),
+    ([(0, 1)], [[2, 10**20]], "categories[0]: PoI id 100000000000... (21 digits) is out of range"),
+    ([(0, 1)], [[2, 10**20 - 1]], "categories[0]: PoI id 99999999999999999999 is out of range"),
+]
+
+
+@pytest.mark.parametrize(("agents", "categories", "message"), OUT_OF_RANGE_QUERIES)
 def test_check_instance_names_the_first_out_of_range_element_in_order(walkthrough_net, agents, categories, message):
     with pytest.raises(ConfigurationError) as excinfo:
         plan(walkthrough_net, QueryInstance(agents, categories), PER_PERSON)
+    assert str(excinfo.value) == message
+
+
+CHECKED_METHODS = {
+    "plan": lambda net, inst: plan(net, inst, PER_PERSON),
+    "compute_dp": lambda net, inst: compute_dp(net, inst, PER_PERSON),
+    "group_cost": lambda net, inst: group_cost(net, inst, [cat[0] for cat in inst.categories]),
+    "nncm": nncm,
+    "brute_force_optimal": brute_force_optimal,
+    **{f"rprm-seed{seed}": lambda net, inst, seed=seed: rprm(net, inst, seed) for seed in range(1, 6)},
+    **{f"rpcm-seed{seed}": lambda net, inst, seed=seed: rpcm(net, inst, seed) for seed in range(1, 6)},
+}
+
+
+@pytest.mark.parametrize("method", CHECKED_METHODS.values(), ids=CHECKED_METHODS.keys())
+@pytest.mark.parametrize(("agents", "categories", "message"), OUT_OF_RANGE_QUERIES)
+def test_every_method_names_the_first_out_of_range_element_alike(walkthrough_net, agents, categories, message, method):
+    """Each method checks its query before any draw or search: no plan for
+    a query with an out-of-range id, and no error naming another one."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        method(walkthrough_net, QueryInstance(agents, categories))
     assert str(excinfo.value) == message
 
 
@@ -438,7 +462,7 @@ class _ReferenceTable:
 
 
 def _reference_compute_dp(net, inst, sharing):
-    _check_instance(net, inst)
+    inst.check(net)
     m = sharing.intermediate_multiplier(inst.n_agents)
     table = _ReferenceTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories])
 

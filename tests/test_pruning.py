@@ -26,7 +26,7 @@ from gtpmm import (
 )
 from gtpmm import planner
 from gtpmm.bench import draw_instance
-from gtpmm.network import FarePolicy, FareTable, reference_path
+from gtpmm.network import PRUNE_TIGHTNESS, FarePolicy, FareTable, reference_path
 from gtpmm.planner import Legs, _first_unreachable, _prune, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
 
@@ -153,9 +153,9 @@ def assert_pruned_plans_match(cases, sharing, dp_queries):
 def test_road_networks_pass_the_gate_and_random_ones_do_not():
     for seed in range(4):
         for side in (5, 12, 30):
-            assert road_network(seed, side).landmark_tightness >= planner.PRUNE_TIGHTNESS
+            assert road_network(seed, side).landmark_tightness >= PRUNE_TIGHTNESS
     for pois in (200, 2000):
-        assert random_network(1, pois, 3).landmark_tightness < planner.PRUNE_TIGHTNESS
+        assert random_network(1, pois, 3).landmark_tightness < PRUNE_TIGHTNESS
     assert random_disconnected_network(5, 3, 5).landmark_tightness == 0.0  # bounds across components bound nothing
 
 
@@ -178,7 +178,7 @@ def test_tightness_is_the_share_of_exact_costs_the_other_landmarks_bound():
 @pytest.mark.parametrize("sharing", [PER_PERSON, SHARED])
 def test_pruned_plan_matches_the_unpruned_dp_on_road_networks(sharing, dp_queries):
     cases = list(road_cases())
-    assert all(net.landmark_tightness >= planner.PRUNE_TIGHTNESS for net, _ in cases)  # the gate is on
+    assert all(net.landmark_tightness >= PRUNE_TIGHTNESS for net, _ in cases)  # the gate is on
     assert assert_pruned_plans_match(cases, sharing, dp_queries) >= len(cases) // 2
 
 
@@ -301,7 +301,7 @@ def test_pruned_plans_count_the_searches_they_ran(sharing, searches, monkeypatch
 
 def _gate_off_case(pois, k, p, agents):
     net = random_network(1, pois, 3)
-    assert net.landmark_tightness < planner.PRUNE_TIGHTNESS
+    assert net.landmark_tightness < PRUNE_TIGHTNESS
     return net, draw_instance(net, 7, k, p, agents)
 
 
@@ -311,22 +311,19 @@ def _nothing_stands_out_case():
 
 
 @pytest.mark.parametrize(
-    "make_case, pruner_calls",
-    [
-        (lambda: _gate_off_case(200, 3, 5, 5), 0),
-        (lambda: _gate_off_case(2000, 2, 8, 12), 0),
-        (_nothing_stands_out_case, 1),
-    ],
+    "make_case",
+    [lambda: _gate_off_case(200, 3, 5, 5), lambda: _gate_off_case(2000, 2, 8, 12), _nothing_stands_out_case],
     ids=["gate-off-200", "gate-off-2000", "no-bound-stands-out"],
 )
-def test_unpruned_queries_run_exactly_the_dp_searches(make_case, pruner_calls, monkeypatch, dp_queries, searches):
-    """With the gate off, or when no PoI's bound stands out, plan() runs
-    the searches of compute_dp over every PoI and no other cost search;
-    only point-to-point and destination legs follow."""
+def test_unpruned_queries_run_exactly_the_dp_searches(make_case, monkeypatch, dp_queries, searches):
+    """With the gate off, or when no PoI's bound stands out, the pruning
+    declines before any search, and plan() runs the searches of compute_dp
+    over every PoI and no other cost search; only point-to-point and
+    destination legs follow."""
     net, inst = make_case()
     pruner = []
     prune = planner._prune
-    monkeypatch.setattr(planner, "_prune", lambda *args: pruner.append(args) or prune(*args))
+    monkeypatch.setattr(planner, "_prune", lambda *args: pruner.append(prune(*args)) or pruner[-1])
     table = compute_dp(net, inst, PER_PERSON)
     expected = list(searches)
     searches.clear()
@@ -347,7 +344,7 @@ def test_unpruned_queries_run_exactly_the_dp_searches(make_case, pruner_calls, m
     assert len(expected) == sum(table.legs.searches.values())
     assert table.legs.searches == Counter(search.kind for search in expected)
     assert all(search.kind == "path" or search.origin == last for search in searches[end + 1 :])
-    assert len(pruner) == pruner_calls
+    assert pruner == [None]
 
 
 def test_disconnected_networks_fall_back_to_the_unpruned_dp(dp_queries):

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from conftest import Search
 from gtpmm import InfeasibleRouteError, SharingMode, nncm, plan, rpcm
 from gtpmm.bench import draw_instance
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, reference_path, shortest_paths
-from gtpmm.planner import PRUNE_TIGHTNESS, Legs, assemble
+from gtpmm.network import PRUNE_TIGHTNESS, FarePolicy, FareTable, NetworkBuilder, reference_path, shortest_paths
+from gtpmm.planner import Legs, assemble
 from gtpmm.rng import SplitMix64
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
 from test_network import EDGE_CASE_FARES, EDGE_CASE_NETWORKS, built_network, landmark_networks, small_networks
