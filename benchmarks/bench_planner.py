@@ -29,6 +29,18 @@ code, so no change to the package changes it.
 A row with the same label is replaced, so rerunning a measurement does not
 grow the file. The package is imported from ``PYTHONPATH``, so pointing it
 at another checkout's ``src`` measures that checkout with this script.
+
+With ``--against DIR`` each scenario runs ``PAIRS`` times in pairs of
+subprocesses, one with this checkout's ``src`` and one with ``DIR/src``,
+``DIR`` first in the first pair and the order flipped in each pair after
+it, so that both sides meet the host's drift alike:
+
+    PYTHONPATH=src python benchmarks/bench_planner.py --label "change against parent" --against ../parent-checkout
+
+Such a row holds, per scenario, each side's median ``plan_s`` and
+``compute_dp_s`` over the pairs, the ratio of the change's ``plan_s`` to
+the parent's in each pair and their median, the pairs the change won, and
+each side's searches (equal when the change keeps every search).
 """
 
 from __future__ import annotations
@@ -39,6 +51,8 @@ import math
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
 from heapq import heappop, heappush
@@ -48,7 +62,8 @@ from gtpmm import planner
 from gtpmm.bench import draw_instance
 from gtpmm.synth import random_network, road_network
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "BENCH_planner.json"
 NETWORKS = {
     "random": lambda pois: random_network(1, pois, 3),
     "road": lambda pois: road_network(1, math.isqrt(pois)),
@@ -61,6 +76,7 @@ SCENARIOS = (  # (PoIs, k, PoIs per category, agents, network)
 )
 SHARING = planner.SharingMode.PER_PERSON_INTERMEDIATE
 REPEATS = 7
+PAIRS = 5  # per scenario with --against
 REFERENCE_NODES = 2000
 
 
@@ -142,11 +158,14 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
     }
 
 
-def new_row(description: str, output: Path, argv: list[str] | None) -> tuple[dict, Path]:
+def new_row(
+    description: str, output: Path, argv: list[str] | None, parents: tuple[argparse.ArgumentParser, ...] = ()
+) -> tuple[dict, Path]:
     """A row headed by the ``--label`` argument, the Python version and
     ``os.cpu_count()``, and the file it goes to (``--output``, by default
-    ``output``); the benchmark scripts' shared command line."""
-    parser = argparse.ArgumentParser(description=description.splitlines()[0])
+    ``output``); the benchmark scripts' shared command line, with the
+    options of ``parents`` besides."""
+    parser = argparse.ArgumentParser(description=description.splitlines()[0], parents=list(parents))
     parser.add_argument("--label", required=True, help="names the measured code, e.g. its commit")
     parser.add_argument("--output", type=Path, default=output)
     args = parser.parse_args(argv)
@@ -160,9 +179,50 @@ def save_row(row: dict, output: Path) -> None:
     output.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
 
 
+def measured_in(src: Path, index: int) -> dict:
+    """:func:`measure` of scenario ``index`` in a subprocess that imports the package from ``src``."""
+    command = [sys.executable, __file__, "--scenario", str(index)]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def paired(against: Path, index: int) -> dict:
+    """Scenario ``index`` measured ``PAIRS`` times with ``against``'s ``src``
+    (the parent) and this checkout's (the change), alternating which runs first."""
+    sides = {"parent": against / "src", "change": ROOT / "src"}
+    runs = []
+    for pair in range(PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        runs.append({side: measured_in(sides[side], index) for side in order})
+    ratios = [run["change"]["plan_s"] / run["parent"]["plan_s"] for run in runs]
+    first = runs[0]["change"]
+    row = {key: first[key] for key in ("pois", "k", "pois_per_category", "agents", "repeats")}
+    row["pairs"] = PAIRS
+    for side in sides:
+        for key in ("plan_s", "compute_dp_s", "host_ref_ms"):
+            row[f"{side}_{key}"] = round(statistics.median(run[side][key] for run in runs), 4)
+        row[f"{side}_searches_by_kind"] = runs[0][side]["searches_by_kind"]
+    row["plan_ratios"] = [round(ratio, 3) for ratio in ratios]
+    row["plan_ratio_median"] = round(statistics.median(ratios), 3)
+    row["change_won"] = sum(ratio < 1 for ratio in ratios)
+    return row
+
+
 def main(argv: list[str] | None = None) -> int:
-    row, output = new_row(__doc__, OUTPUT, argv)
-    row["scenarios"] = [measure(*scenario) for scenario in SCENARIOS]
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--against", type=Path, help="another checkout, run in pairs with this one")
+    options.add_argument("--scenario", type=int, help="print this scenario's measurement alone, as --against runs it")
+    args, _ = options.parse_known_args(argv)
+    if args.scenario is not None:
+        print(json.dumps(measure(*SCENARIOS[args.scenario])))
+        return 0
+
+    row, output = new_row(__doc__, OUTPUT, argv, (options,))
+    if args.against is None:
+        row["scenarios"] = [measure(*scenario) for scenario in SCENARIOS]
+    else:
+        row["scenarios"] = [paired(args.against.resolve(), index) for index in range(len(SCENARIOS))]
     save_row(row, output)
     for scenario in row["scenarios"]:
         print(json.dumps(scenario))

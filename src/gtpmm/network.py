@@ -22,7 +22,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import eq, itemgetter, sub
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigurationError
 
@@ -602,6 +602,14 @@ def _compact(row: list[Money]) -> Sequence[Money]:
         return row
 
 
+def _landmarks_tight(net: MultiModalNetwork) -> bool:
+    """Whether the network's landmark bounds are close enough to exact costs
+    to aim by, pair by pair: its landmark_tightness is at least
+    :data:`PRUNE_TIGHTNESS`. The one reading of the gate, for
+    :func:`landmark_bound` and :func:`_goal_order`."""
+    return net.landmark_tightness >= PRUNE_TIGHTNESS
+
+
 def landmark_bound(net: MultiModalNetwork, pois: Iterable[int]) -> Callable[[int, int], Money] | None:
     """A lower bound on the cost between any two PoIs of ``pois``, as a
     function of the pair, or None when the network's landmark_tightness is
@@ -613,7 +621,7 @@ def landmark_bound(net: MultiModalNetwork, pois: Iterable[int]) -> Callable[[int
     components, where it bounds nothing. Only pairs of ``pois`` may be
     asked; past the gate, every PoI of them is checked first.
     """
-    if net.landmark_tightness < PRUNE_TIGHTNESS:
+    if not _landmarks_tight(net):
         return None
     rows = net.landmarks
     at: dict[int, tuple[Money, ...]] = {}
@@ -688,6 +696,13 @@ def _bounds_pay_off(reach: Money, band: Money) -> bool:
     start ``s`` to the farthest target). The rule only picks the faster
     search; either gives the same result.
 
+    A goal group of one target has band 0, so its bounds always pay off.
+    The rule decides for :func:`layer_costs`, which aims at its targets
+    as one group; for :func:`shortest_paths` under the gate of
+    :func:`_landmarks_tight`, where one group holds its targets; and past
+    the gate, where it aims at one target at a time, only for the last
+    group of a search that stops re-aiming.
+
     The bounds cost work at every heap push, about a fifth more time per
     search where they prune nothing, and leave unbounded every PoI whose
     landmark cost lies within the band. Timed per search with the bounds
@@ -701,6 +716,38 @@ def _bounds_pay_off(reach: Money, band: Money) -> bool:
     times, against 1/10.
     """
     return band * BOUND_SHARE <= reach
+
+
+def _goal_order(net: MultiModalNetwork, source: int, targets: Collection[int]) -> list[int] | None:
+    """``targets`` in the order a search from ``source`` aims at them one at
+    a time, or None when it aims at all of them at once: when there are
+    fewer than two, when the gate of :func:`_landmarks_tight` is closed, or
+    when some landmark row misses the source or a target.
+
+    The order is ascending landmark bound from the source, ``max |d_L(s) -
+    d_L(t)|`` over the landmarks, ties to the lower PoI id. Only the
+    search's speed depends on it. Under the gate one target at a time
+    does not pay: on ``random_network(1, {200, 2000, 5000}, 3)``, at
+    tightness 0.57-0.64, it made the tree searches of
+    ``benchmarks/bench_planner.py``'s plans 1.3 to 1.4 times as slow as
+    the one group.
+    """
+    if len(targets) < 2 or not _landmarks_tight(net):
+        return None
+    targets = sorted(targets)  # the stable sort below leaves equal bounds in id order
+    bound = dict.fromkeys(targets, 0)
+    for row in net.landmarks:
+        at_source = row[source]
+        if at_source < 0:
+            return None
+        for target in targets:
+            x = row[target]
+            if x < 0:
+                return None
+            gap = abs(x - at_source)
+            if gap > bound[target]:
+                bound[target] = gap
+    return sorted(targets, key=bound.__getitem__)
 
 
 def reference_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
@@ -768,8 +815,14 @@ class SearchTree(Mapping[int, PathResult]):
     ``costs`` maps each reached target to its cost, and ``targets`` holds
     every PoI the search was asked for; one missing from ``costs`` is
     unreachable from ``source``. Of the search's state the tree keeps only
-    the predecessor per PoI and the PoIs that were offered a second
-    predecessor at an equal cost, which :meth:`path_from` reads.
+    the predecessor per PoI and the tie set, which :meth:`path_from` reads:
+    the PoIs that a second predecessor offered their final cost. A tie at
+    a cost that a later offer beat is dropped with that cost, as the PoI's
+    one cheapest predecessor may come after it; keeping it would only make
+    :meth:`path_from` decline a path it can tell. A search that re-aims at
+    one target after another offers many PoIs costs it later beats, and
+    with such ties kept the planner searched legs point to point that the
+    tree could have told.
     """
 
     def __init__(
@@ -816,15 +869,15 @@ class SearchTree(Mapping[int, PathResult]):
 
         The tree tells it when the path is the only cheapest one, as every
         search then finds it: when no edge of the network is free
-        (:attr:`MultiModalNetwork.has_free_hop`) and no PoI on the path was
-        offered a second predecessor at an equal cost. Over priced edges
-        every PoI that ends a cheapest path to ``v`` is settled before
-        ``v`` in both loops of :func:`shortest_paths`, as its ``(f, g)`` is
-        lower, and offers ``v`` that cost; so a PoI offered no second equal
-        cost has one cheapest predecessor, and a chain of such PoIs is the
-        one cheapest path. Across a free edge both ends have equal ``f``
-        and ``g``, and the lower id can be settled without hearing from
-        the other.
+        (:attr:`MultiModalNetwork.has_free_hop`) and no PoI on the path is
+        in the tie set. Over priced edges every PoI that ends a cheapest
+        path to ``v`` is settled before ``v`` in both loops of
+        :func:`shortest_paths`, whatever goal the bounded loop aims at, as
+        its ``(f, g)`` is lower, and offers ``v`` its final cost; so a PoI
+        that no second predecessor offered its final cost has one cheapest
+        predecessor, and a chain of such PoIs is the one cheapest path.
+        Across a free edge both ends have equal ``f`` and ``g``, and the
+        lower id can be settled without hearing from the other.
         """
         if self._net.has_free_hop:
             return None
@@ -849,16 +902,36 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
 
     A Dijkstra run until every target is settled, made goal-directed when
     :func:`_landmark_bounds` gives bounds: then it is an A* search that
-    pops by ``f = g + h``, ``g`` the cost so far and ``h`` the bound. The
-    bound is consistent, so every settled cost is exact. Each path equals
+    pops by ``f = g + h``, ``g`` the cost so far and ``h`` the bound.
+
+    The bounds aim at goal groups in turn. Where :func:`_goal_order` gives
+    an order, each target starts as a group of its own: the search aims at
+    the first, and each time it settles the target it aims at, it re-aims
+    at the next target not yet settled, re-keying every open entry with
+    that target's bounds. A re-keyed entry costs about what a pushed one
+    does, so the re-keying is kept in step with the search's own work:
+    once the entries re-keyed so far outnumber the PoIs reached, one last
+    group holds every target left. Elsewhere one group holds every target
+    from the start. An ALT bound is tight for one target at a time; for a
+    band of targets spread over the network it is weak, and when
+    :func:`_bounds_pay_off` turns a group's bounds down the search goes on
+    in the plain loop.
+
+    Every settled cost is exact: each group's bound is consistent, and at
+    a group's start the open entries hold, for each PoI they reach, the
+    cheapest cost through the PoIs settled so far, which are exact; so
+    the first open PoI of a cheapest path to the popped PoI has no greater
+    ``f``, as with a single bound. Each path equals
     ``reference_path(net, source, target)`` because the search pops in
     ``(f, g, PoI id)`` order. A PoI ``v``'s predecessor is the lowest-id
     PoI that ends a cheapest path to ``v`` among those settled before
     ``v``, and each such ``u`` is settled before ``v`` just when Dijkstra
-    settles it first: over a priced edge ``u`` has a lower ``(f, g)``, and
-    over a free edge the two have equal ``f`` and ``g`` (a consistent
-    bound cannot change across a free edge), so, as in Dijkstra, the PoI
-    id alone orders them. A target missing from the result is unreachable.
+    settles it first, whatever group is aimed at then: over a priced edge
+    ``u`` has a lower ``(f, g)``, and over a free edge the two have equal
+    ``f`` and ``g`` (a consistent bound cannot change across a free edge),
+    so, as in Dijkstra, the PoI id alone orders them. A PoI is tied when a
+    second predecessor offers it its final cost; an offer of a cost later
+    beaten is forgotten. A target missing from the result is unreachable.
     """
     net.check_poi(source)
     remaining = set(targets)
@@ -867,42 +940,25 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
     wanted = frozenset(remaining)
 
     # Per-search state in flat lists indexed by PoI id: tentative cost (None
-    # until reached), predecessor and settled mark; and the PoIs offered an
-    # equal cost by a second predecessor.
+    # until reached), predecessor and settled mark; and per PoI that a
+    # second predecessor offered its tentative cost, that cost.
     dist: list[Money | None] = [None] * net.poi_count
     pred = [-1] * net.poi_count
     settled = [False] * net.poi_count
-    tied: set[int] = set()
+    ties: dict[int, Money] = {}
     dist[source] = 0
     neighbors = net.cheapest_neighbors
-    # Two copies of one loop, so that a search without bounds pays nothing for them at each push.
-    bounds = _landmark_bounds(net, (source,), remaining)
-    if bounds is None:
-        heap: list[tuple[Money, int]] = [(0, source)]
-        while heap and remaining:
-            d, u = heappop(heap)
-            if settled[u]:
-                continue
-            settled[u] = True
-            remaining.discard(u)
-            if not remaining:
-                break
-            for v, cost in neighbors[u]:
-                if settled[v]:
-                    continue
-                candidate = d + cost
-                known = dist[v]
-                if known is None or candidate < known:
-                    dist[v] = candidate
-                    pred[v] = u
-                    heappush(heap, (candidate, v))
-                elif candidate == known:
-                    tied.add(v)
-                    if u < pred[v]:
-                        pred[v] = u
-    else:
+    # Two loops, so that a search without bounds pays nothing for them at each push; the bounded loop hands
+    # its open entries to the plain loop when a group's bounds would not pay off.
+    goals = _goal_order(net, source, remaining)
+    bounds = _landmark_bounds(net, (source,), remaining if goals is None else goals[:1])
+    heap: list[tuple[Money, int]] = [(0, source)] if bounds is None else []
+    if bounds is not None:
         row1, lo1, hi1, row2, lo2, hi2 = bounds
+        goal = -1 if goals is None else goals[0]  # the one group's search ends when no target remains
+        later = iter(goals or ())
         bounded: list[tuple[Money, Money, int]] = [(0, 0, source)]
+        rekeyed = 0  # open entries re-keyed so far
         while bounded and remaining:
             _, d, u = heappop(bounded)
             if settled[u]:
@@ -924,11 +980,54 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
                     h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
                     heappush(bounded, (candidate + (h1 if h1 > h2 else h2), candidate, v))
                 elif candidate == known:
-                    tied.add(v)
+                    ties[v] = candidate
                     if u < pred[v]:
                         pred[v] = u
+            if u == goal:  # re-aim at the next target not settled while no more entries were re-keyed than PoIs reached
+                if rekeyed <= len(dist) - dist.count(None):
+                    goal = next(target for target in later if not settled[target])
+                    bounds = _landmark_bounds(net, (source,), (goal,))  # a single target's band always pays off
+                else:
+                    goal = -1
+                    bounds = _landmark_bounds(net, (source,), remaining)
+                if bounds is None:  # the open entries go on in the plain loop
+                    heap = [(g, v) for _, g, v in bounded if g == dist[v] and not settled[v]]
+                    heapify(heap)
+                    break
+                row1, lo1, hi1, row2, lo2, hi2 = bounds
+                entries, bounded = bounded, []
+                for _, g, v in entries:
+                    if g == dist[v] and not settled[v]:  # live: not stale, not settled
+                        x, y = row1[v], row2[v]  # the new f, inlined as at a push: a max() call costs twice as much
+                        h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                        h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                        bounded.append((g + (h1 if h1 > h2 else h2), g, v))
+                heapify(bounded)
+                rekeyed += len(bounded)
+    while heap and remaining:
+        d, u = heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        remaining.discard(u)
+        if not remaining:
+            break
+        for v, cost in neighbors[u]:
+            if settled[v]:
+                continue
+            candidate = d + cost
+            known = dist[v]
+            if known is None or candidate < known:
+                dist[v] = candidate
+                pred[v] = u
+                heappush(heap, (candidate, v))
+            elif candidate == known:
+                ties[v] = candidate
+                if u < pred[v]:
+                    pred[v] = u
 
     costs = {target: dist[target] for target in wanted if settled[target]}
+    tied = {v for v, cost in ties.items() if cost == dist[v]}  # a tie at a cost later beaten is no tie
     return SearchTree(net, source, wanted, costs, pred, tied)
 
 
@@ -949,7 +1048,11 @@ def layer_costs(
     :func:`_landmark_bounds` gives bounds it is an A* search that pops by
     key plus bound times ``weight * poi_count``; that bound is consistent
     on the packed keys too, so every PoI is settled at its exact minimum
-    key and the result is the Dijkstra's.
+    key and the result is the Dijkstra's. The bounds aim at every target
+    at once, never at one target at a time as :func:`shortest_paths` does:
+    that changes the order of the result, which is the order of the next
+    layer's starts and of the DP table, and saved at most 2 to 3 ms of a
+    perfbench pass.
     """
     if weight < 0:
         raise ConfigurationError(f"layer weight {weight} is negative")

@@ -53,10 +53,17 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (2.0**-53)
 
     def shuffle(self, seq: MutableSequence[T]) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle, drawing ``below(i + 1)`` for each
+        ``i`` from the last position down; the draws are inlined, as a
+        shuffle of a few thousand items makes one per item."""
+        state, mask, gamma, mix1, mix2 = self._state, _MASK64, _GAMMA, _MIX1, _MIX2
         for i in range(len(seq) - 1, 0, -1):
-            j = self.below(i + 1)
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            j = (z ^ (z >> 31)) % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
+        self._state = state
 
     def sample(self, seq: Sequence[T], k: int) -> list[T]:
         """Draw k distinct elements, order randomized."""

@@ -1,7 +1,9 @@
 """``benchmarks/bench_planner.py`` still runs against the package.
 
 The script is not imported by the package, so a rename in ``gtpmm.planner``
-would only show when someone next ran it; this runs its smallest scenario.
+would only show when someone next ran it; this runs its smallest scenario,
+in process and in the subprocess ``--against`` runs, and checks how
+``--against`` pairs and summarizes its runs.
 """
 
 from __future__ import annotations
@@ -12,11 +14,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_planner.py"
 
 
-def test_bench_planner_measures_the_small_scenario():
+def load_script():
     spec = importlib.util.spec_from_file_location("bench_planner", SCRIPT)
     bench_planner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_planner)
+    return bench_planner
 
+
+def test_bench_planner_measures_the_small_scenario():
+    bench_planner = load_script()
     row = bench_planner.measure(200, 3, 5, 5)
     assert set(row) == {
         "pois",
@@ -38,3 +44,30 @@ def test_bench_planner_measures_the_small_scenario():
     assert row["searches_by_kind"] == {"layer": 2, "tree": 7}  # k - 1 layers; one tree per PoI or endpoint
     assert row["compute_dp_s"] <= row["plan_s"]
     assert bench_planner.planner.compute_dp.__name__ == "compute_dp"  # the timing wrapper is removed
+
+
+def test_one_scenario_runs_in_a_subprocess():
+    bench_planner = load_script()
+    row = bench_planner.measured_in(SCRIPT.parents[1] / "src", 0)
+    assert (row["pois"], row["k"], row["pois_per_category"], row["agents"]) == (200, 3, 5, 5)
+    assert row["searches_by_kind"] == {"layer": 2, "tree": 7}
+
+
+def test_pairs_alternate_and_record_both_medians_and_each_ratio(monkeypatch):
+    bench_planner = load_script()
+    calls = []
+    plan_s = {"parent": iter([2.0, 2.0, 4.0, 2.0, 2.0]), "change": iter([1.0, 3.0, 2.0, 1.0, 1.0])}
+
+    def measured_in(src, index):
+        side = "change" if src == SCRIPT.parents[1] / "src" else "parent"
+        calls.append(side)
+        row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": next(plan_s[side])}
+        return row | {"compute_dp_s": 0.5, "host_ref_ms": 4.0, "searches_by_kind": {"tree": 7}}
+
+    monkeypatch.setattr(bench_planner, "measured_in", measured_in)
+    row = bench_planner.paired(Path("/elsewhere"), 0)
+    assert calls == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+    assert row["parent_plan_s"] == 2.0 and row["change_plan_s"] == 1.0
+    assert row["plan_ratios"] == [0.5, 1.5, 0.5, 0.5, 0.5]
+    assert row["plan_ratio_median"] == 0.5 and row["change_won"] == 4
+    assert row["parent_searches_by_kind"] == row["change_searches_by_kind"] == {"tree": 7}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -70,3 +71,23 @@ def test_fold_separates_namespaces():
     assert fold(1, "agents") != fold(1, "pools")
     assert fold(1, 2, 3) != fold(1, 3, 2)
     assert fold(5, "agents") == fold(5, "agents")
+
+
+def reference_shuffle(rng, seq):
+    """Verbatim copy of the shuffle that drew each index with ``below``."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.below(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3025])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 987654321])
+def test_shuffle_equals_the_below_loop_it_inlines(n, seed):
+    rng, reference = SplitMix64(seed), SplitMix64(seed)
+    items, expected = list(range(n)), list(range(n))
+    for _ in range(2):  # a second shuffle starts from the state the first left
+        rng.shuffle(items)
+        reference_shuffle(reference, expected)
+        assert items == expected
+        assert rng._state == reference._state
+        assert rng.next_u64() == reference.next_u64()
