@@ -12,7 +12,8 @@ the other, the parent first on the first seed and the order flipped on
 each seed after it.
 
 It prints every run's end-to-end metrics, then, per metric, each side's
-median, the ratio of the change's median to the parent's, and how many
+median, the parent's quartiles (q1-q3, the spread a gain is judged
+against), the ratio of the change's median to the parent's, and how many
 pairs the change won; a tie counts for neither, and which way is better
 comes from ``BENCHMARK.json``. It exits 1 when a run fails or is not
 ``correct``.
@@ -63,15 +64,18 @@ def pairs(against: Path, workload: str, seeds: list[int], seconds: int) -> list[
     return runs
 
 
-def summary(runs: list[dict[str, dict]]) -> list[tuple[str, float, float, int]]:
-    """``(metric, parent median, change median, pairs the change won)`` per end-to-end metric."""
+def summary(runs: list[dict[str, dict]]) -> list[tuple[str, float, float, float, float, int]]:
+    """``(metric, parent median, parent q1, parent q3, change median, pairs
+    the change won)`` per end-to-end metric; one run is its own quartiles."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     rows = []
     for metric in benchmark["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
         won = sum(sign * (change - parent) > 0 for parent, change in zip(values["parent"], values["change"]))
-        rows.append((name, statistics.median(values["parent"]), statistics.median(values["change"]), won))
+        parent = values["parent"]
+        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
+        rows.append((name, statistics.median(parent), q1, q3, statistics.median(values["change"]), won))
     return rows
 
 
@@ -90,10 +94,11 @@ def main(argv: list[str] | None = None) -> int:
             faults += not result["correct"]
             values = " ".join(f"{name}={metric['value']:.4g}" for name, metric in result["metrics"].items())
             print(f"seed {seed} {side}: {'correct' if result['correct'] else 'NOT CORRECT'} {values}")
-    print(f"{'metric':<18}{'parent':>12}{'change':>12}{'ratio':>8}  change won")
-    for name, parent, change, won in summary(runs):
+    print(f"{'metric':<18}{'parent':>12}{'parent q1-q3':>24}{'change':>12}{'ratio':>8}  change won")
+    for name, parent, q1, q3, change, won in summary(runs):
         ratio = change / parent if parent else float("nan")
-        print(f"{name:<18}{parent:>12.4g}{change:>12.4g}{ratio:>8.3f}  {won} of {len(runs)}")
+        spread = f"{q1:.4g}-{q3:.4g}"
+        print(f"{name:<18}{parent:>12.4g}{spread:>24}{change:>12.4g}{ratio:>8.3f}  {won} of {len(runs)}")
     return 1 if faults else 0
 
 

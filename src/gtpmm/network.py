@@ -602,34 +602,28 @@ def _compact(row: list[Money]) -> Sequence[Money]:
         return row
 
 
-def _landmarks_tight(net: MultiModalNetwork) -> bool:
-    """Whether the network's landmark bounds are close enough to exact costs
-    to aim by, pair by pair: its landmark_tightness is at least
-    :data:`PRUNE_TIGHTNESS`. The one reading of the gate, for
-    :func:`landmark_bound` and :func:`_goal_order`."""
-    return net.landmark_tightness >= PRUNE_TIGHTNESS
-
-
 def landmark_bound(net: MultiModalNetwork, pois: Iterable[int]) -> Callable[[int, int], Money] | None:
     """A lower bound on the cost between any two PoIs of ``pois``, as a
     function of the pair, or None when the network's landmark_tightness is
     under :data:`PRUNE_TIGHTNESS` or some landmark row misses one of them.
 
-    The bound of ``(a, b)`` is ``max |d_L(a) - d_L(b)|`` over the
-    :attr:`MultiModalNetwork.landmarks` rows ``d_L``, at most their cost by
-    the triangle inequality. A row that misses a PoI splits ``pois`` across
+    The one pair bound and the one reading of the gate, for the pruning,
+    NNCM's candidate order and :func:`_goal_order`. The bound of ``(a,
+    b)`` is ``max |d_L(a) - d_L(b)|`` over the
+    :attr:`MultiModalNetwork.landmarks` rows ``d_L``, at most their cost
+    by the triangle inequality. A row that misses a PoI splits ``pois`` across
     components, where it bounds nothing. Only pairs of ``pois`` may be
     asked; past the gate, every PoI of them is checked first.
     """
-    if not _landmarks_tight(net):
+    if net.landmark_tightness < PRUNE_TIGHTNESS:
         return None
-    rows = net.landmarks
-    at: dict[int, tuple[Money, ...]] = {}
+    pois = tuple(pois)
     for poi in pois:
         net.check_poi(poi)
-        at[poi] = tuple(row[poi] for row in rows)
-    if any(min(costs) < 0 for costs in at.values()):
+    columns = [[row[poi] for poi in pois] for row in net.landmarks]  # a row at a time: faster than per PoI
+    if any(-1 in column for column in columns):
         return None
+    at = dict(zip(pois, zip(*columns)))
 
     def bound(a: int, b: int) -> Money:
         return max(map(abs, map(sub, at[a], at[b])))
@@ -698,8 +692,8 @@ def _bounds_pay_off(reach: Money, band: Money) -> bool:
 
     A goal group of one target has band 0, so its bounds always pay off.
     The rule decides for :func:`layer_costs`, which aims at its targets
-    as one group; for :func:`shortest_paths` under the gate of
-    :func:`_landmarks_tight`, where one group holds its targets; and past
+    as one group; for :func:`shortest_paths` where :func:`_goal_order`
+    gives no order, so that one group holds its targets; and past
     the gate, where it aims at one target at a time, only for the last
     group of a search that stops re-aiming.
 
@@ -721,33 +715,21 @@ def _bounds_pay_off(reach: Money, band: Money) -> bool:
 def _goal_order(net: MultiModalNetwork, source: int, targets: Collection[int]) -> list[int] | None:
     """``targets`` in the order a search from ``source`` aims at them one at
     a time, or None when it aims at all of them at once: when there are
-    fewer than two, when the gate of :func:`_landmarks_tight` is closed, or
-    when some landmark row misses the source or a target.
+    fewer than two, or when :func:`landmark_bound` gives no bound on the
+    source and the targets (its gate is closed, or some landmark row
+    misses one of them).
 
-    The order is ascending landmark bound from the source, ``max |d_L(s) -
-    d_L(t)|`` over the landmarks, ties to the lower PoI id. Only the
-    search's speed depends on it. Under the gate one target at a time
-    does not pay: on ``random_network(1, {200, 2000, 5000}, 3)``, at
-    tightness 0.57-0.64, it made the tree searches of
+    The order is ascending :func:`landmark_bound` from the source, ties to
+    the lower PoI id. Only the search's speed depends on it. Under the gate
+    one target at a time does not pay: on ``random_network(1, {200, 2000,
+    5000}, 3)``, at tightness 0.57-0.64, it made the tree searches of
     ``benchmarks/bench_planner.py``'s plans 1.3 to 1.4 times as slow as
     the one group.
     """
-    if len(targets) < 2 or not _landmarks_tight(net):
+    bound = None if len(targets) < 2 else landmark_bound(net, (source, *targets))
+    if bound is None:
         return None
-    targets = sorted(targets)  # the stable sort below leaves equal bounds in id order
-    bound = dict.fromkeys(targets, 0)
-    for row in net.landmarks:
-        at_source = row[source]
-        if at_source < 0:
-            return None
-        for target in targets:
-            x = row[target]
-            if x < 0:
-                return None
-            gap = abs(x - at_source)
-            if gap > bound[target]:
-                bound[target] = gap
-    return sorted(targets, key=bound.__getitem__)
+    return sorted(targets, key=lambda target: (bound(source, target), target))
 
 
 def reference_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
@@ -905,10 +887,11 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
     pops by ``f = g + h``, ``g`` the cost so far and ``h`` the bound.
 
     The bounds aim at goal groups in turn. Where :func:`_goal_order` gives
-    an order, each target starts as a group of its own: the search aims at
-    the first, and each time it settles the target it aims at, it re-aims
-    at the next target not yet settled, re-keying every open entry with
-    that target's bounds. A re-keyed entry costs about what a pushed one
+    an order, ascending :func:`landmark_bound` from the source, each
+    target starts as a group of its own: the search aims at the first, and
+    each time it settles the target it aims at, it re-aims at the next
+    target not yet settled, re-keying every open entry with that target's
+    bounds. A re-keyed entry costs about what a pushed one
     does, so the re-keying is kept in step with the search's own work:
     once the entries re-keyed so far outnumber the PoIs reached, one last
     group holds every target left. Elsewhere one group holds every target

@@ -6,7 +6,8 @@ once its re-keying outgrows the PoIs it reached. These tests hold it to a
 verbatim copy of the search that aimed at every target at once and to
 ``reference_path``, pin the order the targets are aimed at, and pin the
 tie set's rule: a PoI is tied only when a second predecessor offers it
-its final cost.
+its final cost. The goal order and ``landmark_bound`` are held to verbatim
+copies of the forms that read the landmark rows in two loops of their own.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import replace
 from decimal import Decimal
 from functools import lru_cache
 from heapq import heappop, heappush
+from operator import sub
 from unittest.mock import patch
 
 import pytest
@@ -22,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtpmm.network
+from gtpmm.errors import ConfigurationError
 from gtpmm.network import (
+    PRUNE_TIGHTNESS,
     FarePolicy,
     FareTable,
     Money,
@@ -203,6 +207,85 @@ def test_goal_order_is_ascending_landmark_bound_past_the_gate_only():
     islands = random_disconnected_network(5, 3, 5)
     islands.__dict__["landmark_tightness"] = 1.0
     assert _goal_order(islands, 0, [1, 2]) is None  # a landmark row misses them
+
+
+def parent_landmarks_tight(net):
+    """Verbatim copy of the gate ``landmark_bound`` and the goal order shared."""
+    return net.landmark_tightness >= PRUNE_TIGHTNESS
+
+
+def parent_landmark_bound(net, pois):
+    """Verbatim copy of ``landmark_bound`` that read the landmark rows one PoI at a time."""
+    if not parent_landmarks_tight(net):
+        return None
+    rows = net.landmarks
+    at: dict[int, tuple[Money, ...]] = {}
+    for poi in pois:
+        net.check_poi(poi)
+        at[poi] = tuple(row[poi] for row in rows)
+    if any(min(costs) < 0 for costs in at.values()):
+        return None
+
+    def bound(a: int, b: int) -> Money:
+        return max(map(abs, map(sub, at[a], at[b])))
+
+    return bound
+
+
+def parent_goal_order(net, source, targets):
+    """Verbatim copy of ``_goal_order`` with a landmark bound loop of its own."""
+    if len(targets) < 2 or not parent_landmarks_tight(net):
+        return None
+    targets = sorted(targets)  # the stable sort below leaves equal bounds in id order
+    bound = dict.fromkeys(targets, 0)
+    for row in net.landmarks:
+        at_source = row[source]
+        if at_source < 0:
+            return None
+        for target in targets:
+            x = row[target]
+            if x < 0:
+                return None
+            gap = abs(x - at_source)
+            if gap > bound[target]:
+                bound[target] = gap
+    return sorted(targets, key=bound.__getitem__)
+
+
+@lru_cache(maxsize=None)
+def gate_shut_network():
+    return random_network(1, 200, 3)
+
+
+@st.composite
+def bound_cases(draw):
+    """A search of :func:`road_searches`, or a source and 1-6 targets on a
+    random network under the gate."""
+    if draw(st.booleans()):
+        return draw(road_searches())
+    net = gate_shut_network()
+    poi = st.integers(0, net.poi_count - 1)
+    return net, draw(poi), draw(st.lists(poi, min_size=1, max_size=6))
+
+
+def assert_same_bound(net, pois):
+    bound, old = landmark_bound(net, pois), parent_landmark_bound(net, pois)
+    assert (bound is None) == (old is None)
+    if bound is not None:
+        assert [bound(a, b) for a in pois for b in pois] == [old(a, b) for a in pois for b in pois]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=bound_cases())
+def test_goal_order_and_landmark_bound_match_their_own_loop_copies(case):
+    net, source, targets = case
+    for aimed in (targets, set(targets)):  # in drawn order with repeats, and as a search's set
+        assert _goal_order(net, source, aimed) == parent_goal_order(net, source, aimed)
+    for pois in ([source, *targets], [], [source], [source, source]):
+        assert_same_bound(net, pois)
+    if net.landmark_tightness >= PRUNE_TIGHTNESS:
+        with pytest.raises(ConfigurationError):
+            landmark_bound(net, [source, net.poi_count])
 
 
 def test_goal_groups_settle_what_the_one_group_settles_on_a_city():

@@ -27,7 +27,7 @@ def test_perfbench_pairs_runs_one_pair_of_this_checkout_against_itself():
     for line in lines[:2]:
         assert line.split(": ")[1].split()[0] == "correct"
         assert [field.split("=")[0] for field in line.split()[4:]] == METRICS
-    assert lines[2].split() == ["metric", "parent", "change", "ratio", "change", "won"]
+    assert lines[2].split() == ["metric", "parent", "parent", "q1-q3", "change", "ratio", "change", "won"]
     assert [line.split()[0] for line in lines[3:]] == METRICS
     assert all(line.endswith(" of 1") for line in lines[3:])
 
@@ -46,7 +46,7 @@ def test_summary_counts_the_pairs_the_change_won_by_each_metric_direction():
         {"change": run(3.0, 1.0), "parent": run(2.0, 0.5)},  # slower, fewer failures
         {"parent": run(2.0, 1.0), "change": run(1.5, 1.0)},  # faster; a tie
     ]
-    rows = {name: (parent, change, won) for name, parent, change, won in perfbench_pairs.summary(runs)}
-    assert rows["pass_s"] == (2.0, 1.5, 2)
-    assert rows["ok_frac"] == (1.0, 1.0, 1)
-    assert rows["setup_s"] == (1.0, 1.0, 0)
+    rows = {name: values for name, *values in perfbench_pairs.summary(runs)}  # parent median, q1, q3, change, won
+    assert rows["pass_s"] == [2.0, 2.0, 2.0, 1.5, 2]
+    assert rows["ok_frac"] == [1.0, 0.75, 1.0, 1.0, 1]  # the parent's 0.5, 1.0, 1.0
+    assert rows["setup_s"] == [1.0, 1.0, 1.0, 1.0, 0]
