@@ -1,14 +1,17 @@
-"""Time the exact planner on four seeded scenarios and add a row to BENCH_planner.json.
+"""Time the exact planner on five seeded scenarios and add a row to BENCH_planner.json.
 
     PYTHONPATH=src python benchmarks/bench_planner.py --label "what this row measures"
 
 The first three scenarios are random expanders, ``random_network(1, pois,
 3)``; the fourth is a road-like city, ``road_network(1, 55)``, a 55 x 55
-lattice of 3025 PoIs (rows before it was added hold the first three only).
-Each query is ``draw_instance(net, 7, k, p, agents)``, planned per person.
-A row holds, per scenario, medians over ``REPEATS`` ``plan()`` calls of the
+lattice of 3025 PoIs, and the fifth a paper-scale one, ``road_network(1,
+141)``, of 19,881 PoIs (older rows hold fewer scenarios). Each query is
+``draw_instance(net, 7, k, p, agents)``, planned per person. A row holds,
+per scenario, the time of the network's first ``landmarks`` and
+``landmark_tightness`` reads (``landmarks_s``, the landmark index's build,
+taken before any ``plan()`` call), medians over ``REPEATS`` ``plan()`` calls of the
 whole call, of its ``compute_dp`` call and of the rest (argmin,
-reconstruction and leg assembly, and on the city the pruning stage before
+reconstruction and leg assembly, and on the cities the pruning stage before
 the DP), the quartiles of the whole call, the cost-only searches the call
 ran up to the end of its ``compute_dp`` (``searches``, the sum of the
 table's ``legs.searches``, which counts the pruning stage's searches too,
@@ -17,8 +20,8 @@ searches), and the median time of a fixed pure-Python reference loop
 (``host_ref_ms``) run before and after every call; plus the Python version and
 ``os.cpu_count()``. The split is timed inside each ``plan()`` call by
 wrapping ``gtpmm.planner.compute_dp`` for the run. Landmark bounds pass
-``plan()``'s pruning gate on the city only, so there the DP runs over the
-category PoIs the bounds keep, and on the random networks over all of them.
+``plan()``'s pruning gate on the road cities only, so there the DP runs over
+the category PoIs the bounds keep, and on the random networks over all of them.
 
 The host's speed drifts between runs, and with it every timing: two rows
 are comparable only where their ``host_ref_ms`` agree, and a difference
@@ -37,10 +40,18 @@ it, so that both sides meet the host's drift alike:
 
     PYTHONPATH=src python benchmarks/bench_planner.py --label "change against parent" --against ../parent-checkout
 
-Such a row holds, per scenario, each side's median ``plan_s`` and
-``compute_dp_s`` over the pairs, the ratio of the change's ``plan_s`` to
-the parent's in each pair and their median, the pairs the change won, and
-each side's searches (equal when the change keeps every search).
+Such a row holds, per scenario, each side's median ``plan_s``,
+``compute_dp_s``, ``landmarks_s`` and ``host_ref_ms`` over the pairs, the
+ratio of the change's ``plan_s`` to the parent's in each pair and their
+median, the pairs the change won, and each side's searches (equal when the
+change keeps every search). A pair whose two ``host_ref_ms`` differ, as a
+share of the lower, by more than either run's quartile spread of
+``plan_s`` (``plan_p75_s - plan_p25_s`` over ``plan_s``) is marked in
+``host_drifted``: the host's speed moved more between its two runs than
+within them, so its ratio may be the host's. ``plan_ratio_median_steady``
+is the median ratio over the unmarked pairs (None when every pair is
+marked); ``plan_ratio_median`` stays the median over all of them, and no
+ratio is scaled by the host references.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ SCENARIOS = (  # (PoIs, k, PoIs per category, agents, network)
     (2000, 5, 20, 50, "random"),
     (5000, 10, 20, 100, "random"),
     (3025, 4, 10, 20, "road"),
+    (19881, 10, 20, 100, "road"),
 )
 SHARING = planner.SharingMode.PER_PERSON_INTERMEDIATE
 REPEATS = 7
@@ -116,6 +128,9 @@ def reference_ms() -> float:
 def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> dict:
     net = NETWORKS[network](pois)
     inst = draw_instance(net, 7, k, p, agents)
+    start = time.perf_counter()
+    net.landmarks, net.landmark_tightness  # the landmark index, built once per network
+    landmarks_s = time.perf_counter() - start
     planner.plan(net, inst, SHARING)  # builds the network's search view outside the timings
 
     compute_dp = planner.compute_dp
@@ -147,6 +162,7 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
         "pois_per_category": p,
         "agents": agents,
         "repeats": REPEATS,
+        "landmarks_s": round(landmarks_s, 4),
         "plan_s": round(statistics.median(plan_times), 4),
         "plan_p25_s": round(p25, 4),
         "plan_p75_s": round(p75, 4),
@@ -196,17 +212,30 @@ def paired(against: Path, index: int) -> dict:
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         runs.append({side: measured_in(sides[side], index) for side in order})
     ratios = [run["change"]["plan_s"] / run["parent"]["plan_s"] for run in runs]
+    drifted = [_host_drifted(run["parent"], run["change"]) for run in runs]
+    steady = [ratio for ratio, marked in zip(ratios, drifted) if not marked]
     first = runs[0]["change"]
     row = {key: first[key] for key in ("pois", "k", "pois_per_category", "agents", "repeats")}
     row["pairs"] = PAIRS
     for side in sides:
-        for key in ("plan_s", "compute_dp_s", "host_ref_ms"):
+        for key in ("plan_s", "compute_dp_s", "landmarks_s", "host_ref_ms"):
             row[f"{side}_{key}"] = round(statistics.median(run[side][key] for run in runs), 4)
         row[f"{side}_searches_by_kind"] = runs[0][side]["searches_by_kind"]
     row["plan_ratios"] = [round(ratio, 3) for ratio in ratios]
     row["plan_ratio_median"] = round(statistics.median(ratios), 3)
+    row["host_drifted"] = drifted
+    row["plan_ratio_median_steady"] = round(statistics.median(steady), 3) if steady else None
     row["change_won"] = sum(ratio < 1 for ratio in ratios)
     return row
+
+
+def _host_drifted(*pair: dict) -> bool:
+    """Whether the two runs' ``host_ref_ms`` differ, as a share of the lower,
+    by more than either run's quartile spread of ``plan_s`` as a share of
+    its median."""
+    low, high = sorted(run["host_ref_ms"] for run in pair)
+    spread = max((run["plan_p75_s"] - run["plan_p25_s"]) / run["plan_s"] for run in pair)
+    return high - low > spread * low
 
 
 def main(argv: list[str] | None = None) -> int:

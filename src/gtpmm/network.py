@@ -34,14 +34,16 @@ _RATE_QUANTUM = Decimal("0.0001")
 _RATE_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?")  # the text save_network_json writes, ``-0.0000`` included
 EARTH_RADIUS_M = 6371_000.0
 
-LANDMARKS = 4  # landmarks per network, for the searches' lower bounds
+LANDMARKS = 12  # landmarks per network, for the searches' lower bounds and landmark_bound
+TIGHTNESS_LANDMARKS = 4  # the first landmarks, which alone landmark_tightness reads
 BOUND_SHARE = 10  # a search uses the bounds only when its targets' band is at most 1/BOUND_SHARE of its reach
 
-# landmark_bound bounds nothing on a network whose landmark_tightness is under this. Measured: 0.91-0.93 on
-# the perfbench cities (seeds 0 and 3) and 0.86-0.94 on road_network lattices of 5-55 PoIs a side, where
-# per-person queries keep 1-6 of 10 PoIs per category; 0.57-0.64 on random_network(1, {200, 2000, 5000}, 3),
-# where forced pruning kept every PoI of bench_planner.py's queries and only added its searches (200 PoIs:
-# 2.7 -> 3.9 ms; 2000 PoIs: 132 -> 146 ms).
+# landmark_bound bounds nothing on a network whose landmark_tightness, read from the first
+# TIGHTNESS_LANDMARKS landmarks, is under this. Measured over those four: 0.91-0.93 on the perfbench cities
+# (seeds 0 and 3) and 0.86-0.94 on road_network lattices of 5-55 PoIs a side, where per-person queries keep
+# 1-6 of 10 PoIs per category; 0.57-0.64 on random_network(1, {200, 2000, 5000}, 3), where forced pruning
+# kept every PoI of bench_planner.py's queries and only added its searches (200 PoIs: 2.7 -> 3.9 ms; 2000
+# PoIs: 132 -> 146 ms). Past the gate the bounds read every landmark.
 PRUNE_TIGHTNESS = 0.8
 
 _REAL = frozenset((int, float))  # the exact types of an edge's distance and time and of a coordinate
@@ -327,14 +329,19 @@ class MultiModalNetwork:
     @cached_property
     def landmarks(self) -> tuple[Sequence[Money], ...]:
         """Exact cost from each of up to :data:`LANDMARKS` landmark PoIs to
-        every PoI, -1 where the landmark does not reach it.
+        every PoI, -1 where the landmark does not reach it: one full search
+        per row.
 
         Landmarks are picked farthest-point: the first is PoI 0, each next
         one the PoI farthest from every landmark so far, where an unreached
         PoI counts as farthest (so every component gets a landmark before
         any gets a second) and ties go to the lowest id. The picking stops
         early once every PoI costs 0 from some landmark, as a further
-        landmark would bound nothing.
+        landmark would bound nothing. Each pick reads only the rows before
+        it, so the first :data:`TIGHTNESS_LANDMARKS` rows are those of a
+        network with that many landmarks; :attr:`landmark_tightness` reads
+        those alone, and the searches and :func:`landmark_bound` read every
+        row.
         """
         neighbors = self.cheapest_neighbors
         rows: list[Sequence[Money]] = []
@@ -354,17 +361,21 @@ class MultiModalNetwork:
 
     @cached_property
     def landmark_tightness(self) -> float:
-        """How close the landmark bounds come to exact costs, from 0 to 1.
+        """How close the landmark bounds come to exact costs, from 0 to 1,
+        read from the first :data:`TIGHTNESS_LANDMARKS` landmarks.
 
-        Each landmark ``a`` in turn plays a query PoI: the bound on
-        ``d(a, v)`` from the other landmarks ``L``, ``max |d_L(a) -
-        d_L(v)|``, is summed over every PoI ``v`` and over every ``a``, and
-        divided by the summed exact ``d(a, v)``. No search runs; the rows
-        are read once. The tightness is 0 with fewer than two landmarks,
-        when every cost is 0, and on a disconnected network, where a bound
-        across components bounds nothing.
+        Each of those landmarks ``a`` in turn plays a query PoI: the bound
+        on ``d(a, v)`` from the others ``L``, ``max |d_L(a) - d_L(v)|``, is
+        summed over every PoI ``v`` and over every ``a``, and divided by the
+        summed exact ``d(a, v)``. No search runs; the rows are read once,
+        in O(TIGHTNESS_LANDMARKS² · n). The tightness is 0 with fewer than
+        two landmarks, when every cost is 0, and on a disconnected network,
+        where a bound across components bounds nothing. It reads a fixed
+        number of rows, so :data:`PRUNE_TIGHTNESS` keeps its calibration
+        whatever :data:`LANDMARKS` is; the bounds past the gate, which read
+        every row, are only tighter.
         """
-        rows = self.landmarks
+        rows = self.landmarks[:TIGHTNESS_LANDMARKS]
         if len(rows) < 2 or -1 in rows[0]:
             return 0.0
         bound = exact = 0
@@ -650,19 +661,46 @@ def _landmark_bounds(
     exact cost, whatever the landmarks.
 
     Only a landmark whose component holds every start counts; any other
-    bounds every PoI a search meets by the same constant. The one with the
-    largest bound that holds at every start (ties to the earlier landmark)
-    decides, by :func:`_bounds_pay_off`, whether the search uses bounds;
-    if so, the next largest is the second (or the first again when it is
-    the only one, so that the searches can inline exactly two bounds).
+    bounds every PoI a search meets by the same constant. Each one that
+    counts is judged on its own by :func:`_bounds_pay_off`, from its reach
+    and its targets' band. Of those that pay off, the two with the largest
+    bound at the starts (the least over the starts) are taken, ties to the
+    earlier landmark, or the one twice when only one pays off, so that the
+    searches can inline exactly two bounds. When none pays off the search
+    goes without bounds.
+
+    One start ``s`` and one target ``t``, as in a point-to-point search and
+    at each re-aim of a goal-by-goal one, take a loop of their own with the
+    same picks in the same order: each landmark's bound is then ``|d_L(s) -
+    d_L(t)|`` and its band 0, which pays off at any reach, so
+    :func:`_bounds_pay_off` is asked once, for the first pick.
     """
     starts, targets = tuple(starts), tuple(targets)
     if not starts or not targets:
         return None
+    if len(starts) == 1 and len(targets) == 1:
+        (source,), (target,) = starts, targets
+        best = second = -1
+        row1 = row2 = ()
+        y1 = y2 = 0
+        for row in net.landmarks:
+            x, y = row[source], row[target]
+            if x < 0 or y < 0:
+                continue
+            bound = x - y if x > y else y - x
+            if bound > best:  # ties keep the earlier landmark first, as the sort below does
+                second, row2, y2 = best, row1, y1
+                best, row1, y1 = bound, row, y
+            elif bound > second:
+                second, row2, y2 = bound, row, y
+        if best < 0 or not _bounds_pay_off(row1[source] + y1, 0):
+            return None
+        if second < 0:
+            row2, y2 = row1, y1
+        return row1, y1, y1, row2, y2, y2
     costs_at_starts = itemgetter(starts[0], *starts)  # a tuple even for one start
     costs_at_targets = itemgetter(targets[0], *targets)
-    picked = []  # (bound at the starts, row, lo, hi) per landmark that counts
-    best = -1
+    picked = []  # (bound at the starts, row, lo, hi) per landmark that counts and pays off
     for row in net.landmarks:
         at_starts, reached = costs_at_starts(row), costs_at_targets(row)
         near, hi = min(at_starts), max(reached)
@@ -671,12 +709,11 @@ def _landmark_bounds(
         lo = min(reached)
         if lo < 0:
             lo = min(cost for cost in reached if cost >= 0)
+        if not _bounds_pay_off(near + hi, hi - lo):
+            continue
         far = max(at_starts)
-        bound = lo - far if lo > far else near - hi if near > hi else 0
-        if bound > best:  # ties keep the earlier landmark
-            best, reach, band = bound, near + hi, hi - lo
-        picked.append((bound, row, lo, hi))
-    if best < 0 or not _bounds_pay_off(reach, band):
+        picked.append((lo - far if lo > far else near - hi if near > hi else 0, row, lo, hi))
+    if not picked:
         return None
     picked.sort(key=itemgetter(0), reverse=True)  # stable: equal bounds keep the earlier landmark first
     (_, row1, lo1, hi1), (_, row2, lo2, hi2) = picked[0], picked[min(1, len(picked) - 1)]
@@ -696,6 +733,13 @@ def _bounds_pay_off(reach: Money, band: Money) -> bool:
     gives no order, so that one group holds its targets; and past
     the gate, where it aims at one target at a time, only for the last
     group of a search that stops re-aiming.
+
+    :func:`_landmark_bounds` asks it of each landmark, as each has its own
+    band and reach, and takes its two bounds from those it passes. Judging
+    only the landmark of the largest bound, with 12 landmarks, left 3 of
+    the 15 layer searches of a perfbench plan-city pass (seed 1) unbounded:
+    they popped 1,570, 1,555 and 1,277 heap entries against 652, 542 and
+    557.
 
     The bounds cost work at every heap push, about a fifth more time per
     search where they prune nothing, and leave unbounded every PoI whose

@@ -10,6 +10,8 @@ from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import repeat
+from operator import sub
 from unittest.mock import patch
 
 import pytest
@@ -33,9 +35,12 @@ from gtpmm.ingest import CategoryConfig, categorize, load_gtfs, load_network_jso
 from gtpmm.network import (
     LANDMARKS,
     REPAIR_MODE,
+    TIGHTNESS_LANDMARKS,
     ModeId,
     Money,
     PathResult,
+    _compact,
+    _costs_from,
     _edge_costs,
     _landmark_bounds,
     edge_cost,
@@ -1149,6 +1154,145 @@ def check_landmarks(net):
         ]
     if len(rows) < LANDMARKS:  # stopped early: every PoI is a landmark's free neighbor
         assert max(nearest) == 0
+
+
+def four_landmark_rows(net):
+    """Verbatim copy of the ``landmarks`` build with ``LANDMARKS = 4``."""
+    neighbors = net.cheapest_neighbors
+    rows = []
+    nearest = [-1] * len(neighbors)  # cost to the nearest landmark, -1 if none reaches
+    landmark = 0
+    while neighbors and len(rows) < 4:
+        row = _costs_from(neighbors, landmark)
+        nearest = [d if n < 0 or 0 <= d < n else n for n, d in zip(nearest, row)]
+        rows.append(_compact(row))
+        if -1 in nearest:
+            landmark = nearest.index(-1)
+        elif max(nearest) > 0:
+            landmark = nearest.index(max(nearest))
+        else:
+            break
+    return tuple(rows)
+
+
+def four_landmark_tightness(rows):
+    """Verbatim copy of ``landmark_tightness`` with ``LANDMARKS = 4``, over ``rows``."""
+    if len(rows) < 2 or -1 in rows[0]:
+        return 0.0
+    bound = exact = 0
+    for row in rows:
+        at = row.index(0)  # the landmark, or a PoI at cost 0 from it, which every row sees alike
+        gaps = [map(abs, map(sub, repeat(other[at]), other)) for other in rows if other is not row]
+        bound += sum(map(max, *gaps) if len(gaps) > 1 else gaps[0])
+        exact += sum(row)
+    return bound / exact if exact else 0.0
+
+
+def assert_first_landmarks_are_the_four_landmark_build(net):
+    rows = four_landmark_rows(net)
+    assert TIGHTNESS_LANDMARKS == 4
+    assert net.landmarks[:TIGHTNESS_LANDMARKS] == rows
+    assert [row.typecode for row in net.landmarks[:4]] == [row.typecode for row in rows]
+    assert net.landmark_tightness == four_landmark_tightness(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=landmark_networks())
+def test_first_landmarks_and_tightness_are_the_four_landmark_builds(net):
+    assert_first_landmarks_are_the_four_landmark_build(net)
+
+
+def test_first_landmarks_and_tightness_of_fixed_networks_are_the_four_landmark_builds():
+    city = road_network(1, 55)
+    for net in (*landmark_test_networks(), city):
+        assert_first_landmarks_are_the_four_landmark_build(net)
+    assert len(city.landmarks) == LANDMARKS > TIGHTNESS_LANDMARKS
+
+
+def landmark_picks(net, bounds):
+    """``bounds`` with each row named by its index in ``net.landmarks``."""
+    if bounds is None:
+        return None
+    index = {id(row): i for i, row in enumerate(net.landmarks)}
+    row1, lo1, hi1, row2, lo2, hi2 = bounds
+    return index[id(row1)], lo1, hi1, index[id(row2)], lo2, hi2
+
+
+def paying_landmarks(net, starts, targets, rule):
+    """``(-bound at the starts, index, lo, hi)`` of each landmark that reaches
+    every start and some target and whose band pays off under ``rule``."""
+    paying = []
+    for index, row in enumerate(net.landmarks):
+        at_starts, reached = [row[s] for s in starts], [row[t] for t in targets if row[t] >= 0]
+        if min(at_starts) < 0 or not reached:
+            continue
+        near, far, lo, hi = min(at_starts), max(at_starts), min(reached), max(reached)
+        if rule(near + hi, hi - lo):
+            paying.append((-(lo - far if lo > far else near - hi if near > hi else 0), index, lo, hi))
+    return sorted(paying)
+
+
+@settings(max_examples=80, deadline=None)
+@given(net=landmark_networks(), data=st.data(), share=st.sampled_from([1, 3, 10, 50]))
+def test_landmark_bounds_take_the_two_largest_among_the_landmarks_that_pay_off(net, data, share):
+    poi = st.integers(min_value=0, max_value=net.poi_count - 1)
+    starts = data.draw(st.lists(poi, min_size=1, max_size=4, unique=True))
+    targets = data.draw(st.lists(poi, min_size=1, max_size=5, unique=True))
+
+    def rule(reach, band):
+        return band * share <= reach
+
+    with patch.object(gtpmm.network, "_bounds_pay_off", rule):
+        picks = landmark_picks(net, _landmark_bounds(net, starts, targets))
+    paying = paying_landmarks(net, starts, targets, rule)
+    if not paying:
+        assert picks is None
+        return
+    (_, first, lo1, hi1), (_, second, lo2, hi2) = paying[0], paying[min(1, len(paying) - 1)]
+    assert picks == (first, lo1, hi1, second, lo2, hi2)
+
+
+def test_landmark_bounds_are_given_when_a_landmark_other_than_the_strongest_pays_off():
+    net = road_network(1, 12)
+    rows = net.landmarks
+    for starts, targets in (((0,), range(0, 144, 7)), ((5, 70), (3, 140, 77)), ((143,), (0, 1, 12, 13))):
+        bands = [max(row[t] for t in targets) - min(row[t] for t in targets) for row in rows]
+        reaches = [min(row[s] for s in starts) + max(row[t] for t in targets) for row in rows]
+        for index in range(len(rows)):  # each landmark in turn the only one that pays off
+            def rule(reach, band, index=index):
+                return (reach, band) == (reaches[index], bands[index])
+
+            paying = [i for i in range(len(rows)) if rule(reaches[i], bands[i])]
+            with patch.object(gtpmm.network, "_bounds_pay_off", rule):
+                picks = landmark_picks(net, _landmark_bounds(net, starts, targets))
+            assert picks is not None and picks[0] in paying and picks[3] in paying
+
+
+def assert_one_pair_picks_as_the_general_path(net, pairs):
+    """The one-start-one-target loop of ``_landmark_bounds`` against its
+    general path, reached by repeating the start and the target."""
+    for rule in (gtpmm.network._bounds_pay_off, lambda reach, band: True, lambda reach, band: False):
+        with patch.object(gtpmm.network, "_bounds_pay_off", rule):
+            for source, target in pairs:
+                one = landmark_picks(net, _landmark_bounds(net, (source,), (target,)))
+                general = landmark_picks(net, _landmark_bounds(net, (source, source), (target, target)))
+                assert one == general
+
+
+@settings(max_examples=80, deadline=None)
+@given(net=landmark_networks())
+def test_one_pair_landmark_picks_equal_the_general_paths(net):
+    nodes = range(net.poi_count)
+    assert_one_pair_picks_as_the_general_path(net, itertools.product(nodes, nodes))
+
+
+def test_one_pair_landmark_picks_equal_the_general_paths_on_a_city():
+    net = road_network(1, 55)
+    pairs = [(s, t) for s in range(0, net.poi_count, 97) for t in range(3, net.poi_count, 89)]
+    assert_one_pair_picks_as_the_general_path(net, pairs + [(1512, 1512), (0, 0)])
+    bounds = _landmark_bounds(net, (0,), (3024,))
+    assert bounds[0] is not bounds[3]  # two landmarks, the first of the larger bound
+    assert abs(bounds[0][0] - bounds[1]) >= abs(bounds[3][0] - bounds[4])
 
 
 SEARCH_VIEWS = ("cheapest_neighbors", "landmarks")

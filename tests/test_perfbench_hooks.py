@@ -27,8 +27,8 @@ def test_tracer_hooks_fire_on_a_plan(monkeypatch):
     for module, attribute, _ in tracer.TRACED_FUNCTIONS:
         assert hasattr(importlib.import_module(module), attribute), f"{module}.{attribute}"
 
-    net = random_network(4, n_pois=30, n_modes=2)
-    inst = random_instance(4, net, k=3, pois_per_category=4, n_agents=4)
+    net = random_network(1, n_pois=30, n_modes=2)  # a plan that searches legs point to point
+    inst = random_instance(1, net, k=3, pois_per_category=4, n_agents=4)
     recorder = tracer.Tracer()
     recorder.install()
     try:
