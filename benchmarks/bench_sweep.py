@@ -23,13 +23,28 @@ As with ``BENCH_planner.json``, two rows are comparable only where their
 ``host_ref_ms`` agree. A row with the same label is replaced. The package
 is imported from ``PYTHONPATH``, so pointing it at another checkout's
 ``src`` measures that checkout with this script.
+
+With ``--against DIR`` each network is measured twice, in subprocesses:
+first with ``DIR/src`` (the parent), then right after with this checkout's
+``src`` (the change), so that the two meet the host's speed as alike as a
+sweep of minutes allows:
+
+    PYTHONPATH=src python benchmarks/bench_sweep.py --label "what the change does" --against ../parent-checkout
+
+It writes two rows, labelled ``parent: LABEL`` and ``change: LABEL``, and
+exits 1 when a network's two digests differ, that is when the change
+planned other costs or modes.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +54,8 @@ from bench_planner import new_row, reference_ms, save_row
 from gtpmm.bench import ExperimentConfig, run_experiment
 from gtpmm.synth import random_network, road_network
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "BENCH_sweep.json"
 NETWORKS = {
     "random": lambda: random_network(1, 5000, 3),
     "road": lambda: road_network(1, 71),
@@ -75,13 +91,48 @@ def measure(network: str, net, cfg: ExperimentConfig = ExperimentConfig()) -> di
     }
 
 
+def measured_in(src: Path, network: str) -> dict:
+    """:func:`measure` of ``network`` in a subprocess that imports the package from ``src``."""
+    command = [sys.executable, __file__, "--network", network]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
 def main(argv: list[str] | None = None) -> int:
-    row, output = new_row(__doc__, OUTPUT, argv)
-    row["networks"] = []
-    for name, build in NETWORKS.items():
-        row["networks"].append(measure(name, build()))
-        print(json.dumps(row["networks"][-1]), flush=True)
-    save_row(row, output)
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--against", type=Path, help="the parent's checkout, run right before this one")
+    options.add_argument("--network", choices=NETWORKS, help="print this network's measurement alone, as --against runs it")
+    args, _ = options.parse_known_args(argv)
+    if args.network is not None:
+        print(json.dumps(measure(args.network, NETWORKS[args.network]())))
+        return 0
+
+    row, output = new_row(__doc__, OUTPUT, argv, (options,))
+    if args.against is None:
+        row["networks"] = []
+        for name, build in NETWORKS.items():
+            row["networks"].append(measure(name, build()))
+            print(json.dumps(row["networks"][-1]), flush=True)
+        save_row(row, output)
+        return 0
+
+    sides = {"parent": args.against.resolve() / "src", "change": ROOT / "src"}
+    rows = {side: {**row, "label": f"{side}: {row['label']}", "networks": []} for side in sides}
+    for name in NETWORKS:
+        for side, src in sides.items():
+            rows[side]["networks"].append(measured_in(src, name))
+            print(side, json.dumps(rows[side]["networks"][-1]), flush=True)
+    for side_row in rows.values():
+        save_row(side_row, output)
+    differ = [
+        parent["network"]
+        for parent, change in zip(rows["parent"]["networks"], rows["change"]["networks"])
+        if parent["digest"] != change["digest"]
+    ]
+    if differ:
+        print(f"bench_sweep: the digests differ on {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,73 +9,63 @@ order), so equal (network, instance, seed) yields identical plans.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from typing import Callable, Iterable
 
 from .errors import InfeasibleRouteError
-from .network import ModeId, Money, MultiModalNetwork, PathResult, landmark_bound
+from .network import Money, MultiModalNetwork, PathResult, _hop_edges, landmark_bound
 from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
 
 def _bfs_tree(net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> list[int]:
     """Fewest-hops BFS tree of ``origin``, as a parent per PoI (the origin
-    is its own parent, -1 marks an undiscovered PoI), grown until every PoI
-    of ``targets`` is discovered or the component is exhausted.
+    is its own parent, -1 marks an undiscovered PoI), grown a level at a
+    time until every PoI of ``targets`` is discovered or the component is
+    exhausted.
 
     Neighbors expand in ascending PoI id, the order of the
-    :attr:`MultiModalNetwork.cheapest_neighbors` rows. A BFS fixes a PoI's
-    parent when it first discovers it, in an order that does not depend on
-    any target, so the walk back from a target is the route a BFS stopping
-    there would find, and the route in the whole component's tree.
+    :attr:`MultiModalNetwork.cheapest_neighbors` rows, and the PoIs of a
+    level in the order they were discovered, the order of a BFS queue. A
+    BFS fixes a PoI's parent when it first discovers it, in an order that
+    does not depend on any target, so the walk back from a target is the
+    route a BFS stopping there would find, and the route in the whole
+    component's tree; the level that discovers the last target is finished.
     """
     parent = [-1] * net.poi_count
     parent[origin] = origin
     undiscovered = set(targets) - {origin}
-    queue = deque([origin])
+    level = [origin]
     neighbors = net.cheapest_neighbors
-    while queue and undiscovered:
-        u = queue.popleft()
-        for v, _ in neighbors[u]:
-            if parent[v] == -1:
-                parent[v] = u
-                undiscovered.discard(v)
-                if not undiscovered:
-                    break
-                queue.append(v)
+    while level and undiscovered:
+        found = []
+        for u in level:
+            for v, _ in neighbors[u]:
+                if parent[v] == -1:
+                    parent[v] = u
+                    found.append(v)
+        undiscovered.difference_update(found)
+        level = found
     return parent
 
 
 def _random_mode_leg(
-    net: MultiModalNetwork,
-    parent: list[int],
-    source: int,
-    target: int,
-    rng: SplitMix64,
-    parallel: dict[tuple[int, int], list[tuple[ModeId, int]]],
+    net: MultiModalNetwork, parent: list[int], source: int, target: int, rng: SplitMix64
 ) -> PathResult:
     """Fewest-hops route from the tree ``parent`` of ``source``, with an
-    independently random mode on every hop. ``parallel`` holds each hop's
-    parallel edges as ``(mode, edge id)`` in ascending order; a hop not in
-    it is added."""
+    independently random mode on every hop: one draw per hop among its
+    :attr:`~gtpmm.network.MultiModalNetwork.hop_edges`, in ``(mode, edge
+    id)`` order."""
     if parent[target] == -1:
         raise InfeasibleRouteError(source, target)
     sequence = [target]
     while sequence[-1] != source:
         sequence.append(parent[sequence[-1]])
     sequence.reverse()
-    legs = []
-    cost = 0
-    for hop in zip(sequence, sequence[1:]):
-        edges = parallel.get(hop)
-        if edges is None:
-            a, b = hop
-            edges = sorted((net.edges[eid].mode, eid) for eid in net.adjacency[a] if net.edges[eid].other(a) == b)
-            parallel[hop] = edges
-        mode, eid = edges[rng.below(len(edges))]
-        legs.append((eid, mode))
-        cost += net.edge_costs[eid]
-    return PathResult(cost, tuple(legs), tuple(sequence))
+    eids = rng.choose_each([_hop_edges(net, a, b) for a, b in zip(sequence, sequence[1:])])
+    edges = net.edges
+    legs = tuple((eid, edges[eid].mode) for eid in eids)
+    return PathResult(sum(map(net.edge_costs.__getitem__, eids)), legs, tuple(sequence))
 
 
 def _random_common(inst: QueryInstance, rng: SplitMix64) -> tuple[int, ...]:
@@ -110,12 +100,11 @@ def rprm(
         targets[a].add(b)
     targets[common[-1]].update(dest for _, dest in inst.agents)
     trees: dict[int, list[int]] = {}  # leg origin -> its BFS tree, for this call only
-    parallel: dict[tuple[int, int], list[tuple[ModeId, int]]] = {}  # hop -> its sorted edges, for this call only
 
     def leg(n: MultiModalNetwork, u: int, v: int) -> PathResult:
         if u not in trees:
             trees[u] = _bfs_tree(n, u, targets[u])
-        return _random_mode_leg(n, trees[u], u, v, rng, parallel)
+        return _random_mode_leg(n, trees[u], u, v, rng)
 
     return assemble(net, inst, common, sharing, leg)
 

@@ -12,7 +12,7 @@ trivially portable).
 
 from __future__ import annotations
 
-from collections.abc import MutableSequence, Sequence
+from collections.abc import Iterable, MutableSequence, Sequence
 from typing import TypeVar
 
 _MASK64 = (1 << 64) - 1
@@ -64,6 +64,24 @@ class SplitMix64:
             j = (z ^ (z >> 31)) % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
         self._state = state
+
+    def choose_each(self, choices: Iterable[Sequence[T]]) -> list[T]:
+        """One uniform element of each sequence of ``choices``, in order:
+        ``[c[self.below(len(c))] for c in choices]``, to the same state and
+        the same :class:`ValueError` at an empty sequence; the draws are
+        inlined, as in :meth:`shuffle`."""
+        state, mask, gamma, mix1, mix2 = self._state, _MASK64, _GAMMA, _MIX1, _MIX2
+        chosen = []
+        for c in choices:
+            if not c:
+                self._state = state
+                raise ValueError("bound must be positive")
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            chosen.append(c[(z ^ (z >> 31)) % len(c)])
+        self._state = state
+        return chosen
 
     def sample(self, seq: Sequence[T], k: int) -> list[T]:
         """Draw k distinct elements, order randomized."""

@@ -6,6 +6,9 @@ from collections import deque
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_network import landmark_networks, small_networks
 
 from gtpmm import (
     QueryInstance,
@@ -397,6 +400,43 @@ def test_bfs_tree_with_targets_walks_the_full_trees_routes():
                         assert parent[target] == -1
                     else:
                         assert _walk_back(parent, origin, target) == _walk_back(full, origin, target)
+
+
+def _queue_bfs_tree(net, origin, targets):
+    """Verbatim copy of the ``_bfs_tree`` that took one PoI at a time from a
+    queue and stopped at its last target's discovery."""
+    parent = [-1] * net.poi_count
+    parent[origin] = origin
+    undiscovered = set(targets) - {origin}
+    queue = deque([origin])
+    neighbors = net.cheapest_neighbors
+    while queue and undiscovered:
+        u = queue.popleft()
+        for v, _ in neighbors[u]:
+            if parent[v] == -1:
+                parent[v] = u
+                undiscovered.discard(v)
+                if not undiscovered:
+                    break
+                queue.append(v)
+    return parent
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=st.one_of(small_networks(), landmark_networks()), data=st.data())
+def test_level_by_level_bfs_tree_walks_the_queue_bfs_trees_routes(net, data):
+    poi = st.integers(min_value=0, max_value=net.poi_count - 1)
+    origin = data.draw(poi)
+    targets = data.draw(st.sets(poi, max_size=6))
+    queued = _queue_bfs_tree(net, origin, targets)
+    parent = _bfs_tree(net, origin, targets)
+    for target in targets | {origin}:
+        if queued[target] == -1:
+            assert parent[target] == -1
+        else:
+            assert _walk_back(parent, origin, target) == _walk_back(queued, origin, target)
+    # each PoI keeps the parent of its first discovery; a finished last level may discover more
+    assert all(found in (-1, mine) for found, mine in zip(queued, parent))
 
 
 def test_bfs_tree_stops_at_its_last_target():

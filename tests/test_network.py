@@ -7,6 +7,7 @@ import math
 import shutil
 import sys
 from dataclasses import replace
+from bisect import bisect_left
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -1345,6 +1346,95 @@ def test_cheapest_neighbors_rows_ascend_by_neighbor_id(walkthrough_net):
         for row in net.cheapest_neighbors:
             neighbors = [v for v, _ in row]
             assert neighbors == sorted(set(neighbors))
+
+
+# --- hop_edges and cheapest_parallel_edge ---------------------------------------
+
+
+def reference_hop_edges(net):
+    """Per PoI, per neighbor in ascending id, the ids of the parallel edges in
+    ascending (mode, id), by a scan of ``adjacency``."""
+    rows = []
+    for u in range(net.poi_count):
+        at = {}
+        for eid in net.adjacency[u]:
+            v = net.edges[eid].other(u)
+            if v != u:
+                at.setdefault(v, []).append(eid)
+        rows.append(tuple(tuple(sorted(at[v], key=lambda eid: (net.edges[eid].mode, eid))) for v in sorted(at)))
+    return tuple(rows)
+
+
+def adjacency_scan_cheapest_parallel_edge(net, u, v):
+    """Verbatim copy of the ``cheapest_parallel_edge`` that scanned ``adjacency[u]``."""
+    net.check_poi(u)
+    net.check_poi(v)
+    if u == v:
+        return None
+    edges, costs = net.edges, net.edge_costs
+    best = None
+    for eid in net.adjacency[u]:
+        edge = edges[eid]
+        if edge.u == v or edge.v == v:  # an edge at u that ends at v, as u != v
+            key = (costs[eid], edge.mode, eid)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    return best[2], best[0]
+
+
+def assert_hop_edges_and_cheapest_edges(net):
+    assert net.hop_edges == reference_hop_edges(net)
+    for u, (row, hops) in enumerate(zip(net.cheapest_neighbors, net.hop_edges)):
+        assert len(hops) == len(row)
+        for (v, _), hop in zip(row, hops):
+            assert net.hop_edges[v][bisect_left(net.cheapest_neighbors[v], (u,))] is hop  # one tuple per hop
+    for u in range(net.poi_count):
+        for v in range(net.poi_count):
+            assert cheapest_parallel_edge(net, u, v) == adjacency_scan_cheapest_parallel_edge(net, u, v)
+
+
+@st.composite
+def tied_parallel_networks(draw):
+    """Up to 6 PoIs whose hops carry parallel edges of equal cost, added in a
+    shuffled order of modes, and self-loops."""
+    n_pois = draw(st.integers(min_value=1, max_value=6))
+    fares = flat_table(*draw(st.lists(st.sampled_from([0, 5, 5, 9]), min_size=2, max_size=5)))
+    node = st.integers(min_value=0, max_value=n_pois - 1)
+    mode = st.integers(min_value=0, max_value=fares.mode_count - 1)
+    edges = draw(st.lists(st.tuples(node, node, mode), max_size=20))
+    edges = draw(st.permutations([(u, v, m, 0.0, 0.0) for u, v, m in edges]))
+    return built_network(n_pois, fares, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(net=st.one_of(tied_parallel_networks(), small_networks(), landmark_networks()))
+def test_hop_edges_and_cheapest_parallel_edge_equal_the_adjacency_scan(net):
+    assert_hop_edges_and_cheapest_edges(net)
+    repaired, _ = connect_components(net)  # a copy made after net's views were built derives its own
+    assert repaired.hop_edges == reference_hop_edges(repaired)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_NETWORKS))
+def test_hop_edges_and_cheapest_parallel_edge_on_edge_case_networks(name):
+    n_pois, edge_specs = EDGE_CASE_NETWORKS[name]
+    assert_hop_edges_and_cheapest_edges(built_network(n_pois, EDGE_CASE_FARES, edge_specs))
+
+
+def test_hop_edges_on_synthetic_networks(walkthrough_net):
+    nets = [walkthrough_net, road_network(3, 6), random_network(2, n_pois=40, n_modes=4, extra_edges=60)]
+    nets.append(random_disconnected_network(1, n_components=3, pois_per_component=5))
+    for net in nets:
+        assert_hop_edges_and_cheapest_edges(net)
+
+
+def test_cheapest_parallel_edge_ties_go_to_the_lower_mode_not_the_lower_id():
+    # three parallel edges of one cost, the lowest mode added last
+    net = built_network(2, flat_table(7, 7, 7), [(0, 1, 2, 0, 0), (1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)])
+    assert net.hop_edges == (((2, 1, 0),), ((2, 1, 0),))
+    assert cheapest_parallel_edge(net, 0, 1) == cheapest_parallel_edge(net, 1, 0) == (2, 7)
+    assert cheapest_parallel_edge(net, 1, 1) is None  # the self-loop
 
 
 # --- network copies ---------------------------------------------------------------

@@ -91,3 +91,26 @@ def test_shuffle_equals_the_below_loop_it_inlines(n, seed):
         assert items == expected
         assert rng._state == reference._state
         assert rng.next_u64() == reference.next_u64()
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    sizes=st.lists(st.integers(min_value=1, max_value=7), max_size=30),
+)
+def test_choose_each_equals_the_below_calls_it_inlines(seed, sizes):
+    choices = [tuple(range(10 * size, 11 * size)) for size in sizes]
+    rng, reference = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(2):  # a second batch starts from the state the first left
+        assert rng.choose_each(choices) == [c[reference.below(len(c))] for c in choices]
+        assert rng._state == reference._state
+    assert rng.next_u64() == reference.next_u64()
+
+
+def test_choose_each_rejects_an_empty_choice_as_below_does():
+    rng, reference = SplitMix64(5), SplitMix64(5)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        rng.choose_each([(1, 2), (3,), (), (4, 5)])
+    reference.below(2), reference.below(1)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        reference.below(0)
+    assert rng._state == reference._state
