@@ -15,8 +15,11 @@ is also written once with ``save_edge_list`` and that CSV file read back
 edges.
 
 A row holds, per network, the median and quartiles of the save, of the
-load and of the edge-list load, each file's size in bytes and its sha256,
-so that two rows with equal digests read and wrote the same bytes, the
+load and of the edge-list load, and of pricing the loaded network's edges
+once more with ``_edge_costs`` (``edge_costs_s``, the step of every load
+that prices edges), each file's size in bytes and its sha256, so that two
+rows with equal digests read and wrote the same bytes, a sha256 of the
+loaded network's edge costs (``edge_costs_sha256``), the
 size of one loaded network in memory (``network_mb``: what ``tracemalloc``
 still counts allocated once ``load_network_json`` returns), the
 ``tracemalloc`` peaks of one save and of one load (``save_peak_mb`` and
@@ -32,21 +35,35 @@ ingest --gtfs``, on a feed this script writes from a fixed seed: 1,000
 stops and 50 routes of 40 stops, each run by 10 trips, so 20,000 stop
 times at a few hundred distinct times of day. The feed is loaded
 ``REPEATS`` times; the row holds the median and quartiles of the load,
-the feed's size in bytes and a sha256 over its four files, and
-``host_ref_ms`` as above.
+the feed's size in bytes and a sha256 over its four files, a sha256 of the
+loaded network's edge costs, and ``host_ref_ms`` as above.
 
 As with ``BENCH_planner.json``, two rows are comparable only where their
 ``host_ref_ms`` agree. A row with the same label is replaced. The package
 is imported from ``PYTHONPATH``, so pointing it at another checkout's
 ``src`` measures that checkout with this script.
+
+With ``--against DIR`` each scenario (each network, then the feed) is
+measured twice, in subprocesses: first with ``DIR/src`` (the parent),
+then right after with this checkout's ``src`` (the change):
+
+    PYTHONPATH=src python benchmarks/bench_io.py --label "what the change does" --against ../parent-checkout
+
+It writes two rows, labelled ``parent: LABEL`` and ``change: LABEL``, and
+exits 1 when a scenario's two rows differ in a sha256, that is when the
+change wrote or read other bytes or priced other costs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
 import random
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -63,9 +80,11 @@ from gtpmm.ingest import (
     save_edge_list,
     save_network_json,
 )
+from gtpmm.network import _edge_costs
 from gtpmm.synth import random_network, road_network
 
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_io.json"
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "BENCH_io.json"
 NETWORKS = {
     "road": lambda: road_network(1, 55),
     "random": lambda: random_network(1, 5000, 3),
@@ -76,6 +95,7 @@ GTFS_ROUTES = 50
 GTFS_TRIPS_PER_ROUTE = 10
 GTFS_STOPS_PER_TRIP = 40
 GTFS_TABLES = ("stops.txt", "routes.txt", "trips.txt", "stop_times.txt")
+SCENARIOS = (*NETWORKS, "gtfs")
 
 
 def _summary(name: str, times: list[float]) -> dict:
@@ -98,6 +118,11 @@ def measure(network: str, net, directory: Path) -> dict:
         probes.append(reference_ms())
     if loaded != net:
         raise RuntimeError(f"the {network} network changed in a JSON round trip")
+    pricings: list[float] = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        _edge_costs(loaded.edges, loaded.fare_table)
+        pricings.append(time.perf_counter() - start)
     data = path.read_bytes()
     size, save_peak, load_peak = traced_round_trip(net, path)
 
@@ -118,8 +143,10 @@ def measure(network: str, net, directory: Path) -> dict:
         "repeats": REPEATS,
         **_summary("save", saves),
         **_summary("load", loads),
+        **_summary("edge_costs", pricings),
         "bytes": len(data),
         "sha256": hashlib.sha256(data).hexdigest(),
+        "edge_costs_sha256": _costs_sha256(loaded),
         "network_mb": round(size / 2**20, 3),
         "save_peak_mb": round(save_peak / 2**20, 3),
         "load_peak_mb": round(load_peak / 2**20, 3),
@@ -207,21 +234,77 @@ def measure_gtfs(feed: Path) -> dict:
         **_summary("load", loads),
         "bytes": len(data),
         "sha256": hashlib.sha256(data).hexdigest(),
+        "edge_costs_sha256": _costs_sha256(net),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 
 
+def _costs_sha256(net) -> str:
+    return hashlib.sha256(repr(net.edge_costs).encode()).hexdigest()
+
+
+def measure_scenario(scenario: str, directory: Path) -> dict:
+    """:func:`measure` of a network of :data:`NETWORKS`, or
+    :func:`measure_gtfs` of the seeded feed, written under ``directory``."""
+    if scenario == "gtfs":
+        return measure_gtfs(write_feed(directory))
+    return measure(scenario, NETWORKS[scenario](), directory)
+
+
+def measured_in(src: Path, scenario: str) -> dict:
+    """:func:`measure_scenario` in a subprocess that imports the package from ``src``."""
+    command = [sys.executable, __file__, "--scenario", scenario]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def _digests(measurement: dict) -> dict:
+    return {key: value for key, value in measurement.items() if key.endswith("sha256")}
+
+
 def main(argv: list[str] | None = None) -> int:
-    row, output = new_row(__doc__, OUTPUT, argv)
-    row["networks"] = []
-    with tempfile.TemporaryDirectory() as directory:
-        for name, build in NETWORKS.items():
-            row["networks"].append(measure(name, build(), Path(directory)))
-            print(json.dumps(row["networks"][-1]), flush=True)
-        row["gtfs"] = measure_gtfs(write_feed(Path(directory)))
-        print(json.dumps(row["gtfs"]), flush=True)
-    save_row(row, output)
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--against", type=Path, help="the parent's checkout, run right before this one")
+    options.add_argument("--scenario", choices=SCENARIOS, help="print this scenario's measurement alone, as --against runs it")
+    args, _ = options.parse_known_args(argv)
+    if args.scenario is not None:
+        with tempfile.TemporaryDirectory() as directory:
+            print(json.dumps(measure_scenario(args.scenario, Path(directory))))
+        return 0
+
+    row, output = new_row(__doc__, OUTPUT, argv, (options,))
+    if args.against is None:
+        measured = []
+        with tempfile.TemporaryDirectory() as directory:
+            for scenario in SCENARIOS:
+                measured.append(measure_scenario(scenario, Path(directory)))
+                print(json.dumps(measured[-1]), flush=True)
+        save_row(_with_measurements(row, measured), output)
+        return 0
+
+    sides = {"parent": args.against.resolve() / "src", "change": ROOT / "src"}
+    measured_by_side: dict[str, list[dict]] = {side: [] for side in sides}
+    for scenario in SCENARIOS:
+        for side, src in sides.items():
+            measured_by_side[side].append(measured_in(src, scenario))
+            print(side, json.dumps(measured_by_side[side][-1]), flush=True)
+    for side, measured in measured_by_side.items():
+        save_row(_with_measurements({**row, "label": f"{side}: {row['label']}"}, measured), output)
+    differ = [
+        scenario
+        for scenario, parent, change in zip(SCENARIOS, measured_by_side["parent"], measured_by_side["change"])
+        if _digests(parent) != _digests(change)
+    ]
+    if differ:
+        print(f"bench_io: a sha256 differs on {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
+
+
+def _with_measurements(row: dict, measured: list[dict]) -> dict:
+    """``row`` with the measurements of :data:`SCENARIOS`, in order: the networks', then the feed's."""
+    return {**row, "networks": measured[:-1], "gtfs": measured[-1]}
 
 
 if __name__ == "__main__":

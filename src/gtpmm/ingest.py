@@ -22,7 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP
+from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP, localcontext
 from functools import cache
 from itertools import chain, islice
 from json.decoder import WHITESPACE, scanstring
@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 from .errors import ConfigurationError, ParseError
 from .network import (
     _CENT,
+    _MONEY,
     _RATE_QUANTUM,
     _measures_valid,
     FarePolicy,
@@ -146,8 +147,8 @@ def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Dec
     """Parse ``lo-hi`` or a single value, in major units, to a cents range.
 
     The upper end must round to :data:`~gtpmm.network._RATE_QUANTUM`, the
-    finest quantum :func:`resolve_fares` rounds to, within the decimal
-    context's precision; then so does every value a strategy picks.
+    finest quantum :func:`resolve_fares` rounds to, within the 28 digits of
+    money arithmetic; then so does every value a strategy picks.
     """
     text = text.strip()
     raw = text.lstrip("~")
@@ -155,18 +156,18 @@ def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Dec
     if len(parts) != 2:
         raise ParseError(f"cannot parse money range {text!r}", file=file, line=line)
     try:
-        low = Decimal(parts[0].strip()) * 100
-        high = Decimal(parts[1].strip()) * 100
+        low = _MONEY.multiply(Decimal(parts[0].strip(), _MONEY), 100)
+        high = _MONEY.multiply(Decimal(parts[1].strip(), _MONEY), 100)
     except InvalidOperation:
         raise ParseError(f"cannot parse money range {text!r}", file=file, line=line) from None
-    except Overflow:  # an exponent past the decimal context's limit
+    except Overflow:  # an exponent past the limit of money arithmetic
         raise ParseError(f"money range {text!r} is too large", file=file, line=line) from None
     if not (low.is_finite() and high.is_finite()):
         raise ParseError(f"money range {text!r} is not finite", file=file, line=line)
     if low < 0 or low > high:
         raise ParseError(f"inverted or negative range {text!r}", file=file, line=line)
     try:
-        high.quantize(_RATE_QUANTUM)
+        high.quantize(_RATE_QUANTUM, context=_MONEY)
     except InvalidOperation:
         raise ParseError(f"money range {text!r} is too large", file=file, line=line) from None
     return low, high
@@ -200,17 +201,18 @@ def load_fare_config(path: str | Path) -> list[FareRange]:
 
 def _pick(bounds: tuple[Decimal, Decimal], strategy: str, rng: SplitMix64, quantum: Decimal) -> Decimal:
     low, high = bounds
-    if strategy == "low":
-        value = low
-    elif strategy == "high":
-        value = high
-    elif strategy == "mid":
-        value = (low + high) / 2
-    elif strategy == "seeded-uniform":
-        value = low + (high - low) * Decimal(repr(rng.uniform()))
-    else:
-        raise ConfigurationError(f"unknown fare strategy {strategy!r}")
-    return value.quantize(quantum, rounding=ROUND_HALF_UP)
+    with localcontext(_MONEY):
+        if strategy == "low":
+            value = low
+        elif strategy == "high":
+            value = high
+        elif strategy == "mid":
+            value = (low + high) / 2
+        elif strategy == "seeded-uniform":
+            value = low + (high - low) * Decimal(repr(rng.uniform()))
+        else:
+            raise ConfigurationError(f"unknown fare strategy {strategy!r}")
+        return value.quantize(quantum, rounding=ROUND_HALF_UP)
 
 
 def resolve_fares(

@@ -18,7 +18,16 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from decimal import (
+    ROUND_HALF_EVEN,
+    ROUND_HALF_UP,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import groupby, repeat
@@ -31,6 +40,17 @@ Money = int  # integer cents
 ModeId = int  # dense index into the fare table
 
 _CENT = Decimal("1")
+# The context of all money arithmetic: the default context's values (28 digits, half-even), so that no
+# caller's decimal context changes a fare or a cost.
+_MONEY = Context(
+    prec=28,
+    rounding=ROUND_HALF_EVEN,
+    Emin=-999999,
+    Emax=999999,
+    capitals=1,
+    clamp=0,
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
 _RATE_QUANTUM = Decimal("0.0001")
 _RATE_TEXT = re.compile(r"-?[0-9]+(\.[0-9]+)?")  # the text save_network_json writes, ``-0.0000`` included
 EARTH_RADIUS_M = 6371_000.0
@@ -59,8 +79,8 @@ def _as_decimal(value: float | int | str | Decimal) -> Decimal:
     if isinstance(value, Decimal):
         return value
     if isinstance(value, float):
-        return Decimal(float.__repr__(value))  # the shortest repr, also of a subclass with a repr of its own
-    return Decimal(value)
+        return Decimal(float.__repr__(value), _MONEY)  # the shortest repr, also of a subclass with a repr of its own
+    return Decimal(value, _MONEY)
 
 
 @dataclass(frozen=True)
@@ -88,7 +108,7 @@ class FarePolicy:
             if isinstance(rate, str) and not _RATE_TEXT.fullmatch(rate):
                 raise ConfigurationError(f"{name}_cents must be plain decimal text such as 1.5")
             try:
-                rate = _as_decimal(rate).quantize(_RATE_QUANTUM)
+                rate = _as_decimal(rate).quantize(_RATE_QUANTUM, context=_MONEY)
             except InvalidOperation:  # not a number, an infinity, or too many digits
                 rate = None
             if rate is None or not rate.is_finite():  # a quiet NaN quantizes to itself
@@ -101,7 +121,9 @@ class FarePolicy:
         """Policy with every component multiplied by a positive integer."""
         if factor <= 0:
             raise ConfigurationError("scale factor must be positive")
-        return FarePolicy(self.base_fare * factor, self.cost_per_meter * factor, self.cost_per_minute * factor)
+        return FarePolicy(
+            self.base_fare * factor, _MONEY.multiply(self.cost_per_meter, factor), _MONEY.multiply(self.cost_per_minute, factor)
+        )
 
 
 @dataclass(frozen=True)
@@ -227,45 +249,96 @@ class PathResult:
 def edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
     """Traversal cost in cents: base fare + time rate + distance rate.
 
-    Rounding is half-up to whole cents, applied once per edge. A cost with
-    more whole cents than the decimal context's precision holds raises
+    Rounding is half-up to whole cents, applied once per edge, to the
+    decimal sum of 28 digits, whatever the caller's decimal context. A cost
+    with more whole cents than 28 digits hold raises
     :class:`~gtpmm.errors.ConfigurationError` naming the edge's endpoints,
     with ``edge`` 0.
     """
     return _edge_costs((edge,), fares)[0]
 
 
+_FLOAT_LIMIT = 2.0**32  # an edge whose float total (plus one half) reaches this many cents runs the decimal sum
+_FLOAT_MARGIN = 2.0**-12  # ... and so does one whose float total lies closer than this to a whole number
+
+
+def _float_rates(policy: FarePolicy) -> tuple[float, float, float]:
+    """``(base fare + 0.5, cost per minute, cost per meter)`` as floats, or
+    three NaNs, which send every edge to the decimal sum, when the base fare
+    does not fit a float (a rate always does: it has at most 28 digits)."""
+    try:
+        return (float(policy.base_fare) + 0.5, float(policy.cost_per_minute), float(policy.cost_per_meter))
+    except OverflowError:
+        return (math.nan,) * 3
+
+
 def _edge_costs(edges: Iterable[TransitEdge], fares: FareTable) -> list[Money]:
     """:func:`edge_cost` of each edge, in order: the one loop that prices
     edges. A failing edge raises with its index in ``edges`` as ``edge``.
-    Each mode's rates are read once per call, and each distinct distance or
-    time is converted to a decimal once per call (a number equal to one
-    already converted, such as ``3`` after ``3.0``, takes that decimal,
-    which has the same value), so each cost is the edge's own. Equal costs
-    are one ``int`` object.
+    Equal costs are one ``int`` object.
+
+    Each edge is priced in binary floating point first, as ``total = (base
+    + 0.5) + per_minute * time + per_meter * distance``, and costs
+    ``floor(total)`` when both products are nonnegative, ``total`` is under
+    ``2**32`` and its fraction lies at least ``2**-12`` from a whole
+    number. Every other edge (a NaN, a negative value, a total past that
+    range or that near a half cent, a field float arithmetic refuses) runs
+    the decimal sum of :func:`_decimal_cost`.
+
+    The float cost is the decimal one. Every term is nonnegative, and each
+    carries at most six roundings of relative size ``u = 2**-53``: each
+    rate to float, each value's float against the shortest repr the
+    decimal sum reads (or an int to float), the two products, the ``+ 0.5``
+    and the two sums. So the float total lies within ``((1 + u)**6 - 1) *
+    2**32 < 2**-18`` cent of the exact ``E + 0.5``, plus less than
+    ``2**-1000`` from subnormal values and underflow. The decimal sum of 28
+    digits is exact there or off by less than ``10**-17`` cent, as each
+    term is under ``10**10``. Both ``E + 0.5`` and the decimal total plus
+    one half thus lie on the float total's side of the nearest whole
+    number, and ``floor`` of the float total is the decimal half-up cost.
     """
     rates = [(Decimal(policy.base_fare), policy.cost_per_minute, policy.cost_per_meter) for policy in fares.policies]
-    decimals: dict[float, Decimal] = {}
+    floats = [_float_rates(policy) for policy in fares.policies]
+    modes = len(rates)
+    low, high = _FLOAT_MARGIN, 1.0 - _FLOAT_MARGIN
     shared: dict[Money, Money] = {}
     costs: list[Money] = []
     for index, (u, v, mode, distance_m, time_min) in enumerate(edges):
-        if not 0 <= mode < len(rates):
+        if not 0 <= mode < modes:
             raise ConfigurationError(f"no fare policy for mode id {mode}", edge=index)
-        base, per_minute, per_meter = rates[mode]
-        minutes = decimals.get(time_min)
-        if minutes is None:
-            minutes = decimals[time_min] = _as_decimal(time_min)
-        meters = decimals.get(distance_m)
-        if meters is None:
-            meters = decimals[distance_m] = _as_decimal(distance_m)
-        total = base + per_minute * minutes + per_meter * meters
+        half_base, per_minute, per_meter = floats[mode]
         try:
-            cost = int(total.quantize(_CENT, rounding=ROUND_HALF_UP))
-        except InvalidOperation:
-            message = f"edge ({u}, {v}) costs {total:.3e} cents, too many to hold"
-            raise ConfigurationError(message, edge=index) from None
+            minutes = per_minute * time_min
+            meters = per_meter * distance_m
+            total = half_base + minutes + meters
+            if minutes >= 0.0 <= meters and total < _FLOAT_LIMIT:
+                cost = int(total)
+                if low <= total - cost <= high:
+                    costs.append(shared.setdefault(cost, cost))
+                    continue
+        except (TypeError, OverflowError):  # a str, Decimal or huge-int field of a hand-made edge
+            pass
+        cost = _decimal_cost(index, u, v, distance_m, time_min, rates[mode])
         costs.append(shared.setdefault(cost, cost))
     return costs
+
+
+def _decimal_cost(
+    index: int, u: int, v: int, distance_m: float, time_min: float, rates: tuple[Decimal, Decimal, Decimal]
+) -> Money:
+    """An edge's cost by the decimal sum of its mode's ``(base fare, cost
+    per minute, cost per meter)``, rounded half up, all under ``_MONEY``."""
+    base, per_minute, per_meter = rates
+    total = _MONEY.add(
+        _MONEY.add(base, _MONEY.multiply(per_minute, _as_decimal(time_min))),
+        _MONEY.multiply(per_meter, _as_decimal(distance_m)),
+    )
+    try:
+        return int(total.quantize(_CENT, rounding=ROUND_HALF_UP, context=_MONEY))
+    except InvalidOperation:
+        with localcontext(_MONEY):  # formatting rounds in the current context
+            message = f"edge ({u}, {v}) costs {total:.3e} cents, too many to hold"
+        raise ConfigurationError(message, edge=index) from None
 
 
 @dataclass(frozen=True)
@@ -1200,14 +1273,15 @@ def median_fare_policy(fares: FareTable) -> FarePolicy:
     """Component-wise median of all policies; neutral default for repairs."""
     if not fares.policies:
         raise ConfigurationError("cannot take the median of an empty fare table")
-    base = statistics.median(p.base_fare for p in fares.policies)
-    per_meter = statistics.median(p.cost_per_meter for p in fares.policies)
-    per_minute = statistics.median(p.cost_per_minute for p in fares.policies)
-    return FarePolicy(
-        int(_as_decimal(base).quantize(_CENT, rounding=ROUND_HALF_UP)),
-        _as_decimal(per_meter).quantize(_RATE_QUANTUM, rounding=ROUND_HALF_UP),
-        _as_decimal(per_minute).quantize(_RATE_QUANTUM, rounding=ROUND_HALF_UP),
-    )
+    with localcontext(_MONEY):
+        base = statistics.median(p.base_fare for p in fares.policies)
+        per_meter = statistics.median(p.cost_per_meter for p in fares.policies)
+        per_minute = statistics.median(p.cost_per_minute for p in fares.policies)
+        return FarePolicy(
+            int(_as_decimal(base).quantize(_CENT, rounding=ROUND_HALF_UP)),
+            _as_decimal(per_meter).quantize(_RATE_QUANTUM, rounding=ROUND_HALF_UP),
+            _as_decimal(per_minute).quantize(_RATE_QUANTUM, rounding=ROUND_HALF_UP),
+        )
 
 
 def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:

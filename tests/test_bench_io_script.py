@@ -2,13 +2,14 @@
 
 The script is not imported by the package, so a rename in ``gtpmm.ingest``
 would only show when someone next ran it; this measures a small network
-and a small GTFS feed.
+and a small GTFS feed, and runs ``--against`` on stand-in measurements.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -43,8 +44,12 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
         "load_s",
         "load_p25_s",
         "load_p75_s",
+        "edge_costs_s",
+        "edge_costs_p25_s",
+        "edge_costs_p75_s",
         "bytes",
         "sha256",
+        "edge_costs_sha256",
         "network_mb",
         "save_peak_mb",
         "load_peak_mb",
@@ -61,6 +66,9 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
     assert row["save_p25_s"] <= row["save_s"] <= row["save_p75_s"]
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
     assert row["edge_list_load_p25_s"] <= row["edge_list_load_s"] <= row["edge_list_load_p75_s"]
+    assert row["edge_costs_p25_s"] <= row["edge_costs_s"] <= row["edge_costs_p75_s"] < row["load_s"]
+    costs = repr(road_network(1, 8).edge_costs).encode()
+    assert row["edge_costs_sha256"] == hashlib.sha256(costs).hexdigest()
     assert 0 < row["network_mb"] < 1  # 64 PoIs and their edges, not the whole process
     assert row["network_mb"] < row["load_peak_mb"] < 1  # the load holds more than the network it returns
     assert 0 < row["save_peak_mb"] < 1
@@ -89,6 +97,7 @@ def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
         "load_p75_s",
         "bytes",
         "sha256",
+        "edge_costs_sha256",
         "host_ref_ms",
     }
     stop_times = 2 * bench_io.GTFS_TRIPS_PER_ROUTE * bench_io.GTFS_STOPS_PER_TRIP
@@ -97,3 +106,55 @@ def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
     data = b"".join((feed / name).read_bytes() for name in bench_io.GTFS_TABLES)
     assert (row["bytes"], row["sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
+
+
+def _fake_measurement(src, scenario, digest="d"):
+    return {"scenario": scenario, "src": str(src), "sha256": digest, "edge_costs_sha256": "c"}
+
+
+def test_against_runs_the_parent_right_before_the_change_and_writes_both_rows(bench_io, monkeypatch, tmp_path):
+    calls = []
+
+    def measured_in(src, scenario):
+        calls.append((src, scenario))
+        return _fake_measurement(src, scenario)
+
+    monkeypatch.setattr(bench_io, "measured_in", measured_in)
+    output = tmp_path / "io.json"
+    parent = tmp_path / "parent"
+    status = bench_io.main(["--label", "float pricing", "--against", str(parent), "--output", str(output)])
+
+    assert status == 0
+    change_src = BENCHMARKS.parent / "src"
+    assert calls == [(src, scenario) for scenario in ("road", "random", "gtfs") for src in (parent / "src", change_src)]
+    rows = json.loads(output.read_text())
+    assert [row["label"] for row in rows] == ["parent: float pricing", "change: float pricing"]
+    for row, src in zip(rows, (parent / "src", change_src)):
+        assert [net["scenario"] for net in row["networks"]] == ["road", "random"]
+        assert row["gtfs"]["scenario"] == "gtfs"
+        assert {net["src"] for net in row["networks"]} == {row["gtfs"]["src"]} == {str(src)}
+    assert {"python", "cpu_count"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("scenario", ["road", "gtfs"])
+def test_against_exits_1_when_a_sha256_differs(bench_io, monkeypatch, tmp_path, capsys, scenario):
+    parent = tmp_path / "parent"
+
+    def measured_in(src, name):
+        measurement = _fake_measurement(src, name)
+        if src == parent / "src" and name == scenario:
+            measurement["edge_costs_sha256"] = "other"
+        return measurement
+
+    monkeypatch.setattr(bench_io, "measured_in", measured_in)
+    output = tmp_path / "io.json"
+    assert bench_io.main(["--label", "x", "--against", str(parent), "--output", str(output)]) == 1
+    assert f"a sha256 differs on {scenario}" in capsys.readouterr().err
+    assert len(json.loads(output.read_text())) == 2  # the rows are kept
+
+
+def test_scenario_option_prints_one_measurement(bench_io, monkeypatch, capsys):
+    monkeypatch.setattr(bench_io, "NETWORKS", {"road": lambda: road_network(1, 3)})
+    monkeypatch.setattr(bench_io, "measure", lambda name, net, directory: {"network": name, "pois": net.poi_count})
+    assert bench_io.main(["--scenario", "road"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"network": "road", "pois": 9}

@@ -6,8 +6,9 @@ records replaced; CSV cells are set, dropped or added, columns repeated,
 rows replaced, and the file text gains blank or whitespace-only lines, is
 cut short or gets a byte that is not UTF-8. Every failure must be a
 ``ParseError`` naming the file; every success must give fares that
-resolve, a network that ``connect_components`` accepts, or a query that
-``gtpmm plan`` plans."""
+resolve, a network that ``connect_components`` accepts and whose edge costs
+the decimal pricing loop agrees with, or a query that ``gtpmm plan``
+plans."""
 
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from gtpmm.cli import _load_query, main
 from gtpmm.fixtures import data_path, default_fare_ranges, gtfs_minimal_dir, walkthrough_fare_table, walkthrough_network
 from gtpmm.ingest import FARE_STRATEGIES, save_edge_list
 from gtpmm.network import FarePolicy, FareTable, NetworkBuilder
+from test_network import parent_edge_costs
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -72,8 +74,10 @@ def saved(tmp_path_factory):
 
 
 def assert_repairable(net):
-    """``connect_components`` accepts ``net``; an empty network, which a
+    """``net``'s edge costs are the parent decimal loop's, and
+    ``connect_components`` accepts ``net``; an empty network, which a
     header-only or cut-short file loads to, has nothing to repair."""
+    assert list(net.edge_costs) == parent_edge_costs(net.edges, net.fare_table)
     if net.poi_count:
         connect_components(net)
 

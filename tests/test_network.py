@@ -8,7 +8,7 @@ import shutil
 import sys
 from dataclasses import replace
 from bisect import bisect_left
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import repeat
@@ -191,7 +191,7 @@ def test_edge_cost_that_does_not_fit_raises_configuration_error():
 def per_edge_cost(edge: TransitEdge, fares: FareTable) -> Money:
     """The reference cost formula, one edge at a time with no shared state."""
     policy = fares.policy(edge.mode)
-    minutes, meters = (Decimal(repr(x)) if isinstance(x, float) else Decimal(x) for x in (edge.time_min, edge.distance_m))
+    minutes, meters = (Decimal(float.__repr__(x)) if isinstance(x, float) else Decimal(x) for x in (edge.time_min, edge.distance_m))
     total = policy.base_fare + policy.cost_per_minute * minutes + policy.cost_per_meter * meters
     return int(total.quantize(Decimal(1), rounding=ROUND_HALF_UP))
 
@@ -264,6 +264,211 @@ def test_edge_costs_raise_on_a_cost_that_does_not_fit():
     with pytest.raises(ConfigurationError, match=r"edge \(1, 2\) costs 3.000e\+30 cents") as excinfo:
         _edge_costs(net.edges, fares)
     assert excinfo.value.edge == 1
+
+
+# --- float pricing against the decimal loop it replaced --------------------------
+
+_CENT = Decimal("1")
+
+
+def _parent_as_decimal(value: float | int | str | Decimal) -> Decimal:
+    if isinstance(value, Decimal):
+        return value
+    if isinstance(value, float):
+        return Decimal(float.__repr__(value))  # the shortest repr, also of a subclass with a repr of its own
+    return Decimal(value)
+
+
+def parent_edge_costs(edges, fares: FareTable) -> list[Money]:
+    """The decimal pricing loop that float pricing replaced, verbatim: the
+    reference of the differential tests (run it under the default decimal
+    context)."""
+    rates = [(Decimal(policy.base_fare), policy.cost_per_minute, policy.cost_per_meter) for policy in fares.policies]
+    decimals: dict[float, Decimal] = {}
+    shared: dict[Money, Money] = {}
+    costs: list[Money] = []
+    for index, (u, v, mode, distance_m, time_min) in enumerate(edges):
+        if not 0 <= mode < len(rates):
+            raise ConfigurationError(f"no fare policy for mode id {mode}", edge=index)
+        base, per_minute, per_meter = rates[mode]
+        minutes = decimals.get(time_min)
+        if minutes is None:
+            minutes = decimals[time_min] = _parent_as_decimal(time_min)
+        meters = decimals.get(distance_m)
+        if meters is None:
+            meters = decimals[distance_m] = _parent_as_decimal(distance_m)
+        total = base + per_minute * minutes + per_meter * meters
+        try:
+            cost = int(total.quantize(_CENT, rounding=ROUND_HALF_UP))
+        except InvalidOperation:
+            message = f"edge ({u}, {v}) costs {total:.3e} cents, too many to hold"
+            raise ConfigurationError(message, edge=index) from None
+        costs.append(shared.setdefault(cost, cost))
+    return costs
+
+
+def pricing_outcome(price, edges, fares):
+    """``price(edges, fares)``, or the error it raises as (type, message, ``edge``)."""
+    try:
+        return price(edges, fares)
+    except Exception as error:  # noqa: BLE001 - any error must be the reference's own
+        return type(error), str(error), getattr(error, "edge", None)
+
+
+def assert_prices_like_the_parent(edges, fares):
+    costs = pricing_outcome(_edge_costs, edges, fares)
+    assert costs == pricing_outcome(parent_edge_costs, edges, fares)
+    if isinstance(costs, list):
+        assert len({*map(id, costs)}) == len(set(costs))  # equal costs are one object
+
+
+# 2378615000 m at 0.0865 cents a meter is exactly 205750197.5 cents; the float total is 205750197.99999997
+FLOAT_BELOW_A_HALF = (FarePolicy(0, Decimal("0.0865"), Decimal(0)), 2378615000.0)
+# past 2**32 cents the float error outgrows the margin: exactly 2196038924581.5 cents, 2196038924581.9998 as a float
+FLOAT_FAR_BELOW_A_HALF = (FarePolicy(0, Decimal("0.0034"), Decimal(0)), 645893801347500.0)
+
+RATE_UNITS = st.integers(0, 10**12)  # in 1e-4 cents
+BASE_FARES = st.integers(0, 2**40)
+SIGNIFICANT_FLOATS = st.integers(1, 17).flatmap(
+    lambda digits: st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(0, 10**digits - 1), st.integers(-12, 16))
+)
+MEASURES = st.one_of(SIGNIFICANT_FLOATS, st.integers(0, 10**20), st.sampled_from([-0.0, 5e-324]))
+
+
+def _policy(base: int, per_meter_units: int, per_minute_units: int) -> FarePolicy:
+    return FarePolicy(base, Decimal(per_meter_units).scaleb(-4), Decimal(per_minute_units).scaleb(-4))
+
+
+@st.composite
+def drawn_batches(draw):
+    """A fare table of one mode and 1-20 edges of drawn distances and times."""
+    policy = _policy(draw(BASE_FARES), draw(RATE_UNITS), draw(RATE_UNITS))
+    return policy, draw(st.lists(st.tuples(MEASURES, MEASURES), min_size=1, max_size=20))
+
+
+@st.composite
+def half_cent_batches(draw):
+    """A fare whose rate times one edge's value is exactly an odd number of
+    half cents: rate ``s * 2**i * 5**j`` units and value ``o * 10**4 / (2**(i
+    + 1) * 5**j)`` make ``s * o / 2`` cents, for odd ``s`` and ``o``."""
+    s = draw(st.sampled_from([1, 3, 7, 9, 11, 13, 17, 19, 21, 23, 27, 29, 31, 33, 37, 39, 41, 43, 47, 49]))
+    i, j = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    odd = 2 * draw(st.integers(0, 10**12)) + 1
+    value = float(Decimal(odd * 10**4) / (2 ** (i + 1) * 5**j))
+    units = s * 2**i * 5**j
+    other = draw(RATE_UNITS)
+    base = draw(BASE_FARES)
+    if draw(st.booleans()):
+        return _policy(base, units, other), [(value, 0.0), (value, -0.0)]
+    return _policy(base, other, units), [(0, value), (-0.0, value)]
+
+
+@st.composite
+def range_limit_batches(draw):
+    """Edges whose totals lie within a few thousand cents of 2**32, on both sides."""
+    units = draw(st.integers(1, 10**8))
+    base = draw(st.integers(0, 1000))
+    offsets = draw(st.lists(st.floats(-3000, 3000), min_size=1, max_size=8))
+    values = [float((2**32 + offset - base) * 10**4 / units) for offset in offsets]
+    return _policy(base, units, 0), [(value, 0.0) for value in values]
+
+
+@given(batch=st.one_of(drawn_batches(), half_cent_batches(), range_limit_batches()))
+@example(batch=(FLOAT_BELOW_A_HALF[0], [(FLOAT_BELOW_A_HALF[1], 0.0)]))
+@example(batch=(FLOAT_FAR_BELOW_A_HALF[0], [(FLOAT_FAR_BELOW_A_HALF[1], 0.0)]))
+@example(batch=(_policy(0, 10**4, 0), [(10**17 + 1, 0.0)]))  # past the float range: int to float loses the 1
+@example(batch=(_policy(10**400, 1, 1), [(1.0, 1.0)]))  # a base fare no float holds
+@settings(max_examples=300, deadline=None)
+def test_float_pricing_equals_the_parent_decimal_loop(batch):
+    policy, measures = batch
+    fares = FareTable.from_pairs([("M", policy)])
+    edges = [TransitEdge(0, 1, 0, distance, time) for distance, time in measures]
+    assert_prices_like_the_parent(edges, fares)
+
+
+@pytest.mark.parametrize("case", [FLOAT_BELOW_A_HALF, FLOAT_FAR_BELOW_A_HALF])
+def test_an_exact_half_cent_the_float_total_misses_is_priced_half_up(case):
+    policy, distance = case
+    fares = FareTable.from_pairs([("M", policy)])
+    exact = policy.cost_per_meter * Decimal(float.__repr__(distance))
+    assert exact % 1 == Decimal("0.5")
+    assert math.floor(0.5 + float(policy.cost_per_meter) * distance) == exact - Decimal("0.5")  # the float alone
+    assert edge_cost(TransitEdge(0, 1, 0, distance, 0.0), fares) == exact + Decimal("0.5")
+
+
+@pytest.mark.parametrize("value", ["12.5", "abc", Decimal("12.5"), True, ForeignFloat(12.5), math.nan, math.inf, 10**400])
+@pytest.mark.parametrize("field", ["distance_m", "time_min"])
+def test_edge_cost_of_a_hand_made_edge_is_the_parent_loops_value_or_error(field, value):
+    fares = FareTable.from_pairs(
+        [("M", FarePolicy(120, Decimal("0.0150"), Decimal("1.5"))), ("Free", FarePolicy(0, 0, 0))]
+    )
+    for mode in (0, 1):
+        edge = TransitEdge(0, 1, mode, 3.0, 4.0)._replace(**{field: value})
+        expected = pricing_outcome(parent_edge_costs, [edge], fares)
+        assert pricing_outcome(lambda edges, f: [edge_cost(edges[0], f)], [edge], fares) == expected
+
+
+def test_edge_cost_of_a_negative_value_is_the_decimal_sum():
+    """Opposite terms cancel, and the float total's error is the large
+    terms': 132.03125 as a float, 131.498409 cents exactly."""
+    fares = FareTable.from_pairs([("M", FarePolicy(120, Decimal("2.7183"), Decimal("2.7183")))])
+    edge = TransitEdge(0, 1, 0, 87272658734171.7, -87272658734167.47)
+    assert edge_cost(edge, fares) == parent_edge_costs([edge], fares)[0] == 131
+
+
+def test_few_edges_of_a_road_city_reach_the_decimal_sum():
+    net = road_network(1, 55)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decimal_cost(*args)
+
+    decimal_cost = gtpmm.network._decimal_cost
+    with patch.object(gtpmm.network, "_decimal_cost", counted):
+        costs = _edge_costs(net.edges, net.fare_table)
+        assert costs == parent_edge_costs(net.edges, net.fare_table)
+        assert len(calls) <= net.edge_count // 100
+        calls.clear()
+        fares = FareTable.from_pairs([("M", FarePolicy(0, Decimal("0.0005"), Decimal(0)))])
+        assert edge_cost(TransitEdge(0, 1, 0, 1000.0, 0.0), fares) == 1  # exactly half a cent
+        assert len(calls) == 1
+
+
+BUS = FareTable.from_pairs([("Bus", FarePolicy(120, Decimal("0.0150"), Decimal("1.5000")))])
+
+
+def money_results():
+    """Costs, fares and errors that decimal arithmetic decides."""
+    fits = FareTable.from_pairs([("M", FarePolicy(0, Decimal(3), Decimal(1)))])
+    errors = []
+    for distance, time in ((1e30, 0.0), (0.0, 1e30), (10**300, 0.0), (1.23456789e30, 0.0)):
+        errors.append(pricing_outcome(edge_cost, TransitEdge(0, 1, 0, distance, time), fits))
+    half = FareTable.from_pairs([("M", FarePolicy(0, Decimal("0.0005"), Decimal(0)))])
+    return (
+        road_network(1, 12).edge_costs,
+        edge_cost(TransitEdge(0, 1, 0, 200.1, 4.97), BUS),
+        edge_cost(TransitEdge(0, 1, 0, 1000.0, 0.0), half),
+        edge_cost(TransitEdge(0, 1, 0, 1e20, 0.0), fits),
+        errors,
+        FarePolicy(0, Decimal("12.3456"), 0),
+        FarePolicy(0, "1.00005", 2.00015),
+        BUS.scaled(3).policies,
+        median_fare_policy(
+            FareTable.from_pairs([("A", FarePolicy(1, Decimal("0.0001"), 0)), ("B", FarePolicy(2, 0, 0))])
+        ),
+        resolve_fares(default_fare_ranges(), "seeded-uniform", seed=7),
+        resolve_fares(default_fare_ranges(), "mid"),
+    )
+
+
+def test_money_arithmetic_does_not_read_the_callers_decimal_context():
+    expected = money_results()
+    assert expected[1] == 130
+    with localcontext(prec=4, rounding=ROUND_FLOOR):
+        assert money_results() == expected
+    with localcontext(prec=4):
+        assert money_results() == expected
 
 
 # --- bulk edge intake -------------------------------------------------------------
