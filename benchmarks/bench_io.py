@@ -51,7 +51,13 @@ then right after with this checkout's ``src`` (the change):
 
 It writes two rows, labelled ``parent: LABEL`` and ``change: LABEL``, and
 exits 1 when a scenario's two rows differ in a sha256, that is when the
-change wrote or read other bytes or priced other costs.
+change wrote or read other bytes or priced other costs. Each scenario's
+two measurements carry ``host_drifted``, by ``bench_planner.py``'s rule
+applied to ``load_s`` and its quartiles: true when the two
+``host_ref_ms`` differ, as a share of the lower, by more than either
+side's ``load_p75_s - load_p25_s`` over ``load_s``, so that the host's
+speed moved more between the two runs than within them and the pair is
+not comparable.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from bench_planner import new_row, reference_ms, save_row
+from bench_planner import host_drifted, new_row, reference_ms, save_row
 
 from gtpmm.fixtures import default_fare_ranges
 from gtpmm.ingest import (
@@ -286,9 +292,12 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.against.resolve() / "src", "change": ROOT / "src"}
     measured_by_side: dict[str, list[dict]] = {side: [] for side in sides}
     for scenario in SCENARIOS:
-        for side, src in sides.items():
-            measured_by_side[side].append(measured_in(src, scenario))
-            print(side, json.dumps(measured_by_side[side][-1]), flush=True)
+        pair = {side: measured_in(src, scenario) for side, src in sides.items()}
+        drifted = host_drifted("load", *pair.values())
+        for side, measurement in pair.items():
+            measurement["host_drifted"] = drifted
+            measured_by_side[side].append(measurement)
+            print(side, json.dumps(measurement), flush=True)
     for side, measured in measured_by_side.items():
         save_row(_with_measurements({**row, "label": f"{side}: {row['label']}"}, measured), output)
     differ = [

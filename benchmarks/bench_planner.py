@@ -212,7 +212,7 @@ def paired(against: Path, index: int) -> dict:
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         runs.append({side: measured_in(sides[side], index) for side in order})
     ratios = [run["change"]["plan_s"] / run["parent"]["plan_s"] for run in runs]
-    drifted = [_host_drifted(run["parent"], run["change"]) for run in runs]
+    drifted = [host_drifted("plan", run["parent"], run["change"]) for run in runs]
     steady = [ratio for ratio, marked in zip(ratios, drifted) if not marked]
     first = runs[0]["change"]
     row = {key: first[key] for key in ("pois", "k", "pois_per_category", "agents", "repeats")}
@@ -229,12 +229,13 @@ def paired(against: Path, index: int) -> dict:
     return row
 
 
-def _host_drifted(*pair: dict) -> bool:
+def host_drifted(timed: str, *pair: dict) -> bool:
     """Whether the two runs' ``host_ref_ms`` differ, as a share of the lower,
-    by more than either run's quartile spread of ``plan_s`` as a share of
-    its median."""
+    by more than either run's quartile spread of the ``timed`` stage
+    (``{timed}_p75_s - {timed}_p25_s``) as a share of its median
+    (``{timed}_s``)."""
     low, high = sorted(run["host_ref_ms"] for run in pair)
-    spread = max((run["plan_p75_s"] - run["plan_p25_s"]) / run["plan_s"] for run in pair)
+    spread = max((run[f"{timed}_p75_s"] - run[f"{timed}_p25_s"]) / run[f"{timed}_s"] for run in pair)
     return high - low > spread * low
 
 

@@ -183,7 +183,8 @@ def nncm(
     (:func:`_nearest_by_search`). Both pick the same PoIs, and keep their
     searches in one
     :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs
-    they answer: the first pick's source legs and every hop, but for ties.
+    they answer: every hop, and the first pick's source legs, where a leg
+    read back from the pick's tree must be the only cheapest path.
     """
     inst.check(net)
     legs = Legs()
@@ -195,8 +196,9 @@ def nncm(
             best = _nearest_by_search(net, origins, cat, legs)
         else:
             best = _nearest_by_bound(net, origins, cat, bound, legs)
-        if best is None:
-            raise InfeasibleRouteError(next(iter(origins)), cat[0])
+        if best is None:  # as plan() names it: cat[0] and the first origin, in agent order, that does not reach it
+            reached = legs.costs(net, origins, cat[:1])  # from the trees just kept: no search
+            raise InfeasibleRouteError(next(o for o in origins if (o, cat[0]) not in reached), cat[0])
         common.append(best[1])
 
     return _cheapest_legs_plan(net, inst, tuple(common), sharing, legs)

@@ -429,7 +429,8 @@ class MultiModalNetwork:
     @cached_property
     def has_free_hop(self) -> bool:
         """Whether the cheapest edge between some two distinct PoIs costs
-        nothing; :meth:`SearchTree.path_from` reads no path back then."""
+        nothing; :meth:`SearchTree.path_from` reads no path back then, and a
+        :class:`SearchTree` keeps its search's settle order."""
         return any(cost == 0 for row in self.cheapest_neighbors for _, cost in row)
 
     @cached_property
@@ -950,14 +951,10 @@ class SearchTree(Mapping[int, PathResult]):
     ``costs`` maps each reached target to its cost, and ``targets`` holds
     every PoI the search was asked for; one missing from ``costs`` is
     unreachable from ``source``. Of the search's state the tree keeps only
-    the predecessor per PoI and the tie set, which :meth:`path_from` reads:
-    the PoIs that a second predecessor offered their final cost. A tie at
-    a cost that a later offer beat is dropped with that cost, as the PoI's
-    one cheapest predecessor may come after it; keeping it would only make
-    :meth:`path_from` decline a path it can tell. A search that re-aims at
-    one target after another offers many PoIs costs it later beats, and
-    with such ties kept the planner searched legs point to point that the
-    tree could have told.
+    its cost list (``dist``, None where unreached) and, on a network with a
+    free hop (:attr:`MultiModalNetwork.has_free_hop`), its settle order
+    (``order``, from 1, 0 where unsettled), and walks each path back from
+    them.
     """
 
     def __init__(
@@ -966,21 +963,44 @@ class SearchTree(Mapping[int, PathResult]):
         source: int,
         targets: frozenset[int],
         costs: dict[int, Money],
-        pred: list[int],
-        tied: set[int],
+        dist: list[Money | None],
+        order: list[int] | None,
     ) -> None:
         self.source = source
         self.targets = targets
         self.costs = costs
         self._net = net
-        self._pred = pred
-        self._tied = tied
+        self._dist = dist
+        self._order = order
+
+    def _walk(self, target: int, unique: bool) -> list[int] | None:
+        """The PoIs from ``target``, a reached target, back to ``source``:
+        from each ``v`` to the lowest-id neighbour ``u`` with ``dist[u] +
+        c(u, v) == dist[v]``, across a free hop one settled before ``v``;
+        with ``unique``, None when some ``v`` has a second such ``u``. An
+        unsettled ``u`` never passes: it would end a cheapest path to ``v``
+        and so have been settled first (see :func:`shortest_paths`).
+        """
+        dist, order, neighbors = self._dist, self._order, self._net.cheapest_neighbors
+        sequence = [target]
+        v = target
+        while v != self.source:
+            cost_v, back = dist[v], -1
+            for u, cost in neighbors[v]:  # ascending id: the first match is the lowest-id predecessor
+                known = dist[u]
+                if known is not None and known + cost == cost_v and (order is None or 0 < order[u] < order[v]):
+                    if back >= 0:
+                        return None
+                    back = u
+                    if not unique:
+                        break
+            sequence.append(back)
+            v = back
+        return sequence
 
     def __getitem__(self, target: int) -> PathResult:
         cost = self.costs[target]  # a KeyError for a PoI the search did not reach
-        sequence = [target]
-        while sequence[-1] != self.source:
-            sequence.append(self._pred[sequence[-1]])
+        sequence = self._walk(target, False)
         sequence.reverse()
         return PathResult(cost, _cheapest_legs(self._net, sequence), tuple(sequence))
 
@@ -997,22 +1017,16 @@ class SearchTree(Mapping[int, PathResult]):
 
         The tree tells it when the path is the only cheapest one, as every
         search then finds it: when no edge of the network is free
-        (:attr:`MultiModalNetwork.has_free_hop`) and no PoI on the path is
-        in the tie set. Over priced edges every PoI that ends a cheapest
-        path to ``v`` is settled before ``v`` in both loops of
-        :func:`shortest_paths`, whatever goal the bounded loop aims at, as
-        its ``(f, g)`` is lower, and offers ``v`` its final cost; so a PoI
-        that no second predecessor offered its final cost has one cheapest
-        predecessor, and a chain of such PoIs is the one cheapest path.
-        Across a free edge both ends have equal ``f`` and ``g``, and the
-        lower id can be settled without hearing from the other.
+        (:attr:`MultiModalNetwork.has_free_hop`) and every PoI on the walk
+        back has one neighbour that ends a cheapest path to it.
         """
         if self._net.has_free_hop:
             return None
-        forward = self[target]
-        if not self._tied.isdisjoint(forward.poi_sequence):
+        cost = self.costs[target]  # a KeyError for a PoI the search did not reach
+        sequence = self._walk(target, True)
+        if sequence is None:
             return None
-        return PathResult(forward.cost, forward.legs[::-1], forward.poi_sequence[::-1])
+        return PathResult(cost, _cheapest_legs(self._net, sequence), tuple(sequence))
 
 
 def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
@@ -1052,15 +1066,15 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
     the first open PoI of a cheapest path to the popped PoI has no greater
     ``f``, as with a single bound. Each path equals
     ``reference_path(net, source, target)`` because the search pops in
-    ``(f, g, PoI id)`` order. A PoI ``v``'s predecessor is the lowest-id
-    PoI that ends a cheapest path to ``v`` among those settled before
-    ``v``, and each such ``u`` is settled before ``v`` just when Dijkstra
-    settles it first, whatever group is aimed at then: over a priced edge
-    ``u`` has a lower ``(f, g)``, and over a free edge the two have equal
-    ``f`` and ``g`` (a consistent bound cannot change across a free edge),
-    so, as in Dijkstra, the PoI id alone orders them. A PoI is tied when a
-    second predecessor offers it its final cost; an offer of a cost later
-    beaten is forgotten. A target missing from the result is unreachable.
+    ``(f, g, PoI id)`` order. The tree walks each path back from the
+    costs: a PoI ``v``'s predecessor is the lowest-id PoI that ends a
+    cheapest path to ``v`` among those settled before ``v``, and each such
+    ``u`` is settled before ``v`` just when Dijkstra settles it first,
+    whatever group is aimed at then: over a priced edge ``u`` has a lower
+    ``(f, g)``, and over a free edge the two have equal ``f`` and ``g`` (a
+    consistent bound cannot change across a free edge), so, as in
+    Dijkstra, the PoI id alone orders them. A target missing from the
+    result is unreachable.
     """
     net.check_poi(source)
     remaining = set(targets)
@@ -1069,12 +1083,10 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
     wanted = frozenset(remaining)
 
     # Per-search state in flat lists indexed by PoI id: tentative cost (None
-    # until reached), predecessor and settled mark; and per PoI that a
-    # second predecessor offered its tentative cost, that cost.
+    # until reached) and settle count (0 until settled, then 1, 2, ...).
     dist: list[Money | None] = [None] * net.poi_count
-    pred = [-1] * net.poi_count
-    settled = [False] * net.poi_count
-    ties: dict[int, Money] = {}
+    settled = [0] * net.poi_count
+    count = 0
     dist[source] = 0
     neighbors = net.cheapest_neighbors
     # Two loops, so that a search without bounds pays nothing for them at each push; the bounded loop hands
@@ -1092,7 +1104,8 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
             _, d, u = heappop(bounded)
             if settled[u]:
                 continue
-            settled[u] = True
+            count += 1
+            settled[u] = count
             remaining.discard(u)
             if not remaining:
                 break
@@ -1103,15 +1116,10 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
                 known = dist[v]
                 if known is None or candidate < known:
                     dist[v] = candidate
-                    pred[v] = u
                     x, y = row1[v], row2[v]  # f = g + h(v), inlined: this block runs once per push
                     h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
                     h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
                     heappush(bounded, (candidate + (h1 if h1 > h2 else h2), candidate, v))
-                elif candidate == known:
-                    ties[v] = candidate
-                    if u < pred[v]:
-                        pred[v] = u
             if u == goal:  # re-aim at the next target not settled while no more entries were re-keyed than PoIs reached
                 if rekeyed <= len(dist) - dist.count(None):
                     goal = next(target for target in later if not settled[target])
@@ -1137,7 +1145,8 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
         d, u = heappop(heap)
         if settled[u]:
             continue
-        settled[u] = True
+        count += 1
+        settled[u] = count
         remaining.discard(u)
         if not remaining:
             break
@@ -1148,16 +1157,10 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
             known = dist[v]
             if known is None or candidate < known:
                 dist[v] = candidate
-                pred[v] = u
                 heappush(heap, (candidate, v))
-            elif candidate == known:
-                ties[v] = candidate
-                if u < pred[v]:
-                    pred[v] = u
 
     costs = {target: dist[target] for target in wanted if settled[target]}
-    tied = {v for v, cost in ties.items() if cost == dist[v]}  # a tie at a cost later beaten is no tie
-    return SearchTree(net, source, wanted, costs, pred, tied)
+    return SearchTree(net, source, wanted, costs, dist, settled if net.has_free_hop else None)
 
 
 def layer_costs(

@@ -272,7 +272,7 @@ class Legs:
                 continue
             found = tree.path_from(u) if u in tree.costs else None  # None: unreachable
             if found is None and u in tree.costs:
-                continue  # a tie or a free hop: the tree cannot tell the path back
+                continue  # a second cheapest path or a free hop: the tree cannot tell the path back
             self._paths[(u, v)] = found
             return found
         return _UNKNOWN
@@ -568,9 +568,10 @@ def plan(
 
     The pruning's and the DP's single-source searches go to one
     :class:`Legs`, and the plan's legs are read from their trees where one
-    answers: every source leg and every destination leg, but for ties, and
-    a hop the pruning priced. Only the other legs are searched, each hop
-    point to point and the destination legs from one search.
+    answers: every source leg and every destination leg that is the only
+    cheapest path of its pair, and a hop the pruning priced. Only the
+    other legs are searched, each hop point to point and the destination
+    legs from one search.
     """
     inst.check(net)  # before the pruning's landmark bounds check its PoIs unnamed
     legs = Legs()

@@ -243,8 +243,9 @@ def _reference_nncm(net, inst, sharing=PER_PERSON):
             total += c
         if total >= 0 and (first_best is None or total < first_best[0]):
             first_best = (total, j)
-    if first_best is None:
-        raise InfeasibleRouteError(inst.agents[0][0], inst.categories[0][0])
+    if first_best is None:  # the pair plan() names: the first PoI and the first source that does not reach it
+        first = inst.categories[0][0]
+        raise InfeasibleRouteError(next(s for s, _ in inst.agents if cost_between(s, first) is None), first)
 
     common = [first_best[1]]
     for cat in inst.categories[1:]:
@@ -311,16 +312,30 @@ def _differential_cases():
 def test_baselines_match_their_previous_leg_code(sharing):
     outcomes = set()
     for net, inst in _differential_cases():
+        named = []  # every outcome, to check that each pair named is disconnected
         for seed in range(3):
             expected = _outcome(_reference_rprm, net, inst, seed, sharing)
             assert _outcome(rprm, net, inst, seed, sharing) == expected
+            named.append(expected)
             expected = _outcome(_reference_rpcm, net, inst, seed, sharing)
             assert _outcome(rpcm, net, inst, seed, sharing) == expected
+            named.append(expected)
             outcomes.add(isinstance(expected, tuple))
         expected = _outcome(_reference_nncm, net, inst, sharing)
         assert _outcome(nncm, net, inst, sharing) == expected
+        named.append(expected)
         outcomes.add(isinstance(expected, tuple))
+        for outcome in named:
+            if isinstance(outcome, tuple):
+                assert reference_path(net, *outcome[1]) is None
     assert outcomes == {True, False}  # both feasible and infeasible cases were compared
+
+
+def test_nncm_names_the_pair_plan_names_on_an_infeasible_first_category():
+    islands = random_disconnected_network(0, 2, 5)  # PoIs 0-4 and 5-9
+    inst = QueryInstance([(0, 1), (5, 6)], [[2, 3]])  # 0 reaches PoI 2, 5 does not
+    for method in (plan, nncm, _reference_nncm):
+        assert _outcome(method, islands, inst) == ("infeasible", (5, 2))
 
 
 def test_cheapest_leg_baselines_search_each_pair_once(searches):

@@ -108,8 +108,9 @@ def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
 
 
-def _fake_measurement(src, scenario, digest="d"):
-    return {"scenario": scenario, "src": str(src), "sha256": digest, "edge_costs_sha256": "c"}
+def _fake_measurement(src, scenario, digest="d", host_ref_ms=4.0):
+    timing = {"load_s": 1.0, "load_p25_s": 0.95, "load_p75_s": 1.05, "host_ref_ms": host_ref_ms}
+    return {"scenario": scenario, "src": str(src), "sha256": digest, "edge_costs_sha256": "c", **timing}
 
 
 def test_against_runs_the_parent_right_before_the_change_and_writes_both_rows(bench_io, monkeypatch, tmp_path):
@@ -133,7 +134,26 @@ def test_against_runs_the_parent_right_before_the_change_and_writes_both_rows(be
         assert [net["scenario"] for net in row["networks"]] == ["road", "random"]
         assert row["gtfs"]["scenario"] == "gtfs"
         assert {net["src"] for net in row["networks"]} == {row["gtfs"]["src"]} == {str(src)}
+        assert not any(entry["host_drifted"] for entry in (*row["networks"], row["gtfs"]))  # equal host references
     assert {"python", "cpu_count"} <= set(rows[0])
+
+
+def test_against_marks_the_pairs_whose_host_references_drift_past_the_load_spread(bench_io, monkeypatch, tmp_path):
+    parent = tmp_path / "parent"
+    # the change side's host_ref_ms per scenario, against the parent's 4.0 and a load spread of 0.1 on both sides
+    change_host = {"road": 4.2, "random": 4.8, "gtfs": 4.0}
+
+    def measured_in(src, scenario):
+        host = 4.0 if src == parent / "src" else change_host[scenario]
+        return _fake_measurement(src, scenario, host_ref_ms=host)
+
+    monkeypatch.setattr(bench_io, "measured_in", measured_in)
+    output = tmp_path / "io.json"
+    assert bench_io.main(["--label", "x", "--against", str(parent), "--output", str(output)]) == 0
+    for row in json.loads(output.read_text()):
+        # drift 0.05, 0.2 and 0 of the lower reference, against a spread of 0.1
+        assert [net["host_drifted"] for net in row["networks"]] == [False, True]
+        assert row["gtfs"]["host_drifted"] is False
 
 
 @pytest.mark.parametrize("scenario", ["road", "gtfs"])

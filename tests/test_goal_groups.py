@@ -4,10 +4,11 @@ Past the landmark gate, ``shortest_paths`` aims its bounds at each target
 in turn over one search state, and hands the targets left to one group
 once its re-keying outgrows the PoIs it reached. These tests hold it to a
 verbatim copy of the search that aimed at every target at once and to
-``reference_path``, pin the order the targets are aimed at, and pin the
-tie set's rule: a PoI is tied only when a second predecessor offers it
-its final cost. The goal order and ``landmark_bound`` are held to verbatim
-copies of the forms that read the landmark rows in two loops of their own.
+``reference_path``, pin the order the targets are aimed at, and pin when
+a tree reads a path back: just when every PoI on it has one neighbour
+that ends a cheapest path to it, by a plain Dijkstra's costs. The goal
+order and ``landmark_bound`` are held to verbatim copies of the forms that
+read the landmark rows in two loops of their own.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from gtpmm.network import (
     Money,
     NetworkBuilder,
     Poi,
-    SearchTree,
     _goal_order,
     _landmark_bounds,
     landmark_bound,
@@ -41,6 +41,7 @@ from gtpmm.network import (
 )
 from gtpmm.synth import random_disconnected_network, random_network, road_network
 from test_pruning import TIED_FARES, ZERO_FARES
+from test_search_trees import ParentSearchTree
 
 
 def one_group_shortest_paths(net, source, targets):
@@ -114,7 +115,7 @@ def one_group_shortest_paths(net, source, targets):
                         pred[v] = u
 
     costs = {target: dist[target] for target in wanted if settled[target]}
-    return SearchTree(net, source, wanted, costs, pred, tied)
+    return ParentSearchTree(net, source, wanted, costs, pred, tied)
 
 
 FARES = {"synthetic": None, "tied": TIED_FARES, "zero": ZERO_FARES}
@@ -163,16 +164,18 @@ def exact_costs(net, source):
     return costs
 
 
-def assert_ties_are_final(net, tree):
-    """Each tied PoI on a path the tree holds has two neighbours that end a
-    cheapest path to it: a tie at a cost later beaten was forgotten. (A
-    PoI the search reached but did not settle may hold a tie at a cost
-    that is not final; no path runs through it.)"""
+def assert_read_back_just_on_one_cheapest_path(net, tree):
+    """On a network with no free hop, ``path_from`` declines a reached
+    target's path just when some PoI on it has two neighbours that end a
+    cheapest path to it; on one with a free hop it declines every path."""
     exact = exact_costs(net, tree.source)
-    on_paths = {v for target in tree for v in tree[target].poi_sequence}
-    for v in tree._tied & on_paths:
-        ends = [u for u, cost in net.cheapest_neighbors[v] if u in exact and exact[u] + cost == exact[v]]
-        assert len(ends) >= 2
+
+    def ends(v):
+        return [u for u, cost in net.cheapest_neighbors[v] if u in exact and exact[u] + cost == exact[v]]
+
+    for target in tree:
+        declined = net.has_free_hop or any(len(ends(v)) >= 2 for v in tree[target].poi_sequence)
+        assert (tree.path_from(target) is None) == declined
 
 
 @settings(max_examples=400, deadline=None)
@@ -180,7 +183,7 @@ def assert_ties_are_final(net, tree):
 def test_goal_groups_find_the_one_group_trees_and_the_reference_paths(case):
     net, source, targets = case
     tree, old = shortest_paths(net, source, targets), one_group_shortest_paths(net, source, targets)
-    assert_ties_are_final(net, tree)
+    assert_read_back_just_on_one_cheapest_path(net, tree)
     assert tree.targets == old.targets == frozenset(targets)
     assert tree.costs == old.costs
     for target in set(targets):
@@ -296,7 +299,7 @@ def test_goal_groups_settle_what_the_one_group_settles_on_a_city():
     for source in range(0, net.poi_count, 53):
         tree, old = shortest_paths(net, source, targets), one_group_shortest_paths(net, source, targets)
         assert dict(tree) == dict(old)
-        assert_ties_are_final(net, tree)
+        assert_read_back_just_on_one_cheapest_path(net, tree)
         for target in targets:
             if old.path_from(target) is not None:
                 assert tree.path_from(target) == old.path_from(target)
@@ -329,5 +332,5 @@ def test_a_cost_later_beaten_leaves_no_tie(pays_off):
     if pays_off is not gtpmm.network._bounds_pay_off:
         assert offers == [(100, 1), (100, 2), (150, 3), (400, 4), (250, 4)]  # 2 offered 400 too, pushing nothing
     assert tree[4] == reference_path(net, 0, 4) and tree[4].poi_sequence == (0, 3, 4)
-    assert 4 not in tree._tied
+    assert_read_back_just_on_one_cheapest_path(net, tree)
     assert tree.path_from(4) == reference_path(net, 4, 0)

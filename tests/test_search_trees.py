@@ -1,17 +1,21 @@
 """Legs read from search trees, forward and back, against the plain Dijkstra.
 
-Every single-source search keeps its predecessor tree, and ``Legs`` answers
-a leg from a tree that settled it: from its origin forward, or from its
-target back when the tree can tell that the cheapest path is the only one.
-These tests hold every such leg to ``reference_path``, the search the
-checks use, and the planner's and NNCM's plans to plans whose every leg is
-searched point to point, as they were before the trees.
+Every single-source search keeps its cost list, and ``Legs`` answers a leg
+from a tree that settled it: from its origin forward, or from its target
+back when the tree can tell that the cheapest path is the only one. Each
+tree walks its paths back from the costs. These tests hold every such leg
+to ``reference_path``, the search the checks use, and to a verbatim copy
+of the search and tree that kept a predecessor list and a tie set; and
+the planner's and NNCM's plans to plans whose every leg is searched point
+to point, as they were before the trees.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from decimal import Decimal
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,20 @@ from hypothesis import strategies as st
 from conftest import Search
 from gtpmm import InfeasibleRouteError, SharingMode, nncm, plan, rpcm
 from gtpmm.bench import draw_instance
-from gtpmm.network import PRUNE_TIGHTNESS, FarePolicy, FareTable, NetworkBuilder, reference_path, shortest_paths
+from gtpmm.network import (
+    PRUNE_TIGHTNESS,
+    FarePolicy,
+    FareTable,
+    Money,
+    MultiModalNetwork,
+    NetworkBuilder,
+    PathResult,
+    _cheapest_legs,
+    _goal_order,
+    _landmark_bounds,
+    reference_path,
+    shortest_paths,
+)
 from gtpmm.planner import Legs, assemble
 from gtpmm.rng import SplitMix64
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
@@ -42,6 +59,164 @@ def built(n_pois, edges, fares=FLAT):
     return builder.finalize(fares)
 
 
+class ParentSearchTree(Mapping[int, PathResult]):
+    """Verbatim copy of ``SearchTree`` that kept a predecessor list and a tie set."""
+
+    def __init__(
+        self,
+        net: MultiModalNetwork,
+        source: int,
+        targets: frozenset[int],
+        costs: dict[int, Money],
+        pred: list[int],
+        tied: set[int],
+    ) -> None:
+        self.source = source
+        self.targets = targets
+        self.costs = costs
+        self._net = net
+        self._pred = pred
+        self._tied = tied
+
+    def __getitem__(self, target: int) -> PathResult:
+        cost = self.costs[target]  # a KeyError for a PoI the search did not reach
+        sequence = [target]
+        while sequence[-1] != self.source:
+            sequence.append(self._pred[sequence[-1]])
+        sequence.reverse()
+        return PathResult(cost, _cheapest_legs(self._net, sequence), tuple(sequence))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.costs)
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def path_from(self, target: int) -> PathResult | None:
+        """The path from ``target``, a reached target, back to ``source``
+        that ``shortest_path(net, target, source)`` returns, or None when
+        the tree cannot tell it.
+
+        The tree tells it when the path is the only cheapest one, as every
+        search then finds it: when no edge of the network is free
+        (:attr:`MultiModalNetwork.has_free_hop`) and no PoI on the path is
+        in the tie set. Over priced edges every PoI that ends a cheapest
+        path to ``v`` is settled before ``v`` in both loops of
+        :func:`shortest_paths`, whatever goal the bounded loop aims at, as
+        its ``(f, g)`` is lower, and offers ``v`` its final cost; so a PoI
+        that no second predecessor offered its final cost has one cheapest
+        predecessor, and a chain of such PoIs is the one cheapest path.
+        Across a free edge both ends have equal ``f`` and ``g``, and the
+        lower id can be settled without hearing from the other.
+        """
+        if self._net.has_free_hop:
+            return None
+        forward = self[target]
+        if not self._tied.isdisjoint(forward.poi_sequence):
+            return None
+        return PathResult(forward.cost, forward.legs[::-1], forward.poi_sequence[::-1])
+
+
+def parent_shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) -> ParentSearchTree:
+    """Verbatim copy of ``shortest_paths`` that kept a predecessor list and a tie set."""
+    net.check_poi(source)
+    remaining = set(targets)
+    for target in remaining:
+        net.check_poi(target)
+    wanted = frozenset(remaining)
+
+    # Per-search state in flat lists indexed by PoI id: tentative cost (None
+    # until reached), predecessor and settled mark; and per PoI that a
+    # second predecessor offered its tentative cost, that cost.
+    dist: list[Money | None] = [None] * net.poi_count
+    pred = [-1] * net.poi_count
+    settled = [False] * net.poi_count
+    ties: dict[int, Money] = {}
+    dist[source] = 0
+    neighbors = net.cheapest_neighbors
+    # Two loops, so that a search without bounds pays nothing for them at each push; the bounded loop hands
+    # its open entries to the plain loop when a group's bounds would not pay off.
+    goals = _goal_order(net, source, remaining)
+    bounds = _landmark_bounds(net, (source,), remaining if goals is None else goals[:1])
+    heap: list[tuple[Money, int]] = [(0, source)] if bounds is None else []
+    if bounds is not None:
+        row1, lo1, hi1, row2, lo2, hi2 = bounds
+        goal = -1 if goals is None else goals[0]  # the one group's search ends when no target remains
+        later = iter(goals or ())
+        bounded: list[tuple[Money, Money, int]] = [(0, 0, source)]
+        rekeyed = 0  # open entries re-keyed so far
+        while bounded and remaining:
+            _, d, u = heappop(bounded)
+            if settled[u]:
+                continue
+            settled[u] = True
+            remaining.discard(u)
+            if not remaining:
+                break
+            for v, cost in neighbors[u]:
+                if settled[v]:
+                    continue
+                candidate = d + cost
+                known = dist[v]
+                if known is None or candidate < known:
+                    dist[v] = candidate
+                    pred[v] = u
+                    x, y = row1[v], row2[v]  # f = g + h(v), inlined: this block runs once per push
+                    h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                    h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                    heappush(bounded, (candidate + (h1 if h1 > h2 else h2), candidate, v))
+                elif candidate == known:
+                    ties[v] = candidate
+                    if u < pred[v]:
+                        pred[v] = u
+            if u == goal:  # re-aim at the next target not settled while no more entries were re-keyed than PoIs reached
+                if rekeyed <= len(dist) - dist.count(None):
+                    goal = next(target for target in later if not settled[target])
+                    bounds = _landmark_bounds(net, (source,), (goal,))  # a single target's band always pays off
+                else:
+                    goal = -1
+                    bounds = _landmark_bounds(net, (source,), remaining)
+                if bounds is None:  # the open entries go on in the plain loop
+                    heap = [(g, v) for _, g, v in bounded if g == dist[v] and not settled[v]]
+                    heapify(heap)
+                    break
+                row1, lo1, hi1, row2, lo2, hi2 = bounds
+                entries, bounded = bounded, []
+                for _, g, v in entries:
+                    if g == dist[v] and not settled[v]:  # live: not stale, not settled
+                        x, y = row1[v], row2[v]  # the new f, inlined as at a push: a max() call costs twice as much
+                        h1 = lo1 - x if x < lo1 else x - hi1 if x > hi1 else 0
+                        h2 = lo2 - y if y < lo2 else y - hi2 if y > hi2 else 0
+                        bounded.append((g + (h1 if h1 > h2 else h2), g, v))
+                heapify(bounded)
+                rekeyed += len(bounded)
+    while heap and remaining:
+        d, u = heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        remaining.discard(u)
+        if not remaining:
+            break
+        for v, cost in neighbors[u]:
+            if settled[v]:
+                continue
+            candidate = d + cost
+            known = dist[v]
+            if known is None or candidate < known:
+                dist[v] = candidate
+                pred[v] = u
+                heappush(heap, (candidate, v))
+            elif candidate == known:
+                ties[v] = candidate
+                if u < pred[v]:
+                    pred[v] = u
+
+    costs = {target: dist[target] for target in wanted if settled[target]}
+    tied = {v for v, cost in ties.items() if cost == dist[v]}  # a tie at a cost later beaten is no tie
+    return ParentSearchTree(net, source, wanted, costs, pred, tied)
+
+
 NETWORKS = {
     "road-jittered": lambda seed: road_network(seed, 6),
     "road-unjittered": lambda seed: road_network(seed, 6, jitter=0.0),  # equal costs everywhere: ties
@@ -58,13 +233,14 @@ def test_every_tree_leg_read_forward_or_back_is_the_reference_path(name):
         net = NETWORKS[name](seed)
         pois = range(net.poi_count)
         for source in pois:
-            tree = shortest_paths(net, source, pois)
+            tree, parent = shortest_paths(net, source, pois), parent_shortest_paths(net, source, pois)
             for target in pois:
                 forward, backward = reference_path(net, source, target), reference_path(net, target, source)
-                assert tree.get(target) == forward
+                assert tree.get(target) == parent.get(target) == forward
                 if forward is None:
                     continue
                 back = tree.path_from(target)
+                assert back == parent.path_from(target)  # None just where the tie set declined
                 if back is None:
                     fell_back += 1
                 else:
@@ -86,6 +262,7 @@ def test_one_target_trees_read_back_as_the_reference_does(name):
     for source in range(net.poi_count):
         for target in range(net.poi_count):
             back = shortest_paths(net, source, [target]).path_from(target)
+            assert back == parent_shortest_paths(net, source, [target]).path_from(target)
             if back is not None:
                 read_back += 1
                 assert back == reference_path(net, target, source)
@@ -254,6 +431,20 @@ def test_a_network_with_a_free_hop_never_reads_back():
         assert legs.path(net, 0, poi) == reference_path(net, 0, poi)  # forward reads
         assert legs.path(net, poi, 0) == reference_path(net, poi, 0)
     assert legs.searches["path"] == 4  # each leg back searched point to point
+
+
+def test_a_walk_across_a_free_hop_follows_the_settle_order():
+    # 5-3 is priced and 3-1 free: 3 settles before 1 at the same cost, so
+    # the walk back from 3 must pass over 1, its lower-id neighbour at an
+    # equal cost, or it would run 3, 1, 3, ... without end
+    fares = FLAT.with_mode("F", FarePolicy(0, Decimal(0), Decimal(0)))
+    net = built(6, [(5, 3), (3, 1, 1)], fares)
+    for targets in ([1, 3], [3, 1], [1], [3]):
+        tree = shortest_paths(net, 5, targets)
+        for target in targets:
+            assert tree[target] == reference_path(net, 5, target)
+        assert tree.path_from(targets[0]) is None  # a free hop: nothing is read back
+    assert shortest_paths(net, 5, [1])[1].poi_sequence == (5, 3, 1)
 
 
 @pytest.fixture
