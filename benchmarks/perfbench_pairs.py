@@ -13,10 +13,14 @@ each seed after it.
 
 It prints every run's end-to-end metrics, then, per metric, each side's
 median, the parent's quartiles (q1-q3, the spread a gain is judged
-against), the ratio of the change's median to the parent's, and how many
-pairs the change won; a tie counts for neither, and which way is better
-comes from ``BENCHMARK.json``. It exits 1 when a run fails or is not
-``correct``.
+against), the ratio of the change's median to the parent's, the metric's
+``BENCHMARK.json`` bound, how many pairs the change won, and ``WORSE`` when
+the change's median is worse than the parent's by more than the bound, a
+fraction of the parent's median (the rule the benchmark's gate applies), or
+``ok``; a tie counts for neither side, and which way is better also comes
+from ``BENCHMARK.json``. A last line names the metrics marked ``WORSE``. It
+exits 1 when a run fails or is not ``correct``; a ``WORSE`` metric is shown,
+not an exit status, as a few pairs may cross a bound on noise alone.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}  # by name, in the file's order
 SIDES = ("parent", "change")  # names of equal length, so both sides run from paths of one length
 
 
@@ -67,9 +73,8 @@ def pairs(against: Path, workload: str, seeds: list[int], seconds: int) -> list[
 def summary(runs: list[dict[str, dict]]) -> list[tuple[str, float, float, float, float, int]]:
     """``(metric, parent median, parent q1, parent q3, change median, pairs
     the change won)`` per end-to-end metric; one run is its own quartiles."""
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     rows = []
-    for metric in benchmark["end_to_end"]:
+    for metric in END_TO_END.values():
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
         won = sum(sign * (change - parent) > 0 for parent, change in zip(values["parent"], values["change"]))
@@ -77,6 +82,15 @@ def summary(runs: list[dict[str, dict]]) -> list[tuple[str, float, float, float,
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
         rows.append((name, statistics.median(parent), q1, q3, statistics.median(values["change"]), won))
     return rows
+
+
+def worse_than_bound(name: str, parent: float, change: float) -> bool:
+    """Whether the change's median of metric ``name`` is worse than the
+    parent's by more than the metric's bound, a fraction of the parent's."""
+    metric = END_TO_END[name]
+    if metric["better"] == "higher":
+        return change < parent * (1 - metric["bound"])
+    return change > parent * (1 + metric["bound"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,11 +108,20 @@ def main(argv: list[str] | None = None) -> int:
             faults += not result["correct"]
             values = " ".join(f"{name}={metric['value']:.4g}" for name, metric in result["metrics"].items())
             print(f"seed {seed} {side}: {'correct' if result['correct'] else 'NOT CORRECT'} {values}")
-    print(f"{'metric':<18}{'parent':>12}{'parent q1-q3':>24}{'change':>12}{'ratio':>8}  change won")
+    print(f"{'metric':<18}{'parent':>12}{'parent q1-q3':>24}{'change':>12}{'ratio':>8}{'bound':>8}  change won  gate")
+    worse = []
     for name, parent, q1, q3, change, won in summary(runs):
         ratio = change / parent if parent else float("nan")
         spread = f"{q1:.4g}-{q3:.4g}"
-        print(f"{name:<18}{parent:>12.4g}{spread:>24}{change:>12.4g}{ratio:>8.3f}  {won} of {len(runs)}")
+        gate = "ok"
+        if worse_than_bound(name, parent, change):
+            gate = "WORSE"
+            worse.append(name)
+        print(
+            f"{name:<18}{parent:>12.4g}{spread:>24}{change:>12.4g}{ratio:>8.3f}{END_TO_END[name]['bound']:>8.3g}"
+            f"  {won} of {len(runs)}  {gate}"
+        )
+    print(f"worse than the parent by more than the bound: {', '.join(worse) or 'none'}")
     return 1 if faults else 0
 
 

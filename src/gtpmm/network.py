@@ -16,7 +16,6 @@ import statistics
 import sys
 from array import array
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field, replace
 from decimal import (
     ROUND_HALF_EVEN,
@@ -198,9 +197,6 @@ class TransitEdge(NamedTuple):
     distance_m: float
     time_min: float
 
-    def other(self, poi: int) -> int:
-        return self.v if poi == self.u else self.u
-
 
 def _measure_fault(u: int, v: int, distance_m: float, time_min: float) -> str | None:
     """Why an edge's distance or time is invalid, or None when each is an
@@ -348,10 +344,10 @@ class MultiModalNetwork:
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
 
-    The views :attr:`adjacency`, :attr:`cheapest_neighbors`,
-    :attr:`hop_edges`, :attr:`has_free_hop`, :attr:`landmarks` and
-    :attr:`landmark_tightness` are derived from ``edges`` and ``edge_costs``
-    on first use and cached on the instance. They are not dataclass fields,
+    The views :attr:`cheapest_neighbors`, :attr:`hop_edges`,
+    :attr:`has_free_hop`, :attr:`landmarks` and :attr:`landmark_tightness`
+    are derived from ``edges`` and ``edge_costs`` on first use and cached
+    on the instance. They are not dataclass fields,
     so they take no part in equality or ``repr``, a network that is never
     searched never builds them, and a copy made with
     :func:`dataclasses.replace` derives its own.
@@ -369,17 +365,6 @@ class MultiModalNetwork:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per PoI, the ids of its edges in ascending order; a self-loop is
-        listed once."""
-        ids: list[list[int]] = [[] for _ in self.pois]
-        for eid, edge in enumerate(self.edges):
-            ids[edge.u].append(eid)
-            if edge.v != edge.u:
-                ids[edge.v].append(eid)
-        return tuple(map(tuple, ids))
 
     @cached_property
     def cheapest_neighbors(self) -> tuple[tuple[tuple[int, Money], ...], ...]:
@@ -1250,26 +1235,38 @@ def layer_costs(
     return found
 
 
+def _component_roots(net: MultiModalNetwork) -> list[int]:
+    """Per PoI, the lowest PoI id in its component.
+
+    A union-find over the edges with path halving that always hangs the
+    higher root under the lower, so every parent id is at most its child's
+    and one ascending pass flattens every PoI onto its root."""
+    parent = list(range(net.poi_count))
+
+    def root(poi: int) -> int:
+        while parent[poi] != poi:
+            parent[poi] = poi = parent[parent[poi]]  # the right side is read before either target is set
+        return poi
+
+    for u, v, *_ in net.edges:
+        u, v = root(u), root(v)
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    for poi in range(len(parent)):
+        parent[poi] = parent[parent[poi]]
+    return parent
+
+
 def connected_components(net: MultiModalNetwork) -> list[set[int]]:
-    """Partition of all PoI ids into components, ordered by smallest member."""
-    seen = [False] * net.poi_count
-    components: list[set[int]] = []
-    for start in range(net.poi_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for eid in net.adjacency[u]:
-                v = net.edges[eid].other(u)
-                if not seen[v]:
-                    seen[v] = True
-                    component.add(v)
-                    queue.append(v)
-        components.append(component)
-    return components
+    """Partition of all PoI ids into components, ordered by smallest member:
+    the PoIs grouped by their root in :func:`_component_roots`, which is that
+    member."""
+    components: dict[int, set[int]] = {}
+    for poi, root in enumerate(_component_roots(net)):
+        components.setdefault(root, set()).add(poi)
+    return list(components.values())
 
 
 def median_fare_policy(fares: FareTable) -> FarePolicy:
@@ -1303,7 +1300,8 @@ def connect_components(net: MultiModalNetwork) -> tuple[MultiModalNetwork, list[
     Appends exactly ``components - 1`` edges, ids from ``net.edge_count`` on,
     under a fresh mode :data:`REPAIR_MODE` priced by
     :func:`median_fare_policy`, joining the lowest-id PoI of consecutive
-    components in ascending order. Added edges measure the great-circle
+    components in ascending order: the PoIs that are their own root in
+    :func:`_component_roots`. Added edges measure the great-circle
     distance when both endpoints carry coordinates and
     :data:`REPAIR_DISTANCE_M` otherwise; travel time is distance /
     :data:`REPAIR_SPEED_M_PER_MIN`. The PoIs, edges and edge costs of ``net``
@@ -1312,13 +1310,12 @@ def connect_components(net: MultiModalNetwork) -> tuple[MultiModalNetwork, list[
     """
     if net.poi_count == 0:
         raise ConfigurationError("cannot repair an empty network")
-    components = connected_components(net)
-    if len(components) == 1:
+    representatives = [poi for poi, root in enumerate(_component_roots(net)) if poi == root]
+    if len(representatives) == 1:
         return net, []
 
     fares = net.fare_table.with_mode(REPAIR_MODE, median_fare_policy(net.fare_table))
     repair_mode = fares.mode_count - 1
-    representatives = [min(component) for component in components]
     added: list[TransitEdge] = []
     for left, right in zip(representatives, representatives[1:]):
         a, b = net.pois[left].coords, net.pois[right].coords

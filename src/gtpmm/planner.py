@@ -51,7 +51,7 @@ from .network import (
     MultiModalNetwork,
     PathResult,
     SearchTree,
-    connected_components,
+    _component_roots,
     landmark_bound,
     layer_costs,
     shortest_path,
@@ -458,10 +458,7 @@ def _first_unreachable(net: MultiModalNetwork, inst: QueryInstance) -> tuple[int
     the category before, then each last-category PoI to every destination.
     Every pair before it is connected, so every PoI it passes is reached.
     Called only when no plan exists."""
-    component = [0] * net.poi_count
-    for index, members in enumerate(connected_components(net)):
-        for poi in members:
-            component[poi] = index
+    component = _component_roots(net)
     for j in inst.categories[0]:
         for source, _ in inst.agents:
             if component[source] != component[j]:

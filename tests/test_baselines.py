@@ -8,7 +8,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_network import landmark_networks, small_networks
+from test_network import landmark_networks, reference_adjacency, small_networks
 
 from gtpmm import (
     QueryInstance,
@@ -154,11 +154,12 @@ def _fewest_hops_sequence(net, source, target):
     """BFS hop-count path; neighbors expand in ascending PoI id for determinism."""
     if source == target:
         return [source]
+    adjacency = reference_adjacency(net)
     parent = {source: source}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        neighbors = sorted({net.edges[eid].other(u) for eid in net.adjacency[u]})
+        neighbors = sorted({net.edges[eid].v if net.edges[eid].u == u else net.edges[eid].u for eid in adjacency[u]})
         for v in neighbors:
             if v in parent:
                 continue
@@ -182,7 +183,11 @@ def _random_mode_leg(net, source, target, rng):
     cost = 0
     for a, b in zip(sequence, sequence[1:]):
         parallel = sorted(
-            (eid for eid in net.adjacency[a] if net.edges[eid].other(a) == b),
+            (
+                eid
+                for eid in reference_adjacency(net)[a]
+                if (net.edges[eid].v if net.edges[eid].u == a else net.edges[eid].u) == b
+            ),
             key=lambda eid: (net.edges[eid].mode, eid),
         )
         eid = parallel[rng.below(len(parallel))]

@@ -32,7 +32,7 @@ from gtpmm import (
     shortest_path,
 )
 from gtpmm.fixtures import WALKTHROUGH_UNIT, default_fare_ranges, gtfs_minimal_dir, walkthrough_poi
-from gtpmm.ingest import CategoryConfig, categorize, load_gtfs, load_network_json, resolve_fares, save_network_json
+from gtpmm.ingest import load_gtfs, load_network_json, resolve_fares, save_network_json
 from gtpmm.network import (
     LANDMARKS,
     REPAIR_MODE,
@@ -574,7 +574,6 @@ def test_bulk_edges_need_columns_of_one_length():
 def test_transit_edge_is_a_tuple_of_its_fields():
     edge = TransitEdge(0, 1, 2, 3.5, 4)
     assert edge == (0, 1, 2, 3.5, 4) and tuple(edge) == (edge.u, edge.v, edge.mode, edge.distance_m, edge.time_min)
-    assert edge.other(0) == 1 and edge.other(1) == 0
 
 
 # --- cheapest_parallel_edge -----------------------------------------------------
@@ -643,6 +642,7 @@ def exhaustive_cheapest(net, source, target):
     if source == target:
         return 0
     best = None
+    adjacency = reference_adjacency(net)
 
     def dfs(u, visited, hop_choices):
         nonlocal best
@@ -652,10 +652,11 @@ def exhaustive_cheapest(net, source, target):
                 if best is None or cost < best:
                     best = cost
             return
-        for v in sorted({net.edges[eid].other(u) for eid in net.adjacency[u]}):
+        ends = {eid: net.edges[eid].v if net.edges[eid].u == u else net.edges[eid].u for eid in adjacency[u]}
+        for v in sorted(set(ends.values())):
             if v in visited:
                 continue
-            parallel = [eid for eid in net.adjacency[u] if net.edges[eid].other(u) == v]
+            parallel = [eid for eid, end in ends.items() if end == v]
             dfs(v, visited | {v}, hop_choices + [parallel])
 
     dfs(source, {source}, [])
@@ -730,7 +731,8 @@ def test_searches_reject_a_poi_id_that_is_not_an_int(walkthrough_net, search, po
 
 def edge_walking_shortest_path(net, source, target):
     """The shortest_path that walked TransitEdge objects, kept verbatim as the
-    reference for the row-based one."""
+    reference for the row-based one but for reading the edges at a PoI from
+    ``reference_adjacency``."""
     net.check_poi(source)
     net.check_poi(target)
     if source == target:
@@ -740,7 +742,7 @@ def edge_walking_shortest_path(net, source, target):
     pred = {}  # node -> (pred poi, mode, edge id)
     settled = set()
     heap = [(0, source)]
-    adjacency = net.adjacency
+    adjacency = reference_adjacency(net)
     edges = net.edges
     costs = net.edge_costs
 
@@ -753,7 +755,7 @@ def edge_walking_shortest_path(net, source, target):
             break
         for eid in adjacency[u]:
             edge = edges[eid]
-            v = edge.other(u)
+            v = edge.v if edge.u == u else edge.u
             if v in settled or v == u:
                 continue
             candidate = d + costs[eid]
@@ -1558,12 +1560,12 @@ def test_cheapest_neighbors_rows_ascend_by_neighbor_id(walkthrough_net):
 
 def reference_hop_edges(net):
     """Per PoI, per neighbor in ascending id, the ids of the parallel edges in
-    ascending (mode, id), by a scan of ``adjacency``."""
+    ascending (mode, id), by a scan of ``reference_adjacency``."""
     rows = []
-    for u in range(net.poi_count):
+    for u, ids in enumerate(reference_adjacency(net)):
         at = {}
-        for eid in net.adjacency[u]:
-            v = net.edges[eid].other(u)
+        for eid in ids:
+            v = net.edges[eid].v if net.edges[eid].u == u else net.edges[eid].u
             if v != u:
                 at.setdefault(v, []).append(eid)
         rows.append(tuple(tuple(sorted(at[v], key=lambda eid: (net.edges[eid].mode, eid))) for v in sorted(at)))
@@ -1571,14 +1573,15 @@ def reference_hop_edges(net):
 
 
 def adjacency_scan_cheapest_parallel_edge(net, u, v):
-    """Verbatim copy of the ``cheapest_parallel_edge`` that scanned ``adjacency[u]``."""
+    """Verbatim copy of the ``cheapest_parallel_edge`` that scanned the edges
+    at ``u``, read here from ``reference_adjacency``."""
     net.check_poi(u)
     net.check_poi(v)
     if u == v:
         return None
     edges, costs = net.edges, net.edge_costs
     best = None
-    for eid in net.adjacency[u]:
+    for eid in reference_adjacency(net)[u]:
         edge = edges[eid]
         if edge.u == v or edge.v == v:  # an edge at u that ends at v, as u != v
             key = (costs[eid], edge.mode, eid)
@@ -1818,7 +1821,7 @@ def assert_repair_equals_a_builder_copy(net):
     repaired, added = connect_components(net)
     expected, expected_added = builder_connect_components(net)
     assert repaired == expected  # also compares edge_costs
-    assert repaired.adjacency == expected.adjacency
+    assert reference_adjacency(repaired) == reference_adjacency(expected)
     assert added == expected_added
     assert len(added) == len(connected_components(net)) - 1
     if added:
@@ -1877,16 +1880,6 @@ def reference_adjacency(net):
     """Per PoI, the ids of the edges at it, ascending, by a scan of every edge."""
     at = [[eid for eid, e in enumerate(net.edges) if poi in (e.u, e.v)] for poi in range(net.poi_count)]
     return tuple(tuple(sorted(ids)) for ids in at)
-
-
-@settings(max_examples=60, deadline=None)
-@given(net=landmark_networks(), seed=st.integers(min_value=0, max_value=10_000))
-def test_adjacency_lists_the_edges_at_each_poi(net, seed):
-    repaired, _ = connect_components(net)  # reads net.adjacency first, so a stale copy would show
-    categorized, _ = categorize(repaired, CategoryConfig(k=1))
-    synthetic = [random_network(seed, n_pois=12, n_modes=2, extra_edges=6), road_network(seed, 4)]
-    for each in (net, repaired, categorized, *synthetic):
-        assert each.adjacency == reference_adjacency(each)
 
 
 @pytest.mark.parametrize("coords", [(math.nan, 8.1), (47.0, math.nan)])
