@@ -18,11 +18,11 @@ from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
 from .rng import SplitMix64
 
 
-def _bfs_tree(net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> list[int]:
-    """Fewest-hops BFS tree of ``origin``, as a parent per PoI (the origin
-    is its own parent, -1 marks an undiscovered PoI), grown a level at a
-    time until every PoI of ``targets`` is discovered or the component is
-    exhausted.
+def _bfs_tree(net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Fewest-hops BFS tree of ``origin``, as a parent and a depth (hops
+    from the origin) per PoI, grown a level at a time until every PoI of
+    ``targets`` is discovered or the component is exhausted. The origin is
+    its own parent at depth 0; -1 marks an undiscovered PoI in both lists.
 
     Neighbors expand in ascending PoI id, the order of the
     :attr:`MultiModalNetwork.cheapest_neighbors` rows, and the PoIs of a
@@ -31,41 +31,68 @@ def _bfs_tree(net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> li
     does not depend on any target, so the walk back from a target is the
     route a BFS stopping there would find, and the route in the whole
     component's tree; the level that discovers the last target is finished.
+    In that order a level's PoIs are sorted by their routes read from the
+    origin, compared PoI by PoI, so each PoI's route is the least
+    fewest-hops PoI sequence from the origin to it.
     """
     parent = [-1] * net.poi_count
+    depth = [-1] * net.poi_count
     parent[origin] = origin
+    depth[origin] = 0
     undiscovered = set(targets) - {origin}
     level = [origin]
+    hops = 0
     neighbors = net.cheapest_neighbors
     while level and undiscovered:
+        hops += 1
         found = []
         for u in level:
             for v, _ in neighbors[u]:
                 if parent[v] == -1:
                     parent[v] = u
+                    depth[v] = hops
                     found.append(v)
         undiscovered.difference_update(found)
         level = found
-    return parent
+    return parent, depth
 
 
-def _random_mode_leg(
-    net: MultiModalNetwork, parent: list[int], source: int, target: int, rng: SplitMix64
-) -> PathResult:
-    """Fewest-hops route from the tree ``parent`` of ``source``, with an
-    independently random mode on every hop: one draw per hop among its
-    :attr:`~gtpmm.network.MultiModalNetwork.hop_edges`, in ``(mode, edge
-    id)`` order."""
+def _walk_back(parent: list[int], origin: int, target: int) -> list[int] | None:
+    """The route from ``origin`` to ``target`` in the tree ``parent`` of
+    ``origin``, or None where the tree did not discover ``target``."""
     if parent[target] == -1:
-        raise InfeasibleRouteError(source, target)
+        return None
     sequence = [target]
-    while sequence[-1] != source:
+    while sequence[-1] != origin:
         sequence.append(parent[sequence[-1]])
     sequence.reverse()
-    eids = rng.choose_each([_hop_edges(net, a, b) for a, b in zip(sequence, sequence[1:])])
-    edges = net.edges
-    legs = tuple((eid, edges[eid].mode) for eid in eids)
-    return PathResult(sum(map(net.edge_costs.__getitem__, eids)), legs, tuple(sequence))
+    return sequence
+
+
+def _walk_down(net: MultiModalNetwork, depth: list[int], source: int) -> list[int] | None:
+    """The route from ``source`` to the root of the tree whose ``depth``
+    list this is, or None where the tree did not discover ``source``: each
+    step goes to the least-id neighbor one level nearer the root.
+
+    Every PoI of a level has a neighbor on the level nearer the root, so
+    each such step stays on a fewest-hops route, and the least step first
+    makes the least fewest-hops PoI sequence from ``source``: the route
+    that :func:`_bfs_tree` of ``source`` walks back from the root. A level
+    nearer the root than ``source`` is finished, so every depth read here
+    is known.
+    """
+    hops = depth[source]
+    if hops == -1:
+        return None
+    sequence = [source]
+    neighbors = net.cheapest_neighbors
+    while hops:
+        hops -= 1
+        for v, _ in neighbors[sequence[-1]]:
+            if depth[v] == hops:
+                sequence.append(v)
+                break
+    return sequence
 
 
 def _random_common(inst: QueryInstance, rng: SplitMix64) -> tuple[int, ...]:
@@ -89,22 +116,53 @@ def rprm(
     seed: int,
     sharing: SharingMode = SharingMode.PER_PERSON_INTERMEDIATE,
 ) -> JourneyPlan:
-    """Random PoI per category; random mode per hop along fewest-hops routes."""
+    """Random PoI per category; random mode per hop along fewest-hops routes.
+
+    A leg's route is the least fewest-hops PoI sequence from its start,
+    read from at most one :func:`_bfs_tree` per distinct common PoI, built
+    once per call: hop and destination legs walk back from the tree at
+    their start, and source legs walk down the first common PoI's tree
+    (:func:`_walk_down`), which grows until it discovers every source. Each
+    distinct leg's route and its hops' :attr:`~gtpmm.network.MultiModalNetwork.hop_edges`
+    are found once; every leg then makes its own draws, one per hop among
+    those edges in ``(mode, edge id)`` order, in one
+    :meth:`~gtpmm.rng.SplitMix64.choose_each` call.
+    """
     inst.check(net)
     rng = SplitMix64(seed)
     common = _random_common(inst, rng)
-    targets: defaultdict[int, set[int]] = defaultdict(set)  # leg origin -> the ends of its legs
-    for source, _ in inst.agents:
-        targets[source].add(common[0])
+    targets: defaultdict[int, set[int]] = defaultdict(set)  # common PoI -> what its tree must discover
+    targets[common[0]].update(source for source, _ in inst.agents)
     for a, b in zip(common, common[1:]):
         targets[a].add(b)
     targets[common[-1]].update(dest for _, dest in inst.agents)
-    trees: dict[int, list[int]] = {}  # leg origin -> its BFS tree, for this call only
+    trees: dict[int, tuple[list[int], list[int]]] = {}  # common PoI -> its BFS tree, for this call only
+    routes: dict[tuple[int, int], tuple[tuple[int, ...], list[tuple[int, ...]]] | None] = {}
+    edges, cost_of = net.edges, net.edge_costs.__getitem__
 
-    def leg(n: MultiModalNetwork, u: int, v: int) -> PathResult:
-        if u not in trees:
-            trees[u] = _bfs_tree(n, u, targets[u])
-        return _random_mode_leg(n, trees[u], u, v, rng)
+    def tree(root: int) -> tuple[list[int], list[int]]:
+        if root not in trees:
+            trees[root] = _bfs_tree(net, root, targets[root])
+        return trees[root]
+
+    def leg(_: MultiModalNetwork, u: int, v: int) -> PathResult:
+        if (u, v) not in routes:
+            # hop and destination legs; a source leg from a common PoI whose tree must discover
+            # the first common PoI takes the route it would walk down to it
+            if v in targets.get(u, ()):
+                sequence = _walk_back(tree(u)[0], u, v)
+            else:  # a source leg: v is the first common PoI
+                sequence = _walk_down(net, tree(v)[1], u)
+            routes[u, v] = None if sequence is None else (
+                tuple(sequence),
+                [_hop_edges(net, a, b) for a, b in zip(sequence, sequence[1:])],
+            )
+        route = routes[u, v]
+        if route is None:
+            raise InfeasibleRouteError(u, v)
+        sequence, hops = route
+        eids = rng.choose_each(hops)
+        return PathResult(sum(map(cost_of, eids)), tuple((eid, edges[eid].mode) for eid in eids), sequence)
 
     return assemble(net, inst, common, sharing, leg)
 

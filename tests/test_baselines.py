@@ -20,7 +20,7 @@ from gtpmm import (
     rpcm,
     rprm,
 )
-from gtpmm.baselines import _bfs_tree, _random_common
+from gtpmm.baselines import _bfs_tree, _random_common, _walk_down
 from gtpmm.bench import draw_instance, run_method
 from gtpmm.errors import InfeasibleRouteError
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
@@ -311,6 +311,16 @@ def _differential_cases():
         yield looped, random_instance(seed, looped, k=3, pois_per_category=3, n_agents=4)
         shared = random_instance(seed + 10, looped, k=2, pois_per_category=4, n_agents=5)
         yield looped, QueryInstance([(4, dest) for _, dest in shared.agents], shared.categories)  # one shared source
+    net, inst, _ = _fifty_agents_from_five_sources()
+    yield net, inst  # many agents per source: each source leg is routed once and drawn per agent
+    # k = 3 and every other destination is the first common PoI, whose tree stops a hop out, short of the
+    # last common PoI: a destination leg ends where the source legs do, but starts beyond that tree
+    first = inst.categories[0][0]
+    hops = {poi: len(_fewest_hops_sequence(net, first, poi)) - 1 for poi in range(net.poi_count)}
+    near = [poi for poi, count in hops.items() if count == 1]
+    far = [poi for poi, count in hops.items() if count == max(hops.values())]
+    agents = [(near[index % len(near)], first if index % 2 else far[0]) for index in range(6)]
+    yield net, QueryInstance(agents, [[first], near[:3], far])
 
 
 @pytest.mark.parametrize("sharing", [PER_PERSON, SharingMode.SHARED_INTERMEDIATE])
@@ -366,22 +376,23 @@ def _fifty_agents_from_five_sources():
     return net, inst, sources
 
 
-def test_rprm_builds_one_bfs_tree_per_leg_origin(monkeypatch):
+def test_rprm_builds_at_most_one_bfs_tree_per_common_poi(monkeypatch):
     import gtpmm.baselines
 
-    origins = []
+    roots = []
     build_tree = gtpmm.baselines._bfs_tree
 
     def counted_bfs_tree(net, origin, targets):
-        origins.append(origin)
+        roots.append(origin)
         return build_tree(net, origin, targets)
 
     monkeypatch.setattr(gtpmm.baselines, "_bfs_tree", counted_bfs_tree)
     net, inst, sources = _fifty_agents_from_five_sources()
     for seed in range(5):
-        origins.clear()
-        rprm(net, inst, seed)
-        assert len(origins) == len(set(origins)) <= len(sources) + inst.k
+        roots.clear()
+        common = rprm(net, inst, seed).common_pois
+        assert len(roots) == len(set(roots)) <= inst.k
+        assert set(roots) <= set(common)
 
 
 def _full_bfs_tree(net, origin):
@@ -414,12 +425,13 @@ def test_bfs_tree_with_targets_walks_the_full_trees_routes():
         for origin in range(net.poi_count):
             full = _full_bfs_tree(net, origin)
             for targets in ([origin], [net.poi_count - 1 - origin], [0, origin // 2, net.poi_count - 1]):
-                parent = _bfs_tree(net, origin, targets)
+                parent, depth = _bfs_tree(net, origin, targets)
                 for target in targets:
                     if full[target] == -1:
-                        assert parent[target] == -1
+                        assert parent[target] == depth[target] == -1
                     else:
                         assert _walk_back(parent, origin, target) == _walk_back(full, origin, target)
+                        assert depth[target] == len(_walk_back(full, origin, target)) - 1
 
 
 def _queue_bfs_tree(net, origin, targets):
@@ -449,7 +461,7 @@ def test_level_by_level_bfs_tree_walks_the_queue_bfs_trees_routes(net, data):
     origin = data.draw(poi)
     targets = data.draw(st.sets(poi, max_size=6))
     queued = _queue_bfs_tree(net, origin, targets)
-    parent = _bfs_tree(net, origin, targets)
+    parent, _ = _bfs_tree(net, origin, targets)
     for target in targets | {origin}:
         if queued[target] == -1:
             assert parent[target] == -1
@@ -457,6 +469,21 @@ def test_level_by_level_bfs_tree_walks_the_queue_bfs_trees_routes(net, data):
             assert _walk_back(parent, origin, target) == _walk_back(queued, origin, target)
     # each PoI keeps the parent of its first discovery; a finished last level may discover more
     assert all(found in (-1, mine) for found, mine in zip(queued, parent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=st.one_of(small_networks(), landmark_networks()), data=st.data())
+def test_walk_down_a_tree_is_the_walk_back_in_the_sources_own_tree(net, data):
+    poi = st.integers(min_value=0, max_value=net.poi_count - 1)
+    root = data.draw(poi)
+    sources = data.draw(st.sets(poi, max_size=6))
+    _, depth = _bfs_tree(net, root, sources)
+    for source in sources | {root}:
+        own = _queue_bfs_tree(net, source, [root])
+        if own[root] == -1:
+            assert _walk_down(net, depth, source) is None
+        else:
+            assert _walk_down(net, depth, source) == _walk_back(own, source, root)[::-1]
 
 
 def test_bfs_tree_stops_at_its_last_target():
@@ -467,10 +494,11 @@ def test_bfs_tree_stops_at_its_last_target():
     for i in range(9):
         builder.add_edge(i, i + 1, 0, 1.0, 1.0)
     net = builder.finalize(synthetic_fare_table(1, 1))
-    parent = _bfs_tree(net, 2, [4, 6])
+    parent, depth = _bfs_tree(net, 2, [4, 6])
     assert parent == [1, 2, 2, 2, 3, 4, 5, -1, -1, -1]
-    assert _bfs_tree(net, 2, [2]) == [-1, -1, 2, -1, -1, -1, -1, -1, -1, -1]
-    assert _bfs_tree(net, 2, range(10)) == _full_bfs_tree(net, 2)
+    assert depth == [2, 1, 0, 1, 2, 3, 4, -1, -1, -1]
+    assert _bfs_tree(net, 2, [2]) == ([-1, -1, 2, -1, -1, -1, -1, -1, -1, -1], [-1, -1, 0, -1, -1, -1, -1, -1, -1, -1])
+    assert _bfs_tree(net, 2, range(10))[0] == _full_bfs_tree(net, 2)
 
 
 def test_nncm_scores_candidates_with_one_cost_search_per_origin(searches):

@@ -80,8 +80,8 @@ def reference_shuffle(rng, seq):
         seq[i], seq[j] = seq[j], seq[i]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3025])
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 987654321])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 3025, 5041])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1, 987654321])
 def test_shuffle_equals_the_below_loop_it_inlines(n, seed):
     rng, reference = SplitMix64(seed), SplitMix64(seed)
     items, expected = list(range(n)), list(range(n))
@@ -114,3 +114,12 @@ def test_choose_each_rejects_an_empty_choice_as_below_does():
     with pytest.raises(ValueError, match="bound must be positive"):
         reference.below(0)
     assert rng._state == reference._state
+
+
+def test_sample_rejects_a_negative_size_as_random_sample_does():
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="must not be negative"):
+        rng.sample(range(5), -1)
+    assert rng._state == 5  # nothing drawn
+    assert sorted(rng.sample(range(5), 5)) == [0, 1, 2, 3, 4]
+    assert rng.sample(range(5), 0) == []
