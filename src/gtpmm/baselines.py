@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from .errors import InfeasibleRouteError
 from .network import Money, MultiModalNetwork, PathResult, _hop_edges, landmark_bound
-from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, assemble
+from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, _least_by_bound, assemble
 from .rng import SplitMix64
 
 
@@ -200,25 +200,19 @@ def _nearest_by_bound(
     legs: Legs,
 ) -> tuple[Money, int]:
     """:func:`_nearest_by_search`'s pick, priced in ``(lower bound, PoI)``
-    order until no candidate left can win.
+    order until no candidate left can win
+    (:func:`~gtpmm.planner._least_by_bound`).
 
     A candidate's lower bound is its summed ``bound`` from the origins,
-    at most its summed cost; so once a candidate's ``(bound, id)`` exceeds
-    the best ``(cost, id)`` so far, it and every candidate after it cost
-    more or tie at a higher id. Each candidate is priced by
+    at most its summed cost. Each candidate is priced by
     :meth:`~gtpmm.planner.Legs.summed` from the origins, whose trees are
     kept in ``legs``, where the plan's legs are read from them. ``bound``
     covers every origin and candidate, so all are connected.
     """
-    order = sorted((sum(count * bound(origin, j) for origin, count in origins.items()), j) for j in cat)
-    best: tuple[Money, int] | None = None
-    for lower, j in order:
-        if best is not None and (lower, j) > best:
-            break
-        cost = legs.summed(net, origins, (j,))[j]
-        if best is None or (cost, j) < best:
-            best = (cost, j)
-    return best
+    return _least_by_bound(
+        ((sum(count * bound(origin, j) for origin, count in origins.items()), j) for j in cat),
+        lambda j: legs.summed(net, origins, (j,))[j],
+    )
 
 
 def nncm(

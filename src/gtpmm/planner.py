@@ -13,7 +13,14 @@ search (:meth:`Legs.layer`). The two stages that sum over
 agents, sources to the first category and the last category to the
 destinations, sum the agents' legs with :meth:`Legs.summed`, from one
 single-source search per distinct endpoint or per category PoI,
-whichever set is smaller, each tree kept in a :class:`Legs`. The chosen
+whichever set is smaller, each tree kept in a :class:`Legs`. Where
+:func:`~gtpmm.network.landmark_bound` bounds the last category's reached
+PoIs and the destinations, the destination stage instead prices those PoIs
+one at a time, in ascending order of their exact cost so far plus their
+summed landmark bound to the destinations, and stops once the next
+cannot beat the best total found: the threshold rule of top-k aggregation
+(Fagin, Lotem and Naor, PODS 2001) and of aggregate nearest-neighbour
+search (Yiu, Mamoulis and Papadias, TKDE 2005). The chosen
 plan's source and destination legs are read from those trees: forward from a leg's origin, or back from its target
 when the tree shows that the cheapest path is the only one
 (:meth:`~gtpmm.network.SearchTree.path_from`). Only the legs no tree
@@ -295,6 +302,29 @@ class Legs:
             self._search_from(net, u, missing)
 
 
+def _least_by_bound(
+    bounded: Iterable[tuple[Money, int]], price: Callable[[int], Money]
+) -> tuple[Money, int] | None:
+    """The least ``(price(j), j)`` over the ``(lower bound, j)`` pairs of
+    ``bounded``, or None when there are none, pricing in ascending ``(lower
+    bound, j)`` order until no candidate left can win.
+
+    Each lower bound must be at most its candidate's price. Once a
+    candidate's ``(lower bound, j)`` exceeds the best ``(price, id)`` so far,
+    it and every candidate after it cost more or tie at a higher id, so the
+    pick and its tie-break are those of pricing every candidate (the
+    threshold rule of Fagin, Lotem and Naor, PODS 2001).
+    """
+    best: tuple[Money, int] | None = None
+    for lower, j in sorted(bounded):
+        if best is not None and (lower, j) > best:
+            break
+        priced = (price(j), j)
+        if best is None or priced < best:
+            best = priced
+    return best
+
+
 @dataclass
 class DpTable:
     """Per-category minimum costs with predecessor links, and the legs
@@ -302,12 +332,16 @@ class DpTable:
 
     ``cost[c][j]`` is finite (present) iff some prefix of the common path
     reaches ``j``; ``parent[c][j]`` names the chosen PoI of category ``c-1``.
+    ``best`` is the destination stage's winner, ``(full total, last PoI)``
+    with ties to the lower id, or None when no reached last PoI reaches
+    every destination (or before the stage has run).
     ``sp_invocations`` counts the point-to-point searches of ``legs``.
     """
 
     cost: list[dict[int, Money]]
     parent: list[dict[int, int | None]]
     legs: Legs = field(default_factory=Legs)
+    best: tuple[Money, int] | None = None
 
     @property
     def k(self) -> int:
@@ -383,23 +417,40 @@ def assemble(
 def compute_dp(
     net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, *, legs: Legs | None = None
 ) -> DpTable:
-    """Run the layered DP and return the full table (no reconstruction).
+    """Run the layered DP and its destination stage, and return the table
+    with its winner in ``table.best`` (no reconstruction).
 
     The first layer is :meth:`Legs.summed` from the agents' sources. Each
     later layer is one :meth:`Legs.layer` search seeded at the reached PoIs
     of the layer before, with costs times the intermediate multiplier;
     ties keep the lower PoI id as parent. The destination stage then
-    prices every reached last-category PoI to every destination.
+    finds the least ``(full total, PoI)`` over the reached last-category
+    PoIs, a PoI's full total being its last-layer cost plus its
+    destination legs, each times the agents bound there.
 
-    The two endpoint stages run :meth:`Legs.costs`'s searches, one
-    single-source search per distinct endpoint or per category PoI,
-    whichever set is smaller, so a query runs at most min(sources, |first
-    category|) + (k - 1) + min(destinations, |last category|) searches.
-    Their trees are kept in ``table.legs``: ``legs`` when given, a new
-    :class:`Legs` otherwise. A category PoI or endpoint with a tree already
-    kept there for every PoI of the other side is not searched again
-    (:func:`plan` passes those of its pruning stage); the table is the
-    same.
+    Where :func:`~gtpmm.network.landmark_bound` gives no bounds for those
+    PoIs and the distinct destinations (the gate is shut, or they span
+    components), the stage prices every reached last PoI to every
+    destination with one :meth:`Legs.costs` call. Otherwise it prices them
+    one at a time with :meth:`Legs.summed` from the destinations, in
+    ascending ``(last-layer cost + summed bound to the destinations, PoI)``,
+    and stops once the next pair exceeds the best ``(total, PoI)`` found
+    (:func:`_least_by_bound`). The result is the same, ties included: each
+    bound is at most its PoI's destination sum, so a PoI left unpriced
+    costs more or ties at a higher id.
+
+    The first stage, and the destination stage where the gate is shut, run
+    :meth:`Legs.costs`'s searches, one single-source search per distinct
+    endpoint or per category PoI, whichever set is smaller; past the gate
+    the destination stage runs at most one search per PoI it prices. So a
+    query runs at most min(sources, |first category|) + (k - 1) +
+    min(destinations, |last category|) searches where the gate is shut,
+    and at most min(sources, |first category|) + (k - 1) + |last category|
+    past it, usually fewer, as pricing stops early. The trees are kept in
+    ``table.legs``: ``legs`` when given, a new :class:`Legs` otherwise. A
+    category PoI or endpoint with a tree already kept there for every PoI
+    of the other side is not searched again (:func:`plan` passes those of
+    its pruning stage); the table is the same.
     """
     inst.check(net)
     m = sharing.intermediate_multiplier(inst.n_agents)
@@ -417,17 +468,36 @@ def compute_dp(
             table.cost[c][j] = cost
             table.parent[c][j] = parent
 
-    last = tuple(j for j in inst.categories[-1] if j in table.cost[-1])
-    legs.costs(net, last, tuple(dict.fromkeys(dest for _, dest in inst.agents)))  # its trees stay in legs
+    reached = table.cost[-1]
+    last = tuple(j for j in inst.categories[-1] if j in reached)
+    destinations = Counter(dest for _, dest in inst.agents)
+    bound = landmark_bound(net, (*last, *destinations))
+    if bound is None:
+        to_last = legs.costs(net, last, tuple(destinations))  # its trees stay in legs
+        table.best = min(
+            (
+                (reached[j] + sum(n * to_last[(j, d)] for d, n in destinations.items()), j)
+                for j in last
+                if all((j, d) in to_last for d in destinations)
+            ),
+            default=None,
+        )
+    else:
+        table.best = _least_by_bound(
+            ((reached[j] + sum(n * bound(j, d) for d, n in destinations.items()), j) for j in last),
+            lambda j: reached[j] + legs.summed(net, destinations, (j,))[j],
+        )
     return table
 
 
 def destination_totals(net: MultiModalNetwork, inst: QueryInstance, table: DpTable) -> dict[int, Money]:
     """Cheapest full total per destination PoI: best last-category entry
-    extended by the single leg to that destination. For a table that
-    :func:`compute_dp` built for this ``inst`` the legs are read from its
-    destination stage's trees with no search; otherwise ``table.legs``
-    searches the pairs it lacks."""
+    extended by the single leg to that destination. ``table.legs`` reads
+    the legs that its kept trees answer and searches the pairs it lacks.
+    For a table that :func:`compute_dp` built for this ``inst`` where the
+    gate of :func:`~gtpmm.network.landmark_bound` is shut, the destination
+    stage priced every pair and nothing is searched; past it, the pairs of
+    the last PoIs the stage left unpriced are searched."""
     totals: dict[int, Money] = {}
     destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
     distances = table.legs.costs(net, tuple(table.cost[-1]), destinations)
@@ -563,6 +633,10 @@ def plan(
     Elsewhere, and when the bounds do not apply or are unlikely to cut, the
     DP runs over every PoI.
 
+    The plan ends at the winner that :func:`compute_dp`'s destination
+    stage records in ``table.best``, which past the gate prices the last
+    PoIs in lower-bound order only until none left can win.
+
     The pruning's and the DP's single-source searches go to one
     :class:`Legs`, and the plan's legs are read from their trees where one
     answers: every source leg and every destination leg that is the only
@@ -575,11 +649,9 @@ def plan(
     query = _prune(net, inst, sharing, legs) or inst
     table = compute_dp(net, query, sharing, legs=legs)
 
-    last = table.cost[-1]
-    to_destinations = legs.summed(net, Counter(dest for _, dest in query.agents), last)  # the DP's trees: no search
-    if not to_destinations:
+    if table.best is None:
         raise InfeasibleRouteError(*_first_unreachable(net, inst))
-    best_total, best_last = min((last[j] + cost, j) for j, cost in to_destinations.items())  # a tie: lower id
+    best_total, best_last = table.best
     common = reconstruct(table, best_last)
     legs.fill(net, common[-1], [dest for _, dest in inst.agents])
     try:

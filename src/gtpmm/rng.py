@@ -11,7 +11,8 @@ trivially portable).
 
 Output ``t`` of a stream depends only on its state and ``t`` (the state
 after ``t`` steps is ``state + t * gamma``), so :meth:`SplitMix64.shuffle`
-mixes all its outputs at once, one per 128-bit lane of a single int (SWAR).
+of 12 items or more mixes all its outputs at once, one per 128-bit lane of
+a single int (SWAR).
 The lanes are masked to their low 64 bits after every xor-shift, whose
 right shift pulls the next lane's low bits into a lane's top half, and
 after every multiply, whose high bits the next shift would pull down; so
@@ -87,12 +88,21 @@ class SplitMix64:
         """In-place Fisher-Yates shuffle, drawing ``below(i + 1)`` for each
         ``i`` from the last position down, to the same state.
 
-        The ``n - 1`` raw outputs are mixed at once, output ``t`` in lane
-        ``t - 1`` of one int (see the module docstring), as a shuffle of a
-        few thousand items makes one draw per item.
+        From 12 items on, the ``n - 1`` raw outputs are mixed at once,
+        output ``t`` in lane ``t - 1`` of one int (see the module
+        docstring), as a shuffle of a few thousand items makes one draw per
+        item. Shorter sequences draw step by step: below about 12 items the
+        lanes' fixed cost (packing, unpacking, a dozen big-int operations)
+        outweighs the per-step draws it saves (about 6 µs either way at
+        10-11 items on a 2-vCPU host, 5.1 against 4.6 µs at 8).
         """
         n = len(seq)
-        count = max(n - 1, 0)
+        if n < 12:
+            for i in range(n - 1, 0, -1):
+                j = self.below(i + 1)
+                seq[i], seq[j] = seq[j], seq[i]
+            return
+        count = n - 1
         ones = int.from_bytes(_LANE_ONE * count, "little")
         mask = ones * _MASK64  # the low 64 bits of every lane
         steps = array("Q", bytes(16 * count))

@@ -30,8 +30,17 @@ from gtpmm import (
 )
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
-from gtpmm.network import FarePolicy, FareTable, NetworkBuilder, _edge_costs, reference_path, shortest_paths
-from gtpmm.planner import JourneyPlan, assemble, reconstruct
+from gtpmm.network import (
+    PRUNE_TIGHTNESS,
+    FarePolicy,
+    FareTable,
+    NetworkBuilder,
+    _edge_costs,
+    landmark_bound,
+    reference_path,
+    shortest_paths,
+)
+from gtpmm.planner import JourneyPlan, Legs, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network
 from conftest import Search
 from test_network import EDGE_CASE_FARES, built_network
@@ -262,11 +271,14 @@ def test_tied_totals_end_at_the_lower_id_whatever_the_settle_order():
     inst = QueryInstance([(0, 4), (0, 4)], [[3], [1, 2]])
     table = compute_dp(net, inst, PER_PERSON)
     assert list(table.cost[-1]) == [2, 1]  # settle order, not id order
-    counted = Counter(table.legs.searches)
-    to_destination = table.legs.costs(net, tuple(table.cost[-1]), (4,))
-    assert table.legs.searches == counted  # read from the DP's destination stage, not searched again
+    # the gate is open: A and B have equal lower bounds, so A is priced first, from D, and B cannot win
+    assert net.landmark_tightness >= PRUNE_TIGHTNESS
+    assert table.legs.searches == Counter({"tree": 2, "layer": 1})
+    assert table.legs._trees[4][-1].targets == {1}
+    to_destination = Legs().costs(net, (1, 2), (4,))  # priced apart from the DP's legs
     totals = {j: cost + 2 * to_destination[(j, 4)] for j, cost in table.cost[-1].items()}
     assert totals[1] == totals[2]
+    assert table.best == (totals[1], 1)
     journey = plan(net, inst, PER_PERSON)
     assert journey.common_pois == (3, 1)
     assert journey.total_cost == totals[1]
@@ -641,12 +653,32 @@ def test_dp_matches_the_per_poi_distance_stage_on_both_sides_of_each_endpoint_ch
     assert outcomes == {True, False}  # both feasible and infeasible cases were compared
 
 
-def test_destination_totals_read_the_dp_trees_without_a_search(searches):
+def test_destination_totals_search_only_the_pairs_the_dp_left_unpriced(searches):
+    """Where the gate is shut the destination stage priced every pair, and
+    ``destination_totals`` reads them with no search. Past it, the stage
+    priced the last PoIs that could win, and ``destination_totals`` runs one
+    search per last PoI with no tree of its own to every destination, or per
+    destination with no tree to every last PoI, whichever set is smaller."""
+    gates = set()
     for net, inst in _endpoint_side_cases():
+        searches.clear()
         table = compute_dp(net, inst, PER_PERSON)
+        trees = [search for search in searches if search.kind == "tree"]
+        last = tuple(table.cost[-1])
+        destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
+        unpriced = [j for j in last if not any(t.origin == j and set(destinations) <= set(t.targets) for t in trees)]
+        unsearched = [d for d in destinations if not any(t.origin == d and set(last) <= set(t.targets) for t in trees)]
+        gate_open = bool(last) and landmark_bound(net, (*last, *destinations)) is not None
+        gates.add(gate_open)
         counted = Counter(table.legs.searches)
         searches.clear()
         totals = destination_totals(net, inst, table)
-        assert searches == [] and table.legs.searches == counted
+        if not gate_open:
+            assert searches == [] and table.legs.searches == counted
+        assert len(searches) == min(len(unpriced), len(unsearched))
+        origins = unpriced if len(unpriced) <= len(unsearched) else unsearched
+        assert all(search.kind == "tree" and search.origin in origins for search in searches)
+        assert table.legs.searches == counted + Counter(search.kind for search in searches)
         expected = _reference_destination_totals(net, inst, _reference_compute_dp(net, inst, PER_PERSON))
         assert list(totals.items()) == list(expected.items())
+    assert gates == {False, True}

@@ -55,16 +55,15 @@ def exact_bounds(net):
 
 def destination_costs(net, inst, table):
     """The cost of every reachable (last-category PoI, destination) pair,
-    read from the trees ``compute_dp`` kept in ``table.legs`` with no search."""
-    counted = Counter(table.legs.searches)
-    costs = table.legs.costs(net, tuple(table.cost[-1]), tuple(dict.fromkeys(dest for _, dest in inst.agents)))
-    assert table.legs.searches == counted
-    return costs
+    searched by a fresh :class:`Legs`, apart from the trees ``compute_dp``
+    kept in ``table.legs``."""
+    return Legs().costs(net, tuple(table.cost[-1]), tuple(dict.fromkeys(dest for _, dest in inst.agents)))
 
 
 def unpruned_plan(net, inst, sharing):
-    """``compute_dp`` over every PoI, then the argmin and plan assembly of
-    ``plan()``: the planner as it ran before it pruned."""
+    """``compute_dp`` over every PoI, then the argmin over every reached
+    last-category PoI and the plan assembly of ``plan()``: the planner as it
+    ran before it pruned. The table's own winner must be that argmin."""
     table = compute_dp(net, inst, sharing)
     to_destinations = destination_costs(net, inst, table)
     best_total = None
@@ -83,6 +82,7 @@ def unpruned_plan(net, inst, sharing):
         if feasible and (best_total is None or total < best_total):
             best_total = total
             best_last = j
+    assert table.best == (None if best_last is None else (best_total, best_last))
     if best_last is None:
         raise InfeasibleRouteError(*_first_unreachable(net, inst))
     common = reconstruct(table, best_last)

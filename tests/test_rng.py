@@ -80,7 +80,7 @@ def reference_shuffle(rng, seq):
         seq[i], seq[j] = seq[j], seq[i]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 3025, 5041])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 11, 12, 3025, 5041])  # 11 steps, 12 lanes: either side of the cutoff
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1, 987654321])
 def test_shuffle_equals_the_below_loop_it_inlines(n, seed):
     rng, reference = SplitMix64(seed), SplitMix64(seed)
