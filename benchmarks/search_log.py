@@ -20,7 +20,13 @@ subprocess with ``--src DIR/src`` and this checkout's perfbench, and prints,
 per workload and seed, ``same`` or the first operation whose searches
 differ, and whether the digests differ; it exits 1 when anything differs.
 A change meant to keep the planner's searches and plans checks itself this
-way against its parent.
+way against its parent. Under each verdict it prints both sides' search
+totals by kind, the other checkout's first, and each workload ends with
+its totals over the seeds, so a change that drops searches by design
+quotes its deltas from here:
+
+    plan-city seed 0: op plan[1]: search 5 of 5 against 6
+      tree 40 -> 40, layer 15 -> 15, path 13 -> 0
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("plan-city", "bench-sweep")
 SEARCHES = ("shortest_path", "shortest_paths", "layer_costs")
+KINDS = ("tree", "layer", "path")
 
 
 def _record_searches(log: list) -> None:
@@ -129,6 +136,20 @@ def first_difference(mine: dict, theirs: dict) -> str:
     return "; ".join(notes) or "same"
 
 
+def kind_totals(entries) -> dict[str, int]:
+    """The searches of workload-seed log ``entries``, counted by kind."""
+    totals = dict.fromkeys(KINDS, 0)
+    for entry in entries:
+        for _, searches in entry["ops"]:
+            for search in searches:
+                totals[search[0]] += 1
+    return totals
+
+
+def totals_line(theirs: dict[str, int], mine: dict[str, int]) -> str:
+    return ", ".join(f"{kind} {theirs[kind]} -> {mine[kind]}" for kind in KINDS)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
@@ -143,8 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.against is None:
         for name, by_seed in log.items():
             for seed, entry in by_seed.items():
-                count = sum(len(searches) for _, searches in entry["ops"])
-                print(f"{name} seed {seed}: {len(entry['ops'])} ops, {count} searches, digest {entry['digest'][:12]}")
+                totals = kind_totals([entry])
+                count = ", ".join(f"{kind} {totals[kind]}" for kind in KINDS)
+                print(f"{name} seed {seed}: {len(entry['ops'])} ops, searches {count}, digest {entry['digest'][:12]}")
         return 0
 
     with tempfile.TemporaryDirectory(prefix="search-log-") as scratch:
@@ -159,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
             verdict = first_difference(entry, other[name][seed])
             differ += verdict != "same"
             print(f"{name} seed {seed}: {verdict}")
+            print(f"  {totals_line(kind_totals([other[name][seed]]), kind_totals([entry]))}")
+        theirs = kind_totals(other[name][seed] for seed in by_seed)
+        print(f"{name} all seeds: {totals_line(theirs, kind_totals(by_seed.values()))}")
     return 1 if differ else 0
 
 

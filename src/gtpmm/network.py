@@ -344,10 +344,10 @@ class MultiModalNetwork:
     All query operations on a finalized network are pure functions, so a
     single instance can serve any number of concurrent readers.
 
-    The views :attr:`cheapest_neighbors`, :attr:`hop_edges`,
-    :attr:`has_free_hop`, :attr:`landmarks` and :attr:`landmark_tightness`
-    are derived from ``edges`` and ``edge_costs`` on first use and cached
-    on the instance. They are not dataclass fields,
+    The views :attr:`cheapest_neighbors`, :attr:`cheapest_edges`,
+    :attr:`hop_edges`, :attr:`has_free_hop`, :attr:`landmarks` and
+    :attr:`landmark_tightness` are derived from ``edges`` and
+    ``edge_costs`` on first use and cached on the instance. They are not dataclass fields,
     so they take no part in equality or ``repr``, a network that is never
     searched never builds them, and a copy made with
     :func:`dataclasses.replace` derives its own.
@@ -381,12 +381,44 @@ class MultiModalNetwork:
         return tuple(tuple(sorted(row.items())) for row in best)
 
     @cached_property
+    def cheapest_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Per PoI, aligned with its :attr:`cheapest_neighbors` row, the id
+        of the cheapest parallel edge to each neighbor: least cost, then
+        mode id, then edge id. The hop ``(u, v)`` is at
+        ``bisect_left(cheapest_neighbors[u], (v,))``, and both ends hold the
+        same id.
+
+        Built by one pass over the edges in id order, so an edge replaces
+        the one held only at a lower mode: a ``bisect_left`` per edge at its
+        first end, and one at its other end per replacement. On the 20k
+        road city (``road_network(1, 141)``, 86,729 edges) it builds in 46
+        ms and keeps 2.44 MB under ``tracemalloc``, against 180 ms and 6.50
+        MB for :attr:`hop_edges`.
+        """
+        neighbors, edges = self.cheapest_neighbors, self.edges
+        rows = [[-1] * len(row) for row in neighbors]
+        for eid, (edge, cost) in enumerate(zip(edges, self.edge_costs)):
+            u, v = edge.u, edge.v
+            if u == v:
+                continue
+            row = neighbors[u]
+            at = bisect_left(row, (v,))
+            if row[at][1] != cost:
+                continue  # dearer than the hop's cheapest edge
+            held = rows[u][at]
+            if held < 0 or edge.mode < edges[held].mode:
+                rows[u][at] = eid
+                rows[v][bisect_left(neighbors[v], (u,))] = eid
+        return tuple(map(tuple, rows))
+
+    @cached_property
     def hop_edges(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per PoI, aligned with its :attr:`cheapest_neighbors` row, the ids
         of the parallel edges to each neighbor in ascending ``(mode, edge
         id)``; the two ends of a hop share one tuple, and self-loops are left
         out. The hop ``(u, v)`` is at ``bisect_left(cheapest_neighbors[u],
-        (v,))``.
+        (v,))``. Only RPRM's random-mode draws read it
+        (:func:`~gtpmm.baselines.rprm`).
 
         Built by sorting the ids of the edges, by mode and then stably by
         their ends in ascending order, so that each hop's edges are one run
@@ -667,7 +699,7 @@ def cheapest_parallel_edge(net: MultiModalNetwork, u: int, v: int) -> tuple[int,
     at = bisect_left(row, (v,))
     if at == len(row) or row[at][0] != v:
         return None
-    return min(net.hop_edges[u][at], key=net.edge_costs.__getitem__), row[at][1]
+    return net.cheapest_edges[u][at], row[at][1]
 
 
 def _hop_edges(net: MultiModalNetwork, u: int, v: int) -> tuple[int, ...]:
@@ -676,13 +708,17 @@ def _hop_edges(net: MultiModalNetwork, u: int, v: int) -> tuple[int, ...]:
     return net.hop_edges[u][bisect_left(net.cheapest_neighbors[u], (v,))]
 
 
+def _legs_of(net: MultiModalNetwork, eids: Iterable[int]) -> tuple[tuple[int, ModeId], ...]:
+    edges = net.edges
+    return tuple((eid, edges[eid].mode) for eid in eids)
+
+
 def _cheapest_legs(net: MultiModalNetwork, sequence: Sequence[int]) -> tuple[tuple[int, ModeId], ...]:
     """``(edge id, mode)`` per hop of a path's PoI ``sequence``, unchecked:
-    each hop's :func:`cheapest_parallel_edge` edge, the first of least cost
-    in its ``(mode, id)`` order."""
-    edges, cost_of = net.edges, net.edge_costs.__getitem__
-    eids = [min(_hop_edges(net, a, b), key=cost_of) for a, b in zip(sequence, sequence[1:])]
-    return tuple((eid, edges[eid].mode) for eid in eids)
+    each hop's :func:`cheapest_parallel_edge` edge, read from
+    :attr:`MultiModalNetwork.cheapest_edges`."""
+    neighbors, cheapest = net.cheapest_neighbors, net.cheapest_edges
+    return _legs_of(net, (cheapest[a][bisect_left(neighbors[a], (b,))] for a, b in zip(sequence, sequence[1:])))
 
 
 def _costs_from(neighbors: Sequence[Sequence[tuple[int, Money]]], source: int) -> list[Money]:
@@ -927,6 +963,47 @@ def reference_path(net: MultiModalNetwork, source: int, target: int) -> PathResu
     return PathResult(dist[target], _cheapest_legs(net, sequence), tuple(sequence))
 
 
+def _walk_back(
+    net: MultiModalNetwork,
+    dist: Sequence[Money | None],
+    step: int,
+    order: Sequence[int] | None,
+    source: int,
+    target: int,
+    unique: bool,
+) -> tuple[list[int], list[int]] | None:
+    """The PoIs from ``target`` back to ``source`` over a search's key row
+    ``dist`` (None where unreached), and the id of each hop's edge: from
+    each ``v`` to the lowest-id neighbour ``u`` with ``dist[u] + c(u, v) *
+    step == dist[v]``, across a free hop one settled before ``v`` (its
+    ``order`` below ``v``'s). With ``unique``, None when some ``v`` has a
+    second such ``u``. The edge of each hop is the
+    :attr:`MultiModalNetwork.cheapest_edges` entry at the neighbour index
+    the walk found. ``target`` must be settled, with the walk's every step
+    ending a cheapest path from ``source``: a :class:`SearchTree` walks
+    its cost row with ``step`` 1, a :class:`LayerCosts` its packed keys.
+    An unsettled ``u`` never passes: it would end a cheapest path to ``v``
+    and so have been settled first (see :func:`shortest_paths`).
+    """
+    neighbors, cheapest = net.cheapest_neighbors, net.cheapest_edges
+    sequence, eids = [target], []
+    v = target
+    while v != source:
+        key_v, back, eid = dist[v], -1, -1
+        for at, (u, cost) in enumerate(neighbors[v]):  # ascending id: the first match is the lowest-id predecessor
+            known = dist[u]
+            if known is not None and known + cost * step == key_v and (order is None or 0 < order[u] < order[v]):
+                if back >= 0:
+                    return None
+                back, eid = u, cheapest[v][at]
+                if not unique:
+                    break
+        sequence.append(back)
+        eids.append(eid)
+        v = back
+    return sequence, eids
+
+
 class SearchTree(Mapping[int, PathResult]):
     """What one :func:`shortest_paths` search found: a read-only mapping
     from each reached target to its cheapest path, each path built when it
@@ -958,36 +1035,12 @@ class SearchTree(Mapping[int, PathResult]):
         self._dist = dist
         self._order = order
 
-    def _walk(self, target: int, unique: bool) -> list[int] | None:
-        """The PoIs from ``target``, a reached target, back to ``source``:
-        from each ``v`` to the lowest-id neighbour ``u`` with ``dist[u] +
-        c(u, v) == dist[v]``, across a free hop one settled before ``v``;
-        with ``unique``, None when some ``v`` has a second such ``u``. An
-        unsettled ``u`` never passes: it would end a cheapest path to ``v``
-        and so have been settled first (see :func:`shortest_paths`).
-        """
-        dist, order, neighbors = self._dist, self._order, self._net.cheapest_neighbors
-        sequence = [target]
-        v = target
-        while v != self.source:
-            cost_v, back = dist[v], -1
-            for u, cost in neighbors[v]:  # ascending id: the first match is the lowest-id predecessor
-                known = dist[u]
-                if known is not None and known + cost == cost_v and (order is None or 0 < order[u] < order[v]):
-                    if back >= 0:
-                        return None
-                    back = u
-                    if not unique:
-                        break
-            sequence.append(back)
-            v = back
-        return sequence
-
     def __getitem__(self, target: int) -> PathResult:
         cost = self.costs[target]  # a KeyError for a PoI the search did not reach
-        sequence = self._walk(target, False)
+        sequence, eids = _walk_back(self._net, self._dist, 1, self._order, self.source, target, False)
         sequence.reverse()
-        return PathResult(cost, _cheapest_legs(self._net, sequence), tuple(sequence))
+        eids.reverse()
+        return PathResult(cost, _legs_of(self._net, eids), tuple(sequence))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.costs)
@@ -1008,10 +1061,11 @@ class SearchTree(Mapping[int, PathResult]):
         if self._net.has_free_hop:
             return None
         cost = self.costs[target]  # a KeyError for a PoI the search did not reach
-        sequence = self._walk(target, True)
-        if sequence is None:
+        walked = _walk_back(self._net, self._dist, 1, None, self.source, target, True)
+        if walked is None:
             return None
-        return PathResult(cost, _cheapest_legs(self._net, sequence), tuple(sequence))
+        sequence, eids = walked
+        return PathResult(cost, _legs_of(self._net, eids), tuple(sequence))
 
 
 def shortest_path(net: MultiModalNetwork, source: int, target: int) -> PathResult | None:
@@ -1148,9 +1202,54 @@ def shortest_paths(net: MultiModalNetwork, source: int, targets: Iterable[int]) 
     return SearchTree(net, source, wanted, costs, dist, settled if net.has_free_hop else None)
 
 
+class LayerCosts(dict):
+    """What one :func:`layer_costs` search found: a ``dict`` from each
+    reached target ``j`` to its ``(cost, origin)``, which also keeps the
+    search's packed key row, so that :meth:`path` can walk a hop back from
+    it. It compares equal to a plain ``dict`` of the same items."""
+
+    _net: MultiModalNetwork | None = None
+    _keys: Sequence[Money | None] = ()
+    _step = 0  # weight * poi_count; 0 where no search ran or at weight 0
+
+    def path(self, origin: int, target: int) -> PathResult | None:
+        """The path ``shortest_path(net, origin, target)`` returns, when
+        the search settled ``target`` from ``origin``, walked back from
+        ``target`` over the keys (:func:`_walk_back`); None when it did
+        not, and on a network with a free hop
+        (:attr:`MultiModalNetwork.has_free_hop`) or at weight 0, where the
+        keys tell no settle order.
+
+        Why this is exact. Every PoI ``w`` on a cheapest path from
+        ``origin`` to ``target`` holds its exact key from ``origin``,
+        ``(starts[origin] + weight * d(origin, w), origin)``: a lower cost,
+        or an equal cost from a lower origin, would carry on along the path
+        and give ``target`` a cheaper or lower-origin key than the one it
+        was settled at. The origin digits packed into each key rule out
+        every other origin, so a neighbour ``u`` of ``v`` with ``key[u] +
+        c(u, v) * weight * poi_count == key[v]`` holds ``origin``'s key and
+        ends a cheapest path from ``origin`` to ``v``; a tentative key
+        above its minimum cannot match, as it would leave ``v`` a key below
+        its own minimum. With no free hop and ``weight`` above 0 each such
+        ``u`` has a lower key than ``v`` and, the bound being consistent,
+        no greater priority, so it was settled before ``v``. Each step thus
+        meets the neighbours a search from ``origin`` meets, and takes the
+        lowest id of them, as :class:`SearchTree` does: the walk returns
+        ``shortest_path(net, origin, target)``'s path.
+        """
+        found = self.get(target)
+        if found is None or found[1] != origin or not self._step or self._net.has_free_hop:
+            return None
+        keys, step = self._keys, self._step
+        sequence, eids = _walk_back(self._net, keys, step, None, origin, target, False)
+        sequence.reverse()
+        eids.reverse()
+        return PathResult((keys[target] - keys[origin]) // step, _legs_of(self._net, eids), tuple(sequence))
+
+
 def layer_costs(
     net: MultiModalNetwork, starts: Mapping[int, Money], weight: int, targets: Iterable[int]
-) -> dict[int, tuple[Money, int]]:
+) -> LayerCosts:
     """Cheapest ``(starts[i] + weight * d(i, j), i)`` over the PoIs ``i`` of
     ``starts``, for every PoI ``j`` of ``targets`` that some ``i`` reaches.
 
@@ -1170,6 +1269,10 @@ def layer_costs(
     that changes the order of the result, which is the order of the next
     layer's starts and of the DP table, and saved at most 2 to 3 ms of a
     perfbench pass.
+
+    The result is a :class:`LayerCosts`, which keeps the key row, so that
+    a hop from an origin to a target it won is walked back from the keys
+    (:meth:`LayerCosts.path`) and not searched again.
     """
     if weight < 0:
         raise ConfigurationError(f"layer weight {weight} is negative")
@@ -1177,12 +1280,13 @@ def layer_costs(
     remaining = set(targets)
     for poi in (*starts, *remaining):
         net.check_poi(poi)
-    found: dict[int, tuple[Money, int]] = {}
+    found = LayerCosts()
     if not remaining:
         return found
 
     step = weight * scale
     dist: list[Money | None] = [None] * scale  # tentative key per PoI id, None until reached
+    found._net, found._keys, found._step = net, dist, step
     for origin, start in starts.items():
         dist[origin] = start * scale + origin
     neighbors = net.cheapest_neighbors

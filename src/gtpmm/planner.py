@@ -21,12 +21,15 @@ summed landmark bound to the destinations, and stops once the next
 cannot beat the best total found: the threshold rule of top-k aggregation
 (Fagin, Lotem and Naor, PODS 2001) and of aggregate nearest-neighbour
 search (Yiu, Mamoulis and Papadias, TKDE 2005). The chosen
-plan's source and destination legs are read from those trees: forward from a leg's origin, or back from its target
-when the tree shows that the cheapest path is the only one
-(:meth:`~gtpmm.network.SearchTree.path_from`). Only the legs no tree
-answers are searched: each common hop point to point, and the
-destination legs left, which all start at the last common PoI, with one
-search.
+plan's source and destination legs are read from those trees: forward
+from a leg's origin, or back from its target when the tree shows that the
+cheapest path is the only one
+(:meth:`~gtpmm.network.SearchTree.path_from`). Each common hop is read
+from the layer search that priced it, walked back over its keys from the
+hop's end (:meth:`~gtpmm.network.LayerCosts.path`). Only the legs nothing
+answers are searched: the destination legs left, which all start at the
+last common PoI, with one search, and, on a network with a free hop,
+where a layer's keys tell no path, each common hop point to point.
 
 :func:`plan` first prunes the categories on road-like networks, in the
 manner of the threshold pruning of LORD (Sharifzadeh, Kolahdouzan and
@@ -53,6 +56,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, InfeasibleRouteError, InternalConsistencyError
 from .network import (
+    LayerCosts,
     ModeId,
     Money,
     MultiModalNetwork,
@@ -175,17 +179,20 @@ _UNKNOWN = object()  # Legs._known's answer for a pair no kept path or tree answ
 
 class Legs:
     """Cheapest legs of one network: the costs and paths of ordered PoI
-    pairs, read from the trees of the single-source searches run through
-    it, or else searched once. The planner and the baselines run every
+    pairs, read from the single-source and layer searches run through it,
+    or else searched once. The planner and the baselines run every
     cheapest-cost search through it, and ``searches`` counts them by kind:
     ``"tree"``, ``"layer"`` and ``"path"``.
 
     ``costs`` prices pairs from the kept trees and new
-    :func:`~gtpmm.network.shortest_paths` searches, whose trees it keeps.
+    :func:`~gtpmm.network.shortest_paths` searches, whose trees it keeps;
+    ``layer`` keeps its :class:`~gtpmm.network.LayerCosts` too.
     ``path(net, u, v)`` looks in turn for the pair's path already found, a
-    tree from ``u`` searched for ``v``, and a tree from ``v`` searched for
+    tree from ``u`` searched for ``v``, a tree from ``v`` searched for
     ``u`` that can read its path back
-    (:meth:`~gtpmm.network.SearchTree.path_from`); each gives the path
+    (:meth:`~gtpmm.network.SearchTree.path_from`), and a layer that
+    settled ``v`` from origin ``u`` (:meth:`~gtpmm.network.LayerCosts.path`,
+    which declines on a network with a free hop); each gives the path
     ``shortest_path(net, u, v)`` returns. Only when none answers does it
     search the pair point to point with this module's ``shortest_path``
     name, looked up at each call, which tests and the benchmark's tracer
@@ -195,6 +202,7 @@ class Legs:
     def __init__(self) -> None:
         self._paths: dict[tuple[int, int], PathResult | None] = {}
         self._trees: dict[int, list[SearchTree]] = {}
+        self._layers: list[LayerCosts] = []
         self.searches: Counter[str] = Counter()
 
     def _search_from(self, net: MultiModalNetwork, origin: int, targets: Iterable[int]) -> dict[int, Money]:
@@ -246,10 +254,13 @@ class Legs:
 
     def layer(
         self, net: MultiModalNetwork, starts: dict[int, Money], weight: int, targets: Collection[int]
-    ) -> dict[int, tuple[Money, int]]:
-        """:func:`~gtpmm.network.layer_costs`, run and counted here; nothing is kept."""
+    ) -> LayerCosts:
+        """:func:`~gtpmm.network.layer_costs`, run and counted here; its
+        result is kept for :meth:`path`."""
         self.searches["layer"] += 1
-        return layer_costs(net, starts, weight, targets)
+        found = layer_costs(net, starts, weight, targets)
+        self._layers.append(found)
+        return found
 
     def summed(self, net: MultiModalNetwork, endpoints: Counter[int], pois: Collection[int]) -> dict[int, Money]:
         """The group's legs at one end of a trip: for each PoI of ``pois``
@@ -288,16 +299,19 @@ class Legs:
         """Raises :class:`InfeasibleRouteError` when ``u`` and ``v`` are disconnected."""
         result = self._known(u, v)
         if result is _UNKNOWN:
-            self.searches["path"] += 1
-            result = self._paths[(u, v)] = shortest_path(net, u, v)
+            result = next(filter(None, (layer.path(u, v) for layer in self._layers)), None)
+            if result is None:
+                self.searches["path"] += 1
+                result = shortest_path(net, u, v)
+            self._paths[(u, v)] = result
         if result is None:
             raise InfeasibleRouteError(u, v)
         return result
 
     def fill(self, net: MultiModalNetwork, u: int, targets: Sequence[int]) -> None:
-        """One search from ``u`` to every PoI of ``targets`` whose leg from
-        ``u`` nothing held answers, and none when there is no such PoI."""
-        missing = [v for v in targets if self._known(u, v) is _UNKNOWN]
+        """One search from ``u`` to every distinct PoI of ``targets`` whose
+        leg from ``u`` nothing held answers, and none when there is no such PoI."""
+        missing = [v for v in dict.fromkeys(targets) if self._known(u, v) is _UNKNOWN]
         if missing:
             self._search_from(net, u, missing)
 
@@ -415,7 +429,12 @@ def assemble(
 
 
 def compute_dp(
-    net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, *, legs: Legs | None = None
+    net: MultiModalNetwork,
+    inst: QueryInstance,
+    sharing: SharingMode,
+    *,
+    legs: Legs | None = None,
+    last_bounds: dict[int, Money] | None = None,
 ) -> DpTable:
     """Run the layered DP and its destination stage, and return the table
     with its winner in ``table.best`` (no reconstruction).
@@ -437,7 +456,10 @@ def compute_dp(
     and stops once the next pair exceeds the best ``(total, PoI)`` found
     (:func:`_least_by_bound`). The result is the same, ties included: each
     bound is at most its PoI's destination sum, so a PoI left unpriced
-    costs more or ties at a higher id.
+    costs more or ties at a higher id. ``last_bounds``, when given, holds
+    those summed bounds for every PoI of the last category, as
+    :func:`_prune` computed them for :func:`plan`; the stage then orders by
+    them and sums none of its own.
 
     The first stage, and the destination stage where the gate is shut, run
     :meth:`Legs.costs`'s searches, one single-source search per distinct
@@ -471,8 +493,11 @@ def compute_dp(
     reached = table.cost[-1]
     last = tuple(j for j in inst.categories[-1] if j in reached)
     destinations = Counter(dest for _, dest in inst.agents)
-    bound = landmark_bound(net, (*last, *destinations))
-    if bound is None:
+    if last_bounds is None:
+        bound = landmark_bound(net, (*last, *destinations))
+        if bound is not None:
+            last_bounds = {j: sum(n * bound(j, d) for d, n in destinations.items()) for j in last}
+    if last_bounds is None:
         to_last = legs.costs(net, last, tuple(destinations))  # its trees stay in legs
         table.best = min(
             (
@@ -484,7 +509,7 @@ def compute_dp(
         )
     else:
         table.best = _least_by_bound(
-            ((reached[j] + sum(n * bound(j, d) for d, n in destinations.items()), j) for j in last),
+            ((reached[j] + last_bounds[j], j) for j in last),
             lambda j: reached[j] + legs.summed(net, destinations, (j,))[j],
         )
     return table
@@ -545,11 +570,16 @@ def _first_unreachable(net: MultiModalNetwork, inst: QueryInstance) -> tuple[int
     return inst.agents[0][0], inst.categories[0][0]
 
 
-def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, legs: Legs) -> QueryInstance | None:
+def _prune(
+    net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, legs: Legs
+) -> tuple[QueryInstance | None, dict[int, Money] | None]:
     """The query cut to the category PoIs that landmark lower bounds cannot
-    rule out. The searches that priced the threshold are kept in ``legs``.
-    None when :func:`~gtpmm.network.landmark_bound` gives no bounds for the
-    query's PoIs, and when no PoI is likely to go (below).
+    rule out, and ``suffix[-1]`` (below): each last-category PoI's summed
+    bound to the destinations, which :func:`compute_dp`'s destination stage
+    orders by. The searches that priced the threshold are kept in ``legs``.
+    The query is None when :func:`~gtpmm.network.landmark_bound` gives no
+    bounds for the query's PoIs, and when no PoI is likely to go (below);
+    the bounds are None only in the first case.
 
     A pair's bound is :func:`~gtpmm.network.landmark_bound`'s, ``max
     |d_L(a) - d_L(b)|`` over the landmark rows ``d_L``, at most its cost by
@@ -583,7 +613,7 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
     """
     bound = landmark_bound(net, inst.referenced_pois())
     if bound is None:
-        return None
+        return None, None
     m = sharing.intermediate_multiplier(inst.n_agents)
     sources = Counter(source for source, _ in inst.agents)
     destinations = Counter(dest for _, dest in inst.agents)
@@ -602,7 +632,7 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
     least = prefix[0][chain[0]] + suffix[0][chain[0]]
     tightness = net.landmark_tightness
     if all(tightness * (prefix[c][j] + suffix[c][j]) <= least for c, cat in enumerate(categories) for j in cat):
-        return None  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
+        return None, suffix[-1]  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
     for category, rest in zip(categories[1:], suffix[1:]):
         chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
     ub = legs.summed(net, sources, chain[:1])[chain[0]]
@@ -611,7 +641,7 @@ def _prune(net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, le
     ub += m * sum(legs.costs(net, (a,), (b,))[(a, b)] for a, b in zip(chain, chain[1:]))
 
     kept = [[j for j in cat if reach[j] + rest[j] <= ub] for cat, reach, rest in zip(categories, prefix, suffix)]
-    return QueryInstance(inst.agents, kept)
+    return QueryInstance(inst.agents, kept), suffix[-1]
 
 
 def plan(
@@ -637,17 +667,20 @@ def plan(
     stage records in ``table.best``, which past the gate prices the last
     PoIs in lower-bound order only until none left can win.
 
-    The pruning's and the DP's single-source searches go to one
-    :class:`Legs`, and the plan's legs are read from their trees where one
-    answers: every source leg and every destination leg that is the only
-    cheapest path of its pair, and a hop the pruning priced. Only the
-    other legs are searched, each hop point to point and the destination
-    legs from one search.
+    The pruning's and the DP's searches go to one :class:`Legs`, and the
+    plan's legs are read from them where one answers: every source leg and
+    every destination leg that is the only cheapest path of its pair from
+    the trees, a hop the pruning priced from its tree, and every other hop
+    from the DP layer that priced it. Only the other legs are searched:
+    the destination legs from one search, and, on a network with a free
+    hop, each hop point to point. The last category's summed landmark
+    bounds to the destinations, where :func:`_prune` computed them, are
+    handed to the destination stage, which then sums none of its own.
     """
     inst.check(net)  # before the pruning's landmark bounds check its PoIs unnamed
     legs = Legs()
-    query = _prune(net, inst, sharing, legs) or inst
-    table = compute_dp(net, query, sharing, legs=legs)
+    query, last_bounds = _prune(net, inst, sharing, legs)
+    table = compute_dp(net, query or inst, sharing, legs=legs, last_bounds=last_bounds)
 
     if table.best is None:
         raise InfeasibleRouteError(*_first_unreachable(net, inst))

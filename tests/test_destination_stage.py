@@ -61,7 +61,7 @@ def old_plan(net, inst, sharing):
     """Verbatim copy of ``plan()`` before the destination stage priced in bound order."""
     inst.check(net)
     legs = Legs()
-    query = _prune(net, inst, sharing, legs) or inst
+    query = _prune(net, inst, sharing, legs)[0] or inst
     table = old_compute_dp(net, query, sharing, legs=legs)
 
     last = table.cost[-1]

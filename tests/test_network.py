@@ -1598,6 +1598,12 @@ def assert_hop_edges_and_cheapest_edges(net):
         assert len(hops) == len(row)
         for (v, _), hop in zip(row, hops):
             assert net.hop_edges[v][bisect_left(net.cheapest_neighbors[v], (u,))] is hop  # one tuple per hop
+    for u, (row, cheapest) in enumerate(zip(net.cheapest_neighbors, net.cheapest_edges)):
+        assert len(cheapest) == len(row)
+        for (v, cost), eid, hop in zip(row, cheapest, net.hop_edges[u]):
+            assert (eid, cost) == adjacency_scan_cheapest_parallel_edge(net, u, v)
+            assert eid == min(hop, key=net.edge_costs.__getitem__)  # the pick it replaced: first of least cost
+            assert net.cheapest_edges[v][bisect_left(net.cheapest_neighbors[v], (u,))] == eid
     for u in range(net.poi_count):
         for v in range(net.poi_count):
             assert cheapest_parallel_edge(net, u, v) == adjacency_scan_cheapest_parallel_edge(net, u, v)
@@ -1641,6 +1647,7 @@ def test_cheapest_parallel_edge_ties_go_to_the_lower_mode_not_the_lower_id():
     # three parallel edges of one cost, the lowest mode added last
     net = built_network(2, flat_table(7, 7, 7), [(0, 1, 2, 0, 0), (1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)])
     assert net.hop_edges == (((2, 1, 0),), ((2, 1, 0),))
+    assert net.cheapest_edges == ((2,), (2,))
     assert cheapest_parallel_edge(net, 0, 1) == cheapest_parallel_edge(net, 1, 0) == (2, 7)
     assert cheapest_parallel_edge(net, 1, 1) is None  # the self-loop
 

@@ -10,8 +10,10 @@ the benchmark does, without changing it.
 from __future__ import annotations
 
 import importlib
+from decimal import Decimal
 from pathlib import Path
 
+from gtpmm.network import FarePolicy, FareTable
 from gtpmm.synth import random_instance, random_network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -27,7 +29,9 @@ def test_tracer_hooks_fire_on_a_plan(monkeypatch):
     for module, attribute, _ in tracer.TRACED_FUNCTIONS:
         assert hasattr(importlib.import_module(module), attribute), f"{module}.{attribute}"
 
-    net = random_network(1, n_pois=30, n_modes=2)  # a plan that searches legs point to point
+    free = FareTable.from_pairs((f"M{mode}", FarePolicy(0, Decimal(0), Decimal(0))) for mode in range(2))
+    net = random_network(1, n_pois=30, n_modes=2, fare_table=free)  # a plan that searches legs point to point
+    assert net.has_free_hop
     inst = random_instance(1, net, k=3, pois_per_category=4, n_agents=4)
     recorder = tracer.Tracer()
     recorder.install()

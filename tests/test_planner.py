@@ -377,13 +377,6 @@ def test_shortest_path_invocation_bound():
         assert table.sp_invocations <= bound
 
 
-def holds(search, a, b):
-    """Whether the recorded ``search`` is a tree that holds the leg from ``a`` to ``b``, forward or back."""
-    return search.kind == "tree" and (
-        (search.origin == a and b in search.targets) or (search.origin == b and a in search.targets)
-    )
-
-
 def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(searches):
     sides = set()
     for seed in range(6):
@@ -406,13 +399,12 @@ def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(searches):
         assert table.sp_invocations == 0
 
         searches.clear()
-        journey = plan(net, inst, PER_PERSON)
+        plan(net, inst, PER_PERSON)
         assert searches[: len(dp)] == dp  # the DP's searches, and no pruning ones before them
-        common = journey.common_pois
-        hops = [(a, b) for a, b in zip(common, common[1:]) if not any(holds(search, a, b) for search in dp)]
-        # point to point: each common hop that no DP search holds; the source and destination legs are read
-        # from the DP's searches
-        assert searches[len(dp) :] == [Search("path", a, (b,)) for a, b in hops]
+        assert not net.has_free_hop
+        # no search after the DP's own: each common hop is read from the layer that priced it, the source and
+        # destination legs from the DP's trees
+        assert searches[len(dp) :] == []
     assert sides == {(False, False), (True, True)}  # both sides of each endpoint choice
 
 

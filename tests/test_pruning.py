@@ -230,7 +230,7 @@ def test_every_poi_of_every_optimal_chain_is_kept():
         }
         best = min(totals.values())
         optimal = [chain for chain, total in totals.items() if total == best]
-        pruned = _prune(net, inst, sharing, Legs())
+        pruned, _ = _prune(net, inst, sharing, Legs())
         if pruned is None:
             continue  # no bound stood out from the least: nothing was priced or dropped
         ties += len(optimal) > 1
@@ -245,7 +245,7 @@ def test_threshold_chain_endpoint_searches_serve_the_dp(searches):
     net = exact_bounds(road_network(1, 9))
     inst = random_instance(4, net, 3, 5, 9)  # more distinct endpoints than PoIs: one search per PoI
     legs = Legs()
-    query = _prune(net, inst, PER_PERSON, legs)
+    query, _ = _prune(net, inst, PER_PERSON, legs)
     first, last = searches[0].origin, searches[1].origin  # the chain's endpoint searches, then one per hop
     assert [search.kind for search in searches] == ["tree"] * (inst.k + 1)
     searches.clear()
@@ -344,7 +344,7 @@ def test_unpruned_queries_run_exactly_the_dp_searches(make_case, monkeypatch, dp
     assert len(expected) == sum(table.legs.searches.values())
     assert table.legs.searches == Counter(search.kind for search in expected)
     assert all(search.kind == "path" or search.origin == last for search in searches[end + 1 :])
-    assert pruner == [None]
+    assert [query for query, _ in pruner] == [None]
 
 
 def test_disconnected_networks_fall_back_to_the_unpruned_dp(dp_queries):
@@ -358,7 +358,7 @@ def test_disconnected_networks_fall_back_to_the_unpruned_dp(dp_queries):
     ]
     for sharing in (PER_PERSON, SHARED):
         for inst in cases:
-            assert _prune(islands, inst, sharing, Legs()) is None
+            assert _prune(islands, inst, sharing, Legs()) == (None, None)
             dp_queries.clear()
             result = outcome(plan, islands, inst, sharing)
             assert dp_queries == [inst]  # the DP ran over every PoI

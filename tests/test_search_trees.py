@@ -497,7 +497,7 @@ def test_legs_count_every_search_by_kind(method, kinds, branches, searches, made
     def spy(function, branch):
         def spied(*args):
             result = function(*args)
-            if branch != "pruned" or result is not None:
+            if branch != "pruned" or result[0] is not None:  # _prune returns (query or None, bounds)
                 taken.add(branch)
             return result
 
@@ -525,9 +525,9 @@ def test_pruned_road_plans_search_no_source_leg_point_to_point(searches, monkeyp
     pruned = []
 
     def marked_prune(*args):
-        query = prune(*args)
+        query, bounds = prune(*args)
         pruned.append(query is not None)
-        return query
+        return query, bounds
 
     def marked_compute_dp(*args, **kwargs):
         table = compute_dp(*args, **kwargs)
