@@ -16,7 +16,9 @@ the DP), the quartiles of the whole call, the cost-only searches the call
 ran up to the end of its ``compute_dp`` (``searches``, the sum of the
 table's ``legs.searches``, which counts the pruning stage's searches too,
 and ``searches_by_kind``, the same count split into tree and layer
-searches), and the median time of a fixed pure-Python reference loop
+searches), every search of the whole call by kind, read from the same
+``legs`` once ``plan()`` returns (``plan_searches_by_kind``, which adds the
+searches of the plan's legs), and the median time of a fixed pure-Python reference loop
 (``host_ref_ms``) run before and after every call; plus the Python version and
 ``os.cpu_count()``. The split is timed inside each ``plan()`` call by
 wrapping ``gtpmm.planner.compute_dp`` for the run. Landmark bounds pass
@@ -43,8 +45,8 @@ it, so that both sides meet the host's drift alike:
 Such a row holds, per scenario, each side's median ``plan_s``,
 ``compute_dp_s``, ``landmarks_s`` and ``host_ref_ms`` over the pairs, the
 ratio of the change's ``plan_s`` to the parent's in each pair and their
-median, the pairs the change won, and each side's searches (equal when the
-change keeps every search). A pair whose two ``host_ref_ms`` differ, as a
+median, the pairs the change won, and each side's ``searches_by_kind`` and
+``plan_searches_by_kind`` (equal when the change keeps every search). A pair whose two ``host_ref_ms`` differ, as a
 share of the lower, by more than either run's quartile spread of
 ``plan_s`` (``plan_p75_s - plan_p25_s`` over ``plan_s``) is marked in
 ``host_drifted``: the host's speed moved more between its two runs than
@@ -135,6 +137,7 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
 
     compute_dp = planner.compute_dp
     searches: list[Counter[str]] = []  # the table's search count as each compute_dp returns
+    legs: list[planner.Legs] = []  # the table's legs, whose count grows until plan() returns
     dp_times: list[float] = []
 
     def timed_compute_dp(*args, **kwargs):
@@ -142,6 +145,7 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
         table = compute_dp(*args, **kwargs)
         dp_times.append(time.perf_counter() - start)
         searches.append(Counter(table.legs.searches))
+        legs.append(table.legs)
         return table
 
     plan_times = []
@@ -170,6 +174,7 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
         "assembly_s": round(statistics.median(t - dp for t, dp in zip(plan_times, dp_times)), 4),
         "searches": sum(searches[-1].values()),
         "searches_by_kind": dict(sorted(searches[-1].items())),
+        "plan_searches_by_kind": dict(sorted(legs[-1].searches.items())),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 
@@ -220,7 +225,8 @@ def paired(against: Path, index: int) -> dict:
     for side in sides:
         for key in ("plan_s", "compute_dp_s", "landmarks_s", "host_ref_ms"):
             row[f"{side}_{key}"] = round(statistics.median(run[side][key] for run in runs), 4)
-        row[f"{side}_searches_by_kind"] = runs[0][side]["searches_by_kind"]
+        for key in ("searches_by_kind", "plan_searches_by_kind"):
+            row[f"{side}_{key}"] = runs[0][side][key]
     row["plan_ratios"] = [round(ratio, 3) for ratio in ratios]
     row["plan_ratio_median"] = round(statistics.median(ratios), 3)
     row["host_drifted"] = drifted

@@ -10,11 +10,12 @@ order), so equal (network, instance, seed) yields identical plans.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Iterable
+from functools import partial
+from typing import Iterable
 
 from .errors import InfeasibleRouteError
-from .network import Money, MultiModalNetwork, PathResult, _hop_edges, landmark_bound
-from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, _least_by_bound, assemble
+from .network import MultiModalNetwork, PathResult, _hop_edges, landmark_bound
+from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, _least_total, assemble
 from .rng import SplitMix64
 
 
@@ -184,37 +185,6 @@ def rpcm(
     return _cheapest_legs_plan(net, inst, common, sharing, Legs())
 
 
-def _nearest_by_search(
-    net: MultiModalNetwork, origins: Counter[int], cat: tuple[int, ...], legs: Legs
-) -> tuple[Money, int] | None:
-    """``(summed cost from the origins, PoI)`` of the cheapest PoI of ``cat``
-    that every origin reaches, ties to the lower id, or None."""
-    return min(((cost, j) for j, cost in legs.summed(net, origins, cat).items()), default=None)
-
-
-def _nearest_by_bound(
-    net: MultiModalNetwork,
-    origins: Counter[int],
-    cat: tuple[int, ...],
-    bound: Callable[[int, int], Money],
-    legs: Legs,
-) -> tuple[Money, int]:
-    """:func:`_nearest_by_search`'s pick, priced in ``(lower bound, PoI)``
-    order until no candidate left can win
-    (:func:`~gtpmm.planner._least_by_bound`).
-
-    A candidate's lower bound is its summed ``bound`` from the origins,
-    at most its summed cost. Each candidate is priced by
-    :meth:`~gtpmm.planner.Legs.summed` from the origins, whose trees are
-    kept in ``legs``, where the plan's legs are read from them. ``bound``
-    covers every origin and candidate, so all are connected.
-    """
-    return _least_by_bound(
-        ((sum(count * bound(origin, j) for origin, count in origins.items()), j) for j in cat),
-        lambda j: legs.summed(net, origins, (j,))[j],
-    )
-
-
 def nncm(
     net: MultiModalNetwork,
     inst: QueryInstance,
@@ -226,14 +196,15 @@ def nncm(
     later pick is nearest (by cheapest cost) to the previous pick. Ties go
     to the lower PoI id.
 
-    Where :func:`~gtpmm.network.landmark_bound` bounds every origin and
-    candidate of a category (past the gate of :func:`~gtpmm.planner.plan`'s
-    pruning), the candidates are priced in order of that lower bound until
-    none left can win (:func:`_nearest_by_bound`).
-    Elsewhere each category is scored by one
-    :meth:`~gtpmm.planner.Legs.summed` call over all its candidates
-    (:func:`_nearest_by_search`). Both pick the same PoIs, and keep their
-    searches in one
+    Each pick is :func:`~gtpmm.planner._least_total`'s, the pick that ends
+    the planner's DP too, over the category's candidates priced by
+    :meth:`~gtpmm.planner.Legs.summed` from the origins. Where
+    :func:`~gtpmm.network.landmark_bound` bounds every origin and candidate
+    of a category (past the gate of :func:`~gtpmm.planner.plan`'s pruning),
+    the candidates are priced one at a time in order of their summed lower
+    bound from the origins until none left can win; elsewhere all at once,
+    by one :meth:`~gtpmm.planner.Legs.summed` call. Both pick the same
+    PoIs, and keep their searches in one
     :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs
     they answer: every hop, and the first pick's source legs, where a leg
     read back from the pick's tree must be the only cheapest path.
@@ -244,10 +215,8 @@ def nncm(
     for cat in inst.categories:
         origins = Counter([common[-1]] if common else [source for source, _ in inst.agents])
         bound = landmark_bound(net, [*origins, *cat])
-        if bound is None:
-            best = _nearest_by_search(net, origins, cat, legs)
-        else:
-            best = _nearest_by_bound(net, origins, cat, bound, legs)
+        lower = None if bound is None else {j: sum(n * bound(o, j) for o, n in origins.items()) for j in cat}
+        best = _least_total(dict.fromkeys(cat, 0), lower, partial(legs.summed, net, origins))
         if best is None:  # as plan() names it: cat[0] and the first origin, in agent order, that does not reach it
             reached = legs.costs(net, origins, cat[:1])  # from the trees just kept: no search
             raise InfeasibleRouteError(next(o for o in origins if (o, cat[0]) not in reached), cat[0])

@@ -33,7 +33,7 @@ from itertools import groupby, repeat
 from operator import eq, itemgetter, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InternalConsistencyError
 
 Money = int  # integer cents
 ModeId = int  # dense index into the fare table
@@ -983,8 +983,15 @@ def _walk_back(
     ending a cheapest path from ``source``: a :class:`SearchTree` walks
     its cost row with ``step`` 1, a :class:`LayerCosts` its packed keys.
     An unsettled ``u`` never passes: it would end a cheapest path to ``v``
-    and so have been settled first (see :func:`shortest_paths`).
+    and so have been settled first (see :func:`shortest_paths`). Each step
+    lowers the key, or the order where one is given, so the walk ends; it
+    raises :class:`~gtpmm.errors.InternalConsistencyError` at a step that
+    finds no such ``u``, as from a target settled from another origin, and
+    before any step without ``order`` where a step could keep the key: on
+    a network with a free hop, or at ``step`` 0.
     """
+    if order is None and (not step or net.has_free_hop):  # a step that keeps the key could go back and forth
+        raise InternalConsistencyError(f"the walk back from PoI {target} to PoI {source} needs the settle order")
     neighbors, cheapest = net.cheapest_neighbors, net.cheapest_edges
     sequence, eids = [target], []
     v = target
@@ -998,6 +1005,8 @@ def _walk_back(
                 back, eid = u, cheapest[v][at]
                 if not unique:
                     break
+        if back < 0:
+            raise InternalConsistencyError(f"no neighbour of PoI {v} ends a cheapest path to it from PoI {source}")
         sequence.append(back)
         eids.append(eid)
         v = back

@@ -11,16 +11,17 @@ source's, and the global argmin is reconstructed through parent links.
 Each stage from one category to the next is one cost-only multi-source
 search (:meth:`Legs.layer`). The two stages that sum over
 agents, sources to the first category and the last category to the
-destinations, sum the agents' legs with :meth:`Legs.summed`, from one
-single-source search per distinct endpoint or per category PoI,
-whichever set is smaller, each tree kept in a :class:`Legs`. Where
-:func:`~gtpmm.network.landmark_bound` bounds the last category's reached
-PoIs and the destinations, the destination stage instead prices those PoIs
-one at a time, in ascending order of their exact cost so far plus their
-summed landmark bound to the destinations, and stops once the next
-cannot beat the best total found: the threshold rule of top-k aggregation
-(Fagin, Lotem and Naor, PODS 2001) and of aggregate nearest-neighbour
-search (Yiu, Mamoulis and Papadias, TKDE 2005). The chosen
+destinations, sum the agents' legs with :meth:`Legs.summed` and
+:meth:`Legs.summed_to`, from one single-source search per distinct
+endpoint or per category PoI, whichever set is smaller, each tree kept in
+a :class:`Legs`. The destination stage's pick, like each of NNCM's, is
+:func:`_least_total`'s. Where :func:`~gtpmm.network.landmark_bound`
+bounds the last category's reached PoIs and the destinations, it prices
+those PoIs one at a time, in ascending order of their exact cost so far
+plus their summed landmark bound to the destinations, and stops once the
+next cannot beat the best total found: the threshold rule of top-k
+aggregation (Fagin, Lotem and Naor, PODS 2001) and of aggregate
+nearest-neighbour search (Yiu, Mamoulis and Papadias, TKDE 2005). The chosen
 plan's source and destination legs are read from those trees: forward
 from a leg's origin, or back from its target when the tree shows that the
 cheapest path is the only one
@@ -263,17 +264,28 @@ class Legs:
         return found
 
     def summed(self, net: MultiModalNetwork, endpoints: Counter[int], pois: Collection[int]) -> dict[int, Money]:
-        """The group's legs at one end of a trip: for each PoI of ``pois``
+        """The group's legs at the trip's start: for each PoI of ``pois``
         that every endpoint reaches, in ``pois`` order, the sum over
         ``endpoints`` of count times the endpoint's leg cost. Priced by one
         :meth:`costs` call from the endpoints to ``pois``, so the searches
         run from each distinct endpoint, or from each PoI when there are
-        fewer PoIs."""
+        fewer PoIs; :meth:`summed_to` sums legs that end at the endpoints."""
         costs = self.costs(net, endpoints, pois)
         return {
             j: sum(count * costs[(e, j)] for e, count in endpoints.items())
             for j in pois
             if all((e, j) in costs for e in endpoints)
+        }
+
+    def summed_to(self, net: MultiModalNetwork, pois: Collection[int], endpoints: Counter[int]) -> dict[int, Money]:
+        """:meth:`summed` for legs from ``pois`` to the endpoints, as at the
+        trip's end: one :meth:`costs` call from ``pois``, so that its
+        searches run from the legs' starts when both sides are the same size."""
+        costs = self.costs(net, pois, endpoints)
+        return {
+            j: sum(count * costs[(j, e)] for e, count in endpoints.items())
+            for j in pois
+            if all((j, e) in costs for e in endpoints)
         }
 
     def _known(self, u: int, v: int) -> PathResult | None | object:
@@ -337,6 +349,20 @@ def _least_by_bound(
         if best is None or priced < best:
             best = priced
     return best
+
+
+def _least_total(
+    base: dict[int, Money], lower: dict[int, Money] | None, price: Callable[[tuple[int, ...]], dict[int, Money]]
+) -> tuple[Money, int] | None:
+    """The least ``(base[j] + price((j,))[j], j)`` over the PoIs of ``base``
+    that ``price`` reaches, ties to the lower id, or None. Without
+    ``lower``, one ``price(tuple(base))`` call prices them all; with it,
+    each is priced alone in ascending ``(base[j] + lower[j], j)`` until
+    none left can win (:func:`_least_by_bound`), each ``lower[j]`` being
+    at most ``j``'s price and every PoI reached."""
+    if lower is None:
+        return min(((base[j] + cost, j) for j, cost in price(tuple(base)).items()), default=None)
+    return _least_by_bound(((base[j] + lower[j], j) for j in base), lambda j: base[j] + price((j,))[j])
 
 
 @dataclass
@@ -444,17 +470,17 @@ def compute_dp(
     of the layer before, with costs times the intermediate multiplier;
     ties keep the lower PoI id as parent. The destination stage then
     finds the least ``(full total, PoI)`` over the reached last-category
-    PoIs, a PoI's full total being its last-layer cost plus its
-    destination legs, each times the agents bound there.
+    PoIs with :func:`_least_total`, a PoI's full total being its last-layer
+    cost plus its destination legs (:meth:`Legs.summed_to`), each times the
+    agents bound there.
 
     Where :func:`~gtpmm.network.landmark_bound` gives no bounds for those
     PoIs and the distinct destinations (the gate is shut, or they span
     components), the stage prices every reached last PoI to every
-    destination with one :meth:`Legs.costs` call. Otherwise it prices them
-    one at a time with :meth:`Legs.summed` from the destinations, in
-    ascending ``(last-layer cost + summed bound to the destinations, PoI)``,
-    and stops once the next pair exceeds the best ``(total, PoI)`` found
-    (:func:`_least_by_bound`). The result is the same, ties included: each
+    destination with one :meth:`Legs.summed_to` call. Otherwise it prices
+    them one at a time, in ascending ``(last-layer cost + summed bound to
+    the destinations, PoI)``, and stops once the next pair exceeds the best
+    ``(total, PoI)`` found. The result is the same, ties included: each
     bound is at most its PoI's destination sum, so a PoI left unpriced
     costs more or ties at a higher id. ``last_bounds``, when given, holds
     those summed bounds for every PoI of the last category, as
@@ -491,27 +517,13 @@ def compute_dp(
             table.parent[c][j] = parent
 
     reached = table.cost[-1]
-    last = tuple(j for j in inst.categories[-1] if j in reached)
+    last = {j: reached[j] for j in inst.categories[-1] if j in reached}
     destinations = Counter(dest for _, dest in inst.agents)
     if last_bounds is None:
         bound = landmark_bound(net, (*last, *destinations))
         if bound is not None:
             last_bounds = {j: sum(n * bound(j, d) for d, n in destinations.items()) for j in last}
-    if last_bounds is None:
-        to_last = legs.costs(net, last, tuple(destinations))  # its trees stay in legs
-        table.best = min(
-            (
-                (reached[j] + sum(n * to_last[(j, d)] for d, n in destinations.items()), j)
-                for j in last
-                if all((j, d) in to_last for d in destinations)
-            ),
-            default=None,
-        )
-    else:
-        table.best = _least_by_bound(
-            ((reached[j] + last_bounds[j], j) for j in last),
-            lambda j: reached[j] + legs.summed(net, destinations, (j,))[j],
-        )
+    table.best = _least_total(last, last_bounds, lambda pois: legs.summed_to(net, pois, destinations))
     return table
 
 
@@ -636,8 +648,7 @@ def _prune(
     for category, rest in zip(categories[1:], suffix[1:]):
         chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
     ub = legs.summed(net, sources, chain[:1])[chain[0]]
-    to_last = legs.costs(net, chain[-1:], destinations)
-    ub += sum(n * to_last[(chain[-1], d)] for d, n in destinations.items())
+    ub += legs.summed_to(net, chain[-1:], destinations)[chain[-1]]
     ub += m * sum(legs.costs(net, (a,), (b,))[(a, b)] for a, b in zip(chain, chain[1:]))
 
     kept = [[j for j in cat if reach[j] + rest[j] <= ub] for cat, reach, rest in zip(categories, prefix, suffix)]

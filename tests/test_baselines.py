@@ -574,13 +574,13 @@ def nncm_picks(monkeypatch):
     import gtpmm.baselines
 
     picks = []
-    for name, kind in (("_nearest_by_bound", "bound"), ("_nearest_by_search", "search")):
+    least_total = gtpmm.baselines._least_total
 
-        def spy(*args, _pick=getattr(gtpmm.baselines, name), _kind=kind):
-            picks.append(_kind)
-            return _pick(*args)
+    def spy(base, lower, price):
+        picks.append("search" if lower is None else "bound")
+        return least_total(base, lower, price)
 
-        monkeypatch.setattr(gtpmm.baselines, name, spy)
+    monkeypatch.setattr(gtpmm.baselines, "_least_total", spy)
     return picks
 
 

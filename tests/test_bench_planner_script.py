@@ -12,6 +12,7 @@ import importlib.util
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_planner.py"
+SEARCHED = {"parent": {"path": 1, "tree": 8}, "change": {"tree": 8}}  # a whole plan()'s searches per side
 
 
 def load_script():
@@ -38,11 +39,13 @@ def test_bench_planner_measures_the_small_scenario():
         "assembly_s",
         "searches",
         "searches_by_kind",
+        "plan_searches_by_kind",
         "host_ref_ms",
     }
     assert (row["pois"], row["k"], row["pois_per_category"], row["agents"]) == (200, 3, 5, 5)
     assert row["searches"] == 9
     assert row["searches_by_kind"] == {"layer": 2, "tree": 7}  # k - 1 layers; one tree per PoI or endpoint
+    assert row["plan_searches_by_kind"] == {"layer": 2, "tree": 7}  # the stage's trees answer every leg
     assert row["compute_dp_s"] <= row["plan_s"]
     assert row["landmarks_s"] > 0
     assert bench_planner.planner.compute_dp.__name__ == "compute_dp"  # the timing wrapper is removed
@@ -53,6 +56,7 @@ def test_one_scenario_runs_in_a_subprocess():
     row = bench_planner.measured_in(SCRIPT.parents[1] / "src", 0)
     assert (row["pois"], row["k"], row["pois_per_category"], row["agents"]) == (200, 3, 5, 5)
     assert row["searches_by_kind"] == {"layer": 2, "tree": 7}
+    assert row["plan_searches_by_kind"] == {"layer": 2, "tree": 7}
 
 
 def test_pairs_alternate_and_record_both_medians_and_each_ratio(monkeypatch):
@@ -65,7 +69,8 @@ def test_pairs_alternate_and_record_both_medians_and_each_ratio(monkeypatch):
         calls.append(side)
         row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": next(plan_s[side])}
         row |= {"plan_p25_s": 0.9 * row["plan_s"], "plan_p75_s": 1.1 * row["plan_s"], "landmarks_s": 0.01}
-        return row | {"compute_dp_s": 0.5, "host_ref_ms": 4.0, "searches_by_kind": {"tree": 7}}
+        row |= {"searches_by_kind": {"tree": 7}, "plan_searches_by_kind": SEARCHED[side]}
+        return row | {"compute_dp_s": 0.5, "host_ref_ms": 4.0}
 
     monkeypatch.setattr(bench_planner, "measured_in", measured_in)
     row = bench_planner.paired(Path("/elsewhere"), 0)
@@ -76,6 +81,8 @@ def test_pairs_alternate_and_record_both_medians_and_each_ratio(monkeypatch):
     assert row["host_drifted"] == [False] * 5 and row["plan_ratio_median_steady"] == 0.5  # equal host references
     assert row["parent_landmarks_s"] == row["change_landmarks_s"] == 0.01
     assert row["parent_searches_by_kind"] == row["change_searches_by_kind"] == {"tree": 7}
+    assert row["parent_plan_searches_by_kind"] == SEARCHED["parent"]
+    assert row["change_plan_searches_by_kind"] == SEARCHED["change"]
 
 
 def test_pairs_whose_host_references_drift_past_the_spread_are_marked_and_left_out_of_the_steady_median(monkeypatch):
@@ -90,7 +97,8 @@ def test_pairs_whose_host_references_drift_past_the_spread_are_marked_and_left_o
         plan, share = next(plan_s[side]), next(spread[side])
         row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": plan}
         row |= {"plan_p25_s": plan * (1 - share / 2), "plan_p75_s": plan * (1 + share / 2), "landmarks_s": 0.01}
-        return row | {"compute_dp_s": 0.5, "host_ref_ms": next(host[side]), "searches_by_kind": {"tree": 7}}
+        row |= {"searches_by_kind": {"tree": 7}, "plan_searches_by_kind": SEARCHED[side]}
+        return row | {"compute_dp_s": 0.5, "host_ref_ms": next(host[side])}
 
     monkeypatch.setattr(bench_planner, "measured_in", measured_in)
     row = bench_planner.paired(Path("/elsewhere"), 0)
@@ -111,7 +119,8 @@ def test_every_pair_drifted_leaves_no_steady_median(monkeypatch):
         side = "change" if src == SCRIPT.parents[1] / "src" else "parent"
         row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": 1.0}
         row |= {"plan_p25_s": 0.9, "plan_p75_s": 1.1, "landmarks_s": 0.01}
-        return row | {"compute_dp_s": 0.5, "host_ref_ms": host[side], "searches_by_kind": {"tree": 7}}
+        row |= {"searches_by_kind": {"tree": 7}, "plan_searches_by_kind": SEARCHED[side]}
+        return row | {"compute_dp_s": 0.5, "host_ref_ms": host[side]}
 
     monkeypatch.setattr(bench_planner, "measured_in", measured_in)
     row = bench_planner.paired(Path("/elsewhere"), 0)

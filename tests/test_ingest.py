@@ -771,6 +771,37 @@ def test_padded_cells_read_as_their_stripped_text(tmp_path, name):
     assert str(excinfo.value) == f"{directory / message}"
 
 
+# file -> (a cell and its bad value, what its error says): the rejections no other test reaches
+REJECTED_CELLS = {
+    "fares.csv": ((1, 1, "1-2-3"), "fares.csv:2: cannot parse money range '1-2-3'"),
+    "edges.csv": ((1, 3, "far"), "edges.csv:2: distance and time must be numeric"),
+    "stops.txt": ((2, 0, "A"), "stops.txt:3: duplicate stop_id 'A'"),
+    "routes.txt": ((1, 1, "bus"), "routes.txt:2: route_type must be an integer"),
+    "stop_times.txt": ((1, 2, "aa:bb:cc"), "stop_times.txt:2: cannot parse time 'aa:bb:cc'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_CELLS))
+def test_a_malformed_cell_is_rejected_at_its_line(tmp_path, name):
+    directory, load = csv_inputs(tmp_path / "inputs")
+    (row, column, bad), message = REJECTED_CELLS[name]
+    rewrite_cells(directory / name, lambda line, at, cell: bad if (line, at) == (row, column) else cell)
+    with pytest.raises(ParseError) as excinfo:
+        load()
+    assert str(excinfo.value) == f"{directory / message}"
+
+
+def test_a_trip_repeating_a_stop_adds_no_edge_for_the_repeat(tmp_path):
+    feed = tmp_path / "feed"
+    shutil.copytree(gtfs_minimal_dir(), feed)
+    path = feed / "stop_times.txt"
+    header, first, *rest = path.read_text().splitlines()
+    renumbered = [",".join([*row.split(",")[:4], str(sequence)]) for sequence, row in enumerate([first, *rest], 2)]
+    path.write_text("\n".join([header, first, *renumbered]) + "\n")  # A, A, B, C
+    assert [entry.stop_id for entry in parse_gtfs(feed).stop_times["T1"]] == ["A", "A", "B", "C"]
+    assert load_gtfs(feed, gtfs_fares()) == load_gtfs(gtfs_minimal_dir(), gtfs_fares())
+
+
 # --- stop times against a per-row parse ------------------------------------------
 
 STOP_TIME_COLUMNS = ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence")

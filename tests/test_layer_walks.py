@@ -13,6 +13,8 @@ no tie runs no point-to-point search at all.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from decimal import Decimal
 from unittest import mock
 
@@ -20,9 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpmm import SharingMode, compute_dp, plan
+from gtpmm import InternalConsistencyError, SharingMode, compute_dp, plan
 from gtpmm import planner
-from gtpmm.network import FarePolicy, FareTable, LayerCosts, NetworkBuilder, layer_costs, reference_path, shortest_path
+from gtpmm.network import (
+    FarePolicy,
+    FareTable,
+    LayerCosts,
+    NetworkBuilder,
+    _walk_back,
+    layer_costs,
+    reference_path,
+    shortest_path,
+    shortest_paths,
+)
 from gtpmm.planner import Legs
 from gtpmm.synth import random_instance, random_network, road_network
 from test_pruning import TIED_FARES, ZERO_FARES, exact_bounds
@@ -173,3 +185,47 @@ def test_layer_costs_keep_their_keys_and_compare_as_a_dict(walkthrough_net):
         assert cost == {0: 5, 2: 0}[origin] + 3 * read.cost
     assert layer_costs(walkthrough_net, {0: 0}, 1, []).path(0, 0) is None  # no search ran
     assert layer_costs(walkthrough_net, {0: 0}, 0, [1]).path(0, 1) is None  # at weight 0 every key ties its start
+
+
+@contextmanager
+def deadline(seconds):
+    """Fails the code inside with TimeoutError once ``seconds`` pass, so a walk that never stops fails the test."""
+
+    def expire(*_):
+        raise TimeoutError(f"still walking after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_walk_back_from_a_target_settled_from_another_origin_raises():
+    net = road_network(1, 5, jitter=0.0)
+    found = layer_costs(net, {0: 0, 24: 0}, 1, range(net.poi_count))
+    target = next(j for j, (_, origin) in found.items() if origin == 24 and j != 24)
+    assert found.path(0, target) is None  # the origin check declines the walk
+    with deadline(5), pytest.raises(InternalConsistencyError, match="^no neighbour of PoI 24 ends a cheapest path"):
+        _walk_back(net, found._keys, found._step, None, 0, target, False)
+    sequence, _ = _walk_back(net, found._keys, found._step, None, 24, target, False)
+    assert sequence[-1] == 24
+
+
+def test_a_walk_back_across_a_free_hop_without_the_settle_order_raises():
+    # S=2 -(paid)- A=0 -(free)- B=1: without the order, a walk from B would step to A and back to B, the lower id
+    fares = FareTable.from_pairs([("free", FarePolicy(0, 0, 0)), ("paid", FarePolicy(100, 0, 0))])
+    builder = NetworkBuilder()
+    for i in range(3):
+        builder.add_poi(f"n{i}")
+    builder.add_edge(2, 0, 1, 1.0, 1.0)
+    builder.add_edge(0, 1, 0, 1.0, 1.0)
+    net = builder.finalize(fares)
+    tree = shortest_paths(net, 2, [1])
+    assert net.has_free_hop and tree._order is not None
+    needs_order = "^the walk back from PoI 1 to PoI 2 needs the settle order$"
+    with deadline(5), pytest.raises(InternalConsistencyError, match=needs_order):
+        _walk_back(net, tree._dist, 1, None, 2, 1, False)
+    assert tree[1].poi_sequence == (2, 0, 1)  # with the order the walk stops

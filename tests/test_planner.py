@@ -139,6 +139,11 @@ def test_zero_agents_rejected():
         QueryInstance([], [[0]])
 
 
+def test_zero_categories_rejected():
+    with pytest.raises(ConfigurationError, match="^a query needs at least one category$"):
+        QueryInstance([(0, 1)], [])
+
+
 @pytest.mark.parametrize(
     ("agents", "categories", "message"),
     [
@@ -271,10 +276,11 @@ def test_tied_totals_end_at_the_lower_id_whatever_the_settle_order():
     inst = QueryInstance([(0, 4), (0, 4)], [[3], [1, 2]])
     table = compute_dp(net, inst, PER_PERSON)
     assert list(table.cost[-1]) == [2, 1]  # settle order, not id order
-    # the gate is open: A and B have equal lower bounds, so A is priced first, from D, and B cannot win
+    # the gate is open: A and B have equal lower bounds, so A is priced first, from A, and B cannot win
     assert net.landmark_tightness >= PRUNE_TIGHTNESS
     assert table.legs.searches == Counter({"tree": 2, "layer": 1})
-    assert table.legs._trees[4][-1].targets == {1}
+    assert 4 not in table.legs._trees
+    assert table.legs._trees[1][-1].targets == {4}
     to_destination = Legs().costs(net, (1, 2), (4,))  # priced apart from the DP's legs
     totals = {j: cost + 2 * to_destination[(j, 4)] for j, cost in table.cost[-1].items()}
     assert totals[1] == totals[2]

@@ -503,9 +503,14 @@ def test_legs_count_every_search_by_kind(method, kinds, branches, searches, made
 
         return spied
 
+    least = baselines._least_total
+
+    def least_total(base, lower, price):
+        taken.add("search" if lower is None else "bound")
+        return least(base, lower, price)
+
     monkeypatch.setattr(planner, "_prune", spy(planner._prune, "pruned"))
-    monkeypatch.setattr(baselines, "_nearest_by_bound", spy(baselines._nearest_by_bound, "bound"))
-    monkeypatch.setattr(baselines, "_nearest_by_search", spy(baselines._nearest_by_search, "search"))
+    monkeypatch.setattr(baselines, "_least_total", least_total)
     seen = set()
     for net, inst in count_cases():
         searches.clear()
