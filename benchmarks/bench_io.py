@@ -12,16 +12,19 @@ directory, and the loaded network must equal the saved one. The network
 is also written once with ``save_edge_list`` and that CSV file read back
 ``REPEATS`` times with ``load_edge_list``, the first stage of every
 ``gtpmm ingest`` of an edge list; the loaded network must have the same
-edges.
+edges. Last, ``categorize`` (round-robin, k 8), the step of every ``gtpmm
+ingest`` that labels the PoIs, runs ``REPEATS`` times on the network.
 
 A row holds, per network, the median and quartiles of the save, of the
-load and of the edge-list load, and of pricing the loaded network's edges
+load and of the edge-list load, of pricing the loaded network's edges
 once more with ``_edge_costs`` (``edge_costs_s``, the step of every load
-that prices edges), each file's size in bytes and its sha256, so that two
-rows with equal digests read and wrote the same bytes, a sha256 of the
-loaded network's edge costs (``edge_costs_sha256``), the
-size of one loaded network in memory (``network_mb``: what ``tracemalloc``
-still counts allocated once ``load_network_json`` returns), the
+that prices edges) and of ``categorize`` (``categorize_s``), each file's
+size in bytes and its sha256, so that two rows with equal digests read and
+wrote the same bytes, a sha256 of the loaded network's edge costs
+(``edge_costs_sha256``) and one of the category sets ``categorize``
+returned (``categorize_sha256``), the size of one loaded network in
+memory (``network_mb``: what ``tracemalloc`` still counts allocated once
+``load_network_json`` returns), the
 ``tracemalloc`` peaks of one save and of one load (``save_peak_mb`` and
 ``load_peak_mb``, each over what was allocated when it began; all three
 are taken in one extra save and load after the timed ones, so that no
@@ -79,6 +82,8 @@ from bench_planner import host_drifted, new_row, reference_ms, save_row
 
 from gtpmm.fixtures import default_fare_ranges
 from gtpmm.ingest import (
+    CategoryConfig,
+    categorize,
     load_edge_list,
     load_gtfs,
     load_network_json,
@@ -102,6 +107,7 @@ GTFS_TRIPS_PER_ROUTE = 10
 GTFS_STOPS_PER_TRIP = 40
 GTFS_TABLES = ("stops.txt", "routes.txt", "trips.txt", "stop_times.txt")
 SCENARIOS = (*NETWORKS, "gtfs")
+CATEGORIES = CategoryConfig(k=8)  # round-robin
 
 
 def _summary(name: str, times: list[float]) -> dict:
@@ -142,6 +148,12 @@ def measure(network: str, net, directory: Path) -> dict:
     if from_csv.edge_count != net.edge_count:
         raise RuntimeError(f"the {network} network lost edges in an edge-list round trip")
     csv_data = csv_path.read_bytes()
+
+    categorizings: list[float] = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        _, sets = categorize(net, CATEGORIES)
+        categorizings.append(time.perf_counter() - start)
     return {
         "network": network,
         "pois": net.poi_count,
@@ -159,6 +171,8 @@ def measure(network: str, net, directory: Path) -> dict:
         **_summary("edge_list_load", csv_loads),
         "edge_list_bytes": len(csv_data),
         "edge_list_sha256": hashlib.sha256(csv_data).hexdigest(),
+        **_summary("categorize", categorizings),
+        "categorize_sha256": hashlib.sha256(repr(sets).encode()).hexdigest(),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP, localcontext
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, cycle, islice, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -41,6 +41,7 @@ from .network import (
     FareTable,
     MultiModalNetwork,
     NetworkBuilder,
+    Poi,
     TransitEdge,
     haversine_m,
 )
@@ -293,8 +294,7 @@ def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
 # --- GTFS ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GtfsStop:
+class GtfsStop(NamedTuple):
     name: str
     lat: float
     lon: float
@@ -307,6 +307,9 @@ class GtfsStopTime(NamedTuple):
     departure_min: float
     sequence: int
     line: int  # source line, for error reporting
+
+
+_stop_time_sequence = itemgetter(3)  # GtfsStopTime.sequence
 
 
 @dataclass
@@ -366,6 +369,8 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     file = str(path)
     for line, (route_id, route_type_text) in _csv_records(path, ("route_id", "route_type"), exact=False):
         route_id = route_id.strip()
+        if route_id in feed.route_types:
+            raise ParseError(f"duplicate route_id {route_id!r}", file=file, line=line)
         try:
             route_type = int(route_type_text)
         except ValueError:
@@ -378,6 +383,8 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     file = str(path)
     for line, (route_id, trip_id) in _csv_records(path, ("route_id", "trip_id"), exact=False):
         route_id, trip_id = route_id.strip(), trip_id.strip()
+        if trip_id in feed.trip_routes:
+            raise ParseError(f"duplicate trip_id {trip_id!r}", file=file, line=line)
         if route_id not in feed.route_types:
             raise ParseError(f"trip references unknown route {route_id!r}", file=file, line=line)
         feed.trip_routes[trip_id] = route_id
@@ -405,10 +412,12 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
             sequence = int(sequence_text)
         except ValueError:
             raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
-        feed.stop_times.setdefault(trip_id, []).append(GtfsStopTime(stop_id, arrival, departure, sequence, line))
+        # tuple.__new__ skips the named tuple's own __new__, a Python-level call per row
+        entry = tuple.__new__(GtfsStopTime, (stop_id, arrival, departure, sequence, line))
+        feed.stop_times.setdefault(trip_id, []).append(entry)
 
     for trip_id, entries in feed.stop_times.items():
-        entries.sort(key=lambda e: e.sequence)
+        entries.sort(key=_stop_time_sequence)
         for previous, current in zip(entries, entries[1:]):
             if current.sequence <= previous.sequence:
                 raise ParseError(
@@ -809,32 +818,29 @@ def categorize(net: MultiModalNetwork, cfg: CategoryConfig) -> tuple[MultiModalN
 
     Fails with the offending index if any category ends up empty.
     """
-    if cfg.k > net.poi_count:
-        raise ConfigurationError(f"cannot split {net.poi_count} PoIs into {cfg.k} categories")
+    k, pois = cfg.k, net.pois
+    if k > len(pois):
+        raise ConfigurationError(f"cannot split {len(pois)} PoIs into {k} categories")
 
-    assignment: dict[int, int] = {}
+    categories: list[int | None]  # per PoI id
     if cfg.strategy == "round-robin":
-        for poi_id in range(net.poi_count):
-            assignment[poi_id] = poi_id % cfg.k
+        categories = [*islice(cycle(range(k)), len(pois))]
     elif cfg.strategy == "seeded-random":
-        rng = SplitMix64(cfg.seed)
-        for poi_id in range(net.poi_count):
-            assignment[poi_id] = rng.below(cfg.k)
+        below = SplitMix64(cfg.seed).below
+        categories = [below(k) for _ in pois]
     else:
         lowered = [(keyword.lower(), category) for keyword, category in cfg.keywords.items()]
-        for poi_id, poi in enumerate(net.pois):
-            name = poi.name.lower()
-            for keyword, category in lowered:
-                if keyword in name:
-                    assignment[poi_id] = category
-                    break
+        names = map(str.lower, map(itemgetter(1), pois))  # Poi.name
+        categories = [next((category for keyword, category in lowered if keyword in name), None) for name in names]
 
-    sets: list[list[int]] = [[] for _ in range(cfg.k)]
-    for poi_id, category in sorted(assignment.items()):
-        sets[category].append(poi_id)
-    for index, ids_in_set in enumerate(sets):
-        if not ids_in_set:
+    members: dict[int | None, list[int]] = {category: [] for category in (*range(k), None)}  # None: no keyword matched
+    for poi_id, category in enumerate(categories):
+        members[category].append(poi_id)
+    for index in range(k):
+        if not members[index]:
             raise ConfigurationError(f"category {index} is empty after assignment")
 
-    relabeled = replace(net, pois=tuple(replace(poi, category=assignment.get(i)) for i, poi in enumerate(net.pois)))
-    return relabeled, [tuple(ids_in_set) for ids_in_set in sets]
+    # each PoI's fields with its new category, made into a Poi at C speed
+    fields = zip(map(itemgetter(0), pois), map(itemgetter(1), pois), categories, map(itemgetter(3), pois))
+    relabeled = replace(net, pois=tuple(map(tuple.__new__, repeat(Poi), fields)))
+    return relabeled, [tuple(members[index]) for index in range(k)]

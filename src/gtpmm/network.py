@@ -175,10 +175,10 @@ class FareTable:
         return FareTable(self.names, tuple(p.scaled(factor) for p in self.policies))
 
 
-@dataclass(frozen=True)
-class Poi:
+class Poi(NamedTuple):
     """A point of interest; ``category`` is None until categorization. Its
-    id is its position in :attr:`MultiModalNetwork.pois`."""
+    id is its position in :attr:`MultiModalNetwork.pois`. A named tuple, so
+    a copy with other fields is made by ``_replace``."""
 
     external_id: str
     name: str = ""

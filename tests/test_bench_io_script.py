@@ -58,6 +58,10 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
         "edge_list_load_p75_s",
         "edge_list_bytes",
         "edge_list_sha256",
+        "categorize_s",
+        "categorize_p25_s",
+        "categorize_p75_s",
+        "categorize_sha256",
         "host_ref_ms",
     }
     assert (row["network"], row["pois"], row["repeats"]) == ("road", 64, bench_io.REPEATS)
@@ -75,6 +79,9 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
     assert not tracemalloc.is_tracing()
     data = (tmp_path / "road.csv").read_bytes()
     assert (row["edge_list_bytes"], row["edge_list_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
+    assert row["categorize_p25_s"] <= row["categorize_s"] <= row["categorize_p75_s"]
+    sets = [tuple(range(category, 64, 8)) for category in range(8)]  # round-robin over 64 PoIs
+    assert row["categorize_sha256"] == hashlib.sha256(repr(sets).encode()).hexdigest()
     assert row["host_ref_ms"] > 0
 
 

@@ -791,6 +791,24 @@ def test_a_malformed_cell_is_rejected_at_its_line(tmp_path, name):
     assert str(excinfo.value) == f"{directory / message}"
 
 
+# a GTFS table -> (the rows its id repeats in, what the error says): the later row must not silently win
+DUPLICATE_ROWS = {
+    "routes.txt": ("route_id,route_type\nR1,3\nR1,0\n", "routes.txt:3: duplicate route_id 'R1'"),
+    "trips.txt": ("route_id,trip_id\nR1,T1\nR2,T1\n", "trips.txt:3: duplicate trip_id 'T1'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUPLICATE_ROWS))
+def test_a_repeated_gtfs_id_is_rejected_at_its_line(tmp_path, name):
+    feed = copy_feed(tmp_path)
+    (feed / "routes.txt").write_text("route_id,route_type\nR1,3\nR2,0\n")  # trips may run under either route
+    text, message = DUPLICATE_ROWS[name]
+    (feed / name).write_text(text)
+    with pytest.raises(ParseError) as excinfo:
+        parse_gtfs(feed)
+    assert str(excinfo.value) == f"{feed / message}"
+
+
 def test_a_trip_repeating_a_stop_adds_no_edge_for_the_repeat(tmp_path):
     feed = tmp_path / "feed"
     shutil.copytree(gtfs_minimal_dir(), feed)

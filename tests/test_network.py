@@ -1896,7 +1896,7 @@ def test_connect_components_rejects_non_finite_coordinates(coords):
     builder.add_poi("a", coords=(47.0, 8.0))
     builder.add_poi("b", coords=(47.0, 8.1))
     net = builder.finalize(flat_table(100))
-    net = replace(net, pois=(net.pois[0], replace(net.pois[1], coords=coords)))
+    net = replace(net, pois=(net.pois[0], net.pois[1]._replace(coords=coords)))
     with pytest.raises(ConfigurationError, match=r"edge \(0, 1\) has invalid distance nan"):
         connect_components(net)
 
