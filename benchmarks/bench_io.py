@@ -68,17 +68,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
-from bench_planner import host_drifted, new_row, reference_ms, save_row
+from bench_planner import host_drifted, new_row, reference_ms, save_row, script_measurement
 
 from gtpmm.fixtures import default_fare_ranges
 from gtpmm.ingest import (
@@ -271,12 +270,7 @@ def measure_scenario(scenario: str, directory: Path) -> dict:
     return measure(scenario, NETWORKS[scenario](), directory)
 
 
-def measured_in(src: Path, scenario: str) -> dict:
-    """:func:`measure_scenario` in a subprocess that imports the package from ``src``."""
-    command = [sys.executable, __file__, "--scenario", scenario]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
-    return json.loads(result.stdout.splitlines()[-1])
+measured_in = partial(script_measurement, __file__, "--scenario")  # (src, scenario): :func:`measure_scenario`
 
 
 def _digests(measurement: dict) -> dict:

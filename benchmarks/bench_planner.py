@@ -68,6 +68,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import partial
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -200,12 +201,16 @@ def save_row(row: dict, output: Path) -> None:
     output.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
 
 
-def measured_in(src: Path, index: int) -> dict:
-    """:func:`measure` of scenario ``index`` in a subprocess that imports the package from ``src``."""
-    command = [sys.executable, __file__, "--scenario", str(index)]
+def script_measurement(script: str, flag: str, src: Path, value: object) -> dict:
+    """The JSON line that benchmark ``script`` prints last when run with
+    ``flag value`` in a subprocess that imports the package from ``src``."""
+    command = [sys.executable, script, flag, str(value)]
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout.splitlines()[-1])
+
+
+measured_in = partial(script_measurement, __file__, "--scenario")  # (src, index): :func:`measure` of that scenario
 
 
 def paired(against: Path, index: int) -> dict:

@@ -41,15 +41,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from bench_planner import new_row, reference_ms, save_row
+from bench_planner import new_row, reference_ms, save_row, script_measurement
 
 from gtpmm.bench import ExperimentConfig, run_experiment
 from gtpmm.synth import random_network, road_network
@@ -91,12 +90,7 @@ def measure(network: str, net, cfg: ExperimentConfig = ExperimentConfig()) -> di
     }
 
 
-def measured_in(src: Path, network: str) -> dict:
-    """:func:`measure` of ``network`` in a subprocess that imports the package from ``src``."""
-    command = [sys.executable, __file__, "--network", network]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
-    return json.loads(result.stdout.splitlines()[-1])
+measured_in = partial(script_measurement, __file__, "--network")  # (src, network): :func:`measure` of that network
 
 
 def main(argv: list[str] | None = None) -> int:

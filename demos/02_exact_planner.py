@@ -3,10 +3,11 @@
 Two agents travel v01 -> v10 and v02 -> v09 while jointly visiting one PoI
 from each of three categories. The DP table below shows, per category, the
 cheapest cost of reaching each candidate PoI from both sources; the plan is
-reconstructed by walking parent links back from the best final entry.
+reconstructed by walking parent links back from the destination stage's
+winner, ``table.best``.
 """
 
-from gtpmm import SharingMode, compute_dp, destination_totals, plan
+from gtpmm import SharingMode, compute_dp, plan
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_instance, walkthrough_network
 
 net = walkthrough_network()
@@ -18,8 +19,10 @@ for stage, layer in enumerate(table.cost):
     pretty = {net.pois[p].external_id: cents // WALKTHROUGH_UNIT for p, cents in sorted(layer.items())}
     print(f"category {stage + 1}: {pretty}")
 
-totals = destination_totals(net, inst, table)
-print("per-destination totals:", {net.pois[p].external_id: c // WALKTHROUGH_UNIT for p, c in sorted(totals.items())})
+# The destination stage adds every agent's leg home to each reached last PoI
+# and keeps the least (total, PoI); plan() reconstructs the chain from it.
+best_total, best_last = table.best
+print(f"destination stage: best last PoI {net.pois[best_last].external_id}, total {best_total // WALKTHROUGH_UNIT} units")
 
 for sharing in SharingMode:
     journey = plan(net, inst, sharing)

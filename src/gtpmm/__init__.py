@@ -55,7 +55,6 @@ from .planner import (
     QueryInstance,
     SharingMode,
     compute_dp,
-    destination_totals,
     group_cost,
     plan,
     recompute_total,
@@ -93,7 +92,6 @@ __all__ = [
     "compute_dp",
     "connect_components",
     "connected_components",
-    "destination_totals",
     "draw_instance",
     "emit_csv",
     "emit_summary",

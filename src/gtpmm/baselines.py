@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import InfeasibleRouteError
 from .network import MultiModalNetwork, PathResult, _hop_edges, landmark_bound
-from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, _least_total, assemble
+from .planner import JourneyPlan, Legs, QueryInstance, SharingMode, _least_total, _summed_bounds, assemble
 from .rng import SplitMix64
 
 
@@ -196,18 +196,18 @@ def nncm(
     later pick is nearest (by cheapest cost) to the previous pick. Ties go
     to the lower PoI id.
 
-    Each pick is :func:`~gtpmm.planner._least_total`'s, the pick that ends
-    the planner's DP too, over the category's candidates priced by
+    Each pick is :func:`~gtpmm.planner._least_total`'s, the pick that ends the
+    planner's DP too, over the category's candidates priced by
     :meth:`~gtpmm.planner.Legs.summed` from the origins. Where
-    :func:`~gtpmm.network.landmark_bound` bounds every origin and candidate
-    of a category (past the gate of :func:`~gtpmm.planner.plan`'s pruning),
-    the candidates are priced one at a time in order of their summed lower
-    bound from the origins until none left can win; elsewhere all at once,
-    by one :meth:`~gtpmm.planner.Legs.summed` call. Both pick the same
-    PoIs, and keep their searches in one
-    :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs
-    they answer: every hop, and the first pick's source legs, where a leg
-    read back from the pick's tree must be the only cheapest path.
+    :func:`~gtpmm.network.landmark_bound` bounds every origin and candidate of
+    a category (past the gate of :func:`~gtpmm.planner.plan`'s pruning), the
+    candidates are priced one at a time in order of their summed lower bound
+    from the origins (:func:`~gtpmm.planner._summed_bounds`) until none left
+    can win; elsewhere all at once, by one :meth:`~gtpmm.planner.Legs.summed`
+    call. Both pick the same PoIs, and keep their searches in one
+    :class:`~gtpmm.planner.Legs`, from whose trees the plan reads the legs they
+    answer: every hop, and the first pick's source legs, where a leg read back
+    from the pick's tree must be the only cheapest path.
     """
     inst.check(net)
     legs = Legs()
@@ -215,7 +215,7 @@ def nncm(
     for cat in inst.categories:
         origins = Counter([common[-1]] if common else [source for source, _ in inst.agents])
         bound = landmark_bound(net, [*origins, *cat])
-        lower = None if bound is None else {j: sum(n * bound(o, j) for o, n in origins.items()) for j in cat}
+        lower = None if bound is None else _summed_bounds(bound, origins, cat)
         best = _least_total(dict.fromkeys(cat, 0), lower, partial(legs.summed, net, origins))
         if best is None:  # as plan() names it: cat[0] and the first origin, in agent order, that does not reach it
             reached = legs.costs(net, origins, cat[:1])  # from the trees just kept: no search

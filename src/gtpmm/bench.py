@@ -88,6 +88,8 @@ def draw_instance(
     last, with replacement. Agent draws are a prefix-stable stream: the same
     seed with more agents extends, rather than reshuffles, the roster.
     """
+    if k < 1:
+        raise ConfigurationError(f"k must be at least 1, got {k}")
     if pois_per_category < 1:
         raise ConfigurationError(f"pois_per_category must be at least 1, got {pois_per_category}")
     groups = k + 2

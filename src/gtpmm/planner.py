@@ -365,6 +365,27 @@ def _least_total(
     return _least_by_bound(((base[j] + lower[j], j) for j in base), lambda j: base[j] + price((j,))[j])
 
 
+def _summed_bounds(bound: Callable[[int, int], Money], endpoints: Counter[int], pois: Iterable[int]) -> dict[int, Money]:
+    """Each PoI of ``pois``, in order, with the sum over ``endpoints`` of
+    count times the endpoint's pair ``bound`` to it. The pair bound is
+    symmetric, so this bounds the group's legs at either end of the trip."""
+    return {j: sum(n * bound(e, j) for e, n in endpoints.items()) for j in pois}
+
+
+def _chain_bounds(
+    first: dict[int, Money], categories: Sequence[Sequence[int]], m: int, bound: Callable[[int, int], Money]
+) -> list[dict[int, Money]]:
+    """The bounds DP over ``categories`` from ``first``, the row of
+    ``categories[0]``: row ``c`` gives each PoI ``j`` of category ``c`` the
+    least ``rows[c-1][i] + m * bound(i, j)`` over category ``c-1``'s ``i``.
+    Run on reversed categories it bounds chains from a PoI on."""
+    rows = [first]
+    for before, category in zip(categories, categories[1:]):
+        reach = rows[-1]
+        rows.append({j: min(reach[i] + m * bound(i, j) for i in before) for j in category})
+    return rows
+
+
 @dataclass
 class DpTable:
     """Per-category minimum costs with predecessor links, and the legs
@@ -478,9 +499,9 @@ def compute_dp(
     PoIs and the distinct destinations (the gate is shut, or they span
     components), the stage prices every reached last PoI to every
     destination with one :meth:`Legs.summed_to` call. Otherwise it prices
-    them one at a time, in ascending ``(last-layer cost + summed bound to
-    the destinations, PoI)``, and stops once the next pair exceeds the best
-    ``(total, PoI)`` found. The result is the same, ties included: each
+    them one at a time, in ascending ``(last-layer cost + summed bound,
+    PoI)`` (:func:`_summed_bounds` to the destinations), and stops once
+    the next pair exceeds the best ``(total, PoI)`` found. The result is the same, ties included: each
     bound is at most its PoI's destination sum, so a PoI left unpriced
     costs more or ties at a higher id. ``last_bounds``, when given, holds
     those summed bounds for every PoI of the last category, as
@@ -522,27 +543,9 @@ def compute_dp(
     if last_bounds is None:
         bound = landmark_bound(net, (*last, *destinations))
         if bound is not None:
-            last_bounds = {j: sum(n * bound(j, d) for d, n in destinations.items()) for j in last}
+            last_bounds = _summed_bounds(bound, destinations, last)
     table.best = _least_total(last, last_bounds, lambda pois: legs.summed_to(net, pois, destinations))
     return table
-
-
-def destination_totals(net: MultiModalNetwork, inst: QueryInstance, table: DpTable) -> dict[int, Money]:
-    """Cheapest full total per destination PoI: best last-category entry
-    extended by the single leg to that destination. ``table.legs`` reads
-    the legs that its kept trees answer and searches the pairs it lacks.
-    For a table that :func:`compute_dp` built for this ``inst`` where the
-    gate of :func:`~gtpmm.network.landmark_bound` is shut, the destination
-    stage priced every pair and nothing is searched; past it, the pairs of
-    the last PoIs the stage left unpriced are searched."""
-    totals: dict[int, Money] = {}
-    destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
-    distances = table.legs.costs(net, tuple(table.cost[-1]), destinations)
-    for dest in destinations:
-        reached = [cost + distances[(j, dest)] for j, cost in table.cost[-1].items() if (j, dest) in distances]
-        if reached:
-            totals[dest] = min(reached)
-    return totals
 
 
 def reconstruct(table: DpTable, best_last: int) -> tuple[int, ...]:
@@ -596,11 +599,13 @@ def _prune(
     A pair's bound is :func:`~gtpmm.network.landmark_bound`'s, ``max
     |d_L(a) - d_L(b)|`` over the landmark rows ``d_L``, at most its cost by
     the triangle inequality; :func:`~gtpmm.baselines.nncm` orders its
-    candidates by the same bound. ``prefix[c][j]``
-    bounds the cost of any chain's part up to ``j``, category ``c``'s PoI:
-    source legs weighted by agent counts, hops by the intermediate
-    multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. The
-    chain of least total bound is priced exactly: its source legs by
+    candidates by the same bound. ``prefix[c][j]`` bounds the cost of any
+    chain's part up to ``j``, category ``c``'s PoI: source legs weighted
+    by agent counts (:func:`_summed_bounds`), hops by the intermediate
+    multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. Both
+    are :func:`_chain_bounds`, the suffix run on the reversed categories
+    from the destinations, and ``through[c][j]`` is their sum. The chain
+    of least ``through`` is priced exactly: its source legs by
     :meth:`Legs.summed`, one search per hop to its one target and one
     from its last PoI to the distinct destinations, but none that a tree
     grown before answers; that price ``ub`` is at least the optimum.
@@ -614,14 +619,14 @@ def _prune(
     pricing cost up to 5% more search work; on its city-wide bench-sweep
     instances it leaves none.
 
-    Exactness: every chain through ``j`` costs at least ``prefix[c][j] +
-    suffix[c][j]``, so each PoI of each optimal chain has that sum at most
-    the optimum and is kept; only a sum strictly over ``ub`` is dropped.
-    The full DP's plan is an optimal chain, so all its PoIs stay, each with
-    its full-DP cost. A PoI that ties one of them as a parent, or ties the
-    last as the argmin, lies on an optimal chain too and stays, so the
-    lower-id winner of every tie is unchanged. The priced chain's PoIs
-    always stay, as its bound is at most its price.
+    Exactness: every chain through ``j`` costs at least ``through[c][j]``,
+    so each PoI of each optimal chain has that sum at most the optimum and
+    is kept; only a sum strictly over ``ub`` is dropped. The full DP's plan
+    is an optimal chain, so all its PoIs stay, each with its full-DP cost. A
+    PoI that ties one of them as a parent, or ties the last as the argmin,
+    lies on an optimal chain too and stays, so the lower-id winner of every
+    tie is unchanged. The priced chain's PoIs always stay, as its bound is
+    at most its price.
     """
     bound = landmark_bound(net, inst.referenced_pois())
     if bound is None:
@@ -630,20 +635,14 @@ def _prune(
     sources = Counter(source for source, _ in inst.agents)
     destinations = Counter(dest for _, dest in inst.agents)
     categories = inst.categories
-    prefix = [{j: sum(n * bound(s, j) for s, n in sources.items()) for j in categories[0]}]
-    for before, category in zip(categories, categories[1:]):
-        reach = prefix[-1]
-        prefix.append({j: min(reach[i] + m * bound(i, j) for i in before) for j in category})
-    suffix = [{j: sum(n * bound(j, d) for d, n in destinations.items()) for j in categories[-1]}]
-    for category, after in zip(categories[-2::-1], categories[:0:-1]):
-        rest = suffix[-1]
-        suffix.append({j: min(m * bound(j, i) + rest[i] for i in after) for j in category})
-    suffix.reverse()
+    prefix = _chain_bounds(_summed_bounds(bound, sources, categories[0]), categories, m, bound)
+    suffix = _chain_bounds(_summed_bounds(bound, destinations, categories[-1]), categories[::-1], m, bound)[::-1]
+    through = [{j: reach[j] + rest[j] for j in reach} for reach, rest in zip(prefix, suffix)]
 
-    chain = [min(categories[0], key=lambda j: prefix[0][j] + suffix[0][j])]
-    least = prefix[0][chain[0]] + suffix[0][chain[0]]
+    chain = [min(categories[0], key=lambda j: through[0][j])]
+    least = through[0][chain[0]]
     tightness = net.landmark_tightness
-    if all(tightness * (prefix[c][j] + suffix[c][j]) <= least for c, cat in enumerate(categories) for j in cat):
+    if all(tightness * lower <= least for row in through for lower in row.values()):
         return None, suffix[-1]  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
     for category, rest in zip(categories[1:], suffix[1:]):
         chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
@@ -651,7 +650,7 @@ def _prune(
     ub += legs.summed_to(net, chain[-1:], destinations)[chain[-1]]
     ub += m * sum(legs.costs(net, (a,), (b,))[(a, b)] for a, b in zip(chain, chain[1:]))
 
-    kept = [[j for j in cat if reach[j] + rest[j] <= ub] for cat, reach, rest in zip(categories, prefix, suffix)]
+    kept = [[j for j, lower in row.items() if lower <= ub] for row in through]
     return QueryInstance(inst.agents, kept), suffix[-1]
 
 

@@ -20,7 +20,6 @@ from gtpmm import (
     compute_dp,
     connect_components,
     connected_components,
-    destination_totals,
     emit_csv,
     load_gtfs,
     nncm,
@@ -34,6 +33,7 @@ from gtpmm import (
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, default_fare_ranges, walkthrough_poi, gtfs_minimal_dir
 from gtpmm.oracle import enumerate_valid_paths
+from gtpmm.planner import Legs
 from gtpmm.rng import SplitMix64, fold
 from gtpmm.synth import random_disconnected_network
 
@@ -53,7 +53,9 @@ def test_golden_example_dp_layers_and_timing(walkthrough_net, walkthrough_inst):
 
     def solve():
         table = compute_dp(walkthrough_net, walkthrough_inst, SHARED)
-        return table, destination_totals(walkthrough_net, walkthrough_inst, table)
+        destinations = (v("v9"), v("v10"))
+        legs = Legs().costs(walkthrough_net, tuple(table.cost[-1]), destinations)
+        return table, {d: min(cost + legs[(j, d)] for j, cost in table.cost[-1].items()) for d in destinations}
 
     table, totals = solve()
     assert table.cost[0] == {v("v3"): 13 * WALKTHROUGH_UNIT, v("v4"): 13 * WALKTHROUGH_UNIT}

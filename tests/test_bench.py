@@ -75,6 +75,12 @@ def test_instance_draws_reject_fewer_than_one_poi_per_category(walkthrough_net, 
         draw(walkthrough_net, pois_per_category)  # with one category, -1 would slice all PoIs but the last
 
 
+@pytest.mark.parametrize("k", [0, -1, -2, -5])
+def test_draw_instance_rejects_fewer_than_one_category(walkthrough_net, k):
+    with pytest.raises(ConfigurationError, match=f"^k must be at least 1, got {k}$"):
+        draw_instance(walkthrough_net, 0, k, 3, 1)  # k <= -2 once drew no groups at all
+
+
 def test_instance_draws_are_prefix_stable(walkthrough_net):
     small = draw_instance(walkthrough_net, seed=9, k=3, pois_per_category=2, n_agents=2)
     large = draw_instance(walkthrough_net, seed=9, k=3, pois_per_category=2, n_agents=5)

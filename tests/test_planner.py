@@ -19,7 +19,6 @@ from gtpmm import (
     SharingMode,
     brute_force_optimal,
     compute_dp,
-    destination_totals,
     group_cost,
     nncm,
     plan,
@@ -36,7 +35,6 @@ from gtpmm.network import (
     FareTable,
     NetworkBuilder,
     _edge_costs,
-    landmark_bound,
     reference_path,
     shortest_paths,
 )
@@ -66,8 +64,12 @@ def test_dp_layers_match_hand_computation(walkthrough_net, walkthrough_inst):
 
 def test_destination_totals_match_hand_computation(walkthrough_net, walkthrough_inst):
     table = compute_dp(walkthrough_net, walkthrough_inst, SHARED)
-    totals = destination_totals(walkthrough_net, walkthrough_inst, table)
-    assert units(totals) == {walkthrough_poi("v9"): 25, walkthrough_poi("v10"): 24}
+    v = walkthrough_poi
+    to_destination = Legs().costs(walkthrough_net, tuple(table.cost[-1]), (v("v9"), v("v10")))
+    totals = {d: min(cost + to_destination[(j, d)] for j, cost in table.cost[-1].items()) for d in (v("v9"), v("v10"))}
+    assert units(totals) == {v("v9"): 25, v("v10"): 24}
+    # the destination stage: v8's 21 + (4 + 3) to both destinations beats v7's 20 + (4 + 5)
+    assert table.best == (28 * WALKTHROUGH_UNIT, v("v8"))
 
 
 def test_per_person_plan_is_36_units(walkthrough_net, walkthrough_inst):
@@ -290,15 +292,6 @@ def test_tied_totals_end_at_the_lower_id_whatever_the_settle_order():
     assert journey.total_cost == totals[1]
 
 
-def test_destination_totals_read_repeated_destinations_once_in_agent_order():
-    net = random_network(3, n_pois=30, n_modes=3)
-    inst = QueryInstance([(0, 9), (1, 4), (2, 9), (5, 4), (6, 9)], [[10, 11, 12], [13, 14, 15]])
-    totals = destination_totals(net, inst, compute_dp(net, inst, PER_PERSON))
-    assert list(totals) == [9, 4]
-    expected = _reference_destination_totals(net, inst, _reference_compute_dp(net, inst, PER_PERSON))
-    assert list(totals.items()) == list(expected.items())
-
-
 # --- optimality and structural properties ------------------------------------------
 
 
@@ -374,8 +367,7 @@ def test_shortest_path_invocation_bound():
     for seed in range(6):
         net = random_network(seed, n_pois=30, n_modes=2)
         inst = random_instance(seed, net, k=3, pois_per_category=4, n_agents=4)
-        table = compute_dp(net, inst, PER_PERSON)
-        destination_totals(net, inst, table)  # includes the final transition
+        table = compute_dp(net, inst, PER_PERSON)  # the destination stage included
         sizes = [len(cat) for cat in inst.categories]
         sizes.append(len({s for s, _ in inst.agents}))
         sizes.append(len({d for _, d in inst.agents}))
@@ -391,7 +383,6 @@ def test_dp_runs_one_search_per_layer_and_per_smaller_endpoint_set(searches):
         inst = random_instance(seed, net, k=3, pois_per_category=4, n_agents=(2, 4, 7)[seed % 3])
         searches.clear()
         table = compute_dp(net, inst, PER_PERSON)
-        destination_totals(net, inst, table)
         dp = list(searches)
         sources = {s for s, _ in inst.agents}
         destinations = {d for _, d in inst.agents}
@@ -435,9 +426,9 @@ def test_plan_is_deterministic(walkthrough_net, walkthrough_inst):
 
 # --- differential test against the per-PoI distance stage it replaced -------------
 #
-# Verbatim copies of ``compute_dp``, ``destination_totals`` and the final stage
-# of ``plan()`` from before each DP layer became one multi-source search, with
-# the ``DpTable`` methods they read; the legs are point-to-point searches.
+# Verbatim copies of ``compute_dp`` and the final stage of ``plan()`` from
+# before each DP layer became one multi-source search, with the ``DpTable``
+# methods they read; the legs are point-to-point searches.
 
 
 @dataclass
@@ -519,27 +510,6 @@ def _reference_compute_dp(net, inst, sharing):
     return table
 
 
-def _reference_destination_totals(net, inst, table):
-    totals = {}
-    last = table.cost[inst.k - 1]
-    for _, dest in inst.agents:
-        if dest in totals:
-            continue
-        best = None
-        for j in inst.categories[-1]:
-            if j not in last:
-                continue
-            cost = table.distance(j, dest)
-            if cost is None:
-                continue
-            candidate = last[j] + cost
-            if best is None or candidate < best:
-                best = candidate
-        if best is not None:
-            totals[dest] = best
-    return totals
-
-
 def _reference_plan(net, inst, sharing):
     table = _reference_compute_dp(net, inst, sharing)
 
@@ -589,10 +559,9 @@ def assert_dp_matches_reference(net, inst, sharing):
     expected = _reference_compute_dp(net, inst, sharing)
     assert table.cost == expected.cost
     assert table.parent == expected.parent
-    totals = destination_totals(net, inst, table)
-    assert list(totals.items()) == list(_reference_destination_totals(net, inst, expected).items())  # order too
     journey = _outcome(plan, net, inst, sharing)
     assert journey == _outcome(_reference_plan, net, inst, sharing)  # common PoIs, legs, modes, total
+    assert table.best == ((journey.total_cost, journey.common_pois[-1]) if isinstance(journey, JourneyPlan) else None)
     return journey
 
 
@@ -649,34 +618,3 @@ def test_dp_matches_the_per_poi_distance_stage_on_both_sides_of_each_endpoint_ch
         outcomes.add(isinstance(journey, JourneyPlan))
     assert {(end, side) for end in ("sources", "destinations") for side in (-1, 1)} <= sides
     assert outcomes == {True, False}  # both feasible and infeasible cases were compared
-
-
-def test_destination_totals_search_only_the_pairs_the_dp_left_unpriced(searches):
-    """Where the gate is shut the destination stage priced every pair, and
-    ``destination_totals`` reads them with no search. Past it, the stage
-    priced the last PoIs that could win, and ``destination_totals`` runs one
-    search per last PoI with no tree of its own to every destination, or per
-    destination with no tree to every last PoI, whichever set is smaller."""
-    gates = set()
-    for net, inst in _endpoint_side_cases():
-        searches.clear()
-        table = compute_dp(net, inst, PER_PERSON)
-        trees = [search for search in searches if search.kind == "tree"]
-        last = tuple(table.cost[-1])
-        destinations = tuple(dict.fromkeys(dest for _, dest in inst.agents))
-        unpriced = [j for j in last if not any(t.origin == j and set(destinations) <= set(t.targets) for t in trees)]
-        unsearched = [d for d in destinations if not any(t.origin == d and set(last) <= set(t.targets) for t in trees)]
-        gate_open = bool(last) and landmark_bound(net, (*last, *destinations)) is not None
-        gates.add(gate_open)
-        counted = Counter(table.legs.searches)
-        searches.clear()
-        totals = destination_totals(net, inst, table)
-        if not gate_open:
-            assert searches == [] and table.legs.searches == counted
-        assert len(searches) == min(len(unpriced), len(unsearched))
-        origins = unpriced if len(unpriced) <= len(unsearched) else unsearched
-        assert all(search.kind == "tree" and search.origin in origins for search in searches)
-        assert table.legs.searches == counted + Counter(search.kind for search in searches)
-        expected = _reference_destination_totals(net, inst, _reference_compute_dp(net, inst, PER_PERSON))
-        assert list(totals.items()) == list(expected.items())
-    assert gates == {False, True}

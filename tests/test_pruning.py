@@ -13,6 +13,8 @@ from collections import Counter
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtpmm import (
     InfeasibleRouteError,
@@ -26,8 +28,8 @@ from gtpmm import (
 )
 from gtpmm import planner
 from gtpmm.bench import draw_instance
-from gtpmm.network import PRUNE_TIGHTNESS, TIGHTNESS_LANDMARKS, FarePolicy, FareTable, reference_path
-from gtpmm.planner import Legs, _first_unreachable, _prune, assemble, reconstruct
+from gtpmm.network import PRUNE_TIGHTNESS, TIGHTNESS_LANDMARKS, FarePolicy, FareTable, landmark_bound, reference_path
+from gtpmm.planner import Legs, _chain_bounds, _first_unreachable, _prune, _summed_bounds, assemble, reconstruct
 from gtpmm.synth import random_disconnected_network, random_instance, random_network, road_network
 
 PER_PERSON = SharingMode.PER_PERSON_INTERMEDIATE
@@ -237,6 +239,67 @@ def test_every_poi_of_every_optimal_chain_is_kept():
         for chain in optimal:
             assert all(poi in kept for poi, kept in zip(chain, pruned.categories))
     assert ties > 0  # some pruned queries had several optimal chains
+
+
+# --- the bound helpers ----------------------------------------------------------
+
+
+@st.composite
+def bound_cases(draw):
+    """Up to 8 PoIs with 1-3 landmark-like rows, a pair bound read from them
+    as :func:`~gtpmm.network.landmark_bound` reads its rows, 1-4 possibly
+    overlapping categories, endpoint counts at both ends, and ``m`` of 1 or 3."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.lists(st.lists(st.integers(0, 50), min_size=n, max_size=n), min_size=1, max_size=3))
+
+    def bound(a, b):
+        return max(abs(row[a] - row[b]) for row in rows)
+
+    poi = st.integers(0, n - 1)
+    categories = draw(st.lists(st.lists(poi, min_size=1, max_size=4, unique=True), min_size=1, max_size=4))
+    ends = [Counter(draw(st.lists(poi, min_size=1, max_size=5))) for _ in range(2)]
+    return bound, categories, ends, draw(st.sampled_from([1, 3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bound_cases())
+def test_chain_bounds_are_the_least_bound_of_every_chain_part(case):
+    """Forwards, row ``c`` holds each PoI's least bound over every chain part
+    from category 0 up to it; on reversed categories, over every part from
+    it to the last category, with each hop bounded in travel order."""
+    bound, categories, (sources, destinations), m = case
+    first = _summed_bounds(bound, sources, categories[0])
+    last = _summed_bounds(bound, destinations, categories[-1])
+    prefix = _chain_bounds(first, categories, m, bound)
+    suffix = _chain_bounds(last, categories[::-1], m, bound)[::-1]
+    assert [list(row) for row in prefix] == [list(row) for row in suffix] == categories
+    for c, category in enumerate(categories):
+        for j in category:
+            assert prefix[c][j] == min(
+                first[part[0]] + m * sum(bound(a, b) for a, b in zip(part, part[1:]))
+                for part in itertools.product(*categories[:c], [j])
+            )
+            assert suffix[c][j] == min(
+                m * sum(bound(a, b) for a, b in zip(part, part[1:])) + last[part[-1]]
+                for part in itertools.product([j], *categories[c + 1 :])
+            )
+
+
+def test_summed_bounds_are_the_hand_sum_at_either_end():
+    net = road_network(2, 6)
+    inst = draw_instance(net, 2, 2, 3, 7)  # endpoints drawn from pools of 3: some repeat
+    bound = landmark_bound(net, inst.referenced_pois())
+    assert bound is not None  # a road network passes the gate
+    sources = Counter(source for source, _ in inst.agents)
+    destinations = Counter(dest for _, dest in inst.agents)
+    assert max(sources.values()) > 1 and max(destinations.values()) > 1  # counts weigh the sums
+    for pois in inst.categories:
+        to_sources = _summed_bounds(bound, sources, pois)
+        to_destinations = _summed_bounds(bound, destinations, pois)
+        assert list(to_sources) == list(to_destinations) == list(pois)
+        for j in pois:
+            assert to_sources[j] == sum(bound(s, j) for s, _ in inst.agents)
+            assert to_destinations[j] == sum(bound(j, d) for _, d in inst.agents)
 
 
 def test_threshold_chain_endpoint_searches_serve_the_dp(searches):

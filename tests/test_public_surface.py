@@ -34,7 +34,6 @@ PUBLIC = [
     "compute_dp",
     "connect_components",
     "connected_components",
-    "destination_totals",
     "draw_instance",
     "emit_csv",
     "emit_summary",
@@ -76,7 +75,7 @@ INTERNAL = {
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     assert gtpmm.__all__ == PUBLIC
 
 
