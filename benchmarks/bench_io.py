@@ -12,7 +12,7 @@ directory, and the loaded network must equal the saved one. The network
 is also written once with ``save_edge_list`` and that CSV file read back
 ``REPEATS`` times with ``load_edge_list``, the first stage of every
 ``gtpmm ingest`` of an edge list; the loaded network must have the same
-edges. Last, ``categorize`` (round-robin, k 8), the step of every ``gtpmm
+edges and edge costs. Last, ``categorize`` (round-robin, k 8), the step of every ``gtpmm
 ingest`` that labels the PoIs, runs ``REPEATS`` times on the network.
 
 A row holds, per network, the median and quartiles of the save, of the
@@ -22,7 +22,9 @@ that prices edges) and of ``categorize`` (``categorize_s``), each file's
 size in bytes and its sha256, so that two rows with equal digests read and
 wrote the same bytes, a sha256 of the loaded network's edge costs
 (``edge_costs_sha256``) and one of the category sets ``categorize``
-returned (``categorize_sha256``), the size of one loaded network in
+returned (``categorize_sha256``), a sha256 of the PoIs, edges and edge
+costs of the network the edge list loads to (``edge_list_network_sha256``),
+the size of one loaded network in
 memory (``network_mb``: what ``tracemalloc`` still counts allocated once
 ``load_network_json`` returns), the
 ``tracemalloc`` peaks of one save and of one load (``save_peak_mb`` and
@@ -39,7 +41,8 @@ stops and 50 routes of 40 stops, each run by 10 trips, so 20,000 stop
 times at a few hundred distinct times of day. The feed is loaded
 ``REPEATS`` times; the row holds the median and quartiles of the load,
 the feed's size in bytes and a sha256 over its four files, a sha256 of the
-loaded network's edge costs, and ``host_ref_ms`` as above.
+loaded network's edge costs, one of its PoIs, edges and edge costs
+(``network_sha256``), and ``host_ref_ms`` as above.
 
 As with ``BENCH_planner.json``, two rows are comparable only where their
 ``host_ref_ms`` agree. A row with the same label is replaced. The package
@@ -54,7 +57,8 @@ then right after with this checkout's ``src`` (the change):
 
 It writes two rows, labelled ``parent: LABEL`` and ``change: LABEL``, and
 exits 1 when a scenario's two rows differ in a sha256, that is when the
-change wrote or read other bytes or priced other costs. Each scenario's
+change wrote or read other bytes, priced other costs or loaded another
+network. Each scenario's
 two measurements carry ``host_drifted``, by ``bench_planner.py``'s rule
 applied to ``load_s`` and its quartiles: true when the two
 ``host_ref_ms`` differ, as a share of the lower, by more than either
@@ -144,8 +148,8 @@ def measure(network: str, net, directory: Path) -> dict:
         start = time.perf_counter()
         from_csv = load_edge_list(csv_path, net.fare_table)
         csv_loads.append(time.perf_counter() - start)
-    if from_csv.edge_count != net.edge_count:
-        raise RuntimeError(f"the {network} network lost edges in an edge-list round trip")
+    if (from_csv.edges, from_csv.edge_costs) != (net.edges, net.edge_costs):
+        raise RuntimeError(f"the {network} network changed its edges in an edge-list round trip")
     csv_data = csv_path.read_bytes()
 
     categorizings: list[float] = []
@@ -170,6 +174,7 @@ def measure(network: str, net, directory: Path) -> dict:
         **_summary("edge_list_load", csv_loads),
         "edge_list_bytes": len(csv_data),
         "edge_list_sha256": hashlib.sha256(csv_data).hexdigest(),
+        "edge_list_network_sha256": _network_sha256(from_csv),
         **_summary("categorize", categorizings),
         "categorize_sha256": hashlib.sha256(repr(sets).encode()).hexdigest(),
         "host_ref_ms": round(statistics.median(probes), 2),
@@ -254,12 +259,19 @@ def measure_gtfs(feed: Path) -> dict:
         "bytes": len(data),
         "sha256": hashlib.sha256(data).hexdigest(),
         "edge_costs_sha256": _costs_sha256(net),
+        "network_sha256": _network_sha256(net),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 
 
 def _costs_sha256(net) -> str:
     return hashlib.sha256(repr(net.edge_costs).encode()).hexdigest()
+
+
+def _network_sha256(net) -> str:
+    """A sha256 of ``net``'s PoIs, edges and edge costs, so that two loaders
+    with equal digests read the same network."""
+    return hashlib.sha256(repr((net.pois, net.edges, net.edge_costs)).encode()).hexdigest()
 
 
 def measure_scenario(scenario: str, directory: Path) -> dict:

@@ -27,7 +27,7 @@ from functools import cache
 from itertools import chain, cycle, islice, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, sub
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
@@ -243,31 +243,41 @@ def resolve_fares(
 
 
 def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork:
-    """Build a network from an edge-list CSV (see module docstring)."""
+    """Build a network from an edge-list CSV (see module docstring).
+
+    Each record's cells go straight to one list per column, its distance
+    and time parsed there, so that no cell text outlives its row; ids and
+    modes are then stripped and checked a column at a time. A number that
+    does not parse fails at its row, then an empty ``u`` or ``v``, then an
+    unknown mode or an edge the builder rejects, each at its first line.
+    """
     path = Path(path)
-    rows: list[tuple[int, str, str, str, float, float]] = []
-    externals: set[str] = set()
+    lines, us, vs, names, distances, times = [], [], [], [], [], []  # one list per column
     for line, (u, v, mode, distance_text, time_text) in _csv_records(path, EDGE_LIST_HEADER, exact=True):
-        u, v, mode = u.strip(), v.strip(), mode.strip()
         try:
-            distance = float(distance_text)
-            time = float(time_text)
+            distances.append(float(distance_text))
+            times.append(float(time_text))
         except ValueError:
             raise ParseError("distance and time must be numeric", file=str(path), line=line) from None
-        externals.update((u, v))
-        rows.append((line, u, v, mode, distance, time))
+        lines.append(line)
+        us.append(u)
+        vs.append(v)
+        names.append(mode)
 
+    us, vs, names = list(map(str.strip, us)), list(map(str.strip, vs)), list(map(str.strip, names))
+    if "" in us or "" in vs:
+        first = min(column.index("") for column in (us, vs) if "" in column)
+        raise ParseError("empty PoI id", file=str(path), line=lines[first])
     builder = NetworkBuilder()
-    ids = {external: builder.add_poi(external) for external in sorted(externals)}
-    lines, us, vs, names, distances, times = _columns(rows, 6)
+    ids = {external: builder.add_poi(external) for external in sorted({*us, *vs})}
     mode_ids = {name: mode for mode, name in enumerate(fare_table.names)}
-    modes = [mode_ids.get(name) for name in names]
+    modes = list(map(mode_ids.get, names))
     known = modes.index(None) if None in modes else len(modes)  # the rows before the first unknown mode
+    for column in (us, vs, modes, distances, times):
+        del column[known:]
     try:
-        builder.add_edges(
-            [ids[u] for u in us[:known]], [ids[v] for v in vs[:known]], modes[:known], distances[:known], times[:known]
-        )
-        if known < len(modes):  # every row before it passed
+        builder.add_edges(list(map(ids.__getitem__, us)), list(map(ids.__getitem__, vs)), modes, distances, times)
+        if known < len(names):  # every row before it passed
             fare_table.id_of(names[known])  # raises, naming the mode
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # edge ids follow the rows
@@ -275,7 +285,8 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
 
 
 def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
-    """Write a network back out in the edge-list format (round-trippable)."""
+    """Write a network back out in the edge-list format, round-trippable:
+    each distance and time is written by :func:`_number_text`."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(EDGE_LIST_HEADER)
@@ -285,10 +296,17 @@ def save_edge_list(net: MultiModalNetwork, path: str | Path) -> None:
                     net.pois[edge.u].external_id,
                     net.pois[edge.v].external_id,
                     net.fare_table.name(edge.mode),
-                    f"{edge.distance_m:g}",
-                    f"{edge.time_min:g}",
+                    _number_text(edge.distance_m),
+                    _number_text(edge.time_min),
                 )
             )
+
+
+def _number_text(number: float) -> str:
+    """``number`` as ``:g`` writes it, six significant digits, when
+    ``float()`` reads that back equal, and otherwise as its ``repr``."""
+    text = f"{number:g}"
+    return text if float(text) == number else repr(number)
 
 
 # --- GTFS ---------------------------------------------------------------------
@@ -309,7 +327,7 @@ class GtfsStopTime(NamedTuple):
     line: int  # source line, for error reporting
 
 
-_stop_time_sequence = itemgetter(3)  # GtfsStopTime.sequence
+_stop_id, _arrival, _departure, _stop_time_sequence = map(itemgetter, range(4))  # GtfsStopTime fields
 
 
 @dataclass
@@ -357,6 +375,8 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
         path, ("stop_id", "stop_name", "stop_lat", "stop_lon"), exact=False
     ):
         stop_id, name = stop_id.strip(), name.strip()
+        if not stop_id:
+            raise ParseError("empty stop_id", file=file, line=line)
         if stop_id in feed.stops:
             raise ParseError(f"duplicate stop_id {stop_id!r}", file=file, line=line)
         try:
@@ -392,13 +412,17 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     path = directory / "stop_times.txt"
     file = str(path)
     minutes: dict[str, float] = {}  # time cell -> its minutes, parsed at the first line holding it
+    stop_times, stops = feed.stop_times, feed.stops
     for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
         path, ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence"), exact=False
     ):
         trip_id, stop_id = trip_id.strip(), stop_id.strip()
-        if trip_id not in feed.trip_routes:
-            raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=file, line=line)
-        if stop_id not in feed.stops:
+        entries = stop_times.get(trip_id)
+        if entries is None:  # the trip's first row
+            if trip_id not in feed.trip_routes:
+                raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=file, line=line)
+            entries = stop_times[trip_id] = []
+        if stop_id not in stops:
             raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=file, line=line)
         arrival = minutes.get(arrival_text)
         if arrival is None:
@@ -413,10 +437,9 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
         except ValueError:
             raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
         # tuple.__new__ skips the named tuple's own __new__, a Python-level call per row
-        entry = tuple.__new__(GtfsStopTime, (stop_id, arrival, departure, sequence, line))
-        feed.stop_times.setdefault(trip_id, []).append(entry)
+        entries.append(tuple.__new__(GtfsStopTime, (stop_id, arrival, departure, sequence, line)))
 
-    for trip_id, entries in feed.stop_times.items():
+    for trip_id, entries in stop_times.items():
         entries.sort(key=_stop_time_sequence)
         for previous, current in zip(entries, entries[1:]):
             if current.sequence <= previous.sequence:
@@ -456,13 +479,14 @@ def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork
         for trip_id, entries in sorted(feed.stop_times.items()):
             line = entries[0].line
             mode = fare_table.id_of(ROUTE_TYPE_MODES[feed.route_types[feed.trip_routes[trip_id]]])
-            for previous, current in zip(entries, entries[1:]):
-                u, v = ids[previous.stop_id], ids[current.stop_id]
+            stops = list(map(ids.__getitem__, map(_stop_id, entries)))
+            spans = map(sub, map(_arrival, entries[1:]), map(_departure, entries))  # each hop's minutes
+            for u, v, minutes, current in zip(stops, stops[1:], spans, entries[1:]):
                 if u == v:
                     continue
-                key = (min(u, v), max(u, v), mode)
-                minutes = current.arrival_min - previous.departure_min
-                if key not in best or minutes < best[key][0]:
+                key = (u, v, mode) if u < v else (v, u, mode)
+                known = best.get(key)
+                if known is None or minutes < known[0]:
                     best[key] = (minutes, current.line)
         edges = sorted(best.items())
         us, vs, modes = _columns([key for key, _ in edges], 3)

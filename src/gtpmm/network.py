@@ -1355,14 +1355,11 @@ def _component_roots(net: MultiModalNetwork) -> list[int]:
     higher root under the lower, so every parent id is at most its child's
     and one ascending pass flattens every PoI onto its root."""
     parent = list(range(net.poi_count))
-
-    def root(poi: int) -> int:
-        while parent[poi] != poi:
-            parent[poi] = poi = parent[parent[poi]]  # the right side is read before either target is set
-        return poi
-
-    for u, v, *_ in net.edges:
-        u, v = root(u), root(v)
+    for u, v in map(itemgetter(0, 1), net.edges):  # each edge's u and v
+        while parent[u] != u:  # the roots of u and v, by path halving
+            parent[u] = u = parent[parent[u]]  # the right side is read before either target is set
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
         if u < v:
             parent[v] = u
         elif v < u:

@@ -11,10 +11,13 @@ import hashlib
 import importlib.util
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from gtpmm.fixtures import default_fare_ranges
+from gtpmm.ingest import load_edge_list, load_gtfs, resolve_fares
 from gtpmm.synth import road_network
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -58,6 +61,7 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
         "edge_list_load_p75_s",
         "edge_list_bytes",
         "edge_list_sha256",
+        "edge_list_network_sha256",
         "categorize_s",
         "categorize_p25_s",
         "categorize_p75_s",
@@ -79,6 +83,8 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
     assert not tracemalloc.is_tracing()
     data = (tmp_path / "road.csv").read_bytes()
     assert (row["edge_list_bytes"], row["edge_list_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
+    from_csv = load_edge_list(tmp_path / "road.csv", road_network(1, 8).fare_table)
+    assert row["edge_list_network_sha256"] == network_sha256(from_csv)
     assert row["categorize_p25_s"] <= row["categorize_s"] <= row["categorize_p75_s"]
     sets = [tuple(range(category, 64, 8)) for category in range(8)]  # round-robin over 64 PoIs
     assert row["categorize_sha256"] == hashlib.sha256(repr(sets).encode()).hexdigest()
@@ -105,8 +111,11 @@ def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
         "bytes",
         "sha256",
         "edge_costs_sha256",
+        "network_sha256",
         "host_ref_ms",
     }
+    net = load_gtfs(feed, resolve_fares(default_fare_ranges(), "low"))
+    assert row["network_sha256"] == network_sha256(net)
     stop_times = 2 * bench_io.GTFS_TRIPS_PER_ROUTE * bench_io.GTFS_STOPS_PER_TRIP
     assert (row["stops"], row["stop_times"], row["repeats"]) == (bench_io.GTFS_STOPS, stop_times, bench_io.REPEATS)
     assert 0 < row["distinct_times"] < stop_times and 0 < row["edges"] <= 2 * (bench_io.GTFS_STOPS_PER_TRIP - 1)
@@ -115,9 +124,28 @@ def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
 
 
+def network_sha256(net) -> str:
+    return hashlib.sha256(repr((net.pois, net.edges, net.edge_costs)).encode()).hexdigest()
+
+
+def test_the_edge_list_round_trip_must_give_back_the_edges(bench_io, monkeypatch, tmp_path):
+    """A loader that reads the distances back rounded fails the measurement."""
+    original = bench_io.load_edge_list
+
+    def rounding(path, fares):
+        net = original(path, fares)
+        return replace(net, edges=tuple(edge._replace(distance_m=round(edge.distance_m, -1)) for edge in net.edges))
+
+    monkeypatch.setattr(bench_io, "load_edge_list", rounding)
+    with pytest.raises(RuntimeError, match="changed its edges in an edge-list round trip"):
+        bench_io.measure("road", road_network(1, 3), tmp_path)
+
+
 def _fake_measurement(src, scenario, digest="d", host_ref_ms=4.0):
     timing = {"load_s": 1.0, "load_p25_s": 0.95, "load_p75_s": 1.05, "host_ref_ms": host_ref_ms}
-    return {"scenario": scenario, "src": str(src), "sha256": digest, "edge_costs_sha256": "c", **timing}
+    digests = {"sha256": digest, "edge_costs_sha256": "c"}
+    digests["network_sha256" if scenario == "gtfs" else "edge_list_network_sha256"] = "n"
+    return {"scenario": scenario, "src": str(src), **digests, **timing}
 
 
 def test_against_runs_the_parent_right_before_the_change_and_writes_both_rows(bench_io, monkeypatch, tmp_path):
@@ -163,14 +191,22 @@ def test_against_marks_the_pairs_whose_host_references_drift_past_the_load_sprea
         assert row["gtfs"]["host_drifted"] is False
 
 
-@pytest.mark.parametrize("scenario", ["road", "gtfs"])
-def test_against_exits_1_when_a_sha256_differs(bench_io, monkeypatch, tmp_path, capsys, scenario):
+@pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ("road", "edge_costs_sha256"),
+        ("gtfs", "edge_costs_sha256"),
+        ("random", "edge_list_network_sha256"),  # the edge list loads to another network
+        ("gtfs", "network_sha256"),
+    ],
+)
+def test_against_exits_1_when_a_sha256_differs(bench_io, monkeypatch, tmp_path, capsys, scenario, key):
     parent = tmp_path / "parent"
 
     def measured_in(src, name):
         measurement = _fake_measurement(src, name)
         if src == parent / "src" and name == scenario:
-            measurement["edge_costs_sha256"] = "other"
+            measurement[key] = "other"
         return measurement
 
     monkeypatch.setattr(bench_io, "measured_in", measured_in)

@@ -197,6 +197,71 @@ def test_edge_list_round_trip(tmp_path, walkthrough_net):
     assert reloaded.edge_costs == walkthrough_net.edge_costs
 
 
+def test_edge_list_round_trips_numbers_past_six_digits(tmp_path):
+    """``:g`` keeps six significant digits, so it wrote 1234.5678 as
+    1234.57 and 12345678 as 1.23457e+07; numbers it writes exactly keep
+    its text."""
+    fares = walkthrough_fare_table()
+    builder = NetworkBuilder()
+    a, b, c = (builder.add_poi(name) for name in "abc")
+    builder.add_edge(a, b, 0, 1234.5678, 12.3456789)
+    builder.add_edge(b, c, 0, 12345678.0, 0.1)
+    builder.add_edge(a, c, 1, 12345678, 2.5)  # an int distance
+    builder.add_edge(a, c, 0, 100.0, 1e-7)
+    net = builder.finalize(fares)
+    out = tmp_path / "precise.csv"
+    save_edge_list(net, out)
+    assert out.read_text().splitlines()[1:] == [
+        "a,b,Bus,1234.5678,12.3456789",
+        "b,c,Bus,12345678.0,0.1",
+        "a,c,Train,12345678,2.5",
+        "a,c,Bus,100,1e-07",
+    ]
+    reloaded = load_edge_list(out, fares)
+    assert reloaded.edges == net.edges
+    assert reloaded.edge_costs == net.edge_costs
+
+
+@settings(max_examples=200, deadline=None)
+@given(numbers=st.lists(st.floats(0, 1e12) | st.integers(0, 2**53), min_size=2, max_size=8, unique_by=str))
+def test_edge_list_round_trips_any_distance_and_time(tmp_path_factory, numbers):
+    fares = walkthrough_fare_table()
+    builder = NetworkBuilder()
+    a, b = builder.add_poi("a"), builder.add_poi("b")
+    for distance, time in zip(numbers, reversed(numbers)):
+        builder.add_edge(a, b, 0, distance, time)
+    net = builder.finalize(fares)
+    out = tmp_path_factory.getbasetemp() / "drawn.csv"
+    save_edge_list(net, out)
+    reloaded = load_edge_list(out, fares)
+    assert reloaded.edges == net.edges
+    assert reloaded.edge_costs == net.edge_costs
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("a,b,Bus,1,1\n,b,Bus,1,1\n", 3),
+        ("a,b,Bus,1,1\na, ,Bus,1,1\n b ,  ,Bus,1,1\n", 3),
+        ("a,b,Bus,1,1\na,b,Bus,1,1\n  ,b,Zeppelin,1,1\na,,Bus,1,1\n", 4),
+    ],
+)
+def test_an_empty_poi_id_in_an_edge_list_is_rejected_at_its_first_line(tmp_path, rows, line):
+    path = tmp_path / "edges.csv"
+    path.write_text("u,v,mode,distance_m,time_min\n" + rows)
+    with pytest.raises(ParseError) as excinfo:
+        load_edge_list(path, walkthrough_fare_table())
+    assert str(excinfo.value) == f"{path}:{line}: empty PoI id"
+
+
+def test_an_edge_list_number_that_does_not_parse_fails_before_an_empty_id(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("u,v,mode,distance_m,time_min\n,b,Bus,1,1\na,b,Bus,far,1\n")
+    with pytest.raises(ParseError) as excinfo:
+        load_edge_list(path, walkthrough_fare_table())
+    assert str(excinfo.value) == f"{path}:3: distance and time must be numeric"
+
+
 def test_network_json_round_trip(tmp_path, walkthrough_net):
     out = tmp_path / "net.json"
     save_network_json(walkthrough_net, out)
@@ -619,6 +684,16 @@ def test_missing_file_is_named(tmp_path):
     (feed / "routes.txt").unlink()
     with pytest.raises(ParseError, match=r"routes\.txt: cannot read file: No such file"):
         load_gtfs(feed, gtfs_fares())
+
+
+@pytest.mark.parametrize("stop_id", ["", "  "])
+def test_an_empty_stop_id_is_rejected_at_its_line(tmp_path, stop_id):
+    feed = copy_feed(tmp_path)
+    with (feed / "stops.txt").open("a") as handle:
+        handle.write(f"{stop_id},Nowhere,47.0,8.0\n")
+    with pytest.raises(ParseError) as excinfo:
+        parse_gtfs(feed)
+    assert str(excinfo.value) == f"{feed / 'stops.txt'}:5: empty stop_id"
 
 
 def test_dangling_stop_reference_reports_line(tmp_path):

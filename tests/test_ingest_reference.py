@@ -1,0 +1,544 @@
+"""The file loaders and ``_component_roots`` against the per-record code they replaced.
+
+The references below are verbatim copies of ``load_edge_list``,
+``parse_gtfs``, ``load_gtfs`` and ``_component_roots`` as they were before
+the edge list went to per-column lists, a trip's stop times to its list by
+one ``dict.get``, a trip's hops to columns and the union-find's ``root`` was
+inlined; only their names are changed. On good files the networks and feeds
+must be equal, the dict order of ``GtfsFeed.stop_times`` included; on
+faulty files the exception must be of the same type, with the same message,
+file and line, also when a file holds several faults. Files with an empty
+PoI or stop id, which the loaders now reject, are tested in
+``test_ingest.py``.
+"""
+
+from __future__ import annotations
+
+import csv
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtpmm.errors import ConfigurationError, ParseError
+from gtpmm.fixtures import default_fare_ranges, gtfs_minimal_dir
+from gtpmm.ingest import (
+    EDGE_LIST_HEADER,
+    ROUTE_TYPE_MODES,
+    GtfsFeed,
+    GtfsStop,
+    GtfsStopTime,
+    _columns,
+    _csv_records,
+    _parse_gtfs_time,
+    _stop_time_sequence,
+    load_edge_list,
+    load_fare_config,
+    load_gtfs,
+    parse_gtfs,
+    resolve_fares,
+)
+from gtpmm.network import (
+    FarePolicy,
+    FareTable,
+    MultiModalNetwork,
+    NetworkBuilder,
+    _component_roots,
+    connect_components,
+    haversine_m,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def reference_load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork:
+    """Build a network from an edge-list CSV (see module docstring)."""
+    path = Path(path)
+    rows: list[tuple[int, str, str, str, float, float]] = []
+    externals: set[str] = set()
+    for line, (u, v, mode, distance_text, time_text) in _csv_records(path, EDGE_LIST_HEADER, exact=True):
+        u, v, mode = u.strip(), v.strip(), mode.strip()
+        try:
+            distance = float(distance_text)
+            time = float(time_text)
+        except ValueError:
+            raise ParseError("distance and time must be numeric", file=str(path), line=line) from None
+        externals.update((u, v))
+        rows.append((line, u, v, mode, distance, time))
+
+    builder = NetworkBuilder()
+    ids = {external: builder.add_poi(external) for external in sorted(externals)}
+    lines, us, vs, names, distances, times = _columns(rows, 6)
+    mode_ids = {name: mode for mode, name in enumerate(fare_table.names)}
+    modes = [mode_ids.get(name) for name in names]
+    known = modes.index(None) if None in modes else len(modes)  # the rows before the first unknown mode
+    try:
+        builder.add_edges(
+            [ids[u] for u in us[:known]], [ids[v] for v in vs[:known]], modes[:known], distances[:known], times[:known]
+        )
+        if known < len(modes):  # every row before it passed
+            fare_table.id_of(names[known])  # raises, naming the mode
+        return builder.finalize(fare_table)
+    except ConfigurationError as error:  # edge ids follow the rows
+        raise ParseError(str(error), file=str(path), line=lines[known if error.edge is None else error.edge]) from None
+
+
+def reference_parse_gtfs(directory: str | Path) -> GtfsFeed:
+    """Parse a GTFS directory; every error names its file and line.
+
+    Each distinct time text of ``stop_times.txt`` is parsed once per call
+    and its minutes reused, so a malformed time is still reported at the
+    first line that holds it.
+    """
+    directory = Path(directory)
+    feed = GtfsFeed()
+
+    path = directory / "stops.txt"
+    file = str(path)
+    for line, (stop_id, name, lat_text, lon_text) in _csv_records(
+        path, ("stop_id", "stop_name", "stop_lat", "stop_lon"), exact=False
+    ):
+        stop_id, name = stop_id.strip(), name.strip()
+        if stop_id in feed.stops:
+            raise ParseError(f"duplicate stop_id {stop_id!r}", file=file, line=line)
+        try:
+            lat, lon = float(lat_text), float(lon_text)
+        except ValueError:
+            raise ParseError("stop coordinates must be numeric", file=file, line=line) from None
+        feed.stops[stop_id] = GtfsStop(name, lat, lon, line)
+
+    path = directory / "routes.txt"
+    file = str(path)
+    for line, (route_id, route_type_text) in _csv_records(path, ("route_id", "route_type"), exact=False):
+        route_id = route_id.strip()
+        if route_id in feed.route_types:
+            raise ParseError(f"duplicate route_id {route_id!r}", file=file, line=line)
+        try:
+            route_type = int(route_type_text)
+        except ValueError:
+            raise ParseError("route_type must be an integer", file=file, line=line) from None
+        if route_type not in ROUTE_TYPE_MODES:
+            raise ParseError(f"unsupported route_type {route_type}", file=file, line=line)
+        feed.route_types[route_id] = route_type
+
+    path = directory / "trips.txt"
+    file = str(path)
+    for line, (route_id, trip_id) in _csv_records(path, ("route_id", "trip_id"), exact=False):
+        route_id, trip_id = route_id.strip(), trip_id.strip()
+        if trip_id in feed.trip_routes:
+            raise ParseError(f"duplicate trip_id {trip_id!r}", file=file, line=line)
+        if route_id not in feed.route_types:
+            raise ParseError(f"trip references unknown route {route_id!r}", file=file, line=line)
+        feed.trip_routes[trip_id] = route_id
+
+    path = directory / "stop_times.txt"
+    file = str(path)
+    minutes: dict[str, float] = {}  # time cell -> its minutes, parsed at the first line holding it
+    for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
+        path, ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence"), exact=False
+    ):
+        trip_id, stop_id = trip_id.strip(), stop_id.strip()
+        if trip_id not in feed.trip_routes:
+            raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=file, line=line)
+        if stop_id not in feed.stops:
+            raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=file, line=line)
+        arrival = minutes.get(arrival_text)
+        if arrival is None:
+            arrival = minutes[arrival_text] = _parse_gtfs_time(arrival_text, file=file, line=line)
+        departure = minutes.get(departure_text)
+        if departure is None:
+            departure = minutes[departure_text] = _parse_gtfs_time(departure_text, file=file, line=line)
+        if departure < arrival:
+            raise ParseError("departure before arrival", file=file, line=line)
+        try:
+            sequence = int(sequence_text)
+        except ValueError:
+            raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
+        # tuple.__new__ skips the named tuple's own __new__, a Python-level call per row
+        entry = tuple.__new__(GtfsStopTime, (stop_id, arrival, departure, sequence, line))
+        feed.stop_times.setdefault(trip_id, []).append(entry)
+
+    for trip_id, entries in feed.stop_times.items():
+        entries.sort(key=_stop_time_sequence)
+        for previous, current in zip(entries, entries[1:]):
+            if current.sequence <= previous.sequence:
+                raise ParseError(
+                    f"stop_sequence not strictly increasing in trip {trip_id!r}",
+                    file=file,
+                    line=current.line,
+                )
+            if current.arrival_min < previous.departure_min:
+                raise ParseError(f"times not monotone in trip {trip_id!r}", file=file, line=current.line)
+    return feed
+
+
+def reference_load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork:
+    """Network from a GTFS feed: one PoI per stop, one edge per consecutive
+    stop pair within a trip.
+
+    Edge time is the departure-to-arrival delta (dwell excluded); distance
+    is the great-circle length between the stops. Parallel observations of
+    the same (stop pair, mode) collapse to the minimum time.
+    """
+    feed = reference_parse_gtfs(directory)
+    builder = NetworkBuilder()
+    ids: dict[str, int] = {}
+    coords: list[tuple[float, float]] = []
+    for stop_id in sorted(feed.stops):
+        stop = feed.stops[stop_id]
+        try:
+            ids[stop_id] = builder.add_poi(stop_id, name=stop.name, coords=(stop.lat, stop.lon))
+        except ConfigurationError as error:  # a latitude or longitude out of range
+            raise ParseError(str(error), file=str(Path(directory) / "stops.txt"), line=stop.line) from None
+        coords.append((stop.lat, stop.lon))
+
+    # (u, v, mode) -> (minutes, the stop_times.txt line they were read at), u < v
+    best: dict[tuple[int, int, int], tuple[float, int]] = {}
+    try:
+        for trip_id, entries in sorted(feed.stop_times.items()):
+            line = entries[0].line
+            mode = fare_table.id_of(ROUTE_TYPE_MODES[feed.route_types[feed.trip_routes[trip_id]]])
+            for previous, current in zip(entries, entries[1:]):
+                u, v = ids[previous.stop_id], ids[current.stop_id]
+                if u == v:
+                    continue
+                key = (min(u, v), max(u, v), mode)
+                minutes = current.arrival_min - previous.departure_min
+                if key not in best or minutes < best[key][0]:
+                    best[key] = (minutes, current.line)
+        edges = sorted(best.items())
+        us, vs, modes = _columns([key for key, _ in edges], 3)
+        distances = [haversine_m(coords[u], coords[v]) for u, v in zip(us, vs)]
+        builder.add_edges(us, vs, modes, distances, [minutes for _, (minutes, _) in edges])
+        return builder.finalize(fare_table)
+    except ConfigurationError as error:  # a trip's mode, or an edge's cost; edge ids follow the sorted edges
+        line = line if error.edge is None else edges[error.edge][1][1]
+        raise ParseError(str(error), file=str(Path(directory) / "stop_times.txt"), line=line) from None
+
+
+def reference_component_roots(net: MultiModalNetwork) -> list[int]:
+    """Per PoI, the lowest PoI id in its component.
+
+    A union-find over the edges with path halving that always hangs the
+    higher root under the lower, so every parent id is at most its child's
+    and one ascending pass flattens every PoI onto its root."""
+    parent = list(range(net.poi_count))
+
+    def root(poi: int) -> int:
+        while parent[poi] != poi:
+            parent[poi] = poi = parent[parent[poi]]  # the right side is read before either target is set
+        return poi
+
+    for u, v, *_ in net.edges:
+        u, v = root(u), root(v)
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    for poi in range(len(parent)):
+        parent[poi] = parent[parent[poi]]
+    return parent
+
+
+def outcome(function, *args):
+    """``function(*args)``, or the type, message, file and line of the
+    ParseError or ConfigurationError it raised."""
+    try:
+        return function(*args)
+    except ParseError as error:
+        return ("ParseError", str(error), error.file, error.line)
+    except ConfigurationError as error:
+        return ("ConfigurationError", str(error), error.edge)
+
+
+def assert_same_edge_list(path, fares):
+    result = outcome(load_edge_list, path, fares)
+    assert result == outcome(reference_load_edge_list, path, fares)
+    return result
+
+
+def assert_same_gtfs(directory, fares):
+    """``parse_gtfs`` and ``load_gtfs`` of ``directory`` as the references
+    give them: equal feeds with their trips in the same dict order, equal
+    networks, or the same error."""
+    feed = outcome(parse_gtfs, directory)
+    reference = outcome(reference_parse_gtfs, directory)
+    assert feed == reference
+    if isinstance(feed, GtfsFeed):
+        assert list(feed.stop_times) == list(reference.stop_times)
+        assert [type(entry) for entries in feed.stop_times.values() for entry in entries] == [
+            GtfsStopTime for entries in feed.stop_times.values() for _ in entries
+        ]
+    result = outcome(load_gtfs, directory, fares)
+    assert result == outcome(reference_load_gtfs, directory, fares)
+    return feed, result
+
+
+def assert_same_roots(net):
+    roots = _component_roots(net)
+    assert roots == reference_component_roots(net)
+    return roots
+
+
+# --- perfbench's seed-0 ingest files and the minimal feed ------------------------------
+
+
+@pytest.fixture(scope="module")
+def perfbench_files(tmp_path_factory):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    files = inputs.write_ingest_files(0, tmp_path_factory.mktemp("ingest"))
+    return files, resolve_fares(load_fare_config(files.fares), "low", 0)
+
+
+def test_the_perfbench_edge_list_loads_as_the_reference_loads_it(perfbench_files):
+    files, fares = perfbench_files
+    net = assert_same_edge_list(files.edge_list, fares)
+    assert (net.poi_count, net.edge_count) == (5000, 17_427)
+    roots = assert_same_roots(net)
+    assert roots.count(0) > 1 and len(set(roots)) == files.edge_list_islands
+    repaired, added = connect_components(net)
+    assert len(added) == files.edge_list_islands - 1
+    assert set(assert_same_roots(repaired)) == {0}
+
+
+def test_the_perfbench_feed_parses_and_loads_as_the_reference_does(perfbench_files):
+    files, fares = perfbench_files
+    feed, net = assert_same_gtfs(files.gtfs, fares)
+    assert sum(map(len, feed.stop_times.values())) == 20_000
+    assert net.poi_count == 1000
+    roots = assert_same_roots(net)
+    assert len(set(roots)) > 1  # stops no route serves stay apart
+    assert_same_roots(connect_components(net)[0])
+
+
+def test_the_minimal_feed_parses_and_loads_as_the_reference_does():
+    feed, net = assert_same_gtfs(gtfs_minimal_dir(), resolve_fares(default_fare_ranges(), "low"))
+    assert list(feed.stop_times) == ["T1"] and net.edge_count == 2
+    assert assert_same_roots(net) == [0, 0, 0]
+
+
+# --- files with two faults -----------------------------------------------------------------
+
+
+FARES = FareTable.from_pairs([("Bus", FarePolicy(100, 1, 2)), ("Tram", FarePolicy(50, 0, 3))])
+HUGE_FARES = FareTable.from_pairs([("Bus", FarePolicy(10**15, 10**9, 10**9)), ("Tram", FarePolicy(0, 0, 1))])
+
+
+def write_edge_list(path: Path, rows) -> Path:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(EDGE_LIST_HEADER)
+        writer.writerows(rows)
+    return path
+
+
+@pytest.mark.parametrize(
+    "rows, message, line",
+    [
+        # a number that does not parse, at a row after an unknown mode and a negative distance
+        ([("a", "b", "Zeppelin", 1, 1), ("a", "c", "Bus", -1, 1), ("b", "c", "Bus", "x", 1)], "numeric", 4),
+        # an unknown mode after a negative distance: the rows before it are checked first
+        ([("a", "b", "Bus", 1, 1), ("a", "c", "Bus", -1, 1), ("b", "c", "Zeppelin", 1, 1)], "invalid distance", 3),
+        # a negative distance after an unknown mode: no row past the unknown mode is checked
+        ([("a", "b", "Bus", 1, 1), ("a", "c", "Zeppelin", 1, 1), ("b", "c", "Bus", -1, 1)], "unknown transport mode", 3),
+        # a self-loop before a time the builder rejects
+        ([("a", "b", "Bus", 1, 1), (" a", "a ", "Tram", 1, 1), ("b", "c", "Bus", 1, "inf")], "self-loop", 3),
+        ([("a", "b", "Bus", 1, "nan"), ("a", "a", "Bus", 1, 1)], "invalid time", 2),
+    ],
+)
+def test_an_edge_list_with_two_faults_fails_at_the_same_one(tmp_path, rows, message, line):
+    result = assert_same_edge_list(write_edge_list(tmp_path / "edges.csv", rows), FARES)
+    assert result[0] == "ParseError" and message in result[1] and result[3] == line
+
+
+def test_an_edge_whose_cost_does_not_fit_fails_at_the_same_line(tmp_path):
+    rows = [("a", "b", "Tram", 1, 1), ("b", "c", "Bus", 1e300, 1), ("a", "c", "Bus", 1e300, 1)]
+    result = assert_same_edge_list(write_edge_list(tmp_path / "edges.csv", rows), HUGE_FARES)
+    assert result[0] == "ParseError" and result[3] == 3
+
+
+STOPS = ("stop_id,stop_name,stop_lat,stop_lon", "A,Alpha,47.0,8.0", "B,Beta,47.1,8.1", "C,Gamma,47.2,8.2")
+ROUTES = ("route_id,route_type", "R1,3", "R2,0")
+TRIPS = ("route_id,trip_id", "R1,T1", "R2,T2")
+STOP_TIMES_HEADER = "trip_id,stop_id,arrival_time,departure_time,stop_sequence"
+
+
+def write_feed(directory: Path, stop_times, stops=STOPS, routes=ROUTES, trips=TRIPS) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    tables = {"stops.txt": stops, "routes.txt": routes, "trips.txt": trips}
+    tables["stop_times.txt"] = (STOP_TIMES_HEADER, *stop_times)
+    for name, lines in tables.items():
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize(
+    "stop_times, message, line",
+    [
+        # a bad time on a row after an unknown stop
+        (("T1,A,09:00:00,09:00:00,1", "T1,Z,09:05:00,09:05:00,2", "T1,B,09:61:00,09:61:00,3"), "unknown stop 'Z'", 3),
+        # an unknown stop on a row after a bad time
+        (("T1,A,09:00:00,09:00:00,1", "T1,B,9h05,09:05:00,2", "T1,Z,09:10:00,09:10:00,3"), "cannot parse time", 3),
+        # an unknown trip after a departure before its arrival, then the reverse
+        (("T1,A,09:00:00,08:59:00,1", "T9,B,09:05:00,09:05:00,2"), "departure before arrival", 2),
+        (("T9,A,09:00:00,09:00:00,1", "T1,B,09:05:00,09:04:00,2"), "unknown trip 'T9'", 2),
+        # an unknown trip and an unknown stop on one row, a trip's first or a later one
+        (("T9,Z,09:00:00,09:00:00,1",), "unknown trip 'T9'", 2),
+        (("T1,A,09:00:00,09:00:00,1", " T1 ,Z,09:05:00,09:05:00,2"), "unknown stop 'Z'", 3),
+        # an unknown trip on a known trip's later row, after the trips' first rows
+        (("T1,A,09:00:00,09:00:00,1", "T2,B,09:00:00,09:00:00,1", "T3,C,09:05:00,09:05:00,2"), "unknown trip 'T3'", 4),
+        # a stop_sequence that is not an integer after a non-increasing one: rows fail before trips
+        (("T1,A,09:00:00,09:00:00,1", "T1,B,09:05:00,09:05:00,1", "T2,C,09:05:00,09:05:00,x"), "stop_sequence must", 4),
+        # a non-increasing sequence in one trip and a time reversal in an earlier trip, at a later line
+        (
+            (
+                "T2,A,09:00:00,09:00:00,1",
+                "T1,A,09:00:00,09:00:00,1",
+                "T1,B,09:05:00,09:05:00,1",
+                "T2,B,08:55:00,08:55:00,2",
+            ),
+            "times not monotone in trip 'T2'",
+            5,
+        ),
+        # both faults in one trip: the first pair in sequence order names its fault
+        (
+            (
+                "T1,C,09:20:00,09:20:00,5",
+                "T1,A,09:00:00,09:10:00,1",
+                "T1,B,09:05:00,09:05:00,2",
+                "T1,A,09:30:00,09:30:00,5",
+            ),
+            "times not monotone in trip 'T1'",
+            4,
+        ),
+        (
+            (
+                "T1,A,09:00:00,09:00:00,1",
+                "T1,B,09:05:00,09:05:00,3",
+                "T1,C,09:06:00,09:06:00,3",
+                "T1,A,09:01:00,09:01:00,4",
+            ),
+            "stop_sequence not strictly increasing in trip 'T1'",
+            4,
+        ),
+    ],
+)
+def test_a_feed_with_two_faults_fails_at_the_same_one(tmp_path, stop_times, message, line):
+    feed, net = assert_same_gtfs(write_feed(tmp_path / "gtfs", stop_times), FARES)
+    assert feed == net
+    assert feed[0] == "ParseError" and message in feed[1] and feed[3] == line
+
+
+def test_a_trip_of_a_mode_the_fares_lack_fails_at_its_first_line(tmp_path):
+    routes = ("route_id,route_type", "R1,3", "R2,1")  # Subway
+    stop_times = ("T2,B,09:00:00,09:00:00,1", "T1,A,09:00:00,09:00:00,1", "T2,C,09:05:00,09:05:00,2")
+    feed, net = assert_same_gtfs(write_feed(tmp_path / "gtfs", stop_times, routes=routes), FARES)
+    assert isinstance(feed, GtfsFeed)
+    assert net[0] == "ParseError" and "Subway" in net[1] and net[3] == 2
+
+
+# --- Hypothesis-made files -----------------------------------------------------------------
+
+
+IDS = ("a", "b", "c", "d", "10", "9", " b", "c ")
+MODES = ("Bus", "Tram", " Bus", "Tram ")
+NUMBERS = ("1", "2.5", " 3 ", "0", "12.25", "1e3", "7")
+BAD_NUMBERS = ("-1", "nan", "inf", "x", "", "1e400", "1e300", "-0.0")
+BAD_MODES = ("Zeppelin", "bus")
+
+FILES = settings(max_examples=200, deadline=None)
+
+
+@st.composite
+def edge_list_rows(draw):
+    """Rows of ids, modes and numbers that load, with up to three cells set
+    to make a self-loop or to text that fails (or to a distance whose cost
+    is too large), and some blank lines."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        u = draw(st.sampled_from(IDS))
+        v = draw(st.sampled_from([other for other in IDS if other.strip() != u.strip()]))
+        rows.append([u, v, draw(st.sampled_from(MODES)), draw(st.sampled_from(NUMBERS)), draw(st.sampled_from(NUMBERS))])
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(1, 4))
+        bad = (None, [rows[row][0]], BAD_MODES, BAD_NUMBERS, BAD_NUMBERS)[column]  # a self-loop, or text that fails
+        rows[row][column] = draw(st.sampled_from(bad))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    return rows
+
+
+@FILES
+@given(rows=edge_list_rows(), huge=st.booleans())
+def test_drawn_edge_lists_load_as_the_reference_loads_them(tmp_path_factory, rows, huge):
+    path = write_edge_list(tmp_path_factory.getbasetemp() / "drawn_edges.csv", rows)
+    result = assert_same_edge_list(path, HUGE_FARES if huge else FARES)
+    if isinstance(result, MultiModalNetwork):
+        assert_same_roots(result)
+
+
+TIMES = tuple(f"{hour:02d}:{minute:02d}:00" for hour in (8, 9, 10, 25) for minute in (0, 5, 30))
+BAD_TIMES = ("9:5", "09:60:00", "x", "-1:00:00")
+
+
+@st.composite
+def feeds(draw):
+    """A feed of four stops, two routes and three trips (one of a route
+    whose mode the fares may lack), whose stop times are drawn in any row
+    order, then up to three cells set to text that fails: an unknown trip
+    or stop, a malformed time or sequence, a departure before its arrival,
+    a repeated sequence or times out of order."""
+    stop_ids = ("A", "B", "C", "D")
+    trips = ("T1", "T2", "T3")
+    rows = []
+    for trip in trips:
+        clock = draw(st.integers(0, 2))
+        for sequence in sorted(draw(st.sets(st.integers(1, 9), max_size=4))):
+            stop = draw(st.sampled_from(stop_ids))
+            arrival, departure = clock, clock + draw(st.integers(0, 1))  # at most 2 + 4 * 2 - 1, within TIMES
+            clock = departure + draw(st.integers(0, 1))
+            cells = [trip, stop, TIMES[arrival], TIMES[departure], str(sequence)]
+            if draw(st.booleans()):
+                cells[0], cells[1] = f" {trip}", f"{stop} "
+            rows.append(cells)
+    rows = draw(st.permutations(rows)) if rows else rows
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 4))
+        bad = [("T9", "T1", "T2"), ("Z", "A", "B"), BAD_TIMES + TIMES, BAD_TIMES + TIMES, ("x", "1", "2", "5")]
+        rows[row][column] = draw(st.sampled_from(bad[column]))
+    stops = [*STOPS, "D,Delta,47.3,8.3"]
+    if draw(st.booleans()):
+        stops[draw(st.integers(1, 4))] = draw(st.sampled_from(("A,Again,47.0,8.0", "E,Far,91,8.0", "E,Bad,x,8.0")))
+    routes = ("route_id,route_type", "R1,3", "R2," + draw(st.sampled_from(("0", "1", "99"))))
+    return stops, routes, (*TRIPS, "R1,T3"), [",".join(cells) for cells in rows]
+
+
+@FILES
+@given(feed=feeds())
+def test_drawn_feeds_parse_and_load_as_the_reference_does(tmp_path_factory, feed):
+    stops, routes, trips, stop_times = feed
+    directory = write_feed(tmp_path_factory.getbasetemp() / "drawn_gtfs", stop_times, stops, routes, trips)
+    _, net = assert_same_gtfs(directory, FARES)
+    if isinstance(net, MultiModalNetwork):
+        assert_same_roots(net)
+
+
+@FILES
+@given(
+    count=st.integers(1, 14),
+    edges=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=30),
+)
+def test_component_roots_are_the_reference_roots_on_drawn_networks(count, edges):
+    builder = NetworkBuilder(allow_self_loops=True)
+    for poi in range(count):
+        builder.add_poi(f"p{poi}")
+    for u, v in edges:
+        if u < count and v < count:
+            builder.add_edge(u, v, 0, 1.0, 1.0)
+    assert_same_roots(builder.finalize(FARES))
