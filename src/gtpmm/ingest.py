@@ -19,17 +19,18 @@ GTFS: the standard ``stops.txt``, ``routes.txt``, ``trips.txt`` and
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation, Overflow, ROUND_HALF_UP, localcontext
-from functools import cache
+from functools import cache, wraps
 from itertools import chain, cycle, islice, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, ParamSpec, TextIO, TypeVar
 
 from .errors import ConfigurationError, ParseError
 from .network import (
@@ -62,6 +63,34 @@ ROUTE_TYPE_MODES: dict[int, str] = {
 }
 
 FARE_STRATEGIES = ("low", "high", "mid", "seeded-uniform")
+
+_Args = ParamSpec("_Args")
+_Built = TypeVar("_Built")
+
+
+def _gc_paused(build: Callable[_Args, _Built]) -> Callable[_Args, _Built]:
+    """``build`` with CPython's cyclic garbage collector paused while it
+    runs, and enabled again when it returns or raises.
+
+    A network build allocates tens of thousands of containers (CSV rows,
+    decoded JSON records, PoI and edge tuples), each of which counts
+    towards the collector's next pass, and makes no reference cycle, so
+    those passes free nothing; ``tests/test_ingest.py`` checks that a build
+    leaves no cyclic garbage. A collector the caller disabled stays
+    disabled.
+    """
+
+    @wraps(build)
+    def paused(*args: _Args.args, **kwargs: _Args.kwargs) -> _Built:
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _csv_records(path: Path, columns: tuple[str, ...], *, exact: bool) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -242,6 +271,7 @@ def resolve_fares(
 # --- edge lists ---------------------------------------------------------------
 
 
+@_gc_paused
 def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork:
     """Build a network from an edge-list CSV (see module docstring).
 
@@ -250,6 +280,9 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
     modes are then stripped and checked a column at a time. A number that
     does not parse fails at its row, then an empty ``u`` or ``v``, then an
     unknown mode or an edge the builder rejects, each at its first line.
+
+    The garbage collector is paused while it runs (:func:`_gc_paused`):
+    the build makes a container per row and no reference cycle.
     """
     path = Path(path)
     lines, us, vs, names, distances, times = [], [], [], [], [], []  # one list per column
@@ -342,16 +375,18 @@ class GtfsFeed:
 
 def _parse_gtfs_time(text: str, *, file: str, line: int) -> float:
     """``HH:MM:SS``, with surrounding whitespace, to minutes since
-    midnight; hours may exceed 24."""
+    midnight; hours may exceed 24. Each part is ASCII digits alone: no
+    sign, underscore, inner space or other script's digit, which ``int()``
+    would take."""
     text = text.strip()
     parts = text.split(":")
-    if len(parts) != 3:
+    if len(parts) != 3 or not all(part.isascii() and part.isdigit() for part in parts):
         raise ParseError(f"cannot parse time {text!r}", file=file, line=line)
     try:
-        hours, minutes, seconds = (int(p) for p in parts)
-    except ValueError:
+        hours, minutes, seconds = map(int, parts)
+    except ValueError:  # more digits than int() converts
         raise ParseError(f"cannot parse time {text!r}", file=file, line=line) from None
-    if minutes >= 60 or seconds >= 60 or hours < 0 or minutes < 0 or seconds < 0:
+    if minutes >= 60 or seconds >= 60:
         raise ParseError(f"time {text!r} out of range", file=file, line=line)
     try:
         return hours * 60 + minutes + seconds / 60
@@ -453,6 +488,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     return feed
 
 
+@_gc_paused
 def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork:
     """Network from a GTFS feed: one PoI per stop, one edge per consecutive
     stop pair within a trip.
@@ -460,6 +496,10 @@ def load_gtfs(directory: str | Path, fare_table: FareTable) -> MultiModalNetwork
     Edge time is the departure-to-arrival delta (dwell excluded); distance
     is the great-circle length between the stops. Parallel observations of
     the same (stop pair, mode) collapse to the minimum time.
+
+    The garbage collector is paused while it runs, :func:`parse_gtfs`
+    included (:func:`_gc_paused`): the build makes a container per stop
+    time and no reference cycle.
     """
     feed = parse_gtfs(directory)
     builder = NetworkBuilder()
@@ -726,6 +766,7 @@ def _network_document(path: Path) -> dict:
     return document
 
 
+@_gc_paused
 def load_network_json(path: str | Path) -> MultiModalNetwork:
     """Load a network serialized by :func:`save_network_json`.
 
@@ -734,6 +775,9 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     the fault of a malformed one. Each edge record is decoded straight to
     the tuple of its values, and the edges enter the builder by one
     :meth:`NetworkBuilder.add_edges`.
+
+    The garbage collector is paused while it runs (:func:`_gc_paused`):
+    the build decodes a container per record and makes no reference cycle.
     """
     path = Path(path)
     try:
@@ -837,10 +881,13 @@ class CategoryConfig:
                 raise ConfigurationError(f"keywords must map strings to categories 0 to {self.k - 1}: {bad}")
 
 
+@_gc_paused
 def categorize(net: MultiModalNetwork, cfg: CategoryConfig) -> tuple[MultiModalNetwork, list[tuple[int, ...]]]:
     """Assign categories and return (relabeled network, k id-tuples).
 
-    Fails with the offending index if any category ends up empty.
+    Fails with the offending index if any category ends up empty. The
+    garbage collector is paused while it runs (:func:`_gc_paused`): the
+    relabeling makes a tuple per PoI and no reference cycle.
     """
     k, pois = cfg.k, net.pois
     if k > len(pois):

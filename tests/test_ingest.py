@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import re
 import shutil
+import sys
 from dataclasses import replace
 from decimal import Decimal
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -792,6 +795,19 @@ def test_hours_past_midnight_normalize(tmp_path):
     assert [edge.time_min for edge in net.edges] == [30.0]
 
 
+# Texts int() takes in a part of a time: an underscore, a sign, another script's digit, an inner space.
+NON_DIGIT_TIMES = ["1_0:00:00", "1:00:0_0", "+1:00:00", "-0:00:00", "\u0663:00:00", "9: 05:00"]
+
+
+@pytest.mark.parametrize("text", NON_DIGIT_TIMES)
+def test_a_time_part_of_anything_but_ascii_digits_is_rejected_at_its_first_line(tmp_path, text):
+    feed = copy_feed(tmp_path)
+    rows = [("T1", "A", "09:00:00", "09:00:00", 1), ("T1", "B", text, text, 2), ("T1", "C", text, text, 3)]
+    write_stop_times(feed, rows)
+    with pytest.raises(ParseError, match=re.escape(f"stop_times.txt:3: cannot parse time {text!r}")):
+        load_gtfs(feed, gtfs_fares())
+
+
 # --- cells with surrounding whitespace ----------------------------------------------
 
 # file -> (a cell of the second line and a bad value for it, what its error says)
@@ -1264,3 +1280,161 @@ def test_categorize_equals_a_builder_copy(walkthrough_net):
     for net, cfg in cases:
         relabeled, sets = categorize(net, cfg)
         assert relabeled == builder_copy_with_categories(net, sets)
+
+
+# --- the garbage collector during a network build ------------------------------------
+
+
+def edge_list_build(tmp_path):
+    return partial(load_edge_list, data_path("walkthrough_edges.csv"), walkthrough_fare_table())
+
+
+def gtfs_build(tmp_path):
+    return partial(load_gtfs, gtfs_minimal_dir(), gtfs_fares())
+
+
+def network_json_build(tmp_path):
+    path = tmp_path / "network.json"
+    save_network_json(walkthrough_network(), path)
+    return partial(load_network_json, path)
+
+
+def categorize_build(tmp_path):
+    return partial(categorize, walkthrough_network(), CategoryConfig(k=3))
+
+
+def malformed_edge_list_build(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text(data_path("walkthrough_edges.csv").read_text() + "v01,v02,Bus,x,1\n")
+    return partial(load_edge_list, path, walkthrough_fare_table())
+
+
+def malformed_gtfs_build(tmp_path):
+    feed = copy_feed(tmp_path)
+    write_stop_times(feed, [("T1", "A", "09:00:00", "09:00:00", 1), ("T1", "B", "9h05", "09:05:00", 2)])
+    return partial(load_gtfs, feed, gtfs_fares())
+
+
+def malformed_network_json_build(tmp_path):
+    path = tmp_path / "network.json"
+    save_network_json(walkthrough_network(), path)
+    document = json.loads(path.read_text())
+    del document["edges"][3]["mode"]
+    path.write_text(json.dumps(document))
+    return partial(load_network_json, path)
+
+
+def unsplittable_categorize_build(tmp_path):
+    return partial(categorize, walkthrough_network(), CategoryConfig(k=11))
+
+
+# name -> a function of a temporary directory that makes the build, a call without arguments
+BUILDS = {
+    "load_edge_list": edge_list_build,
+    "load_gtfs": gtfs_build,
+    "load_network_json": network_json_build,
+    "categorize": categorize_build,
+}
+# name -> (a build that fails, the error it raises)
+FAILING_BUILDS = {
+    "load_edge_list": (malformed_edge_list_build, ParseError),
+    "load_gtfs": (malformed_gtfs_build, ParseError),
+    "load_network_json": (malformed_network_json_build, ParseError),
+    "categorize": (unsplittable_categorize_build, ConfigurationError),
+}
+
+
+def make_build(tmp_path, name, failing):
+    """The build ``name``, or the failing one, made in ``tmp_path``."""
+    return (FAILING_BUILDS[name][0] if failing else BUILDS[name])(tmp_path)
+
+
+def attempt(build) -> None:
+    """Call ``build``, and take the error of a failing one."""
+    try:
+        build()
+    except (ParseError, ConfigurationError):
+        pass
+
+
+@pytest.fixture
+def collector():
+    """The collector enabled before a test and after it, whatever a test did."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_a_build_enables_the_collector_again(tmp_path, collector, name):
+    BUILDS[name](tmp_path)()
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", FAILING_BUILDS)
+def test_a_failing_build_enables_the_collector_again(tmp_path, collector, name):
+    make, error = FAILING_BUILDS[name]
+    with pytest.raises(error):
+        make(tmp_path)()
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("failing", [False, True])
+@pytest.mark.parametrize("name", BUILDS)
+def test_a_build_leaves_a_disabled_collector_disabled(tmp_path, collector, name, failing):
+    build = make_build(tmp_path, name, failing)
+    gc.disable()
+    attempt(build)
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("failing", [False, True])
+@pytest.mark.parametrize("name", BUILDS)
+def test_a_build_starts_no_collection(tmp_path, collector, name, failing):
+    """With a collection due at every new container, none starts while the
+    build's frame is on the stack."""
+    build = make_build(tmp_path, name, failing)
+    code = build.func.__wrapped__.__code__
+    passes = []
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            passes.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(1)
+    gc.callbacks.append(record)
+    try:
+        attempt(build)
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+    assert passes == []
+
+
+def test_parse_gtfs_runs_in_the_pause_of_load_gtfs(monkeypatch, collector):
+    states = []
+
+    def recorded(directory):
+        states.append(gc.isenabled())
+        feed = parse_gtfs(directory)
+        states.append(gc.isenabled())
+        return feed
+
+    monkeypatch.setattr("gtpmm.ingest.parse_gtfs", recorded)
+    load_gtfs(gtfs_minimal_dir(), gtfs_fares())
+    assert states == [False, False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("failing", [False, True])
+@pytest.mark.parametrize("name", BUILDS)
+def test_a_build_leaves_no_cyclic_garbage(tmp_path, collector, name, failing):
+    """What a build leaves for the collector: nothing, so pausing it defers no garbage."""
+    build = make_build(tmp_path, name, failing)
+    attempt(build)  # first-call caches
+    gc.collect()
+    attempt(build)
+    assert gc.collect() == 0
