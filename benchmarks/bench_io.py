@@ -58,7 +58,11 @@ then right after with this checkout's ``src`` (the change):
 It writes two rows, labelled ``parent: LABEL`` and ``change: LABEL``, and
 exits 1 when a scenario's two rows differ in a sha256, that is when the
 change wrote or read other bytes, priced other costs or loaded another
-network. Each scenario's
+network. It prints, per network, the change-over-parent ratio of
+``network_mb``, ``save_peak_mb`` and ``load_peak_mb``, and also exits 1
+when any of them rose by more than 1% (``MEMORY_RISE``): these
+``tracemalloc`` figures count the objects the code allocates, so they do
+not drift with the host as resident memory does. Each scenario's
 two measurements carry ``host_drifted``, by ``bench_planner.py``'s rule
 applied to ``load_s`` and its quartiles: true when the two
 ``host_ref_ms`` differ, as a share of the lower, by more than either
@@ -110,6 +114,8 @@ GTFS_TRIPS_PER_ROUTE = 10
 GTFS_STOPS_PER_TRIP = 40
 GTFS_TABLES = ("stops.txt", "routes.txt", "trips.txt", "stop_times.txt")
 SCENARIOS = (*NETWORKS, "gtfs")
+MEMORY = ("network_mb", "save_peak_mb", "load_peak_mb")  # the tracemalloc figures of a network scenario
+MEMORY_RISE = 1.01  # the change-over-parent ratio of a MEMORY figure past which --against exits 1
 CATEGORIES = CategoryConfig(k=8)  # round-robin
 
 
@@ -320,15 +326,19 @@ def main(argv: list[str] | None = None) -> int:
             print(side, json.dumps(measurement), flush=True)
     for side, measured in measured_by_side.items():
         save_row(_with_measurements({**row, "label": f"{side}: {row['label']}"}, measured), output)
-    differ = [
-        scenario
-        for scenario, parent, change in zip(SCENARIOS, measured_by_side["parent"], measured_by_side["change"])
-        if _digests(parent) != _digests(change)
-    ]
+    pairs = list(zip(SCENARIOS, measured_by_side["parent"], measured_by_side["change"]))
+    risen = []
+    for scenario, parent, change in pairs:
+        ratios = {key: change[key] / parent[key] for key in MEMORY if key in parent}
+        if ratios:
+            print(scenario, "change/parent:", ", ".join(f"{key} {ratio:.3f}" for key, ratio in ratios.items()))
+            risen += [f"{scenario} {key}" for key, ratio in ratios.items() if ratio > MEMORY_RISE]
+    differ = [scenario for scenario, parent, change in pairs if _digests(parent) != _digests(change)]
     if differ:
         print(f"bench_io: a sha256 differs on {', '.join(differ)}", file=sys.stderr)
-        return 1
-    return 0
+    if risen:
+        print(f"bench_io: memory rose by more than 1% on {', '.join(risen)}", file=sys.stderr)
+    return 1 if differ or risen else 0
 
 
 def _with_measurements(row: dict, measured: list[dict]) -> dict:

@@ -5,15 +5,16 @@ File formats
 Fare config (CSV): ``mode,base_fare,cost_per_meter,cost_per_minute,
 resolution_strategy``. Money values are in major currency units and are
 converted to cents on load; each value is either a single number (``3.20``)
-or a range (``2.50-4.00``). The per-row strategy, when nonempty, overrides
-the strategy passed to :func:`resolve_fares`.
+or a range (``2.50-4.00``), in ASCII without ``_``. The per-row strategy,
+when nonempty, overrides the strategy passed to :func:`resolve_fares`.
 
 Edge list (CSV): header exactly ``u,v,mode,distance_m,time_min``; ``u``/``v``
 are external PoI ids, ``mode`` is a fare-config mode name. Dense internal
 ids are assigned in sorted external-id order.
 
 GTFS: the standard ``stops.txt``, ``routes.txt``, ``trips.txt`` and
-``stop_times.txt`` files; times are ``HH:MM:SS`` with hours allowed past 24.
+``stop_times.txt`` files; times are ``HH:MM:SS`` with hours allowed past 24,
+and each time part, ``stop_sequence`` and ``route_type`` is ASCII digits.
 """
 
 from __future__ import annotations
@@ -174,7 +175,9 @@ class FareRange:
 
 
 def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Decimal]:
-    """Parse ``lo-hi`` or a single value, in major units, to a cents range.
+    """Parse ``lo-hi`` or a single value, in major units, to a cents range;
+    each value is ASCII text without ``_``, so that ``1_0`` and another
+    script's digits, which ``Decimal()`` reads, fail.
 
     The upper end must round to :data:`~gtpmm.network._RATE_QUANTUM`, the
     finest quantum :func:`resolve_fares` rounds to, within the 28 digits of
@@ -183,7 +186,7 @@ def _parse_money_range(text: str, *, file: str, line: int) -> tuple[Decimal, Dec
     text = text.strip()
     raw = text.lstrip("~")
     parts = raw.split("-") if "-" in raw else [raw, raw]
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(part.isascii() and "_" not in part for part in parts):  # Decimal() takes both
         raise ParseError(f"cannot parse money range {text!r}", file=file, line=line)
     try:
         low = _MONEY.multiply(Decimal(parts[0].strip(), _MONEY), 100)
@@ -394,12 +397,24 @@ def _parse_gtfs_time(text: str, *, file: str, line: int) -> float:
         raise ParseError(f"time {text!r} out of range", file=file, line=line) from None
 
 
+def _parse_gtfs_int(text: str, column: str, *, file: str, line: int) -> int:
+    """An integer cell of column ``column``, with surrounding whitespace:
+    ASCII digits alone, as in :func:`_parse_gtfs_time`."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{column} must be an integer", file=file, line=line)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{column} must be an integer", file=file, line=line) from None
+
+
 def parse_gtfs(directory: str | Path) -> GtfsFeed:
     """Parse a GTFS directory; every error names its file and line.
 
-    Each distinct time text of ``stop_times.txt`` is parsed once per call
-    and its minutes reused, so a malformed time is still reported at the
-    first line that holds it.
+    Each distinct time and ``stop_sequence`` text of ``stop_times.txt`` is
+    parsed once per call and its value reused, so a malformed one is still
+    reported at the first line that holds it.
     """
     directory = Path(directory)
     feed = GtfsFeed()
@@ -426,10 +441,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
         route_id = route_id.strip()
         if route_id in feed.route_types:
             raise ParseError(f"duplicate route_id {route_id!r}", file=file, line=line)
-        try:
-            route_type = int(route_type_text)
-        except ValueError:
-            raise ParseError("route_type must be an integer", file=file, line=line) from None
+        route_type = _parse_gtfs_int(route_type_text, "route_type", file=file, line=line)
         if route_type not in ROUTE_TYPE_MODES:
             raise ParseError(f"unsupported route_type {route_type}", file=file, line=line)
         feed.route_types[route_id] = route_type
@@ -447,6 +459,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     path = directory / "stop_times.txt"
     file = str(path)
     minutes: dict[str, float] = {}  # time cell -> its minutes, parsed at the first line holding it
+    sequences: dict[str, int] = {}  # stop_sequence cell -> its integer, likewise
     stop_times, stops = feed.stop_times, feed.stops
     for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
         path, ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence"), exact=False
@@ -467,10 +480,9 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
             departure = minutes[departure_text] = _parse_gtfs_time(departure_text, file=file, line=line)
         if departure < arrival:
             raise ParseError("departure before arrival", file=file, line=line)
-        try:
-            sequence = int(sequence_text)
-        except ValueError:
-            raise ParseError("stop_sequence must be an integer", file=file, line=line) from None
+        sequence = sequences.get(sequence_text)
+        if sequence is None:
+            sequence = sequences[sequence_text] = _parse_gtfs_int(sequence_text, "stop_sequence", file=file, line=line)
         # tuple.__new__ skips the named tuple's own __new__, a Python-level call per row
         entries.append(tuple.__new__(GtfsStopTime, (stop_id, arrival, departure, sequence, line)))
 
@@ -576,7 +588,7 @@ _MODE_RECORD = _template(
 _POI_RECORD = _template(dict.fromkeys(("external_id", "name", "category", "coords"), _SLOT), "    ")
 _EDGE_RECORD = _template(dict.fromkeys(TransitEdge._fields, _SLOT), "    ")
 _COORDS = _template([_SLOT, _SLOT], "      ")
-_CHUNK = 1024  # records per write
+_CHUNK = 1024  # records per write, and about the edge rows per add_edges of a load
 _TEXT_CHUNK = 1 << 15  # characters read at a time, so that each piece of a network file's text stays small
 
 
@@ -715,13 +727,14 @@ class _Chunks:
         self.take(":")
         return key
 
-    def objects(self) -> list:
-        """The items of the array that starts here, read through its ']'.
-        What is read of it is decoded whole when the array ends in it, else
-        up to its last '}', since ``[`` items ``]`` is valid JSON only when
-        the items are whole."""
+    def batches(self) -> Iterator[list]:
+        """The items of the array that starts here, a decoded batch at a
+        time, read through its ']'. What is read of it is decoded whole when
+        the array ends in it, else up to its last '}', since ``[`` items
+        ``]`` is valid JSON only when the items are whole. Only the last
+        batch may be empty."""
         self.take("[")
-        items: list = []
+        first = True
         while True:
             cut = self.text.rfind("}", self.at) + 1
             try:
@@ -729,99 +742,131 @@ class _Chunks:
             except json.JSONDecodeError:
                 batch = []
             if batch:
-                items += batch
-                self.at = cut
+                self.at, first = cut, False
+                yield batch
                 if self.take(",]") == "]":
-                    return items
+                    return
                 continue
             try:
-                rest, end = self.decoder.raw_decode(f"[{self.text[self.at :]}")
+                batch, end = self.decoder.raw_decode(f"[{self.text[self.at :]}")
             except json.JSONDecodeError:
                 if not self.more():
                     raise ValueError("an array cut short") from None
                 continue
-            if items and not rest:
+            if not (first or batch):
                 raise ValueError("a ',' before an array's ']'")
             self.at += end - 1
-            return items + rest
+            yield batch
+            return
 
 
-def _network_document(path: Path) -> dict:
-    """The network file at ``path`` as :func:`read_json` decodes it with
-    :func:`_edge_row`, when it is an object of arrays of objects, as
-    :func:`save_network_json` writes it; any other text raises ValueError.
-    The file is read a chunk at a time, so that neither its bytes nor its
-    text, each about its size, are held whole."""
-    document = {}
+def _network_sections(path: Path) -> Iterator[tuple[str, list]]:
+    """The network file at ``path`` as ``(key, batch)`` pairs, in file
+    order: the items of its ``modes``, ``pois`` and ``edges`` a decoded
+    batch at a time, as :func:`read_json` decodes them with
+    :func:`_edge_row`. The file is read a chunk at a time, so that neither
+    its bytes nor its text, each about its size, are held whole. Only
+    :func:`save_network_json`'s layout is taken: those three keys in that
+    order, modes and PoIs as objects and edges as edge rows; any other
+    text raises ValueError, at the latest once the last batch is taken."""
     with path.open(encoding="utf-8") as handle:
         chunks = _Chunks(handle)
         chunks.take("{")
-        while True:
-            key = chunks.key()
-            document[key] = chunks.objects()
-            if chunks.take(",}") == "}":
-                break
+        for key, kind in (("modes", dict), ("pois", dict), ("edges", tuple)):
+            if chunks.key() != key:
+                raise ValueError(f"expected the key {key!r}")
+            for batch in chunks.batches():
+                if {*map(type, batch)} - {kind}:
+                    raise ValueError(f"an item of another type under {key!r}")
+                yield key, batch
+            chunks.take("}" if key == "edges" else ",")
         if chunks.peek():
             raise ValueError("text after the network object")
-    return document
 
 
 @_gc_paused
 def load_network_json(path: str | Path) -> MultiModalNetwork:
     """Load a network serialized by :func:`save_network_json`.
 
-    The file is decoded a chunk at a time by :func:`_network_document`; a
-    file it does not take is decoded whole by :func:`read_json`, which names
-    the fault of a malformed one. Each edge record is decoded straight to
-    the tuple of its values, and the edges enter the builder by one
-    :meth:`NetworkBuilder.add_edges`.
+    A file in that layout is built as it is read: :func:`_network_sections`
+    decodes it a chunk at a time, each decoded batch of modes and PoIs goes
+    into the builder before the next chunk is decoded, and the edge rows go
+    in about :data:`_CHUNK` at a time, so the decoded document is never
+    held whole. Any other file, and one that fails anywhere, is decoded
+    whole by :func:`read_json` and built again by the same steps
+    (:func:`_build_network`), which then name the fault of a malformed one.
+    Each edge record is decoded straight to the tuple of its values.
 
     The garbage collector is paused while it runs (:func:`_gc_paused`):
     the build decodes a container per record and makes no reference cycle.
     """
     path = Path(path)
     try:
-        document = _network_document(path)
-    except (OSError, ValueError, RecursionError):
-        document = _as_object(read_json(path, "network", _edge_row))
-
+        return _build_network(path, _network_sections(path))
+    except (OSError, ValueError, RecursionError, ParseError):
+        pass  # the whole document names the fault, or reads the other layout
+    document = _as_object(read_json(path, "network", _edge_row))
     if not isinstance(document, dict):
         raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))
     for key in ("modes", "pois", "edges"):
         if not isinstance(document.get(key), list):
             raise ParseError(f"a network needs a list under {key!r}", file=str(path))
+    return _build_network(path, ((key, document.pop(key)) for key in ("modes", "pois", "edges")))
 
-    pairs = []
-    for index, entry in enumerate(map(_as_object, document["modes"])):
-        try:
-            policy = FarePolicy(entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"])
-            pairs.append((entry["name"], policy))
-        except (KeyError, TypeError, ConfigurationError) as error:
-            raise _malformed(path, f"modes[{index}]", error) from None
-    try:
-        fare_table = FareTable.from_pairs(pairs)
-    except ConfigurationError as error:
-        raise ParseError(f"modes: {error}", file=str(path)) from None
 
+def _build_network(path: Path, sections: Iterable[tuple[str, list]]) -> MultiModalNetwork:
+    """The network of the file at ``path`` from its decoded records, as
+    ``(key, batch)`` pairs in file order: one or more batches of ``modes``,
+    then of ``pois``, then of ``edges``. Edge rows go into the builder by
+    :func:`_add_edge_rows` once :data:`_CHUNK` of them are gathered, so that
+    the whole-column checks of :meth:`NetworkBuilder.add_edges` stay
+    amortized. The first record at fault raises :class:`ParseError` naming
+    it by its index in its list."""
+    pairs: list[tuple[str, FarePolicy]] = []
+    fare_table = None  # made once the modes are read
     builder = NetworkBuilder(allow_self_loops=True)  # save_network_json writes any network, self-loops too
-    for index, poi in enumerate(map(_as_object, document["pois"])):
-        try:
-            external_id, name = poi["external_id"], poi.get("name", "")
-            builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
-        except (KeyError, TypeError, ConfigurationError) as error:
-            raise _malformed(path, f"pois[{index}]", error) from None
-    _add_edge_rows(builder, document.pop("edges"), path)  # the rows are dropped once the edges hold their values
+    pois = edges = 0  # the PoIs and edges added so far
+    rows: list = []  # edge entries not yet added
+    for key, batch in sections:
+        if key == "modes":
+            for index, entry in enumerate(map(_as_object, batch), len(pairs)):
+                try:
+                    cents = entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"]
+                    policy = FarePolicy(*cents)
+                    pairs.append((entry["name"], policy))
+                except (KeyError, TypeError, ConfigurationError) as error:
+                    raise _malformed(path, f"modes[{index}]", error) from None
+            continue
+        if fare_table is None:
+            try:
+                fare_table = FareTable.from_pairs(pairs)
+            except ConfigurationError as error:
+                raise ParseError(f"modes: {error}", file=str(path)) from None
+        if key == "pois":
+            for index, poi in enumerate(map(_as_object, batch), pois):
+                try:
+                    external_id, name = poi["external_id"], poi.get("name", "")
+                    builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
+                except (KeyError, TypeError, ConfigurationError) as error:
+                    raise _malformed(path, f"pois[{index}]", error) from None
+            pois += len(batch)
+            continue
+        rows += batch
+        if len(rows) >= _CHUNK:
+            edges, rows = _add_edge_rows(builder, rows, edges, path), []
+    _add_edge_rows(builder, rows, edges, path)
     try:
         return builder.finalize(fare_table)
     except ConfigurationError as error:  # an edge's mode or cost; its id is its index in 'edges'
         raise ParseError(f"edges[{error.edge}]: {error}", file=str(path)) from None
 
 
-def _add_edge_rows(builder: NetworkBuilder, rows: list, path: Path) -> None:
-    """Add a network file's decoded ``edges``, edge rows and, for a record
-    with keys beyond an edge's, dicts, by one
-    :meth:`NetworkBuilder.add_edges`; the first entry at fault raises
-    :class:`ParseError` naming it by its index."""
+def _add_edge_rows(builder: NetworkBuilder, rows: list, start: int, path: Path) -> int:
+    """Add a network file's decoded edges ``rows``, from its index ``start``
+    in ``edges`` on: edge rows and, for a record with keys beyond an edge's,
+    dicts, by one :meth:`NetworkBuilder.add_edges`; the count of edges added
+    then. The first entry at fault raises :class:`ParseError` naming it by
+    its index."""
     if {*map(type, rows)} - {tuple}:
         for index, entry in enumerate(rows):
             if type(entry) is tuple:
@@ -829,12 +874,12 @@ def _add_edge_rows(builder: NetworkBuilder, rows: list, path: Path) -> None:
             try:
                 rows[index] = _edge_values(entry)
             except (KeyError, TypeError) as error:
-                _add_edge_rows(builder, rows[:index], path)  # a fault of an earlier edge comes first
-                raise _malformed(path, f"edges[{index}]", error) from None
+                _add_edge_rows(builder, rows[:index], start, path)  # a fault of an earlier edge comes first
+                raise _malformed(path, f"edges[{start + index}]", error) from None
     try:
-        builder.add_edges(*_columns(rows, len(TransitEdge._fields)))
+        return builder.add_edges(*_columns(rows, len(TransitEdge._fields))).stop
     except ConfigurationError as error:
-        raise _malformed(path, f"edges[{error.edge}]", error) from None
+        raise _malformed(path, f"edges[{start + error.edge}]", error) from None
 
 
 def _malformed(path: Path, element: str, error: Exception) -> ParseError:

@@ -145,7 +145,8 @@ def _fake_measurement(src, scenario, digest="d", host_ref_ms=4.0):
     timing = {"load_s": 1.0, "load_p25_s": 0.95, "load_p75_s": 1.05, "host_ref_ms": host_ref_ms}
     digests = {"sha256": digest, "edge_costs_sha256": "c"}
     digests["network_sha256" if scenario == "gtfs" else "edge_list_network_sha256"] = "n"
-    return {"scenario": scenario, "src": str(src), **digests, **timing}
+    memory = {} if scenario == "gtfs" else {"network_mb": 2.0, "save_peak_mb": 0.5, "load_peak_mb": 3.0}
+    return {"scenario": scenario, "src": str(src), **digests, **timing, **memory}
 
 
 def test_against_runs_the_parent_right_before_the_change_and_writes_both_rows(bench_io, monkeypatch, tmp_path):
@@ -213,6 +214,38 @@ def test_against_exits_1_when_a_sha256_differs(bench_io, monkeypatch, tmp_path, 
     output = tmp_path / "io.json"
     assert bench_io.main(["--label", "x", "--against", str(parent), "--output", str(output)]) == 1
     assert f"a sha256 differs on {scenario}" in capsys.readouterr().err
+    assert len(json.loads(output.read_text())) == 2  # the rows are kept
+
+
+@pytest.mark.parametrize(
+    "key, scale, status",
+    [
+        ("load_peak_mb", 1.02, 1),
+        ("network_mb", 1.015, 1),
+        ("save_peak_mb", 1.2, 1),
+        ("load_peak_mb", 1.005, 0),  # within 1%
+        ("load_peak_mb", 0.5, 0),
+    ],
+)
+def test_against_exits_1_when_a_memory_figure_rises_by_more_than_1_percent(
+    bench_io, monkeypatch, tmp_path, capsys, key, scale, status
+):
+    parent = tmp_path / "parent"
+
+    def measured_in(src, name):
+        measurement = _fake_measurement(src, name)
+        if src != parent / "src" and name == "random":
+            measurement[key] *= scale
+        return measurement
+
+    monkeypatch.setattr(bench_io, "measured_in", measured_in)
+    output = tmp_path / "io.json"
+    assert bench_io.main(["--label", "x", "--against", str(parent), "--output", str(output)]) == status
+    out, err = capsys.readouterr()
+    assert "road change/parent: network_mb 1.000, save_peak_mb 1.000, load_peak_mb 1.000" in out
+    assert f"{key} {scale:.3f}" in out.split("random change/parent:")[1]
+    assert "gtfs change/parent" not in out
+    assert ("memory rose by more than 1% on random " + key in err) == bool(status)
     assert len(json.loads(output.read_text())) == 2  # the rows are kept
 
 

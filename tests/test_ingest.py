@@ -106,6 +106,18 @@ def test_unreadable_fare_config_is_named(tmp_path):
         load_fare_config(binary)
 
 
+# Money texts Decimal() reads: an underscore, or another script's digit, in a single value or a range's end.
+NON_ASCII_MONEY = ["1_0", "\u0661", "1-2_0", "\u0661-2", "0.5_0"]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_MONEY)
+def test_a_money_text_of_an_underscore_or_another_scripts_digit_is_rejected(tmp_path, text):
+    config = tmp_path / "fares.csv"
+    config.write_text(f"mode,base_fare,cost_per_meter,cost_per_minute,resolution_strategy\nA,{text},0,0,\n")
+    with pytest.raises(ParseError, match=re.escape(f"fares.csv:2: cannot parse money range {text!r}")):
+        load_fare_config(config)
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ConfigurationError):
         resolve_fares(default_fare_ranges(), "cheapest")
@@ -806,6 +818,39 @@ def test_a_time_part_of_anything_but_ascii_digits_is_rejected_at_its_first_line(
     write_stop_times(feed, rows)
     with pytest.raises(ParseError, match=re.escape(f"stop_times.txt:3: cannot parse time {text!r}")):
         load_gtfs(feed, gtfs_fares())
+
+
+# Texts int() takes as an integer cell: a sign, another script's digit, an underscore.
+NON_DIGIT_INTEGERS = ["+1", "-1", "\u0663", "1_0"]
+
+
+@pytest.mark.parametrize("text", NON_DIGIT_INTEGERS)
+def test_a_stop_sequence_of_anything_but_ascii_digits_is_rejected_at_its_first_line(tmp_path, text):
+    feed = copy_feed(tmp_path)
+    rows = [("T1", "A", "09:00:00", "09:00:00", 1), ("T1", "B", "09:05:00", "09:05:00", text)]
+    write_stop_times(feed, [*rows, ("T1", "C", "09:10:00", "09:10:00", text)])
+    with pytest.raises(ParseError, match=re.escape("stop_times.txt:3: stop_sequence must be an integer")):
+        parse_gtfs(feed)
+
+
+@pytest.mark.parametrize("text", ["+3", "-3", "\u0663", "0_3"])
+def test_a_route_type_of_anything_but_ascii_digits_is_rejected(tmp_path, text):
+    feed = copy_feed(tmp_path)
+    (feed / "routes.txt").write_text(f"route_id,route_type\nR1,{text}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape("routes.txt:2: route_type must be an integer")):
+        parse_gtfs(feed)
+
+
+def test_integer_cells_with_surrounding_whitespace_are_read(tmp_path):
+    feed = copy_feed(tmp_path)
+    (feed / "routes.txt").write_text("route_id,route_type\nR1, 3 \n")
+    write_stop_times(feed, [("T1", "A", "09:00:00", "09:00:00", " 7 "), ("T1", "B", "09:05:00", "09:05:00", " 7 ")])
+    with pytest.raises(ParseError, match=re.escape("stop_times.txt:3: stop_sequence not strictly increasing")):
+        parse_gtfs(feed)  # both read as 7
+    write_stop_times(feed, [("T1", "A", "09:00:00", "09:00:00", " 7 "), ("T1", "B", "09:05:00", "09:05:00", "8")])
+    parsed = parse_gtfs(feed)
+    assert parsed.route_types == {"R1": 3}
+    assert [entry.sequence for entry in parsed.stop_times["T1"]] == [7, 8]
 
 
 # --- cells with surrounding whitespace ----------------------------------------------

@@ -9,12 +9,21 @@ must be equal, the dict order of ``GtfsFeed.stop_times`` included; on
 faulty files the exception must be of the same type, with the same message,
 file and line, also when a file holds several faults. Files with an empty
 PoI or stop id, which the loaders now reject, are tested in
-``test_ingest.py``.
+``test_ingest.py``, as are the signed, underscored and non-ASCII integer
+cells that ``parse_gtfs`` now rejects; no file drawn here holds one.
+
+So are ``load_network_json``, ``_network_document`` and ``_add_edge_rows``
+as they were before the load built the network as it read the file, with
+the method of ``_Chunks`` that read an array whole: the same network, or
+the same ``ParseError``, on saved networks at every chunk size, on odd and
+mutated texts, on perfbench's ingest networks and on files whose builder
+fault comes before a JSON fault later in the file.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -22,33 +31,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_network_json_chunks import CHUNKS, NETWORKS, TEXTS, _tricky_network, mutated
+
+from gtpmm import ingest
 from gtpmm.errors import ConfigurationError, ParseError
 from gtpmm.fixtures import default_fare_ranges, gtfs_minimal_dir
 from gtpmm.ingest import (
     EDGE_LIST_HEADER,
     ROUTE_TYPE_MODES,
+    CategoryConfig,
     GtfsFeed,
     GtfsStop,
     GtfsStopTime,
+    _as_object,
+    _build_network,
+    _Chunks,
     _columns,
     _csv_records,
+    _edge_row,
+    _edge_values,
+    _gc_paused,
+    _malformed,
+    _network_sections,
     _parse_gtfs_time,
     _stop_time_sequence,
+    categorize,
     load_edge_list,
     load_fare_config,
     load_gtfs,
+    load_network_json,
     parse_gtfs,
+    read_json,
     resolve_fares,
+    save_network_json,
 )
 from gtpmm.network import (
     FarePolicy,
     FareTable,
     MultiModalNetwork,
     NetworkBuilder,
+    TransitEdge,
     _component_roots,
     connect_components,
     haversine_m,
 )
+from gtpmm.synth import road_network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -240,6 +267,134 @@ def reference_component_roots(net: MultiModalNetwork) -> list[int]:
     for poi in range(len(parent)):
         parent[poi] = parent[parent[poi]]
     return parent
+
+
+# --- the network file loader before it built as it read ------------------------------------
+
+
+class ReferenceChunks(_Chunks):
+    """``_Chunks`` with the method that read an array whole."""
+
+    def objects(self) -> list:
+        """The items of the array that starts here, read through its ']'.
+        What is read of it is decoded whole when the array ends in it, else
+        up to its last '}', since ``[`` items ``]`` is valid JSON only when
+        the items are whole."""
+        self.take("[")
+        items: list = []
+        while True:
+            cut = self.text.rfind("}", self.at) + 1
+            try:
+                batch = self.decoder.decode(f"[{self.text[self.at : cut]}]") if cut else []
+            except json.JSONDecodeError:
+                batch = []
+            if batch:
+                items += batch
+                self.at = cut
+                if self.take(",]") == "]":
+                    return items
+                continue
+            try:
+                rest, end = self.decoder.raw_decode(f"[{self.text[self.at :]}")
+            except json.JSONDecodeError:
+                if not self.more():
+                    raise ValueError("an array cut short") from None
+                continue
+            if items and not rest:
+                raise ValueError("a ',' before an array's ']'")
+            self.at += end - 1
+            return items + rest
+
+
+def reference_network_document(path: Path) -> dict:
+    """The network file at ``path`` as :func:`read_json` decodes it with
+    :func:`_edge_row`, when it is an object of arrays of objects, as
+    :func:`save_network_json` writes it; any other text raises ValueError.
+    The file is read a chunk at a time, so that neither its bytes nor its
+    text, each about its size, are held whole."""
+    document = {}
+    with path.open(encoding="utf-8") as handle:
+        chunks = ReferenceChunks(handle)
+        chunks.take("{")
+        while True:
+            key = chunks.key()
+            document[key] = chunks.objects()
+            if chunks.take(",}") == "}":
+                break
+        if chunks.peek():
+            raise ValueError("text after the network object")
+    return document
+
+
+@_gc_paused
+def reference_load_network_json(path: str | Path) -> MultiModalNetwork:
+    """Load a network serialized by :func:`save_network_json`.
+
+    The file is decoded a chunk at a time by :func:`_network_document`; a
+    file it does not take is decoded whole by :func:`read_json`, which names
+    the fault of a malformed one. Each edge record is decoded straight to
+    the tuple of its values, and the edges enter the builder by one
+    :meth:`NetworkBuilder.add_edges`.
+
+    The garbage collector is paused while it runs (:func:`_gc_paused`):
+    the build decodes a container per record and makes no reference cycle.
+    """
+    path = Path(path)
+    try:
+        document = reference_network_document(path)
+    except (OSError, ValueError, RecursionError):
+        document = _as_object(read_json(path, "network", _edge_row))
+
+    if not isinstance(document, dict):
+        raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))
+    for key in ("modes", "pois", "edges"):
+        if not isinstance(document.get(key), list):
+            raise ParseError(f"a network needs a list under {key!r}", file=str(path))
+
+    pairs = []
+    for index, entry in enumerate(map(_as_object, document["modes"])):
+        try:
+            policy = FarePolicy(entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"])
+            pairs.append((entry["name"], policy))
+        except (KeyError, TypeError, ConfigurationError) as error:
+            raise _malformed(path, f"modes[{index}]", error) from None
+    try:
+        fare_table = FareTable.from_pairs(pairs)
+    except ConfigurationError as error:
+        raise ParseError(f"modes: {error}", file=str(path)) from None
+
+    builder = NetworkBuilder(allow_self_loops=True)  # save_network_json writes any network, self-loops too
+    for index, poi in enumerate(map(_as_object, document["pois"])):
+        try:
+            external_id, name = poi["external_id"], poi.get("name", "")
+            builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
+        except (KeyError, TypeError, ConfigurationError) as error:
+            raise _malformed(path, f"pois[{index}]", error) from None
+    reference_add_edge_rows(builder, document.pop("edges"), path)  # the rows are dropped once the edges hold their values
+    try:
+        return builder.finalize(fare_table)
+    except ConfigurationError as error:  # an edge's mode or cost; its id is its index in 'edges'
+        raise ParseError(f"edges[{error.edge}]: {error}", file=str(path)) from None
+
+
+def reference_add_edge_rows(builder: NetworkBuilder, rows: list, path: Path) -> None:
+    """Add a network file's decoded ``edges``, edge rows and, for a record
+    with keys beyond an edge's, dicts, by one
+    :meth:`NetworkBuilder.add_edges`; the first entry at fault raises
+    :class:`ParseError` naming it by its index."""
+    if {*map(type, rows)} - {tuple}:
+        for index, entry in enumerate(rows):
+            if type(entry) is tuple:
+                continue
+            try:
+                rows[index] = _edge_values(entry)
+            except (KeyError, TypeError) as error:
+                reference_add_edge_rows(builder, rows[:index], path)  # a fault of an earlier edge comes first
+                raise _malformed(path, f"edges[{index}]", error) from None
+    try:
+        builder.add_edges(*_columns(rows, len(TransitEdge._fields)))
+    except ConfigurationError as error:
+        raise _malformed(path, f"edges[{error.edge}]", error) from None
 
 
 def outcome(function, *args):
@@ -542,3 +697,86 @@ def test_component_roots_are_the_reference_roots_on_drawn_networks(count, edges)
         if u < count and v < count:
             builder.add_edge(u, v, 0, 1.0, 1.0)
     assert_same_roots(builder.finalize(FARES))
+
+
+# --- network files ---------------------------------------------------------------------------
+
+
+def assert_same_network_json(path):
+    result = outcome(load_network_json, path)
+    assert result == outcome(reference_load_network_json, path)
+    return result
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_saved_networks_load_as_the_reference_loads_them(tmp_path, monkeypatch, name, chunk):
+    path = tmp_path / "net.json"
+    save_network_json(NETWORKS[name](), path)
+    monkeypatch.setattr(ingest, "_TEXT_CHUNK", chunk)
+    assert assert_same_network_json(path) == NETWORKS[name]()
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("case", sorted(TEXTS))
+def test_odd_network_texts_load_as_the_reference_loads_them(tmp_path, monkeypatch, case, chunk):
+    path = tmp_path / "net.json"
+    path.write_text(TEXTS[case], encoding="utf-8", newline="")
+    monkeypatch.setattr(ingest, "_TEXT_CHUNK", chunk)
+    assert_same_network_json(path)
+
+
+@pytest.fixture(scope="module")
+def tricky_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tricky") / "net.json"
+    save_network_json(_tricky_network(), path)
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_network_texts_load_as_the_reference_loads_them(tmp_path_factory, tricky_text, data):
+    path = tmp_path_factory.mktemp("mutated") / "net.json"
+    path.write_text(mutated(data, tricky_text), encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ingest, "_TEXT_CHUNK", data.draw(st.sampled_from(CHUNKS)))
+        assert_same_network_json(path)
+
+
+def test_the_perfbench_ingest_networks_load_as_the_reference_loads_them(perfbench_files, tmp_path):
+    files, fares = perfbench_files
+    for tag, raw, k in (("edges", load_edge_list(files.edge_list, fares), 8), ("gtfs", load_gtfs(files.gtfs, fares), 5)):
+        net, _ = categorize(connect_components(raw)[0], CategoryConfig(k=k))
+        path = tmp_path / f"{tag}.json"
+        save_network_json(net, path)
+        assert assert_same_network_json(path) == net
+
+
+# a record the builder rejects, in the first batch of 'modes', 'pois' or 'edges' or the last of 'pois', as
+# (where, old text, new text); an edge fault in the last batch of 'edges' is met only after the JSON fault
+BUILDER_FAULTS = {
+    "first mode": (str.index, '"base_fare_cents": ', '"base_fare_cents": -'),
+    "first PoI": (str.index, '"external_id": "r', '"external_id": 7, "x": "r'),
+    "last PoI": (str.rindex, '"external_id": "r', '"external_id": 7, "x": "r'),
+    "first edge": (str.index, '"distance_m": ', '"distance_m": -'),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BUILDER_FAULTS))
+def test_a_builder_fault_before_a_later_json_fault_fails_as_the_reference_fails(tmp_path, fault):
+    """The stream meets the builder's fault first; the whole document names
+    the JSON fault, as the reference did."""
+    path = tmp_path / "net.json"
+    save_network_json(road_network(1, 30), path)
+    find, old, new = BUILDER_FAULTS[fault]
+    text = path.read_text(encoding="utf-8")
+    at = find(text, old)
+    text = text[:at] + new + text[at + len(old) :]
+    end = "]\n}\n"  # the closing ']' of 'edges' and '}' of the network
+    assert text.endswith(end)
+    path.write_text(text[: -len(end)], encoding="utf-8")
+    with pytest.raises(ParseError, match=r"(modes|pois|edges)\[\d+\]"):
+        _build_network(path, _network_sections(path))  # what the stream alone would say
+    result = assert_same_network_json(path)
+    assert result[0] == "ParseError" and "invalid JSON" in result[1]
+    json.loads(path.read_text(encoding="utf-8") + end)  # no other fault
