@@ -26,10 +26,14 @@ returned (``categorize_sha256``), a sha256 of the PoIs, edges and edge
 costs of the network the edge list loads to (``edge_list_network_sha256``),
 the size of one loaded network in
 memory (``network_mb``: what ``tracemalloc`` still counts allocated once
-``load_network_json`` returns), the
+one more ``load_network_json`` returns, CPython's free lists emptied by a
+full collection before and after it, so that the figure counts the
+loaded network's own objects alone and not the freed ones a free list
+keeps; rows before the first whose label holds "network_mb counts the
+loaded network alone" counted those too, and are not comparable), the
 ``tracemalloc`` peaks of one save and of one load (``save_peak_mb`` and
 ``load_peak_mb``, each over what was allocated when it began; all three
-are taken in one extra save and load after the timed ones, so that no
+are taken in extra saves and loads after the timed ones, so that no
 timing pays for tracing), and the median time of the fixed pure-Python
 reference loop of ``bench_planner.py`` (``host_ref_ms``), run before the
 first save and after each load; plus the Python version and
@@ -74,6 +78,7 @@ not comparable.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import random
@@ -145,7 +150,8 @@ def measure(network: str, net, directory: Path) -> dict:
         _edge_costs(loaded.edges, loaded.fare_table)
         pricings.append(time.perf_counter() - start)
     data = path.read_bytes()
-    size, save_peak, load_peak = traced_round_trip(net, path)
+    save_peak, load_peak = traced_round_trip(net, path)
+    size = network_bytes(path)
 
     csv_path = directory / f"{network}.csv"
     save_edge_list(net, csv_path)
@@ -187,22 +193,41 @@ def measure(network: str, net, directory: Path) -> dict:
     }
 
 
-def traced_round_trip(net, path: Path) -> tuple[int, int, int]:
+def traced_round_trip(net, path: Path) -> tuple[int, int]:
     """One ``save_network_json`` of ``net`` to ``path`` and one
-    ``load_network_json`` of it under ``tracemalloc``: the bytes the loaded
-    network holds once the load has returned, and the peak bytes of the
-    save and of the load, each over what was allocated when it began."""
+    ``load_network_json`` of it under ``tracemalloc``: the peak bytes of
+    the save and of the load, each over what was allocated when it began."""
     tracemalloc.start()
     try:
         save_network_json(net, path)
         start, save_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         loaded = load_network_json(path)
-        end, load_peak = tracemalloc.get_traced_memory()
+        _, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     del loaded
-    return end - start, save_peak, load_peak - start
+    return save_peak, load_peak - start
+
+
+def network_bytes(path: Path) -> int:
+    """The bytes that one ``load_network_json`` of ``path`` leaves
+    allocated under ``tracemalloc``: the loaded network's own objects. A
+    full collection empties CPython's free lists before the load, so that
+    it reuses no object allocated untraced, and after it, so that the
+    objects it freed onto them, such as decoded edge rows, are not
+    counted."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        loaded = load_network_json(path)
+        gc.collect()
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del loaded
+    return end - start
 
 
 def write_feed(directory: Path, routes: int = GTFS_ROUTES) -> Path:

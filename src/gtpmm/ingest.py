@@ -9,12 +9,14 @@ or a range (``2.50-4.00``), in ASCII without ``_``. The per-row strategy,
 when nonempty, overrides the strategy passed to :func:`resolve_fares`.
 
 Edge list (CSV): header exactly ``u,v,mode,distance_m,time_min``; ``u``/``v``
-are external PoI ids, ``mode`` is a fare-config mode name. Dense internal
-ids are assigned in sorted external-id order.
+are external PoI ids, ``mode`` is a fare-config mode name, and each distance
+and time is a number in ASCII without ``_``. Dense internal ids are assigned
+in sorted external-id order.
 
 GTFS: the standard ``stops.txt``, ``routes.txt``, ``trips.txt`` and
 ``stop_times.txt`` files; times are ``HH:MM:SS`` with hours allowed past 24,
-and each time part, ``stop_sequence`` and ``route_type`` is ASCII digits.
+each time part, ``stop_sequence`` and ``route_type`` is ASCII digits, and
+each ``stop_lat`` and ``stop_lon`` a number in ASCII without ``_``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, sub
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, ParamSpec, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, ParamSpec, Sequence, TextIO, TypeVar
 
 from .errors import ConfigurationError, ParseError
 from .network import (
@@ -142,14 +144,13 @@ def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(map(itemgetter(index), rows)) for index in range(width)]
 
 
-def read_json(path: str | Path, kind: str, object_hook: Callable[[dict], object] | None = None) -> object:
-    """The JSON document in the ``kind`` file at ``path``, each JSON object
-    decoded through ``object_hook`` when it is given; invalid JSON, text
-    that is not UTF-8, a number of more digits than ``int`` converts,
+def read_json(path: str | Path, kind: str) -> object:
+    """The JSON document in the ``kind`` file at ``path``; invalid JSON,
+    text that is not UTF-8, a number of more digits than ``int`` converts,
     nesting deeper than the decoder recurses and an unreadable file raise
     :class:`ParseError` naming the file, and the line for invalid JSON."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as error:
         raise ParseError(f"invalid JSON: {error.msg}", file=str(path), line=error.lineno) from None
     except UnicodeDecodeError:
@@ -274,33 +275,62 @@ def resolve_fares(
 # --- edge lists ---------------------------------------------------------------
 
 
+def _floats(texts: Sequence[str]) -> list[float]:
+    """``float()`` of each of ``texts``, at C speed; ValueError unless each,
+    stripped of surrounding whitespace, is ASCII text without ``_`` that
+    ``float()`` reads. ``float()`` alone reads ``1_000`` and another
+    script's digits."""
+    joined = "".join(texts)
+    if "_" in joined or not (joined.isascii() or "".join(map(str.strip, texts)).isascii()):
+        raise ValueError("a number that is not ASCII or holds '_'")
+    return list(map(float, texts))
+
+
 @_gc_paused
 def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork:
     """Build a network from an edge-list CSV (see module docstring).
 
-    Each record's cells go straight to one list per column, its distance
-    and time parsed there, so that no cell text outlives its row; ids and
-    modes are then stripped and checked a column at a time. A number that
-    does not parse fails at its row, then an empty ``u`` or ``v``, then an
-    unknown mode or an edge the builder rejects, each at its first line.
+    The records are read :data:`_CHUNK` at a time and split into columns
+    at C speed, their distances and times parsed by :func:`_floats` and
+    their ids and modes stripped there, so that no cell text outlives its
+    batch; ids and modes are then checked a column at a time. A number
+    :func:`_floats` rejects fails at its row, ahead of a CSV fault at a
+    later one, then an empty ``u`` or ``v``, then an unknown mode or an
+    edge the builder rejects, each at its first line.
 
     The garbage collector is paused while it runs (:func:`_gc_paused`):
     the build makes a container per row and no reference cycle.
     """
     path = Path(path)
+    records = _csv_records(path, EDGE_LIST_HEADER, exact=True)
     lines, us, vs, names, distances, times = [], [], [], [], [], []  # one list per column
-    for line, (u, v, mode, distance_text, time_text) in _csv_records(path, EDGE_LIST_HEADER, exact=True):
+    while True:
+        batch, fault = [], None
         try:
-            distances.append(float(distance_text))
-            times.append(float(time_text))
-        except ValueError:
-            raise ParseError("distance and time must be numeric", file=str(path), line=line) from None
-        lines.append(line)
-        us.append(u)
-        vs.append(v)
-        names.append(mode)
+            batch.extend(islice(records, _CHUNK))  # list.extend keeps the records read before a CSV fault
+        except ParseError as error:
+            fault = error
+        if batch:  # zip(*...) tracks an iterator per record, which costs nothing with the collector paused
+            batch_lines, cells = zip(*batch)
+            batch_us, batch_vs, batch_names, distance_texts, time_texts = zip(*cells)
+            try:
+                distances += _floats(distance_texts)
+                times += _floats(time_texts)
+            except ValueError:
+                for line, distance_text, time_text in zip(batch_lines, distance_texts, time_texts):
+                    try:
+                        _floats((distance_text, time_text))
+                    except ValueError:
+                        raise ParseError("distance and time must be numeric", file=str(path), line=line) from None
+            lines += batch_lines
+            us += map(str.strip, batch_us)
+            vs += map(str.strip, batch_vs)
+            names += map(str.strip, batch_names)
+        if fault is not None:
+            raise fault
+        if len(batch) < _CHUNK:
+            break
 
-    us, vs, names = list(map(str.strip, us)), list(map(str.strip, vs)), list(map(str.strip, names))
     if "" in us or "" in vs:
         first = min(column.index("") for column in (us, vs) if "" in column)
         raise ParseError("empty PoI id", file=str(path), line=lines[first])
@@ -430,7 +460,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
         if stop_id in feed.stops:
             raise ParseError(f"duplicate stop_id {stop_id!r}", file=file, line=line)
         try:
-            lat, lon = float(lat_text), float(lon_text)
+            lat, lon = _floats((lat_text, lon_text))
         except ValueError:
             raise ParseError("stop coordinates must be numeric", file=file, line=line) from None
         feed.stops[stop_id] = GtfsStop(name, lat, lon, line)
@@ -588,7 +618,7 @@ _MODE_RECORD = _template(
 _POI_RECORD = _template(dict.fromkeys(("external_id", "name", "category", "coords"), _SLOT), "    ")
 _EDGE_RECORD = _template(dict.fromkeys(TransitEdge._fields, _SLOT), "    ")
 _COORDS = _template([_SLOT, _SLOT], "      ")
-_CHUNK = 1024  # records per write, and about the edge rows per add_edges of a load
+_CHUNK = 1024  # records per write and per edge-list read, and about the edge rows per add_edges of a load
 _TEXT_CHUNK = 1 << 15  # characters read at a time, so that each piece of a network file's text stays small
 
 
@@ -659,38 +689,13 @@ def _plain_edges(edges: tuple[TransitEdge, ...]) -> bool:
 _edge_values = itemgetter(*TransitEdge._fields)
 
 
-def _edge_row(entry: dict) -> dict | tuple:
-    """The JSON decoder's object hook: an object whose five keys are an
-    edge record's as the tuple of its values, in :class:`TransitEdge`
-    field order, which takes a fraction of the dict's memory; any other
-    object as it is."""
-    if len(entry) == len(TransitEdge._fields):
-        try:
-            return _edge_values(entry)
-        except KeyError:  # five keys, not all of them an edge's
-            pass
-    return entry
-
-
-def _as_object(entry: object) -> object:
-    """``entry``, or the object :func:`_edge_row` made a tuple of: a mode,
-    a PoI or the document that happens to hold exactly an edge record's
-    keys, read as the dict it was."""
-    return dict(zip(TransitEdge._fields, entry)) if type(entry) is tuple else entry
-
-
 class _Chunks:
     """The text of an open file, read :data:`_TEXT_CHUNK` characters at a
-    time, a position in what is read, and the decoder of its arrays' items.
-    Text a method does not take raises ValueError."""
+    time, and a position in what is read. Text a method does not take
+    raises ValueError."""
 
     def __init__(self, handle: TextIO):
         self.handle, self.text, self.at = handle, "", 0
-        # One int object per int text, so the copies of a PoI id that edges'
-        # ``u`` and ``v`` decode are freed at once. Kept until the edges enter
-        # the builder, they would leave some 0.8 MB of small-object pools half
-        # used by the distances and times decoded among them, which it keeps.
-        self.decoder = json.JSONDecoder(object_hook=_edge_row, parse_int=cache(int))
 
     def more(self) -> bool:
         """Read one more chunk after the unread text; False at the end."""
@@ -727,18 +732,18 @@ class _Chunks:
         self.take(":")
         return key
 
-    def batches(self) -> Iterator[list]:
-        """The items of the array that starts here, a decoded batch at a
-        time, read through its ']'. What is read of it is decoded whole when
-        the array ends in it, else up to its last '}', since ``[`` items
-        ``]`` is valid JSON only when the items are whole. Only the last
-        batch may be empty."""
+    def batches(self, decoder: json.JSONDecoder) -> Iterator[list]:
+        """The items of the array that starts here, a batch at a time as
+        ``decoder`` decodes them, read through its ']'. What is read of it
+        is decoded whole when the array ends in it, else up to its last '}',
+        since ``[`` items ``]`` is valid JSON only when the items are whole.
+        Only the last batch may be empty."""
         self.take("[")
         first = True
         while True:
             cut = self.text.rfind("}", self.at) + 1
             try:
-                batch = self.decoder.decode(f"[{self.text[self.at : cut]}]") if cut else []
+                batch = decoder.decode(f"[{self.text[self.at : cut]}]") if cut else []
             except json.JSONDecodeError:
                 batch = []
             if batch:
@@ -748,7 +753,7 @@ class _Chunks:
                     return
                 continue
             try:
-                batch, end = self.decoder.raw_decode(f"[{self.text[self.at :]}")
+                batch, end = decoder.raw_decode(f"[{self.text[self.at :]}")
             except json.JSONDecodeError:
                 if not self.more():
                     raise ValueError("an array cut short") from None
@@ -763,22 +768,34 @@ class _Chunks:
 def _network_sections(path: Path) -> Iterator[tuple[str, list]]:
     """The network file at ``path`` as ``(key, batch)`` pairs, in file
     order: the items of its ``modes``, ``pois`` and ``edges`` a decoded
-    batch at a time, as :func:`read_json` decodes them with
-    :func:`_edge_row`. The file is read a chunk at a time, so that neither
-    its bytes nor its text, each about its size, are held whole. Only
-    :func:`save_network_json`'s layout is taken: those three keys in that
-    order, modes and PoIs as objects and edges as edge rows; any other
-    text raises ValueError, at the latest once the last batch is taken."""
+    batch at a time, modes and PoIs as plain JSON and each edge record
+    straight to the tuple of its values by the C-level object hook
+    :data:`_edge_values`, which takes a fraction of a dict's memory. The
+    file is read a chunk at a time, so that neither its bytes nor its text,
+    each about its size, are held whole. Only :func:`save_network_json`'s
+    layout is taken: those three keys in that order, and their items as
+    objects, each edge's with an edge record's keys; any other text raises
+    ValueError, at the latest once the last batch is taken."""
+    # One int object per int text, so the copies of a PoI id that edges' ``u``
+    # and ``v`` decode are freed at once. Kept until the edges enter the
+    # builder, they would leave some 0.8 MB of small-object pools half used by
+    # the distances and times decoded among them, which it keeps.
+    parse_int = cache(int)
+    plain = json.JSONDecoder(parse_int=parse_int)
+    edges = json.JSONDecoder(object_hook=_edge_values, parse_int=parse_int)
     with path.open(encoding="utf-8") as handle:
         chunks = _Chunks(handle)
         chunks.take("{")
-        for key, kind in (("modes", dict), ("pois", dict), ("edges", tuple)):
+        for key, kind, decoder in (("modes", dict, plain), ("pois", dict, plain), ("edges", tuple, edges)):
             if chunks.key() != key:
                 raise ValueError(f"expected the key {key!r}")
-            for batch in chunks.batches():
-                if {*map(type, batch)} - {kind}:
-                    raise ValueError(f"an item of another type under {key!r}")
-                yield key, batch
+            try:
+                for batch in chunks.batches(decoder):
+                    if {*map(type, batch)} - {kind}:
+                        raise ValueError(f"an item of another type under {key!r}")
+                    yield key, batch
+            except KeyError:  # the edge hook met an object without an edge record's keys
+                raise ValueError("an object under 'edges' without an edge's keys") from None
             chunks.take("}" if key == "edges" else ",")
         if chunks.peek():
             raise ValueError("text after the network object")
@@ -792,10 +809,10 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
     decodes it a chunk at a time, each decoded batch of modes and PoIs goes
     into the builder before the next chunk is decoded, and the edge rows go
     in about :data:`_CHUNK` at a time, so the decoded document is never
-    held whole. Any other file, and one that fails anywhere, is decoded
-    whole by :func:`read_json` and built again by the same steps
+    held whole; each edge record is decoded straight to the tuple of its
+    values. Any other file, and one that fails anywhere, is decoded whole
+    by :func:`read_json` as plain JSON and built again by the same steps
     (:func:`_build_network`), which then name the fault of a malformed one.
-    Each edge record is decoded straight to the tuple of its values.
 
     The garbage collector is paused while it runs (:func:`_gc_paused`):
     the build decodes a container per record and makes no reference cycle.
@@ -805,7 +822,7 @@ def load_network_json(path: str | Path) -> MultiModalNetwork:
         return _build_network(path, _network_sections(path))
     except (OSError, ValueError, RecursionError, ParseError):
         pass  # the whole document names the fault, or reads the other layout
-    document = _as_object(read_json(path, "network", _edge_row))
+    document = read_json(path, "network")
     if not isinstance(document, dict):
         raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))
     for key in ("modes", "pois", "edges"):
@@ -829,7 +846,7 @@ def _build_network(path: Path, sections: Iterable[tuple[str, list]]) -> MultiMod
     rows: list = []  # edge entries not yet added
     for key, batch in sections:
         if key == "modes":
-            for index, entry in enumerate(map(_as_object, batch), len(pairs)):
+            for index, entry in enumerate(batch, len(pairs)):
                 try:
                     cents = entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"]
                     policy = FarePolicy(*cents)
@@ -843,7 +860,7 @@ def _build_network(path: Path, sections: Iterable[tuple[str, list]]) -> MultiMod
             except ConfigurationError as error:
                 raise ParseError(f"modes: {error}", file=str(path)) from None
         if key == "pois":
-            for index, poi in enumerate(map(_as_object, batch), pois):
+            for index, poi in enumerate(batch, pois):
                 try:
                     external_id, name = poi["external_id"], poi.get("name", "")
                     builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
@@ -863,14 +880,12 @@ def _build_network(path: Path, sections: Iterable[tuple[str, list]]) -> MultiMod
 
 def _add_edge_rows(builder: NetworkBuilder, rows: list, start: int, path: Path) -> int:
     """Add a network file's decoded edges ``rows``, from its index ``start``
-    in ``edges`` on: edge rows and, for a record with keys beyond an edge's,
-    dicts, by one :meth:`NetworkBuilder.add_edges`; the count of edges added
-    then. The first entry at fault raises :class:`ParseError` naming it by
-    its index."""
-    if {*map(type, rows)} - {tuple}:
+    in ``edges`` on: the stream's edge rows, or the whole document's
+    entries, by one :meth:`NetworkBuilder.add_edges`; the count of edges
+    added then. The first entry at fault raises :class:`ParseError` naming
+    it by its index."""
+    if {*map(type, rows)} - {tuple}:  # the whole document's entries, which hold no tuple
         for index, entry in enumerate(rows):
-            if type(entry) is tuple:
-                continue
             try:
                 rows[index] = _edge_values(entry)
             except (KeyError, TypeError) as error:

@@ -91,6 +91,31 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
     assert row["host_ref_ms"] > 0
 
 
+def test_network_mb_counts_the_loaded_network_alone(bench_io, tmp_path, monkeypatch):
+    """Rows that a load frees onto CPython's tuple free list, which keeps
+    them allocated, are not counted, and neither is the network counted
+    short by a load that reuses rows freed before it."""
+    net = road_network(1, 8)
+    path = tmp_path / "road.json"
+    bench_io.save_network_json(net, path)
+    bench_io.network_bytes(path)  # first-call caches
+    alone = bench_io.network_bytes(path)
+    load = bench_io.load_network_json
+
+    def freeing(path):
+        rows = [(index, 0, 0, 0.0, 0.0) for index in range(1000)]  # freed onto the free list of 5-tuples
+        del rows
+        return load(path)
+
+    monkeypatch.setattr(bench_io, "load_network_json", freeing)
+    assert bench_io.network_bytes(path) == pytest.approx(alone, rel=0.01)  # the freed rows, counted, would double it
+    monkeypatch.setattr(bench_io, "load_network_json", load)
+    rows = [(index, 0, 0, 0.0, 0.0) for index in range(1000)]
+    del rows  # untraced, on the free list when the measured load begins
+    assert bench_io.network_bytes(path) == pytest.approx(alone, rel=0.01)
+    assert not tracemalloc.is_tracing()
+
+
 def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
 
     feed = bench_io.write_feed(tmp_path, routes=2)

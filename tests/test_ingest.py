@@ -188,6 +188,49 @@ def test_non_utf8_edge_list_is_named(tmp_path):
         load_edge_list(path, walkthrough_fare_table())
 
 
+# Number texts float() reads: an underscore, or another script's digits, also between whitespace.
+NON_ASCII_NUMBERS = ["1_000", "\u0661\u0662", "1e1_0", " \u0665 "]
+
+
+def write_rows(path, rows):
+    path.write_text("\n".join(["u,v,mode,distance_m,time_min", *map(",".join, rows)]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("column", [3, 4])
+@pytest.mark.parametrize("text", NON_ASCII_NUMBERS)
+def test_an_edge_list_number_of_an_underscore_or_another_scripts_digit_is_rejected_at_its_line(
+    tmp_path, text, column
+):
+    """At its line, after an unknown mode (which is checked after every
+    number) and before the same text in the other column and a row of too
+    few cells."""
+    rows = [["a", "b", "Bus", "100", "1"], ["a", "c", "Zeppelin", "100", "1"], ["b", "c", "Bus", "100", "1"]]
+    rows += [["a", "d", "Bus", "100", "1"], ["c", "d", "Bus"]]
+    rows[2][column], rows[3][7 - column] = text, text
+    path = write_rows(tmp_path / "edges.csv", rows)
+    with pytest.raises(ParseError, match=re.escape("edges.csv:4: distance and time must be numeric")):
+        load_edge_list(path, walkthrough_fare_table())
+
+
+@pytest.mark.parametrize("at", [0, 1023, 1024, 2500])
+@pytest.mark.parametrize("bad", ["x", "1_000"])
+def test_the_first_bad_edge_list_number_fails_in_any_batch(tmp_path, at, bad):
+    """The records are read a thousand or so at a time: the first bad
+    number, in either column, still fails at its line, before a bad number
+    at a later line, a CSV fault in the same batch and an unknown mode at
+    an earlier one."""
+    rows = [[f"p{row}", f"p{row + 1}", "Bus", "100", "1"] for row in range(3000)]
+    rows[at][4], rows[at + 1][3], rows[at + 2] = bad, bad, ["a", "b"]
+    rows[max(at - 1, 0)][2] = "Zeppelin"
+    path = write_rows(tmp_path / "edges.csv", rows)
+    with pytest.raises(ParseError, match=re.escape(f"edges.csv:{at + 2}: distance and time must be numeric")):
+        load_edge_list(path, walkthrough_fare_table())
+    rows[at][4] = rows[at + 1][3] = "1"
+    with pytest.raises(ParseError, match=re.escape(f"edges.csv:{at + 4}: expected 5 columns, got 2")):
+        load_edge_list(write_rows(path, rows), walkthrough_fare_table())
+
+
 def test_edge_list_directory_is_named(tmp_path):
     path = tmp_path / "edges.csv"
     path.mkdir()
@@ -839,6 +882,21 @@ def test_a_route_type_of_anything_but_ascii_digits_is_rejected(tmp_path, text):
     (feed / "routes.txt").write_text(f"route_id,route_type\nR1,{text}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape("routes.txt:2: route_type must be an integer")):
         parse_gtfs(feed)
+
+
+@pytest.mark.parametrize("column", [2, 3])
+@pytest.mark.parametrize("text", ["4_8.5", "\u0662", *NON_ASCII_NUMBERS])
+def test_a_stop_coordinate_of_an_underscore_or_another_scripts_digit_is_rejected_at_its_line(tmp_path, text, column):
+    """At its line, after a latitude out of range (which the build checks
+    after parsing) and before the same text in the other column."""
+    feed = copy_feed(tmp_path)
+    stops = [["A", "Central", "91", "8.5"], ["B", "Market", "47.38", "8.55"], ["C", "Lake", "47.39", "8.56"]]
+    stops[1][column], stops[2][5 - column] = text, text
+    lines = ["stop_id,stop_name,stop_lat,stop_lon", *map(",".join, stops)]
+    (feed / "stops.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for load in (parse_gtfs, partial(load_gtfs, fare_table=gtfs_fares())):
+        with pytest.raises(ParseError, match=re.escape("stops.txt:3: stop coordinates must be numeric")):
+            load(feed)
 
 
 def test_integer_cells_with_surrounding_whitespace_are_read(tmp_path):

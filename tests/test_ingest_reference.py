@@ -10,14 +10,18 @@ faulty files the exception must be of the same type, with the same message,
 file and line, also when a file holds several faults. Files with an empty
 PoI or stop id, which the loaders now reject, are tested in
 ``test_ingest.py``, as are the signed, underscored and non-ASCII integer
-cells that ``parse_gtfs`` now rejects; no file drawn here holds one.
+cells that ``parse_gtfs`` now rejects and the underscored and non-ASCII
+number cells that both loaders now reject; no file drawn here holds one.
 
 So are ``load_network_json``, ``_network_document`` and ``_add_edge_rows``
 as they were before the load built the network as it read the file, with
-the method of ``_Chunks`` that read an array whole: the same network, or
-the same ``ParseError``, on saved networks at every chunk size, on odd and
-mutated texts, on perfbench's ingest networks and on files whose builder
-fault comes before a JSON fault later in the file.
+the decoder and the method of ``_Chunks`` that read an array whole, and
+the Python-level object hook ``_edge_row``, ``_as_object`` and the hooked
+``read_json`` they decoded with (copied in ``test_network_json_chunks.py``):
+the same network, or the same ``ParseError``, on saved networks at every
+chunk size, on odd and mutated texts, on perfbench's ingest networks, on
+files whose builder fault comes before a JSON fault later in the file and
+on edge records with a key beyond an edge's or without one of its keys.
 """
 
 from __future__ import annotations
@@ -25,13 +29,23 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_network_json_chunks import CHUNKS, NETWORKS, TEXTS, _tricky_network, mutated
+from test_network_json_chunks import (
+    CHUNKS,
+    NETWORKS,
+    TEXTS,
+    _tricky_network,
+    mutated,
+    reference_as_object,
+    reference_edge_row,
+    reference_read_json,
+)
 
 from gtpmm import ingest
 from gtpmm.errors import ConfigurationError, ParseError
@@ -43,12 +57,10 @@ from gtpmm.ingest import (
     GtfsFeed,
     GtfsStop,
     GtfsStopTime,
-    _as_object,
     _build_network,
     _Chunks,
     _columns,
     _csv_records,
-    _edge_row,
     _edge_values,
     _gc_paused,
     _malformed,
@@ -61,7 +73,6 @@ from gtpmm.ingest import (
     load_gtfs,
     load_network_json,
     parse_gtfs,
-    read_json,
     resolve_fares,
     save_network_json,
 )
@@ -273,7 +284,11 @@ def reference_component_roots(net: MultiModalNetwork) -> list[int]:
 
 
 class ReferenceChunks(_Chunks):
-    """``_Chunks`` with the method that read an array whole."""
+    """``_Chunks`` with the decoder it held and the method that read an array whole."""
+
+    def __init__(self, handle):
+        super().__init__(handle)
+        self.decoder = json.JSONDecoder(object_hook=reference_edge_row, parse_int=cache(int))
 
     def objects(self) -> list:
         """The items of the array that starts here, read through its ']'.
@@ -343,7 +358,7 @@ def reference_load_network_json(path: str | Path) -> MultiModalNetwork:
     try:
         document = reference_network_document(path)
     except (OSError, ValueError, RecursionError):
-        document = _as_object(read_json(path, "network", _edge_row))
+        document = reference_as_object(reference_read_json(path, "network", reference_edge_row))
 
     if not isinstance(document, dict):
         raise ParseError("a network must be a JSON object with 'modes', 'pois' and 'edges'", file=str(path))
@@ -352,7 +367,7 @@ def reference_load_network_json(path: str | Path) -> MultiModalNetwork:
             raise ParseError(f"a network needs a list under {key!r}", file=str(path))
 
     pairs = []
-    for index, entry in enumerate(map(_as_object, document["modes"])):
+    for index, entry in enumerate(map(reference_as_object, document["modes"])):
         try:
             policy = FarePolicy(entry["base_fare_cents"], entry["cost_per_meter_cents"], entry["cost_per_minute_cents"])
             pairs.append((entry["name"], policy))
@@ -364,7 +379,7 @@ def reference_load_network_json(path: str | Path) -> MultiModalNetwork:
         raise ParseError(f"modes: {error}", file=str(path)) from None
 
     builder = NetworkBuilder(allow_self_loops=True)  # save_network_json writes any network, self-loops too
-    for index, poi in enumerate(map(_as_object, document["pois"])):
+    for index, poi in enumerate(map(reference_as_object, document["pois"])):
         try:
             external_id, name = poi["external_id"], poi.get("name", "")
             builder.add_poi(external_id, name=name, category=poi.get("category"), coords=poi.get("coords"))
@@ -780,3 +795,37 @@ def test_a_builder_fault_before_a_later_json_fault_fails_as_the_reference_fails(
     result = assert_same_network_json(path)
     assert result[0] == "ParseError" and "invalid JSON" in result[1]
     json.loads(path.read_text(encoding="utf-8") + end)  # no other fault
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_edge_records_with_an_extra_key_stream_and_load_as_the_reference_loads_them(tmp_path, monkeypatch, chunk):
+    """The edge hook reads an edge record's five values and drops any other
+    key, so such a file streams; the whole document is never decoded."""
+    net = road_network(1, 6)
+    path = tmp_path / "net.json"
+    save_network_json(net, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"time_min": ', '"note": [1, "}"], "time_min": '), encoding="utf-8")
+    assert reference_load_network_json(path) == net
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole document was decoded")
+
+    monkeypatch.setattr(ingest, "read_json", whole)
+    monkeypatch.setattr(ingest, "_TEXT_CHUNK", chunk)
+    assert load_network_json(path) == net
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("edge", [0, 3, -1])
+def test_an_edge_record_without_u_is_named_as_the_reference_names_it(tmp_path, monkeypatch, edge, chunk):
+    net = road_network(1, 6)
+    path = tmp_path / "net.json"
+    save_network_json(net, path)
+    parts = path.read_text(encoding="utf-8").split('"u": ')  # only edge records have the key 'u'
+    edge %= net.edge_count
+    text = '"u": '.join(parts[: edge + 1]) + '"w": ' + '"u": '.join(parts[edge + 1 :])
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(ingest, "_TEXT_CHUNK", chunk)
+    result = assert_same_network_json(path)
+    assert result == ("ParseError", f"{path}: edges[{edge}]: missing key 'u'", str(path), None)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
+from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +16,60 @@ from hypothesis import strategies as st
 from gtpmm import ingest
 from gtpmm.errors import ParseError
 from gtpmm.fixtures import walkthrough_fare_table, walkthrough_network
-from gtpmm.ingest import load_network_json, save_network_json
-from gtpmm.network import NetworkBuilder
+from gtpmm.ingest import _edge_values, load_network_json, save_network_json
+from gtpmm.network import NetworkBuilder, TransitEdge
 from gtpmm.synth import road_network
 
 CHUNKS = (1, 2, 7, 64, ingest._TEXT_CHUNK)
 
 
+# Verbatim copies of ``_edge_row``, ``_as_object`` and ``read_json`` as they
+# were while the network loader decoded every JSON object through the
+# Python-level hook ``_edge_row``; only their names are changed. ``_whole``
+# decodes a file as that loader's whole-document read did, and
+# ``test_ingest_reference.py``'s reference loader decodes with them.
+
+
+def reference_edge_row(entry: dict) -> dict | tuple:
+    """The JSON decoder's object hook: an object whose five keys are an
+    edge record's as the tuple of its values, in :class:`TransitEdge`
+    field order, which takes a fraction of the dict's memory; any other
+    object as it is."""
+    if len(entry) == len(TransitEdge._fields):
+        try:
+            return _edge_values(entry)
+        except KeyError:  # five keys, not all of them an edge's
+            pass
+    return entry
+
+
+def reference_as_object(entry: object) -> object:
+    """``entry``, or the object :func:`_edge_row` made a tuple of: a mode,
+    a PoI or the document that happens to hold exactly an edge record's
+    keys, read as the dict it was."""
+    return dict(zip(TransitEdge._fields, entry)) if type(entry) is tuple else entry
+
+
+def reference_read_json(path: str | Path, kind: str, object_hook: Callable[[dict], object] | None = None) -> object:
+    """The JSON document in the ``kind`` file at ``path``, each JSON object
+    decoded through ``object_hook`` when it is given; invalid JSON, text
+    that is not UTF-8, a number of more digits than ``int`` converts,
+    nesting deeper than the decoder recurses and an unreadable file raise
+    :class:`ParseError` naming the file, and the line for invalid JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=object_hook)
+    except json.JSONDecodeError as error:
+        raise ParseError(f"invalid JSON: {error.msg}", file=str(path), line=error.lineno) from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{kind} file is not UTF-8 text", file=str(path)) from None
+    except (ValueError, RecursionError):
+        raise ParseError("invalid JSON: a number too long or nesting too deep to decode", file=str(path)) from None
+    except OSError as error:
+        raise ParseError(f"cannot read {kind} file: {error.strerror}", file=str(path)) from None
+
+
 def _whole(path):
-    return ingest._as_object(ingest.read_json(path, "network", ingest._edge_row))
+    return reference_as_object(reference_read_json(path, "network", reference_edge_row))
 
 
 def _streamed(path):
