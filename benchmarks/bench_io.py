@@ -69,10 +69,10 @@ when any of them rose by more than 1% (``MEMORY_RISE``): these
 not drift with the host as resident memory does. Each scenario's
 two measurements carry ``host_drifted``, by ``bench_planner.py``'s rule
 applied to ``load_s`` and its quartiles: true when the two
-``host_ref_ms`` differ, as a share of the lower, by more than either
-side's ``load_p75_s - load_p25_s`` over ``load_s``, so that the host's
-speed moved more between the two runs than within them and the pair is
-not comparable.
+``host_ref_ms`` differ, as a share of the lower, by more than the
+steadier side's ``load_p75_s - load_p25_s`` over ``load_s``, so that the
+host's speed moved more between the two runs than within the steadier one
+and the pair is not comparable.
 """
 
 from __future__ import annotations

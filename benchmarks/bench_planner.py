@@ -18,7 +18,9 @@ table's ``legs.searches``, which counts the pruning stage's searches too,
 and ``searches_by_kind``, the same count split into tree and layer
 searches), every search of the whole call by kind, read from the same
 ``legs`` once ``plan()`` returns (``plan_searches_by_kind``, which adds the
-searches of the plan's legs), and the median time of a fixed pure-Python reference loop
+searches of the plan's legs), a sha256 of the plan (``plan_sha256``: its
+total, its common PoIs and each leg's ``(edge, mode)`` sequence, in travel
+order), and the median time of a fixed pure-Python reference loop
 (``host_ref_ms``) run before and after every call; plus the Python version and
 ``os.cpu_count()``. The split is timed inside each ``plan()`` call by
 wrapping ``gtpmm.planner.compute_dp`` for the run. Landmark bounds pass
@@ -45,12 +47,17 @@ it, so that both sides meet the host's drift alike:
 Such a row holds, per scenario, each side's median ``plan_s``,
 ``compute_dp_s``, ``landmarks_s`` and ``host_ref_ms`` over the pairs, the
 ratio of the change's ``plan_s`` to the parent's in each pair and their
-median, the pairs the change won, and each side's ``searches_by_kind`` and
-``plan_searches_by_kind`` (equal when the change keeps every search). A pair whose two ``host_ref_ms`` differ, as a
-share of the lower, by more than either run's quartile spread of
-``plan_s`` (``plan_p75_s - plan_p25_s`` over ``plan_s``) is marked in
+median, the pairs the change won, and each side's ``searches_by_kind``,
+``plan_searches_by_kind`` (equal when the change keeps every search) and
+``plan_sha256``; the script exits 1, naming the scenario, when the two
+sides' ``plan_sha256`` differ, that is when the change planned another
+plan. A pair whose two ``host_ref_ms`` differ, as a share of the lower, by
+more than the steadier run's quartile spread of ``plan_s`` (the lesser
+``plan_p75_s - plan_p25_s`` over ``plan_s``) is marked in
 ``host_drifted``: the host's speed moved more between its two runs than
-within them, so its ratio may be the host's. ``plan_ratio_median_steady``
+within the steadier one, so its ratio may be the host's. The lesser spread
+is the yardstick because a host that slows part-way through a run widens
+that run's own spread, which would hide the drift. ``plan_ratio_median_steady``
 is the median ratio over the unmarked pairs (None when every pair is
 marked); ``plan_ratio_median`` stays the median over all of them, and no
 ratio is scaled by the host references.
@@ -59,6 +66,7 @@ ratio is scaled by the host references.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -134,7 +142,7 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
     start = time.perf_counter()
     net.landmarks, net.landmark_tightness  # the landmark index, built once per network
     landmarks_s = time.perf_counter() - start
-    planner.plan(net, inst, SHARING)  # builds the network's search view outside the timings
+    journey = planner.plan(net, inst, SHARING)  # also builds the network's search view outside the timings
 
     compute_dp = planner.compute_dp
     searches: list[Counter[str]] = []  # the table's search count as each compute_dp returns
@@ -176,8 +184,16 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
         "searches": sum(searches[-1].values()),
         "searches_by_kind": dict(sorted(searches[-1].items())),
         "plan_searches_by_kind": dict(sorted(legs[-1].searches.items())),
+        "plan_sha256": plan_sha256(journey),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
+
+
+def plan_sha256(journey: planner.JourneyPlan) -> str:
+    """A sha256 of ``journey``'s total, common PoIs and each leg's ``(edge,
+    mode)`` sequence, source legs first, then common legs, then destination legs."""
+    legs = [leg.legs for leg in (*journey.source_legs, *journey.common_legs, *journey.dest_legs)]
+    return hashlib.sha256(repr((journey.total_cost, journey.common_pois, legs)).encode()).hexdigest()
 
 
 def new_row(
@@ -230,7 +246,7 @@ def paired(against: Path, index: int) -> dict:
     for side in sides:
         for key in ("plan_s", "compute_dp_s", "landmarks_s", "host_ref_ms"):
             row[f"{side}_{key}"] = round(statistics.median(run[side][key] for run in runs), 4)
-        for key in ("searches_by_kind", "plan_searches_by_kind"):
+        for key in ("searches_by_kind", "plan_searches_by_kind", "plan_sha256"):
             row[f"{side}_{key}"] = runs[0][side][key]
     row["plan_ratios"] = [round(ratio, 3) for ratio in ratios]
     row["plan_ratio_median"] = round(statistics.median(ratios), 3)
@@ -242,11 +258,11 @@ def paired(against: Path, index: int) -> dict:
 
 def host_drifted(timed: str, *pair: dict) -> bool:
     """Whether the two runs' ``host_ref_ms`` differ, as a share of the lower,
-    by more than either run's quartile spread of the ``timed`` stage
-    (``{timed}_p75_s - {timed}_p25_s``) as a share of its median
+    by more than the steadier run's quartile spread of the ``timed`` stage
+    (the lesser ``{timed}_p75_s - {timed}_p25_s``) as a share of its median
     (``{timed}_s``)."""
     low, high = sorted(run["host_ref_ms"] for run in pair)
-    spread = max((run[f"{timed}_p75_s"] - run[f"{timed}_p25_s"]) / run[f"{timed}_s"] for run in pair)
+    spread = min((run[f"{timed}_p75_s"] - run[f"{timed}_p25_s"]) / run[f"{timed}_s"] for run in pair)
     return high - low > spread * low
 
 
@@ -267,7 +283,14 @@ def main(argv: list[str] | None = None) -> int:
     save_row(row, output)
     for scenario in row["scenarios"]:
         print(json.dumps(scenario))
-    return 0
+    differ = [
+        f"scenario {index} {SCENARIOS[index]}"
+        for index, scenario in enumerate(row["scenarios"])
+        if scenario.get("parent_plan_sha256") != scenario.get("change_plan_sha256")
+    ]
+    if differ:
+        print(f"bench_planner: the plan sha256 differs on {', '.join(differ)}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

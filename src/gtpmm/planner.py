@@ -489,11 +489,11 @@ def compute_dp(
     The first layer is :meth:`Legs.summed` from the agents' sources. Each
     later layer is one :meth:`Legs.layer` search seeded at the reached PoIs
     of the layer before, with costs times the intermediate multiplier;
-    ties keep the lower PoI id as parent. The destination stage then
-    finds the least ``(full total, PoI)`` over the reached last-category
-    PoIs with :func:`_least_total`, a PoI's full total being its last-layer
-    cost plus its destination legs (:meth:`Legs.summed_to`), each times the
-    agents bound there.
+    ties keep the lower PoI id as parent. The destination stage
+    (:func:`_destination_stage`) then finds the least ``(full total,
+    PoI)`` over the reached last-category PoIs with :func:`_least_total`,
+    a PoI's full total being its last-layer cost plus its destination legs
+    (:meth:`Legs.summed_to`), each times the agents bound there.
 
     Where :func:`~gtpmm.network.landmark_bound` gives no bounds for those
     PoIs and the distinct destinations (the gate is shut, or they span
@@ -524,28 +524,27 @@ def compute_dp(
     inst.check(net)
     m = sharing.intermediate_multiplier(inst.n_agents)
     legs = legs if legs is not None else Legs()
-    table = DpTable(cost=[{} for _ in inst.categories], parent=[{} for _ in inst.categories], legs=legs)
+    cost = [legs.summed(net, Counter(source for source, _ in inst.agents), inst.categories[0])]
+    parent = [dict.fromkeys(cost[0])]
+    for category in inst.categories[1:]:
+        found = legs.layer(net, cost[-1], m, category) if cost[-1] else {}
+        cost.append({j: total for j, (total, _) in found.items()})
+        parent.append({j: i for j, (_, i) in found.items()})
+    return DpTable(cost, parent, legs, _destination_stage(net, inst, cost[-1], legs, last_bounds))
 
-    table.cost[0] = legs.summed(net, Counter(source for source, _ in inst.agents), inst.categories[0])
-    table.parent[0] = dict.fromkeys(table.cost[0])
 
-    for c in range(1, inst.k):
-        previous = table.cost[c - 1]
-        if not previous:
-            continue
-        for j, (cost, parent) in legs.layer(net, previous, m, inst.categories[c]).items():
-            table.cost[c][j] = cost
-            table.parent[c][j] = parent
-
-    reached = table.cost[-1]
+def _destination_stage(
+    net: MultiModalNetwork, inst: QueryInstance, reached: dict[int, Money], legs: Legs, bounds: dict[int, Money] | None
+) -> tuple[Money, int] | None:
+    """:func:`compute_dp`'s destination stage: the table's ``best`` from the
+    last layer's ``reached`` costs, ordered by its ``last_bounds`` when given."""
     last = {j: reached[j] for j in inst.categories[-1] if j in reached}
     destinations = Counter(dest for _, dest in inst.agents)
-    if last_bounds is None:
+    if bounds is None:
         bound = landmark_bound(net, (*last, *destinations))
         if bound is not None:
-            last_bounds = _summed_bounds(bound, destinations, last)
-    table.best = _least_total(last, last_bounds, lambda pois: legs.summed_to(net, pois, destinations))
-    return table
+            bounds = _summed_bounds(bound, destinations, last)
+    return _least_total(last, bounds, lambda pois: legs.summed_to(net, pois, destinations))
 
 
 def reconstruct(table: DpTable, best_last: int) -> tuple[int, ...]:
@@ -585,6 +584,20 @@ def _first_unreachable(net: MultiModalNetwork, inst: QueryInstance) -> tuple[int
     return inst.agents[0][0], inst.categories[0][0]
 
 
+def _bounds(
+    net: MultiModalNetwork, inst: QueryInstance, m: int, sources: Counter[int], destinations: Counter[int]
+) -> tuple[Callable[[int, int], Money], list[dict[int, Money]], list[dict[int, Money]]] | None:
+    """:func:`_prune`'s gate and bounds DP: the pair ``bound`` over the
+    query's PoIs, ``through`` and ``suffix``, or None where the gate shuts."""
+    bound = landmark_bound(net, inst.referenced_pois())
+    if bound is None:
+        return None
+    categories = inst.categories
+    prefix = _chain_bounds(_summed_bounds(bound, sources, categories[0]), categories, m, bound)
+    suffix = _chain_bounds(_summed_bounds(bound, destinations, categories[-1]), categories[::-1], m, bound)[::-1]
+    return bound, [{j: reach[j] + rest[j] for j in reach} for reach, rest in zip(prefix, suffix)], suffix
+
+
 def _prune(
     net: MultiModalNetwork, inst: QueryInstance, sharing: SharingMode, legs: Legs
 ) -> tuple[QueryInstance | None, dict[int, Money] | None]:
@@ -604,11 +617,12 @@ def _prune(
     by agent counts (:func:`_summed_bounds`), hops by the intermediate
     multiplier. ``suffix[c][j]`` bounds the part from ``j`` on alike. Both
     are :func:`_chain_bounds`, the suffix run on the reversed categories
-    from the destinations, and ``through[c][j]`` is their sum. The chain
-    of least ``through`` is priced exactly: its source legs by
-    :meth:`Legs.summed`, one search per hop to its one target and one
-    from its last PoI to the distinct destinations, but none that a tree
-    grown before answers; that price ``ub`` is at least the optimum.
+    from the destinations, and ``through[c][j]`` is their sum: the step
+    :func:`_bounds` gives them past the gate. Here the chain of least
+    ``through`` is priced exactly: its source legs by :meth:`Legs.summed`,
+    one search per hop to its one target and one from its last PoI to the
+    distinct destinations, but none that a tree grown before answers; that
+    price ``ub`` is at least the optimum.
 
     The pricing searches pay only if some PoI goes, and a PoI goes when its
     bound exceeds ``ub``. The least chain bound is about ``tightness``
@@ -628,23 +642,19 @@ def _prune(
     tie is unchanged. The priced chain's PoIs always stay, as its bound is
     at most its price.
     """
-    bound = landmark_bound(net, inst.referenced_pois())
-    if bound is None:
-        return None, None
     m = sharing.intermediate_multiplier(inst.n_agents)
     sources = Counter(source for source, _ in inst.agents)
     destinations = Counter(dest for _, dest in inst.agents)
-    categories = inst.categories
-    prefix = _chain_bounds(_summed_bounds(bound, sources, categories[0]), categories, m, bound)
-    suffix = _chain_bounds(_summed_bounds(bound, destinations, categories[-1]), categories[::-1], m, bound)[::-1]
-    through = [{j: reach[j] + rest[j] for j in reach} for reach, rest in zip(prefix, suffix)]
+    if (bounds := _bounds(net, inst, m, sources, destinations)) is None:
+        return None, None
+    bound, through, suffix = bounds
 
-    chain = [min(categories[0], key=lambda j: through[0][j])]
+    chain = [min(inst.categories[0], key=lambda j: through[0][j])]
     least = through[0][chain[0]]
     tightness = net.landmark_tightness
     if all(tightness * lower <= least for row in through for lower in row.values()):
         return None, suffix[-1]  # no PoI's bound exceeds the likely threshold: pricing the chain would cut nothing
-    for category, rest in zip(categories[1:], suffix[1:]):
+    for category, rest in zip(inst.categories[1:], suffix[1:]):
         chain.append(min(category, key=lambda i: m * bound(chain[-1], i) + rest[i]))
     ub = legs.summed(net, sources, chain[:1])[chain[0]]
     ub += legs.summed_to(net, chain[-1:], destinations)[chain[-1]]

@@ -217,6 +217,25 @@ def test_against_marks_the_pairs_whose_host_references_drift_past_the_load_sprea
         assert row["gtfs"]["host_drifted"] is False
 
 
+def test_against_marks_a_drift_that_the_slowed_side_s_own_spread_would_hide(bench_io, monkeypatch, tmp_path):
+    parent = tmp_path / "parent"
+    # a GTFS pair seen on a shared host: host_ref_ms 4.38 against 5.65 (29% apart), load_s 54.1 against 77.2 ms,
+    # and the slowed side's load spread 37% of its median, against 4% on the steady side
+    sides = {"parent": (4.38, 0.0541, 0.04), "change": (5.65, 0.0772, 0.37)}
+
+    def measured_in(src, scenario):
+        host, load, spread = sides["parent" if src == parent / "src" else "change"]
+        timing = {"load_s": load, "load_p25_s": load * (1 - spread / 2), "load_p75_s": load * (1 + spread / 2)}
+        return _fake_measurement(src, scenario, host_ref_ms=host) | timing
+
+    monkeypatch.setattr(bench_io, "measured_in", measured_in)
+    output = tmp_path / "io.json"
+    assert bench_io.main(["--label", "x", "--against", str(parent), "--output", str(output)]) == 0
+    for row in json.loads(output.read_text()):
+        assert row["gtfs"]["host_drifted"] is True
+        assert [net["host_drifted"] for net in row["networks"]] == [True, True]
+
+
 @pytest.mark.parametrize(
     "scenario, key",
     [
