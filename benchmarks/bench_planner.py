@@ -7,9 +7,13 @@ The first three scenarios are random expanders, ``random_network(1, pois,
 lattice of 3025 PoIs, and the fifth a paper-scale one, ``road_network(1,
 141)``, of 19,881 PoIs (older rows hold fewer scenarios). Each query is
 ``draw_instance(net, 7, k, p, agents)``, planned per person. A row holds,
-per scenario, the time of the network's first ``landmarks`` and
-``landmark_tightness`` reads (``landmarks_s``, the landmark index's build,
-taken before any ``plan()`` call), medians over ``REPEATS`` ``plan()`` calls of the
+per scenario, the time of the network's first ``cheapest_neighbors`` and
+``cheapest_edges`` reads (``views_s``, the cheapest-hop views' build), then
+of its first ``landmarks`` and ``landmark_tightness`` reads (``landmarks_s``,
+the landmark index's build), both taken before any ``plan()`` call; rows
+from the one with ``views_s`` on hold no view build in ``landmarks_s``,
+while older rows fold it in, as the landmark searches read
+``cheapest_neighbors`` first. Then medians over ``REPEATS`` ``plan()`` calls of the
 whole call, of its ``compute_dp`` call and of the rest (argmin,
 reconstruction and leg assembly, and on the cities the pruning stage before
 the DP), the quartiles of the whole call, the cost-only searches the call
@@ -45,7 +49,7 @@ it, so that both sides meet the host's drift alike:
     PYTHONPATH=src python benchmarks/bench_planner.py --label "change against parent" --against ../parent-checkout
 
 Such a row holds, per scenario, each side's median ``plan_s``,
-``compute_dp_s``, ``landmarks_s`` and ``host_ref_ms`` over the pairs, the
+``compute_dp_s``, ``views_s``, ``landmarks_s`` and ``host_ref_ms`` over the pairs, the
 ratio of the change's ``plan_s`` to the parent's in each pair and their
 median, the pairs the change won, and each side's ``searches_by_kind``,
 ``plan_searches_by_kind`` (equal when the change keeps every search) and
@@ -140,9 +144,12 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
     net = NETWORKS[network](pois)
     inst = draw_instance(net, 7, k, p, agents)
     start = time.perf_counter()
+    net.cheapest_neighbors, net.cheapest_edges  # the cheapest-hop views, built once per network
+    views_s = time.perf_counter() - start
+    start = time.perf_counter()
     net.landmarks, net.landmark_tightness  # the landmark index, built once per network
     landmarks_s = time.perf_counter() - start
-    journey = planner.plan(net, inst, SHARING)  # also builds the network's search view outside the timings
+    journey = planner.plan(net, inst, SHARING)  # the first call, outside the timings
 
     compute_dp = planner.compute_dp
     searches: list[Counter[str]] = []  # the table's search count as each compute_dp returns
@@ -175,6 +182,7 @@ def measure(pois: int, k: int, p: int, agents: int, network: str = "random") -> 
         "pois_per_category": p,
         "agents": agents,
         "repeats": REPEATS,
+        "views_s": round(views_s, 4),
         "landmarks_s": round(landmarks_s, 4),
         "plan_s": round(statistics.median(plan_times), 4),
         "plan_p25_s": round(p25, 4),
@@ -244,7 +252,7 @@ def paired(against: Path, index: int) -> dict:
     row = {key: first[key] for key in ("pois", "k", "pois_per_category", "agents", "repeats")}
     row["pairs"] = PAIRS
     for side in sides:
-        for key in ("plan_s", "compute_dp_s", "landmarks_s", "host_ref_ms"):
+        for key in ("plan_s", "compute_dp_s", "views_s", "landmarks_s", "host_ref_ms"):
             row[f"{side}_{key}"] = round(statistics.median(run[side][key] for run in runs), 4)
         for key in ("searches_by_kind", "plan_searches_by_kind", "plan_sha256"):
             row[f"{side}_{key}"] = runs[0][side][key]

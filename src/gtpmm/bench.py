@@ -47,10 +47,20 @@ class ExperimentConfig:
             ("category_counts", self.category_counts),
             ("pois_per_category", self.pois_per_category),
         ):
-            if not values or any(v < 1 for v in values):
+            if type(values) not in (tuple, list) or not values or any(type(v) is not int or v < 1 for v in values):
                 raise ConfigurationError(f"{name} must be nonempty positive integers")
+        _check_int("runs", self.runs)
         if self.runs < 1:
             raise ConfigurationError("runs must be at least 1")
+        _check_int("seed", self.seed)
+        if not isinstance(self.sharing, SharingMode):
+            raise ConfigurationError(f"sharing must be a SharingMode, got {self.sharing!r}")
+
+
+def _check_int(name: str, value: object) -> None:
+    """Reject ``value`` unless it is exactly an ``int``: not a bool, float or str."""
+    if type(value) is not int:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,8 @@ def draw_instance(
     last, with replacement. Agent draws are a prefix-stable stream: the same
     seed with more agents extends, rather than reshuffles, the roster.
     """
+    for name, value in (("seed", seed), ("k", k), ("pois_per_category", pois_per_category), ("n_agents", n_agents)):
+        _check_int(name, value)
     if k < 1:
         raise ConfigurationError(f"k must be at least 1, got {k}")
     if pois_per_category < 1:

@@ -927,8 +927,12 @@ class CategoryConfig:
     keywords: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int:
+            raise ConfigurationError(f"category count must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigurationError("category count must be at least 1")
+        if type(self.seed) is not int:
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if self.strategy not in ("round-robin", "seeded-random", "by-name-keyword"):
             raise ConfigurationError(f"unknown category strategy {self.strategy!r}")
         if self.strategy == "by-name-keyword":

@@ -371,14 +371,7 @@ class MultiModalNetwork:
         """Per PoI, one ``(neighbor, cost)`` pair per distinct neighbor at the
         cheapest cost among the parallel edges, in ascending neighbor id;
         self-loops are left out."""
-        best: list[dict[int, Money]] = [{} for _ in self.pois]
-        for edge, cost in zip(self.edges, self.edge_costs):
-            u, v = edge.u, edge.v
-            known = best[u].get(v)
-            if u != v and (known is None or cost < known):
-                best[u][v] = cost
-                best[v][u] = cost
-        return tuple(tuple(sorted(row.items())) for row in best)
+        return self._cheapest_hops[0]
 
     @cached_property
     def cheapest_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -386,30 +379,35 @@ class MultiModalNetwork:
         of the cheapest parallel edge to each neighbor: least cost, then
         mode id, then edge id. The hop ``(u, v)`` is at
         ``bisect_left(cheapest_neighbors[u], (v,))``, and both ends hold the
-        same id.
+        same id."""
+        return self._cheapest_hops[1]
 
-        Built by one pass over the edges in id order, so an edge replaces
-        the one held only at a lower mode: a ``bisect_left`` per edge at its
-        first end, and one at its other end per replacement. On the 20k
-        road city (``road_network(1, 141)``, 86,729 edges) it builds in 46
-        ms and keeps 2.44 MB under ``tracemalloc``, against 180 ms and 6.50
-        MB for :attr:`hop_edges`.
-        """
-        neighbors, edges = self.cheapest_neighbors, self.edges
-        rows = [[-1] * len(row) for row in neighbors]
-        for eid, (edge, cost) in enumerate(zip(edges, self.edge_costs)):
-            u, v = edge.u, edge.v
-            if u == v:
-                continue
-            row = neighbors[u]
-            at = bisect_left(row, (v,))
-            if row[at][1] != cost:
-                continue  # dearer than the hop's cheapest edge
-            held = rows[u][at]
-            if held < 0 or edge.mode < edges[held].mode:
-                rows[u][at] = eid
-                rows[v][bisect_left(neighbors[v], (u,))] = eid
-        return tuple(map(tuple, rows))
+    @cached_property
+    def _cheapest_hops(self) -> tuple[tuple[tuple[tuple[int, Money], ...], ...], tuple[tuple[int, ...], ...]]:
+        """:attr:`cheapest_neighbors` and :attr:`cheapest_edges`, from one
+        pass over the edges in id order that keeps, per hop, the id of least
+        ``(cost, mode)``, the lower id on a tie. The ids make the
+        :attr:`cheapest_edges` rows, and the :attr:`cheapest_neighbors` rows
+        are made from those after all of them, so that no id row is
+        allocated among the rows a search walks: made in turn with the id
+        rows, they made a plain search over the 20k road city 7-12% slower
+        on a 2-vCPU host."""
+        edges, costs = self.edges, self.edge_costs
+        best: list[dict[int, int]] = [{} for _ in self.pois]
+        for eid, ((u, v, mode, _, _), cost) in enumerate(zip(edges, costs)):
+            held = best[u].get(v)
+            if u != v and (held is None or (cost, mode) < (costs[held], edges[held].mode)):
+                best[u][v] = best[v][u] = eid
+        cheapest = tuple([tuple([ids[v] for v in sorted(ids)]) for ids in best])
+        del best  # freed before the neighbor rows are made, so that the build's peak holds no dict
+        neighbors = []
+        for poi, row in enumerate(cheapest):
+            pairs = []
+            for eid in row:
+                u, v, _, _, _ = edges[eid]
+                pairs.append((v if u == poi else u, costs[eid]))
+            neighbors.append(tuple(pairs))
+        return tuple(neighbors), cheapest
 
     @cached_property
     def hop_edges(self) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -32,6 +32,7 @@ def test_bench_planner_measures_the_small_scenario():
         "pois_per_category",
         "agents",
         "repeats",
+        "views_s",
         "landmarks_s",
         "plan_s",
         "plan_p25_s",
@@ -50,7 +51,7 @@ def test_bench_planner_measures_the_small_scenario():
     assert row["plan_searches_by_kind"] == {"layer": 2, "tree": 7}  # the stage's trees answer every leg
     assert len(row["plan_sha256"]) == 64
     assert row["compute_dp_s"] <= row["plan_s"]
-    assert row["landmarks_s"] > 0
+    assert row["views_s"] > 0 and row["landmarks_s"] > 0
     assert bench_planner.planner.compute_dp.__name__ == "compute_dp"  # the timing wrapper is removed
 
 
@@ -90,7 +91,8 @@ def test_pairs_alternate_and_record_both_medians_and_each_ratio(monkeypatch):
         side = "change" if src == SCRIPT.parents[1] / "src" else "parent"
         calls.append(side)
         row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": next(plan_s[side])}
-        row |= {"plan_p25_s": 0.9 * row["plan_s"], "plan_p75_s": 1.1 * row["plan_s"], "landmarks_s": 0.01}
+        row |= {"plan_p25_s": 0.9 * row["plan_s"], "plan_p75_s": 1.1 * row["plan_s"]}
+        row |= {"views_s": 0.02, "landmarks_s": 0.01}
         row |= {"searches_by_kind": {"tree": 7}, "plan_searches_by_kind": SEARCHED[side], "plan_sha256": "p"}
         return row | {"compute_dp_s": 0.5, "host_ref_ms": 4.0}
 
@@ -102,6 +104,7 @@ def test_pairs_alternate_and_record_both_medians_and_each_ratio(monkeypatch):
     assert row["plan_ratio_median"] == 0.5 and row["change_won"] == 4
     assert row["host_drifted"] == [False] * 5 and row["plan_ratio_median_steady"] == 0.5  # equal host references
     assert row["parent_landmarks_s"] == row["change_landmarks_s"] == 0.01
+    assert row["parent_views_s"] == row["change_views_s"] == 0.02
     assert row["parent_searches_by_kind"] == row["change_searches_by_kind"] == {"tree": 7}
     assert row["parent_plan_searches_by_kind"] == SEARCHED["parent"]
     assert row["change_plan_searches_by_kind"] == SEARCHED["change"]
@@ -119,7 +122,8 @@ def test_pairs_whose_host_references_drift_past_the_spread_are_marked_and_left_o
         side = "change" if src == SCRIPT.parents[1] / "src" else "parent"
         plan, share = next(plan_s[side]), next(spread[side])
         row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": plan}
-        row |= {"plan_p25_s": plan * (1 - share / 2), "plan_p75_s": plan * (1 + share / 2), "landmarks_s": 0.01}
+        row |= {"plan_p25_s": plan * (1 - share / 2), "plan_p75_s": plan * (1 + share / 2)}
+        row |= {"views_s": 0.02, "landmarks_s": 0.01}
         row |= {"searches_by_kind": {"tree": 7}, "plan_searches_by_kind": SEARCHED[side], "plan_sha256": "p"}
         return row | {"compute_dp_s": 0.5, "host_ref_ms": next(host[side])}
 
@@ -142,7 +146,7 @@ def test_every_pair_drifted_leaves_no_steady_median(monkeypatch):
     def measured_in(src, index):
         side = "change" if src == SCRIPT.parents[1] / "src" else "parent"
         row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": 1.0}
-        row |= {"plan_p25_s": 0.9, "plan_p75_s": 1.1, "landmarks_s": 0.01}
+        row |= {"plan_p25_s": 0.9, "plan_p75_s": 1.1, "views_s": 0.02, "landmarks_s": 0.01}
         row |= {"searches_by_kind": {"tree": 7}, "plan_searches_by_kind": SEARCHED[side], "plan_sha256": "p"}
         return row | {"compute_dp_s": 0.5, "host_ref_ms": host[side]}
 
@@ -160,7 +164,8 @@ def test_against_exits_1_and_names_the_scenario_when_the_plan_digests_differ(mon
     def measured_in(digests, src, index):
         side = "parent" if src == parent / "src" else "change"
         row = {"pois": 200, "k": 3, "pois_per_category": 5, "agents": 5, "repeats": 7, "plan_s": 1.0}
-        row |= {"plan_p25_s": 0.9, "plan_p75_s": 1.1, "landmarks_s": 0.01, "compute_dp_s": 0.5, "host_ref_ms": 4.0}
+        row |= {"plan_p25_s": 0.9, "plan_p75_s": 1.1, "views_s": 0.02, "landmarks_s": 0.01}
+        row |= {"compute_dp_s": 0.5, "host_ref_ms": 4.0}
         row |= {"searches_by_kind": {"tree": 7}, "plan_searches_by_kind": SEARCHED[side]}
         return row | {"plan_sha256": digests[side][index]}
 

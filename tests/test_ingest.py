@@ -884,6 +884,37 @@ def test_a_route_type_of_anything_but_ascii_digits_is_rejected(tmp_path, text):
         parse_gtfs(feed)
 
 
+# ASCII digits past the interpreter's limit on the digits int() converts (0: no limit).
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+past_the_digit_limit = pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="int() converts any number of digits here")
+
+
+@past_the_digit_limit
+def test_a_time_of_more_digits_than_int_converts_cannot_be_parsed(tmp_path):
+    feed = copy_feed(tmp_path)
+    text = "9" * (INT_DIGIT_LIMIT + 1) + ":00:00"
+    write_stop_times(feed, [("T1", "A", text, "09:00:00", 1), ("T1", "B", "09:05:00", "09:05:00", 2)])
+    with pytest.raises(ParseError, match=re.escape(f"stop_times.txt:2: cannot parse time {text!r}")):
+        parse_gtfs(feed)
+
+
+@past_the_digit_limit
+def test_a_stop_sequence_of_more_digits_than_int_converts_is_rejected(tmp_path):
+    feed = copy_feed(tmp_path)
+    text = "1" * (INT_DIGIT_LIMIT + 1)
+    write_stop_times(feed, [("T1", "A", "09:00:00", "09:00:00", 1), ("T1", "B", "09:05:00", "09:05:00", text)])
+    with pytest.raises(ParseError, match=re.escape("stop_times.txt:3: stop_sequence must be an integer")):
+        parse_gtfs(feed)
+
+
+@past_the_digit_limit
+def test_a_route_type_of_more_digits_than_int_converts_is_rejected(tmp_path):
+    feed = copy_feed(tmp_path)
+    (feed / "routes.txt").write_text(f"route_id,route_type\nR1,{'3' * (INT_DIGIT_LIMIT + 1)}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape("routes.txt:2: route_type must be an integer")):
+        parse_gtfs(feed)
+
+
 @pytest.mark.parametrize("column", [2, 3])
 @pytest.mark.parametrize("text", ["4_8.5", "\u0662", *NON_ASCII_NUMBERS])
 def test_a_stop_coordinate_of_an_underscore_or_another_scripts_digit_is_rejected_at_its_line(tmp_path, text, column):

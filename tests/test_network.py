@@ -1652,6 +1652,67 @@ def test_cheapest_parallel_edge_ties_go_to_the_lower_mode_not_the_lower_id():
     assert cheapest_parallel_edge(net, 1, 1) is None  # the self-loop
 
 
+def two_pass_cheapest_views(net):
+    """Verbatim copy of the two-pass build of ``cheapest_neighbors`` and
+    ``cheapest_edges`` that the one-pass build replaced: the cheapest cost per
+    hop, then a ``bisect_left`` per edge into those rows."""
+    best = [{} for _ in net.pois]
+    for edge, cost in zip(net.edges, net.edge_costs):
+        u, v = edge.u, edge.v
+        known = best[u].get(v)
+        if u != v and (known is None or cost < known):
+            best[u][v] = cost
+            best[v][u] = cost
+    neighbors = tuple(tuple(sorted(row.items())) for row in best)
+    edges = net.edges
+    rows = [[-1] * len(row) for row in neighbors]
+    for eid, (edge, cost) in enumerate(zip(edges, net.edge_costs)):
+        u, v = edge.u, edge.v
+        if u == v:
+            continue
+        row = neighbors[u]
+        at = bisect_left(row, (v,))
+        if row[at][1] != cost:
+            continue  # dearer than the hop's cheapest edge
+        held = rows[u][at]
+        if held < 0 or edge.mode < edges[held].mode:
+            rows[u][at] = eid
+            rows[v][bisect_left(neighbors[v], (u,))] = eid
+    return neighbors, tuple(map(tuple, rows))
+
+
+def assert_one_pass_views_equal_the_two_pass_build(net):
+    neighbors, cheapest = two_pass_cheapest_views(net)
+    assert net.cheapest_neighbors == neighbors
+    assert net.cheapest_edges == cheapest
+    views = (net.cheapest_neighbors, net.cheapest_edges)
+    assert all(type(view) is tuple and all(type(row) is tuple for row in view) for view in views)
+
+
+@settings(max_examples=80, deadline=None)
+@given(net=tied_parallel_networks())
+def test_one_pass_cheapest_views_equal_the_two_pass_build_on_tied_parallel_edges(net):
+    assert_one_pass_views_equal_the_two_pass_build(net)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_NETWORKS))
+def test_one_pass_cheapest_views_equal_the_two_pass_build_on_edge_case_networks(name):
+    n_pois, edge_specs = EDGE_CASE_NETWORKS[name]
+    assert_one_pass_views_equal_the_two_pass_build(built_network(n_pois, EDGE_CASE_FARES, edge_specs))
+
+
+def test_one_pass_cheapest_views_equal_the_two_pass_build_on_the_road_city():
+    assert_one_pass_views_equal_the_two_pass_build(road_network(1, 55))
+
+
+def test_either_cheapest_view_builds_both_once():
+    net = road_network(1, 6)
+    assert "_cheapest_hops" not in net.__dict__  # lazy: a network never searched builds neither
+    neighbors = net.cheapest_neighbors
+    built = net.__dict__["_cheapest_hops"]
+    assert built[0] is neighbors and built[1] is net.cheapest_edges
+
+
 # --- network copies ---------------------------------------------------------------
 
 

@@ -57,10 +57,32 @@ def test_experiment_config_rejects_empty_or_nonpositive_counts(name, values):
         ExperimentConfig(**{name: values})
 
 
+@pytest.mark.parametrize("name", ["agent_counts", "category_counts", "pois_per_category"])
+@pytest.mark.parametrize("values", [5, "5", range(1, 3), (2.5,), (2, "3"), (True,), [1.0]])
+def test_experiment_config_rejects_counts_that_are_not_a_tuple_or_list_of_ints(name, values):
+    with raises(ConfigurationError, f"{name} must be nonempty positive integers"):
+        ExperimentConfig(**{name: values})
+
+
+def test_experiment_config_takes_its_counts_as_a_list():
+    assert ExperimentConfig(agent_counts=[2, 3]).agent_counts == [2, 3]
+
+
 @pytest.mark.parametrize("runs", [0, -2])
 def test_experiment_config_needs_a_run(runs):
     with raises(ConfigurationError, "runs must be at least 1"):
         ExperimentConfig(runs=runs)
+
+
+@pytest.mark.parametrize("name, value", [("runs", 2.0), ("runs", True), ("runs", "2"), ("seed", 1.5), ("seed", "1")])
+def test_experiment_config_takes_runs_and_seed_only_as_ints(name, value):
+    with raises(ConfigurationError, f"{name} must be an integer, got {value!r}"):
+        ExperimentConfig(**{name: value})
+
+
+def test_experiment_config_takes_sharing_only_as_a_sharing_mode():
+    with raises(ConfigurationError, "sharing must be a SharingMode, got 'shared'"):
+        ExperimentConfig(sharing="shared")
 
 
 def test_run_method_rejects_an_unknown_method(walkthrough_net, walkthrough_inst):
@@ -71,6 +93,21 @@ def test_run_method_rejects_an_unknown_method(walkthrough_net, walkthrough_inst)
 def test_draw_instance_names_the_pois_it_lacks(walkthrough_net):
     with raises(ConfigurationError, "network has 10 PoIs but the draw needs 12 (4 groups of 3)"):
         draw_instance(walkthrough_net, 0, 2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("7", 2, 2, 1), "seed must be an integer, got '7'"),
+        ((0, 2.0, 2, 1), "k must be an integer, got 2.0"),
+        ((0, 2, 2.0, 1), "pois_per_category must be an integer, got 2.0"),
+        ((0, 2, 2, 1.0), "n_agents must be an integer, got 1.0"),
+        ((0, 2, 2, True), "n_agents must be an integer, got True"),
+    ],
+)
+def test_draw_instance_takes_its_numbers_only_as_ints(walkthrough_net, args, message):
+    with raises(ConfigurationError, message):
+        draw_instance(walkthrough_net, *args)
 
 
 # --- ingest and fares -------------------------------------------------------------
@@ -85,6 +122,18 @@ def test_a_fare_range_with_an_unknown_strategy_is_rejected_when_resolved():
 def test_category_config_rejects_an_unknown_strategy():
     with raises(ConfigurationError, "unknown category strategy 'alphabetical'"):
         CategoryConfig(k=2, strategy="alphabetical")
+
+
+@pytest.mark.parametrize("k", [2.0, "2", True])
+def test_category_config_takes_k_only_as_an_int(k):
+    with raises(ConfigurationError, f"category count must be an integer, got {k!r}"):
+        CategoryConfig(k=k)
+
+
+@pytest.mark.parametrize("seed", [1.5, "1"])
+def test_category_config_takes_its_seed_only_as_an_int(seed):
+    with raises(ConfigurationError, f"seed must be an integer, got {seed!r}"):
+        CategoryConfig(k=2, strategy="seeded-random", seed=seed)
 
 
 @pytest.mark.parametrize("factor", [0, -3])
