@@ -31,10 +31,11 @@ full collection before and after it, so that the figure counts the
 loaded network's own objects alone and not the freed ones a free list
 keeps; rows before the first whose label holds "network_mb counts the
 loaded network alone" counted those too, and are not comparable), the
-``tracemalloc`` peaks of one save and of one load (``save_peak_mb`` and
-``load_peak_mb``, each over what was allocated when it began; all three
-are taken in extra saves and loads after the timed ones, so that no
-timing pays for tracing), and the median time of the fixed pure-Python
+``tracemalloc`` peaks of one save, of one load and of one edge-list load
+(``save_peak_mb``, ``load_peak_mb`` and ``edge_list_load_peak_mb``, each
+over what was allocated when it began; all four memory figures are taken
+in extra saves and loads after the timed ones, so that no timing pays for
+tracing), and the median time of the fixed pure-Python
 reference loop of ``bench_planner.py`` (``host_ref_ms``), run before the
 first save and after each load; plus the Python version and
 ``os.cpu_count()``.
@@ -46,7 +47,8 @@ times at a few hundred distinct times of day. The feed is loaded
 ``REPEATS`` times; the row holds the median and quartiles of the load,
 the feed's size in bytes and a sha256 over its four files, a sha256 of the
 loaded network's edge costs, one of its PoIs, edges and edge costs
-(``network_sha256``), and ``host_ref_ms`` as above.
+(``network_sha256``), the ``tracemalloc`` peak of one more load
+(``load_peak_mb``, as above), and ``host_ref_ms`` as above.
 
 As with ``BENCH_planner.json``, two rows are comparable only where their
 ``host_ref_ms`` agree. A row with the same label is replaced. The package
@@ -62,9 +64,11 @@ then right after with this checkout's ``src`` (the change):
 It writes two rows, labelled ``parent: LABEL`` and ``change: LABEL``, and
 exits 1 when a scenario's two rows differ in a sha256, that is when the
 change wrote or read other bytes, priced other costs or loaded another
-network. It prints, per network, the change-over-parent ratio of
-``network_mb``, ``save_peak_mb`` and ``load_peak_mb``, and also exits 1
-when any of them rose by more than 1% (``MEMORY_RISE``): these
+network. It prints, per scenario, the change-over-parent ratio of each
+of its ``MEMORY`` figures (``network_mb``, ``save_peak_mb``,
+``load_peak_mb`` and ``edge_list_load_peak_mb`` of a network, the feed's
+``load_peak_mb``), and also exits 1 when any of them rose by more than 1%
+(``MEMORY_RISE``): these
 ``tracemalloc`` figures count the objects the code allocates, so they do
 not drift with the host as resident memory does. Each scenario's
 two measurements carry ``host_drifted``, by ``bench_planner.py``'s rule
@@ -119,7 +123,7 @@ GTFS_TRIPS_PER_ROUTE = 10
 GTFS_STOPS_PER_TRIP = 40
 GTFS_TABLES = ("stops.txt", "routes.txt", "trips.txt", "stop_times.txt")
 SCENARIOS = (*NETWORKS, "gtfs")
-MEMORY = ("network_mb", "save_peak_mb", "load_peak_mb")  # the tracemalloc figures of a network scenario
+MEMORY = ("network_mb", "save_peak_mb", "load_peak_mb", "edge_list_load_peak_mb")  # compared by --against
 MEMORY_RISE = 1.01  # the change-over-parent ratio of a MEMORY figure past which --against exits 1
 CATEGORIES = CategoryConfig(k=8)  # round-robin
 
@@ -150,7 +154,8 @@ def measure(network: str, net, directory: Path) -> dict:
         _edge_costs(loaded.edges, loaded.fare_table)
         pricings.append(time.perf_counter() - start)
     data = path.read_bytes()
-    save_peak, load_peak = traced_round_trip(net, path)
+    save_peak = traced_peak(save_network_json, net, path)
+    load_peak = traced_peak(load_network_json, path)
     size = network_bytes(path)
 
     csv_path = directory / f"{network}.csv"
@@ -163,6 +168,7 @@ def measure(network: str, net, directory: Path) -> dict:
     if (from_csv.edges, from_csv.edge_costs) != (net.edges, net.edge_costs):
         raise RuntimeError(f"the {network} network changed its edges in an edge-list round trip")
     csv_data = csv_path.read_bytes()
+    csv_load_peak = traced_peak(load_edge_list, csv_path, net.fare_table)
 
     categorizings: list[float] = []
     for _ in range(REPEATS):
@@ -187,27 +193,24 @@ def measure(network: str, net, directory: Path) -> dict:
         "edge_list_bytes": len(csv_data),
         "edge_list_sha256": hashlib.sha256(csv_data).hexdigest(),
         "edge_list_network_sha256": _network_sha256(from_csv),
+        "edge_list_load_peak_mb": round(csv_load_peak / 2**20, 3),
         **_summary("categorize", categorizings),
         "categorize_sha256": hashlib.sha256(repr(sets).encode()).hexdigest(),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 
 
-def traced_round_trip(net, path: Path) -> tuple[int, int]:
-    """One ``save_network_json`` of ``net`` to ``path`` and one
-    ``load_network_json`` of it under ``tracemalloc``: the peak bytes of
-    the save and of the load, each over what was allocated when it began."""
+def traced_peak(step, *args) -> int:
+    """The peak bytes of one ``step(*args)`` under ``tracemalloc``, over
+    what was allocated when it began."""
     tracemalloc.start()
     try:
-        save_network_json(net, path)
-        start, save_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        loaded = load_network_json(path)
-        _, load_peak = tracemalloc.get_traced_memory()
+        start, _ = tracemalloc.get_traced_memory()
+        step(*args)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del loaded
-    return save_peak, load_peak - start
+    return peak - start
 
 
 def network_bytes(path: Path) -> int:
@@ -277,6 +280,7 @@ def measure_gtfs(feed: Path) -> dict:
         net = load_gtfs(feed, fares)
         loads.append(time.perf_counter() - start)
         probes.append(reference_ms())
+    load_peak = traced_peak(load_gtfs, feed, fares)
     data = b"".join((feed / name).read_bytes() for name in GTFS_TABLES)
     stop_times = [line.split(",") for line in (feed / "stop_times.txt").read_text(encoding="utf-8").splitlines()[1:]]
     return {
@@ -291,6 +295,7 @@ def measure_gtfs(feed: Path) -> dict:
         "sha256": hashlib.sha256(data).hexdigest(),
         "edge_costs_sha256": _costs_sha256(net),
         "network_sha256": _network_sha256(net),
+        "load_peak_mb": round(load_peak / 2**20, 3),
         "host_ref_ms": round(statistics.median(probes), 2),
     }
 

@@ -293,7 +293,9 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
     The records are read :data:`_CHUNK` at a time and split into columns
     at C speed, their distances and times parsed by :func:`_floats` and
     their ids and modes stripped there, so that no cell text outlives its
-    batch; ids and modes are then checked a column at a time. A number
+    batch. The columns keep one object per distinct id and mode text, the
+    first read, through one dict per call, so an id named on many records
+    is held once; ids and modes are then checked a column at a time. A number
     :func:`_floats` rejects fails at its row, ahead of a CSV fault at a
     later one, then an empty ``u`` or ``v``, then an unknown mode or an
     edge the builder rejects, each at its first line.
@@ -304,6 +306,7 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
     path = Path(path)
     records = _csv_records(path, EDGE_LIST_HEADER, exact=True)
     lines, us, vs, names, distances, times = [], [], [], [], [], []  # one list per column
+    texts: dict[str, str] = {}  # each id and mode text read, to its first object
     while True:
         batch, fault = [], None
         try:
@@ -323,9 +326,9 @@ def load_edge_list(path: str | Path, fare_table: FareTable) -> MultiModalNetwork
                     except ValueError:
                         raise ParseError("distance and time must be numeric", file=str(path), line=line) from None
             lines += batch_lines
-            us += map(str.strip, batch_us)
-            vs += map(str.strip, batch_vs)
-            names += map(str.strip, batch_names)
+            for column, batch_texts in ((us, batch_us), (vs, batch_vs), (names, batch_names)):
+                stripped = [*map(str.strip, batch_texts)]
+                column += map(texts.setdefault, stripped, stripped)  # the first object of each text
         if fault is not None:
             raise fault
         if len(batch) < _CHUNK:
@@ -444,7 +447,9 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
 
     Each distinct time and ``stop_sequence`` text of ``stop_times.txt`` is
     parsed once per call and its value reused, so a malformed one is still
-    reported at the first line that holds it.
+    reported at the first line that holds it. Each stop time's ``stop_id``
+    is the key object of ``stops``, so a stop is held once however many
+    stop times name it.
     """
     directory = Path(directory)
     feed = GtfsFeed()
@@ -490,7 +495,8 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
     file = str(path)
     minutes: dict[str, float] = {}  # time cell -> its minutes, parsed at the first line holding it
     sequences: dict[str, int] = {}  # stop_sequence cell -> its integer, likewise
-    stop_times, stops = feed.stop_times, feed.stops
+    stop_times = feed.stop_times
+    stop_keys = {stop_id: stop_id for stop_id in feed.stops}  # each stop id to the key object feed.stops holds
     for line, (trip_id, stop_id, arrival_text, departure_text, sequence_text) in _csv_records(
         path, ("trip_id", "stop_id", "arrival_time", "departure_time", "stop_sequence"), exact=False
     ):
@@ -500,7 +506,8 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
             if trip_id not in feed.trip_routes:
                 raise ParseError(f"stop_time references unknown trip {trip_id!r}", file=file, line=line)
             entries = stop_times[trip_id] = []
-        if stop_id not in stops:
+        stop_key = stop_keys.get(stop_id)
+        if stop_key is None:
             raise ParseError(f"stop_time references unknown stop {stop_id!r}", file=file, line=line)
         arrival = minutes.get(arrival_text)
         if arrival is None:
@@ -514,7 +521,7 @@ def parse_gtfs(directory: str | Path) -> GtfsFeed:
         if sequence is None:
             sequence = sequences[sequence_text] = _parse_gtfs_int(sequence_text, "stop_sequence", file=file, line=line)
         # tuple.__new__ skips the named tuple's own __new__, a Python-level call per row
-        entries.append(tuple.__new__(GtfsStopTime, (stop_id, arrival, departure, sequence, line)))
+        entries.append(tuple.__new__(GtfsStopTime, (stop_key, arrival, departure, sequence, line)))
 
     for trip_id, entries in stop_times.items():
         entries.sort(key=_stop_time_sequence)

@@ -62,6 +62,7 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
         "edge_list_bytes",
         "edge_list_sha256",
         "edge_list_network_sha256",
+        "edge_list_load_peak_mb",
         "categorize_s",
         "categorize_p25_s",
         "categorize_p75_s",
@@ -85,6 +86,7 @@ def test_bench_io_measures_a_small_network(bench_io, tmp_path):
     assert (row["edge_list_bytes"], row["edge_list_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
     from_csv = load_edge_list(tmp_path / "road.csv", road_network(1, 8).fare_table)
     assert row["edge_list_network_sha256"] == network_sha256(from_csv)
+    assert row["network_mb"] < row["edge_list_load_peak_mb"] < 1
     assert row["categorize_p25_s"] <= row["categorize_s"] <= row["categorize_p75_s"]
     sets = [tuple(range(category, 64, 8)) for category in range(8)]  # round-robin over 64 PoIs
     assert row["categorize_sha256"] == hashlib.sha256(repr(sets).encode()).hexdigest()
@@ -137,6 +139,7 @@ def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
         "sha256",
         "edge_costs_sha256",
         "network_sha256",
+        "load_peak_mb",
         "host_ref_ms",
     }
     net = load_gtfs(feed, resolve_fares(default_fare_ranges(), "low"))
@@ -147,6 +150,8 @@ def test_bench_io_measures_a_small_gtfs_feed(bench_io, tmp_path):
     data = b"".join((feed / name).read_bytes() for name in bench_io.GTFS_TABLES)
     assert (row["bytes"], row["sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
     assert row["load_p25_s"] <= row["load_s"] <= row["load_p75_s"]
+    assert 0 < row["load_peak_mb"] < 1  # 1,000 stops and 800 stop times
+    assert not tracemalloc.is_tracing()
 
 
 def network_sha256(net) -> str:
@@ -170,7 +175,9 @@ def _fake_measurement(src, scenario, digest="d", host_ref_ms=4.0):
     timing = {"load_s": 1.0, "load_p25_s": 0.95, "load_p75_s": 1.05, "host_ref_ms": host_ref_ms}
     digests = {"sha256": digest, "edge_costs_sha256": "c"}
     digests["network_sha256" if scenario == "gtfs" else "edge_list_network_sha256"] = "n"
-    memory = {} if scenario == "gtfs" else {"network_mb": 2.0, "save_peak_mb": 0.5, "load_peak_mb": 3.0}
+    memory = {"load_peak_mb": 3.0}
+    if scenario != "gtfs":
+        memory |= {"network_mb": 2.0, "save_peak_mb": 0.5, "edge_list_load_peak_mb": 4.0}
     return {"scenario": scenario, "src": str(src), **digests, **timing, **memory}
 
 
@@ -262,23 +269,26 @@ def test_against_exits_1_when_a_sha256_differs(bench_io, monkeypatch, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "key, scale, status",
+    "scenario, key, scale, status",
     [
-        ("load_peak_mb", 1.02, 1),
-        ("network_mb", 1.015, 1),
-        ("save_peak_mb", 1.2, 1),
-        ("load_peak_mb", 1.005, 0),  # within 1%
-        ("load_peak_mb", 0.5, 0),
+        ("random", "load_peak_mb", 1.02, 1),
+        ("random", "network_mb", 1.015, 1),
+        ("random", "save_peak_mb", 1.2, 1),
+        ("random", "edge_list_load_peak_mb", 1.02, 1),
+        ("gtfs", "load_peak_mb", 1.02, 1),
+        ("random", "load_peak_mb", 1.005, 0),  # within 1%
+        ("gtfs", "load_peak_mb", 1.005, 0),
+        ("random", "load_peak_mb", 0.5, 0),
     ],
 )
 def test_against_exits_1_when_a_memory_figure_rises_by_more_than_1_percent(
-    bench_io, monkeypatch, tmp_path, capsys, key, scale, status
+    bench_io, monkeypatch, tmp_path, capsys, scenario, key, scale, status
 ):
     parent = tmp_path / "parent"
 
     def measured_in(src, name):
         measurement = _fake_measurement(src, name)
-        if src != parent / "src" and name == "random":
+        if src != parent / "src" and name == scenario:
             measurement[key] *= scale
         return measurement
 
@@ -286,10 +296,11 @@ def test_against_exits_1_when_a_memory_figure_rises_by_more_than_1_percent(
     output = tmp_path / "io.json"
     assert bench_io.main(["--label", "x", "--against", str(parent), "--output", str(output)]) == status
     out, err = capsys.readouterr()
-    assert "road change/parent: network_mb 1.000, save_peak_mb 1.000, load_peak_mb 1.000" in out
-    assert f"{key} {scale:.3f}" in out.split("random change/parent:")[1]
-    assert "gtfs change/parent" not in out
-    assert ("memory rose by more than 1% on random " + key in err) == bool(status)
+    ratios = "network_mb 1.000, save_peak_mb 1.000, load_peak_mb 1.000, edge_list_load_peak_mb 1.000"
+    assert f"road change/parent: {ratios}" in out
+    assert f"{key} {scale:.3f}" in out.split(f"{scenario} change/parent:")[1].splitlines()[0]
+    assert "gtfs change/parent: load_peak_mb" in out
+    assert (f"memory rose by more than 1% on {scenario} {key}" in err) == bool(status)
     assert len(json.loads(output.read_text())) == 2  # the rows are kept
 
 

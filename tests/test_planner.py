@@ -27,6 +27,7 @@ from gtpmm import (
     rprm,
     shortest_path,
 )
+from gtpmm import planner
 from gtpmm.bench import draw_instance
 from gtpmm.fixtures import WALKTHROUGH_UNIT, walkthrough_poi
 from gtpmm.network import (
@@ -249,6 +250,59 @@ def test_reconstruct_rejects_broken_parent_chain():
 def test_reconstruct_single_category():
     table = DpTable(cost=[{4: 10}], parent=[{4: None}])
     assert reconstruct(table, 4) == (4,)
+
+
+def doctored_dp(monkeypatch, doctor):
+    """``planner.compute_dp`` patched to hand ``plan()`` its table after ``doctor(table)`` edits it."""
+    computed = planner.compute_dp
+
+    def doctored(*args, **kwargs):
+        table = computed(*args, **kwargs)
+        doctor(table)
+        return table
+
+    monkeypatch.setattr(planner, "compute_dp", doctored)
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        (lambda table: table.cost[-1].pop(table.best[1]), r"^PoI \d+ has no entry in the last DP layer$"),
+        (lambda table: table.parent[-1].pop(table.best[1]), r"^broken parent chain at category 2, PoI \d+$"),
+    ],
+    ids=["last PoI missing", "parent chain broken"],
+)
+def test_plan_rejects_a_table_whose_winner_has_no_chain(
+    walkthrough_net, walkthrough_inst, monkeypatch, doctor, message
+):
+    assert walkthrough_inst.k == 3
+    doctored_dp(monkeypatch, doctor)
+    with pytest.raises(InternalConsistencyError, match=message):
+        plan(walkthrough_net, walkthrough_inst, SHARED)
+
+
+def test_plan_rejects_a_table_total_that_its_legs_do_not_sum_to(walkthrough_net, walkthrough_inst, monkeypatch):
+    total = plan(walkthrough_net, walkthrough_inst, SHARED).total_cost
+
+    def overstated(table):
+        table.best = (table.best[0] + 1, table.best[1])
+
+    doctored_dp(monkeypatch, overstated)
+    with pytest.raises(InternalConsistencyError, match=f"^DP total {total + 1} != leg total {total}$"):
+        plan(walkthrough_net, walkthrough_inst, SHARED)
+
+
+def test_plan_rejects_a_table_whose_chain_needs_an_unreachable_leg(monkeypatch):
+    net = random_disconnected_network(seed=21, n_components=2, pois_per_component=3)
+    inst = QueryInstance([(0, 1)], [[3]])  # agents on island one, category on island two
+
+    def reached(table):  # the DP found no plan; claim it reached PoI 3 at no cost
+        table.cost[0][3], table.parent[0][3], table.best = 0, None, (0, 3)
+
+    doctored_dp(monkeypatch, reached)
+    with pytest.raises(InternalConsistencyError, match="^reconstructed plan references an unreachable leg$") as excinfo:
+        plan(net, inst, PER_PERSON)
+    assert isinstance(excinfo.value.__cause__, InfeasibleRouteError) and excinfo.value.__cause__.pair == (0, 3)
 
 
 def test_tied_chains_resolve_to_lower_poi_ids():

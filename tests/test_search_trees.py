@@ -419,6 +419,12 @@ def test_a_tie_is_never_read_back():
     assert legs.path(net, 4, 0) == reference_path(net, 4, 0) and legs.searches["path"] == 1
 
 
+def test_a_tree_counts_its_reached_targets_alone():
+    net = built(5, [(0, 1), (1, 2), (3, 4)])  # 3 and 4 are unreachable from 0
+    tree = shortest_paths(net, 0, [4, 2, 3])
+    assert len(tree) == 1 and list(tree) == [2] and tree.targets == {2, 3, 4}
+
+
 def test_a_network_with_a_free_hop_never_reads_back():
     fares = FLAT.with_mode("F", FarePolicy(0, Decimal(0), Decimal(0)))
     net = built(5, [(0, 1), (1, 2), (2, 3), (3, 4, 1)], fares)  # a path whose last hop is free
